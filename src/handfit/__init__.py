@@ -7,13 +7,13 @@ positions per hand joint; a stepwise particle-swarm optimiser then fits a
 
 from .config import ConfigError, RunConfig
 from .depth import CameraIntrinsics, DepthImage, RenderError, foreground_mask, render_depth
-from .fit import (FitResult, PsoConfig, UnderConstrainedError, clamped_distance,
-                  joint_fit, objective, pso_optimize, stepwise_fit)
+from .fit import (FitResult, PsoConfig, UnderConstrainedError, fit_frames, joint_fit,
+                  objective, pso_optimize, stepwise_fit)
 from .forest import (Forest, ForestConfig, ForestFormatError, build_training_set,
                      extract_samples, infer_proposals, load_forest, save_forest,
                      train_forest, train_tree)
 from .geometry import (HandGeometry, JointLimits, PoseParams, clamp_to_limits,
-                       forward_kinematics, joint_position, random_pose, validate_pose)
+                       forward_kinematics, random_pose, validate_pose)
 from .meanshift import mean_shift
 from .metrics import (FrameResult, SuccessCurve, fingertip_error, mean_joint_error,
                       oracle_select, success_rate_curve)
@@ -27,9 +27,9 @@ __all__ = [
     "ForestConfig", "ForestFormatError", "FrameResult", "HandGeometry",
     "JointLimits", "PoseParams", "ProposalSet", "PsoConfig", "RenderError",
     "RunConfig", "SuccessCurve", "UnderConstrainedError", "build_training_set",
-    "clamp_to_limits", "clamped_distance", "extract_samples", "fingertip_error",
+    "clamp_to_limits", "extract_samples", "fingertip_error", "fit_frames",
     "foreground_mask", "forward_kinematics", "generate_sequence",
-    "generate_training_poses", "infer_proposals", "joint_fit", "joint_position",
+    "generate_training_poses", "infer_proposals", "joint_fit",
     "load_forest", "mean_joint_error", "mean_shift", "objective", "oracle_select",
     "pso_optimize", "random_pose", "read_proposals_csv", "render_depth",
     "save_forest", "stepwise_fit", "success_rate_curve", "train_forest",

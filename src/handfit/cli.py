@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import logging
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -154,26 +156,6 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _infer_frames(model, images, cfg, threads=1):
-    def one(img):
-        votes = forest.accumulate_votes(model, img,
-                                        stride=cfg["forest.infer_stride"],
-                                        depth_sq_weight=cfg["forest.depth_sq_weight"])
-        return votes, forest.proposals_from_votes(
-            votes, top_n=cfg["forest.top_n"], k=cfg["forest.k"],
-            bandwidth_mm=cfg["forest.infer_bandwidth_mm"],
-            max_iters=cfg["forest.meanshift_iters"])
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(one, images))
-    else:
-        pairs = [one(img) for img in images]
-    return [p[0] for p in pairs], [p[1] for p in pairs]
-
-
 def cmd_infer(args):
     cfg = _load_config(args)
     dataset = Path(args.dataset)
@@ -183,7 +165,17 @@ def cmd_infer(args):
     model = forest.load_forest(args.forest)
     _, images = synth.read_split(split, cam)
     log.info("inferring proposals for %d frames", len(images))
-    _, psets = _infer_frames(model, images, cfg, threads=args.threads)
+    infer = functools.partial(
+        forest.infer_proposals, model, stride=cfg["forest.infer_stride"],
+        top_n=cfg["forest.top_n"], k=cfg["forest.k"],
+        bandwidth_mm=cfg["forest.infer_bandwidth_mm"],
+        max_iters=cfg["forest.meanshift_iters"],
+        depth_sq_weight=cfg["forest.depth_sq_weight"])
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            psets = list(pool.map(infer, images))
+    else:
+        psets = [infer(img) for img in images]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     proposals.write_proposals_csv(out, psets)
@@ -201,27 +193,14 @@ def cmd_fit(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    frames = []
-    fit_results = []
-    evals = []
-    pso_cfg = sweeps.pso_config(cfg, cfg["seed"])
-    for i, pset in enumerate(psets):
-        rng = np.random.default_rng((cfg["seed"], 5, i))
-        if args.mode == "regression-only":
-            frames.append(metrics.top_proposal_joints(pset))
-            continue
-        if args.mode == "joint":
-            res = fit.joint_fit(pset, geom, limits, pso_cfg, rng=rng)
-        else:
-            res = fit.stepwise_fit(pset, geom, limits, pso_cfg, rng=rng)
-        fit_results.append(res)
-        frames.append(res.joints(geom))
-        evals.append(res.evals)
+    frames, fit_results = fit.fit_frames(psets, geom, limits,
+                                         sweeps.pso_config(cfg, cfg["seed"]),
+                                         args.mode, cfg["seed"])
     write_joints_csv(out / "estimates.csv", frames)
-    if fit_results:
+    if any(fit_results):  # regression-only frames carry no FitResult
         fit.write_fits_csv(out / "poses.csv", fit_results)
         log.info("fitted %d frames, mean %.0f objective evaluations/frame",
-                 len(fit_results), float(np.mean(evals)))
+                 len(fit_results), float(np.mean([r.evals for r in fit_results])))
     return EXIT_OK
 
 
@@ -299,32 +278,19 @@ def cmd_sweep(args):
 
 def cmd_pipeline(args):
     out = Path(args.out)
-    stages = argparse.Namespace(**vars(args))
-    stages.out = out / "dataset"
-    cmd_synth(stages)
-    train_args = argparse.Namespace(**vars(args))
-    train_args.dataset = out / "dataset"
-    train_args.out = out / "forest.bin"
-    cmd_train(train_args)
-    infer_args = argparse.Namespace(**vars(args))
-    infer_args.dataset = out / "dataset"
-    infer_args.forest = out / "forest.bin"
-    infer_args.split = "test"
-    infer_args.out = out / "proposals.csv"
-    cmd_infer(infer_args)
-    fit_args = argparse.Namespace(**vars(args))
-    fit_args.proposals = out / "proposals.csv"
-    fit_args.geometry = out / "dataset" / "geometry.txt"
-    fit_args.limits = out / "dataset" / "limits.txt"
-    fit_args.mode = args.mode
-    fit_args.out = out / "fit"
-    cmd_fit(fit_args)
-    eval_args = argparse.Namespace(**vars(args))
-    eval_args.estimates = out / "fit" / "estimates.csv"
-    eval_args.dataset = out / "dataset"
-    eval_args.split = "test"
-    eval_args.out = out / "eval"
-    cmd_eval(eval_args)
+    dataset = out / "dataset"
+
+    def stage(command, **fields):
+        command(argparse.Namespace(**{**vars(args), **fields}))
+
+    stage(cmd_synth, out=dataset)
+    stage(cmd_train, dataset=dataset, out=out / "forest.bin")
+    stage(cmd_infer, dataset=dataset, forest=out / "forest.bin", split="test",
+          out=out / "proposals.csv")
+    stage(cmd_fit, proposals=out / "proposals.csv", geometry=dataset / "geometry.txt",
+          limits=dataset / "limits.txt", out=out / "fit")
+    stage(cmd_eval, estimates=out / "fit" / "estimates.csv", dataset=dataset,
+          split="test", out=out / "eval")
     return EXIT_OK
 
 
@@ -395,8 +361,7 @@ def build_parser():
     p = sub.add_parser("fit", help="fit the hand model to proposals")
     p.add_argument("--proposals", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--mode", choices=("stepwise", "joint", "regression-only"),
-                   default="stepwise")
+    p.add_argument("--mode", choices=fit.FIT_MODES, default="stepwise")
     p.add_argument("--geometry")
     p.add_argument("--limits")
     _add_common(p)
@@ -421,8 +386,7 @@ def build_parser():
     p = sub.add_parser("pipeline", help="synth, train, infer, fit, eval in one go")
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
-    p.add_argument("--mode", choices=("stepwise", "joint", "regression-only"),
-                   default="stepwise")
+    p.add_argument("--mode", choices=fit.FIT_MODES, default="stepwise")
     _add_common(p)
     p.set_defaults(func=cmd_pipeline)
     return parser

@@ -4,8 +4,10 @@ The objective sums, per joint, the best confidence-weighted agreement
 between the hypothesized joint position and that joint's proposals, with
 distances clamped so far-off proposals contribute nothing. It needs only
 a handful of 3D distances per evaluation: no rendering, no image access.
-The 27-parameter search runs as six sub-problems: a 7-parameter global
-stage scored on the palm-rigid joints, then four parameters per finger.
+The 27-parameter search runs as a list of PSO stages over sub-problems:
+stepwise fitting is a 7-parameter global stage scored on the palm-rigid
+joints, then four parameters per finger; the whole-vector ablation is a
+single 27-parameter stage.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, quats
+from . import geometry, metrics, quats
 
 TRANSLATION_DIMS = np.arange(0, 3)
 QUAT_DIMS = np.arange(3, 7)
@@ -48,7 +50,6 @@ class PsoConfig:
     social: float = 1.49618
     d_max: float = 100.0
     translation_margin: float = 150.0
-    bounds: object = None  # optional (27, 2); derived from proposals when None
     seed: int = 0
 
     def __post_init__(self):
@@ -57,14 +58,6 @@ class PsoConfig:
         for name in ("palm_particles", "finger_particles", "joint_particles"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be >= 2")
-
-
-def clamped_distance(p, q, d_max):
-    """||p - q|| / d_max clamped to [0, 1]."""
-    if d_max <= 0:
-        raise ValueError("d_max must be positive")
-    return min(1.0, float(np.linalg.norm(np.asarray(p, dtype=float) -
-                                         np.asarray(q, dtype=float))) / d_max)
 
 
 def _score_joints(joint_positions, padded_pos, padded_w, d_max):
@@ -271,62 +264,72 @@ class FitResult:
         return geometry.forward_kinematics(geom, self.pose)
 
 
+def _fit_stages(proposal_set, geom, limits, cfg, rng, stages, finger_fitted):
+    """Run PSO stages in order; each starts from the best of the one before.
+
+    A stage is (dims, scored joints or None for all, particles,
+    generations). The first stage starts from the palm seeds. The final
+    hypothesis is clamped to the limits and scored once on all joints.
+    """
+    rng = rng or np.random.default_rng(cfg.seed)
+    _check_palm_constrained(proposal_set)
+    bounds = default_bounds(proposal_set, limits, cfg.translation_margin)
+    seeds = _palm_seeds(proposal_set, limits)
+    evals = 0
+    for dims, joints, particles, generations in stages:
+        res = pso_optimize(
+            lambda batch: objective(proposal_set, batch, geom, cfg.d_max,
+                                    joint_subset=joints),
+            bounds, dims, particles, generations, cfg, seeds=seeds, rng=rng)
+        seeds = [res.best.copy()]
+        evals += res.evals
+    pose = geometry.clamp_to_limits(geometry.PoseParams.from_vector(seeds[0]), limits)
+    score = objective(proposal_set, pose.to_vector(), geom, cfg.d_max)
+    return FitResult(pose=pose, score=score, evals=evals, finger_fitted=finger_fitted)
+
+
 def stepwise_fit(proposal_set, geom, limits, cfg=None, rng=None):
-    """Six-stage fit: global pose from palm-rigid joints, then each finger.
+    """Stepwise fit: global pose from palm-rigid joints, then each finger.
 
     Raises UnderConstrainedError when the palm stage lacks three
     non-collinear proposals. Fingers without any proposals stay neutral
     and are flagged in the result.
     """
     cfg = cfg or PsoConfig()
-    rng = rng or np.random.default_rng(cfg.seed)
-    _check_palm_constrained(proposal_set)
-    bounds = np.asarray(cfg.bounds, dtype=float) if cfg.bounds is not None \
-        else default_bounds(proposal_set, limits, cfg.translation_margin)
-
-    def stage_score(joint_subset):
-        return lambda batch: objective(proposal_set, batch, geom, cfg.d_max,
-                                       joint_subset=joint_subset)
-
-    palm = pso_optimize(stage_score(PALM_STAGE_JOINTS), bounds, GLOBAL_DIMS,
-                        cfg.palm_particles, cfg.palm_generations, cfg,
-                        seeds=_palm_seeds(proposal_set, limits), rng=rng)
-    current = palm.best.copy()
-    evals = palm.evals
-
-    fitted = []
-    for f in range(5):
-        joints_f = geometry.finger_joint_indices(f)
-        if not any(j in proposal_set for j in joints_f):
-            fitted.append(False)
-            continue
-        res = pso_optimize(stage_score(joints_f), bounds, finger_dims(f),
-                           cfg.finger_particles, cfg.finger_generations, cfg,
-                           seeds=[current], rng=rng)
-        current = res.best.copy()
-        evals += res.evals
-        fitted.append(True)
-
-    pose = geometry.clamp_to_limits(geometry.PoseParams.from_vector(current), limits)
-    score = objective(proposal_set, pose.to_vector(), geom, cfg.d_max)
-    return FitResult(pose=pose, score=score, evals=evals, finger_fitted=tuple(fitted))
+    fingers = [geometry.finger_joint_indices(f) for f in range(5)]
+    fitted = tuple(any(j in proposal_set for j in joints) for joints in fingers)
+    stages = [(GLOBAL_DIMS, PALM_STAGE_JOINTS, cfg.palm_particles, cfg.palm_generations)]
+    stages += [(finger_dims(f), fingers[f], cfg.finger_particles, cfg.finger_generations)
+               for f in range(5) if fitted[f]]
+    return _fit_stages(proposal_set, geom, limits, cfg, rng, stages, fitted)
 
 
 def joint_fit(proposal_set, geom, limits, cfg=None, rng=None):
     """Ablation baseline: one PSO over all 27 parameters, same objective."""
     cfg = cfg or PsoConfig()
-    rng = rng or np.random.default_rng(cfg.seed)
-    _check_palm_constrained(proposal_set)
-    bounds = np.asarray(cfg.bounds, dtype=float) if cfg.bounds is not None \
-        else default_bounds(proposal_set, limits, cfg.translation_margin)
-    score_fn = lambda batch: objective(proposal_set, batch, geom, cfg.d_max)
-    res = pso_optimize(score_fn, bounds, np.arange(HYP_DIM),
-                       cfg.joint_particles, cfg.joint_generations, cfg,
-                       seeds=_palm_seeds(proposal_set, limits), rng=rng)
-    pose = geometry.clamp_to_limits(geometry.PoseParams.from_vector(res.best), limits)
-    score = objective(proposal_set, pose.to_vector(), geom, cfg.d_max)
-    return FitResult(pose=pose, score=score, evals=res.evals,
-                     finger_fitted=(True,) * 5)
+    stages = [(np.arange(HYP_DIM), None, cfg.joint_particles, cfg.joint_generations)]
+    return _fit_stages(proposal_set, geom, limits, cfg, rng, stages, (True,) * 5)
+
+
+FIT_MODES = ("stepwise", "joint", "regression-only")
+
+
+def fit_frames(psets, geom, limits, cfg, mode, seed):
+    """Fit every frame of a sequence; returns (joints, results) per frame.
+
+    Frame i draws from default_rng((seed, 5, i)), so a frame's fit does
+    not depend on which caller runs it or on the frames before it. In
+    regression-only mode each joint is its top proposal and every result
+    is None.
+    """
+    if mode not in FIT_MODES:
+        raise ValueError(f"unknown fit mode {mode!r}; pick from {FIT_MODES}")
+    if mode == "regression-only":
+        return [metrics.top_proposal_joints(p) for p in psets], [None] * len(psets)
+    fitter = joint_fit if mode == "joint" else stepwise_fit
+    results = [fitter(pset, geom, limits, cfg, rng=np.random.default_rng((seed, 5, i)))
+               for i, pset in enumerate(psets)]
+    return [res.joints(geom) for res in results], results
 
 
 FIT_COLUMNS = geometry.POSE_COLUMNS + ["score", "evals"] + \

@@ -501,6 +501,41 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
 
+def _check_topology(t, left, right, leaf_id, n_leaves, base):
+    """Reject node tables that Tree.route could not walk to a leaf.
+
+    train_tree writes nodes in pre-order, so every internal node's children
+    lie after it and inside the table, which makes routing terminate. Leaf
+    rows have no children and use each leaf model exactly once.
+    """
+    n_nodes = len(left)
+    if n_nodes == 0:
+        raise ForestFormatError(f"tree {t} has no nodes", base)
+    i = np.arange(n_nodes)
+    internal = leaf_id < 0
+    bad = np.where(internal,
+                   (left <= i) | (left >= n_nodes) | (right <= i) | (right >= n_nodes),
+                   (left != -1) | (right != -1))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ForestFormatError(
+            f"tree {t} node {k}: children ({left[k]}, {right[k]}) break the "
+            f"pre-order layout", base + 32 * k)
+    rows = np.nonzero(~internal)[0]
+    ids = leaf_id[rows]
+    repeated = np.ones(len(ids), dtype=bool)
+    repeated[np.unique(ids, return_index=True)[1]] = False
+    bad = repeated | (ids >= n_leaves)
+    if bad.any():
+        k = int(rows[np.argmax(bad)])
+        raise ForestFormatError(
+            f"tree {t} node {k}: leaf id {leaf_id[k]} repeated or not below "
+            f"{n_leaves}", base + 32 * k)
+    if len(ids) != n_leaves:
+        raise ForestFormatError(
+            f"tree {t}: {len(ids)} leaf nodes for {n_leaves} leaf models", base)
+
+
 def load_forest(path):
     reader = _Reader(Path(path).read_bytes())
     magic = reader.take(4, "magic")
@@ -513,16 +548,19 @@ def load_forest(path):
     trees = []
     for t in range(n_trees):
         n_nodes, n_leaves = reader.unpack("<II", f"tree {t} sizes")
+        base = reader.offset
         raw = reader.take(n_nodes * 32, f"tree {t} nodes")
         node_block = np.frombuffer(raw, dtype="<f4").reshape(n_nodes, 8)
+        left, right, leaf_id = (node_block[:, c].astype(np.int32) for c in range(3))
+        _check_topology(t, left, right, leaf_id, n_leaves, base)
         raw = reader.take(n_leaves * n_joints * n_modes * 3 * 4, f"tree {t} leaf modes")
         modes = np.frombuffer(raw, dtype="<f4").reshape(n_leaves, n_joints, n_modes, 3)
         raw = reader.take(n_leaves * n_joints * n_modes * 4, f"tree {t} leaf weights")
         weights = np.frombuffer(raw, dtype="<f4").reshape(n_leaves, n_joints, n_modes)
         trees.append(Tree(
-            left=node_block[:, 0].astype(np.int32),
-            right=node_block[:, 1].astype(np.int32),
-            leaf_id=node_block[:, 2].astype(np.int32),
+            left=left,
+            right=right,
+            leaf_id=leaf_id,
             probe_u=node_block[:, 3:5].astype(np.float32),
             probe_v=node_block[:, 5:7].astype(np.float32),
             tau=node_block[:, 7].astype(np.float32),

@@ -284,14 +284,6 @@ def _rz_batch(theta):
     return m
 
 
-def joint_position(joints, j):
-    """The j-th keypoint of a (21, 3) position array; bounds-checked."""
-    joints = np.asarray(joints)
-    if not 0 <= j < NUM_JOINTS:
-        raise IndexError(f"joint index {j} out of range [0, {NUM_JOINTS})")
-    return joints[j]
-
-
 def clamp_to_limits(pose, limits):
     """Project a pose into the valid set: clip angles, renormalize quaternion.
 

@@ -179,11 +179,3 @@ def _merge_modes(shifted, weights, merge_radius):
     order = np.argsort(-supports, kind="stable")
     return modes[order], supports[order]
 
-
-def shift_once(point, points, weights, bandwidth):
-    """One mean-shift update of `point`; used to check fixed-point behavior."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    weights = np.ones(len(points)) if weights is None else np.asarray(weights, dtype=float)
-    d2 = ((points - point) ** 2).sum(axis=1)
-    k = np.exp(-0.5 * d2 / (bandwidth * bandwidth)) * weights
-    return (k[:, None] * points).sum(axis=0) / k.sum()

@@ -77,11 +77,6 @@ class ProposalSet:
         return ProposalSet({j: (p[:k], w[:k]) for j, (p, w) in self._entries.items()},
                            num_joints=self.num_joints)
 
-    def translate(self, offset):
-        offset = np.asarray(offset, dtype=float)
-        return ProposalSet({j: (p + offset, w) for j, (p, w) in self._entries.items()},
-                           num_joints=self.num_joints)
-
     def padded(self):
         """Dense (J, K, 3) positions and (J, K) weights, zero weight = absent."""
         if self._padded_cache is None:

@@ -41,18 +41,6 @@ def to_matrix_batch(q):
     return m
 
 
-def multiply(a, b):
-    """Hamilton product a*b."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ])
-
-
 def from_axis_angle(axis, angle_rad):
     axis = np.asarray(axis, dtype=float)
     n = np.linalg.norm(axis)

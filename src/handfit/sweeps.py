@@ -32,36 +32,26 @@ def pso_config(cfg, seed, **overrides):
     return fit.PsoConfig(**kw)
 
 
-def fit_sequence(psets, gt_list, geom, limits, pso_cfg, mode, seed):
-    """Fit every frame; returns (FrameResults, mean evals per frame)."""
-    results = []
-    evals = []
-    for i, (pset, gt) in enumerate(zip(psets, gt_list)):
-        rng = np.random.default_rng((seed, i))
-        if mode == "regression-only":
-            pred = metrics.top_proposal_joints(pset)
-            evals.append(0)
-        elif mode == "joint":
-            res = fit.joint_fit(pset, geom, limits, pso_cfg, rng=rng)
-            pred = res.joints(geom)
-            evals.append(res.evals)
-        else:
-            res = fit.stepwise_fit(pset, geom, limits, pso_cfg, rng=rng)
-            pred = res.joints(geom)
-            evals.append(res.evals)
-        results.append(metrics.FrameResult.compute(i, pred, gt,
-                                                   sentinel=pso_cfg.d_max))
-    return results, float(np.mean(evals))
+# matched budgets: 64^2 + 5*29^2 = 8301 vs 91^2 = 8281 objective evaluations
+MATCHED_BUDGETS = {
+    "stepwise": dict(palm_particles=64, palm_generations=64,
+                     finger_particles=29, finger_generations=29),
+    "joint": dict(joint_particles=91, joint_generations=91),
+}
 
 
-def _arm_metrics(results):
+def _arm(psets, gt_list, geom, limits, pso_cfg, mode, seed):
+    """Fit a sequence in one mode; returns (error metrics, mean evals per frame)."""
+    joints, fits = fit.fit_frames(psets, geom, limits, pso_cfg, mode, seed)
+    results = [metrics.FrameResult.compute(i, pred, gt, sentinel=pso_cfg.d_max)
+               for i, (pred, gt) in enumerate(zip(joints, gt_list))]
     curve = metrics.success_rate_curve(results, [20.0, 40.0])
     return {
         "mean_error_mm": metrics.mean_joint_error(results),
         "fingertip_error_mm": metrics.fingertip_error(results),
         "success_20mm": float(curve.fractions[0]),
         "success_40mm": float(curve.fractions[1]),
-    }
+    }, float(np.mean([r.evals for r in fits]))
 
 
 def _oracle_error(psets, gt_list, sentinel):
@@ -85,58 +75,45 @@ def run_sweep(experiment, votes_per_frame, gt_list, geom, limits, cfg,
     if seeds is None:
         seeds = list(range(cfg["eval.seeds"]))
     d_max = cfg["pso.d_max_mm"]
-    bw = cfg["forest.infer_bandwidth_mm"]
-    iters = cfg["forest.meanshift_iters"]
+
+    def proposals(top_n, k):
+        return [proposals_from_votes(v, top_n=top_n, k=k,
+                                     bandwidth_mm=cfg["forest.infer_bandwidth_mm"],
+                                     max_iters=cfg["forest.meanshift_iters"])
+                for v in votes_per_frame]
 
     rows = []
-    if experiment == "k":
-        grid = cfg.int_list("sweep.k_grid")
-        k_max = max(grid)
-        psets_full = [proposals_from_votes(v, top_n=cfg["forest.top_n"], k=k_max,
-                                           bandwidth_mm=bw, max_iters=iters)
-                      for v in votes_per_frame]
-        for k in grid:
-            psets = [p.top_k(k) for p in psets_full]
-            oracle = _oracle_error(psets, gt_list, d_max)
-            for seed in seeds:
-                results, evals = fit_sequence(psets, gt_list, geom, limits,
-                                              pso_config(cfg, seed), "stepwise", seed)
-                rows.append({"k": k, "seed": seed, **_arm_metrics(results),
-                             "oracle_error_mm": oracle, "evals_per_frame": evals})
-        _write_table(out_dir / "table.csv", rows)
-        _plot_grouped(out_dir / "plot.svg", rows, "k", "oracle_error_mm",
-                      title="error vs proposals per joint", xlabel="k")
-    elif experiment == "top-n":
-        grid = cfg.int_list("sweep.topn_grid")
-        for top_n in grid:
-            psets = [proposals_from_votes(v, top_n=top_n, k=cfg["forest.k"],
-                                          bandwidth_mm=bw, max_iters=iters)
-                     for v in votes_per_frame]
-            oracle = _oracle_error(psets, gt_list, d_max)
-            for seed in seeds:
-                results, evals = fit_sequence(psets, gt_list, geom, limits,
-                                              pso_config(cfg, seed), "stepwise", seed)
-                rows.append({"top_n": top_n, "seed": seed, **_arm_metrics(results),
-                             "oracle_error_mm": oracle, "evals_per_frame": evals})
-        _write_table(out_dir / "table.csv", rows)
-        _plot_grouped(out_dir / "plot.svg", rows, "top_n", "oracle_error_mm",
-                      title="error vs retained votes", xlabel="votes into mean-shift")
-    else:
-        psets = [proposals_from_votes(v, top_n=cfg["forest.top_n"], k=cfg["forest.k"],
-                                      bandwidth_mm=bw, max_iters=iters)
-                 for v in votes_per_frame]
-        # matched budgets: 64^2 + 5*29^2 = 8301 vs 91^2 = 8281
-        stepwise_cfg = dict(palm_particles=64, palm_generations=64,
-                            finger_particles=29, finger_generations=29)
-        joint_cfg = dict(joint_particles=91, joint_generations=91)
+    if experiment == "stepwise-vs-joint":
+        psets = proposals(cfg["forest.top_n"], cfg["forest.k"])
         for seed in seeds:
-            for mode, over in (("stepwise", stepwise_cfg), ("joint", joint_cfg)):
-                results, evals = fit_sequence(psets, gt_list, geom, limits,
-                                              pso_config(cfg, seed, **over), mode, seed)
-                rows.append({"method": mode, "seed": seed, **_arm_metrics(results),
+            for mode, budget in MATCHED_BUDGETS.items():
+                arm, evals = _arm(psets, gt_list, geom, limits,
+                                  pso_config(cfg, seed, **budget), mode, seed)
+                rows.append({"method": mode, "seed": seed, **arm,
                              "evals_per_frame": evals})
         _write_table(out_dir / "table.csv", rows)
         _plot_methods(out_dir / "plot.svg", rows)
+        return rows
+
+    if experiment == "k":
+        param, grid = "k", cfg.int_list("sweep.k_grid")
+        full = proposals(cfg["forest.top_n"], max(grid))
+        psets_at = lambda k: [p.top_k(k) for p in full]
+        labels = dict(title="error vs proposals per joint", xlabel="k")
+    else:
+        param, grid = "top_n", cfg.int_list("sweep.topn_grid")
+        psets_at = lambda top_n: proposals(top_n, cfg["forest.k"])
+        labels = dict(title="error vs retained votes", xlabel="votes into mean-shift")
+    for value in grid:
+        psets = psets_at(value)
+        oracle = _oracle_error(psets, gt_list, d_max)
+        for seed in seeds:
+            arm, evals = _arm(psets, gt_list, geom, limits, pso_config(cfg, seed),
+                              "stepwise", seed)
+            rows.append({param: value, "seed": seed, **arm,
+                         "oracle_error_mm": oracle, "evals_per_frame": evals})
+    _write_table(out_dir / "table.csv", rows)
+    _plot_grouped(out_dir / "plot.svg", rows, param, "oracle_error_mm", **labels)
     return rows
 
 

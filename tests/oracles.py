@@ -9,6 +9,7 @@ import numpy as np
 
 from handfit import geometry
 from handfit.depth import BONE_RADII_MM, PALM_ELLIPSOID_CENTER, PALM_ELLIPSOID_SEMI_AXES
+from handfit.proposals import ProposalSet
 
 
 def kde_value(query, points, weights, bandwidth):
@@ -30,6 +31,34 @@ def kde_grid_mode(points, weights, bandwidth, center, half_width, step):
                     best_val = v
                     best_pos = np.array([x, y, z])
     return best_pos
+
+
+def shift_once(point, points, weights, bandwidth):
+    """One mean-shift update of `point`; a converged mode is a fixed point."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    weights = np.ones(len(points)) if weights is None else np.asarray(weights, dtype=float)
+    d2 = ((points - point) ** 2).sum(axis=1)
+    k = np.exp(-0.5 * d2 / (bandwidth * bandwidth)) * weights
+    return (k[:, None] * points).sum(axis=0) / k.sum()
+
+
+def quat_multiply(a, b):
+    """Hamilton product a*b of (w, x, y, z) quaternions."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ])
+
+
+def translate_proposals(pset, offset):
+    """`pset` with every proposal moved by `offset`, confidences unchanged."""
+    offset = np.asarray(offset, dtype=float)
+    return ProposalSet({j: (pset.positions(j) + offset, pset.weights(j))
+                        for j in pset.joints}, num_joints=pset.num_joints)
 
 
 def _segment_distance(p, a, b):

@@ -16,10 +16,10 @@ from handfit import cli, fit, forest as F, geometry, metrics, synth
 from handfit.depth import CameraIntrinsics
 from handfit.fit import PsoConfig, joint_fit, stepwise_fit
 from handfit.geometry import forward_kinematics, random_pose, validate_pose
-from handfit.meanshift import mean_shift, shift_once
+from handfit.meanshift import mean_shift
 from handfit.proposals import ProposalSet
 
-from oracles import kde_grid_mode
+from oracles import kde_grid_mode, shift_once
 
 SEEDS = (0, 1, 2, 3, 4)
 

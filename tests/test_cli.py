@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from handfit import cli
+from handfit import cli, fit, sweeps
 from handfit.config import RunConfig
+from handfit.geometry import HandGeometry, JointLimits
+from handfit.proposals import read_proposals_csv
 
 TINY = [
     "--set", "synth.articulations=1", "--set", "synth.viewpoints=2",
@@ -76,6 +78,24 @@ def test_joint_mode(pipeline_dir, tmp_path):
     rc = cli.main(["fit", "--proposals", str(pipeline_dir / "proposals.csv"),
                    "--out", str(tmp_path / "joint"), "--mode", "joint"] + TINY)
     assert rc == 0
+
+
+@pytest.mark.parametrize("mode", ["stepwise", "joint"])
+def test_fit_frame_i_draws_from_seed_5_i(pipeline_dir, tmp_path, mode):
+    argv = ["fit", "--proposals", str(pipeline_dir / "proposals.csv"),
+            "--out", str(tmp_path / "fit"), "--mode", mode, "--seed", "3"] + TINY
+    assert cli.main(argv) == 0
+    cfg = cli._load_config(cli.build_parser().parse_args(argv))
+    seed = cfg["seed"]
+    fitter = fit.joint_fit if mode == "joint" else fit.stepwise_fit
+    geom, limits = HandGeometry.default(), JointLimits.default()
+    psets = read_proposals_csv(pipeline_dir / "proposals.csv")
+    direct = [fitter(pset, geom, limits, sweeps.pso_config(cfg, seed),
+                     rng=np.random.default_rng((seed, 5, i)))
+              for i, pset in enumerate(psets)]
+    fit.write_fits_csv(tmp_path / "direct.csv", direct)
+    assert (tmp_path / "fit" / "poses.csv").read_bytes() == \
+        (tmp_path / "direct.csv").read_bytes()
 
 
 def test_sweep_command(pipeline_dir, tmp_path):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -265,9 +267,45 @@ def test_load_rejects_bad_files(tmp_path, tiny_forest):
     with pytest.raises(F.ForestFormatError, match="magic"):
         F.load_forest(wrong_magic)
 
-    import struct
-
     bad_version = tmp_path / "ver.bin"
     bad_version.write_bytes(blob[:4] + struct.pack("<H", 99) + blob[6:])
     with pytest.raises(F.ForestFormatError, match="version"):
         F.load_forest(bad_version)
+
+
+# tree 0's node table follows the file header and the tree's size pair;
+# each node row is eight little-endian float32 fields: left, right, leaf id, ...
+NODE_TABLE = 4 + struct.calcsize("<HHIHHd") + struct.calcsize("<II")
+
+
+@pytest.mark.parametrize("case", ["self_loop", "child_out_of_range",
+                                  "duplicate_leaf_id"])
+def test_load_rejects_unroutable_node_table(tmp_path, tiny_forest, case):
+    tree = tiny_forest[0].trees[0]
+    assert tree.leaf_id[0] < 0  # the root is an internal node
+    leaves = np.nonzero(tree.leaf_id >= 0)[0]
+    node, column, value = {
+        "self_loop": (0, 0, 0),
+        "child_out_of_range": (0, 1, tree.n_nodes),
+        "duplicate_leaf_id": (int(leaves[1]), 2, int(tree.leaf_id[leaves[0]])),
+    }[case]
+    path = tmp_path / "forest.bin"
+    F.save_forest(path, tiny_forest[0])
+    blob = bytearray(path.read_bytes())
+    offset = NODE_TABLE + 32 * node
+    struct.pack_into("<f", blob, offset + 4 * column, float(value))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(F.ForestFormatError, match=f"node {node}: .*at byte {offset}"):
+        F.load_forest(path)
+
+
+def test_load_rejects_empty_node_table(tmp_path):
+    empty = F.Tree(left=np.zeros(0, np.int32), right=np.zeros(0, np.int32),
+                   leaf_id=np.zeros(0, np.int32), probe_u=np.zeros((0, 2), np.float32),
+                   probe_v=np.zeros((0, 2), np.float32), tau=np.zeros(0, np.float32),
+                   leaf_modes=np.zeros((0, 21, 2, 3), np.float32),
+                   leaf_weights=np.zeros((0, 21, 2), np.float32))
+    path = tmp_path / "forest.bin"
+    F.save_forest(path, F.Forest([empty]))
+    with pytest.raises(F.ForestFormatError, match=f"no nodes .*at byte {NODE_TABLE}"):
+        F.load_forest(path)

@@ -3,8 +3,10 @@ import pytest
 
 from handfit import geometry, quats
 from handfit.geometry import (JOINT_NAMES, NUM_JOINTS, TIP_INDICES, PoseParams,
-                              clamp_to_limits, forward_kinematics, joint_position,
-                              random_pose, validate_pose)
+                              clamp_to_limits, forward_kinematics, random_pose,
+                              validate_pose)
+
+from oracles import quat_multiply
 
 
 def test_rest_pose_fingertips_along_forward_axis(geom):
@@ -55,7 +57,7 @@ def test_rigid_equivariance(geom, limits, rng):
         q0 = base.orientation
         q = quats.random_unit(rng)
         t = rng.uniform(-200, 200, 3)
-        composed = PoseParams(t, quats.multiply(q, q0), base.finger_angles)
+        composed = PoseParams(t, quat_multiply(q, q0), base.finger_angles)
         reference = PoseParams(np.zeros(3), q0, base.finger_angles)
         expected = forward_kinematics(geom, reference) @ quats.to_matrix(q).T + t
         got = forward_kinematics(geom, composed)
@@ -84,18 +86,6 @@ def test_zero_quaternion_rejected(geom):
     pose = PoseParams(np.zeros(3), np.zeros(4), np.zeros((5, 4)))
     with pytest.raises(ValueError, match="quaternion"):
         forward_kinematics(geom, pose)
-
-
-def test_joint_position_bounds(geom):
-    joints = forward_kinematics(geom, PoseParams.rest())
-    np.testing.assert_array_equal(joint_position(joints, 0), joints[0])
-    tip_index_finger = geometry.finger_joint_indices(1)[3]
-    np.testing.assert_array_equal(joint_position(joints, tip_index_finger),
-                                  joints[tip_index_finger])
-    with pytest.raises(IndexError):
-        joint_position(joints, NUM_JOINTS)
-    with pytest.raises(IndexError):
-        joint_position(joints, -1)
 
 
 def test_clamp_idempotent_and_projects(limits, rng):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from handfit.meanshift import mean_shift, mean_shift_groups, shift_once
+from handfit.meanshift import mean_shift, mean_shift_groups
 
-from oracles import kde_grid_mode
+from oracles import kde_grid_mode, shift_once
 
 
 def test_single_point_is_its_own_mode():

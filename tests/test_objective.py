@@ -6,17 +6,6 @@ from handfit.geometry import PoseParams, forward_kinematics, random_pose
 from handfit.proposals import ProposalSet
 
 
-def test_clamped_distance_basics():
-    p = np.array([1.0, 2.0, 3.0])
-    assert fit.clamped_distance(p, p, 100.0) == 0.0
-    q = p + np.array([200.0, 0.0, 0.0])
-    assert fit.clamped_distance(p, q, 100.0) == 1.0  # twice d_max clamps
-    q = p + np.array([50.0, 0.0, 0.0])
-    assert fit.clamped_distance(p, q, 100.0) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        fit.clamped_distance(p, q, 0.0)
-
-
 def test_objective_on_exact_joints(geom, limits, rng):
     pose = random_pose(rng, limits, geometry.DEFAULT_WORKSPACE)
     joints = forward_kinematics(geom, pose)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from handfit import geometry, sweeps
+from handfit import fit, geometry, metrics, sweeps
 from handfit.config import RunConfig
+from handfit.forest import proposals_from_votes
 from handfit.geometry import PoseParams, forward_kinematics
 
 
@@ -61,6 +62,21 @@ def test_stepwise_vs_joint_rows(tmp_path, geom, limits, tiny_votes, fast_cfg):
         expected = 8301 if r["method"] == "stepwise" else 8281
         assert r["evals_per_frame"] == pytest.approx(expected)
 
+    # seed s of the sweep is fit_frames(..., seed=s) at the matched budgets
+    psets = [proposals_from_votes(v, top_n=fast_cfg["forest.top_n"],
+                                  k=fast_cfg["forest.k"],
+                                  bandwidth_mm=fast_cfg["forest.infer_bandwidth_mm"],
+                                  max_iters=fast_cfg["forest.meanshift_iters"])
+             for v in votes]
+    for r in rows:
+        if r["seed"] != 1:
+            continue
+        pso_cfg = sweeps.pso_config(fast_cfg, 1, **sweeps.MATCHED_BUDGETS[r["method"]])
+        joints, _ = fit.fit_frames(psets, geom, limits, pso_cfg, r["method"], seed=1)
+        results = [metrics.FrameResult.compute(i, pred, gt, sentinel=pso_cfg.d_max)
+                   for i, (pred, gt) in enumerate(zip(joints, gts))]
+        assert r["mean_error_mm"] == metrics.mean_joint_error(results)
+
 
 def test_unknown_experiment_rejected(tmp_path, geom, limits, tiny_votes, fast_cfg):
     votes, gts = tiny_votes
@@ -68,13 +84,14 @@ def test_unknown_experiment_rejected(tmp_path, geom, limits, tiny_votes, fast_cf
         sweeps.run_sweep("nope", votes, gts, geom, limits, fast_cfg, tmp_path)
 
 
-def test_fit_sequence_regression_mode(geom, limits, tiny_votes, fast_cfg):
-    from handfit.forest import proposals_from_votes
-
+def test_fit_frames_regression_mode(geom, limits, tiny_votes, fast_cfg):
     votes, gts = tiny_votes
     psets = [proposals_from_votes(v, top_n=40, k=3) for v in votes]
-    results, evals = sweeps.fit_sequence(psets, gts, geom, limits,
-                                         sweeps.pso_config(fast_cfg, 0),
-                                         "regression-only", 0)
-    assert evals == 0
-    assert len(results) == 3
+    joints, results = fit.fit_frames(psets, geom, limits,
+                                     sweeps.pso_config(fast_cfg, 0),
+                                     "regression-only", 0)
+    assert results == [None] * 3
+    for pred, pset in zip(joints, psets):
+        np.testing.assert_array_equal(pred, metrics.top_proposal_joints(pset))
+    with pytest.raises(ValueError, match="unknown fit mode"):
+        fit.fit_frames(psets, geom, limits, sweeps.pso_config(fast_cfg, 0), "nope", 0)
