@@ -8,6 +8,7 @@ import functools
 import logging
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -193,14 +194,18 @@ def cmd_fit(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    start = time.perf_counter()
     frames, fit_results = fit.fit_frames(psets, geom, limits,
                                          sweeps.pso_config(cfg, cfg["seed"]),
                                          args.mode, cfg["seed"])
+    wall = time.perf_counter() - start
     write_joints_csv(out / "estimates.csv", frames)
     if any(fit_results):  # regression-only frames carry no FitResult
         fit.write_fits_csv(out / "poses.csv", fit_results)
-        log.info("fitted %d frames, mean %.0f objective evaluations/frame",
-                 len(fit_results), float(np.mean([r.evals for r in fit_results])))
+        evals = sum(r.evals for r in fit_results)
+        log.info("fitted %d frames, mean %.0f objective evaluations/frame, "
+                 "%.2f s, %.0f evaluations/s", len(fit_results),
+                 evals / len(fit_results), wall, evals / max(wall, 1e-9))
     return EXIT_OK
 
 

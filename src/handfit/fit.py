@@ -60,17 +60,17 @@ class PsoConfig:
                 raise ValueError(f"{name} must be >= 2")
 
 
-def _score_joints(joint_positions, padded_pos, padded_w, d_max):
-    """Objective core on precomputed joint positions.
+def _joint_maxima(joint_positions, padded_pos, padded_w, d_max):
+    """Objective terms on precomputed joint positions.
 
     joint_positions (n, J, 3), padded_pos (J, K, 3), padded_w (J, K) with
-    zero weight marking absent proposals -> scores (n,).
+    zero weight marking absent proposals -> each joint's best term (n, J).
     """
     diff = joint_positions[:, :, None, :] - padded_pos[None, :, :, :]
     d = np.sqrt((diff * diff).sum(axis=3)) / d_max
     np.clip(d, None, 1.0, out=d)
     terms = padded_w[None, :, :] * (1.0 - d * d)
-    return terms.max(axis=2).sum(axis=1)
+    return terms.max(axis=2)
 
 
 def objective(proposal_set, hypothesis, geom, d_max, joint_subset=None):
@@ -78,17 +78,18 @@ def objective(proposal_set, hypothesis, geom, d_max, joint_subset=None):
 
     Accepts one (27,) vector or a (n, 27) batch. Joints absent from the
     proposal set contribute zero; `joint_subset` restricts scoring to the
-    given joint indices (used by the stepwise stages). Hypotheses with a
-    zero-norm quaternion score -inf.
+    given joint indices (used by the stepwise stages), and forward
+    kinematics then runs only on the chains those joints need.
+    Hypotheses with a zero-norm quaternion score -inf.
     """
     h = np.asarray(hypothesis, dtype=float)
     single = h.ndim == 1
     h = np.atleast_2d(h)
     pos, w = proposal_set.padded()
-    if joint_subset is not None:
-        mask = np.zeros(w.shape[0], dtype=bool)
-        mask[list(joint_subset)] = True
-        w = np.where(mask[:, None], w, 0.0)
+    n_joints = w.shape[0]
+    scored = list(range(n_joints) if joint_subset is None else joint_subset)
+    if not all(0 <= j < n_joints for j in scored):
+        raise ValueError(f"joint_subset indices must lie in range({n_joints})")
 
     q = h[:, QUAT_DIMS]
     norms = np.linalg.norm(q, axis=1)
@@ -97,8 +98,12 @@ def objective(proposal_set, hypothesis, geom, d_max, joint_subset=None):
     if valid.any():
         q_unit = q[valid] / norms[valid, None]
         joints = geometry.fk_batch(geom, h[valid][:, TRANSLATION_DIMS], q_unit,
-                                   h[valid][:, 7:].reshape(-1, 5, 4))
-        scores[valid] = _score_joints(joints, pos, w, d_max)
+                                   h[valid][:, 7:].reshape(-1, 5, 4), joints=scored)
+        # scatter into a zero row per hypothesis so the sum runs over all
+        # joints in index order, as a masked sum over every joint would
+        per_joint = np.zeros((len(joints), n_joints))
+        per_joint[:, scored] = _joint_maxima(joints, pos[scored], w[scored], d_max)
+        scores[valid] = per_joint.sum(axis=1)
     return float(scores[0]) if single else scores
 
 

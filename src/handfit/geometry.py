@@ -226,40 +226,52 @@ def forward_kinematics(geom, pose):
     return out[0]
 
 
-def fk_batch(geom, translations, orientations, finger_angles):
+def fk_batch(geom, translations, orientations, finger_angles, joints=None):
     """Vectorized forward kinematics.
 
     translations (n, 3), orientations (n, 4) already unit-norm,
-    finger_angles (n, 5, 4) -> joint positions (n, 21, 3).
+    finger_angles (n, 5, 4) -> joint positions (n, 21, 3), or
+    (n, len(joints), 3) in the order of the joint indices `joints`.
+    Only what the requested joints need is computed: the palm is the
+    translation, a finger whose only requested joint is its MCP stops
+    there, and any other finger joint costs that finger's whole chain.
     """
+    joints = range(NUM_JOINTS) if joints is None else joints
+    wanted = set(joints)
+    if not all(0 <= j < NUM_JOINTS for j in wanted):
+        raise ValueError(f"joint indices must lie in range({NUM_JOINTS})")
     t = np.asarray(translations, dtype=float)
-    n = t.shape[0]
     rot = quats.to_matrix_batch(orientations)
     angles = np.asarray(finger_angles, dtype=float)
-    out = np.empty((n, NUM_JOINTS, 3))
-    out[:, PALM] = t
+    positions = {PALM: t}
     for f in range(NUM_FINGERS):
-        j_mcp, j_pip, j_dip, j_tip = finger_joint_indices(f)
-        lp, lm, ld = geom.bone_lengths[f]
-        base = geom.finger_base_offsets[f]
-        flex, abd = angles[:, f, 0], angles[:, f, 1]
-        pip, dip = angles[:, f, 2], angles[:, f, 3]
-
-        mcp = t + rot @ base
-        r = rot @ geom.finger_base_frames[f]
-        r = r @ _rz_batch(abd)
-        r = np.einsum("nij,njk->nik", r, _rx_batch(flex))
-        pip_pos = mcp + lp * r[:, :, 1]
-        r = np.einsum("nij,njk->nik", r, _rx_batch(pip))
-        dip_pos = pip_pos + lm * r[:, :, 1]
-        r = np.einsum("nij,njk->nik", r, _rx_batch(dip))
-        tip_pos = dip_pos + ld * r[:, :, 1]
-
-        out[:, j_mcp] = mcp
-        out[:, j_pip] = pip_pos
-        out[:, j_dip] = dip_pos
-        out[:, j_tip] = tip_pos
+        chain = finger_joint_indices(f)
+        if not wanted.isdisjoint(chain):
+            full = not wanted.isdisjoint(chain[1:])
+            positions.update(zip(chain, _finger_chain(geom, f, t, rot, angles, full)))
+    out = np.empty((t.shape[0], len(joints), 3))
+    for i, j in enumerate(joints):
+        out[:, i] = positions[j]
     return out
+
+
+def _finger_chain(geom, f, t, rot, angles, full):
+    """Finger f's MCP, then PIP, DIP and TIP only when `full`: (n, 3) each."""
+    mcp = t + rot @ geom.finger_base_offsets[f]
+    if not full:
+        return (mcp,)
+    lp, lm, ld = geom.bone_lengths[f]
+    flex, abd = angles[:, f, 0], angles[:, f, 1]
+    pip, dip = angles[:, f, 2], angles[:, f, 3]
+    r = rot @ geom.finger_base_frames[f]
+    r = r @ _rz_batch(abd)
+    r = np.einsum("nij,njk->nik", r, _rx_batch(flex))
+    pip_pos = mcp + lp * r[:, :, 1]
+    r = np.einsum("nij,njk->nik", r, _rx_batch(pip))
+    dip_pos = pip_pos + lm * r[:, :, 1]
+    r = np.einsum("nij,njk->nik", r, _rx_batch(dip))
+    tip_pos = dip_pos + ld * r[:, :, 1]
+    return mcp, pip_pos, dip_pos, tip_pos
 
 
 def _rx_batch(theta):

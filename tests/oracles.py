@@ -61,6 +61,36 @@ def translate_proposals(pset, offset):
                         for j in pset.joints}, num_joints=pset.num_joints)
 
 
+def masked_objective(proposal_set, hypothesis, geom, d_max, joint_subset=None):
+    """Proposal-agreement score by full 21-joint FK and a weight mask.
+
+    The reference for `fit.objective`: every joint is computed and scored,
+    and joints outside `joint_subset` get zero weight, so their terms add
+    exact zeros to a sum over all joints in index order.
+    """
+    h = np.asarray(hypothesis, dtype=float)
+    single = h.ndim == 1
+    h = np.atleast_2d(h)
+    pos, w = proposal_set.padded()
+    if joint_subset is not None:
+        mask = np.zeros(w.shape[0], dtype=bool)
+        mask[list(joint_subset)] = True
+        w = np.where(mask[:, None], w, 0.0)
+    q = h[:, 3:7]
+    norms = np.linalg.norm(q, axis=1)
+    valid = norms > 1e-12
+    scores = np.full(len(h), -np.inf)
+    if valid.any():
+        joints = geometry.fk_batch(geom, h[valid][:, 0:3], q[valid] / norms[valid, None],
+                                   h[valid][:, 7:].reshape(-1, 5, 4))
+        diff = joints[:, :, None, :] - pos[None, :, :, :]
+        d = np.sqrt((diff * diff).sum(axis=3)) / d_max
+        np.clip(d, None, 1.0, out=d)
+        terms = w[None, :, :] * (1.0 - d * d)
+        scores[valid] = terms.max(axis=2).sum(axis=1)
+    return float(scores[0]) if single else scores
+
+
 def _segment_distance(p, a, b):
     ab = b - a
     t = np.clip(np.dot(p - a, ab) / max(np.dot(ab, ab), 1e-12), 0.0, 1.0)

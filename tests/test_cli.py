@@ -1,5 +1,7 @@
 import hashlib
+import logging
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -74,10 +76,17 @@ def test_regression_only_mode(pipeline_dir, tmp_path):
     assert rc == 0
 
 
-def test_joint_mode(pipeline_dir, tmp_path):
+def test_joint_mode(pipeline_dir, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="handfit")
     rc = cli.main(["fit", "--proposals", str(pipeline_dir / "proposals.csv"),
                    "--out", str(tmp_path / "joint"), "--mode", "joint"] + TINY)
     assert rc == 0
+    # fit throughput is logged, and only logged: the run directory holds
+    # no timing, so reruns stay byte-identical
+    assert re.search(r"fitted \d+ frames, mean \d+ objective evaluations/frame, "
+                     r"\d+\.\d+ s, \d+ evaluations/s", caplog.text)
+    assert sorted(p.name for p in (tmp_path / "joint").iterdir()) == \
+        ["estimates.csv", "poses.csv"]
 
 
 @pytest.mark.parametrize("mode", ["stepwise", "joint"])

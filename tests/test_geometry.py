@@ -82,6 +82,31 @@ def test_forward_kinematics_is_pure(geom, limits, rng):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("joints", [
+    (0, 1, 5, 9, 13, 17),  # palm stage: palm and the five MCPs
+    *(geometry.finger_joint_indices(f) for f in range(5)),
+    (1,), (13, 5),  # MCPs alone, without their chains
+    (20, 0, 7, 2, 9),  # unsorted, some chains partial
+], ids=["palm_stage", "thumb", "index", "middle", "ring", "pinky",
+        "thumb_mcp", "mcps_unsorted", "unsorted_mixed"])
+def test_fk_batch_joint_subset_equals_full_columns(geom, limits, rng, joints):
+    poses = [random_pose(rng, limits, geometry.DEFAULT_WORKSPACE) for _ in range(7)]
+    args = (np.stack([p.translation for p in poses]),
+            np.stack([p.orientation for p in poses]),
+            np.stack([p.finger_angles for p in poses]))
+    full = geometry.fk_batch(geom, *args)
+    got = geometry.fk_batch(geom, *args, joints=joints)
+    assert got.shape == (7, len(joints), 3)
+    assert np.array_equal(got, full[:, list(joints)])
+
+
+def test_fk_batch_rejects_out_of_range_joints(geom):
+    args = (np.zeros((1, 3)), np.array([quats.IDENTITY]), np.zeros((1, 5, 4)))
+    for joints in ([-1], [NUM_JOINTS]):
+        with pytest.raises(ValueError, match="range"):
+            geometry.fk_batch(geom, *args, joints=joints)
+
+
 def test_zero_quaternion_rejected(geom):
     pose = PoseParams(np.zeros(3), np.zeros(4), np.zeros((5, 4)))
     with pytest.raises(ValueError, match="quaternion"):

@@ -5,6 +5,8 @@ from handfit import fit, geometry
 from handfit.geometry import PoseParams, forward_kinematics, random_pose
 from handfit.proposals import ProposalSet
 
+from oracles import masked_objective
+
 
 def test_objective_on_exact_joints(geom, limits, rng):
     pose = random_pose(rng, limits, geometry.DEFAULT_WORKSPACE)
@@ -86,6 +88,45 @@ def test_objective_joint_subset_masks_terms(geom):
     palm_only = fit.objective(pset, pose.to_vector(), geom, 100.0,
                               joint_subset=fit.PALM_STAGE_JOINTS)
     assert palm_only == pytest.approx(6.0, abs=1e-9)
+
+
+def test_objective_rejects_out_of_range_joint_subset(geom):
+    pose = PoseParams.rest((0.0, 0.0, 500.0))
+    pset = ProposalSet.from_joints(forward_kinematics(geom, pose))
+    for subset in ([-1], [21]):
+        with pytest.raises(ValueError, match="range"):
+            fit.objective(pset, pose.to_vector(), geom, 100.0, joint_subset=subset)
+
+
+@pytest.mark.parametrize("subset", [
+    fit.PALM_STAGE_JOINTS,
+    *(geometry.finger_joint_indices(f) for f in range(5)),
+    (0, 4, 8),
+    None,
+], ids=["palm_stage", "thumb", "index", "middle", "ring", "pinky", "mixed", "all"])
+def test_stage_local_objective_equals_masked_score(geom, limits, rng, subset):
+    # k=3 noisy proposals with the middle finger and the palm absent: the
+    # stage-local score must equal the full-FK masked score bit for bit
+    pose = random_pose(rng, limits, geometry.DEFAULT_WORKSPACE)
+    joints = forward_kinematics(geom, pose)
+    absent = {0, *geometry.finger_joint_indices(2)}
+    pset = ProposalSet({j: (joints[j] + rng.normal(0.0, 30.0, (3, 3)),
+                            rng.uniform(0.1, 1.0, 3))
+                        for j in range(21) if j not in absent})
+    batch = np.stack([random_pose(rng, limits, geometry.DEFAULT_WORKSPACE).to_vector()
+                      for _ in range(12)])
+    batch[:, 0:3] = pose.translation + rng.normal(0.0, 20.0, (12, 3))
+    batch[0] = pose.to_vector()
+    batch[5, 3:7] = 0.0
+    got = fit.objective(pset, batch, geom, 100.0, joint_subset=subset)
+    want = masked_objective(pset, batch, geom, 100.0, joint_subset=subset)
+    assert got[5] == -np.inf
+    assert np.array_equal(got, want)
+    scored = range(21) if subset is None else subset
+    assert (got[0] > 0) == any(j not in absent for j in scored)
+    one = fit.objective(pset, batch[0], geom, 100.0, joint_subset=subset)
+    assert isinstance(one, float)
+    assert one == masked_objective(pset, batch[0], geom, 100.0, joint_subset=subset)
 
 
 def test_proposal_set_normalization_and_truncation(rng):
