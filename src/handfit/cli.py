@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import logging
 import os
@@ -54,19 +55,9 @@ def _camera(cfg):
 
 
 def _forest_config(cfg):
-    return ForestConfig(
-        num_trees=cfg["forest.num_trees"],
-        max_depth=cfg["forest.max_depth"],
-        min_samples=cfg["forest.min_samples"],
-        node_subsample=cfg["forest.node_subsample"],
-        candidates=cfg["forest.candidates"],
-        probe_range_px_m=cfg["forest.probe_range_px_m"],
-        bg_depth_mm=cfg["forest.bg_depth_mm"],
-        leaf_modes=cfg["forest.leaf_modes"],
-        leaf_bandwidth_mm=cfg["forest.leaf_bandwidth_mm"],
-        leaf_cap=cfg["forest.leaf_cap"],
-        meanshift_iters=cfg["forest.meanshift_iters"],
-    )
+    """ForestConfig from the run config: field `f` is config key `forest.f`."""
+    return ForestConfig(**{f.name: cfg[f"forest.{f.name}"]
+                           for f in dataclasses.fields(ForestConfig)})
 
 
 def _require(*paths):

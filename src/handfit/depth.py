@@ -114,7 +114,7 @@ def hand_primitives(geom, pose):
         for k in range(3):
             segs.append((joints[chain[k]], joints[chain[k + 1]]))
             radii.append(BONE_RADII_MM[k])
-    rot = quats.to_matrix(quats.normalize(pose.orientation))
+    rot = quats.to_matrix_batch(quats.normalize(pose.orientation))
     center = pose.translation + rot @ np.asarray(PALM_ELLIPSOID_CENTER)
     ellipsoid = (center, np.asarray(PALM_ELLIPSOID_SEMI_AXES, dtype=float), rot)
     return np.asarray(segs, dtype=float), np.asarray(radii, dtype=float), ellipsoid

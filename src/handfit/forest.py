@@ -66,6 +66,24 @@ class SampleSet:
         return len(self.depth)
 
 
+def _patch_grid(img, stride, rng=None, cap=None):
+    """Foreground patches of one frame on the stride grid.
+
+    `cap` randomly limits the patch count, drawing from `rng`. Returns the
+    patch depths (n,) in mm, back-projected centres (n, 3) and (u, v)
+    pixels (n, 2).
+    """
+    vs, us = np.nonzero(foreground_mask(img))
+    keep = (us % stride == 0) & (vs % stride == 0)
+    us, vs = us[keep], vs[keep]
+    if cap is not None and len(us) > cap:
+        sel = np.sort(rng.choice(len(us), size=cap, replace=False))
+        us, vs = us[sel], vs[sel]
+    depths = img.depth[vs, us].astype(float)
+    centers = img.cam.backproject(us.astype(float), vs.astype(float), depths)
+    return depths, centers, np.stack([us, vs], axis=1).astype(float)
+
+
 def extract_samples(img, gt_joints, stride, rng, cap=None):
     """Training samples from one rendered frame and its ground-truth joints.
 
@@ -74,24 +92,16 @@ def extract_samples(img, gt_joints, stride, rng, cap=None):
     from that centre to every joint. `cap` randomly limits samples per image.
     """
     gt_joints = np.asarray(gt_joints, dtype=float)
-    mask = foreground_mask(img)
-    vs, us = np.nonzero(mask)
-    keep = (us % stride == 0) & (vs % stride == 0)
-    us, vs = us[keep], vs[keep]
-    if cap is not None and len(us) > cap:
-        sel = np.sort(rng.choice(len(us), size=cap, replace=False))
-        us, vs = us[sel], vs[sel]
-    depths = img.depth[vs, us].astype(float)
-    centers = img.cam.backproject(us.astype(float), vs.astype(float), depths)
+    depths, centers, pixel = _patch_grid(img, stride, rng, cap)
     diff = gt_joints[None, :, :] - centers[:, None, :]
     dist = np.linalg.norm(diff, axis=2)
     labels = dist.argmin(axis=1).astype(np.int16)
     return SampleSet(
         images=img.depth[None, :, :],
         cam=img.cam,
-        pixel=np.stack([us, vs], axis=1).astype(float),
+        pixel=pixel,
         depth=depths,
-        img_idx=np.zeros(len(us), dtype=np.int32),
+        img_idx=np.zeros(len(depths), dtype=np.int32),
         label=labels,
         offsets=diff.astype(np.float32),
     )
@@ -128,21 +138,25 @@ def _probe_depth(images, img_idx, probe_px, bg_depth):
     return d
 
 
-def _features(samples, idx, probe_u, probe_v, bg_depth):
-    """Depth-difference features for samples `idx` under candidate probes.
+def _depth_difference(images, img_idx, pixel, depth, probe_u, probe_v, bg_depth):
+    """The split feature: depth at probe u minus depth at probe v.
 
-    probe_u/probe_v are (c, 2) offsets in px*mm; the per-sample pixel
-    displacement is the offset divided by the patch depth.
+    Probe offsets are in px*mm; the pixel displacement is the offset
+    divided by the patch depth, so the feature is depth invariant. The
+    arguments broadcast against each other: training scores (c, n)
+    candidate-sample pairs, routing one probe pair per patch.
     """
-    px = samples.pixel[idx]
-    d = samples.depth[idx]
-    imi = samples.img_idx[idx]
-    pu = px[None, :, :] + probe_u[:, None, :] / d[None, :, None]
-    pv = px[None, :, :] + probe_v[:, None, :] / d[None, :, None]
-    imi_b = np.broadcast_to(imi[None, :], pu.shape[:2])
-    du = _probe_depth(samples.images, imi_b, pu, bg_depth)
-    dv = _probe_depth(samples.images, imi_b, pv, bg_depth)
+    scale = depth[..., None]
+    du = _probe_depth(images, img_idx, pixel + probe_u / scale, bg_depth)
+    dv = _probe_depth(images, img_idx, pixel + probe_v / scale, bg_depth)
     return du - dv
+
+
+def _features(samples, idx, probe_u, probe_v, bg_depth):
+    """(c, n) features of samples `idx` under c candidate (c, 2) probe pairs."""
+    return _depth_difference(samples.images, samples.img_idx[idx][None],
+                             samples.pixel[idx][None], samples.depth[idx][None],
+                             probe_u[:, None], probe_v[:, None], bg_depth)
 
 
 def _entropy(counts):
@@ -154,25 +168,13 @@ def _entropy(counts):
     return float(-(p * np.log(p)).sum())
 
 
-def split_score(left_labels, right_labels, num_classes=geometry.NUM_JOINTS):
-    """Information gain (nats) of a partition over part labels.
-
-    An empty side scores -inf so degenerate splits are always rejected.
-    """
-    left_labels = np.asarray(left_labels)
-    right_labels = np.asarray(right_labels)
-    if len(left_labels) == 0 or len(right_labels) == 0:
-        return -np.inf
-    lc = np.bincount(left_labels, minlength=num_classes)
-    rc = np.bincount(right_labels, minlength=num_classes)
-    n_l, n_r = lc.sum(), rc.sum()
-    n = n_l + n_r
-    parent = _entropy(lc + rc)
-    return parent - (n_l * _entropy(lc) + n_r * _entropy(rc)) / n
-
-
 def _gains(left_counts, total_counts):
-    """Vectorized information gain for many candidate splits."""
+    """Information gain (nats) of many candidate splits over part labels.
+
+    left_counts (c, J) per-class counts on the left side of each candidate,
+    total_counts (J,) at the node; an empty side scores -inf so degenerate
+    splits are always rejected.
+    """
     right_counts = total_counts[None, :] - left_counts
     n = total_counts.sum()
     n_l = left_counts.sum(axis=1)
@@ -279,12 +281,9 @@ class Tree:
                 break
             act = np.nonzero(internal)[0]
             nd = node[act]
-            scale = depth[act, None]
-            pu = pixel[act] + self.probe_u[nd] / scale
-            pv = pixel[act] + self.probe_v[nd] / scale
-            du = _probe_depth(images, img_idx[act], pu, bg_depth)
-            dv = _probe_depth(images, img_idx[act], pv, bg_depth)
-            go_left = (du - dv) < self.tau[nd]
+            feats = _depth_difference(images, img_idx[act], pixel[act], depth[act],
+                                      self.probe_u[nd], self.probe_v[nd], bg_depth)
+            go_left = feats < self.tau[nd]
             node[act] = np.where(go_left, self.left[nd], self.right[nd])
         return self.leaf_id[node]
 
@@ -391,16 +390,10 @@ def accumulate_votes(forest, img, stride=2, depth_sq_weight=True):
     patch depth to undo the perspective thinning of per-pixel sampling.
     Returns {joint: (positions (v, 3), weights (v,))}.
     """
-    mask = foreground_mask(img)
-    vs, us = np.nonzero(mask)
-    keep = (us % stride == 0) & (vs % stride == 0)
-    us, vs = us[keep], vs[keep]
-    if len(us) == 0:
+    depths, centers, pixel = _patch_grid(img, stride)
+    if len(depths) == 0:
         return {}
-    depths = img.depth[vs, us].astype(float)
-    centers = img.cam.backproject(us.astype(float), vs.astype(float), depths)
-    pixel = np.stack([us, vs], axis=1).astype(float)
-    img_idx = np.zeros(len(us), dtype=np.int64)
+    img_idx = np.zeros(len(depths), dtype=np.int64)
     images = img.depth[None, :, :]
     scale = (depths / 1000.0) ** 2 if depth_sq_weight else np.ones(len(depths))
 

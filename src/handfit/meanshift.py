@@ -9,6 +9,10 @@ import numpy as np
 # losslessly and the worst-case kernel displacement stays far below the
 # merge radius
 DEDUP_DIVISOR = 20.0
+# converged points closer than MERGE_FACTOR * bandwidth join one mode; a
+# point stops shifting once an update moves it less than TOL_FACTOR * bandwidth
+MERGE_FACTOR = 0.5
+TOL_FACTOR = 1e-3
 
 
 def _dedup(points, weights, bandwidth):
@@ -48,14 +52,13 @@ def _iterate(points, weights, bandwidth, max_iters, tol):
     return shifted
 
 
-def mean_shift(points, weights=None, *, bandwidth, max_iters=50,
-               merge_radius=None, tol_factor=1e-3):
+def mean_shift(points, weights=None, *, bandwidth, max_iters=50):
     """Modes of the weighted kernel density of `points`.
 
     Mean-shift iterations start from every (distinct) input point;
-    converged points lying within `merge_radius` (default bandwidth/2) of
-    each other are merged into one mode whose position is the weighted
-    mean of its members and whose support is their total weight.
+    converged points lying within MERGE_FACTOR * bandwidth of each other
+    are merged into one mode whose position is the weighted mean of its
+    members and whose support is their total weight.
 
     Returns (modes (m, d), supports (m,)) sorted by support descending.
     """
@@ -72,17 +75,13 @@ def mean_shift(points, weights=None, *, bandwidth, max_iters=50,
         points, weights = points[keep], weights[keep]
         if len(points) == 0:
             return np.empty((0, points.shape[1])), np.empty(0)
-    if merge_radius is None:
-        merge_radius = bandwidth / 2.0
 
     points, weights = _dedup(points, weights, bandwidth)
-    shifted = _iterate(points, weights, bandwidth, max_iters,
-                       tol_factor * bandwidth)
-    return _merge_modes(shifted, weights, merge_radius)
+    shifted = _iterate(points, weights, bandwidth, max_iters, TOL_FACTOR * bandwidth)
+    return _merge_modes(shifted, weights, MERGE_FACTOR * bandwidth)
 
 
-def mean_shift_groups(point_groups, weights=None, *, bandwidth, max_iters=50,
-                      merge_radius=None, tol_factor=1e-3):
+def mean_shift_groups(point_groups, weights=None, *, bandwidth, max_iters=50):
     """Weighted mean-shift over g equally-sized point sets at once.
 
     point_groups (g, n, d), weights (g, n) with zero weight marking padded
@@ -98,10 +97,8 @@ def mean_shift_groups(point_groups, weights=None, *, bandwidth, max_iters=50,
         weights = np.ones((g, n), dtype=np.float32)
     else:
         weights = np.asarray(weights, dtype=np.float32)
-    if merge_radius is None:
-        merge_radius = bandwidth / 2.0
     inv_two_bw2 = np.float32(0.5 / (bandwidth * bandwidth))
-    tol = np.float32(tol_factor * bandwidth)
+    tol = np.float32(TOL_FACTOR * bandwidth)
 
     shifted = pts.reshape(g * n, dim).copy()
     gid = np.repeat(np.arange(g), n)
@@ -129,7 +126,8 @@ def mean_shift_groups(point_groups, weights=None, *, bandwidth, max_iters=50,
     out = []
     for i in range(g):
         keep = weights[i] > 0
-        out.append(_merge_modes(shifted[i, keep], weights[i, keep], merge_radius))
+        out.append(_merge_modes(shifted[i, keep], weights[i, keep],
+                                MERGE_FACTOR * bandwidth))
     return out
 
 

@@ -96,18 +96,26 @@ PROPOSAL_COLUMNS = ["frame", "joint", "x", "y", "z", "confidence"]
 
 
 def write_proposals_csv(path, proposal_sets):
-    """Persist per-frame proposal sets as frame,joint,x,y,z,confidence rows."""
+    """Persist per-frame proposal sets as frame,joint,x,y,z,confidence rows.
+
+    A frame without proposals gets one `frame,,,,,` row, so the file keeps
+    the frame count even when the last frames are empty.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PROPOSAL_COLUMNS)
         for frame, pset in enumerate(proposal_sets):
+            if len(pset) == 0:
+                writer.writerow([frame, "", "", "", "", ""])
             for j in pset.joints:
                 for pos, w in zip(pset.positions(j), pset.weights(j)):
                     writer.writerow([frame, j, f"{pos[0]:.9g}", f"{pos[1]:.9g}",
                                      f"{pos[2]:.9g}", f"{w:.9g}"])
 
 
-def read_proposals_csv(path, num_frames=None):
+def read_proposals_csv(path):
+    """Per-frame ProposalSets; frames up to the highest frame number are
+    all present, those without proposal rows as empty sets."""
     raw = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -118,7 +126,11 @@ def read_proposals_csv(path, num_frames=None):
             if len(row) != 6:
                 raise ValueError(f"{path}:{lineno}: expected 6 columns")
             try:
-                frame, j = int(row[0]), int(row[1])
+                frame = int(row[0])
+                if not any(row[1:]):  # an empty frame
+                    raw.setdefault(frame, {})
+                    continue
+                j = int(row[1])
                 pos = [float(v) for v in row[2:5]]
                 conf = float(row[5])
             except ValueError as exc:
@@ -126,10 +138,8 @@ def read_proposals_csv(path, num_frames=None):
             raw.setdefault(frame, {}).setdefault(j, ([], []))
             raw[frame][j][0].append(pos)
             raw[frame][j][1].append(conf)
-    if num_frames is None:
-        num_frames = max(raw, default=-1) + 1
     sets = []
-    for frame in range(num_frames):
+    for frame in range(max(raw, default=-1) + 1):
         entries = {j: (np.asarray(p), np.asarray(w))
                    for j, (p, w) in raw.get(frame, {}).items()}
         sets.append(ProposalSet(entries))

@@ -14,18 +14,8 @@ def normalize(q):
     return q / n
 
 
-def to_matrix(q):
-    """3x3 rotation matrix from a unit quaternion."""
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
-
-
 def to_matrix_batch(q):
-    """(n, 4) unit quaternions -> (n, 3, 3) rotation matrices."""
+    """(..., 4) unit quaternions -> (..., 3, 3) rotation matrices."""
     q = np.asarray(q, dtype=float)
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     m = np.empty(q.shape[:-1] + (3, 3))

@@ -113,7 +113,7 @@ def hand_distance_field(point, geom, pose):
             best = min(best, d)
     from handfit import quats
 
-    rot = quats.to_matrix(quats.normalize(pose.orientation))
+    rot = quats.to_matrix_batch(quats.normalize(pose.orientation))
     center = pose.translation + rot @ np.asarray(PALM_ELLIPSOID_CENTER)
     local = rot.T @ (point - center) / np.asarray(PALM_ELLIPSOID_SEMI_AXES)
     best = min(best, (np.linalg.norm(local) - 1.0) * min(PALM_ELLIPSOID_SEMI_AXES))

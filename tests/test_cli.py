@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from handfit import cli, fit, sweeps
+from handfit import cli, fit, geometry, sweeps
 from handfit.config import RunConfig
 from handfit.geometry import HandGeometry, JointLimits
-from handfit.proposals import read_proposals_csv
+from handfit.proposals import ProposalSet, read_proposals_csv, write_proposals_csv
 
 TINY = [
     "--set", "synth.articulations=1", "--set", "synth.viewpoints=2",
@@ -74,6 +74,26 @@ def test_regression_only_mode(pipeline_dir, tmp_path):
                    "--dataset", str(pipeline_dir / "dataset"),
                    "--out", str(tmp_path / "regeval")] + TINY)
     assert rc == 0
+
+
+def test_trailing_empty_frame_survives_fit_and_eval(tmp_path, geom, limits):
+    # a last frame without proposals (the hand left the view) must still be
+    # a frame of the proposals file, or eval rejects the frame count
+    poses = [geometry.random_pose(np.random.default_rng(i), limits,
+                                  geometry.DEFAULT_WORKSPACE) for i in range(2)]
+    (tmp_path / "ds" / "test").mkdir(parents=True)
+    geometry.write_poses_csv(tmp_path / "ds" / "test" / "poses.csv", poses)
+    psets = [ProposalSet.from_joints(geometry.forward_kinematics(geom, poses[0])),
+             ProposalSet({})]
+    write_proposals_csv(tmp_path / "p.csv", psets)
+    again = read_proposals_csv(tmp_path / "p.csv")
+    assert [len(p) for p in again] == [21, 0]
+    assert cli.main(["fit", "--proposals", str(tmp_path / "p.csv"),
+                     "--out", str(tmp_path / "fit"), "--mode", "regression-only"]) == 0
+    assert cli.main(["eval", "--estimates", str(tmp_path / "fit" / "estimates.csv"),
+                     "--dataset", str(tmp_path / "ds"),
+                     "--out", str(tmp_path / "eval")]) == 0
+    assert "frames = 2" in (tmp_path / "eval" / "summary.txt").read_text()
 
 
 def test_joint_mode(pipeline_dir, tmp_path, caplog):

@@ -1,6 +1,9 @@
 import pytest
 
+from handfit import cli, sweeps
 from handfit.config import ConfigError, RunConfig
+from handfit.fit import PsoConfig
+from handfit.forest import ForestConfig
 
 
 def test_core_defaults_present():
@@ -69,3 +72,11 @@ def test_grid_helpers():
     thresholds = cfg.thresholds()
     assert thresholds[0] == 5.0 and thresholds[-1] == 80.0
     assert len(thresholds) == 16
+
+
+def test_run_config_defaults_match_dataclass_defaults():
+    # the forest and swarm defaults are written twice, once as config keys
+    # and once as dataclass fields; the two copies must agree
+    assert cli._forest_config(RunConfig()) == ForestConfig()
+    for seed in (0, 1, 17):
+        assert sweeps.pso_config(RunConfig(), seed) == PsoConfig(seed=seed)

@@ -65,23 +65,50 @@ def test_labels_match_brute_force_nearest(cam, rest_frame):
 
 
 def test_split_score_arithmetic():
+    # _gains scores candidate splits from per-class counts: left side of
+    # each candidate (c, J) against the node's totals (J,)
+    def gain(left, total):
+        return F._gains(np.array([left], dtype=float), np.array(total, dtype=float))[0]
+
     # perfect separation of a two-class node recovers the parent entropy
-    left = np.zeros(5, dtype=int)
-    right = np.ones(3, dtype=int)
     parent_entropy = -(5 / 8 * np.log(5 / 8) + 3 / 8 * np.log(3 / 8))
-    assert F.split_score(left, right) == pytest.approx(parent_entropy, abs=1e-12)
+    assert gain([5, 0], [5, 3]) == pytest.approx(parent_entropy, abs=1e-12)
 
     # identical class mixtures on both sides gain nothing
-    mixed = np.array([0, 0, 1, 1])
-    assert F.split_score(mixed, mixed) == pytest.approx(0.0, abs=1e-12)
+    assert gain([2, 2], [4, 4]) == pytest.approx(0.0, abs=1e-12)
 
     # 3-class node isolating one class: ln(3) - (2/3) ln(2), frozen from
     # direct evaluation of the entropy formula
-    left = np.full(4, 2, dtype=int)
-    right = np.array([0] * 4 + [1] * 4)
-    assert F.split_score(left, right) == pytest.approx(0.6365141682948129,
+    assert gain([0, 0, 4], [4, 4, 4]) == pytest.approx(0.6365141682948129,
                                                        abs=1e-12)
-    assert F.split_score(np.empty(0, dtype=int), mixed) == -np.inf
+    assert gain([0, 0], [2, 2]) == -np.inf
+    assert gain([2, 2], [2, 2]) == -np.inf
+
+
+def test_training_samples_route_to_their_leaf(cam, rest_frame, monkeypatch):
+    # training splits and test-time routing must evaluate one feature: every
+    # training sample routes back to the leaf that was built from it
+    img, gt = rest_frame
+    samples = F.extract_samples(img, gt, stride=2, rng=np.random.default_rng(0))
+    built = []
+    build_leaf = F.build_leaf
+
+    def recording(samples, idx, cfg, rng):
+        built.append(idx)
+        return build_leaf(samples, idx, cfg, rng)
+
+    monkeypatch.setattr(F, "build_leaf", recording)
+    cfg = F.ForestConfig(max_depth=10, min_samples=10, node_subsample=300,
+                         candidates=40)
+    tree = F.train_tree(samples, cfg, np.random.default_rng(3))
+    assert len(built) == tree.n_leaves > 10
+    leaf = tree.route(samples.images, samples.img_idx, samples.pixel,
+                      samples.depth, cfg.bg_depth_mm)
+    expected = np.empty(len(samples), dtype=int)
+    for leaf_id, idx in enumerate(built):
+        expected[idx] = leaf_id
+    assert sorted(np.concatenate(built).tolist()) == list(range(len(samples)))
+    assert np.array_equal(leaf, expected)
 
 
 def test_build_leaf_single_and_duplicate_samples(geom, cam, rest_frame):

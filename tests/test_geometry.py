@@ -59,7 +59,7 @@ def test_rigid_equivariance(geom, limits, rng):
         t = rng.uniform(-200, 200, 3)
         composed = PoseParams(t, quat_multiply(q, q0), base.finger_angles)
         reference = PoseParams(np.zeros(3), q0, base.finger_angles)
-        expected = forward_kinematics(geom, reference) @ quats.to_matrix(q).T + t
+        expected = forward_kinematics(geom, reference) @ quats.to_matrix_batch(q).T + t
         got = forward_kinematics(geom, composed)
         assert np.abs(got - expected).max() < 1e-6 * max(1.0, np.abs(expected).max())
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from handfit import fit, forest, geometry, synth
+from handfit.depth import render_depth
 from handfit.proposals import ProposalSet
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -44,3 +45,40 @@ def test_benchmark_tracer_sees_fk_inside_stepwise_fit(tracing, geom, limits, rng
     assert counts["fit.objective_rows"] == res.evals + 1
     assert counts["geometry.fk_calls"] == counts["fit.objective_calls"]
     assert counts["geometry.fk_rows"] == counts["fit.objective_rows"]
+
+
+@pytest.fixture(scope="module")
+def rest_frame(geom, cam):
+    pose = geometry.PoseParams.rest((0.0, 0.0, 550.0))
+    return render_depth(geom, pose, cam), geometry.forward_kinematics(geom, pose)
+
+
+def _span_names(tracer):
+    return {span[0] for span in tracer.spans}
+
+
+def test_benchmark_tracer_sees_leaf_building_inside_train_tree(tracing, rest_frame):
+    # the train workload's per-layer metrics come from these spans
+    img, gt = rest_frame
+    samples = forest.extract_samples(img, gt, stride=4, rng=np.random.default_rng(0))
+    cfg = forest.ForestConfig(max_depth=3, min_samples=10, node_subsample=100,
+                              candidates=10)
+    tracer = tracing.Tracer()
+    with tracer.install(), tracer.span("op", 0):
+        forest.train_tree(samples, cfg, np.random.default_rng(0))
+    assert {"build_leaf", "dedup", "mean_shift_groups"} <= _span_names(tracer)
+
+
+def test_benchmark_tracer_sees_routing_and_mean_shift_inside_inference(
+        tracing, rest_frame):
+    # the track workload's per-layer metrics come from these spans
+    img, gt = rest_frame
+    samples = forest.extract_samples(img, gt, stride=4, rng=np.random.default_rng(0))
+    cfg = forest.ForestConfig(num_trees=1, max_depth=3, min_samples=10,
+                              node_subsample=100, candidates=10)
+    model = forest.train_forest(samples, cfg, np.random.default_rng(0))
+    tracer = tracing.Tracer()
+    with tracer.install(), tracer.span("op", 0):
+        pset = forest.infer_proposals(model, img, stride=4)
+    assert len(pset) > 0
+    assert {"Tree.route", "mean_shift"} <= _span_names(tracer)
