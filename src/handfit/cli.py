@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import logging
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fit, forest, geometry, metrics, proposals, svgplot, sweeps, synth
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, read_csv, write_csv, write_keyvalue
 from .depth import CameraIntrinsics, RenderError
 from .fit import UnderConstrainedError
 from .forest import ForestConfig, ForestFormatError
@@ -27,6 +26,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_NUMERIC = 4
+
+# estimates.csv: frame, then x, y, z of each of the 21 joints
+ESTIMATE_COLUMNS = ["frame"] + [f"{n}_{ax}" for n in geometry.JOINT_NAMES
+                                for ax in "xyz"]
 
 
 def _load_config(args):
@@ -187,8 +190,7 @@ def cmd_fit(args):
 
     start = time.perf_counter()
     frames, fit_results = fit.fit_frames(psets, geom, limits,
-                                         sweeps.pso_config(cfg, cfg["seed"]),
-                                         args.mode, cfg["seed"])
+                                         sweeps.pso_config(cfg, cfg["seed"]), args.mode)
     wall = time.perf_counter() - start
     write_joints_csv(out / "estimates.csv", frames)
     if any(fit_results):  # regression-only frames carry no FitResult
@@ -218,36 +220,25 @@ def cmd_eval(args):
     out = Path(args.out) if args.out else Path(f"run_{cfg.content_hash()}")
     out.mkdir(parents=True, exist_ok=True)
     curve = metrics.success_rate_curve(results, cfg.thresholds())
-    with open(out / "frame_errors.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "mean_error_mm", "max_error_mm",
-                         "fingertip_error_mm"])
-        for r in results:
-            tips = list(geometry.TIP_INDICES)
-            writer.writerow([r.frame_id, f"{r.errors.mean():.6g}",
-                             f"{r.errors.max():.6g}",
-                             f"{r.errors[tips].mean():.6g}"])
-    with open(out / "success_curve.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold_mm", "fraction"])
-        for t, f in curve.rows():
-            writer.writerow([f"{t:.6g}", f"{f:.6g}"])
+    tips = list(geometry.TIP_INDICES)
+    write_csv(out / "frame_errors.csv",
+              ["frame", "mean_error_mm", "max_error_mm", "fingertip_error_mm"],
+              ([r.frame_id] + [f"{e:.6g}" for e in (r.errors.mean(), r.errors.max(),
+                                                     r.errors[tips].mean())]
+               for r in results))
+    write_csv(out / "success_curve.csv", ["threshold_mm", "fraction"],
+              ([f"{t:.6g}", f"{f:.6g}"] for t, f in curve.rows()))
     svgplot.line_plot(out / "success_curve.svg",
                       [{"label": "all joints", "x": curve.thresholds,
                         "y": curve.fractions}],
                       title="frame success rate", xlabel="threshold (mm)",
                       ylabel="fraction of frames")
-    summary = {
-        "frames": len(results),
-        "mean_joint_error_mm": metrics.mean_joint_error(results),
-        "fingertip_error_mm": metrics.fingertip_error(results),
-    }
-    with open(out / "summary.txt", "w") as fh:
-        for key, value in summary.items():
-            fh.write(f"{key} = {value:.6g}\n" if isinstance(value, float)
-                     else f"{key} = {value}\n")
-    log.info("mean joint error %.2f mm, fingertips %.2f mm",
-             summary["mean_joint_error_mm"], summary["fingertip_error_mm"])
+    joint_err = metrics.mean_joint_error(results)
+    tip_err = metrics.fingertip_error(results)
+    write_keyvalue(out / "summary.txt", {"frames": len(results),
+                                         "mean_joint_error_mm": f"{joint_err:.6g}",
+                                         "fingertip_error_mm": f"{tip_err:.6g}"})
+    log.info("mean joint error %.2f mm, fingertips %.2f mm", joint_err, tip_err)
     return EXIT_OK
 
 
@@ -292,28 +283,14 @@ def cmd_pipeline(args):
 
 def write_joints_csv(path, frames):
     """Per-frame 21-joint estimates; NaN marks joints without a prediction."""
-    header = ["frame"] + [f"{n}_{ax}" for n in geometry.JOINT_NAMES for ax in "xyz"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, joints in enumerate(frames):
-            flat = np.asarray(joints, dtype=float).reshape(63)
-            writer.writerow([i] + [f"{v:.9g}" for v in flat])
+    write_csv(path, ESTIMATE_COLUMNS,
+              ([i] + [f"{v:.9g}" for v in np.asarray(joints, dtype=float).reshape(63)]
+               for i, joints in enumerate(frames)))
 
 
 def read_joints_csv(path):
-    frames = []
-    header = ["frame"] + [f"{n}_{ax}" for n in geometry.JOINT_NAMES for ax in "xyz"]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first != header:
-            raise ValueError(f"{path}:1: unexpected estimates CSV header")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 64:
-                raise ValueError(f"{path}:{lineno}: expected 64 columns, got {len(row)}")
-            frames.append(np.array([float(v) for v in row[1:]]).reshape(21, 3))
-    return frames
+    return read_csv(path, ESTIMATE_COLUMNS,
+                    lambda row: np.array([float(v) for v in row[1:]]).reshape(21, 3))
 
 
 def _add_common(parser):

@@ -1,8 +1,12 @@
-"""Flat `key = value` run configuration shared by every pipeline stage."""
+"""Flat `key = value` run configuration shared by every pipeline stage,
+and the two text formats every stage exchanges: `key = value` files and
+CSV tables."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 from pathlib import Path
 
 
@@ -10,12 +14,24 @@ class ConfigError(ValueError):
     """Unknown key, malformed line, or unparsable value."""
 
 
+class _KeyValues(dict):
+    """str->str dict whose missing-key lookup names the file it came from."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, key):
+        raise ConfigError(f"{self.path}: missing key {key!r}")
+
+
 def read_keyvalue(path):
     """Parse a `key = value` text file into an ordered str->str dict.
 
-    Blank lines and lines starting with '#' are ignored.
+    Blank lines and lines starting with '#' are ignored. Looking up a key
+    the file lacks raises ConfigError naming the file and the key.
     """
-    out = {}
+    out = _KeyValues(path)
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -33,6 +49,41 @@ def write_keyvalue(path, mapping, header=None):
         lines.extend("# " + h for h in header.splitlines())
     lines.extend(f"{k} = {v}" for k, v in mapping.items())
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_csv(path, header, rows):
+    """Write a CSV table: the header row, then rows of already-formatted cells."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path, header, parse):
+    """`parse(row)` for each data row of a CSV table whose first row is `header`.
+
+    A wrong header, a row whose width differs from the header's, text that
+    is not UTF-8 or not CSV, and a ValueError from `parse` all raise
+    ValueError("path:line: ...").
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    out = []
+    try:
+        if next(reader, None) != list(header):
+            raise ValueError("expected the header " + ",".join(header))
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} columns, got {len(row)}")
+            out.append(parse(row))
+    except (csv.Error, ValueError) as exc:
+        raise ValueError(f"{path}:{max(reader.line_num, 1)}: {exc}") from exc
+    return out
 
 
 # Defaults: tree depth 23, min 40 samples per node, 3 trees, 200 retained

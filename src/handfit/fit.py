@@ -12,12 +12,12 @@ single 27-parameter stage.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, metrics, quats
+from .config import write_csv
 
 TRANSLATION_DIMS = np.arange(0, 3)
 QUAT_DIMS = np.arange(3, 7)
@@ -319,10 +319,10 @@ def joint_fit(proposal_set, geom, limits, cfg=None, rng=None):
 FIT_MODES = ("stepwise", "joint", "regression-only")
 
 
-def fit_frames(psets, geom, limits, cfg, mode, seed):
+def fit_frames(psets, geom, limits, cfg, mode):
     """Fit every frame of a sequence; returns (joints, results) per frame.
 
-    Frame i draws from default_rng((seed, 5, i)), so a frame's fit does
+    Frame i draws from default_rng((cfg.seed, 5, i)), so a frame's fit does
     not depend on which caller runs it or on the frames before it. In
     regression-only mode each joint is its top proposal and every result
     is None.
@@ -332,7 +332,8 @@ def fit_frames(psets, geom, limits, cfg, mode, seed):
     if mode == "regression-only":
         return [metrics.top_proposal_joints(p) for p in psets], [None] * len(psets)
     fitter = joint_fit if mode == "joint" else stepwise_fit
-    results = [fitter(pset, geom, limits, cfg, rng=np.random.default_rng((seed, 5, i)))
+    results = [fitter(pset, geom, limits, cfg,
+                      rng=np.random.default_rng((cfg.seed, 5, i)))
                for i, pset in enumerate(psets)]
     return [res.joints(geom) for res in results], results
 
@@ -343,32 +344,7 @@ FIT_COLUMNS = geometry.POSE_COLUMNS + ["score", "evals"] + \
 
 def write_fits_csv(path, results):
     """Pose trace: 27 parameters + score + eval count + per-finger flags."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame"] + FIT_COLUMNS)
-        for frame, res in enumerate(results):
-            row = [frame]
-            row += [f"{v:.9g}" for v in res.pose.to_vector()]
-            row += [f"{res.score:.9g}", res.evals]
-            row += [int(flag) for flag in res.finger_fitted]
-            writer.writerow(row)
-
-
-def read_fits_csv(path):
-    results = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["frame"] + FIT_COLUMNS:
-            raise ValueError(f"{path}:1: unexpected fit CSV header")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 1 + len(FIT_COLUMNS):
-                raise ValueError(f"{path}:{lineno}: wrong column count")
-            vec = np.array([float(v) for v in row[1:28]])
-            results.append(FitResult(
-                pose=geometry.PoseParams.from_vector(vec),
-                score=float(row[28]),
-                evals=int(row[29]),
-                finger_fitted=tuple(bool(int(v)) for v in row[30:35]),
-            ))
-    return results
+    write_csv(path, ["frame"] + FIT_COLUMNS, (
+        [frame] + [f"{v:.9g}" for v in res.pose.to_vector()]
+        + [f"{res.score:.9g}", res.evals] + [int(flag) for flag in res.finger_fitted]
+        for frame, res in enumerate(results)))

@@ -10,14 +10,13 @@ PIP and DIP are hinges about the local +x.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from . import quats
-from .config import read_keyvalue, write_keyvalue
+from .config import read_csv, read_keyvalue, write_csv, write_keyvalue
 
 FINGERS = ("thumb", "index", "middle", "ring", "pinky")
 ANGLE_NAMES = ("mcp_flexion", "mcp_abduction", "pip_flexion", "dip_flexion")
@@ -331,22 +330,9 @@ DEFAULT_WORKSPACE = np.array([[-120.0, 120.0], [-120.0, 120.0], [420.0, 700.0]])
 
 def write_poses_csv(path, poses):
     """One row of 27 values per pose, fixed column order (POSE_COLUMNS)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(POSE_COLUMNS)
-        for pose in poses:
-            writer.writerow([f"{v:.9g}" for v in pose.to_vector()])
+    write_csv(path, POSE_COLUMNS, ([f"{v:.9g}" for v in p.to_vector()] for p in poses))
 
 
 def read_poses_csv(path):
-    poses = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != POSE_COLUMNS:
-            raise ValueError(f"{path}:1: unexpected pose CSV header")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 27:
-                raise ValueError(f"{path}:{lineno}: expected 27 columns, got {len(row)}")
-            poses.append(PoseParams.from_vector(np.array([float(v) for v in row])))
-    return poses
+    return read_csv(path, POSE_COLUMNS,
+                    lambda row: PoseParams.from_vector([float(v) for v in row]))

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from . import geometry
+from .config import read_csv, write_csv
 
 
 class ProposalSet:
@@ -101,46 +100,43 @@ def write_proposals_csv(path, proposal_sets):
     A frame without proposals gets one `frame,,,,,` row, so the file keeps
     the frame count even when the last frames are empty.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROPOSAL_COLUMNS)
-        for frame, pset in enumerate(proposal_sets):
-            if len(pset) == 0:
-                writer.writerow([frame, "", "", "", "", ""])
-            for j in pset.joints:
-                for pos, w in zip(pset.positions(j), pset.weights(j)):
-                    writer.writerow([frame, j, f"{pos[0]:.9g}", f"{pos[1]:.9g}",
-                                     f"{pos[2]:.9g}", f"{w:.9g}"])
+    rows = []
+    for frame, pset in enumerate(proposal_sets):
+        if len(pset) == 0:
+            rows.append([frame, "", "", "", "", ""])
+        for j in pset.joints:
+            for pos, w in zip(pset.positions(j), pset.weights(j)):
+                rows.append([frame, j] + [f"{v:.9g}" for v in (*pos, w)])
+    write_csv(path, PROPOSAL_COLUMNS, rows)
 
 
 def read_proposals_csv(path):
-    """Per-frame ProposalSets; frames up to the highest frame number are
-    all present, those without proposal rows as empty sets."""
-    raw = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != PROPOSAL_COLUMNS:
-            raise ValueError(f"{path}:1: unexpected proposals CSV header")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 columns")
-            try:
-                frame = int(row[0])
-                if not any(row[1:]):  # an empty frame
-                    raw.setdefault(frame, {})
-                    continue
-                j = int(row[1])
-                pos = [float(v) for v in row[2:5]]
-                conf = float(row[5])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            raw.setdefault(frame, {}).setdefault(j, ([], []))
-            raw[frame][j][0].append(pos)
-            raw[frame][j][1].append(conf)
+    """Per-frame ProposalSets from the rows `write_proposals_csv` writes.
+
+    Frames run 0, 1, 2, ... in file order without gaps; a frame without
+    proposals is its `frame,,,,,` row.
+    """
+    frames = []  # per frame: joint -> (positions, weights)
+
+    def parse(row):
+        frame = int(row[0])
+        if frame == len(frames):
+            frames.append({})
+        elif frame < 0 or frame != len(frames) - 1:
+            raise ValueError(f"frame {frame} where frame {len(frames)} comes next; "
+                             "frames run 0, 1, 2, ... without gaps")
+        if any(row[1:]):
+            j, x, y, z, conf = int(row[1]), *(float(v) for v in row[2:])
+            positions, weights = frames[frame].setdefault(j, ([], []))
+            positions.append([x, y, z])
+            weights.append(conf)
+
+    read_csv(path, PROPOSAL_COLUMNS, parse)
     sets = []
-    for frame in range(max(raw, default=-1) + 1):
-        entries = {j: (np.asarray(p), np.asarray(w))
-                   for j, (p, w) in raw.get(frame, {}).items()}
-        sets.append(ProposalSet(entries))
+    for frame, entries in enumerate(frames):
+        try:
+            sets.append(ProposalSet({j: (np.asarray(p), np.asarray(w))
+                                     for j, (p, w) in entries.items()}))
+        except ValueError as exc:
+            raise ValueError(f"{path}: frame {frame}: {exc}") from exc
     return sets

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
 from . import fit, metrics, svgplot
+from .config import write_csv
 from .forest import proposals_from_votes
 
 EXPERIMENTS = ("k", "top-n", "stepwise-vs-joint")
@@ -40,9 +40,9 @@ MATCHED_BUDGETS = {
 }
 
 
-def _arm(psets, gt_list, geom, limits, pso_cfg, mode, seed):
+def _arm(psets, gt_list, geom, limits, pso_cfg, mode):
     """Fit a sequence in one mode; returns (error metrics, mean evals per frame)."""
-    joints, fits = fit.fit_frames(psets, geom, limits, pso_cfg, mode, seed)
+    joints, fits = fit.fit_frames(psets, geom, limits, pso_cfg, mode)
     results = [metrics.FrameResult.compute(i, pred, gt, sentinel=pso_cfg.d_max)
                for i, (pred, gt) in enumerate(zip(joints, gt_list))]
     curve = metrics.success_rate_curve(results, [20.0, 40.0])
@@ -88,7 +88,7 @@ def run_sweep(experiment, votes_per_frame, gt_list, geom, limits, cfg,
         for seed in seeds:
             for mode, budget in MATCHED_BUDGETS.items():
                 arm, evals = _arm(psets, gt_list, geom, limits,
-                                  pso_config(cfg, seed, **budget), mode, seed)
+                                  pso_config(cfg, seed, **budget), mode)
                 rows.append({"method": mode, "seed": seed, **arm,
                              "evals_per_frame": evals})
         _write_table(out_dir / "table.csv", rows)
@@ -109,7 +109,7 @@ def run_sweep(experiment, votes_per_frame, gt_list, geom, limits, cfg,
         oracle = _oracle_error(psets, gt_list, d_max)
         for seed in seeds:
             arm, evals = _arm(psets, gt_list, geom, limits, pso_config(cfg, seed),
-                              "stepwise", seed)
+                              "stepwise")
             rows.append({param: value, "seed": seed, **arm,
                          "oracle_error_mm": oracle, "evals_per_frame": evals})
     _write_table(out_dir / "table.csv", rows)
@@ -120,12 +120,8 @@ def run_sweep(experiment, votes_per_frame, gt_list, geom, limits, cfg,
 def _write_table(path, rows):
     if not rows:
         return
-    header = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(row[h]) for h in header])
+    header = list(rows[0])
+    write_csv(path, header, ([_cell(row[h]) for h in header] for row in rows))
 
 
 def _cell(v):

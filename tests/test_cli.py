@@ -153,6 +153,15 @@ def test_exit_codes(tmp_path, pipeline_dir):
                      "--out", str(tmp_path / "fit")]) == 4
 
 
+def test_keyvalue_file_missing_a_key_exits_2(tmp_path, caplog):
+    geo = tmp_path / "g.txt"
+    geo.write_text("wrist.offset.x = 0\n")
+    write_proposals_csv(tmp_path / "p.csv", [])
+    assert cli.main(["fit", "--proposals", str(tmp_path / "p.csv"),
+                     "--geometry", str(geo), "--out", str(tmp_path / "fit")]) == 2
+    assert f"{geo}: missing key 'thumb.base.x'" in caplog.text
+
+
 def test_scale_flag_sets_articulations(tmp_path):
     parser = cli.build_parser()
     args = parser.parse_args(["synth", "--out", str(tmp_path), "--scale", "0.25"])

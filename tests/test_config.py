@@ -1,7 +1,8 @@
 import pytest
 
 from handfit import cli, sweeps
-from handfit.config import ConfigError, RunConfig
+from handfit.config import ConfigError, RunConfig, read_keyvalue
+from handfit.depth import CameraIntrinsics
 from handfit.fit import PsoConfig
 from handfit.forest import ForestConfig
 
@@ -64,6 +65,19 @@ def test_malformed_line(tmp_path):
     path.write_text("this line has no equals sign\n")
     with pytest.raises(ConfigError, match="key = value"):
         RunConfig.load(path)
+
+
+def test_missing_key_names_file_and_key(tmp_path):
+    path = tmp_path / "intrinsics.txt"
+    path.write_text("fx = 280\n")
+    kv = read_keyvalue(path)
+    assert kv["fx"] == "280"
+    assert "fy" not in kv and kv.get("fy") is None and kv.get("fy", "1") == "1"
+    with pytest.raises(ConfigError) as exc:
+        kv["fy"]
+    assert str(exc.value) == f"{path}: missing key 'fy'"
+    with pytest.raises(ConfigError, match="missing key 'fy'"):
+        CameraIntrinsics.from_file(path)
 
 
 def test_grid_helpers():

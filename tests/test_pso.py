@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from handfit import fit, geometry
+from handfit.config import read_csv
 from handfit.fit import PsoConfig, joint_fit, pso_optimize, stepwise_fit
 from handfit.geometry import forward_kinematics, random_pose
 from handfit.proposals import ProposalSet
@@ -181,9 +182,11 @@ def test_fits_csv_round_trip(tmp_path, geom, limits, rng):
                                               finger_generations=5),
                                     rng=np.random.default_rng(trial)))
     fit.write_fits_csv(tmp_path / "fits.csv", results)
-    again = fit.read_fits_csv(tmp_path / "fits.csv")
+    again = read_csv(tmp_path / "fits.csv", ["frame"] + fit.FIT_COLUMNS, lambda row: row)
     assert len(again) == 3
-    for a, b in zip(results, again):
-        np.testing.assert_allclose(a.pose.to_vector(), b.pose.to_vector(), rtol=1e-6)
-        assert a.evals == b.evals
-        assert a.finger_fitted == b.finger_fitted
+    for frame, (a, row) in enumerate(zip(results, again)):
+        assert int(row[0]) == frame
+        np.testing.assert_allclose(a.pose.to_vector(), [float(v) for v in row[1:28]],
+                                   rtol=1e-6)
+        assert a.evals == int(row[29])
+        assert a.finger_fitted == tuple(bool(int(v)) for v in row[30:35])

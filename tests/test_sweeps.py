@@ -62,7 +62,7 @@ def test_stepwise_vs_joint_rows(tmp_path, geom, limits, tiny_votes, fast_cfg):
         expected = 8301 if r["method"] == "stepwise" else 8281
         assert r["evals_per_frame"] == pytest.approx(expected)
 
-    # seed s of the sweep is fit_frames(..., seed=s) at the matched budgets
+    # seed s of the sweep is fit_frames with pso_config(cfg, s) at the matched budgets
     psets = [proposals_from_votes(v, top_n=fast_cfg["forest.top_n"],
                                   k=fast_cfg["forest.k"],
                                   bandwidth_mm=fast_cfg["forest.infer_bandwidth_mm"],
@@ -72,7 +72,7 @@ def test_stepwise_vs_joint_rows(tmp_path, geom, limits, tiny_votes, fast_cfg):
         if r["seed"] != 1:
             continue
         pso_cfg = sweeps.pso_config(fast_cfg, 1, **sweeps.MATCHED_BUDGETS[r["method"]])
-        joints, _ = fit.fit_frames(psets, geom, limits, pso_cfg, r["method"], seed=1)
+        joints, _ = fit.fit_frames(psets, geom, limits, pso_cfg, r["method"])
         results = [metrics.FrameResult.compute(i, pred, gt, sentinel=pso_cfg.d_max)
                    for i, (pred, gt) in enumerate(zip(joints, gts))]
         assert r["mean_error_mm"] == metrics.mean_joint_error(results)
@@ -89,9 +89,9 @@ def test_fit_frames_regression_mode(geom, limits, tiny_votes, fast_cfg):
     psets = [proposals_from_votes(v, top_n=40, k=3) for v in votes]
     joints, results = fit.fit_frames(psets, geom, limits,
                                      sweeps.pso_config(fast_cfg, 0),
-                                     "regression-only", 0)
+                                     "regression-only")
     assert results == [None] * 3
     for pred, pset in zip(joints, psets):
         np.testing.assert_array_equal(pred, metrics.top_proposal_joints(pset))
     with pytest.raises(ValueError, match="unknown fit mode"):
-        fit.fit_frames(psets, geom, limits, sweeps.pso_config(fast_cfg, 0), "nope", 0)
+        fit.fit_frames(psets, geom, limits, sweeps.pso_config(fast_cfg, 0), "nope")
