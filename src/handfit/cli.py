@@ -289,8 +289,17 @@ def write_joints_csv(path, frames):
 
 
 def read_joints_csv(path):
-    return read_csv(path, ESTIMATE_COLUMNS,
-                    lambda row: np.array([float(v) for v in row[1:]]).reshape(21, 3))
+    """Per-frame (21, 3) estimates; frames run 0, 1, 2, ... in file order."""
+    frames = []
+
+    def parse(row):
+        if row[0] != str(len(frames)):
+            raise ValueError(f"frame {row[0]} where frame {len(frames)} comes next; "
+                             "frames run 0, 1, 2, ... without gaps")
+        frames.append(np.array([float(v) for v in row[1:]]).reshape(21, 3))
+
+    read_csv(path, ESTIMATE_COLUMNS, parse)
+    return frames
 
 
 def _add_common(parser):

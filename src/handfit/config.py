@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 from pathlib import Path
 
 
@@ -24,15 +25,40 @@ class _KeyValues(dict):
     def __missing__(self, key):
         raise ConfigError(f"{self.path}: missing key {key!r}")
 
+    def number(self, key, default=None, kind=float):
+        """The value of `key`, or `default` when given and the file lacks
+        the key, as a finite `kind`; ConfigError naming file and key."""
+        text = self[key] if default is None else self.get(key, default)
+        return parse_number(text, kind, f"{self.path}: key {key!r}")
+
+
+def parse_number(text, kind, where):
+    """`kind(text)` (float or int) when finite, else ConfigError at `where`."""
+    try:
+        value = kind(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    expected = "integer" if kind is int else "number"
+    raise ConfigError(f"{where}: expected {expected}, got {text!r}")
+
 
 def read_keyvalue(path):
     """Parse a `key = value` text file into an ordered str->str dict.
 
     Blank lines and lines starting with '#' are ignored. Looking up a key
-    the file lacks raises ConfigError naming the file and the key.
+    the file lacks raises ConfigError naming the file and the key, and so
+    does text that is not UTF-8.
     """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
     out = _KeyValues(path)
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -41,6 +67,21 @@ def read_keyvalue(path):
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
+
+
+def load_keyvalue(path, build):
+    """`build(kv)` for the `read_keyvalue` dict of the file at `path`.
+
+    A ValueError from `build`, such as a value the built object rejects,
+    becomes a ConfigError naming the file.
+    """
+    kv = read_keyvalue(path)
+    try:
+        return build(kv)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def write_keyvalue(path, mapping, header=None):
@@ -152,16 +193,8 @@ def _parse(key, text):
         if low in ("false", "0", "no"):
             return False
         raise ConfigError(f"{key}: expected boolean, got {text!r}")
-    if isinstance(default, int):
-        try:
-            return int(text)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected integer, got {text!r}") from exc
-    if isinstance(default, float):
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected number, got {text!r}") from exc
+    if isinstance(default, (int, float)):
+        return parse_number(text, type(default), key)
     return text
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, quats
-from .config import read_keyvalue, write_keyvalue
+from .config import load_keyvalue, write_keyvalue
 
 # Surface proportions matched to the default skeleton: finger capsules
 # taper 8 -> 6 mm from proximal to distal, palm ellipsoid semi-axes in mm.
@@ -72,10 +72,10 @@ class CameraIntrinsics:
 
     @classmethod
     def from_file(cls, path):
-        kv = read_keyvalue(path)
-        return cls(fx=float(kv["fx"]), fy=float(kv["fy"]),
-                   cx=float(kv["cx"]), cy=float(kv["cy"]),
-                   width=int(kv["width"]), height=int(kv["height"]))
+        return load_keyvalue(path, lambda kv: cls(
+            fx=kv.number("fx"), fy=kv.number("fy"), cx=kv.number("cx"),
+            cy=kv.number("cy"), width=kv.number("width", kind=int),
+            height=kv.number("height", kind=int)))
 
 
 @dataclass(frozen=True)

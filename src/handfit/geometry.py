@@ -6,17 +6,25 @@ each of five fingers. Palm frame convention: +x lateral (thumb side),
 +y forward along extended fingers, +z palmar normal. The MCP carries two
 DoFs (abduction about the local +z, then flexion about the local +x);
 PIP and DIP are hinges about the local +x.
+
+Flexion, PIP and DIP all turn about the local x axis, so a finger is a
+planar chain: with base frame F, bone b points along cos(a_b) u + sin(a_b) v,
+where u = cos(abd) F[:, 1] - sin(abd) F[:, 0], v = F[:, 2] and a_b sums the
+bend angles up to bone b; PIP, DIP and TIP add bone length x direction to
+the MCP. `fk_batch` builds all requested chains in the palm frame at once,
+then rotates and translates every point in one pass.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from . import quats
-from .config import read_csv, read_keyvalue, write_csv, write_keyvalue
+from .config import load_keyvalue, read_csv, write_csv, write_keyvalue
 
 FINGERS = ("thumb", "index", "middle", "ring", "pinky")
 ANGLE_NAMES = ("mcp_flexion", "mcp_abduction", "pip_flexion", "dip_flexion")
@@ -92,7 +100,7 @@ class HandGeometry:
 
     @classmethod
     def from_file(cls, path):
-        return _geometry_from_kv(read_keyvalue(path))
+        return load_keyvalue(path, _geometry_from_kv)
 
     @classmethod
     def default(cls):
@@ -138,13 +146,13 @@ def _geometry_from_kv(kv):
     frames = np.zeros((5, 3, 3))
     for f, name in enumerate(FINGERS):
         for i, ax in enumerate("xyz"):
-            bases[f, i] = float(kv[f"{name}.base.{ax}"])
+            bases[f, i] = kv.number(f"{name}.base.{ax}")
         for i, seg in enumerate(("proximal", "middle", "distal")):
-            bones[f, i] = float(kv[f"{name}.{seg}"])
-        yaw = np.radians(float(kv.get(f"{name}.frame_yaw_deg", "0")))
-        roll = np.radians(float(kv.get(f"{name}.frame_roll_deg", "0")))
+            bones[f, i] = kv.number(f"{name}.{seg}")
+        yaw = np.radians(kv.number(f"{name}.frame_yaw_deg", "0"))
+        roll = np.radians(kv.number(f"{name}.frame_roll_deg", "0"))
         frames[f] = _yaw_roll_to_frame(yaw, roll)
-    wrist = np.array([float(kv[f"wrist.offset.{ax}"]) for ax in "xyz"])
+    wrist = np.array([kv.number(f"wrist.offset.{ax}") for ax in "xyz"])
     return HandGeometry(bases, bones, frames, wrist)
 
 
@@ -163,14 +171,9 @@ class JointLimits:
 
     @classmethod
     def from_file(cls, path):
-        kv = read_keyvalue(path)
-        lo = np.zeros((5, 4))
-        hi = np.zeros((5, 4))
-        for f, name in enumerate(FINGERS):
-            for a, angle in enumerate(ANGLE_NAMES):
-                lo[f, a] = np.radians(float(kv[f"{name}.{angle}.min_deg"]))
-                hi[f, a] = np.radians(float(kv[f"{name}.{angle}.max_deg"]))
-        return cls(lo, hi)
+        return load_keyvalue(path, lambda kv: cls(*(
+            np.radians([[kv.number(f"{name}.{angle}.{end}_deg") for angle in ANGLE_NAMES]
+                        for name in FINGERS]) for end in ("min", "max"))))
 
     @classmethod
     def default(cls):
@@ -235,64 +238,59 @@ def fk_batch(geom, translations, orientations, finger_angles, joints=None):
     translation, a finger whose only requested joint is its MCP stops
     there, and any other finger joint costs that finger's whole chain.
     """
-    joints = range(NUM_JOINTS) if joints is None else joints
-    wanted = set(joints)
-    if not all(0 <= j < NUM_JOINTS for j in wanted):
-        raise ValueError(f"joint indices must lie in range({NUM_JOINTS})")
+    slots, chained, bends, abductions = _fk_plan(
+        tuple(range(NUM_JOINTS)) if joints is None else tuple(joints))
     t = np.asarray(translations, dtype=float)
-    rot = quats.to_matrix_batch(orientations)
-    angles = np.asarray(finger_angles, dtype=float)
-    positions = {PALM: t}
-    for f in range(NUM_FINGERS):
-        chain = finger_joint_indices(f)
-        if not wanted.isdisjoint(chain):
-            full = not wanted.isdisjoint(chain[1:])
-            positions.update(zip(chain, _finger_chain(geom, f, t, rot, angles, full)))
-    out = np.empty((t.shape[0], len(joints), 3))
-    for i, j in enumerate(joints):
-        out[:, i] = positions[j]
-    return out
+    n = t.shape[0]
+    angles = np.asarray(finger_angles, dtype=float).reshape(n, 20).T
+    # palm-frame points, coordinate axis before the row axis: palm root,
+    # the five MCPs, then PIP, DIP and TIP of each chained finger
+    local = np.empty((6 + 3 * chained.size, 3, n))
+    local[0] = 0.0
+    local[1:6] = geom.finger_base_offsets[:, :, None]
+    if chained.size:
+        frames = geom.finger_base_frames[chained, :, :, None]
+        abd = angles[abductions]
+        across = np.cos(abd)[:, None] * frames[:, :, 1] - \
+            np.sin(abd)[:, None] * frames[:, :, 0]
+        a = angles[bends]  # (k, 3, n) flexion, PIP, DIP -> cumulative bend
+        a[:, 1] += a[:, 0]
+        a[:, 2] += a[:, 1]
+        bones = np.cos(a)[:, :, None] * across[:, None] + \
+            np.sin(a)[:, :, None] * frames[:, None, :, 2]
+        bones *= geom.bone_lengths[chained][:, :, None, None]
+        bones[:, 0] += geom.finger_base_offsets[chained][:, :, None]
+        bones[:, 1] += bones[:, 0]
+        bones[:, 2] += bones[:, 1]
+        local[6:] = bones.reshape(-1, 3, n)
+    p = local[slots]
+    rot = np.ascontiguousarray(quats.to_matrix_batch(orientations).transpose(1, 2, 0))
+    out = rot[:, 0] * p[:, None, 0]
+    out += rot[:, 1] * p[:, None, 1]
+    out += rot[:, 2] * p[:, None, 2]
+    out += t.T
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
-def _finger_chain(geom, f, t, rot, angles, full):
-    """Finger f's MCP, then PIP, DIP and TIP only when `full`: (n, 3) each."""
-    mcp = t + rot @ geom.finger_base_offsets[f]
-    if not full:
-        return (mcp,)
-    lp, lm, ld = geom.bone_lengths[f]
-    flex, abd = angles[:, f, 0], angles[:, f, 1]
-    pip, dip = angles[:, f, 2], angles[:, f, 3]
-    r = rot @ geom.finger_base_frames[f]
-    r = r @ _rz_batch(abd)
-    r = np.einsum("nij,njk->nik", r, _rx_batch(flex))
-    pip_pos = mcp + lp * r[:, :, 1]
-    r = np.einsum("nij,njk->nik", r, _rx_batch(pip))
-    dip_pos = pip_pos + lm * r[:, :, 1]
-    r = np.einsum("nij,njk->nik", r, _rx_batch(dip))
-    tip_pos = dip_pos + ld * r[:, :, 1]
-    return mcp, pip_pos, dip_pos, tip_pos
+@functools.lru_cache(maxsize=64)
+def _fk_plan(joints):
+    """Read-only index tables of `fk_batch` for a tuple of joints: each
+    joint's row of palm-frame points, the chained fingers, and their bend
+    (k, 3) and abduction (k,) rows of the (20, n) angle table."""
+    if not all(0 <= j < NUM_JOINTS for j in joints):
+        raise ValueError(f"joint indices must lie in range({NUM_JOINTS})")
+    chained = sorted({(j - 1) // 4 for j in joints if j != PALM and (j - 1) % 4})
 
+    def slot(j):
+        f, b = divmod(j - 1, 4)
+        return 0 if j == PALM else 1 + f if b == 0 else 5 + 3 * chained.index(f) + b
 
-def _rx_batch(theta):
-    c, s = np.cos(theta), np.sin(theta)
-    m = np.zeros(theta.shape + (3, 3))
-    m[..., 0, 0] = 1.0
-    m[..., 1, 1] = c
-    m[..., 1, 2] = -s
-    m[..., 2, 1] = s
-    m[..., 2, 2] = c
-    return m
-
-
-def _rz_batch(theta):
-    c, s = np.cos(theta), np.sin(theta)
-    m = np.zeros(theta.shape + (3, 3))
-    m[..., 2, 2] = 1.0
-    m[..., 0, 0] = c
-    m[..., 0, 1] = -s
-    m[..., 1, 0] = s
-    m[..., 1, 1] = c
-    return m
+    rows = 4 * np.array(chained, dtype=np.intp)
+    tables = (np.array([slot(j) for j in joints], dtype=np.intp), rows // 4,
+              rows[:, None] + [0, 2, 3], rows + 1)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def clamp_to_limits(pose, limits):

@@ -35,7 +35,7 @@ def load_articulations(path=None):
     for f, finger in enumerate(geometry.FINGERS):
         for t, tmpl in enumerate(TEMPLATE_NAMES):
             for a, angle in enumerate(geometry.ANGLE_NAMES):
-                out[f, t, a] = np.radians(float(kv[f"{finger}.{tmpl}.{angle}_deg"]))
+                out[f, t, a] = np.radians(kv.number(f"{finger}.{tmpl}.{angle}_deg"))
     return out
 
 
@@ -48,8 +48,8 @@ def load_viewpoints(path=None):
     views = []
     i = 0
     while f"view{i}.angle_deg" in kv:
-        axis = np.array([float(kv[f"view{i}.axis.{ax}"]) for ax in "xyz"])
-        angle = np.radians(float(kv[f"view{i}.angle_deg"]))
+        axis = np.array([kv.number(f"view{i}.axis.{ax}") for ax in "xyz"])
+        angle = np.radians(kv.number(f"view{i}.angle_deg"))
         views.append(quats.from_axis_angle(axis, angle))
         i += 1
     if not views:

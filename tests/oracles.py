@@ -7,7 +7,7 @@ scalar loops instead of vectorized code.
 
 import numpy as np
 
-from handfit import geometry
+from handfit import geometry, quats
 from handfit.depth import BONE_RADII_MM, PALM_ELLIPSOID_CENTER, PALM_ELLIPSOID_SEMI_AXES
 from handfit.proposals import ProposalSet
 
@@ -91,6 +91,64 @@ def masked_objective(proposal_set, hypothesis, geom, d_max, joint_subset=None):
     return float(scores[0]) if single else scores
 
 
+def fk_rotation_chain(geom, translations, orientations, finger_angles):
+    """All 21 joint positions (n, 21, 3) by chained 3x3 rotation matrices.
+
+    The reference for `geometry.fk_batch`: each finger composes
+    rot @ base_frame @ Rz(abduction) @ Rx(flexion) @ Rx(pip) @ Rx(dip)
+    one matrix product at a time and steps along the y column.
+    """
+    t = np.asarray(translations, dtype=float)
+    rot = quats.to_matrix_batch(orientations)
+    angles = np.asarray(finger_angles, dtype=float)
+    positions = {geometry.PALM: t}
+    for f in range(geometry.NUM_FINGERS):
+        chain = geometry.finger_joint_indices(f)
+        positions.update(zip(chain, _finger_chain(geom, f, t, rot, angles, True)))
+    return np.stack([positions[j] for j in range(geometry.NUM_JOINTS)], axis=1)
+
+
+def _finger_chain(geom, f, t, rot, angles, full):
+    """Finger f's MCP, then PIP, DIP and TIP only when `full`: (n, 3) each."""
+    mcp = t + rot @ geom.finger_base_offsets[f]
+    if not full:
+        return (mcp,)
+    lp, lm, ld = geom.bone_lengths[f]
+    flex, abd = angles[:, f, 0], angles[:, f, 1]
+    pip, dip = angles[:, f, 2], angles[:, f, 3]
+    r = rot @ geom.finger_base_frames[f]
+    r = r @ _rz_batch(abd)
+    r = np.einsum("nij,njk->nik", r, _rx_batch(flex))
+    pip_pos = mcp + lp * r[:, :, 1]
+    r = np.einsum("nij,njk->nik", r, _rx_batch(pip))
+    dip_pos = pip_pos + lm * r[:, :, 1]
+    r = np.einsum("nij,njk->nik", r, _rx_batch(dip))
+    tip_pos = dip_pos + ld * r[:, :, 1]
+    return mcp, pip_pos, dip_pos, tip_pos
+
+
+def _rx_batch(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    m = np.zeros(theta.shape + (3, 3))
+    m[..., 0, 0] = 1.0
+    m[..., 1, 1] = c
+    m[..., 1, 2] = -s
+    m[..., 2, 1] = s
+    m[..., 2, 2] = c
+    return m
+
+
+def _rz_batch(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    m = np.zeros(theta.shape + (3, 3))
+    m[..., 2, 2] = 1.0
+    m[..., 0, 0] = c
+    m[..., 0, 1] = -s
+    m[..., 1, 0] = s
+    m[..., 1, 1] = c
+    return m
+
+
 def _segment_distance(p, a, b):
     ab = b - a
     t = np.clip(np.dot(p - a, ab) / max(np.dot(ab, ab), 1e-12), 0.0, 1.0)
@@ -111,8 +169,6 @@ def hand_distance_field(point, geom, pose):
             d = _segment_distance(point, joints[chain[k]], joints[chain[k + 1]]) \
                 - BONE_RADII_MM[k]
             best = min(best, d)
-    from handfit import quats
-
     rot = quats.to_matrix_batch(quats.normalize(pose.orientation))
     center = pose.translation + rot @ np.asarray(PALM_ELLIPSOID_CENTER)
     local = rot.T @ (point - center) / np.asarray(PALM_ELLIPSOID_SEMI_AXES)

@@ -162,6 +162,31 @@ def test_keyvalue_file_missing_a_key_exits_2(tmp_path, caplog):
     assert f"{geo}: missing key 'thumb.base.x'" in caplog.text
 
 
+@pytest.mark.parametrize("flag, key, value, message", [
+    ("--geometry", "thumb.proximal", "abc", "key 'thumb.proximal': expected number, got 'abc'"),
+    ("--geometry", "index.frame_yaw_deg", "nan",
+     "key 'index.frame_yaw_deg': expected number, got 'nan'"),
+    ("--limits", "ring.pip_flexion.max_deg", "abc",
+     "key 'ring.pip_flexion.max_deg': expected number, got 'abc'"),
+    ("--limits", "ring.pip_flexion.max_deg", "1e400",
+     "key 'ring.pip_flexion.max_deg': expected number, got '1e400'"),
+    ("--geometry", "thumb.proximal", "-1", "bone lengths must be strictly positive"),
+    ("--limits", "ring.pip_flexion.max_deg", "-90", "every DoF needs min < max"),
+], ids=["geometry_abc", "geometry_nan", "limits_abc", "limits_inf",
+        "geometry_negative_bone", "limits_max_below_min"])
+def test_keyvalue_file_bad_value_exits_2(tmp_path, caplog, flag, key, value, message):
+    path = tmp_path / "kv.txt"
+    (HandGeometry.default() if flag == "--geometry" else JointLimits.default()).save(path)
+    text, count = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}",
+                          path.read_text(), flags=re.M)
+    assert count == 1
+    path.write_text(text)
+    write_proposals_csv(tmp_path / "p.csv", [])
+    assert cli.main(["fit", "--proposals", str(tmp_path / "p.csv"),
+                     flag, str(path), "--out", str(tmp_path / "fit")]) == 2
+    assert f"config error: {path}: {message}" in caplog.text
+
+
 def test_scale_flag_sets_articulations(tmp_path):
     parser = cli.build_parser()
     args = parser.parse_args(["synth", "--out", str(tmp_path), "--scale", "0.25"])

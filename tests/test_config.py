@@ -1,8 +1,13 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handfit import cli, sweeps
 from handfit.config import ConfigError, RunConfig, read_keyvalue
 from handfit.depth import CameraIntrinsics
+from handfit.geometry import HandGeometry, JointLimits
 from handfit.fit import PsoConfig
 from handfit.forest import ForestConfig
 
@@ -78,6 +83,66 @@ def test_missing_key_names_file_and_key(tmp_path):
     assert str(exc.value) == f"{path}: missing key 'fy'"
     with pytest.raises(ConfigError, match="missing key 'fy'"):
         CameraIntrinsics.from_file(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("fx", "abc", "key 'fx': expected number, got 'abc'"),
+    ("cy", "inf", "key 'cy': expected number, got 'inf'"),
+    ("width", "320.5", "key 'width': expected integer, got '320.5'"),
+    ("fy", "-1", "focal lengths must be positive"),
+], ids=["fx_abc", "cy_inf", "width_320.5", "fy_negative"])
+def test_intrinsics_bad_value_names_file(tmp_path, key, value, message):
+    path = tmp_path / "intrinsics.txt"
+    CameraIntrinsics.default().save(path)
+    assert CameraIntrinsics.from_file(path) == CameraIntrinsics.default()
+    path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", path.read_text(),
+                           flags=re.M))
+    with pytest.raises(ConfigError) as exc:
+        CameraIntrinsics.from_file(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_keyvalue_not_utf8_names_file_and_line(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_bytes(b"a = 1\nb = \xff\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: not UTF-8"):
+        read_keyvalue(path)
+
+
+# reader -> the model object whose saved file seeds the near-valid inputs
+KEYVALUE_READERS = {
+    "read_keyvalue": (read_keyvalue, HandGeometry.default),
+    "geometry": (HandGeometry.from_file, HandGeometry.default),
+    "limits": (JointLimits.from_file, JointLimits.default),
+    "intrinsics": (CameraIntrinsics.from_file, CameraIntrinsics.default),
+}
+
+VALUES = st.sampled_from(["", "0", "1", "-1", "90", "-90", "0.5", "320", "1e400",
+                          "nan", "-inf", "abc", "1 = 2", "0x10", "\u0661"])
+
+
+@pytest.mark.parametrize("reader", KEYVALUE_READERS)
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_keyvalue_readers_return_or_raise_config_error_on_any_bytes(
+        tmp_path_factory, reader, data):
+    read, model = KEYVALUE_READERS[reader]
+    path = tmp_path_factory.getbasetemp() / f"fuzz_{reader}.txt"
+    model().save(path)
+    lines = path.read_text().splitlines()
+    # a valid file with a few lines dropped (None) or given another value
+    # reaches the number parsing and the model's checks, which random
+    # bytes rarely do
+    edits = st.dictionaries(st.integers(0, len(lines) - 1), st.none() | VALUES,
+                            max_size=3)
+    near_valid = edits.map(lambda ed: "\n".join(
+        line if i not in ed else f"{line.split('=')[0]}= {ed[i]}"
+        for i, line in enumerate(lines) if ed.get(i, "") is not None).encode())
+    path.write_bytes(data.draw(st.binary(max_size=2048) | near_valid))
+    try:
+        read(path)
+    except ConfigError:
+        pass
 
 
 def test_grid_helpers():

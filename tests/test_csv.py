@@ -89,6 +89,29 @@ def test_proposals_frames_run_from_zero_without_gaps(tmp_path, frames, line):
     assert str(exc.value).startswith(f"{path}:{line}: frame ")
 
 
+@pytest.mark.parametrize("frames, line", [
+    pytest.param(["x", "7"], 2, id="x_then_7"),
+    pytest.param(["0", "7"], 3, id="0_then_7"),
+    pytest.param(["1", "0"], 2, id="swapped"),
+    pytest.param(["0", "0"], 3, id="repeat"),
+    pytest.param(["0", "1", "3"], 4, id="gap"),
+])
+def test_estimates_frames_run_from_zero_without_gaps(tmp_path, caplog, frames, line):
+    # eval pairs estimate i with ground-truth frame i, so the frame column
+    # must read 0, 1, 2, ... like the proposals file
+    path = tmp_path / "e.csv"
+    path.write_bytes(_csv_bytes(cli.ESTIMATE_COLUMNS, [[f] + ["1"] * 63 for f in frames]))
+    expected = f"{path}:{line}: frame {frames[line - 2]} where frame {line - 2} comes next"
+    with pytest.raises(ValueError) as exc:
+        cli.read_joints_csv(path)
+    assert str(exc.value).startswith(expected)
+    (tmp_path / "ds" / "test").mkdir(parents=True)
+    geometry.write_poses_csv(tmp_path / "ds" / "test" / "poses.csv",
+                             [geometry.PoseParams.rest()] * len(frames))
+    assert cli.main(COMMANDS["estimates"](path, tmp_path)) == 4
+    assert expected in caplog.text
+
+
 CELLS = st.sampled_from(["", "0", "1", "2", "-1", "20", "-0.5", "1e400", "nan",
                          "inf", "x", "100000000", '"1,2"'])
 

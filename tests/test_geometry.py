@@ -6,7 +6,7 @@ from handfit.geometry import (JOINT_NAMES, NUM_JOINTS, TIP_INDICES, PoseParams,
                               clamp_to_limits, forward_kinematics, random_pose,
                               validate_pose)
 
-from oracles import quat_multiply
+from oracles import fk_rotation_chain, quat_multiply
 
 
 def test_rest_pose_fingertips_along_forward_axis(geom):
@@ -98,6 +98,48 @@ def test_fk_batch_joint_subset_equals_full_columns(geom, limits, rng, joints):
     got = geometry.fk_batch(geom, *args, joints=joints)
     assert got.shape == (7, len(joints), 3)
     assert np.array_equal(got, full[:, list(joints)])
+
+
+def _batch(poses):
+    return (np.stack([p.translation for p in poses]),
+            np.stack([p.orientation for p in poses]),
+            np.stack([p.finger_angles for p in poses]))
+
+
+def _limit_poses(rng, limits, n):
+    """All-lower, all-upper, then poses with each angle at one of its limits."""
+    ends = [np.zeros((5, 4), dtype=bool), np.ones((5, 4), dtype=bool)]
+    ends += list(rng.random((n - 2, 5, 4)) < 0.5)
+    return [PoseParams(rng.uniform(-200, 200, 3), quats.random_unit(rng),
+                       np.where(upper, limits.upper, limits.lower)) for upper in ends]
+
+
+def _tilted_geometry(geom, rng):
+    """`geom` with every finger's base frame turned by a random yaw and roll."""
+    frames = [geometry._yaw_roll_to_frame(*rng.uniform(-np.pi, np.pi, 2))
+              for _ in range(5)]
+    return geometry.HandGeometry(geom.finger_base_offsets, geom.bone_lengths,
+                                 frames, geom.palm_root_to_wrist)
+
+
+@pytest.mark.parametrize("poses", ["random", "at_limits"])
+@pytest.mark.parametrize("frames", ["default", "all_tilted"])
+def test_fk_batch_matches_rotation_chain_oracle(geom, limits, rng, poses, frames):
+    # the planar-chain FK against the chained rotation-matrix products;
+    # the default thumb frame is tilted, "all_tilted" tilts every finger
+    assert not np.allclose(geom.finger_base_frames[0], np.eye(3))
+    model = geom if frames == "default" else _tilted_geometry(geom, rng)
+    batch = _batch([random_pose(rng, limits, geometry.DEFAULT_WORKSPACE)
+                    for _ in range(1000)] if poses == "random"
+                   else _limit_poses(rng, limits, 256))
+    got = geometry.fk_batch(model, *batch)
+    assert got.shape == (len(batch[0]), NUM_JOINTS, 3) and got.flags.c_contiguous
+    assert np.abs(got - fk_rotation_chain(model, *batch)).max() < 1e-9
+    # criterion 6: every bone keeps its length
+    for f in range(5):
+        chain = list(geometry.finger_joint_indices(f))
+        lengths = np.linalg.norm(np.diff(got[:, chain], axis=1), axis=2)
+        assert np.abs(lengths - model.bone_lengths[f]).max() < 1e-9
 
 
 def test_fk_batch_rejects_out_of_range_joints(geom):

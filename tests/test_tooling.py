@@ -47,6 +47,21 @@ def test_benchmark_tracer_sees_fk_inside_stepwise_fit(tracing, geom, limits, rng
     assert counts["geometry.fk_rows"] == counts["fit.objective_rows"]
 
 
+def test_benchmark_tracer_sees_fk_inside_joint_fit(tracing, geom, limits, rng):
+    # the ik_joint workload's FK time must stay booked to FK
+    pose = geometry.random_pose(rng, limits, geometry.DEFAULT_WORKSPACE)
+    pset = ProposalSet.from_joints(geometry.forward_kinematics(geom, pose))
+    cfg = fit.PsoConfig(joint_particles=5, joint_generations=3)
+    tracer = tracing.Tracer()
+    with tracer.install(), tracer.span("op", 0):
+        res = fit.joint_fit(pset, geom, limits, cfg, rng=np.random.default_rng(0))
+    counts = tracer.counts[0]
+    assert counts["fit.objective_calls"] == 3 + 1
+    assert counts["fit.objective_rows"] == res.evals + 1
+    assert counts["geometry.fk_calls"] == counts["fit.objective_calls"]
+    assert counts["geometry.fk_rows"] == counts["fit.objective_rows"]
+
+
 @pytest.fixture(scope="module")
 def rest_frame(geom, cam):
     pose = geometry.PoseParams.rest((0.0, 0.0, 550.0))
