@@ -16,11 +16,13 @@ class ConfigError(ValueError):
 
 
 class _KeyValues(dict):
-    """str->str dict whose missing-key lookup names the file it came from."""
+    """str->str dict whose missing-key lookup names the file it came from;
+    `lines` maps each key to its line in that file."""
 
     def __init__(self, path):
         super().__init__()
         self.path = path
+        self.lines = {}
 
     def __missing__(self, key):
         raise ConfigError(f"{self.path}: missing key {key!r}")
@@ -47,9 +49,9 @@ def parse_number(text, kind, where):
 def read_keyvalue(path):
     """Parse a `key = value` text file into an ordered str->str dict.
 
-    Blank lines and lines starting with '#' are ignored. Looking up a key
-    the file lacks raises ConfigError naming the file and the key, and so
-    does text that is not UTF-8.
+    Blank lines and lines starting with '#' are ignored. A key set twice,
+    and text that is not UTF-8, raise ConfigError("path:line: ..."); looking
+    up a key the file lacks raises ConfigError naming the file and the key.
     """
     data = Path(path).read_bytes()
     try:
@@ -64,8 +66,12 @@ def read_keyvalue(path):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set "
+                              f"on line {out.lines[key]}")
+        out[key] = value
+        out.lines[key] = lineno
     return out
 
 
@@ -184,6 +190,14 @@ DEFAULTS = {
 }
 
 
+def _int_list(key, text):
+    """The comma-separated integers of `text`; ConfigError naming `key`."""
+    values = [parse_number(tok, int, key) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ConfigError(f"{key}: expected comma-separated integers, got {text!r}")
+    return values
+
+
 def _parse(key, text):
     default = DEFAULTS[key]
     if isinstance(default, bool):
@@ -195,6 +209,7 @@ def _parse(key, text):
         raise ConfigError(f"{key}: expected boolean, got {text!r}")
     if isinstance(default, (int, float)):
         return parse_number(text, type(default), key)
+    _int_list(key, text)  # every string-valued key is an integer grid
     return text
 
 
@@ -218,10 +233,15 @@ class RunConfig:
     @classmethod
     def load(cls, path):
         cfg = cls()
-        for key, text in read_keyvalue(path).items():
+        kv = read_keyvalue(path)
+        for key, text in kv.items():
+            where = f"{path}:{kv.lines[key]}"
             if key not in DEFAULTS:
-                raise ConfigError(f"unknown config key {key!r}")
-            cfg._values[key] = _parse(key, text)
+                raise ConfigError(f"{where}: unknown config key {key!r}")
+            try:
+                cfg._values[key] = _parse(key, text)
+            except ConfigError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
         return cfg
 
     def __getitem__(self, key):
@@ -232,7 +252,7 @@ class RunConfig:
     def __setitem__(self, key, value):
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(value, str) and not isinstance(DEFAULTS[key], str):
+        if isinstance(value, str):
             value = _parse(key, value)
         expected = type(DEFAULTS[key])
         if expected is float and isinstance(value, int) and not isinstance(value, bool):
@@ -252,7 +272,7 @@ class RunConfig:
         return self._values.items()
 
     def int_list(self, key):
-        return [int(tok) for tok in str(self[key]).split(",") if tok.strip()]
+        return _int_list(key, str(self[key]))
 
     def thresholds(self):
         import numpy as np

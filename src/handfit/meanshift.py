@@ -15,12 +15,24 @@ MERGE_FACTOR = 0.5
 TOL_FACTOR = 1e-3
 
 
+def _cell_index(cell):
+    """Index of each integer cell row (n, d) among the sorted distinct rows,
+    and the number of distinct rows: the inverse of
+    np.unique(cell, axis=0, return_inverse=True), by one lexsort."""
+    order = np.lexsort(cell.T[::-1])  # first column most significant
+    ranked = cell[order]
+    new_run = np.zeros(len(cell), dtype=np.int64)
+    new_run[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    rank = np.cumsum(new_run)
+    inverse = np.empty_like(rank)
+    inverse[order] = rank
+    return inverse, int(rank[-1]) + 1
+
+
 def _dedup(points, weights, bandwidth):
     """Pool points on a fine grid; returns (means, summed weights)."""
     cell = np.round(points * (DEDUP_DIVISOR / bandwidth)).astype(np.int64)
-    _, inverse = np.unique(cell, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    n_cells = int(inverse.max()) + 1
+    inverse, n_cells = _cell_index(cell)
     if n_cells == len(points):
         return points, weights
     w = np.bincount(inverse, weights=weights, minlength=n_cells)
@@ -31,20 +43,36 @@ def _dedup(points, weights, bandwidth):
 
 
 def _iterate(points, weights, bandwidth, max_iters, tol):
-    """Shift every point uphill until it moves less than tol per update."""
+    """Shift every point uphill until it moves less than tol per update.
+
+    Each iteration builds the kernel of the active rows in place, in the
+    first rows of two (n, n) buffers made once per call (never shared, so
+    concurrent calls stay independent), keeping the operation order of
+    (|m|^2 + |p|^2) - 2 m p^T so the bits do not depend on the buffers.
+    """
     n = len(points)
     shifted = points.copy()
     p_sq = (points * points).sum(axis=1)
     active = np.ones(n, dtype=bool)
-    inv_two_bw2 = 0.5 / (bandwidth * bandwidth)
+    neg_inv_two_bw2 = -0.5 / (bandwidth * bandwidth)
+    kernel_buf = np.empty((n, n))
+    cross_buf = np.empty((n, n))
     for _ in range(max_iters):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
         m = shifted[idx]
-        d2 = (m * m).sum(axis=1)[:, None] + p_sq[None, :] - 2.0 * (m @ points.T)
-        np.maximum(d2, 0.0, out=d2)
-        k = np.exp(-d2 * inv_two_bw2) * weights[None, :]
+        k = kernel_buf[:idx.size]
+        cross = cross_buf[:idx.size]
+        np.matmul(m, points.T, out=cross)
+        cross *= 2.0
+        np.add((m * m).sum(axis=1)[:, None], p_sq[None, :], out=k)
+        k -= cross
+        np.maximum(k, 0.0, out=k)
+        # d2 * (-inv) has the bits of (-d2) * inv: rounding is sign-symmetric
+        k *= neg_inv_two_bw2
+        np.exp(k, out=k)
+        k *= weights[None, :]
         new = (k @ points) / k.sum(axis=1)[:, None]
         moved = np.abs(new - m).max(axis=1) >= tol
         shifted[idx] = new
@@ -147,9 +175,7 @@ def _merge_modes(shifted, weights, merge_radius):
 
     dim = shifted.shape[1]
     cell = np.round(shifted / (0.25 * merge_radius)).astype(np.int64)
-    _, inverse = np.unique(cell, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    n_cells = int(inverse.max()) + 1
+    inverse, n_cells = _cell_index(cell)
     cell_w = np.bincount(inverse, weights=weights, minlength=n_cells)
     cell_sum = np.stack([
         np.bincount(inverse, weights=weights * shifted[:, d], minlength=n_cells)

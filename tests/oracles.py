@@ -42,6 +42,29 @@ def shift_once(point, points, weights, bandwidth):
     return (k[:, None] * points).sum(axis=0) / k.sum()
 
 
+def meanshift_iterate(points, weights, bandwidth, max_iters, tol):
+    """The allocating form of `meanshift._iterate`: fresh temporaries for
+    every step of every iteration, the same floating-point operations."""
+    n = len(points)
+    shifted = points.copy()
+    p_sq = (points * points).sum(axis=1)
+    active = np.ones(n, dtype=bool)
+    inv_two_bw2 = 0.5 / (bandwidth * bandwidth)
+    for _ in range(max_iters):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        m = shifted[idx]
+        d2 = (m * m).sum(axis=1)[:, None] + p_sq[None, :] - 2.0 * (m @ points.T)
+        np.maximum(d2, 0.0, out=d2)
+        k = np.exp(-d2 * inv_two_bw2) * weights[None, :]
+        new = (k @ points) / k.sum(axis=1)[:, None]
+        moved = np.abs(new - m).max(axis=1) >= tol
+        shifted[idx] = new
+        active[idx] = moved
+    return shifted
+
+
 def quat_multiply(a, b):
     """Hamilton product a*b of (w, x, y, z) quaternions."""
     aw, ax, ay, az = a

@@ -162,6 +162,30 @@ def test_keyvalue_file_missing_a_key_exits_2(tmp_path, caplog):
     assert f"{geo}: missing key 'thumb.base.x'" in caplog.text
 
 
+def test_keyvalue_file_repeated_key_exits_2(tmp_path, caplog):
+    geo = tmp_path / "g.txt"
+    HandGeometry.default().save(geo)
+    lines = geo.read_text().splitlines()
+    first = 1 + next(i for i, line in enumerate(lines)
+                     if line.startswith("thumb.proximal ="))
+    geo.write_text("\n".join(lines + ["thumb.proximal = 2800"]) + "\n")
+    write_proposals_csv(tmp_path / "p.csv", [])
+    assert cli.main(["fit", "--proposals", str(tmp_path / "p.csv"),
+                     "--geometry", str(geo), "--out", str(tmp_path / "fit")]) == 2
+    assert (f"config error: {geo}:{len(lines) + 1}: key 'thumb.proximal' "
+            f"already set on line {first}") in caplog.text
+
+
+def test_bad_sweep_grid_exits_2_before_any_work(tmp_path, caplog):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("sweep.k_grid = 1,x\n")
+    for source in (["--config", str(cfg)], ["--set", "sweep.k_grid=1,x"]):
+        assert cli.main(["sweep", "--experiment", "k",
+                         "--dataset", str(tmp_path / "absent"),
+                         "--forest", str(tmp_path / "absent.bin")] + source) == 2
+    assert f"{cfg}:1: sweep.k_grid: expected integer, got 'x'" in caplog.text
+
+
 @pytest.mark.parametrize("flag, key, value, message", [
     ("--geometry", "thumb.proximal", "abc", "key 'thumb.proximal': expected number, got 'abc'"),
     ("--geometry", "index.frame_yaw_deg", "nan",
@@ -216,6 +240,17 @@ def test_train_thread_invariance(pipeline_dir, tmp_path):
     h1 = hashlib.sha256((pipeline_dir / "forest.bin").read_bytes()).hexdigest()
     h2 = hashlib.sha256((tmp_path / "f2.bin").read_bytes()).hexdigest()
     assert h1 == h2
+
+
+def test_infer_thread_invariance(pipeline_dir, tmp_path):
+    # concurrent frames must not share mean-shift scratch state
+    rc = cli.main(["infer", "--dataset", str(pipeline_dir / "dataset"),
+                   "--forest", str(pipeline_dir / "forest.bin"),
+                   "--out", str(tmp_path / "p2.csv"), "--seed", "7",
+                   "--threads", "2"] + TINY)
+    assert rc == 0
+    assert (tmp_path / "p2.csv").read_bytes() == \
+        (pipeline_dir / "proposals.csv").read_bytes()
 
 
 def test_joints_csv_round_trip(tmp_path, rng):

@@ -47,6 +47,41 @@ def test_typed_parsing(tmp_path):
         RunConfig.load(path)
 
 
+def test_run_config_errors_name_file_and_line(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("# run\nforest.k = 2\nnope.nope = 1\n")
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.load(path)
+    assert str(exc.value) == f"{path}:3: unknown config key 'nope.nope'"
+    path.write_text("forest.k = abc\n")
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.load(path)
+    assert str(exc.value) == f"{path}:1: forest.k: expected integer, got 'abc'"
+
+
+def test_repeated_key_names_both_lines(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("forest.k = 3\n\nseed = 4\nforest.k = 5\n")
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.load(path)
+    assert str(exc.value) == f"{path}:4: key 'forest.k' already set on line 1"
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("1,x", "sweep.k_grid: expected integer, got 'x'"),
+    ("1,2.5", "sweep.k_grid: expected integer, got '2.5'"),
+    (" , ", "sweep.k_grid: expected comma-separated integers, got ','"),
+], ids=["letter", "fraction", "empty"])
+def test_bad_grid_is_config_error(tmp_path, grid, message):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"seed = 2\nsweep.k_grid = {grid}\n")
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.load(path)
+    assert str(exc.value) == f"{path}:2: {message}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        RunConfig().set_from_text(f"sweep.k_grid={grid}")
+
+
 def test_set_from_text_and_round_trip(tmp_path):
     cfg = RunConfig()
     cfg.set_from_text("forest.k = 5")
@@ -141,6 +176,27 @@ def test_keyvalue_readers_return_or_raise_config_error_on_any_bytes(
     path.write_bytes(data.draw(st.binary(max_size=2048) | near_valid))
     try:
         read(path)
+    except ConfigError:
+        pass
+
+
+CONFIG_KEYS = st.sampled_from(["seed", "forest.k", "forest.depth_sq_weight",
+                               "pso.d_max_mm", "sweep.k_grid", "camera.width",
+                               "nope.nope", "", "forest.k = 2"])
+CONFIG_VALUES = VALUES | st.sampled_from(["true", "no", "1,2", "1,x", ",", "3.0"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_run_config_load_returns_or_raises_config_error_on_any_bytes(
+        tmp_path_factory, data):
+    # near-valid files: known and unknown keys, repeats and bad values
+    lines = st.lists(st.tuples(CONFIG_KEYS, CONFIG_VALUES).map(" = ".join),
+                     max_size=6).map(lambda ls: "\n".join(ls).encode())
+    path = tmp_path_factory.getbasetemp() / "fuzz_run_config.txt"
+    path.write_bytes(data.draw(st.binary(max_size=1024) | lines))
+    try:
+        RunConfig.load(path)
     except ConfigError:
         pass
 

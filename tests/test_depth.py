@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handfit import geometry
 from handfit.depth import (CameraIntrinsics, DepthImage, RenderError,
@@ -98,6 +100,30 @@ def test_pgm_round_trip(tmp_path, cam, rest_render):
     assert np.array_equal(img.depth, again.depth)
     raw = (tmp_path / "f.pgm").read_bytes()
     assert raw.startswith(b"P5\n320 240\n65535\n")
+
+
+HEADER_TOKENS = st.sampled_from([b"P5", b"P2", b"0", b"1", b"2", b"3", b"-2",
+                                  b"65535", b"255", b"99999999999", b"x", b"#c\n", b""])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_read_pgm_returns_or_raises_value_error_on_any_bytes(tmp_path_factory, data):
+    # near-valid files: a 3x2 image whose header tokens, separators and
+    # pixel bytes vary, so parsing reaches the size checks and the pixel read
+    header = st.lists(HEADER_TOKENS, min_size=0, max_size=5).map(b" ".join)
+    valid = st.tuples(HEADER_TOKENS, HEADER_TOKENS, HEADER_TOKENS).map(
+        lambda t: b"P5\n%s %s\n%s\n" % t)
+    pixels = st.binary(max_size=16)
+    body = data.draw(st.binary(max_size=256)
+                     | st.tuples(header | valid, st.sampled_from([b"", b"\n", b" "]),
+                                 pixels).map(b"".join))
+    path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+    path.write_bytes(body)
+    try:
+        read_pgm(path)
+    except ValueError:
+        pass
 
 
 def test_intrinsics_round_trip(tmp_path, cam):

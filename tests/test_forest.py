@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handfit import forest as F
 from handfit import geometry, synth
@@ -336,3 +338,42 @@ def test_load_rejects_empty_node_table(tmp_path):
     F.save_forest(path, F.Forest([empty]))
     with pytest.raises(F.ForestFormatError, match=f"no nodes .*at byte {NODE_TABLE}"):
         F.load_forest(path)
+
+
+def _small_forest_bytes(tmp_path):
+    """A valid two-joint, one-mode forest of one three-node tree."""
+    tree = F.Tree(left=np.array([1, -1, -1], np.int32),
+                  right=np.array([2, -1, -1], np.int32),
+                  leaf_id=np.array([-1, 0, 1], np.int32),
+                  probe_u=np.ones((3, 2), np.float32),
+                  probe_v=np.ones((3, 2), np.float32),
+                  tau=np.zeros(3, np.float32),
+                  leaf_modes=np.ones((2, 2, 1, 3), np.float32),
+                  leaf_weights=np.ones((2, 2, 1), np.float32))
+    path = tmp_path / "small.bin"
+    F.save_forest(path, F.Forest([tree], num_joints=2, leaf_modes=1))
+    blob = path.read_bytes()
+    assert F.load_forest(path).stats() == F.Forest([tree], num_joints=2,
+                                                   leaf_modes=1).stats()
+    return blob
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_load_forest_returns_or_raises_format_error_on_any_bytes(tmp_path_factory, data):
+    base = tmp_path_factory.getbasetemp()
+    blob = _small_forest_bytes(base)
+    # a valid file with a few bytes overwritten, cut short or extended
+    # reaches the size fields and the topology check, which random bytes
+    # past the magic rarely do
+    edits = st.dictionaries(st.integers(0, len(blob) - 1), st.integers(0, 255),
+                            max_size=4)
+    near_valid = st.tuples(edits, st.integers(0, len(blob)), st.binary(max_size=8)).map(
+        lambda e: bytes(e[0].get(i, b) for i, b in enumerate(blob))[:e[1]] + e[2])
+    path = base / "fuzz_forest.bin"
+    path.write_bytes(data.draw(st.binary(max_size=512) | near_valid
+                               | st.binary(max_size=512).map(lambda b: F.MAGIC + b)))
+    try:
+        F.load_forest(path)
+    except F.ForestFormatError:
+        pass

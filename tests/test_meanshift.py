@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from handfit.meanshift import mean_shift, mean_shift_groups
+from handfit.meanshift import (_cell_index, _dedup, _iterate, mean_shift,
+                               mean_shift_groups)
 
-from oracles import kde_grid_mode, shift_once
+from oracles import kde_grid_mode, meanshift_iterate, shift_once
 
 
 def test_single_point_is_its_own_mode():
@@ -104,3 +105,68 @@ def test_support_ordering_is_descending():
     assert len(modes) == 3
     assert np.all(np.diff(support) <= 0)
     assert support[0] == pytest.approx(30, abs=1)
+
+
+def _assert_iterate_matches_oracle(points, weights, bandwidth, max_iters):
+    tol = 1e-3 * bandwidth
+    got = _iterate(points, weights, bandwidth, max_iters, tol)
+    want = meanshift_iterate(points, weights, bandwidth, max_iters, tol)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_iterate_bit_equal_to_allocating_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 220))
+    pts = rng.normal(0, rng.uniform(2, 30), (n, 3)) + rng.normal(0, 400, 3)
+    _assert_iterate_matches_oracle(pts, np.ones(n), 15.0, 50)
+
+
+def test_iterate_bit_equal_on_dedup_pooled_weights():
+    rng = np.random.default_rng(21)
+    raw = np.round(rng.normal(0, 6, (300, 3)) * 2) / 2  # many exact repeats
+    pts, w = _dedup(raw, np.ones(len(raw)), 15.0)
+    assert len(pts) < len(raw) and w.max() > 1
+    _assert_iterate_matches_oracle(pts, w, 15.0, 50)
+
+
+def test_iterate_bit_equal_on_a_single_point():
+    _assert_iterate_matches_oracle(np.array([[4.0, -2.0, 9.0]]),
+                                   np.array([2.5]), 10.0, 50)
+
+
+def test_iterate_bit_equal_when_one_row_stays_active():
+    # a far point drifts on after the blob has converged
+    rng = np.random.default_rng(4)
+    pts = np.vstack([rng.normal(0, 0.5, (40, 3)), [[0.0, 0.0, 25.0]]])
+    runs = [meanshift_iterate(pts, np.ones(len(pts)), 10.0, i, 1e-2)
+            for i in range(1, 8)]
+    moving = [int((a != b).any(axis=1).sum()) for a, b in zip(runs, runs[1:])]
+    assert 1 in moving  # some iteration shifts exactly one active row
+    _assert_iterate_matches_oracle(pts, np.ones(len(pts)), 10.0, 50)
+
+
+def test_iterate_bit_equal_when_stopped_at_max_iters():
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-60, 60, (150, 3))
+    tol = 1e-3 * 12.0
+    three = meanshift_iterate(pts, np.ones(150), 12.0, 3, tol)
+    four = meanshift_iterate(pts, np.ones(150), 12.0, 4, tol)
+    assert not np.array_equal(three, four)  # still moving at the cap
+    _assert_iterate_matches_oracle(pts, np.ones(150), 12.0, 3)
+
+
+@pytest.mark.parametrize("cell", [
+    np.random.default_rng(0).integers(-4, 4, (300, 3)),
+    np.random.default_rng(1).integers(-3, 3, (50, 2)) * (2 ** 40) + 7,
+    np.array([[-2, 5, 2 ** 33]]),
+    np.full((17, 3), -9),
+    np.array([[0, 1, -1], [-1, 0, 1], [0, 1, -1], [2 ** 31, 0, 0],
+              [-(2 ** 31) - 1, 0, 0], [0, 0, 0]]),
+], ids=["random", "above-2^31", "single-row", "all-equal", "mixed-sign"])
+def test_cell_index_equals_unique_inverse(cell):
+    cell = cell.astype(np.int64)
+    inverse, n_cells = _cell_index(cell)
+    _, want = np.unique(cell, axis=0, return_inverse=True)
+    np.testing.assert_array_equal(inverse, want.ravel())
+    assert n_cells == int(want.max()) + 1
