@@ -8,6 +8,7 @@ surface.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -262,7 +263,10 @@ def write_pgm(path, img):
 
 
 def read_pgm(path, cam=None):
-    """Read a 16-bit PGM; `cam` defaults to intrinsics matching its size."""
+    """Read a 16-bit PGM; `cam` defaults to intrinsics matching its size.
+
+    A malformed file raises ValueError("path: reason").
+    """
     data = Path(path).read_bytes()
     tokens = []
     pos = 0
@@ -273,16 +277,30 @@ def read_pgm(path, cam=None):
             while pos < len(data) and data[pos] != 0x0A:
                 pos += 1
             continue
+        if pos == len(data):
+            raise ValueError(f"{path}: header ends after {len(tokens)} of 4 fields")
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
         tokens.append(data[start:pos])
     if tokens[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    for token in tokens[1:]:
+        if re.fullmatch(rb"[+-]?[0-9]+", token) is None:
+            raise ValueError(f"{path}: header field {token!r} is not an integer")
+    width, height, maxval = (int(t) for t in tokens[1:])
+    if width <= 0 or height <= 0:
+        raise ValueError(f"{path}: image size {width}x{height} is not positive")
     if maxval != 65535:
         raise ValueError(f"{path}: expected 16-bit maxval 65535, got {maxval}")
+    if cam is not None and (cam.width, cam.height) != (width, height):
+        raise ValueError(f"{path}: image is {width}x{height}, the intrinsics "
+                         f"are {cam.width}x{cam.height}")
     pos += 1  # single whitespace after maxval
+    size = 2 * width * height
+    if len(data) - pos < size:
+        raise ValueError(f"{path}: pixel data truncated, "
+                         f"{max(len(data) - pos, 0)} of {size} bytes")
     grid = np.frombuffer(data, dtype=">u2", count=width * height, offset=pos)
     grid = grid.reshape(height, width).astype(np.uint16)
     if cam is None:

@@ -124,18 +124,24 @@ def build_training_set(images, gt_joint_list, stride, rng, cap=None):
     )
 
 
-def _probe_depth(images, img_idx, probe_px, bg_depth):
-    """Depth at probe pixels; out-of-image or background reads `bg_depth`."""
-    u = np.rint(probe_px[..., 0]).astype(np.int64)
-    v = np.rint(probe_px[..., 1]).astype(np.int64)
-    h, w = images.shape[1], images.shape[2]
-    inb = (u >= 0) & (u < w) & (v >= 0) & (v < h)
-    uc = np.clip(u, 0, w - 1)
-    vc = np.clip(v, 0, h - 1)
-    d = images[img_idx, vc, uc].astype(float)
-    d[~inb] = bg_depth
-    d[d == 0] = bg_depth
-    return d
+def _probe_depth(images, img_idx, pixel, depth, offset, bg_depth):
+    """Depth read by one probe per patch; out-of-image or background reads
+    `bg_depth`.
+
+    The probe lands at pixel + offset / depth, rounded, and is read by one
+    1-D gather from the raveled (n_img, h, w) image stack.
+    """
+    h, w = images.shape[1:]
+    u = pixel[..., 0] + offset[..., 0] / depth
+    v = pixel[..., 1] + offset[..., 1] / depth
+    np.rint(u, out=u)
+    np.rint(v, out=v)
+    inside = (u >= 0) & (u < w) & (v >= 0) & (v < h)
+    v *= w
+    v += u
+    v += img_idx * float(h * w)
+    d = images.reshape(-1).take(np.where(inside, v, 0).astype(np.intp))
+    return np.where(inside & (d != 0), d, bg_depth)
 
 
 def _depth_difference(images, img_idx, pixel, depth, probe_u, probe_v, bg_depth):
@@ -146,9 +152,8 @@ def _depth_difference(images, img_idx, pixel, depth, probe_u, probe_v, bg_depth)
     arguments broadcast against each other: training scores (c, n)
     candidate-sample pairs, routing one probe pair per patch.
     """
-    scale = depth[..., None]
-    du = _probe_depth(images, img_idx, pixel + probe_u / scale, bg_depth)
-    dv = _probe_depth(images, img_idx, pixel + probe_v / scale, bg_depth)
+    du = _probe_depth(images, img_idx, pixel, depth, probe_u, bg_depth)
+    dv = _probe_depth(images, img_idx, pixel, depth, probe_v, bg_depth)
     return du - dv
 
 
@@ -224,17 +229,10 @@ def build_leaf(samples, idx, cfg, rng):
     weights_out = np.zeros((n_joints, cfg.leaf_modes), dtype=np.float32)
     offs = samples.offsets[idx].astype(float).transpose(1, 0, 2)  # (J, n, 3)
 
-    # pool near-identical offsets per joint before the shared batched run;
-    # large leaves hold mostly duplicates, so this trims the quadratic cost
-    pooled = [_dedup(offs[j], np.ones(len(idx)), cfg.leaf_bandwidth_mm)
-              for j in range(n_joints)]
-    width = max(len(w) for _, w in pooled)
-    pts = np.zeros((n_joints, width, 3))
-    wts = np.zeros((n_joints, width))
-    for j, (p, w) in enumerate(pooled):
-        pts[j, :len(w)] = p
-        pts[j, len(w):] = p[0]  # zero-weight padding parked on a real point
-        wts[j, :len(w)] = w
+    # pool near-identical offsets of every joint in one pass before the
+    # shared batched run; large leaves hold mostly duplicates, so this trims
+    # the quadratic cost
+    pts, wts = _dedup(offs, np.ones(offs.shape[:2]), cfg.leaf_bandwidth_mm)
     results = mean_shift_groups(pts, wts, bandwidth=cfg.leaf_bandwidth_mm,
                                 max_iters=cfg.meanshift_iters)
     for j, (modes, support) in enumerate(results):
@@ -288,8 +286,34 @@ class Tree:
         return self.leaf_id[node]
 
 
+def _best_split(samples, idx, cfg, rng, probe_range, n_joints):
+    """The best of `cfg.candidates` random probe triples at a node, as
+    (probe_u, probe_v, tau, go_left over idx), or None when no candidate
+    separates the node's samples."""
+    sub = _balanced_subsample(samples.label, idx, cfg.node_subsample, rng)
+    probe_u = rng.uniform(-probe_range, probe_range, size=(cfg.candidates, 2))
+    probe_v = rng.uniform(-probe_range, probe_range, size=(cfg.candidates, 2))
+    feats = _features(samples, sub, probe_u, probe_v, cfg.bg_depth_mm)
+    tau = feats[np.arange(cfg.candidates), rng.integers(0, len(sub), size=cfg.candidates)]
+
+    onehot = np.zeros((len(sub), n_joints))
+    onehot[np.arange(len(sub)), samples.label[sub]] = 1.0
+    left_counts = (feats < tau[:, None]).astype(float) @ onehot
+    gains = _gains(left_counts, onehot.sum(axis=0))
+    best = int(np.argmax(gains))
+    if not np.isfinite(gains[best]) or gains[best] <= 1e-12:
+        return None
+
+    f_all = _features(samples, idx, probe_u[best:best + 1],
+                      probe_v[best:best + 1], cfg.bg_depth_mm)[0]
+    go_left = f_all < tau[best]
+    if not go_left.any() or go_left.all():
+        return None
+    return probe_u[best], probe_v[best], tau[best], go_left
+
+
 def train_tree(samples, cfg, rng):
-    """Grow one tree by recursive entropy-gain splitting.
+    """Grow one tree by entropy-gain splitting, nodes in pre-order.
 
     At each node a class-balanced subsample scores `cfg.candidates` random
     (u, v, tau) probe triples; thresholds are drawn from the empirical
@@ -304,47 +328,27 @@ def train_tree(samples, cfg, rng):
     nodes = []   # [left, right, leaf_id, u0, u1, v0, v1, tau]
     leaf_modes = []
     leaf_weights = []
-
-    def make_leaf(idx):
-        modes, weights = build_leaf(samples, idx, cfg, rng)
-        leaf_modes.append(modes)
-        leaf_weights.append(weights)
-        nodes.append([-1, -1, len(leaf_modes) - 1, 0.0, 0.0, 0.0, 0.0, 0.0])
-        return len(nodes) - 1
-
-    def grow(idx, depth):
-        if depth >= cfg.max_depth or len(idx) < cfg.min_samples:
-            return make_leaf(idx)
-        sub = _balanced_subsample(samples.label, idx, cfg.node_subsample, rng)
-        probe_u = rng.uniform(-probe_range, probe_range, size=(cfg.candidates, 2))
-        probe_v = rng.uniform(-probe_range, probe_range, size=(cfg.candidates, 2))
-        feats = _features(samples, sub, probe_u, probe_v, cfg.bg_depth_mm)
-        tau = feats[np.arange(cfg.candidates), rng.integers(0, len(sub), size=cfg.candidates)]
-
-        onehot = np.zeros((len(sub), n_joints))
-        onehot[np.arange(len(sub)), samples.label[sub]] = 1.0
-        left_counts = (feats < tau[:, None]).astype(float) @ onehot
-        gains = _gains(left_counts, onehot.sum(axis=0))
-        best = int(np.argmax(gains))
-        if not np.isfinite(gains[best]) or gains[best] <= 1e-12:
-            return make_leaf(idx)
-
-        f_all = _features(samples, idx, probe_u[best:best + 1],
-                          probe_v[best:best + 1], cfg.bg_depth_mm)[0]
-        go_left = f_all < tau[best]
-        if not go_left.any() or go_left.all():
-            return make_leaf(idx)
-
+    # pre-order walk: a node takes its id and its draws from `rng` before
+    # its left subtree, and the left subtree before the right one
+    stack = [(np.arange(len(samples)), 0, None, 0)]  # idx, depth, parent, side
+    while stack:
+        idx, depth, parent, side = stack.pop()
         node_id = len(nodes)
-        nodes.append([-2, -2, -1, probe_u[best, 0], probe_u[best, 1],
-                      probe_v[best, 0], probe_v[best, 1], tau[best]])
-        left_id = grow(idx[go_left], depth + 1)
-        right_id = grow(idx[~go_left], depth + 1)
-        nodes[node_id][0] = left_id
-        nodes[node_id][1] = right_id
-        return node_id
-
-    grow(np.arange(len(samples)), 0)
+        if parent is not None:
+            nodes[parent][side] = node_id
+        split = None
+        if depth < cfg.max_depth and len(idx) >= cfg.min_samples:
+            split = _best_split(samples, idx, cfg, rng, probe_range, n_joints)
+        if split is None:
+            modes, weights = build_leaf(samples, idx, cfg, rng)
+            leaf_modes.append(modes)
+            leaf_weights.append(weights)
+            nodes.append([-1, -1, len(leaf_modes) - 1, 0.0, 0.0, 0.0, 0.0, 0.0])
+            continue
+        u, v, tau, go_left = split
+        nodes.append([-2, -2, -1, u[0], u[1], v[0], v[1], tau])
+        stack.append((idx[~go_left], depth + 1, node_id, 1))
+        stack.append((idx[go_left], depth + 1, node_id, 0))
     arr = np.asarray(nodes, dtype=float)
     return Tree(
         left=arr[:, 0].astype(np.int32),

@@ -18,7 +18,12 @@ TOL_FACTOR = 1e-3
 def _cell_index(cell):
     """Index of each integer cell row (n, d) among the sorted distinct rows,
     and the number of distinct rows: the inverse of
-    np.unique(cell, axis=0, return_inverse=True), by one lexsort."""
+    np.unique(cell, axis=0, return_inverse=True), by one lexsort.
+
+    With a group id as the first column, rows of different groups never
+    share a cell and each group's cells form one run of indices, in the
+    order the group's rows alone would give them.
+    """
     order = np.lexsort(cell.T[::-1])  # first column most significant
     ranked = cell[order]
     new_run = np.zeros(len(cell), dtype=np.int64)
@@ -29,17 +34,62 @@ def _cell_index(cell):
     return inverse, int(rank[-1]) + 1
 
 
-def _dedup(points, weights, bandwidth):
-    """Pool points on a fine grid; returns (means, summed weights)."""
-    cell = np.round(points * (DEDUP_DIVISOR / bandwidth)).astype(np.int64)
-    inverse, n_cells = _cell_index(cell)
-    if n_cells == len(points):
-        return points, weights
+def _keyed(group_sizes, cell):
+    """`cell` rows with their group id as the leading column; the rows of
+    a single group are returned as they are."""
+    if len(group_sizes) == 1:
+        return cell
+    return np.column_stack([np.repeat(np.arange(len(group_sizes)), group_sizes), cell])
+
+
+def _cell_sums(inverse, n_cells, weights, points):
+    """Total weight (c,) and weighted point sum (c, d) of every cell; each
+    cell adds its points in input order."""
     w = np.bincount(inverse, weights=weights, minlength=n_cells)
     sums = np.stack([np.bincount(inverse, weights=weights * points[:, d],
                                  minlength=n_cells)
                      for d in range(points.shape[1])], axis=1)
-    return sums / w[:, None], w
+    return w, sums
+
+
+def _dedup(points, weights, bandwidth):
+    """Pool points on a fine grid; returns (means, summed weights).
+
+    A (g, n, d) stack with (g, n) weights pools every group on its own, in
+    one keyed pass: each group gets what a (n, d) call on it alone returns,
+    unchanged when none of its points pool, and the groups come back as a
+    (g, width, d) stack whose short rows are padded with zero weight on
+    the group's first point.
+    """
+    if points.ndim == 2:
+        means, w = _dedup(points[None], weights[None], bandwidth)
+        return means[0], w[0]
+    g, n, dim = points.shape
+    cell = np.round(points * (DEDUP_DIVISOR / bandwidth)).astype(np.int64)
+    inverse, n_cells = _cell_index(_keyed([n] * g, cell.reshape(g * n, dim)))
+    if n_cells == g * n:
+        return points, weights
+    first = np.minimum.reduceat(inverse, np.arange(0, g * n, n))
+    counts = np.diff(first, append=n_cells)
+    pooled = counts < n
+    w, sums = _cell_sums(inverse, n_cells, weights.reshape(-1),
+                         points.reshape(g * n, dim))
+    means = sums / w[:, None]
+
+    lengths = np.where(pooled, counts, n)
+    width = int(lengths.max())
+    out_p = np.empty((g, width, dim))
+    out_w = np.zeros((g, width))
+    out_p[~pooled] = points[~pooled, :width]  # width is n if any group is kept
+    out_w[~pooled] = weights[~pooled, :width]
+    cell_group = np.repeat(np.arange(g), counts)
+    slot = np.arange(n_cells) - first[cell_group]
+    mine = pooled[cell_group]
+    out_p[cell_group[mine], slot[mine]] = means[mine]
+    out_w[cell_group[mine], slot[mine]] = w[mine]
+    pad = np.arange(width)[None, :] >= lengths[:, None]
+    out_p[pad] = np.broadcast_to(out_p[:, :1], out_p.shape)[pad]
+    return out_p, out_w
 
 
 def _iterate(points, weights, bandwidth, max_iters, tol):
@@ -106,7 +156,7 @@ def mean_shift(points, weights=None, *, bandwidth, max_iters=50):
 
     points, weights = _dedup(points, weights, bandwidth)
     shifted = _iterate(points, weights, bandwidth, max_iters, TOL_FACTOR * bandwidth)
-    return _merge_modes(shifted, weights, MERGE_FACTOR * bandwidth)
+    return _merge_modes([(shifted, weights)], MERGE_FACTOR * bandwidth)[0]
 
 
 def mean_shift_groups(point_groups, weights=None, *, bandwidth, max_iters=50):
@@ -151,36 +201,54 @@ def mean_shift_groups(point_groups, weights=None, *, bandwidth, max_iters=50):
 
     shifted = shifted.reshape(g, n, dim).astype(float)
     weights = weights.astype(float)
-    out = []
-    for i in range(g):
-        keep = weights[i] > 0
-        out.append(_merge_modes(shifted[i, keep], weights[i, keep],
-                                MERGE_FACTOR * bandwidth))
-    return out
+    live = live.reshape(g, n)
+    return _merge_modes([(shifted[i, live[i]], weights[i, live[i]]) for i in range(g)],
+                        MERGE_FACTOR * bandwidth)
 
 
-def _merge_modes(shifted, weights, merge_radius):
-    """Greedy merge of converged points, heaviest clusters first.
+def _single_mode(shifted, weights, merge_radius):
+    """(centroid (1, d), total weight (1,)) when every converged point lies
+    within half the merge radius of the weighted centroid, else None.
 
-    Converged points are first collapsed on a fine grid (quarter of the
-    merge radius) so the sequential merge only walks a handful of cells.
+    Such points provably collapse to one mode under the greedy merge.
     """
     total = weights.sum()
     center = (weights[:, None] * shifted).sum(axis=0) / total
     spread2 = ((shifted - center) ** 2).sum(axis=1).max()
-    # everything within half the merge radius of the centroid provably
-    # collapses to one mode under the greedy walk below
     if spread2 <= 0.25 * merge_radius * merge_radius:
         return center[None, :], np.array([total])
+    return None
 
-    dim = shifted.shape[1]
-    cell = np.round(shifted / (0.25 * merge_radius)).astype(np.int64)
-    inverse, n_cells = _cell_index(cell)
-    cell_w = np.bincount(inverse, weights=weights, minlength=n_cells)
-    cell_sum = np.stack([
-        np.bincount(inverse, weights=weights * shifted[:, d], minlength=n_cells)
-        for d in range(dim)], axis=1)
 
+def _merge_modes(groups, merge_radius):
+    """Modes of each (converged points, weights) group: a list of
+    (modes, supports), heaviest first.
+
+    A group that passes the spread test of `_single_mode` is one mode. The
+    others are collapsed on a fine grid (a quarter of the merge radius), all
+    of them in one pass keyed by group, so each group's greedy merge only
+    walks a handful of cells.
+    """
+    out = [_single_mode(s, w, merge_radius) for s, w in groups]
+    walking = [k for k, single in enumerate(out) if single is None]
+    if not walking:
+        return out
+    sizes = [len(groups[k][1]) for k in walking]
+    pts = np.concatenate([groups[k][0] for k in walking])
+    wts = np.concatenate([groups[k][1] for k in walking])
+    cell = np.round(pts / (0.25 * merge_radius)).astype(np.int64)
+    inverse, n_cells = _cell_index(_keyed(sizes, cell))
+    cell_w, cell_sum = _cell_sums(inverse, n_cells, wts, pts)
+    first = np.minimum.reduceat(inverse, np.cumsum([0] + sizes[:-1]))
+    for k, lo, hi in zip(walking, first, np.append(first[1:], n_cells)):
+        out[k] = _greedy_merge(cell_w[lo:hi], cell_sum[lo:hi], merge_radius)
+    return out
+
+
+def _greedy_merge(cell_w, cell_sum, merge_radius):
+    """Walk the grid cells heaviest first; a cell joins the nearest mode
+    within the merge radius or starts a new one. Returns (modes, supports)
+    sorted by support descending."""
     order = np.argsort(-cell_w, kind="stable")
     mode_sum = []
     mode_w = []
@@ -202,4 +270,3 @@ def _merge_modes(shifted, weights, merge_radius):
     supports = np.asarray(mode_w)
     order = np.argsort(-supports, kind="stable")
     return modes[order], supports[order]
-

@@ -7,8 +7,9 @@ scalar loops instead of vectorized code.
 
 import numpy as np
 
-from handfit import geometry, quats
+from handfit import forest, geometry, quats
 from handfit.depth import BONE_RADII_MM, PALM_ELLIPSOID_CENTER, PALM_ELLIPSOID_SEMI_AXES
+from handfit.meanshift import DEDUP_DIVISOR, MERGE_FACTOR, TOL_FACTOR
 from handfit.proposals import ProposalSet
 
 
@@ -63,6 +64,185 @@ def meanshift_iterate(points, weights, bandwidth, max_iters, tol):
         shifted[idx] = new
         active[idx] = moved
     return shifted
+
+
+def dedup_alone(points, weights, bandwidth):
+    """One point set pooled on its own grid by np.unique: the reference for
+    `meanshift._dedup`. Returns the input unchanged when nothing pools."""
+    cell = np.round(points * (DEDUP_DIVISOR / bandwidth)).astype(np.int64)
+    _, inverse = np.unique(cell, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    n_cells = int(inverse.max()) + 1
+    if n_cells == len(points):
+        return points, weights
+    w = np.bincount(inverse, weights=weights, minlength=n_cells)
+    sums = np.stack([np.bincount(inverse, weights=weights * points[:, d],
+                                 minlength=n_cells)
+                     for d in range(points.shape[1])], axis=1)
+    return sums / w[:, None], w
+
+
+def dedup_per_group(points, weights, bandwidth):
+    """A (g, n, d) stack pooled one group at a time and padded to the widest
+    group, zero-weight padding parked on the group's first point: the
+    reference for a keyed `_dedup`, as `build_leaf` looped over joints."""
+    pooled = [dedup_alone(points[i], weights[i], bandwidth)
+              for i in range(len(points))]
+    width = max(len(w) for _, w in pooled)
+    pts = np.zeros((len(points), width, points.shape[2]))
+    wts = np.zeros((len(points), width))
+    for i, (p, w) in enumerate(pooled):
+        pts[i, :len(w)] = p
+        pts[i, len(w):] = p[0]
+        wts[i, :len(w)] = w
+    return pts, wts
+
+
+def merge_modes_alone(shifted, weights, merge_radius):
+    """Greedy mode merge of one group, its grid collapsed by np.unique: the
+    reference for the merge stage of `meanshift`."""
+    total = weights.sum()
+    center = (weights[:, None] * shifted).sum(axis=0) / total
+    spread2 = ((shifted - center) ** 2).sum(axis=1).max()
+    if spread2 <= 0.25 * merge_radius * merge_radius:
+        return center[None, :], np.array([total])
+
+    dim = shifted.shape[1]
+    cell = np.round(shifted / (0.25 * merge_radius)).astype(np.int64)
+    _, inverse = np.unique(cell, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    n_cells = int(inverse.max()) + 1
+    cell_w = np.bincount(inverse, weights=weights, minlength=n_cells)
+    cell_sum = np.stack([
+        np.bincount(inverse, weights=weights * shifted[:, d], minlength=n_cells)
+        for d in range(dim)], axis=1)
+
+    order = np.argsort(-cell_w, kind="stable")
+    mode_sum = []
+    mode_w = []
+    r2 = merge_radius * merge_radius
+    for c in order:
+        p = cell_sum[c] / cell_w[c]
+        if mode_sum:
+            centers = np.asarray(mode_sum) / np.asarray(mode_w)[:, None]
+            d2 = ((centers - p) ** 2).sum(axis=1)
+            nearest = int(np.argmin(d2))
+            if d2[nearest] <= r2:
+                mode_sum[nearest] = mode_sum[nearest] + cell_sum[c]
+                mode_w[nearest] += cell_w[c]
+                continue
+        mode_sum.append(cell_sum[c].copy())
+        mode_w.append(cell_w[c])
+
+    modes = np.asarray(mode_sum) / np.asarray(mode_w)[:, None]
+    supports = np.asarray(mode_w)
+    order = np.argsort(-supports, kind="stable")
+    return modes[order], supports[order]
+
+
+def mean_shift_groups_one_by_one(point_groups, weights, bandwidth, max_iters):
+    """`meanshift.mean_shift_groups` with every group merged by its own
+    `merge_modes_alone` call; the same float32 batched iteration."""
+    pts = np.asarray(point_groups, dtype=np.float32)
+    g, n, dim = pts.shape
+    weights = np.asarray(weights, dtype=np.float32)
+    inv_two_bw2 = np.float32(0.5 / (bandwidth * bandwidth))
+    tol = np.float32(TOL_FACTOR * bandwidth)
+    shifted = pts.reshape(g * n, dim).copy()
+    gid = np.repeat(np.arange(g), n)
+    p_sq = (pts * pts).sum(axis=2)
+    active = weights.reshape(g * n) > 0
+    for _ in range(max_iters):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        m = shifted[idx]
+        grp = gid[idx]
+        block = pts[grp]
+        d2 = (m * m).sum(axis=1)[:, None] + p_sq[grp] \
+            - 2.0 * np.einsum("ad,and->an", m, block)
+        np.maximum(d2, 0.0, out=d2)
+        k = np.exp(-d2 * inv_two_bw2) * weights[grp]
+        new = np.einsum("an,and->ad", k, block) / k.sum(axis=1)[:, None]
+        moved = np.abs(new - m).max(axis=1) >= tol
+        shifted[idx] = new
+        active[idx] = moved
+    shifted = shifted.reshape(g, n, dim).astype(float)
+    weights = weights.astype(float)
+    return [merge_modes_alone(shifted[i, weights[i] > 0], weights[i, weights[i] > 0],
+                              MERGE_FACTOR * bandwidth) for i in range(g)]
+
+
+def build_leaf_per_joint(samples, idx, cfg, rng):
+    """`forest.build_leaf` as a loop over joints: `dedup_per_group`, then
+    `mean_shift_groups_one_by_one`."""
+    if len(idx) > cfg.leaf_cap:
+        idx = np.sort(rng.choice(idx, size=cfg.leaf_cap, replace=False))
+    n_joints = samples.offsets.shape[1]
+    modes_out = np.zeros((n_joints, cfg.leaf_modes, 3), dtype=np.float32)
+    weights_out = np.zeros((n_joints, cfg.leaf_modes), dtype=np.float32)
+    offs = samples.offsets[idx].astype(float).transpose(1, 0, 2)
+    pts, wts = dedup_per_group(offs, np.ones(offs.shape[:2]), cfg.leaf_bandwidth_mm)
+    results = mean_shift_groups_one_by_one(pts, wts, cfg.leaf_bandwidth_mm,
+                                           cfg.meanshift_iters)
+    for j, (modes, support) in enumerate(results):
+        m = min(cfg.leaf_modes, len(modes))
+        modes_out[j, :m] = modes[:m]
+        weights_out[j, :m] = support[:m]
+    return modes_out, weights_out
+
+
+def probe_depth_3index(images, img_idx, probe_px, bg_depth):
+    """Depth at probe pixels by a 3-index gather at clipped coordinates,
+    then separate out-of-image and background passes: the reference for
+    `forest._probe_depth`."""
+    u = np.rint(probe_px[..., 0]).astype(np.int64)
+    v = np.rint(probe_px[..., 1]).astype(np.int64)
+    h, w = images.shape[1], images.shape[2]
+    inb = (u >= 0) & (u < w) & (v >= 0) & (v < h)
+    uc = np.clip(u, 0, w - 1)
+    vc = np.clip(v, 0, h - 1)
+    d = images[img_idx, vc, uc].astype(float)
+    d[~inb] = bg_depth
+    d[d == 0] = bg_depth
+    return d
+
+
+def depth_difference_3index(images, img_idx, pixel, depth, probe_u, probe_v,
+                            bg_depth):
+    """`forest._depth_difference` through `probe_depth_3index`."""
+    scale = depth[..., None]
+    du = probe_depth_3index(images, img_idx, pixel + probe_u / scale, bg_depth)
+    dv = probe_depth_3index(images, img_idx, pixel + probe_v / scale, bg_depth)
+    return du - dv
+
+
+def train_tree_recursive(samples, cfg, rng):
+    """`forest.train_tree` grown by a self-recursive closure: node ids,
+    draws from `rng` and leaves in the pre-order of the recursion."""
+    probe_range = cfg.probe_range_px_m * 1000.0
+    n_joints = samples.offsets.shape[1]
+    nodes, leaf_modes, leaf_weights = [], [], []
+
+    def grow(idx, depth):
+        split = None
+        if depth < cfg.max_depth and len(idx) >= cfg.min_samples:
+            split = forest._best_split(samples, idx, cfg, rng, probe_range, n_joints)
+        if split is None:
+            modes, weights = forest.build_leaf(samples, idx, cfg, rng)
+            leaf_modes.append(modes)
+            leaf_weights.append(weights)
+            nodes.append([-1, -1, len(leaf_modes) - 1, 0.0, 0.0, 0.0, 0.0, 0.0])
+            return len(nodes) - 1
+        u, v, tau, go_left = split
+        node_id = len(nodes)
+        nodes.append([-2, -2, -1, u[0], u[1], v[0], v[1], tau])
+        nodes[node_id][0] = grow(idx[go_left], depth + 1)
+        nodes[node_id][1] = grow(idx[~go_left], depth + 1)
+        return node_id
+
+    grow(np.arange(len(samples)), 0)
+    return np.asarray(nodes, dtype=float), np.stack(leaf_modes), np.stack(leaf_weights)
 
 
 def quat_multiply(a, b):

@@ -2,6 +2,7 @@ import hashlib
 import logging
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,19 @@ def test_infer_thread_invariance(pipeline_dir, tmp_path):
     assert rc == 0
     assert (tmp_path / "p2.csv").read_bytes() == \
         (pipeline_dir / "proposals.csv").read_bytes()
+
+
+def test_infer_on_truncated_frame_exits_4_naming_the_file(pipeline_dir, tmp_path, caplog):
+    dataset = tmp_path / "dataset"
+    shutil.copytree(pipeline_dir / "dataset", dataset)
+    frame = dataset / "test" / "frame_00000.pgm"
+    frame.write_bytes(frame.read_bytes()[:100])
+    rc = cli.main(["infer", "--dataset", str(dataset),
+                   "--forest", str(pipeline_dir / "forest.bin"),
+                   "--out", str(tmp_path / "p.csv")] + TINY)
+    assert rc == 4
+    assert f"{frame}: pixel data truncated" in caplog.text
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_joints_csv_round_trip(tmp_path, rng):

@@ -102,6 +102,34 @@ def test_pgm_round_trip(tmp_path, cam, rest_render):
     assert raw.startswith(b"P5\n320 240\n65535\n")
 
 
+@pytest.mark.parametrize("body, reason", [
+    (b"P5\n3 2\n65535\n" + bytes(5), "pixel data truncated, 5 of 12 bytes"),
+    (b"P5\n3 2\n65535", "pixel data truncated, 0 of 12 bytes"),
+    (b"P5\n3 x\n65535\n" + bytes(12), "header field b'x' is not an integer"),
+    (b"P5\n3 2.0\n65535\n" + bytes(12), "header field b'2.0' is not an integer"),
+    (b"P5\n0 2\n65535\n", "image size 0x2 is not positive"),
+    (b"P5\n3 -2\n65535\n" + bytes(12), "image size 3x-2 is not positive"),
+    (b"P5\n3 2", "header ends after 3 of 4 fields"),
+    (b"P5\n3 2\n# maxval was here\n", "header ends after 3 of 4 fields"),
+    (b"", "header ends after 0 of 4 fields"),
+], ids=["truncated_pixels", "no_pixels", "letter", "fraction", "zero_width",
+        "negative_height", "short_header", "comment_then_end", "empty"])
+def test_read_pgm_names_file_and_reason(tmp_path, body, reason):
+    path = tmp_path / "frame_00000.pgm"
+    path.write_bytes(body)
+    with pytest.raises(ValueError) as exc:
+        read_pgm(path)
+    assert str(exc.value) == f"{path}: {reason}"
+
+
+def test_read_pgm_rejects_size_other_than_intrinsics(tmp_path, cam, rest_render):
+    _, img = rest_render
+    write_pgm(tmp_path / "f.pgm", img)
+    small = CameraIntrinsics(fx=280.0, fy=280.0, cx=80.0, cy=60.0, width=160, height=120)
+    with pytest.raises(ValueError, match=r"f\.pgm: image is 320x240, the intrinsics are 160x120"):
+        read_pgm(tmp_path / "f.pgm", small)
+
+
 HEADER_TOKENS = st.sampled_from([b"P5", b"P2", b"0", b"1", b"2", b"3", b"-2",
                                   b"65535", b"255", b"99999999999", b"x", b"#c\n", b""])
 

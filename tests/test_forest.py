@@ -1,4 +1,6 @@
+import gc
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,10 @@ from handfit import forest as F
 from handfit import geometry, synth
 from handfit.depth import render_depth
 from handfit.geometry import PoseParams, forward_kinematics
+from handfit.meanshift import _dedup
+
+from oracles import (build_leaf_per_joint, dedup_per_group,
+                     depth_difference_3index, train_tree_recursive)
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +203,146 @@ def test_train_tree_deterministic(cam, rest_frame):
     assert np.array_equal(t1.left, t2.left)
     assert np.array_equal(t1.tau, t2.tau)
     assert np.array_equal(t1.leaf_modes, t2.leaf_modes)
+
+
+def test_train_tree_equals_recursive_oracle(cam, rest_frame):
+    # the work stack must give the recursion's node ids, rng draws and leaves
+    img, gt = rest_frame
+    samples = F.extract_samples(img, gt, stride=3, rng=np.random.default_rng(0))
+    cfg = F.ForestConfig(max_depth=9, min_samples=15, node_subsample=200,
+                         candidates=30, leaf_cap=40)
+    tree = F.train_tree(samples, cfg, np.random.default_rng(5))
+    nodes, leaf_modes, leaf_weights = train_tree_recursive(
+        samples, cfg, np.random.default_rng(5))
+    assert tree.n_leaves > 20 and tree.max_depth() > 5
+    np.testing.assert_array_equal(tree.left, nodes[:, 0].astype(np.int32))
+    np.testing.assert_array_equal(tree.right, nodes[:, 1].astype(np.int32))
+    np.testing.assert_array_equal(tree.leaf_id, nodes[:, 2].astype(np.int32))
+    assert tree.probe_u.tobytes() == nodes[:, 3:5].astype(np.float32).tobytes()
+    assert tree.probe_v.tobytes() == nodes[:, 5:7].astype(np.float32).tobytes()
+    assert tree.tau.tobytes() == nodes[:, 7].astype(np.float32).tobytes()
+    assert tree.leaf_modes.tobytes() == leaf_modes.tobytes()
+    assert tree.leaf_weights.tobytes() == leaf_weights.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_train_forest_frees_samples_when_caller_drops_them(rest_frame, threads):
+    # with the cyclic collector off, nothing train_forest leaves behind may
+    # keep the sample set (image stack and offsets) alive
+    img, gt = rest_frame
+    samples = F.extract_samples(img, gt, stride=4, rng=np.random.default_rng(0))
+    alive = weakref.ref(samples)
+    cfg = F.ForestConfig(num_trees=2, max_depth=4, min_samples=10,
+                         node_subsample=100, candidates=10)
+    gc.disable()
+    try:
+        model = F.train_forest(samples, cfg, np.random.default_rng(0),
+                               threads=threads)
+        del samples
+        freed = alive() is None
+    finally:
+        gc.enable()
+    assert freed
+    assert all(t.n_leaves > 1 for t in model.trees)
+
+
+def _probe_layout(images, layout, rng):
+    """Patches and probes that land off every edge of the (n_img, 6, 8)
+    stack, on its last row and column and on zero-depth pixels."""
+    n_img, h, w = images.shape
+    m = 400
+    pixel = np.column_stack([rng.integers(0, w, m), rng.integers(0, h, m)]).astype(float)
+    depth = rng.uniform(200.0, 900.0, m)
+    img_idx = rng.integers(0, n_img, m).astype(np.int32)
+    # displacements of up to 4 px past the image, some of them exact
+    # half-pixel ties and exact landings on the last row and column
+    shift = rng.uniform(-w - 4, w + 4, (m, 2))
+    shift[:40] = np.round(shift[:40]) + 0.5
+    shift[40:60] = np.array([w - 1, h - 1]) - pixel[40:60]
+    shift[60:80, 0] = -pixel[60:80, 0] - 1
+    shift[80:100, 1] = h - pixel[80:100, 1]
+    probe_u = (shift * depth[:, None]).astype(np.float32)
+    probe_v = rng.uniform(-3000.0, 3000.0, (m, 2)).astype(np.float32)
+    if layout == "route":
+        return img_idx.astype(np.int64), pixel, depth, probe_u, probe_v
+    # training: c candidates (c, 1, 2) in float64 against n samples (1, n)
+    return (img_idx[None], pixel[None], depth[None],
+            probe_u[:50, None].astype(float), probe_v[:50, None].astype(float))
+
+
+@pytest.mark.parametrize("layout", ["route", "training"])
+@pytest.mark.parametrize("n_img", [1, 3])
+def test_depth_difference_equals_three_index_oracle(layout, n_img):
+    rng = np.random.default_rng(n_img)
+    images = rng.integers(300, 900, (n_img, 6, 8)).astype(np.uint16)
+    images[rng.random(images.shape) < 0.3] = 0  # background inside the image
+    images[:, -1, -1] = 777                     # last row and column read
+    args = _probe_layout(images, layout, rng)
+    got = F._depth_difference(images, *args, 10000.0)
+    want = depth_difference_3index(images, *args, 10000.0)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # every kind of read happened: off each edge, background, last cell
+    img_idx, pixel, depth, probe_u, _ = args
+    landed = np.rint(pixel + probe_u / depth[..., None])
+    u, v = landed[..., 0], landed[..., 1]
+    assert (u < 0).any() and (u >= 8).any() and (v < 0).any() and (v >= 6).any()
+    inside = (u >= 0) & (u < 8) & (v >= 0) & (v < 6)
+    ui, vi = u[inside].astype(int), v[inside].astype(int)
+    hit = images[np.broadcast_to(img_idx, u.shape)[inside], vi, ui]
+    assert (hit == 0).any() and ((ui == 7) & (vi == 5)).any()
+
+
+def _leaf_samples(base, offsets):
+    n = len(offsets)
+    return F.SampleSet(base.images, base.cam, np.tile(base.pixel[:1], (n, 1)),
+                       np.full(n, base.depth[0]), np.zeros(n, dtype=np.int32),
+                       np.zeros(n, dtype=np.int16), offsets.astype(np.float32))
+
+
+@pytest.mark.parametrize("case", ["one_sample", "all_duplicates", "above_leaf_cap",
+                                  "no_pooling", "some_joints_pool"])
+def test_build_leaf_equals_per_joint_oracle(rest_frame, case):
+    # one keyed _dedup per leaf must give the bytes of the per-joint loop
+    img, gt = rest_frame
+    base = F.extract_samples(img, gt, stride=2, rng=np.random.default_rng(0))
+    rng = np.random.default_rng(7)
+    cfg = F.ForestConfig()
+    if case == "one_sample":
+        samples, idx = base, np.array([11])
+    elif case == "all_duplicates":
+        samples = _leaf_samples(base, np.repeat(base.offsets[3:4], 40, axis=0))
+        idx = np.arange(40)
+    elif case == "above_leaf_cap":
+        samples, idx = base, np.arange(cfg.leaf_cap + 150)
+    elif case == "no_pooling":
+        samples = _leaf_samples(base, rng.uniform(-300, 300, (60, 21, 3)))
+        idx = np.arange(60)
+    else:
+        offs = rng.uniform(-300, 300, (60, 21, 3))
+        offs[:, :9] = np.round(offs[:, :9] / 100) * 100  # coarse: pools
+        samples, idx = _leaf_samples(base, offs), np.arange(60)
+    assert len(samples) >= len(idx)
+
+    got = F.build_leaf(samples, idx, cfg, np.random.default_rng(3))
+    want = build_leaf_per_joint(samples, idx, cfg, np.random.default_rng(3))
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+    offs = samples.offsets[idx[:cfg.leaf_cap]].astype(float).transpose(1, 0, 2)
+    ones = np.ones(offs.shape[:2])
+    pts, wts = _dedup(offs, ones, cfg.leaf_bandwidth_mm)
+    ref_pts, ref_wts = dedup_per_group(offs, ones, cfg.leaf_bandwidth_mm)
+    assert pts.tobytes() == ref_pts.tobytes() and wts.tobytes() == ref_wts.tobytes()
+    kept = (wts > 0).sum(axis=1)
+    if case in ("one_sample", "no_pooling"):
+        assert (kept == len(offs[0])).all()
+    elif case == "all_duplicates":
+        assert (kept == 1).all()
+    elif case == "some_joints_pool":
+        assert (kept[:9] < 60).all() and (kept[9:] == 60).all()
+    else:
+        assert offs.shape[1] == cfg.leaf_cap
 
 
 def test_routing_total_and_deterministic(tiny_forest, rest_frame):

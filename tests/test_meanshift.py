@@ -4,7 +4,8 @@ import pytest
 from handfit.meanshift import (_cell_index, _dedup, _iterate, mean_shift,
                                mean_shift_groups)
 
-from oracles import kde_grid_mode, meanshift_iterate, shift_once
+from oracles import (dedup_alone, dedup_per_group, kde_grid_mode,
+                     mean_shift_groups_one_by_one, meanshift_iterate, shift_once)
 
 
 def test_single_point_is_its_own_mode():
@@ -170,3 +171,101 @@ def test_cell_index_equals_unique_inverse(cell):
     _, want = np.unique(cell, axis=0, return_inverse=True)
     np.testing.assert_array_equal(inverse, want.ravel())
     assert n_cells == int(want.max()) + 1
+
+
+def test_cell_index_group_column_keeps_each_group_in_one_run():
+    rng = np.random.default_rng(3)
+    cell = rng.integers(-3, 3, (120, 3))
+    group = np.repeat(np.arange(4), 30)
+    cell[30:60] = cell[:30]  # groups 0 and 1 hold the same cells
+    inverse, n_cells = _cell_index(np.column_stack([group, cell]))
+    start = 0
+    for g in range(4):
+        mine = inverse[group == g]
+        _, want = np.unique(cell[group == g], axis=0, return_inverse=True)
+        np.testing.assert_array_equal(mine, start + want.ravel())
+        start += int(want.max()) + 1
+    assert n_cells == start
+
+
+def _assert_same_bytes(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", ["pools", "nothing_pools", "weighted", "one_point"])
+def test_dedup_of_one_set_equals_alone_oracle(case):
+    # the inference path calls _dedup on one (n, d) set
+    rng = np.random.default_rng(13)
+    pts = rng.normal(0, 40, (200, 3))
+    w = np.ones(200)
+    if case == "pools":
+        pts = np.round(pts / 4) * 4
+    elif case == "weighted":
+        pts = np.round(pts / 3) * 3
+        w = rng.uniform(0.1, 5.0, 200)
+    elif case == "one_point":
+        pts, w = pts[:1], np.array([2.5])
+    got = _dedup(pts, w, 15.0)
+    _assert_same_bytes(got, dedup_alone(pts, w, 15.0))
+    if case in ("nothing_pools", "one_point"):
+        assert got[0] is pts or np.shares_memory(got[0], pts)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dedup_of_groups_equals_per_group_oracle(seed):
+    # pooled groups, groups left as they are and weighted points side by side
+    rng = np.random.default_rng(seed)
+    g, n = 7, 50
+    pts = rng.normal(0, 40, (g, n, 3))
+    coarse = rng.random(g) < 0.5
+    coarse[0] = True
+    pts[coarse] = np.round(pts[coarse] / 30) * 30
+    w = rng.uniform(0.5, 3.0, (g, n))
+    got = _dedup(pts, w, 15.0)
+    _assert_same_bytes(got, dedup_per_group(pts, w, 15.0))
+    kept = (got[1] > 0).sum(axis=1)
+    assert (kept < n).any()
+    if not coarse.all():
+        assert (kept == n).any()
+
+
+def test_dedup_of_groups_where_none_pools_returns_the_input():
+    pts = np.random.default_rng(1).normal(0, 50, (3, 20, 3))
+    w = np.ones((3, 20))
+    got = _dedup(pts, w, 15.0)
+    assert got[0] is pts and got[1] is w
+
+
+def _mixed_groups(rng, width=40):
+    """Groups that collapse to one mode by the spread test, next to groups
+    that need the greedy walk, with zero-weight padding of varied length."""
+    groups, weights = [], []
+    for i in range(9):
+        n = int(rng.integers(1, width + 1))
+        if i % 3 == 0:  # one tight blob: the early exit
+            pts = rng.normal(rng.uniform(-100, 100, 3), 0.3, (n, 3))
+        else:  # two or three separated blobs: the walk
+            centers = rng.uniform(-150, 150, (2 + i % 2, 3))
+            pts = centers[rng.integers(0, len(centers), n)] \
+                + rng.normal(0, 1.5, (n, 3))
+        padded = np.repeat(pts[:1], width, axis=0)
+        padded[:n] = pts
+        w = np.zeros(width)
+        w[:n] = rng.integers(1, 4, n)
+        groups.append(padded)
+        weights.append(w)
+    return np.stack(groups), np.stack(weights)
+
+
+@pytest.mark.parametrize("max_iters", [0, 50])
+@pytest.mark.parametrize("seed", range(3))
+def test_mean_shift_groups_equal_one_by_one_merge_oracle(seed, max_iters):
+    pts, w = _mixed_groups(np.random.default_rng(seed))
+    got = mean_shift_groups(pts, w, bandwidth=20.0, max_iters=max_iters)
+    want = mean_shift_groups_one_by_one(pts, w, 20.0, max_iters)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        _assert_same_bytes(a, b)
+    counts = [len(modes) for modes, _ in got]
+    assert 1 in counts and max(counts) > 1

@@ -80,8 +80,13 @@ def test_benchmark_tracer_sees_leaf_building_inside_train_tree(tracing, rest_fra
                               candidates=10)
     tracer = tracing.Tracer()
     with tracer.install(), tracer.span("op", 0):
-        forest.train_tree(samples, cfg, np.random.default_rng(0))
+        tree = forest.train_tree(samples, cfg, np.random.default_rng(0))
     assert {"build_leaf", "dedup", "mean_shift_groups"} <= _span_names(tracer)
+    # each leaf pools all of its joints in one keyed dedup call
+    leaves = [i for i, span in enumerate(tracer.spans) if span[0] == "build_leaf"]
+    dedup_parents = [span[3] for span in tracer.spans if span[0] == "dedup"]
+    assert len(leaves) == tree.n_leaves > 1
+    assert sorted(dedup_parents) == leaves
 
 
 def test_benchmark_tracer_sees_routing_and_mean_shift_inside_inference(
