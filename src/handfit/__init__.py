@@ -5,13 +5,12 @@ positions per hand joint; a stepwise particle-swarm optimiser then fits a
 26-DoF anatomically constrained skeleton to those proposal distributions.
 """
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, ForestConfig, PsoConfig, RunConfig
 from .depth import CameraIntrinsics, DepthImage, RenderError, foreground_mask, render_depth
-from .fit import (FitResult, PsoConfig, UnderConstrainedError, fit_frames, joint_fit,
-                  objective, pso_optimize, stepwise_fit)
-from .forest import (Forest, ForestConfig, ForestFormatError, build_training_set,
-                     extract_samples, infer_proposals, load_forest, save_forest,
-                     train_forest, train_tree)
+from .fit import (FitResult, UnderConstrainedError, fit_frames, joint_fit, objective,
+                  pso_optimize, stepwise_fit)
+from .forest import (Forest, ForestFormatError, build_training_set, extract_samples,
+                     infer_proposals, load_forest, save_forest, train_forest, train_tree)
 from .geometry import (HandGeometry, JointLimits, PoseParams, clamp_to_limits,
                        forward_kinematics, random_pose, validate_pose)
 from .meanshift import mean_shift

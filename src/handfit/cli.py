@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import logging
 import os
@@ -15,10 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from . import fit, forest, geometry, metrics, proposals, svgplot, sweeps, synth
-from .config import ConfigError, RunConfig, read_csv, write_csv, write_keyvalue
+from .config import ConfigError, ForestConfig, RunConfig, read_csv, write_csv, write_keyvalue
 from .depth import CameraIntrinsics, RenderError
 from .fit import UnderConstrainedError
-from .forest import ForestConfig, ForestFormatError
+from .forest import ForestFormatError
 
 log = logging.getLogger("handfit")
 
@@ -48,19 +47,13 @@ def _load_config(args):
             cfg["seed"] = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"HANDFIT_SEED must be an integer, got {env_seed!r}") from exc
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    # build the forest and swarm settings once, so an out-of-range value
+    # exits 2 before any stage starts work
+    cfg.build(ForestConfig, "forest")
+    sweeps.pso_config(cfg, cfg["seed"])
     return cfg
-
-
-def _camera(cfg):
-    return CameraIntrinsics(fx=cfg["camera.fx"], fy=cfg["camera.fy"],
-                            cx=cfg["camera.cx"], cy=cfg["camera.cy"],
-                            width=cfg["camera.width"], height=cfg["camera.height"])
-
-
-def _forest_config(cfg):
-    """ForestConfig from the run config: field `f` is config key `forest.f`."""
-    return ForestConfig(**{f.name: cfg[f"forest.{f.name}"]
-                           for f in dataclasses.fields(ForestConfig)})
 
 
 def _require(*paths):
@@ -81,6 +74,7 @@ def _dataset_geometry(dataset):
 
 def cmd_synth(args):
     cfg = _load_config(args)
+    cam = cfg.build(CameraIntrinsics, "camera")
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         raise ConfigError(f"output directory {out} is not empty "
@@ -88,7 +82,6 @@ def cmd_synth(args):
     out.mkdir(parents=True, exist_ok=True)
     geom = geometry.HandGeometry.default()
     limits = geometry.JointLimits.default()
-    cam = _camera(cfg)
     arts = synth.load_articulations()
     views = synth.load_viewpoints()
     translation = (0.0, 0.0, cfg["synth.distance_mm"])
@@ -136,7 +129,7 @@ def cmd_train(args):
     samples = forest.build_training_set(images, gts, cfg["forest.train_stride"],
                                         rng, cap=cfg["forest.train_cap"])
     log.info("training forest on %d samples from %d frames", len(samples), len(poses))
-    model = forest.train_forest(samples, _forest_config(cfg),
+    model = forest.train_forest(samples, cfg.build(ForestConfig, "forest"),
                                 np.random.default_rng((cfg["seed"], 4)),
                                 threads=args.threads)
     out = Path(args.out)
@@ -166,11 +159,8 @@ def cmd_infer(args):
         bandwidth_mm=cfg["forest.infer_bandwidth_mm"],
         max_iters=cfg["forest.meanshift_iters"],
         depth_sq_weight=cfg["forest.depth_sq_weight"])
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            psets = list(pool.map(infer, images))
-    else:
-        psets = [infer(img) for img in images]
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        psets = list(pool.map(infer, images))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     proposals.write_proposals_csv(out, psets)

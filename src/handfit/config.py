@@ -1,6 +1,6 @@
 """Flat `key = value` run configuration shared by every pipeline stage,
-and the two text formats every stage exchanges: `key = value` files and
-CSV tables."""
+the settings objects built from it, and the two text formats the stages
+exchange: `key = value` files and CSV tables."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import csv
 import hashlib
 import io
 import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 
@@ -133,9 +134,69 @@ def read_csv(path, header, parse):
     return out
 
 
-# Defaults: tree depth 23, min 40 samples per node, 3 trees, 200 retained
-# votes, k = 3 proposals per joint, 50 PSO generations; the rest are
-# artifact tunables.
+@dataclass(frozen=True)
+class ForestConfig:
+    """Forest training settings; field `f` is run-config key `forest.f`."""
+
+    num_trees: int = 3
+    max_depth: int = 23
+    min_samples: int = 40
+    node_subsample: int = 800
+    candidates: int = 200
+    probe_range_px_m: float = 60.0
+    bg_depth_mm: float = 10000.0
+    leaf_modes: int = 2
+    leaf_bandwidth_mm: float = 20.0
+    leaf_cap: int = 256
+    meanshift_iters: int = 50
+
+    def __post_init__(self):
+        for name in ("num_trees", "min_samples", "node_subsample", "candidates",
+                     "leaf_modes", "leaf_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("max_depth", "meanshift_iters"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("probe_range_px_m", "bg_depth_mm", "leaf_bandwidth_mm"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+
+
+@dataclass(frozen=True)
+class PsoConfig:
+    """Swarm sizes per optimisation stage plus canonical PSO coefficients."""
+
+    palm_particles: int = 26
+    palm_generations: int = 26
+    finger_particles: int = 23
+    finger_generations: int = 23
+    joint_particles: int = 67
+    joint_generations: int = field(default=50, metadata={"key": "pso.generations"})
+    inertia: float = 0.7298
+    cognitive: float = 1.49618
+    social: float = 1.49618
+    d_max_mm: float = 100.0
+    translation_margin_mm: float = 150.0
+    seed: int = field(default=0, metadata={"key": None})  # given by the caller
+
+    def __post_init__(self):
+        if self.d_max_mm <= 0:
+            raise ValueError("d_max_mm must be positive")
+        for name in ("palm_particles", "finger_particles", "joint_particles"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2")
+
+
+def _field_keys(cls, prefix):
+    """(field, run-config key) of each field `f` of settings dataclass `cls`:
+    key `prefix.f`, or the key its metadata names; metadata key None skips it."""
+    pairs = ((f, f.metadata.get("key", f"{prefix}.{f.name}")) for f in fields(cls))
+    return [(f, key) for f, key in pairs if key is not None]
+
+
+# Every run setting's default, written once: the forest.* and pso.* entries
+# are the field defaults of ForestConfig and PsoConfig above.
 DEFAULTS = {
     "seed": 1,
     "camera.width": 320,
@@ -152,35 +213,15 @@ DEFAULTS = {
     "synth.test_viewpoint": 5,
     "synth.frames_between": 9,
     "synth.subsample": 5,
-    "forest.num_trees": 3,
-    "forest.max_depth": 23,
-    "forest.min_samples": 40,
-    "forest.node_subsample": 800,
-    "forest.candidates": 200,
-    "forest.probe_range_px_m": 60.0,
-    "forest.bg_depth_mm": 10000.0,
+    **{key: f.default for f, key in _field_keys(ForestConfig, "forest")},
     "forest.train_stride": 4,
     "forest.train_cap": 400,
-    "forest.leaf_modes": 2,
-    "forest.leaf_bandwidth_mm": 20.0,
-    "forest.leaf_cap": 256,
     "forest.infer_stride": 2,
     "forest.infer_bandwidth_mm": 15.0,
-    "forest.meanshift_iters": 50,
     "forest.top_n": 200,
     "forest.k": 3,
     "forest.depth_sq_weight": True,
-    "pso.d_max_mm": 100.0,
-    "pso.inertia": 0.7298,
-    "pso.cognitive": 1.49618,
-    "pso.social": 1.49618,
-    "pso.generations": 50,
-    "pso.palm_particles": 26,
-    "pso.palm_generations": 26,
-    "pso.finger_particles": 23,
-    "pso.finger_generations": 23,
-    "pso.joint_particles": 67,
-    "pso.translation_margin_mm": 150.0,
+    **{key: f.default for f, key in _field_keys(PsoConfig, "pso")},
     "eval.threshold_start_mm": 5.0,
     "eval.threshold_stop_mm": 80.0,
     "eval.threshold_step_mm": 5.0,
@@ -188,6 +229,11 @@ DEFAULTS = {
     "sweep.topn_grid": "25,50,100,200,400",
     "sweep.k_grid": "1,2,3,5",
 }
+
+# keys read directly rather than through a settings dataclass, checked
+# when they are set or loaded
+_POSITIVE = ("forest.train_stride", "forest.train_cap", "forest.infer_stride",
+             "forest.top_n", "forest.k", "forest.infer_bandwidth_mm")
 
 
 def _int_list(key, text):
@@ -211,6 +257,13 @@ def _parse(key, text):
         return parse_number(text, type(default), key)
     _int_list(key, text)  # every string-valued key is an integer grid
     return text
+
+
+def _checked(key, value):
+    """`value`, when it is in range for `key`; else ConfigError naming `key`."""
+    if key in _POSITIVE and not value > 0:
+        raise ConfigError(f"{key}: must be positive, got {value!r}")
+    return value
 
 
 def _format(value):
@@ -239,7 +292,7 @@ class RunConfig:
             if key not in DEFAULTS:
                 raise ConfigError(f"{where}: unknown config key {key!r}")
             try:
-                cfg._values[key] = _parse(key, text)
+                cfg._values[key] = _checked(key, _parse(key, text))
             except ConfigError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
         return cfg
@@ -259,7 +312,7 @@ class RunConfig:
             value = float(value)
         if not isinstance(value, expected) or isinstance(value, bool) != isinstance(DEFAULTS[key], bool):
             raise ConfigError(f"{key}: expected {expected.__name__}, got {value!r}")
-        self._values[key] = value
+        self._values[key] = _checked(key, value)
 
     def set_from_text(self, assignment):
         """Apply one 'key=value' override string (CLI --set)."""
@@ -270,6 +323,15 @@ class RunConfig:
 
     def items(self):
         return self._values.items()
+
+    def build(self, cls, prefix, **given):
+        """`cls(**given)`, each other field read from its key under `prefix`;
+        a ValueError of `cls`, such as a value out of range, is a ConfigError."""
+        kw = {f.name: self[key] for f, key in _field_keys(cls, prefix)}
+        try:
+            return cls(**{**kw, **given})
+        except ValueError as exc:
+            raise ConfigError(f"{prefix}: {exc}") from exc
 
     def int_list(self, key):
         return _int_list(key, str(self[key]))
@@ -289,5 +351,4 @@ class RunConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:12]
 
     def write(self, path):
-        write_keyvalue(path, {k: _format(v) for k, v in self._values.items()},
-                       header="effective run configuration")
+        Path(path).write_text("# effective run configuration\n" + self.canonical())

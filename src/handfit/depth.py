@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, quats
-from .config import load_keyvalue, write_keyvalue
+from .config import RunConfig, load_keyvalue, write_keyvalue
 
 # Surface proportions matched to the default skeleton: finger capsules
 # taper 8 -> 6 mm from proximal to distal, palm ellipsoid semi-axes in mm.
@@ -47,7 +47,7 @@ class CameraIntrinsics:
 
     @classmethod
     def default(cls):
-        return cls(fx=280.0, fy=280.0, cx=160.0, cy=120.0, width=320, height=240)
+        return RunConfig().build(cls, "camera")
 
     def project(self, points):
         """(n, 3) camera-frame mm points -> (n, 2) pixel coordinates."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, metrics, quats
-from .config import write_csv
+from .config import PsoConfig, write_csv
 
 TRANSLATION_DIMS = np.arange(0, 3)
 QUAT_DIMS = np.arange(3, 7)
@@ -33,31 +33,6 @@ class UnderConstrainedError(RuntimeError):
 
 def finger_dims(finger):
     return np.arange(7 + 4 * finger, 11 + 4 * finger)
-
-
-@dataclass(frozen=True)
-class PsoConfig:
-    """Swarm sizes per optimisation stage plus canonical PSO coefficients."""
-
-    palm_particles: int = 26
-    palm_generations: int = 26
-    finger_particles: int = 23
-    finger_generations: int = 23
-    joint_particles: int = 67
-    joint_generations: int = 50
-    inertia: float = 0.7298
-    cognitive: float = 1.49618
-    social: float = 1.49618
-    d_max: float = 100.0
-    translation_margin: float = 150.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.d_max <= 0:
-            raise ValueError("d_max must be positive")
-        for name in ("palm_particles", "finger_particles", "joint_particles"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be >= 2")
 
 
 def _joint_maxima(joint_positions, padded_pos, padded_w, d_max):
@@ -278,18 +253,18 @@ def _fit_stages(proposal_set, geom, limits, cfg, rng, stages, finger_fitted):
     """
     rng = rng or np.random.default_rng(cfg.seed)
     _check_palm_constrained(proposal_set)
-    bounds = default_bounds(proposal_set, limits, cfg.translation_margin)
+    bounds = default_bounds(proposal_set, limits, cfg.translation_margin_mm)
     seeds = _palm_seeds(proposal_set, limits)
     evals = 0
     for dims, joints, particles, generations in stages:
         res = pso_optimize(
-            lambda batch: objective(proposal_set, batch, geom, cfg.d_max,
+            lambda batch: objective(proposal_set, batch, geom, cfg.d_max_mm,
                                     joint_subset=joints),
             bounds, dims, particles, generations, cfg, seeds=seeds, rng=rng)
         seeds = [res.best.copy()]
         evals += res.evals
     pose = geometry.clamp_to_limits(geometry.PoseParams.from_vector(seeds[0]), limits)
-    score = objective(proposal_set, pose.to_vector(), geom, cfg.d_max)
+    score = objective(proposal_set, pose.to_vector(), geom, cfg.d_max_mm)
     return FitResult(pose=pose, score=score, evals=evals, finger_fitted=finger_fitted)
 
 

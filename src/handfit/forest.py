@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
+from .config import DEFAULTS, ForestConfig
 from .depth import foreground_mask
 from .meanshift import _dedup, mean_shift, mean_shift_groups
 from .proposals import ProposalSet
@@ -33,21 +34,6 @@ class ForestFormatError(ValueError):
     def __init__(self, message, offset=None):
         super().__init__(message if offset is None else f"{message} (at byte {offset})")
         self.offset = offset
-
-
-@dataclass(frozen=True)
-class ForestConfig:
-    num_trees: int = 3
-    max_depth: int = 23
-    min_samples: int = 40
-    node_subsample: int = 800
-    candidates: int = 200
-    probe_range_px_m: float = 60.0
-    bg_depth_mm: float = 10000.0
-    leaf_modes: int = 2
-    leaf_bandwidth_mm: float = 20.0
-    leaf_cap: int = 256
-    meanshift_iters: int = 50
 
 
 @dataclass
@@ -366,8 +352,8 @@ def train_tree(samples, cfg, rng):
 class Forest:
     trees: list
     num_joints: int = geometry.NUM_JOINTS
-    leaf_modes: int = 2
-    bg_depth_mm: float = 10000.0
+    leaf_modes: int = DEFAULTS["forest.leaf_modes"]
+    bg_depth_mm: float = DEFAULTS["forest.bg_depth_mm"]
 
     def stats(self):
         return [{"depth": t.max_depth(), "leaves": t.n_leaves, "nodes": t.n_nodes}
@@ -378,16 +364,14 @@ def train_forest(samples, cfg=None, rng=None, threads=1):
     cfg = cfg or ForestConfig()
     rng = rng or np.random.default_rng(0)
     tree_rngs = rng.spawn(cfg.num_trees)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(lambda r: train_tree(samples, cfg, r), tree_rngs))
-    else:
-        trees = [train_tree(samples, cfg, r) for r in tree_rngs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        trees = list(pool.map(lambda r: train_tree(samples, cfg, r), tree_rngs))
     return Forest(trees, num_joints=samples.offsets.shape[1],
                   leaf_modes=cfg.leaf_modes, bg_depth_mm=cfg.bg_depth_mm)
 
 
-def accumulate_votes(forest, img, stride=2, depth_sq_weight=True):
+def accumulate_votes(forest, img, stride=DEFAULTS["forest.infer_stride"],
+                     depth_sq_weight=DEFAULTS["forest.depth_sq_weight"]):
     """Absolute 3D votes per joint from every foreground patch and tree.
 
     Vote weight is the leaf mode support, optionally scaled by the squared
@@ -422,8 +406,9 @@ def accumulate_votes(forest, img, stride=2, depth_sq_weight=True):
     return votes
 
 
-def proposals_from_votes(votes, top_n=200, k=3, bandwidth_mm=15.0,
-                         max_iters=50):
+def proposals_from_votes(votes, top_n=DEFAULTS["forest.top_n"], k=DEFAULTS["forest.k"],
+                         bandwidth_mm=DEFAULTS["forest.infer_bandwidth_mm"],
+                         max_iters=DEFAULTS["forest.meanshift_iters"]):
     """Condense votes into at most k weighted proposals per joint.
 
     Per joint the top_n highest-weight votes are retained, mean-shift over
@@ -444,8 +429,11 @@ def proposals_from_votes(votes, top_n=200, k=3, bandwidth_mm=15.0,
     return ProposalSet(entries)
 
 
-def infer_proposals(forest, img, stride=2, top_n=200, k=3,
-                    bandwidth_mm=15.0, max_iters=50, depth_sq_weight=True):
+def infer_proposals(forest, img, stride=DEFAULTS["forest.infer_stride"],
+                    top_n=DEFAULTS["forest.top_n"], k=DEFAULTS["forest.k"],
+                    bandwidth_mm=DEFAULTS["forest.infer_bandwidth_mm"],
+                    max_iters=DEFAULTS["forest.meanshift_iters"],
+                    depth_sq_weight=DEFAULTS["forest.depth_sq_weight"]):
     """Full inference path: dense voting then per-joint mode extraction.
 
     Joints that attracted no votes are omitted from the result; downstream

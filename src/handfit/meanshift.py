@@ -224,12 +224,13 @@ def _merge_modes(groups, merge_radius):
     """Modes of each (converged points, weights) group: a list of
     (modes, supports), heaviest first.
 
-    A group that passes the spread test of `_single_mode` is one mode. The
-    others are collapsed on a fine grid (a quarter of the merge radius), all
-    of them in one pass keyed by group, so each group's greedy merge only
-    walks a handful of cells.
+    An empty group has no modes. A group that passes the spread test of
+    `_single_mode` is one mode. The others are collapsed on a fine grid (a
+    quarter of the merge radius), all of them in one pass keyed by group,
+    so each group's greedy merge only walks a handful of cells.
     """
-    out = [_single_mode(s, w, merge_radius) for s, w in groups]
+    out = [(s[:0], w[:0]) if len(w) == 0 else _single_mode(s, w, merge_radius)
+           for s, w in groups]
     walking = [k for k, single in enumerate(out) if single is None]
     if not walking:
         return out

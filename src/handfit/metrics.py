@@ -7,10 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
+from .config import DEFAULTS
 
 # error charged to joints without any prediction; matches the objective's
 # clamping distance so a miss saturates the same way
-MISSING_JOINT_ERROR_MM = 100.0
+MISSING_JOINT_ERROR_MM = DEFAULTS["pso.d_max_mm"]
 
 
 @dataclass(frozen=True)

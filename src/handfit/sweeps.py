@@ -14,22 +14,8 @@ EXPERIMENTS = ("k", "top-n", "stepwise-vs-joint")
 
 
 def pso_config(cfg, seed, **overrides):
-    kw = dict(
-        palm_particles=cfg["pso.palm_particles"],
-        palm_generations=cfg["pso.palm_generations"],
-        finger_particles=cfg["pso.finger_particles"],
-        finger_generations=cfg["pso.finger_generations"],
-        joint_particles=cfg["pso.joint_particles"],
-        joint_generations=cfg["pso.generations"],
-        inertia=cfg["pso.inertia"],
-        cognitive=cfg["pso.cognitive"],
-        social=cfg["pso.social"],
-        d_max=cfg["pso.d_max_mm"],
-        translation_margin=cfg["pso.translation_margin_mm"],
-        seed=seed,
-    )
-    kw.update(overrides)
-    return fit.PsoConfig(**kw)
+    """The run config's PsoConfig for `seed`, with `overrides` of its fields."""
+    return cfg.build(fit.PsoConfig, "pso", seed=seed, **overrides)
 
 
 # matched budgets: 64^2 + 5*29^2 = 8301 vs 91^2 = 8281 objective evaluations
@@ -43,7 +29,7 @@ MATCHED_BUDGETS = {
 def _arm(psets, gt_list, geom, limits, pso_cfg, mode):
     """Fit a sequence in one mode; returns (error metrics, mean evals per frame)."""
     joints, fits = fit.fit_frames(psets, geom, limits, pso_cfg, mode)
-    results = [metrics.FrameResult.compute(i, pred, gt, sentinel=pso_cfg.d_max)
+    results = [metrics.FrameResult.compute(i, pred, gt, sentinel=pso_cfg.d_max_mm)
                for i, (pred, gt) in enumerate(zip(joints, gt_list))]
     curve = metrics.success_rate_curve(results, [20.0, 40.0])
     return {

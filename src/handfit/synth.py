@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, quats
-from .config import read_keyvalue
+from .config import DEFAULTS, read_keyvalue
 from .depth import DepthImage, render_depth, write_pgm, read_pgm
 
 TEMPLATE_NAMES = ("extended", "flexed", "half", "spread")
@@ -57,8 +57,8 @@ def load_viewpoints(path=None):
     return np.asarray(views)
 
 
-def generate_training_poses(articulations=None, viewpoints=None, *,
-                            limits=None, translation=(0.0, 0.0, 550.0),
+def generate_training_poses(articulations=None, viewpoints=None, *, limits=None,
+                            translation=(0.0, 0.0, DEFAULTS["synth.distance_mm"]),
                             per_finger=None, num_views=None):
     """Cartesian articulation grid under every viewpoint.
 
@@ -119,8 +119,8 @@ def generate_sequence(keyposes, frames_between, subsample, limits=None):
     return frames[::subsample]
 
 
-def make_track_keyposes(rng, count, *, articulations=None, limits=None,
-                        translation=(0.0, 0.0, 550.0), orientation=None):
+def make_track_keyposes(rng, count, *, articulations=None, limits=None, orientation=None,
+                        translation=(0.0, 0.0, DEFAULTS["synth.distance_mm"])):
     """Random articulation-grid keyposes with a fixed global pose.
 
     The tracked-sequence analog articulates fingers while position and

@@ -212,6 +212,41 @@ def test_keyvalue_file_bad_value_exits_2(tmp_path, caplog, flag, key, value, mes
     assert f"config error: {path}: {message}" in caplog.text
 
 
+@pytest.mark.parametrize("command, extra, message", [
+    ("fit", ["--set", "pso.palm_particles=1"], "pso: palm_particles must be >= 2"),
+    ("fit", ["--set", "pso.d_max_mm=0"], "pso: d_max_mm must be positive"),
+    ("train", ["--set", "forest.leaf_bandwidth_mm=0"],
+     "forest: leaf_bandwidth_mm must be positive"),
+    ("train", ["--set", "forest.num_trees=0"], "forest: num_trees must be >= 1"),
+    ("train", ["--set", "forest.candidates=0"], "forest: candidates must be >= 1"),
+    ("train", ["--set", "forest.train_stride=0"], "forest.train_stride: must be positive, got 0"),
+    ("train", ["--set", "forest.train_cap=0"], "forest.train_cap: must be positive, got 0"),
+    ("infer", ["--set", "forest.infer_stride=0"], "forest.infer_stride: must be positive, got 0"),
+    ("infer", ["--set", "forest.infer_stride=-2"],
+     "forest.infer_stride: must be positive, got -2"),
+    ("infer", ["--set", "forest.k=0"], "forest.k: must be positive, got 0"),
+    ("infer", ["--set", "forest.top_n=0"], "forest.top_n: must be positive, got 0"),
+    ("infer", ["--set", "forest.infer_bandwidth_mm=0"],
+     "forest.infer_bandwidth_mm: must be positive, got 0.0"),
+    ("infer", ["--threads", "0"], "--threads must be >= 1, got 0"),
+    ("infer", ["--threads", "-3"], "--threads must be >= 1, got -3"),
+], ids=["palm_particles", "d_max_mm", "leaf_bandwidth_mm", "num_trees", "candidates",
+        "train_stride", "train_cap", "infer_stride_0", "infer_stride_neg", "k", "top_n",
+        "infer_bandwidth_mm", "threads_0", "threads_neg"])
+def test_out_of_range_setting_exits_2_before_any_work(pipeline_dir, tmp_path, caplog,
+                                                      command, extra, message):
+    out = tmp_path / "out"
+    args = {
+        "fit": ["--proposals", str(pipeline_dir / "proposals.csv")],
+        "train": ["--dataset", str(pipeline_dir / "dataset")],
+        "infer": ["--dataset", str(pipeline_dir / "dataset"),
+                  "--forest", str(pipeline_dir / "forest.bin")],
+    }[command]
+    assert cli.main([command, "--out", str(out)] + args + TINY + extra) == 2
+    assert f"config error: {message}" in caplog.text
+    assert not out.exists()
+
+
 def test_scale_flag_sets_articulations(tmp_path):
     parser = cli.build_parser()
     args = parser.parse_args(["synth", "--out", str(tmp_path), "--scale", "0.25"])

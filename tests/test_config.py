@@ -1,10 +1,11 @@
+import inspect
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handfit import cli, sweeps
+from handfit import forest as F, metrics, sweeps, synth
 from handfit.config import ConfigError, RunConfig, read_keyvalue
 from handfit.depth import CameraIntrinsics
 from handfit.geometry import HandGeometry, JointLimits
@@ -98,6 +99,17 @@ def test_hash_tracks_content():
     assert a.content_hash() == b.content_hash()
     b["seed"] = 99
     assert a.content_hash() != b.content_hash()
+
+
+def test_config_txt_is_the_hashed_text(tmp_path):
+    # written sorted by key, so the file is the text the run hash covers
+    cfg = RunConfig({"seed": 7, "pso.generations": 9})
+    cfg.write(tmp_path / "config.txt")
+    text = (tmp_path / "config.txt").read_text()
+    assert text == "# effective run configuration\n" + cfg.canonical()
+    assert RunConfig.load(tmp_path / "config.txt").canonical() == cfg.canonical()
+    # run directories are named run_<hash>: the defaults' hash must not move
+    assert RunConfig().content_hash() == "43fa0431c76a"
 
 
 def test_malformed_line(tmp_path):
@@ -209,9 +221,44 @@ def test_grid_helpers():
     assert len(thresholds) == 16
 
 
+# inference keyword -> the run-config key its default reads
+INFERENCE_KEYS = {"stride": "forest.infer_stride", "top_n": "forest.top_n",
+                  "k": "forest.k", "bandwidth_mm": "forest.infer_bandwidth_mm",
+                  "max_iters": "forest.meanshift_iters",
+                  "depth_sq_weight": "forest.depth_sq_weight"}
+
+
 def test_run_config_defaults_match_dataclass_defaults():
-    # the forest and swarm defaults are written twice, once as config keys
-    # and once as dataclass fields; the two copies must agree
-    assert cli._forest_config(RunConfig()) == ForestConfig()
+    # config.py writes each run-setting default once; the settings objects,
+    # keyword defaults and constants that read it equal the run config's
+    cfg = RunConfig()
+    assert cfg.build(ForestConfig, "forest") == ForestConfig()
     for seed in (0, 1, 17):
-        assert sweeps.pso_config(RunConfig(), seed) == PsoConfig(seed=seed)
+        assert sweeps.pso_config(cfg, seed) == PsoConfig(seed=seed)
+    assert cfg.build(CameraIntrinsics, "camera") == CameraIntrinsics.default()
+    defaults = [(p.default, INFERENCE_KEYS[name])
+                for fn in (F.accumulate_votes, F.proposals_from_votes, F.infer_proposals)
+                for name, p in inspect.signature(fn).parameters.items()
+                if p.default is not inspect.Parameter.empty]
+    assert len(defaults) == 12
+    forest = F.Forest([])
+    defaults += [(forest.leaf_modes, "forest.leaf_modes"),
+                 (forest.bg_depth_mm, "forest.bg_depth_mm"),
+                 (metrics.MISSING_JOINT_ERROR_MM, "pso.d_max_mm")]
+    defaults += [(inspect.signature(fn).parameters["translation"].default[2],
+                  "synth.distance_mm")
+                 for fn in (synth.generate_training_poses, synth.make_track_keyposes)]
+    for value, key in defaults:
+        assert (type(value), value) == (type(cfg[key]), cfg[key]), key
+
+
+def test_out_of_range_value_is_config_error_when_loaded_or_built(tmp_path):
+    # the CLI cases cover --set; a --config file and the camera build too
+    path = tmp_path / "cfg.txt"
+    path.write_text("seed = 3\nforest.k = 0\n")
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.load(path)
+    assert str(exc.value) == f"{path}:2: forest.k: must be positive, got 0"
+    with pytest.raises(ConfigError) as exc:
+        RunConfig({"camera.fx": -1.0}).build(CameraIntrinsics, "camera")
+    assert str(exc.value) == "camera: focal lengths must be positive"

@@ -269,3 +269,25 @@ def test_mean_shift_groups_equal_one_by_one_merge_oracle(seed, max_iters):
         _assert_same_bytes(a, b)
     counts = [len(modes) for modes, _ in got]
     assert 1 in counts and max(counts) > 1
+
+
+def test_mean_shift_groups_zero_weight_group_has_no_modes():
+    # a group with no weight has no modes, as mean_shift returns for the
+    # same points; the other groups get what they get without it
+    pts, w = _mixed_groups(np.random.default_rng(4))
+    w[1] = 0.0
+    w[3] = 0.0  # an early-exit group and a walking group lose all weight
+    got = mean_shift_groups(pts, w, bandwidth=20.0)
+    for i in (1, 3):
+        modes, support = got[i]
+        want = mean_shift(pts[i], w[i], bandwidth=20.0)
+        assert modes.shape == want[0].shape == (0, 3)
+        assert support.shape == want[1].shape == (0,)
+    keep = [i for i in range(len(w)) if i not in (1, 3)]
+    alone = mean_shift_groups(pts[keep], w[keep], bandwidth=20.0)
+    for i, want in zip(keep, alone):
+        _assert_same_bytes(got[i], want)
+    modes, support = mean_shift_groups(np.zeros((2, 3, 3)),
+                                       np.array([[1.0, 1, 1], [0, 0, 0]]),
+                                       bandwidth=5.0)[1]
+    assert modes.shape == (0, 3) and support.shape == (0,)

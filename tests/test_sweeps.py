@@ -73,7 +73,7 @@ def test_stepwise_vs_joint_rows(tmp_path, geom, limits, tiny_votes, fast_cfg):
             continue
         pso_cfg = sweeps.pso_config(fast_cfg, 1, **sweeps.MATCHED_BUDGETS[r["method"]])
         joints, _ = fit.fit_frames(psets, geom, limits, pso_cfg, r["method"])
-        results = [metrics.FrameResult.compute(i, pred, gt, sentinel=pso_cfg.d_max)
+        results = [metrics.FrameResult.compute(i, pred, gt, sentinel=pso_cfg.d_max_mm)
                    for i, (pred, gt) in enumerate(zip(joints, gts))]
         assert r["mean_error_mm"] == metrics.mean_joint_error(results)
 

@@ -2,13 +2,14 @@
 attributes it looks up by name; a renamed or deleted name breaks only the
 benchmark's traced run, so this checks every lookup still resolves."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from handfit import fit, forest, geometry, synth
-from handfit.depth import render_depth
+from handfit import fit, forest, geometry, sweeps, synth
+from handfit.depth import CameraIntrinsics, render_depth
 from handfit.proposals import ProposalSet
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -102,3 +103,18 @@ def test_benchmark_tracer_sees_routing_and_mean_shift_inside_inference(
         pset = forest.infer_proposals(model, img, stride=4)
     assert len(pset) > 0
     assert {"Tree.route", "mean_shift"} <= _span_names(tracer)
+
+
+def test_benchmark_measures_the_settings_the_cli_builds(monkeypatch):
+    # perfbench restates the settings field by field; they must stay what
+    # the run config builds, apart from the benchmark's one-tree forest
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    ctx = workloads.Context(3, workloads.SMOKE)
+    cfg = ctx.cfg
+    assert ctx.forest_cfg == dataclasses.replace(
+        cfg.build(forest.ForestConfig, "forest"), num_trees=workloads.TREES)
+    assert workloads.TREES == 1
+    assert ctx.cam == cfg.build(CameraIntrinsics, "camera")
+    assert sweeps.pso_config(cfg, 3) == cfg.build(fit.PsoConfig, "pso", seed=3)
