@@ -233,7 +233,10 @@ DEFAULTS = {
 # keys read directly rather than through a settings dataclass, checked
 # when they are set or loaded
 _POSITIVE = ("forest.train_stride", "forest.train_cap", "forest.infer_stride",
-             "forest.top_n", "forest.k", "forest.infer_bandwidth_mm")
+             "forest.top_n", "forest.k", "forest.infer_bandwidth_mm",
+             "synth.viewpoints", "synth.articulations", "synth.subsample",
+             "synth.test_keyposes", "eval.threshold_step_mm", "eval.seeds")
+_NON_NEGATIVE = ("synth.jitter_mm", "synth.frames_between")
 
 
 def _int_list(key, text):
@@ -263,6 +266,8 @@ def _checked(key, value):
     """`value`, when it is in range for `key`; else ConfigError naming `key`."""
     if key in _POSITIVE and not value > 0:
         raise ConfigError(f"{key}: must be positive, got {value!r}")
+    if key in _NON_NEGATIVE and not value >= 0:
+        raise ConfigError(f"{key}: must not be negative, got {value!r}")
     return value
 
 

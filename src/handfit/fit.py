@@ -4,10 +4,15 @@ The objective sums, per joint, the best confidence-weighted agreement
 between the hypothesized joint position and that joint's proposals, with
 distances clamped so far-off proposals contribute nothing. It needs only
 a handful of 3D distances per evaluation: no rendering, no image access.
-The 27-parameter search runs as a list of PSO stages over sub-problems:
-stepwise fitting is a 7-parameter global stage scored on the palm-rigid
-joints, then four parameters per finger; the whole-vector ablation is a
-single 27-parameter stage.
+The 27-parameter search runs as PSO stages over sub-problems: stepwise
+fitting is a 7-parameter global stage scored on the palm-rigid joints,
+then four parameters per finger; the whole-vector ablation is a single
+27-parameter stage. Under the global pose the palm stage fixes, the
+finger stages are independent, so they run as one lockstep stack of
+swarms (fingers x particles) through the same PSO loop, scored in one
+pass per generation. Each finger draws the block of random numbers its
+own stage would draw, in finger order, so the outputs are those of the
+stages run one after another, bit for bit.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ def objective(proposal_set, hypothesis, geom, d_max, joint_subset=None):
 
     Accepts one (27,) vector or a (n, 27) batch. Joints absent from the
     proposal set contribute zero; `joint_subset` restricts scoring to the
-    given joint indices (used by the stepwise stages), and forward
+    given joint indices (the palm stage scores the palm and MCPs), and forward
     kinematics then runs only on the chains those joints need.
     Hypotheses with a zero-norm quaternion score -inf.
     """
@@ -92,13 +97,13 @@ class PsoResult:
 
 def _sanitize_quat(x):
     """Renormalize quaternion dims in-place; zero-norm resets to identity."""
-    q = x[:, QUAT_DIMS]
-    norms = np.linalg.norm(q, axis=1)
+    q = x[..., QUAT_DIMS]
+    norms = np.linalg.norm(q, axis=-1)
     dead = norms < 1e-12
     if dead.any():
         q[dead] = quats.IDENTITY
         norms[dead] = 1.0
-    x[:, QUAT_DIMS] = q / norms[:, None]
+    x[..., QUAT_DIMS] = q / norms[..., None]
 
 
 def pso_optimize(score_fn, bounds, active_dims, particles, generations,
@@ -113,40 +118,64 @@ def pso_optimize(score_fn, bounds, active_dims, particles, generations,
     """
     if not seeds:
         raise ValueError("pso_optimize needs at least one seed hypothesis")
-    bounds = np.asarray(bounds, dtype=float)
-    active = np.asarray(active_dims, dtype=int)
-    if not np.all(np.isfinite(bounds[active])):
-        raise ValueError("bounds must be finite on active dims")
-    lo, hi = bounds[active, 0], bounds[active, 1]
-    quat_active = bool(np.intersect1d(active, QUAT_DIMS).size)
-
     x = np.tile(np.asarray(seeds[0], dtype=float), (particles, 1))
     for i, seed in enumerate(seeds[:particles]):
         x[i] = seed
-    n_seeded = min(len(seeds), particles)
+    res = _swarms(lambda batch: score_fn(batch[0])[None], x[None],
+                  min(len(seeds), particles), np.asarray(active_dims, dtype=int)[None],
+                  bounds, generations, cfg, lambda n: rng.random((1, n)))
+    return PsoResult(best=res.best[0], score=float(res.score[0]), evals=res.evals,
+                     trace=res.trace[0])
+
+
+def _swarms(score_fn, x, n_seeded, dims, bounds, generations, cfg, draw):
+    """The PSO loop of `pso_optimize`, for s swarms advanced in lockstep.
+
+    x (s, particles, 27) holds the start positions; past the first
+    `n_seeded` particles, each swarm's active dims `dims` (s, a) are drawn
+    inside `bounds`. score_fn maps (s, particles, 27) positions to
+    (s, particles) scores, and draw(n) returns the next n uniforms of each
+    swarm's stream, (s, n). The result has a leading swarm axis on best,
+    score and trace; evals counts one swarm.
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    if not np.all(np.isfinite(bounds[dims])):
+        raise ValueError("bounds must be finite on active dims")
+    lo, hi = bounds[dims, 0][:, None], bounds[dims, 1][:, None]
+    quat_active = bool(np.intersect1d(dims, QUAT_DIMS).size)
+    x = np.ascontiguousarray(x, dtype=float)
+    swarms, particles, dim = x.shape
+    width = dims.shape[1]
+    # flat indices into the C-ordered arrays: each swarm's first particle,
+    # the active dims of every particle (s, particles, a) and of every
+    # swarm's best (s, 1, a), so a gather or scatter is one 1-D take or put
+    first = np.arange(swarms) * particles
+    active = (first[:, None] + np.arange(particles))[:, :, None] * dim + dims[:, None, :]
+    own = (np.arange(swarms)[:, None] * dim + dims)[:, None]
+
     if particles > n_seeded:
-        u = rng.random((particles - n_seeded, len(active)))
-        x[n_seeded:, active] = lo + u * (hi - lo)
+        u = draw((particles - n_seeded) * width).reshape(swarms, -1, width)
+        x.reshape(-1)[active[:, n_seeded:]] = lo + u * (hi - lo)
     if quat_active:
         _sanitize_quat(x)
 
-    v = np.zeros((particles, len(active)))
+    v = np.zeros((swarms, particles, width))
     scores = score_fn(x)
     evals = particles
     pbest = x.copy()
     pscore = scores.copy()
-    g = int(np.argmax(pscore))
-    gbest = pbest[g].copy()
-    gscore = float(pscore[g])
+    g = first + pscore.argmax(axis=1)
+    gbest = pbest.reshape(-1, dim)[g]
+    gscore = pscore.reshape(-1)[g]
     trace = [gscore]
 
     for _ in range(1, generations):
-        r1 = rng.random((particles, len(active)))
-        r2 = rng.random((particles, len(active)))
+        r = draw(2 * particles * width).reshape(swarms, 2, particles, width)
+        xa = x.take(active)
         v = (cfg.inertia * v
-             + cfg.cognitive * r1 * (pbest[:, active] - x[:, active])
-             + cfg.social * r2 * (gbest[active] - x[:, active]))
-        x[:, active] = np.clip(x[:, active] + v, lo, hi)
+             + cfg.cognitive * r[:, 0] * (pbest.take(active) - xa)
+             + cfg.social * r[:, 1] * (gbest.take(own) - xa))
+        x.reshape(-1)[active] = np.clip(xa + v, lo, hi)
         if quat_active:
             _sanitize_quat(x)
         scores = score_fn(x)
@@ -154,14 +183,16 @@ def pso_optimize(score_fn, bounds, active_dims, particles, generations,
         improved = scores > pscore
         pbest[improved] = x[improved]
         pscore[improved] = scores[improved]
-        g = int(np.argmax(pscore))
-        if pscore[g] > gscore:
-            gbest = pbest[g].copy()
-            gscore = float(pscore[g])
+        g = first + pscore.argmax(axis=1)
+        top = pscore.reshape(-1)[g]
+        better = top > gscore
+        if better.any():
+            gbest[better] = pbest.reshape(-1, dim)[g[better]]
+            gscore = np.where(better, top, gscore)
         trace.append(gscore)
 
     return PsoResult(best=gbest, score=gscore, evals=evals,
-                     trace=np.asarray(trace))
+                     trace=np.stack(trace, axis=1))
 
 
 def default_bounds(proposal_set, limits, margin):
@@ -244,28 +275,85 @@ class FitResult:
         return geometry.forward_kinematics(geom, self.pose)
 
 
-def _fit_stages(proposal_set, geom, limits, cfg, rng, stages, finger_fitted):
-    """Run PSO stages in order; each starts from the best of the one before.
+def _fit(proposal_set, geom, limits, cfg, rng, stage, fingers, finger_fitted):
+    """Run one PSO stage from the palm seeds, then the stages of `fingers`.
 
-    A stage is (dims, scored joints or None for all, particles,
-    generations). The first stage starts from the palm seeds. The final
-    hypothesis is clamped to the limits and scored once on all joints.
+    The stage is (dims, scored joints or None for all, particles,
+    generations). The finger stages run as one stack under the global
+    pose the stage found. The final hypothesis is clamped to the limits
+    and scored once on all joints.
     """
     rng = rng or np.random.default_rng(cfg.seed)
     _check_palm_constrained(proposal_set)
     bounds = default_bounds(proposal_set, limits, cfg.translation_margin_mm)
-    seeds = _palm_seeds(proposal_set, limits)
-    evals = 0
-    for dims, joints, particles, generations in stages:
-        res = pso_optimize(
-            lambda batch: objective(proposal_set, batch, geom, cfg.d_max_mm,
-                                    joint_subset=joints),
-            bounds, dims, particles, generations, cfg, seeds=seeds, rng=rng)
-        seeds = [res.best.copy()]
-        evals += res.evals
-    pose = geometry.clamp_to_limits(geometry.PoseParams.from_vector(seeds[0]), limits)
+    dims, joints, particles, generations = stage
+    res = pso_optimize(
+        lambda batch: objective(proposal_set, batch, geom, cfg.d_max_mm,
+                                joint_subset=joints),
+        bounds, dims, particles, generations, cfg,
+        seeds=_palm_seeds(proposal_set, limits), rng=rng)
+    best, evals = res.best, res.evals
+    if fingers:
+        best, finger_evals = _finger_stack(proposal_set, geom, bounds, cfg, rng,
+                                           best, fingers)
+        evals += finger_evals
+    pose = geometry.clamp_to_limits(geometry.PoseParams.from_vector(best), limits)
     score = objective(proposal_set, pose.to_vector(), geom, cfg.d_max_mm)
     return FitResult(pose=pose, score=score, evals=evals, finger_fitted=finger_fitted)
+
+
+def _finger_stack(proposal_set, geom, bounds, cfg, rng, base, fingers):
+    """The finger stages of `fingers` as one lockstep stack of swarms;
+    returns `base` with every finger's best angles, and the evals.
+
+    Swarm i moves only finger fingers[i]; the global pose of `base` is
+    frozen. Each swarm draws the block of numbers its stage would draw
+    alone, the blocks in finger order, so each finger ends where a stage
+    of its own, run in that order, would end.
+    """
+    dims = np.array([finger_dims(f) for f in fingers])
+    particles, generations = cfg.finger_particles, cfg.finger_generations
+    block = 4 * (particles - 1 + 2 * particles * (max(generations, 1) - 1))
+    stream = np.stack([rng.random(block) for _ in fingers])
+    used = 0
+
+    def draw(n):
+        nonlocal used
+        used += n
+        return stream[:, used - n:used]
+
+    res = _swarms(_finger_scores(proposal_set, geom, base, fingers, cfg.d_max_mm),
+                  np.tile(base, (len(fingers), particles, 1)), 1, dims, bounds,
+                  generations, cfg, draw)
+    best = base.copy()
+    best[dims] = res.best[np.arange(len(fingers))[:, None], dims]
+    return best, len(fingers) * res.evals
+
+
+def _finger_scores(proposal_set, geom, base, fingers, d_max):
+    """Score function of a finger stack: row p of swarm i scores as
+    `objective` on finger fingers[i]'s joints scores it, to the bit."""
+    pos, w = proposal_set.padded()
+    n_joints = w.shape[0]
+    joints = np.array([geometry.finger_joint_indices(f) for f in fingers])
+    pos, w = pos[joints.ravel()], w[joints.ravel()]
+    # the unit quaternion exactly as objective makes it from every row
+    q = base[None, QUAT_DIMS]
+    fk = geometry.posed_fingers(geom, base[TRANSLATION_DIMS],
+                                (q / np.linalg.norm(q, axis=1)[:, None])[0], fingers)
+    swarm = np.arange(len(fingers))
+    fingers = np.asarray(fingers)
+
+    def score(x):
+        n = x.shape[1]
+        angles = x[:, :, 7:].reshape(len(swarm), n, 5, 4)[swarm, :, fingers]
+        terms = _joint_maxima(fk(angles.transpose(1, 0, 2)), pos, w, d_max)
+        # each finger's terms scattered into a zero row, as objective does
+        per_joint = np.zeros((n, len(swarm), n_joints))
+        per_joint[:, swarm[:, None], joints] = terms.reshape(n, len(swarm), 4)
+        return per_joint.sum(axis=2).T
+
+    return score
 
 
 def stepwise_fit(proposal_set, geom, limits, cfg=None, rng=None):
@@ -276,19 +364,18 @@ def stepwise_fit(proposal_set, geom, limits, cfg=None, rng=None):
     and are flagged in the result.
     """
     cfg = cfg or PsoConfig()
-    fingers = [geometry.finger_joint_indices(f) for f in range(5)]
-    fitted = tuple(any(j in proposal_set for j in joints) for joints in fingers)
-    stages = [(GLOBAL_DIMS, PALM_STAGE_JOINTS, cfg.palm_particles, cfg.palm_generations)]
-    stages += [(finger_dims(f), fingers[f], cfg.finger_particles, cfg.finger_generations)
-               for f in range(5) if fitted[f]]
-    return _fit_stages(proposal_set, geom, limits, cfg, rng, stages, fitted)
+    fitted = tuple(any(j in proposal_set for j in geometry.finger_joint_indices(f))
+                   for f in range(5))
+    stage = (GLOBAL_DIMS, PALM_STAGE_JOINTS, cfg.palm_particles, cfg.palm_generations)
+    return _fit(proposal_set, geom, limits, cfg, rng, stage,
+                [f for f in range(5) if fitted[f]], fitted)
 
 
 def joint_fit(proposal_set, geom, limits, cfg=None, rng=None):
     """Ablation baseline: one PSO over all 27 parameters, same objective."""
     cfg = cfg or PsoConfig()
-    stages = [(np.arange(HYP_DIM), None, cfg.joint_particles, cfg.joint_generations)]
-    return _fit_stages(proposal_set, geom, limits, cfg, rng, stages, (True,) * 5)
+    stage = (np.arange(HYP_DIM), None, cfg.joint_particles, cfg.joint_generations)
+    return _fit(proposal_set, geom, limits, cfg, rng, stage, [], (True,) * 5)
 
 
 FIT_MODES = ("stepwise", "joint", "regression-only")

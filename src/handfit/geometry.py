@@ -12,7 +12,9 @@ planar chain: with base frame F, bone b points along cos(a_b) u + sin(a_b) v,
 where u = cos(abd) F[:, 1] - sin(abd) F[:, 0], v = F[:, 2] and a_b sums the
 bend angles up to bone b; PIP, DIP and TIP add bone length x direction to
 the MCP. `fk_batch` builds all requested chains in the palm frame at once,
-then rotates and translates every point in one pass.
+then rotates and translates every point in one pass. `posed_fingers` does
+the same for hypotheses that share one global pose, whose rotation and
+MCPs it computes once.
 """
 
 from __future__ import annotations
@@ -249,27 +251,70 @@ def fk_batch(geom, translations, orientations, finger_angles, joints=None):
     local[0] = 0.0
     local[1:6] = geom.finger_base_offsets[:, :, None]
     if chained.size:
-        frames = geom.finger_base_frames[chained, :, :, None]
-        abd = angles[abductions]
-        across = np.cos(abd)[:, None] * frames[:, :, 1] - \
-            np.sin(abd)[:, None] * frames[:, :, 0]
-        a = angles[bends]  # (k, 3, n) flexion, PIP, DIP -> cumulative bend
-        a[:, 1] += a[:, 0]
-        a[:, 2] += a[:, 1]
-        bones = np.cos(a)[:, :, None] * across[:, None] + \
-            np.sin(a)[:, :, None] * frames[:, None, :, 2]
-        bones *= geom.bone_lengths[chained][:, :, None, None]
-        bones[:, 0] += geom.finger_base_offsets[chained][:, :, None]
-        bones[:, 1] += bones[:, 0]
-        bones[:, 2] += bones[:, 1]
-        local[6:] = bones.reshape(-1, 3, n)
-    p = local[slots]
-    rot = np.ascontiguousarray(quats.to_matrix_batch(orientations).transpose(1, 2, 0))
-    out = rot[:, 0] * p[:, None, 0]
-    out += rot[:, 1] * p[:, None, 1]
-    out += rot[:, 2] * p[:, None, 2]
-    out += t.T
+        local[6:] = _planar_chains(geom, chained, angles[abductions],
+                                   angles[bends]).reshape(-1, 3, n)
+    out = _to_world(_rotation_table(orientations), local[slots], t.T)
     return np.ascontiguousarray(out.transpose(2, 0, 1))
+
+
+def posed_fingers(geom, translation, orientation, fingers):
+    """Forward kinematics of `fingers` under one fixed global pose.
+
+    translation (3,), orientation (4,) already unit-norm, fingers (k,).
+    Returns fk(angles), which maps the k fingers' angles (n, k, 4) to their
+    MCP, PIP, DIP and TIP positions (n, 4k, 3): the values `fk_batch` gives
+    for those joints, to the bit. The rotation and the MCPs are computed
+    once here, not once per call, for searches that move only finger angles.
+    """
+    fingers = np.asarray(fingers, dtype=np.intp)
+    t = np.asarray(translation, dtype=float)[:, None]
+    rot = _rotation_table(np.asarray(orientation, dtype=float)[None])
+    mcps = _to_world(rot, geom.finger_base_offsets[fingers][:, :, None], t)
+
+    def fk(angles):
+        a = np.asarray(angles, dtype=float).transpose(1, 2, 0)  # (k, 4, n)
+        n = a.shape[2]
+        chains = _planar_chains(geom, fingers, a[:, 1], a[:, [0, 2, 3]])
+        out = np.empty((len(fingers), 4, 3, n))
+        out[:, 0] = mcps
+        out[:, 1:] = _to_world(rot, chains.reshape(-1, 3, n), t).reshape(-1, 3, 3, n)
+        return np.ascontiguousarray(out.reshape(-1, 3, n).transpose(2, 0, 1))
+
+    return fk
+
+
+def _planar_chains(geom, fingers, abd, bend):
+    """Palm-frame PIP, DIP and TIP of each finger in `fingers` (k,), the
+    coordinate axis before the row axis: (k, 3, 3, n). abd (k, n) holds the
+    abductions and bend (k, 3, n) the flexion, PIP and DIP angles, which
+    are overwritten by their running sums."""
+    frames = geom.finger_base_frames[fingers, :, :, None]
+    across = np.cos(abd)[:, None] * frames[:, :, 1] - \
+        np.sin(abd)[:, None] * frames[:, :, 0]
+    bend[:, 1] += bend[:, 0]
+    bend[:, 2] += bend[:, 1]
+    bones = np.cos(bend)[:, :, None] * across[:, None] + \
+        np.sin(bend)[:, :, None] * frames[:, None, :, 2]
+    bones *= geom.bone_lengths[fingers][:, :, None, None]
+    bones[:, 0] += geom.finger_base_offsets[fingers][:, :, None]
+    bones[:, 1] += bones[:, 0]
+    bones[:, 2] += bones[:, 1]
+    return bones
+
+
+def _rotation_table(orientations):
+    """(n, 4) unit quaternions -> (3, 3, n) rotation matrices, row axis last."""
+    return np.ascontiguousarray(quats.to_matrix_batch(orientations).transpose(1, 2, 0))
+
+
+def _to_world(rot, points, t):
+    """Palm-frame points (m, 3, n) rotated by `rot` (3, 3, n) and moved by
+    `t` (3, n); a row axis of length 1 in `rot` and `t` is shared by all."""
+    out = rot[:, 0] * points[:, None, 0]
+    out += rot[:, 1] * points[:, None, 1]
+    out += rot[:, 2] * points[:, None, 2]
+    out += t
+    return out
 
 
 @functools.lru_cache(maxsize=64)

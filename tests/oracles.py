@@ -7,7 +7,7 @@ scalar loops instead of vectorized code.
 
 import numpy as np
 
-from handfit import forest, geometry, quats
+from handfit import fit, forest, geometry, quats
 from handfit.depth import BONE_RADII_MM, PALM_ELLIPSOID_CENTER, PALM_ELLIPSOID_SEMI_AXES
 from handfit.meanshift import DEDUP_DIVISOR, MERGE_FACTOR, TOL_FACTOR
 from handfit.proposals import ProposalSet
@@ -397,3 +397,99 @@ def march_ray_depth(geom, pose, cam, u, v, max_depth=2000.0):
         if t * direction[2] > max_depth:
             return np.nan
     return np.nan
+
+
+def pso_one_swarm(score_fn, bounds, active_dims, particles, generations,
+                  cfg, seeds, rng):
+    """`fit.pso_optimize` as one swarm of (particles, 27) positions that
+    draws its numbers from `rng` as it goes: the reference for `fit._swarms`."""
+    bounds = np.asarray(bounds, dtype=float)
+    active = np.asarray(active_dims, dtype=int)
+    lo, hi = bounds[active, 0], bounds[active, 1]
+    quat_active = bool(np.intersect1d(active, fit.QUAT_DIMS).size)
+
+    x = np.tile(np.asarray(seeds[0], dtype=float), (particles, 1))
+    for i, seed in enumerate(seeds[:particles]):
+        x[i] = seed
+    n_seeded = min(len(seeds), particles)
+    if particles > n_seeded:
+        u = rng.random((particles - n_seeded, len(active)))
+        x[n_seeded:, active] = lo + u * (hi - lo)
+    if quat_active:
+        fit._sanitize_quat(x)
+
+    v = np.zeros((particles, len(active)))
+    scores = score_fn(x)
+    evals = particles
+    pbest = x.copy()
+    pscore = scores.copy()
+    g = int(np.argmax(pscore))
+    gbest = pbest[g].copy()
+    gscore = float(pscore[g])
+    trace = [gscore]
+
+    for _ in range(1, generations):
+        r1 = rng.random((particles, len(active)))
+        r2 = rng.random((particles, len(active)))
+        v = (cfg.inertia * v
+             + cfg.cognitive * r1 * (pbest[:, active] - x[:, active])
+             + cfg.social * r2 * (gbest[active] - x[:, active]))
+        x[:, active] = np.clip(x[:, active] + v, lo, hi)
+        if quat_active:
+            fit._sanitize_quat(x)
+        scores = score_fn(x)
+        evals += particles
+        improved = scores > pscore
+        pbest[improved] = x[improved]
+        pscore[improved] = scores[improved]
+        g = int(np.argmax(pscore))
+        if pscore[g] > gscore:
+            gbest = pbest[g].copy()
+            gscore = float(pscore[g])
+        trace.append(gscore)
+
+    return fit.PsoResult(best=gbest, score=gscore, evals=evals, trace=np.asarray(trace))
+
+
+def fit_stages_one_by_one(proposal_set, geom, limits, cfg, rng, stages, finger_fitted):
+    """PSO stages run in order, each a `pso_one_swarm` scored by
+    `fit.objective` and started from the best of the one before: the
+    reference for `fit.stepwise_fit` and `fit.joint_fit`.
+
+    A stage is (dims, scored joints or None for all, particles,
+    generations). The first stage starts from the palm seeds. The final
+    hypothesis is clamped to the limits and scored once on all joints.
+    """
+    rng = rng or np.random.default_rng(cfg.seed)
+    fit._check_palm_constrained(proposal_set)
+    bounds = fit.default_bounds(proposal_set, limits, cfg.translation_margin_mm)
+    seeds = fit._palm_seeds(proposal_set, limits)
+    evals = 0
+    for dims, joints, particles, generations in stages:
+        res = pso_one_swarm(
+            lambda batch: fit.objective(proposal_set, batch, geom, cfg.d_max_mm,
+                                        joint_subset=joints),
+            bounds, dims, particles, generations, cfg, seeds=seeds, rng=rng)
+        seeds = [res.best.copy()]
+        evals += res.evals
+    pose = geometry.clamp_to_limits(geometry.PoseParams.from_vector(seeds[0]), limits)
+    score = fit.objective(proposal_set, pose.to_vector(), geom, cfg.d_max_mm)
+    return fit.FitResult(pose=pose, score=score, evals=evals, finger_fitted=finger_fitted)
+
+
+def stepwise_fit_one_by_one(proposal_set, geom, limits, cfg, rng=None):
+    """`fit.stepwise_fit` as a palm stage, then one stage per fitted finger
+    in finger order."""
+    fingers = [geometry.finger_joint_indices(f) for f in range(5)]
+    fitted = tuple(any(j in proposal_set for j in joints) for joints in fingers)
+    stages = [(fit.GLOBAL_DIMS, fit.PALM_STAGE_JOINTS, cfg.palm_particles,
+               cfg.palm_generations)]
+    stages += [(fit.finger_dims(f), fingers[f], cfg.finger_particles, cfg.finger_generations)
+               for f in range(5) if fitted[f]]
+    return fit_stages_one_by_one(proposal_set, geom, limits, cfg, rng, stages, fitted)
+
+
+def joint_fit_one_by_one(proposal_set, geom, limits, cfg, rng=None):
+    """`fit.joint_fit` as one 27-parameter `pso_one_swarm` stage."""
+    stages = [(np.arange(fit.HYP_DIM), None, cfg.joint_particles, cfg.joint_generations)]
+    return fit_stages_one_by_one(proposal_set, geom, limits, cfg, rng, stages, (True,) * 5)

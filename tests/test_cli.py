@@ -247,6 +247,22 @@ def test_out_of_range_setting_exits_2_before_any_work(pipeline_dir, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("synth.viewpoints=0", "synth.viewpoints: must be positive, got 0"),
+    ("synth.subsample=0", "synth.subsample: must be positive, got 0"),
+    ("synth.articulations=-1", "synth.articulations: must be positive, got -1"),
+    ("synth.test_keyposes=0", "synth.test_keyposes: must be positive, got 0"),
+    ("synth.jitter_mm=-0.5", "synth.jitter_mm: must not be negative, got -0.5"),
+    ("synth.frames_between=-1", "synth.frames_between: must not be negative, got -1"),
+])
+def test_out_of_range_synth_setting_exits_2_before_rendering(tmp_path, caplog, setting,
+                                                            message):
+    out = tmp_path / "dataset"
+    assert cli.main(["synth", "--out", str(out), "--set", setting]) == 2
+    assert f"config error: {message}" in caplog.text
+    assert not out.exists()
+
+
 def test_scale_flag_sets_articulations(tmp_path):
     parser = cli.build_parser()
     args = parser.parse_args(["synth", "--out", str(tmp_path), "--scale", "0.25"])

@@ -252,6 +252,23 @@ def test_run_config_defaults_match_dataclass_defaults():
         assert (type(value), value) == (type(cfg[key]), cfg[key]), key
 
 
+@pytest.mark.parametrize("key, value, ok", [
+    ("synth.viewpoints", 0, 1), ("synth.articulations", 0, 1),
+    ("synth.subsample", -5, 1), ("synth.test_keyposes", 0, 1),
+    ("eval.threshold_step_mm", 0.0, 0.5), ("eval.threshold_step_mm", -5.0, 0.5),
+    ("eval.seeds", 0, 1), ("synth.jitter_mm", -1.0, 0.0),
+    ("synth.frames_between", -1, 0),
+])
+def test_synth_and_eval_keys_are_range_checked(tmp_path, key, value, ok):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        RunConfig({key: value}).thresholds()
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:1: {key}: must")):
+        RunConfig.load(path)
+    assert RunConfig({key: ok})[key] == ok
+
+
 def test_out_of_range_value_is_config_error_when_loaded_or_built(tmp_path):
     # the CLI cases cover --set; a --config file and the camera build too
     path = tmp_path / "cfg.txt"

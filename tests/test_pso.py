@@ -7,7 +7,8 @@ from handfit.fit import PsoConfig, joint_fit, pso_optimize, stepwise_fit
 from handfit.geometry import forward_kinematics, random_pose
 from handfit.proposals import ProposalSet
 
-from oracles import translate_proposals
+from oracles import (joint_fit_one_by_one, pso_one_swarm, stepwise_fit_one_by_one,
+                     translate_proposals)
 
 
 def test_pso_recovers_known_optimum():
@@ -57,6 +58,120 @@ def test_pso_trace_monotone():
                        seeds=[h0], rng=np.random.default_rng(3))
     assert np.all(np.diff(res.trace) >= 0)
     assert len(res.trace) == 30
+
+
+def test_uniform_stream_splits_anywhere():
+    # the finger stack draws each finger's whole block with one
+    # rng.random(n) and slices it; that equals the stage's own draws of
+    # (particles - 1, 4), then (particles, 4) twice per generation
+    for seed in (0, 7, 2**40):
+        whole = np.random.default_rng(seed).random(3 * 4 + 2 * 5 * 4 + 9)
+        rng = np.random.default_rng(seed)
+        parts = [rng.random((3, 4)), rng.random((5, 4)), rng.random((5, 4)), rng.random(9)]
+        np.testing.assert_array_equal(whole, np.concatenate([p.ravel() for p in parts]))
+
+
+@pytest.mark.parametrize("active, particles, generations, n_seeds", [
+    (np.arange(7), 26, 26, 24),      # palm stage: quaternion active, seeded cover
+    (np.arange(27), 20, 10, 1),      # joint stage
+    (np.arange(2, 5), 9, 6, 3),      # part of the quaternion active
+    (np.arange(3), 1, 4, 2),         # seeded only
+    (np.arange(11, 15), 5, 0, 1),    # zero generations
+])
+def test_pso_matches_one_swarm_reference(active, particles, generations, n_seeds):
+    rng = np.random.default_rng(4)
+    bounds = np.tile([[-2.0, 2.0]], (27, 1))
+    seeds = list(rng.uniform(-1, 1, (n_seeds, 27)))
+    target = rng.uniform(-1, 1, 27)
+
+    def score(batch):
+        return -((batch - target) ** 2).sum(axis=1)
+
+    got = pso_optimize(score, bounds, active, particles, generations, PsoConfig(),
+                       seeds=seeds, rng=np.random.default_rng(9))
+    want = pso_one_swarm(score, bounds, active, particles, generations, PsoConfig(),
+                         seeds=seeds, rng=np.random.default_rng(9))
+    np.testing.assert_array_equal(got.best, want.best)
+    assert got.score == want.score and got.evals == want.evals
+    np.testing.assert_array_equal(got.trace, want.trace)
+
+
+def _noisy_k3(gt, rng, drop=()):
+    """Three proposals per joint around the truth, weights 3:2:1."""
+    return ProposalSet({j: (gt[j] + rng.normal(0, 8, (3, 3)), [3.0, 2.0, 1.0])
+                        for j in range(21) if j not in drop})
+
+
+def _fingers_dropped(*fingers):
+    return [j for f in fingers for j in geometry.finger_joint_indices(f)]
+
+
+@pytest.mark.parametrize("fingers", [[0, 1, 2, 3, 4], [1, 3], [4]])
+def test_finger_stack_scores_are_objective_scores(geom, limits, fingers):
+    # row p of swarm i must score as objective does on finger i's joints,
+    # to the bit, including the order in which the terms are summed
+    rng = np.random.default_rng(31)
+    base = random_pose(rng, limits, geometry.DEFAULT_WORKSPACE).to_vector()
+    gt = forward_kinematics(geom, geometry.PoseParams.from_vector(base))
+    pset = _noisy_k3(gt, rng)
+    x = np.tile(base, (len(fingers), 40, 1))
+    for i, f in enumerate(fingers):
+        x[i, :, fit.finger_dims(f)] = rng.uniform(
+            limits.lower[f], limits.upper[f], (40, 4)).T
+    got = fit._finger_scores(pset, geom, base, fingers, 100.0)(x)
+    for i, f in enumerate(fingers):
+        want = fit.objective(pset, x[i], geom, 100.0,
+                             joint_subset=geometry.finger_joint_indices(f))
+        np.testing.assert_array_equal(got[i], want)
+
+
+@pytest.mark.parametrize("case, cfg", [
+    ("exact", PsoConfig(seed=0)),
+    ("exact", PsoConfig(palm_particles=64, palm_generations=64,
+                        finger_particles=29, finger_generations=29)),
+    ("noisy", PsoConfig(seed=0)),
+    ("no pinky", PsoConfig(seed=0)),
+    ("no index, no ring", PsoConfig(seed=0)),
+    ("noisy, no index, no ring", PsoConfig(seed=0)),
+    ("exact", PsoConfig(finger_generations=0)),
+    ("noisy", PsoConfig(finger_generations=1)),
+    ("noisy", PsoConfig(finger_particles=2)),
+    ("no pinky", PsoConfig(finger_particles=2, finger_generations=1)),
+])
+def test_fit_matches_stage_by_stage_reference(geom, limits, case, cfg):
+    # the finger stack must end bit for bit where the finger stages, run
+    # one after another, end
+    rng = np.random.default_rng(17)
+    drop = _fingers_dropped(4) if "pinky" in case else \
+        _fingers_dropped(1, 3) if "index" in case else ()
+    for trial in range(3):
+        gt = forward_kinematics(geom, random_pose(rng, limits, geometry.DEFAULT_WORKSPACE))
+        if "noisy" in case:
+            pset = _noisy_k3(gt, rng, drop)
+        else:
+            pset = ProposalSet.from_joints(
+                gt, joint_indices=[j for j in range(21) if j not in drop])
+        got = stepwise_fit(pset, geom, limits, cfg, rng=np.random.default_rng(trial))
+        want = stepwise_fit_one_by_one(pset, geom, limits, cfg,
+                                       rng=np.random.default_rng(trial))
+        assert np.array_equal(got.pose.to_vector(), want.pose.to_vector())
+        assert got.score == want.score and got.evals == want.evals
+        assert got.finger_fitted == want.finger_fitted
+    if drop:
+        assert got.finger_fitted.count(False) == len(drop) // 4
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_joint_fit_matches_stage_by_stage_reference(geom, limits, noisy):
+    rng = np.random.default_rng(23)
+    cfg = PsoConfig(seed=0, joint_particles=30, joint_generations=25)
+    for trial in range(2):
+        gt = forward_kinematics(geom, random_pose(rng, limits, geometry.DEFAULT_WORKSPACE))
+        pset = _noisy_k3(gt, rng) if noisy else ProposalSet.from_joints(gt)
+        got = joint_fit(pset, geom, limits, cfg, rng=np.random.default_rng(trial))
+        want = joint_fit_one_by_one(pset, geom, limits, cfg, rng=np.random.default_rng(trial))
+        assert np.array_equal(got.pose.to_vector(), want.pose.to_vector())
+        assert got.score == want.score and got.evals == want.evals
 
 
 def test_stepwise_budget_accounting(geom, limits, rng):

@@ -33,7 +33,9 @@ def test_benchmark_tracer_installs_and_restores(tracing):
 
 def test_benchmark_tracer_sees_fk_inside_stepwise_fit(tracing, geom, limits, rng):
     # every objective evaluation must reach FK through geometry.fk_batch,
-    # or the benchmark books FK time as scoring time
+    # or the benchmark books FK time as scoring time; the palm stage and
+    # the final score call objective, while the finger stack scores all
+    # fingers' swarms in one pass per generation without it
     pose = geometry.random_pose(rng, limits, geometry.DEFAULT_WORKSPACE)
     pset = ProposalSet.from_joints(geometry.forward_kinematics(geom, pose))
     cfg = fit.PsoConfig(palm_particles=4, palm_generations=2,
@@ -42,8 +44,10 @@ def test_benchmark_tracer_sees_fk_inside_stepwise_fit(tracing, geom, limits, rng
     with tracer.install(), tracer.span("op", 0):
         res = fit.stepwise_fit(pset, geom, limits, cfg, rng=np.random.default_rng(0))
     counts = tracer.counts[0]
-    assert counts["fit.objective_calls"] == 6 * 2 + 1
-    assert counts["fit.objective_rows"] == res.evals + 1
+    assert res.evals == 4 * 2 + 5 * 4 * 2
+    assert counts["fit.pso_calls"] == 1
+    assert counts["fit.objective_calls"] == 2 + 1
+    assert counts["fit.objective_rows"] == 4 * 2 + 1
     assert counts["geometry.fk_calls"] == counts["fit.objective_calls"]
     assert counts["geometry.fk_rows"] == counts["fit.objective_rows"]
 
