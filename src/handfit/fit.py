@@ -29,7 +29,7 @@ QUAT_DIMS = np.arange(3, 7)
 GLOBAL_DIMS = np.arange(0, 7)
 HYP_DIM = 27
 
-PALM_STAGE_JOINTS = (geometry.PALM,) + tuple(geometry.mcp_index(f) for f in range(5))
+PALM_STAGE_JOINTS = geometry.RIGID_JOINTS
 
 
 class UnderConstrainedError(RuntimeError):
@@ -53,23 +53,20 @@ def _joint_maxima(joint_positions, padded_pos, padded_w, d_max):
     return terms.max(axis=2)
 
 
-def objective(proposal_set, hypothesis, geom, d_max, joint_subset=None):
+def objective(proposal_set, hypothesis, geom, d_max):
     """Proposal-agreement score of hypothesis vectors.
 
-    Accepts one (27,) vector or a (n, 27) batch. Joints absent from the
-    proposal set contribute zero; `joint_subset` restricts scoring to the
-    given joint indices (the palm stage scores the palm and MCPs), and forward
-    kinematics then runs only on the chains those joints need.
-    Hypotheses with a zero-norm quaternion score -inf.
+    Accepts one (27,) vector or a (n, 27) batch. Exactly the joints the
+    proposal set holds are computed and scored; the others contribute
+    zero, so a stage scores its joints through `ProposalSet.only` (the
+    palm stage scores the palm and MCPs, whose forward kinematics builds
+    no finger chain). Hypotheses with a zero-norm quaternion score -inf.
     """
     h = np.asarray(hypothesis, dtype=float)
     single = h.ndim == 1
     h = np.atleast_2d(h)
     pos, w = proposal_set.padded()
-    n_joints = w.shape[0]
-    scored = list(range(n_joints) if joint_subset is None else joint_subset)
-    if not all(0 <= j < n_joints for j in scored):
-        raise ValueError(f"joint_subset indices must lie in range({n_joints})")
+    scored = proposal_set.joints
 
     q = h[:, QUAT_DIMS]
     norms = np.linalg.norm(q, axis=1)
@@ -81,7 +78,7 @@ def objective(proposal_set, hypothesis, geom, d_max, joint_subset=None):
                                    h[valid][:, 7:].reshape(-1, 5, 4), joints=scored)
         # scatter into a zero row per hypothesis so the sum runs over all
         # joints in index order, as a masked sum over every joint would
-        per_joint = np.zeros((len(joints), n_joints))
+        per_joint = np.zeros((len(joints), w.shape[0]))
         per_joint[:, scored] = _joint_maxima(joints, pos[scored], w[scored], d_max)
         scores[valid] = per_joint.sum(axis=1)
     return float(scores[0]) if single else scores
@@ -278,7 +275,7 @@ class FitResult:
 def _fit(proposal_set, geom, limits, cfg, rng, stage, fingers, finger_fitted):
     """Run one PSO stage from the palm seeds, then the stages of `fingers`.
 
-    The stage is (dims, scored joints or None for all, particles,
+    The stage is (dims, the proposal set it scores, particles,
     generations). The finger stages run as one stack under the global
     pose the stage found. The final hypothesis is clamped to the limits
     and scored once on all joints.
@@ -286,10 +283,9 @@ def _fit(proposal_set, geom, limits, cfg, rng, stage, fingers, finger_fitted):
     rng = rng or np.random.default_rng(cfg.seed)
     _check_palm_constrained(proposal_set)
     bounds = default_bounds(proposal_set, limits, cfg.translation_margin_mm)
-    dims, joints, particles, generations = stage
+    dims, scored, particles, generations = stage
     res = pso_optimize(
-        lambda batch: objective(proposal_set, batch, geom, cfg.d_max_mm,
-                                joint_subset=joints),
+        lambda batch: objective(scored, batch, geom, cfg.d_max_mm),
         bounds, dims, particles, generations, cfg,
         seeds=_palm_seeds(proposal_set, limits), rng=rng)
     best, evals = res.best, res.evals
@@ -366,7 +362,8 @@ def stepwise_fit(proposal_set, geom, limits, cfg=None, rng=None):
     cfg = cfg or PsoConfig()
     fitted = tuple(any(j in proposal_set for j in geometry.finger_joint_indices(f))
                    for f in range(5))
-    stage = (GLOBAL_DIMS, PALM_STAGE_JOINTS, cfg.palm_particles, cfg.palm_generations)
+    stage = (GLOBAL_DIMS, proposal_set.only(PALM_STAGE_JOINTS), cfg.palm_particles,
+             cfg.palm_generations)
     return _fit(proposal_set, geom, limits, cfg, rng, stage,
                 [f for f in range(5) if fitted[f]], fitted)
 
@@ -374,7 +371,7 @@ def stepwise_fit(proposal_set, geom, limits, cfg=None, rng=None):
 def joint_fit(proposal_set, geom, limits, cfg=None, rng=None):
     """Ablation baseline: one PSO over all 27 parameters, same objective."""
     cfg = cfg or PsoConfig()
-    stage = (np.arange(HYP_DIM), None, cfg.joint_particles, cfg.joint_generations)
+    stage = (np.arange(HYP_DIM), proposal_set, cfg.joint_particles, cfg.joint_generations)
     return _fit(proposal_set, geom, limits, cfg, rng, stage, [], (True,) * 5)
 
 

@@ -7,19 +7,20 @@ each of five fingers. Palm frame convention: +x lateral (thumb side),
 DoFs (abduction about the local +z, then flexion about the local +x);
 PIP and DIP are hinges about the local +x.
 
-Flexion, PIP and DIP all turn about the local x axis, so a finger is a
-planar chain: with base frame F, bone b points along cos(a_b) u + sin(a_b) v,
-where u = cos(abd) F[:, 1] - sin(abd) F[:, 0], v = F[:, 2] and a_b sums the
-bend angles up to bone b; PIP, DIP and TIP add bone length x direction to
-the MCP. `fk_batch` builds all requested chains in the palm frame at once,
-then rotates and translates every point in one pass. `posed_fingers` does
-the same for hypotheses that share one global pose, whose rotation and
-MCPs it computes once.
+The palm root and the five MCPs (`RIGID_JOINTS`) are fixed in the palm
+frame. Flexion, PIP and DIP all turn about the local x axis, so a finger is
+a planar chain: with base frame F, bone b points along
+cos(a_b) u + sin(a_b) v, where u = cos(abd) F[:, 1] - sin(abd) F[:, 0],
+v = F[:, 2] and a_b sums the bend angles up to bone b; PIP, DIP and TIP add
+bone length x direction to the MCP. `fk_batch` takes the rigid points alone
+when only rigid joints are asked for, and otherwise builds the whole hand in
+the palm frame at once; it then rotates and translates every requested point
+in one pass. `posed_fingers` does the same for hypotheses that share one
+global pose, whose rotation and MCPs it computes once.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -44,6 +45,10 @@ POSE_COLUMNS = ["tx", "ty", "tz", "qw", "qx", "qy", "qz"] + [
 
 def mcp_index(finger):
     return 1 + 4 * finger
+
+
+# the palm root and the five MCPs: the joints rigid with the palm
+RIGID_JOINTS = (PALM,) + tuple(mcp_index(f) for f in range(NUM_FINGERS))
 
 
 def finger_joint_indices(finger):
@@ -236,24 +241,32 @@ def fk_batch(geom, translations, orientations, finger_angles, joints=None):
     translations (n, 3), orientations (n, 4) already unit-norm,
     finger_angles (n, 5, 4) -> joint positions (n, 21, 3), or
     (n, len(joints), 3) in the order of the joint indices `joints`.
-    Only what the requested joints need is computed: the palm is the
-    translation, a finger whose only requested joint is its MCP stops
-    there, and any other finger joint costs that finger's whole chain.
+    When every requested joint is rigid with the palm, each is one
+    palm-frame point and no finger chain is built; otherwise the whole
+    hand is built and the requested joints are taken from it.
     """
-    slots, chained, bends, abductions = _fk_plan(
-        tuple(range(NUM_JOINTS)) if joints is None else tuple(joints))
+    everything = list(range(NUM_JOINTS))
+    rows = everything if joints is None else list(joints)
+    if not all(0 <= j < NUM_JOINTS for j in rows):
+        raise ValueError(f"joint indices must lie in range({NUM_JOINTS})")
     t = np.asarray(translations, dtype=float)
     n = t.shape[0]
-    angles = np.asarray(finger_angles, dtype=float).reshape(n, 20).T
-    # palm-frame points, coordinate axis before the row axis: palm root,
-    # the five MCPs, then PIP, DIP and TIP of each chained finger
-    local = np.empty((6 + 3 * chained.size, 3, n))
-    local[0] = 0.0
-    local[1:6] = geom.finger_base_offsets[:, :, None]
-    if chained.size:
-        local[6:] = _planar_chains(geom, chained, angles[abductions],
-                                   angles[bends]).reshape(-1, 3, n)
-    out = _to_world(_rotation_table(orientations), local[slots], t.T)
+    if all(j in RIGID_JOINTS for j in rows):
+        rigid = np.zeros((len(RIGID_JOINTS), 3, 1))
+        rigid[1:, :, 0] = geom.finger_base_offsets
+        local = rigid[[RIGID_JOINTS.index(j) for j in rows]]
+    else:
+        # palm-frame points in joint order, coordinate axis before the row
+        # axis: the palm root, then MCP, PIP, DIP and TIP of each finger
+        a = np.asarray(finger_angles, dtype=float).reshape(n, 5, 4).transpose(1, 2, 0)
+        local = np.empty((NUM_JOINTS, 3, n))
+        local[PALM] = 0.0
+        fingers = local[1:].reshape(NUM_FINGERS, 4, 3, n)
+        fingers[:, 0] = geom.finger_base_offsets[:, :, None]
+        fingers[:, 1:] = _planar_chains(geom, np.arange(NUM_FINGERS), a[:, 1], a[:, [0, 2, 3]])
+        if rows != everything:
+            local = local[rows]
+    out = _to_world(_rotation_table(orientations), local, t.T)
     return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
@@ -315,27 +328,6 @@ def _to_world(rot, points, t):
     out += rot[:, 2] * points[:, None, 2]
     out += t
     return out
-
-
-@functools.lru_cache(maxsize=64)
-def _fk_plan(joints):
-    """Read-only index tables of `fk_batch` for a tuple of joints: each
-    joint's row of palm-frame points, the chained fingers, and their bend
-    (k, 3) and abduction (k,) rows of the (20, n) angle table."""
-    if not all(0 <= j < NUM_JOINTS for j in joints):
-        raise ValueError(f"joint indices must lie in range({NUM_JOINTS})")
-    chained = sorted({(j - 1) // 4 for j in joints if j != PALM and (j - 1) % 4})
-
-    def slot(j):
-        f, b = divmod(j - 1, 4)
-        return 0 if j == PALM else 1 + f if b == 0 else 5 + 3 * chained.index(f) + b
-
-    rows = 4 * np.array(chained, dtype=np.intp)
-    tables = (np.array([slot(j) for j in joints], dtype=np.intp), rows // 4,
-              rows[:, None] + [0, 2, 3], rows + 1)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
 
 
 def clamp_to_limits(pose, limits):

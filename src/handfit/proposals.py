@@ -76,6 +76,12 @@ class ProposalSet:
         return ProposalSet({j: (p[:k], w[:k]) for j, (p, w) in self._entries.items()},
                            num_joints=self.num_joints)
 
+    def only(self, joints):
+        """The entries of `joints` alone, weights as they are (renormalizing moves bits)."""
+        out = ProposalSet({}, num_joints=self.num_joints)
+        out._entries = {j: e for j, e in self._entries.items() if j in joints}
+        return out
+
     def padded(self):
         """Dense (J, K, 3) positions and (J, K) weights, zero weight = absent."""
         if self._padded_cache is None:

@@ -466,9 +466,9 @@ def fit_stages_one_by_one(proposal_set, geom, limits, cfg, rng, stages, finger_f
     seeds = fit._palm_seeds(proposal_set, limits)
     evals = 0
     for dims, joints, particles, generations in stages:
+        scored = proposal_set if joints is None else proposal_set.only(joints)
         res = pso_one_swarm(
-            lambda batch: fit.objective(proposal_set, batch, geom, cfg.d_max_mm,
-                                        joint_subset=joints),
+            lambda batch: fit.objective(scored, batch, geom, cfg.d_max_mm),
             bounds, dims, particles, generations, cfg, seeds=seeds, rng=rng)
         seeds = [res.best.copy()]
         evals += res.evals

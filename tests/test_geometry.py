@@ -87,8 +87,12 @@ def test_forward_kinematics_is_pure(geom, limits, rng):
     *(geometry.finger_joint_indices(f) for f in range(5)),
     (1,), (13, 5),  # MCPs alone, without their chains
     (20, 0, 7, 2, 9),  # unsorted, some chains partial
+    (), (0,), (5, 5, 0),  # rigid points: none, the palm alone, repeated
+    (17, 13, 9, 5, 1, 0),  # the palm stage reversed
+    (3, 3, 17),  # whole-hand rows, repeated
 ], ids=["palm_stage", "thumb", "index", "middle", "ring", "pinky",
-        "thumb_mcp", "mcps_unsorted", "unsorted_mixed"])
+        "thumb_mcp", "mcps_unsorted", "unsorted_mixed",
+        "empty", "palm", "rigid_repeated", "palm_stage_reversed", "chain_repeated"])
 def test_fk_batch_joint_subset_equals_full_columns(geom, limits, rng, joints):
     poses = [random_pose(rng, limits, geometry.DEFAULT_WORKSPACE) for _ in range(7)]
     args = (np.stack([p.translation for p in poses]),

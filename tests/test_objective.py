@@ -81,52 +81,65 @@ def test_objective_degenerate_quaternion(geom):
     assert fit.objective(pset, h, geom, 100.0) == -np.inf
 
 
-def test_objective_joint_subset_masks_terms(geom):
+def test_objective_scores_only_the_joints_the_set_holds(geom):
     pose = PoseParams.rest((0.0, 0.0, 500.0))
     joints = forward_kinematics(geom, pose)
     pset = ProposalSet.from_joints(joints)
-    palm_only = fit.objective(pset, pose.to_vector(), geom, 100.0,
-                              joint_subset=fit.PALM_STAGE_JOINTS)
+    palm_only = fit.objective(pset.only(fit.PALM_STAGE_JOINTS), pose.to_vector(),
+                              geom, 100.0)
     assert palm_only == pytest.approx(6.0, abs=1e-9)
 
 
-def test_objective_rejects_out_of_range_joint_subset(geom):
-    pose = PoseParams.rest((0.0, 0.0, 500.0))
-    pset = ProposalSet.from_joints(forward_kinematics(geom, pose))
-    for subset in ([-1], [21]):
-        with pytest.raises(ValueError, match="range"):
-            fit.objective(pset, pose.to_vector(), geom, 100.0, joint_subset=subset)
-
-
-@pytest.mark.parametrize("subset", [
-    fit.PALM_STAGE_JOINTS,
-    *(geometry.finger_joint_indices(f) for f in range(5)),
-    (0, 4, 8),
-    None,
-], ids=["palm_stage", "thumb", "index", "middle", "ring", "pinky", "mixed", "all"])
-def test_stage_local_objective_equals_masked_score(geom, limits, rng, subset):
-    # k=3 noisy proposals with the middle finger and the palm absent: the
-    # stage-local score must equal the full-FK masked score bit for bit
+@pytest.mark.parametrize("subset, palm_k", [
+    (fit.PALM_STAGE_JOINTS, 3),
+    *((geometry.finger_joint_indices(f), 3) for f in range(5)),
+    ((0, 4, 8), 3),
+    (None, 3),
+    (fit.PALM_STAGE_JOINTS, 1),
+], ids=["palm_stage", "thumb", "index", "middle", "ring", "pinky", "mixed", "all",
+        "palm_stage_fewer_palm_proposals"])
+def test_stage_local_objective_equals_masked_score(geom, limits, rng, subset, palm_k):
+    # noisy proposals (k=3, palm_k in the palm region) with the middle
+    # finger and the palm absent: the score of the restricted set must
+    # equal the full-FK masked score bit for bit, whatever K it pads to
     pose = random_pose(rng, limits, geometry.DEFAULT_WORKSPACE)
     joints = forward_kinematics(geom, pose)
     absent = {0, *geometry.finger_joint_indices(2)}
-    pset = ProposalSet({j: (joints[j] + rng.normal(0.0, 30.0, (3, 3)),
-                            rng.uniform(0.1, 1.0, 3))
+    k = [palm_k if j in fit.PALM_STAGE_JOINTS else 3 for j in range(21)]
+    pset = ProposalSet({j: (joints[j] + rng.normal(0.0, 30.0, (k[j], 3)),
+                            rng.uniform(0.1, 1.0, k[j]))
                         for j in range(21) if j not in absent})
     batch = np.stack([random_pose(rng, limits, geometry.DEFAULT_WORKSPACE).to_vector()
                       for _ in range(12)])
     batch[:, 0:3] = pose.translation + rng.normal(0.0, 20.0, (12, 3))
     batch[0] = pose.to_vector()
     batch[5, 3:7] = 0.0
-    got = fit.objective(pset, batch, geom, 100.0, joint_subset=subset)
+    stage = pset if subset is None else pset.only(subset)
+    got = fit.objective(stage, batch, geom, 100.0)
     want = masked_objective(pset, batch, geom, 100.0, joint_subset=subset)
     assert got[5] == -np.inf
     assert np.array_equal(got, want)
     scored = range(21) if subset is None else subset
     assert (got[0] > 0) == any(j not in absent for j in scored)
-    one = fit.objective(pset, batch[0], geom, 100.0, joint_subset=subset)
+    one = fit.objective(stage, batch[0], geom, 100.0)
     assert isinstance(one, float)
     assert one == masked_objective(pset, batch[0], geom, 100.0, joint_subset=subset)
+
+
+def test_proposal_set_only_keeps_entries_and_weights(rng):
+    entries = {j: (rng.uniform(-100, 100, (3, 3)), rng.uniform(0.1, 1.0, 3))
+               for j in (0, 2, 5, 9, 20)}
+    pset = ProposalSet(entries)
+    before = {j: (pset.positions(j).copy(), pset.weights(j).copy()) for j in pset.joints}
+    only = pset.only((20, 5, 7, 0))
+    assert only.joints == [0, 5, 20] and only.num_joints == pset.num_joints
+    for j in only.joints:
+        assert np.array_equal(only.positions(j), pset.positions(j))
+        assert np.array_equal(only.weights(j), pset.weights(j))
+    assert pset.joints == sorted(before)
+    for j, (p, w) in before.items():
+        assert np.array_equal(pset.positions(j), p) and np.array_equal(pset.weights(j), w)
+    assert len(pset.only(())) == 0
 
 
 def test_proposal_set_normalization_and_truncation(rng):

@@ -120,8 +120,8 @@ def test_finger_stack_scores_are_objective_scores(geom, limits, fingers):
             limits.lower[f], limits.upper[f], (40, 4)).T
     got = fit._finger_scores(pset, geom, base, fingers, 100.0)(x)
     for i, f in enumerate(fingers):
-        want = fit.objective(pset, x[i], geom, 100.0,
-                             joint_subset=geometry.finger_joint_indices(f))
+        finger = pset.only(geometry.finger_joint_indices(f))
+        want = fit.objective(finger, x[i], geom, 100.0)
         np.testing.assert_array_equal(got[i], want)
 
 
