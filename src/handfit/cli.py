@@ -16,7 +16,6 @@ import numpy as np
 from . import fit, forest, geometry, metrics, proposals, svgplot, sweeps, synth
 from .config import ConfigError, ForestConfig, RunConfig, read_csv, write_csv, write_keyvalue
 from .depth import CameraIntrinsics, RenderError
-from .fit import UnderConstrainedError
 from .forest import ForestFormatError
 
 log = logging.getLogger("handfit")
@@ -183,12 +182,12 @@ def cmd_fit(args):
                                          sweeps.pso_config(cfg, cfg["seed"]), args.mode)
     wall = time.perf_counter() - start
     write_joints_csv(out / "estimates.csv", frames)
-    if any(fit_results):  # regression-only frames carry no FitResult
+    if args.mode != "regression-only":  # which fits no pose
         fit.write_fits_csv(out / "poses.csv", fit_results)
-        evals = sum(r.evals for r in fit_results)
+        evals = sum(r.evals for r in fit_results if r)
         log.info("fitted %d frames, mean %.0f objective evaluations/frame, "
                  "%.2f s, %.0f evaluations/s", len(fit_results),
-                 evals / len(fit_results), wall, evals / max(wall, 1e-9))
+                 evals / max(len(fit_results), 1), wall, evals / max(wall, 1e-9))
     return EXIT_OK
 
 
@@ -376,7 +375,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         log.error("%s", exc)
         return EXIT_MISSING
-    except (RenderError, UnderConstrainedError, ForestFormatError, ValueError) as exc:
+    except (RenderError, ForestFormatError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_NUMERIC
 

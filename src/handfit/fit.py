@@ -17,6 +17,7 @@ stages run one after another, bit for bit.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ GLOBAL_DIMS = np.arange(0, 7)
 HYP_DIM = 27
 
 PALM_STAGE_JOINTS = geometry.RIGID_JOINTS
+
+log = logging.getLogger(__name__)
 
 
 class UnderConstrainedError(RuntimeError):
@@ -384,26 +387,43 @@ def fit_frames(psets, geom, limits, cfg, mode):
     Frame i draws from default_rng((cfg.seed, 5, i)), so a frame's fit does
     not depend on which caller runs it or on the frames before it. In
     regression-only mode each joint is its top proposal and every result
-    is None.
+    is None. A frame too under-constrained to fit falls back to its top
+    proposals too, with a warning naming it, and its result is None.
     """
     if mode not in FIT_MODES:
         raise ValueError(f"unknown fit mode {mode!r}; pick from {FIT_MODES}")
     if mode == "regression-only":
         return [metrics.top_proposal_joints(p) for p in psets], [None] * len(psets)
     fitter = joint_fit if mode == "joint" else stepwise_fit
-    results = [fitter(pset, geom, limits, cfg,
-                      rng=np.random.default_rng((cfg.seed, 5, i)))
-               for i, pset in enumerate(psets)]
-    return [res.joints(geom) for res in results], results
+    joints, results = [], []
+    for i, pset in enumerate(psets):
+        try:
+            res = fitter(pset, geom, limits, cfg,
+                         rng=np.random.default_rng((cfg.seed, 5, i)))
+        except UnderConstrainedError as exc:
+            log.warning("frame %d: %s; using its top proposals", i, exc)
+            joints.append(metrics.top_proposal_joints(pset))
+            results.append(None)
+            continue
+        joints.append(res.joints(geom))
+        results.append(res)
+    return joints, results
 
 
 FIT_COLUMNS = geometry.POSE_COLUMNS + ["score", "evals"] + \
-    [f"fitted_{f}" for f in geometry.FINGERS]
+    [f"fitted_{f}" for f in geometry.FINGERS] + ["fallback"]
+
+
+def _fit_row(res):
+    if res is None:  # fell back to the top proposals: no pose, no score
+        return [""] * (HYP_DIM + 1) + [0] + [0] * len(geometry.FINGERS) + [1]
+    return ([f"{v:.9g}" for v in res.pose.to_vector()] + [f"{res.score:.9g}", res.evals]
+            + [int(flag) for flag in res.finger_fitted] + [0])
 
 
 def write_fits_csv(path, results):
-    """Pose trace: 27 parameters + score + eval count + per-finger flags."""
-    write_csv(path, ["frame"] + FIT_COLUMNS, (
-        [frame] + [f"{v:.9g}" for v in res.pose.to_vector()]
-        + [f"{res.score:.9g}", res.evals] + [int(flag) for flag in res.finger_fitted]
-        for frame, res in enumerate(results)))
+    """Pose trace: 27 parameters + score + eval count + per-finger flags +
+    fallback flag; a None result is a frame that fell back to its top
+    proposals."""
+    write_csv(path, ["frame"] + FIT_COLUMNS,
+              ([frame] + _fit_row(res) for frame, res in enumerate(results)))

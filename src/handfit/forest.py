@@ -21,7 +21,7 @@ import numpy as np
 from . import geometry
 from .config import DEFAULTS, ForestConfig
 from .depth import foreground_mask
-from .meanshift import _dedup, mean_shift, mean_shift_groups
+from .meanshift import INFER_DEDUP_DIVISOR, _dedup, mean_shift, mean_shift_groups
 from .proposals import ProposalSet
 
 MAGIC = b"HFOR"
@@ -411,8 +411,10 @@ def proposals_from_votes(votes, top_n=DEFAULTS["forest.top_n"], k=DEFAULTS["fore
                          max_iters=DEFAULTS["forest.meanshift_iters"]):
     """Condense votes into at most k weighted proposals per joint.
 
-    Per joint the top_n highest-weight votes are retained, mean-shift over
-    their positions extracts the modes, and each mode's confidence is the
+    Per joint the top_n highest-weight votes are retained and pooled on a
+    grid of bandwidth / INFER_DEDUP_DIVISOR (7.5 mm at the default 15 mm;
+    the leaves keep the finer DEDUP_DIVISOR grid). Mean-shift over the
+    pooled votes extracts the modes, and each mode's confidence is the
     number of retained votes that converged to it; ProposalSet then
     normalizes the confidences per joint.
     """
@@ -422,7 +424,8 @@ def proposals_from_votes(votes, top_n=DEFAULTS["forest.top_n"], k=DEFAULTS["fore
             order = np.argsort(-w, kind="stable")[:top_n]
             pos = pos[order]
         modes, support = mean_shift(pos, None, bandwidth=bandwidth_mm,
-                                    max_iters=max_iters)
+                                    max_iters=max_iters,
+                                    dedup_divisor=INFER_DEDUP_DIVISOR)
         if len(modes) == 0:
             continue
         entries[j] = (modes[:k], support[:k])

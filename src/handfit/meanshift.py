@@ -7,8 +7,15 @@ import numpy as np
 # starting points closer than bandwidth / DEDUP_DIVISOR are pooled into one
 # weighted kernel; exact duplicates (common for accumulated votes) collapse
 # losslessly and the worst-case kernel displacement stays far below the
-# merge radius
+# merge radius. Leaf building pools on this grid, so forest files depend on it.
 DEDUP_DIVISOR = 20.0
+# inference pools its retained votes on the coarser bandwidth / 2 grid. A
+# pooled cell carries its summed weight, so a mode's support still counts the
+# votes that converge to it, and a cell's points lie within bandwidth / 4 of
+# its centre per axis, small against the kernel width. On the fine grid
+# almost every vote stays its own kernel (~199 of 200) in an iteration that
+# is O(points^2).
+INFER_DEDUP_DIVISOR = 2.0
 # converged points closer than MERGE_FACTOR * bandwidth join one mode; a
 # point stops shifting once an update moves it less than TOL_FACTOR * bandwidth
 MERGE_FACTOR = 0.5
@@ -52,8 +59,9 @@ def _cell_sums(inverse, n_cells, weights, points):
     return w, sums
 
 
-def _dedup(points, weights, bandwidth):
-    """Pool points on a fine grid; returns (means, summed weights).
+def _dedup(points, weights, bandwidth, divisor=DEDUP_DIVISOR):
+    """Pool points on a grid of bandwidth / divisor; returns (means, summed
+    weights).
 
     A (g, n, d) stack with (g, n) weights pools every group on its own, in
     one keyed pass: each group gets what a (n, d) call on it alone returns,
@@ -62,10 +70,10 @@ def _dedup(points, weights, bandwidth):
     the group's first point.
     """
     if points.ndim == 2:
-        means, w = _dedup(points[None], weights[None], bandwidth)
+        means, w = _dedup(points[None], weights[None], bandwidth, divisor)
         return means[0], w[0]
     g, n, dim = points.shape
-    cell = np.round(points * (DEDUP_DIVISOR / bandwidth)).astype(np.int64)
+    cell = np.round(points * (divisor / bandwidth)).astype(np.int64)
     inverse, n_cells = _cell_index(_keyed([n] * g, cell.reshape(g * n, dim)))
     if n_cells == g * n:
         return points, weights
@@ -99,10 +107,13 @@ def _iterate(points, weights, bandwidth, max_iters, tol):
     first rows of two (n, n) buffers made once per call (never shared, so
     concurrent calls stay independent), keeping the operation order of
     (|m|^2 + |p|^2) - 2 m p^T so the bits do not depend on the buffers.
+    Doubling is exact, so m (2p)^T has the bits of 2 (m p^T), and a + b
+    is b + a, so the squared norms are summed in place.
     """
     n = len(points)
     shifted = points.copy()
     p_sq = (points * points).sum(axis=1)
+    two_points_t = (2.0 * points).T  # the layout of points.T
     active = np.ones(n, dtype=bool)
     neg_inv_two_bw2 = -0.5 / (bandwidth * bandwidth)
     kernel_buf = np.empty((n, n))
@@ -114,9 +125,9 @@ def _iterate(points, weights, bandwidth, max_iters, tol):
         m = shifted[idx]
         k = kernel_buf[:idx.size]
         cross = cross_buf[:idx.size]
-        np.matmul(m, points.T, out=cross)
-        cross *= 2.0
-        np.add((m * m).sum(axis=1)[:, None], p_sq[None, :], out=k)
+        np.matmul(m, two_points_t, out=cross)
+        k[...] = p_sq
+        k += (m * m).sum(axis=1)[:, None]
         k -= cross
         np.maximum(k, 0.0, out=k)
         # d2 * (-inv) has the bits of (-d2) * inv: rounding is sign-symmetric
@@ -130,13 +141,16 @@ def _iterate(points, weights, bandwidth, max_iters, tol):
     return shifted
 
 
-def mean_shift(points, weights=None, *, bandwidth, max_iters=50):
+def mean_shift(points, weights=None, *, bandwidth, max_iters=50,
+               dedup_divisor=DEDUP_DIVISOR):
     """Modes of the weighted kernel density of `points`.
 
-    Mean-shift iterations start from every (distinct) input point;
-    converged points lying within MERGE_FACTOR * bandwidth of each other
-    are merged into one mode whose position is the weighted mean of its
-    members and whose support is their total weight.
+    Points closer than bandwidth / dedup_divisor are first pooled into one
+    weighted point (see DEDUP_DIVISOR and INFER_DEDUP_DIVISOR). Mean-shift
+    iterations start from every pooled point; converged points lying
+    within MERGE_FACTOR * bandwidth of each other are merged into one mode
+    whose position is the weighted mean of its members and whose support
+    is their total weight.
 
     Returns (modes (m, d), supports (m,)) sorted by support descending.
     """
@@ -154,7 +168,7 @@ def mean_shift(points, weights=None, *, bandwidth, max_iters=50):
         if len(points) == 0:
             return np.empty((0, points.shape[1])), np.empty(0)
 
-    points, weights = _dedup(points, weights, bandwidth)
+    points, weights = _dedup(points, weights, bandwidth, dedup_divisor)
     shifted = _iterate(points, weights, bandwidth, max_iters, TOL_FACTOR * bandwidth)
     return _merge_modes([(shifted, weights)], MERGE_FACTOR * bandwidth)[0]
 

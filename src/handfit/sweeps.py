@@ -37,7 +37,7 @@ def _arm(psets, gt_list, geom, limits, pso_cfg, mode):
         "fingertip_error_mm": metrics.fingertip_error(results),
         "success_20mm": float(curve.fractions[0]),
         "success_40mm": float(curve.fractions[1]),
-    }, float(np.mean([r.evals for r in fits]))
+    }, float(np.mean([r.evals if r else 0 for r in fits]))  # None: fell back
 
 
 def _oracle_error(psets, gt_list, sentinel):

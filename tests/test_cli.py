@@ -97,6 +97,33 @@ def test_trailing_empty_frame_survives_fit_and_eval(tmp_path, geom, limits):
     assert "frames = 2" in (tmp_path / "eval" / "summary.txt").read_text()
 
 
+def test_under_constrained_frame_falls_back_and_is_flagged(tmp_path, geom, limits, caplog):
+    # a middle frame with only the palm and one MCP cannot fix the global
+    # pose; it takes its top proposals and the other frames are still fitted
+    poses = [geometry.random_pose(np.random.default_rng(i), limits,
+                                  geometry.DEFAULT_WORKSPACE) for i in range(3)]
+    psets = [ProposalSet.from_joints(geometry.forward_kinematics(geom, p)) for p in poses]
+    truth = geometry.forward_kinematics(geom, poses[1])
+    mcp = geometry.finger_joint_indices(1)[0]
+    psets[1] = ProposalSet({geometry.PALM: (truth[[0]], np.ones(1)),
+                            mcp: (truth[[mcp]], np.ones(1))})
+    write_proposals_csv(tmp_path / "p.csv", psets)
+    assert cli.main(["fit", "--proposals", str(tmp_path / "p.csv"),
+                     "--out", str(tmp_path / "fit")] + TINY) == 0
+    assert "frame 1: only 2 palm-region proposals" in caplog.text
+    estimates = cli.read_joints_csv(tmp_path / "fit" / "estimates.csv")
+    assert len(estimates) == 3
+    np.testing.assert_allclose(estimates[1][[0, mcp]], truth[[0, mcp]], atol=1e-4)
+    assert np.isnan(np.delete(estimates[1], [0, mcp], axis=0)).all()
+    rows = (tmp_path / "fit" / "poses.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    cells = [dict(zip(header, row.split(","))) for row in rows[1:]]
+    assert header[-1] == "fallback"
+    assert [c["fallback"] for c in cells] == ["0", "1", "0"]
+    assert cells[1]["score"] == cells[1]["tx"] == "" and cells[1]["evals"] == "0"
+    assert cells[0]["score"] != "" and cells[2]["evals"] != "0"
+
+
 def test_joint_mode(pipeline_dir, tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="handfit")
     rc = cli.main(["fit", "--proposals", str(pipeline_dir / "proposals.csv"),

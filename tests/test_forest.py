@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handfit import forest as F
-from handfit import geometry, synth
+from handfit import geometry, meanshift, synth
 from handfit.depth import render_depth
 from handfit.geometry import PoseParams, forward_kinematics
-from handfit.meanshift import _dedup
+from handfit.meanshift import _dedup, mean_shift
 
 from oracles import (build_leaf_per_joint, dedup_per_group,
                      depth_difference_3index, train_tree_recursive)
@@ -403,6 +403,55 @@ def test_zero_vote_joint_omitted():
              5: (np.empty((0, 3)), np.empty(0))}
     pset = F.proposals_from_votes(votes, top_n=10, k=3)
     assert 2 in pset and 5 not in pset
+
+
+def _blob_votes(n_blobs, seed, bandwidth):
+    # blobs of 200 votes in all, spread by bandwidth / 2, whose centres lie
+    # too close (1 to 1.5 bandwidths) for separate modes: where the coarse
+    # grid puts the one mode is what the bound below measures
+    sep, spread = {2: (1.5, 0.5), 3: (1.0, 0.4)}[n_blobs]
+    rng = np.random.default_rng(seed)
+    centres = [np.array([100.0 + sep * bandwidth * i, 100.0 + 0.3 * bandwidth * (i % 2),
+                         500.0]) for i in range(n_blobs)]
+    pos = np.concatenate([rng.normal(c, spread * bandwidth, (200 // n_blobs, 3))
+                          for c in centres])
+    return pos, np.ones(len(pos))
+
+
+@pytest.mark.parametrize("n_blobs", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_coarse_vote_grid_stays_close_to_the_exact_kernel(n_blobs, seed):
+    bw = F.DEFAULTS["forest.infer_bandwidth_mm"]
+    pos, w = _blob_votes(n_blobs, seed, bw)
+    fine, _ = mean_shift(pos, None, bandwidth=bw)
+    pset = F.proposals_from_votes({4: (pos, w)}, top_n=len(w), k=10, bandwidth_mm=bw)
+    coarse = pset.positions(4)
+    assert len(coarse) == len(fine)
+    nearest = np.linalg.norm(coarse[:, None] - fine[None], axis=2).min(axis=1)
+    assert nearest.max() <= bw / 10
+
+
+def test_leaves_keep_the_fine_grid(rest_frame, monkeypatch):
+    # the leaf oracle reads DEDUP_DIVISOR too, so it cannot see a leaf-grid
+    # change; forest files depend on that grid, not on the inference one
+    assert meanshift.DEDUP_DIVISOR == 20.0
+    img, gt = rest_frame
+    samples = F.extract_samples(img, gt, stride=2, rng=np.random.default_rng(0))
+    cfg = F.ForestConfig()
+    idx = np.arange(cfg.leaf_cap)
+    votes = {4: _blob_votes(2, 0, F.DEFAULTS["forest.infer_bandwidth_mm"])}
+
+    def run():
+        leaf = F.build_leaf(samples, idx, cfg, np.random.default_rng(3))
+        pset = F.proposals_from_votes(votes, top_n=200, k=10)
+        return leaf[0].tobytes() + leaf[1].tobytes(), pset.positions(4).tobytes()
+
+    leaf, proposals = run()
+    for owner in (meanshift, F):
+        monkeypatch.setattr(owner, "INFER_DEDUP_DIVISOR", 0.5)
+    patched_leaf, patched_proposals = run()
+    assert patched_proposals != proposals  # the patch reaches inference
+    assert patched_leaf == leaf
 
 
 def test_empty_foreground_gives_no_votes(cam, tiny_forest):

@@ -95,3 +95,17 @@ def test_fit_frames_regression_mode(geom, limits, tiny_votes, fast_cfg):
         np.testing.assert_array_equal(pred, metrics.top_proposal_joints(pset))
     with pytest.raises(ValueError, match="unknown fit mode"):
         fit.fit_frames(psets, geom, limits, sweeps.pso_config(fast_cfg, 0), "nope")
+
+
+@pytest.mark.parametrize("mode", ["stepwise", "joint"])
+def test_under_constrained_frame_falls_back_with_zero_evals(geom, limits, tiny_votes,
+                                                           fast_cfg, mode):
+    votes, gts = tiny_votes
+    psets = [proposals_from_votes(v, top_n=40, k=3) for v in votes]
+    psets[1] = psets[1].top_k(1).only((geometry.PALM, 1))  # too few for the global pose
+    pso_cfg = sweeps.pso_config(fast_cfg, 0)
+    joints, results = fit.fit_frames(psets, geom, limits, pso_cfg, mode)
+    assert results[1] is None and None not in results[::2]
+    np.testing.assert_array_equal(joints[1], metrics.top_proposal_joints(psets[1]))
+    _, evals = sweeps._arm(psets, gts, geom, limits, pso_cfg, mode)
+    assert evals == (results[0].evals + results[2].evals) / 3
