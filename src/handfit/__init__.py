@@ -10,7 +10,7 @@ from .depth import CameraIntrinsics, DepthImage, RenderError, foreground_mask, r
 from .fit import (FitResult, UnderConstrainedError, fit_frames, joint_fit, objective,
                   pso_optimize, stepwise_fit)
 from .forest import (Forest, ForestFormatError, build_training_set, extract_samples,
-                     infer_proposals, load_forest, save_forest, train_forest, train_tree)
+                     load_forest, save_forest, train_forest, train_tree)
 from .geometry import (HandGeometry, JointLimits, PoseParams, clamp_to_limits,
                        forward_kinematics, random_pose, validate_pose)
 from .meanshift import mean_shift
@@ -28,8 +28,8 @@ __all__ = [
     "RunConfig", "SuccessCurve", "UnderConstrainedError", "build_training_set",
     "clamp_to_limits", "extract_samples", "fingertip_error", "fit_frames",
     "foreground_mask", "forward_kinematics", "generate_sequence",
-    "generate_training_poses", "infer_proposals", "joint_fit",
-    "load_forest", "mean_joint_error", "mean_shift", "objective", "oracle_select",
+    "generate_training_poses", "joint_fit", "load_forest", "mean_joint_error",
+    "mean_shift", "objective", "oracle_select",
     "pso_optimize", "random_pose", "read_proposals_csv", "render_depth",
     "save_forest", "stepwise_fit", "success_rate_curve", "train_forest",
     "train_tree", "validate_pose", "write_proposals_csv",

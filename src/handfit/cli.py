@@ -143,6 +143,16 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _vote_frames(cfg, model, images, threads, then=lambda votes: votes):
+    """`then` of each frame's forest votes, frames in a pool of `threads`
+    workers: the one voting call of `infer` and `sweep`."""
+    vote = functools.partial(forest.accumulate_votes, model,
+                             stride=cfg["forest.infer_stride"],
+                             depth_sq_weight=cfg["forest.depth_sq_weight"])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda img: then(vote(img)), images))
+
+
 def cmd_infer(args):
     cfg = _load_config(args)
     dataset = Path(args.dataset)
@@ -152,14 +162,10 @@ def cmd_infer(args):
     model = forest.load_forest(args.forest)
     _, images = synth.read_split(split, cam)
     log.info("inferring proposals for %d frames", len(images))
-    infer = functools.partial(
-        forest.infer_proposals, model, stride=cfg["forest.infer_stride"],
-        top_n=cfg["forest.top_n"], k=cfg["forest.k"],
+    psets = _vote_frames(cfg, model, images, args.threads, then=functools.partial(
+        forest.proposals_from_votes, top_n=cfg["forest.top_n"], k=cfg["forest.k"],
         bandwidth_mm=cfg["forest.infer_bandwidth_mm"],
-        max_iters=cfg["forest.meanshift_iters"],
-        depth_sq_weight=cfg["forest.depth_sq_weight"])
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        psets = list(pool.map(infer, images))
+        max_iters=cfg["forest.meanshift_iters"]))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     proposals.write_proposals_csv(out, psets)
@@ -242,9 +248,7 @@ def cmd_sweep(args):
     poses, images = synth.read_split(split, cam)
     gt_joints = [geometry.forward_kinematics(geom, p) for p in poses]
     log.info("accumulating votes for %d frames", len(images))
-    votes = [forest.accumulate_votes(model, img, stride=cfg["forest.infer_stride"],
-                                     depth_sq_weight=cfg["forest.depth_sq_weight"])
-             for img in images]
+    votes = _vote_frames(cfg, model, images, args.threads)
     out = Path(args.out) if args.out else Path(f"run_{cfg.content_hash()}")
     rows = sweeps.run_sweep(args.experiment, votes, gt_joints, geom, limits,
                             cfg, out / f"sweep_{args.experiment}")

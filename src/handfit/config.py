@@ -47,6 +47,17 @@ def parse_number(text, kind, where):
     raise ConfigError(f"{where}: expected {expected}, got {text!r}")
 
 
+def _read_text(path, error):
+    """The UTF-8 text of the file at `path`; other bytes raise
+    `error("path:line: not UTF-8 text (reason)")`."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
+
+
 def read_keyvalue(path):
     """Parse a `key = value` text file into an ordered str->str dict.
 
@@ -54,14 +65,8 @@ def read_keyvalue(path):
     and text that is not UTF-8, raise ConfigError("path:line: ..."); looking
     up a key the file lacks raises ConfigError naming the file and the key.
     """
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ConfigError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
     out = _KeyValues(path)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, ConfigError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -114,13 +119,7 @@ def read_csv(path, header, parse):
     is not UTF-8 or not CSV, and a ValueError from `parse` all raise
     ValueError("path:line: ...").
     """
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(_read_text(path, ValueError), newline=""))
     out = []
     try:
         if next(reader, None) != list(header):

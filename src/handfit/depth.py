@@ -180,22 +180,26 @@ def _update_zbuf(zbuf, us, vs, t):
     zbuf[vs[hit], us[hit]] = np.minimum(flat, t[hit])
 
 
+def _ray_quadric(dirs, origin, c):
+    """Roots of |dirs * t + origin|^2 = c for every ray, as (hit, qa, near,
+    far): hit where the discriminant is non-negative, qa the quadratic's
+    leading coefficient, near <= far the two roots wherever hit."""
+    qa = np.einsum("ij,ij->i", dirs, dirs)
+    qb = 2.0 * dirs @ origin
+    qc = origin @ origin - c
+    disc = qb * qb - 4.0 * qa * qc
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        near = (-qb - sq) / (2.0 * qa)
+        far = (-qb + sq) / (2.0 * qa)
+    return disc >= 0.0, qa, near, far
+
+
 def _ray_sphere(dirs, center, radius):
     """Smallest positive ray parameter hitting the sphere; inf when missed."""
-    a = np.einsum("ij,ij->i", dirs, dirs)
-    b = -2.0 * dirs @ center
-    c = center @ center - radius * radius
-    disc = b * b - 4.0 * a * c
-    t = np.full(len(dirs), np.inf)
-    ok = disc >= 0.0
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    t_near = (-b - sq) / (2.0 * a)
-    t_far = (-b + sq) / (2.0 * a)
-    near_ok = ok & (t_near > 0.0)
-    t[near_ok] = t_near[near_ok]
-    far_only = ok & ~ (t_near > 0.0) & (t_far > 0.0)
-    t[far_only] = t_far[far_only]
-    return t
+    hit, _, near, far = _ray_quadric(dirs, -center, radius * radius)
+    t = np.where(near > 0.0, near, far)
+    return np.where(hit & (t > 0.0), t, np.inf)
 
 
 def _raster_capsule(zbuf, cam, a, b, radius):
@@ -204,33 +208,21 @@ def _raster_capsule(zbuf, cam, a, b, radius):
         return
     us, vs, dirs = _box_rays(cam, box)
 
+    # rays have unit z component, so the parameter is the depth in mm
+    t = np.minimum(_ray_sphere(dirs, a, radius), _ray_sphere(dirs, b, radius))
     ab = b - a
     length = np.linalg.norm(ab)
-    t_best = np.full(len(dirs), np.inf)
     if length > 1e-9:
+        # the infinite cylinder around the axis, cut to the segment
         axis = ab / length
         d_par = dirs @ axis
-        oc = -a
-        oc_par = oc @ axis
-        d_perp = dirs - d_par[:, None] * axis
-        o_perp = oc - oc_par * axis
-        qa = np.einsum("ij,ij->i", d_perp, d_perp)
-        qb = 2.0 * d_perp @ o_perp
-        qc = o_perp @ o_perp - radius * radius
-        disc = qb * qb - 4.0 * qa * qc
-        ok = (disc >= 0.0) & (qa > 1e-12)
-        t = np.full(len(dirs), np.inf)
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_cand = (-qb - sq) / (2.0 * qa)
-        proj = t_cand * d_par + oc_par
-        body = ok & (t_cand > 0.0) & (proj >= 0.0) & (proj <= length)
-        t[body] = t_cand[body]
-        t_best = t
-    t_best = np.minimum(t_best, _ray_sphere(dirs, a, radius))
-    t_best = np.minimum(t_best, _ray_sphere(dirs, b, radius))
-    # rays have unit z component, so the parameter is the depth in mm
-    _update_zbuf(zbuf, us, vs, t_best)
+        oc_par = -a @ axis
+        hit, qa, near, _ = _ray_quadric(dirs - d_par[:, None] * axis,
+                                        -a - oc_par * axis, radius * radius)
+        proj = near * d_par + oc_par
+        body = hit & (qa > 1e-12) & (near > 0.0) & (proj >= 0.0) & (proj <= length)
+        t = np.minimum(t, np.where(body, near, np.inf))
+    _update_zbuf(zbuf, us, vs, t)
 
 
 def _raster_ellipsoid(zbuf, cam, center, semi_axes, rot):
@@ -238,21 +230,10 @@ def _raster_ellipsoid(zbuf, cam, center, semi_axes, rot):
     if box is None:
         return
     us, vs, dirs = _box_rays(cam, box)
-    # transform rays into the unit-sphere frame of the ellipsoid
-    d_loc = dirs @ rot / semi_axes
-    o_loc = (-center) @ rot / semi_axes
-    qa = np.einsum("ij,ij->i", d_loc, d_loc)
-    qb = 2.0 * d_loc @ o_loc
-    qc = o_loc @ o_loc - 1.0
-    disc = qb * qb - 4.0 * qa * qc
-    t = np.full(len(dirs), np.inf)
-    ok = disc >= 0.0
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_near = (-qb - sq) / (2.0 * qa)
-    hit = ok & (t_near > 0.0)
-    t[hit] = t_near[hit]
-    _update_zbuf(zbuf, us, vs, t)
+    # the ellipsoid is the unit sphere in its own scaled frame
+    hit, _, near, _ = _ray_quadric(dirs @ rot / semi_axes,
+                                   (-center) @ rot / semi_axes, 1.0)
+    _update_zbuf(zbuf, us, vs, np.where(hit & (near > 0.0), near, np.inf))
 
 
 def write_pgm(path, img):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, metrics, quats
-from .config import PsoConfig, write_csv
+from .config import PsoConfig, write_csv  # PsoConfig: also read as fit.PsoConfig
 
 TRANSLATION_DIMS = np.arange(0, 3)
 QUAT_DIMS = np.arange(3, 7)
@@ -283,7 +283,6 @@ def _fit(proposal_set, geom, limits, cfg, rng, stage, fingers, finger_fitted):
     pose the stage found. The final hypothesis is clamped to the limits
     and scored once on all joints.
     """
-    rng = rng or np.random.default_rng(cfg.seed)
     _check_palm_constrained(proposal_set)
     bounds = default_bounds(proposal_set, limits, cfg.translation_margin_mm)
     dims, scored, particles, generations = stage
@@ -355,14 +354,14 @@ def _finger_scores(proposal_set, geom, base, fingers, d_max):
     return score
 
 
-def stepwise_fit(proposal_set, geom, limits, cfg=None, rng=None):
-    """Stepwise fit: global pose from palm-rigid joints, then each finger.
+def stepwise_fit(proposal_set, geom, limits, cfg, rng):
+    """Stepwise fit, drawing from `rng`: global pose from palm-rigid
+    joints, then each finger.
 
     Raises UnderConstrainedError when the palm stage lacks three
     non-collinear proposals. Fingers without any proposals stay neutral
     and are flagged in the result.
     """
-    cfg = cfg or PsoConfig()
     fitted = tuple(any(j in proposal_set for j in geometry.finger_joint_indices(f))
                    for f in range(5))
     stage = (GLOBAL_DIMS, proposal_set.only(PALM_STAGE_JOINTS), cfg.palm_particles,
@@ -371,9 +370,8 @@ def stepwise_fit(proposal_set, geom, limits, cfg=None, rng=None):
                 [f for f in range(5) if fitted[f]], fitted)
 
 
-def joint_fit(proposal_set, geom, limits, cfg=None, rng=None):
-    """Ablation baseline: one PSO over all 27 parameters, same objective."""
-    cfg = cfg or PsoConfig()
+def joint_fit(proposal_set, geom, limits, cfg, rng):
+    """Ablation baseline: one PSO over all 27 parameters drawing from `rng`."""
     stage = (np.arange(HYP_DIM), proposal_set, cfg.joint_particles, cfg.joint_generations)
     return _fit(proposal_set, geom, limits, cfg, rng, stage, [], (True,) * 5)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .config import DEFAULTS, ForestConfig
+from .config import DEFAULTS, ForestConfig  # also read as forest.ForestConfig
 from .depth import foreground_mask
 from .meanshift import INFER_DEDUP_DIVISOR, _dedup, mean_shift, mean_shift_groups
 from .proposals import ProposalSet
@@ -150,15 +150,6 @@ def _features(samples, idx, probe_u, probe_v, bg_depth):
                              probe_u[:, None], probe_v[:, None], bg_depth)
 
 
-def _entropy(counts):
-    counts = np.asarray(counts, dtype=float)
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts[counts > 0] / n
-    return float(-(p * np.log(p)).sum())
-
-
 def _gains(left_counts, total_counts):
     """Information gain (nats) of many candidate splits over part labels.
 
@@ -171,16 +162,14 @@ def _gains(left_counts, total_counts):
     n_l = left_counts.sum(axis=1)
     n_r = n - n_l
 
-    def rows_entropy(counts, sizes):
+    def entropy(counts):  # of each row; an empty row scores 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            p = counts / sizes[:, None]
+            p = counts / np.maximum(counts.sum(axis=1), 1)[:, None]
             plogp = np.where(counts > 0, p * np.log(p), 0.0)
         return -plogp.sum(axis=1)
 
-    h_parent = _entropy(total_counts)
-    h_l = rows_entropy(left_counts, np.maximum(n_l, 1))
-    h_r = rows_entropy(right_counts, np.maximum(n_r, 1))
-    gains = h_parent - (n_l * h_l + n_r * h_r) / n
+    h_parent = entropy(total_counts[None, :])[0]
+    gains = h_parent - (n_l * entropy(left_counts) + n_r * entropy(right_counts)) / n
     gains[(n_l == 0) | (n_r == 0)] = -np.inf
     return gains
 
@@ -360,9 +349,8 @@ class Forest:
                 for t in self.trees]
 
 
-def train_forest(samples, cfg=None, rng=None, threads=1):
-    cfg = cfg or ForestConfig()
-    rng = rng or np.random.default_rng(0)
+def train_forest(samples, cfg, rng, threads=1):
+    """`cfg.num_trees` trees, each drawing from a stream spawned off `rng`."""
     tree_rngs = rng.spawn(cfg.num_trees)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         trees = list(pool.map(lambda r: train_tree(samples, cfg, r), tree_rngs))
@@ -430,22 +418,6 @@ def proposals_from_votes(votes, top_n=DEFAULTS["forest.top_n"], k=DEFAULTS["fore
             continue
         entries[j] = (modes[:k], support[:k])
     return ProposalSet(entries)
-
-
-def infer_proposals(forest, img, stride=DEFAULTS["forest.infer_stride"],
-                    top_n=DEFAULTS["forest.top_n"], k=DEFAULTS["forest.k"],
-                    bandwidth_mm=DEFAULTS["forest.infer_bandwidth_mm"],
-                    max_iters=DEFAULTS["forest.meanshift_iters"],
-                    depth_sq_weight=DEFAULTS["forest.depth_sq_weight"]):
-    """Full inference path: dense voting then per-joint mode extraction.
-
-    Joints that attracted no votes are omitted from the result; downstream
-    fitting tolerates the gap.
-    """
-    votes = accumulate_votes(forest, img, stride=stride,
-                             depth_sq_weight=depth_sq_weight)
-    return proposals_from_votes(votes, top_n=top_n, k=k,
-                                bandwidth_mm=bandwidth_mm, max_iters=max_iters)
 
 
 # --- serialization ---------------------------------------------------------
@@ -533,6 +505,9 @@ def load_forest(path):
     if version != FORMAT_VERSION:
         raise ForestFormatError(
             f"unsupported forest format version {version}, expected {FORMAT_VERSION}", 4)
+    if n_joints > geometry.NUM_JOINTS:
+        raise ForestFormatError(
+            f"joint count {n_joints} exceeds the hand's {geometry.NUM_JOINTS} joints", 12)
     trees = []
     for t in range(n_trees):
         n_nodes, n_leaves = reader.unpack("<II", f"tree {t} sizes")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import DEFAULTS
+
 # starting points closer than bandwidth / DEDUP_DIVISOR are pooled into one
 # weighted kernel; exact duplicates (common for accumulated votes) collapse
 # losslessly and the worst-case kernel displacement stays far below the
@@ -141,8 +143,8 @@ def _iterate(points, weights, bandwidth, max_iters, tol):
     return shifted
 
 
-def mean_shift(points, weights=None, *, bandwidth, max_iters=50,
-               dedup_divisor=DEDUP_DIVISOR):
+def mean_shift(points, weights=None, *, bandwidth, dedup_divisor=DEDUP_DIVISOR,
+               max_iters=DEFAULTS["forest.meanshift_iters"]):
     """Modes of the weighted kernel density of `points`.
 
     Points closer than bandwidth / dedup_divisor are first pooled into one
@@ -173,7 +175,8 @@ def mean_shift(points, weights=None, *, bandwidth, max_iters=50,
     return _merge_modes([(shifted, weights)], MERGE_FACTOR * bandwidth)[0]
 
 
-def mean_shift_groups(point_groups, weights=None, *, bandwidth, max_iters=50):
+def mean_shift_groups(point_groups, weights=None, *, bandwidth,
+                      max_iters=DEFAULTS["forest.meanshift_iters"]):
     """Weighted mean-shift over g equally-sized point sets at once.
 
     point_groups (g, n, d), weights (g, n) with zero weight marking padded

@@ -7,7 +7,7 @@ scalar loops instead of vectorized code.
 
 import numpy as np
 
-from handfit import fit, forest, geometry, quats
+from handfit import depth, fit, forest, geometry, quats
 from handfit.depth import BONE_RADII_MM, PALM_ELLIPSOID_CENTER, PALM_ELLIPSOID_SEMI_AXES
 from handfit.meanshift import DEDUP_DIVISOR, MERGE_FACTOR, TOL_FACTOR
 from handfit.proposals import ProposalSet
@@ -399,6 +399,82 @@ def march_ray_depth(geom, pose, cam, u, v, max_depth=2000.0):
     return np.nan
 
 
+def ray_sphere_own_quadratic(dirs, center, radius):
+    """`depth._ray_sphere` with its own copy of the ray quadratic, as each
+    primitive solved it before the shared `depth._ray_quadric`."""
+    a = np.einsum("ij,ij->i", dirs, dirs)
+    b = -2.0 * dirs @ center
+    c = center @ center - radius * radius
+    disc = b * b - 4.0 * a * c
+    t = np.full(len(dirs), np.inf)
+    ok = disc >= 0.0
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    t_near = (-b - sq) / (2.0 * a)
+    t_far = (-b + sq) / (2.0 * a)
+    near_ok = ok & (t_near > 0.0)
+    t[near_ok] = t_near[near_ok]
+    far_only = ok & ~ (t_near > 0.0) & (t_far > 0.0)
+    t[far_only] = t_far[far_only]
+    return t
+
+
+def raster_capsule_own_quadratic(zbuf, cam, a, b, radius):
+    """`depth._raster_capsule` with its own copy of the ray quadratic."""
+    box = depth._pixel_box(cam, np.stack([a, b]), radius)
+    if box is None:
+        return
+    us, vs, dirs = depth._box_rays(cam, box)
+
+    ab = b - a
+    length = np.linalg.norm(ab)
+    t_best = np.full(len(dirs), np.inf)
+    if length > 1e-9:
+        axis = ab / length
+        d_par = dirs @ axis
+        oc = -a
+        oc_par = oc @ axis
+        d_perp = dirs - d_par[:, None] * axis
+        o_perp = oc - oc_par * axis
+        qa = np.einsum("ij,ij->i", d_perp, d_perp)
+        qb = 2.0 * d_perp @ o_perp
+        qc = o_perp @ o_perp - radius * radius
+        disc = qb * qb - 4.0 * qa * qc
+        ok = (disc >= 0.0) & (qa > 1e-12)
+        t = np.full(len(dirs), np.inf)
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_cand = (-qb - sq) / (2.0 * qa)
+        proj = t_cand * d_par + oc_par
+        body = ok & (t_cand > 0.0) & (proj >= 0.0) & (proj <= length)
+        t[body] = t_cand[body]
+        t_best = t
+    t_best = np.minimum(t_best, ray_sphere_own_quadratic(dirs, a, radius))
+    t_best = np.minimum(t_best, ray_sphere_own_quadratic(dirs, b, radius))
+    depth._update_zbuf(zbuf, us, vs, t_best)
+
+
+def raster_ellipsoid_own_quadratic(zbuf, cam, center, semi_axes, rot):
+    """`depth._raster_ellipsoid` with its own copy of the ray quadratic."""
+    box = depth._pixel_box(cam, center[None, :], float(np.max(semi_axes)))
+    if box is None:
+        return
+    us, vs, dirs = depth._box_rays(cam, box)
+    d_loc = dirs @ rot / semi_axes
+    o_loc = (-center) @ rot / semi_axes
+    qa = np.einsum("ij,ij->i", d_loc, d_loc)
+    qb = 2.0 * d_loc @ o_loc
+    qc = o_loc @ o_loc - 1.0
+    disc = qb * qb - 4.0 * qa * qc
+    t = np.full(len(dirs), np.inf)
+    ok = disc >= 0.0
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_near = (-qb - sq) / (2.0 * qa)
+    hit = ok & (t_near > 0.0)
+    t[hit] = t_near[hit]
+    depth._update_zbuf(zbuf, us, vs, t)
+
+
 def pso_one_swarm(score_fn, bounds, active_dims, particles, generations,
                   cfg, seeds, rng):
     """`fit.pso_optimize` as one swarm of (particles, 27) positions that
@@ -460,7 +536,6 @@ def fit_stages_one_by_one(proposal_set, geom, limits, cfg, rng, stages, finger_f
     generations). The first stage starts from the palm seeds. The final
     hypothesis is clamped to the limits and scored once on all joints.
     """
-    rng = rng or np.random.default_rng(cfg.seed)
     fit._check_palm_constrained(proposal_set)
     bounds = fit.default_bounds(proposal_set, limits, cfg.translation_margin_mm)
     seeds = fit._palm_seeds(proposal_set, limits)
@@ -477,7 +552,7 @@ def fit_stages_one_by_one(proposal_set, geom, limits, cfg, rng, stages, finger_f
     return fit.FitResult(pose=pose, score=score, evals=evals, finger_fitted=finger_fitted)
 
 
-def stepwise_fit_one_by_one(proposal_set, geom, limits, cfg, rng=None):
+def stepwise_fit_one_by_one(proposal_set, geom, limits, cfg, rng):
     """`fit.stepwise_fit` as a palm stage, then one stage per fitted finger
     in finger order."""
     fingers = [geometry.finger_joint_indices(f) for f in range(5)]
@@ -489,7 +564,7 @@ def stepwise_fit_one_by_one(proposal_set, geom, limits, cfg, rng=None):
     return fit_stages_one_by_one(proposal_set, geom, limits, cfg, rng, stages, fitted)
 
 
-def joint_fit_one_by_one(proposal_set, geom, limits, cfg, rng=None):
+def joint_fit_one_by_one(proposal_set, geom, limits, cfg, rng):
     """`fit.joint_fit` as one 27-parameter `pso_one_swarm` stage."""
     stages = [(np.arange(fit.HYP_DIM), None, cfg.joint_particles, cfg.joint_generations)]
     return fit_stages_one_by_one(proposal_set, geom, limits, cfg, rng, stages, (True,) * 5)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from handfit import cli, fit, geometry, sweeps
+from handfit import cli, fit, forest, geometry, sweeps
 from handfit.config import RunConfig
 from handfit.geometry import HandGeometry, JointLimits
 from handfit.proposals import ProposalSet, read_proposals_csv, write_proposals_csv
@@ -330,6 +330,37 @@ def test_infer_thread_invariance(pipeline_dir, tmp_path):
     assert rc == 0
     assert (tmp_path / "p2.csv").read_bytes() == \
         (pipeline_dir / "proposals.csv").read_bytes()
+
+
+def test_sweep_thread_invariance(pipeline_dir, tmp_path):
+    # sweep votes its frames in the --threads pool, as infer does
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        rc = cli.main(["sweep", "--experiment", "k",
+                       "--dataset", str(pipeline_dir / "dataset"),
+                       "--forest", str(pipeline_dir / "forest.bin"), "--out", str(out),
+                       "--set", "sweep.k_grid=1,2", "--threads", threads] + TINY)
+        assert rc == 0
+        tables.append((out / "sweep_k" / "table.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_infer_with_more_forest_joints_than_the_hand_exits_4(pipeline_dir, tmp_path,
+                                                              caplog):
+    one_leaf = forest.Tree(
+        left=np.array([-1], np.int32), right=np.array([-1], np.int32),
+        leaf_id=np.array([0], np.int32), probe_u=np.zeros((1, 2), np.float32),
+        probe_v=np.zeros((1, 2), np.float32), tau=np.zeros(1, np.float32),
+        leaf_modes=np.ones((1, 22, 1, 3), np.float32),
+        leaf_weights=np.ones((1, 22, 1), np.float32))
+    path = tmp_path / "forest22.bin"
+    forest.save_forest(path, forest.Forest([one_leaf], num_joints=22, leaf_modes=1))
+    rc = cli.main(["infer", "--dataset", str(pipeline_dir / "dataset"),
+                   "--forest", str(path), "--out", str(tmp_path / "p.csv")] + TINY)
+    assert rc == 4
+    assert re.search(r"joint count 22 .*\(at byte 12\)", caplog.text)
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_infer_on_truncated_frame_exits_4_naming_the_file(pipeline_dir, tmp_path, caplog):

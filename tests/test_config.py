@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handfit import forest as F, metrics, sweeps, synth
+from handfit import forest as F, meanshift, metrics, sweeps, synth
 from handfit.config import ConfigError, RunConfig, read_keyvalue
 from handfit.depth import CameraIntrinsics
 from handfit.geometry import HandGeometry, JointLimits
@@ -237,10 +237,13 @@ def test_run_config_defaults_match_dataclass_defaults():
         assert sweeps.pso_config(cfg, seed) == PsoConfig(seed=seed)
     assert cfg.build(CameraIntrinsics, "camera") == CameraIntrinsics.default()
     defaults = [(p.default, INFERENCE_KEYS[name])
-                for fn in (F.accumulate_votes, F.proposals_from_votes, F.infer_proposals)
+                for fn in (F.accumulate_votes, F.proposals_from_votes)
                 for name, p in inspect.signature(fn).parameters.items()
                 if p.default is not inspect.Parameter.empty]
-    assert len(defaults) == 12
+    assert len(defaults) == 6
+    defaults += [(inspect.signature(fn).parameters["max_iters"].default,
+                  "forest.meanshift_iters")
+                 for fn in (meanshift.mean_shift, meanshift.mean_shift_groups)]
     forest = F.Forest([])
     defaults += [(forest.leaf_modes, "forest.leaf_modes"),
                  (forest.bg_depth_mm, "forest.bg_depth_mm"),

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handfit import geometry
+from handfit import depth, geometry
 from handfit.depth import (CameraIntrinsics, DepthImage, RenderError,
                            foreground_mask, read_pgm, render_depth, write_pgm)
 from handfit.geometry import PoseParams
 
-from oracles import march_ray_depth
+from oracles import (march_ray_depth, raster_capsule_own_quadratic,
+                     raster_ellipsoid_own_quadratic, ray_sphere_own_quadratic)
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +92,48 @@ def test_hand_behind_camera_errors(geom, cam):
     pose = PoseParams.rest((0.0, 0.0, -800.0))
     with pytest.raises(RenderError):
         render_depth(geom, pose, cam)
+
+
+def _zbuf(cam, primitives, raster_capsule, raster_ellipsoid):
+    segs, radii, ellipsoid = primitives
+    zbuf = np.full((cam.height, cam.width), np.inf)
+    for (a, b), r in zip(segs, radii):
+        raster_capsule(zbuf, cam, a, b, r)
+    raster_ellipsoid(zbuf, cam, *ellipsoid)
+    return zbuf
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_ray_quadric_rasterises_every_primitive_bit_for_bit(geom, limits, cam, seed):
+    # every other pose sits 5-150 mm from the camera, so some primitives
+    # straddle the image plane or hold the camera, where the sphere takes
+    # its far root; the oracles solve each primitive's quadratic on its own
+    rng = np.random.default_rng(seed)
+    hits = np.zeros(2, dtype=int)  # far, near poses with foreground
+    for i in range(24):
+        pose = geometry.random_pose(rng, limits, geometry.DEFAULT_WORKSPACE)
+        if i % 2:
+            t = [0.1, 0.1, 0.0] * pose.translation + [0.0, 0.0, rng.uniform(5.0, 150.0)]
+            pose = PoseParams(t, pose.orientation, pose.finger_angles)
+        primitives = depth.hand_primitives(geom, pose)
+        got = _zbuf(cam, primitives, depth._raster_capsule, depth._raster_ellipsoid)
+        want = _zbuf(cam, primitives, raster_capsule_own_quadratic,
+                     raster_ellipsoid_own_quadratic)
+        assert np.array_equal(got, want)
+        hits[i % 2] += np.isfinite(got).any()
+    assert hits[0] == 12 and hits[1] >= 8
+
+
+def test_ray_sphere_takes_the_far_root_from_inside(rng):
+    # the camera inside, on and outside spheres ahead of and behind it
+    dirs = np.column_stack([rng.uniform(-1.0, 1.0, (500, 2)), np.ones(500)])
+    for center, radius in [((0.0, 0.0, 10.0), 30.0), ((5.0, -3.0, -10.0), 30.0),
+                           ((0.0, 0.0, 30.0), 30.0), ((20.0, 10.0, 400.0), 60.0),
+                           ((0.0, 0.0, -400.0), 60.0)]:
+        center = np.array(center)
+        got = depth._ray_sphere(dirs, center, radius)
+        assert np.array_equal(got, ray_sphere_own_quadratic(dirs, center, radius))
+    assert np.isfinite(depth._ray_sphere(dirs, np.array([0.0, 0.0, 10.0]), 30.0)).all()
 
 
 def test_pgm_round_trip(tmp_path, cam, rest_render):

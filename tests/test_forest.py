@@ -379,9 +379,15 @@ def test_depth_invariant_features(geom, cam):
     assert abs(feats[0] - feats[1]) < 3.0  # rounding + resampling slack
 
 
+def _infer(model, img, stride, top_n, k):
+    # the inference path of `handfit infer` and the benchmark
+    votes = F.accumulate_votes(model, img, stride=stride)
+    return F.proposals_from_votes(votes, top_n=top_n, k=k)
+
+
 def test_infer_memorizes_training_frame(geom, tiny_forest, rest_frame):
     (model, _), (img, gt) = tiny_forest, rest_frame
-    pset = F.infer_proposals(model, img, stride=2, top_n=200, k=3)
+    pset = _infer(model, img, stride=2, top_n=200, k=3)
     assert pset.count() <= 3 * 21  # at most k x J proposals
     for j in pset.joints:
         best = np.linalg.norm(pset.positions(j) - gt[j], axis=1).min()
@@ -392,7 +398,7 @@ def test_infer_memorizes_training_frame(geom, tiny_forest, rest_frame):
 
 def test_infer_k1_single_unit_proposal(tiny_forest, rest_frame):
     (model, _), (img, _) = tiny_forest, rest_frame
-    pset = F.infer_proposals(model, img, stride=3, top_n=100, k=1)
+    pset = _infer(model, img, stride=3, top_n=100, k=1)
     for j in pset.joints:
         assert len(pset.weights(j)) == 1
         assert pset.weights(j)[0] == pytest.approx(1.0)
@@ -467,8 +473,8 @@ def test_save_load_round_trip(tmp_path, tiny_forest, rest_frame):
     path = tmp_path / "forest.bin"
     F.save_forest(path, model)
     again = F.load_forest(path)
-    a = F.infer_proposals(model, img, stride=3, top_n=100, k=3)
-    b = F.infer_proposals(again, img, stride=3, top_n=100, k=3)
+    a = _infer(model, img, stride=3, top_n=100, k=3)
+    b = _infer(again, img, stride=3, top_n=100, k=3)
     assert a.joints == b.joints
     for j in a.joints:
         assert np.array_equal(a.positions(j), b.positions(j))
@@ -495,6 +501,26 @@ def test_load_rejects_bad_files(tmp_path, tiny_forest):
     bad_version.write_bytes(blob[:4] + struct.pack("<H", 99) + blob[6:])
     with pytest.raises(F.ForestFormatError, match="version"):
         F.load_forest(bad_version)
+
+
+def _one_leaf_forest(num_joints):
+    tree = F.Tree(left=np.array([-1], np.int32), right=np.array([-1], np.int32),
+                  leaf_id=np.array([0], np.int32), probe_u=np.zeros((1, 2), np.float32),
+                  probe_v=np.zeros((1, 2), np.float32), tau=np.zeros(1, np.float32),
+                  leaf_modes=np.ones((1, num_joints, 1, 3), np.float32),
+                  leaf_weights=np.ones((1, num_joints, 1), np.float32))
+    return F.Forest([tree], num_joints=num_joints, leaf_modes=1)
+
+
+def test_load_rejects_more_joints_than_the_hand(tmp_path):
+    # the joint count is the header's u16 at byte 12; a count above the
+    # hand's must fail on load, naming the field, not later at inference
+    path = tmp_path / "forest.bin"
+    F.save_forest(path, _one_leaf_forest(21))
+    assert F.load_forest(path).num_joints == 21
+    F.save_forest(path, _one_leaf_forest(22))
+    with pytest.raises(F.ForestFormatError, match=r"joint count 22 .*\(at byte 12\)"):
+        F.load_forest(path)
 
 
 # tree 0's node table follows the file header and the tree's size pair;

@@ -179,10 +179,10 @@ def test_stepwise_budget_accounting(geom, limits, rng):
     pset = ProposalSet.from_joints(forward_kinematics(geom, pose))
     cfg = PsoConfig(palm_particles=64, palm_generations=64,
                     finger_particles=29, finger_generations=29, seed=0)
-    res = stepwise_fit(pset, geom, limits, cfg)
+    res = stepwise_fit(pset, geom, limits, cfg, np.random.default_rng(cfg.seed))
     assert res.evals == 64 * 64 + 5 * 29 * 29 == 8301
     cfg = PsoConfig(seed=0)  # defaults 26/26 + 5 x 23/23
-    res = stepwise_fit(pset, geom, limits, cfg)
+    res = stepwise_fit(pset, geom, limits, cfg, np.random.default_rng(cfg.seed))
     assert res.evals == 26 * 26 + 5 * 23 * 23 == 3321
 
 
@@ -190,7 +190,7 @@ def test_joint_budget_accounting(geom, limits, rng):
     pose = random_pose(rng, limits, geometry.DEFAULT_WORKSPACE)
     pset = ProposalSet.from_joints(forward_kinematics(geom, pose))
     cfg = PsoConfig(joint_particles=91, joint_generations=91, seed=0)
-    res = joint_fit(pset, geom, limits, cfg)
+    res = joint_fit(pset, geom, limits, cfg, np.random.default_rng(cfg.seed))
     assert res.evals == 91 * 91 == 8281
 
 
@@ -211,14 +211,14 @@ def test_round_trip_fit_small(geom, limits):
 def test_under_constrained_palm_rejected(geom, limits):
     single = ProposalSet({0: (np.array([[0.0, 0.0, 500.0]]), np.ones(1))})
     with pytest.raises(fit.UnderConstrainedError):
-        stepwise_fit(single, geom, limits, PsoConfig(seed=0))
+        stepwise_fit(single, geom, limits, PsoConfig(seed=0), np.random.default_rng(0))
     collinear = ProposalSet({
         0: (np.array([[0.0, 0.0, 500.0]]), np.ones(1)),
         1: (np.array([[10.0, 0.0, 500.0]]), np.ones(1)),
         5: (np.array([[20.0, 0.0, 500.0]]), np.ones(1)),
     })
     with pytest.raises(fit.UnderConstrainedError, match="collinear"):
-        stepwise_fit(collinear, geom, limits, PsoConfig(seed=0))
+        stepwise_fit(collinear, geom, limits, PsoConfig(seed=0), np.random.default_rng(0))
 
 
 def test_missing_finger_stays_neutral(geom, limits, rng):

@@ -104,9 +104,12 @@ def test_benchmark_tracer_sees_routing_and_mean_shift_inside_inference(
     model = forest.train_forest(samples, cfg, np.random.default_rng(0))
     tracer = tracing.Tracer()
     with tracer.install(), tracer.span("op", 0):
-        pset = forest.infer_proposals(model, img, stride=4)
+        # the inference path of the track workload's Context.infer
+        votes = forest.accumulate_votes(model, img, stride=4)
+        pset = forest.proposals_from_votes(votes)
     assert len(pset) > 0
-    assert {"Tree.route", "mean_shift"} <= _span_names(tracer)
+    assert {"accumulate_votes", "Tree.route", "proposals_from_votes",
+            "mean_shift"} <= _span_names(tracer)
 
 
 def test_benchmark_measures_the_settings_the_cli_builds(monkeypatch):
@@ -122,3 +125,20 @@ def test_benchmark_measures_the_settings_the_cli_builds(monkeypatch):
     assert workloads.TREES == 1
     assert ctx.cam == cfg.build(CameraIntrinsics, "camera")
     assert sweeps.pso_config(cfg, 3) == cfg.build(fit.PsoConfig, "pso", seed=3)
+
+
+@pytest.mark.parametrize("name", ["train", "track", "ik", "ik_joint"])
+def test_benchmark_workloads_run_and_check_on_smoke_inputs(monkeypatch, tmp_path, name):
+    # every library call a workload makes, with the signature it makes it
+    # in, runs here: one pass on the self-test inputs, each output checked
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    assert sorted(workloads.WORKLOADS) == ["ik", "ik_joint", "track", "train"]
+    work = workloads.WORKLOADS[name](workloads.Context(1, workloads.SMOKE), tmp_path)
+    work.setup()
+    items = work.items()
+    assert items
+    for item in items:
+        work.check(item, work.run(item))
+    assert work.finish()
