@@ -48,12 +48,25 @@ def _joint_maxima(joint_positions, padded_pos, padded_w, d_max):
 
     joint_positions (n, J, 3), padded_pos (J, K, 3), padded_w (J, K) with
     zero weight marking absent proposals -> each joint's best term (n, J).
+    The terms are built coordinate-first, (J, K, n), on the (J, 3, n)
+    buffer `fk_batch` returns a view of: dx*dx + dy*dy + dz*dz plane by
+    plane, the order of a sum over a length-3 axis, then sqrt, divide,
+    clip, square and weight in place.
     """
-    diff = joint_positions[:, :, None, :] - padded_pos[None, :, :, :]
-    d = np.sqrt((diff * diff).sum(axis=3)) / d_max
+    planes = joint_positions.transpose(1, 2, 0)
+    diff = planes[:, None, 0] - padded_pos[:, :, 0, None]
+    d = diff * diff
+    for c in (1, 2):
+        np.subtract(planes[:, None, c], padded_pos[:, :, c, None], out=diff)
+        diff *= diff
+        d += diff
+    np.sqrt(d, out=d)
+    d /= d_max
     np.clip(d, None, 1.0, out=d)
-    terms = padded_w[None, :, :] * (1.0 - d * d)
-    return terms.max(axis=2)
+    d *= d
+    np.subtract(1.0, d, out=d)
+    d *= padded_w[:, :, None]
+    return d.max(axis=1).T
 
 
 def objective(proposal_set, hypothesis, geom, d_max):
@@ -76,9 +89,10 @@ def objective(proposal_set, hypothesis, geom, d_max):
     valid = norms > 1e-12
     scores = np.full(len(h), -np.inf)
     if valid.any():
-        q_unit = q[valid] / norms[valid, None]
-        joints = geometry.fk_batch(geom, h[valid][:, TRANSLATION_DIMS], q_unit,
-                                   h[valid][:, 7:].reshape(-1, 5, 4), joints=scored)
+        if not valid.all():
+            h, q, norms = h[valid], q[valid], norms[valid]
+        joints = geometry.fk_batch(geom, h[:, TRANSLATION_DIMS], q / norms[:, None],
+                                   h[:, 7:].reshape(-1, 5, 4), joints=scored)
         # scatter into a zero row per hypothesis so the sum runs over all
         # joints in index order, as a masked sum over every joint would
         per_joint = np.zeros((len(joints), w.shape[0]))

@@ -404,20 +404,20 @@ def proposals_from_votes(votes, top_n=DEFAULTS["forest.top_n"], k=DEFAULTS["fore
     the leaves keep the finer DEDUP_DIVISOR grid). Mean-shift over the
     pooled votes extracts the modes, and each mode's confidence is the
     number of retained votes that converged to it; ProposalSet then
-    normalizes the confidences per joint.
+    normalizes the confidences per joint. All joints go through one
+    `mean_shift` call, which pools and merges the frame's vote sets in one
+    keyed pass each; every joint gets the modes a call of its own gives.
     """
-    entries = {}
-    for j, (pos, w) in votes.items():
+    retained = []
+    for pos, w in votes.values():
+        pos = np.atleast_2d(np.asarray(pos, dtype=float))
         if len(w) > top_n:
-            order = np.argsort(-w, kind="stable")[:top_n]
-            pos = pos[order]
-        modes, support = mean_shift(pos, None, bandwidth=bandwidth_mm,
-                                    max_iters=max_iters,
-                                    dedup_divisor=INFER_DEDUP_DIVISOR)
-        if len(modes) == 0:
-            continue
-        entries[j] = (modes[:k], support[:k])
-    return ProposalSet(entries)
+            pos = pos[np.argsort(-w, kind="stable")[:top_n]]
+        retained.append(pos)
+    found = mean_shift(retained, None, bandwidth=bandwidth_mm, max_iters=max_iters,
+                       dedup_divisor=INFER_DEDUP_DIVISOR)
+    return ProposalSet({j: (modes[:k], support[:k])
+                        for j, (modes, support) in zip(votes, found) if len(modes)})
 
 
 # --- serialization ---------------------------------------------------------

@@ -16,7 +16,10 @@ bone length x direction to the MCP. `fk_batch` takes the rigid points alone
 when only rigid joints are asked for, and otherwise builds the whole hand in
 the palm frame at once; it then rotates and translates every requested point
 in one pass. `posed_fingers` does the same for hypotheses that share one
-global pose, whose rotation and MCPs it computes once.
+global pose, whose rotation and MCPs it computes once. Both build their
+points coordinate-first, (joints, 3, rows), and return them as a
+(rows, joints, 3) view of that buffer, which the objective reads plane by
+plane.
 """
 
 from __future__ import annotations
@@ -240,7 +243,8 @@ def fk_batch(geom, translations, orientations, finger_angles, joints=None):
 
     translations (n, 3), orientations (n, 4) already unit-norm,
     finger_angles (n, 5, 4) -> joint positions (n, 21, 3), or
-    (n, len(joints), 3) in the order of the joint indices `joints`.
+    (n, len(joints), 3) in the order of the joint indices `joints`, as a
+    transposed view of a C-contiguous (joints, 3, n) buffer.
     When every requested joint is rigid with the palm, each is one
     palm-frame point and no finger chain is built; otherwise the whole
     hand is built and the requested joints are taken from it.
@@ -266,8 +270,7 @@ def fk_batch(geom, translations, orientations, finger_angles, joints=None):
         fingers[:, 1:] = _planar_chains(geom, np.arange(NUM_FINGERS), a[:, 1], a[:, [0, 2, 3]])
         if rows != everything:
             local = local[rows]
-    out = _to_world(_rotation_table(orientations), local, t.T)
-    return np.ascontiguousarray(out.transpose(2, 0, 1))
+    return _to_world(_rotation_table(orientations), local, t.T).transpose(2, 0, 1)
 
 
 def posed_fingers(geom, translation, orientation, fingers):
@@ -275,9 +278,10 @@ def posed_fingers(geom, translation, orientation, fingers):
 
     translation (3,), orientation (4,) already unit-norm, fingers (k,).
     Returns fk(angles), which maps the k fingers' angles (n, k, 4) to their
-    MCP, PIP, DIP and TIP positions (n, 4k, 3): the values `fk_batch` gives
-    for those joints, to the bit. The rotation and the MCPs are computed
-    once here, not once per call, for searches that move only finger angles.
+    MCP, PIP, DIP and TIP positions (n, 4k, 3), a view in `fk_batch`'s
+    layout: the values `fk_batch` gives for those joints, to the bit. The
+    rotation and the MCPs are computed once here, not once per call, for
+    searches that move only finger angles.
     """
     fingers = np.asarray(fingers, dtype=np.intp)
     t = np.asarray(translation, dtype=float)[:, None]
@@ -291,7 +295,7 @@ def posed_fingers(geom, translation, orientation, fingers):
         out = np.empty((len(fingers), 4, 3, n))
         out[:, 0] = mcps
         out[:, 1:] = _to_world(rot, chains.reshape(-1, 3, n), t).reshape(-1, 3, 3, n)
-        return np.ascontiguousarray(out.reshape(-1, 3, n).transpose(2, 0, 1))
+        return out.reshape(-1, 3, n).transpose(2, 0, 1)
 
     return fk
 

@@ -1,4 +1,12 @@
-"""Gaussian-kernel mean-shift mode seeking for weighted 3D point sets."""
+"""Gaussian-kernel mean-shift mode seeking for weighted 3D point sets.
+
+`mean_shift` takes one point set, or a sequence of sets of any lengths
+(inference passes a frame's 21 joint vote sets in one call). Every set is
+pooled on a grid in one pass keyed by set, shifted by the O(n^2) kernel
+on its own, and merged into modes in one keyed pass; each set gets, bit
+for bit, the modes a call on it alone returns. `mean_shift_groups` is the
+batched float32 kernel the forest leaves use.
+"""
 
 from __future__ import annotations
 
@@ -61,29 +69,54 @@ def _cell_sums(inverse, n_cells, weights, points):
     return w, sums
 
 
+def _pool(points, weights, sizes, bandwidth, divisor):
+    """One grid pass keyed by group over the concatenated groups (N, d) of
+    `sizes`: each group's first cell and cell count, and every cell's total
+    weight and weighted point sum; None when no two points share a cell."""
+    cell = np.round(points * (divisor / bandwidth)).astype(np.int64)
+    inverse, n_cells = _cell_index(_keyed(sizes, cell))
+    if n_cells == len(points):
+        return None
+    first = np.minimum.reduceat(inverse, np.cumsum([0] + sizes[:-1]))
+    counts = np.diff(first, append=n_cells)
+    return (first, counts) + _cell_sums(inverse, n_cells, weights, points)
+
+
 def _dedup(points, weights, bandwidth, divisor=DEDUP_DIVISOR):
     """Pool points on a grid of bandwidth / divisor; returns (means, summed
     weights).
 
-    A (g, n, d) stack with (g, n) weights pools every group on its own, in
-    one keyed pass: each group gets what a (n, d) call on it alone returns,
-    unchanged when none of its points pool, and the groups come back as a
-    (g, width, d) stack whose short rows are padded with zero weight on
-    the group's first point.
+    A sequence of non-empty (n_i, d) sets with their (n_i,) weights pools
+    every set on its own, in one keyed pass, and returns two lists: each
+    set gets what it would get pooled alone, the input itself when none
+    of its points pool.
+
+    A (g, n, d) stack with (g, n) weights comes back as a (g, width, d)
+    stack whose short rows are padded with zero weight on the group's
+    first point; each group holds what it would alone.
     """
-    if points.ndim == 2:
-        means, w = _dedup(points[None], weights[None], bandwidth, divisor)
-        return means[0], w[0]
+    if not isinstance(points, np.ndarray):
+        sizes = [len(w) for w in weights]
+        cells = _pool(np.concatenate(points), np.concatenate(weights), sizes,
+                      bandwidth, divisor)
+        if cells is None:
+            return list(points), list(weights)
+        first, counts, w, sums = cells
+        out_p, out_w = [], []
+        for p, wt, size, lo, count in zip(points, weights, sizes, first, counts):
+            if count < size:
+                mine = slice(lo, lo + count)
+                p, wt = sums[mine] / w[mine, None], w[mine]
+            out_p.append(p)
+            out_w.append(wt)
+        return out_p, out_w
     g, n, dim = points.shape
-    cell = np.round(points * (divisor / bandwidth)).astype(np.int64)
-    inverse, n_cells = _cell_index(_keyed([n] * g, cell.reshape(g * n, dim)))
-    if n_cells == g * n:
+    cells = _pool(points.reshape(g * n, dim), weights.reshape(-1), [n] * g,
+                  bandwidth, divisor)
+    if cells is None:
         return points, weights
-    first = np.minimum.reduceat(inverse, np.arange(0, g * n, n))
-    counts = np.diff(first, append=n_cells)
+    first, counts, w, sums = cells
     pooled = counts < n
-    w, sums = _cell_sums(inverse, n_cells, weights.reshape(-1),
-                         points.reshape(g * n, dim))
     means = sums / w[:, None]
 
     lengths = np.where(pooled, counts, n)
@@ -93,7 +126,7 @@ def _dedup(points, weights, bandwidth, divisor=DEDUP_DIVISOR):
     out_p[~pooled] = points[~pooled, :width]  # width is n if any group is kept
     out_w[~pooled] = weights[~pooled, :width]
     cell_group = np.repeat(np.arange(g), counts)
-    slot = np.arange(n_cells) - first[cell_group]
+    slot = np.arange(len(w)) - first[cell_group]
     mine = pooled[cell_group]
     out_p[cell_group[mine], slot[mine]] = means[mine]
     out_w[cell_group[mine], slot[mine]] = w[mine]
@@ -143,6 +176,14 @@ def _iterate(points, weights, bandwidth, max_iters, tol):
     return shifted
 
 
+def _is_sets(points):
+    """True for a sequence of (n, d) sets: a list or tuple of 2-D arrays
+    (an empty one included) or a (g, n, d) array."""
+    if isinstance(points, np.ndarray):
+        return points.ndim == 3
+    return isinstance(points, (list, tuple)) and all(np.ndim(p) == 2 for p in points)
+
+
 def mean_shift(points, weights=None, *, bandwidth, dedup_divisor=DEDUP_DIVISOR,
                max_iters=DEFAULTS["forest.meanshift_iters"]):
     """Modes of the weighted kernel density of `points`.
@@ -152,27 +193,41 @@ def mean_shift(points, weights=None, *, bandwidth, dedup_divisor=DEDUP_DIVISOR,
     iterations start from every pooled point; converged points lying
     within MERGE_FACTOR * bandwidth of each other are merged into one mode
     whose position is the weighted mean of its members and whose support
-    is their total weight.
+    is their total weight. Points of zero weight are dropped first.
 
     Returns (modes (m, d), supports (m,)) sorted by support descending.
+    A sequence of sets of any lengths, with None or one weight array per
+    set, returns a list of one (modes, supports) per set, each bit for bit
+    what a call on that set alone returns: the sets are pooled in one keyed
+    pass and merged in one keyed pass, and only the iterations run per set.
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.size == 0:
-        return np.empty((0, points.shape[1] if points.ndim == 2 else 3)), np.empty(0)
-    if weights is None:
-        weights = np.ones(len(points))
-    else:
-        weights = np.asarray(weights, dtype=float)
-        keep = weights > 0
-        points, weights = points[keep], weights[keep]
-        if len(points) == 0:
-            return np.empty((0, points.shape[1])), np.empty(0)
-
-    points, weights = _dedup(points, weights, bandwidth, dedup_divisor)
-    shifted = _iterate(points, weights, bandwidth, max_iters, TOL_FACTOR * bandwidth)
-    return _merge_modes([(shifted, weights)], MERGE_FACTOR * bandwidth)[0]
+    if not _is_sets(points):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        return mean_shift([points], None if weights is None else [weights],
+                          bandwidth=bandwidth, dedup_divisor=dedup_divisor,
+                          max_iters=max_iters)[0]
+    sets = []
+    for i, p in enumerate(points):
+        p = np.asarray(p, dtype=float)
+        if weights is None:
+            w = np.ones(len(p))
+        else:
+            w = np.asarray(weights[i], dtype=float)
+            p, w = p[w > 0], w[w > 0]
+        sets.append((p, w))
+    out = [(np.empty((0, p.shape[1])), np.empty(0)) for p, _ in sets]
+    live = [i for i, (p, _) in enumerate(sets) if p.size]
+    if not live:
+        return out
+    pooled = _dedup([sets[i][0] for i in live], [sets[i][1] for i in live],
+                    bandwidth, dedup_divisor)
+    tol = TOL_FACTOR * bandwidth
+    shifted = [(_iterate(p, w, bandwidth, max_iters, tol), w) for p, w in zip(*pooled)]
+    for i, modes in zip(live, _merge_modes(shifted, MERGE_FACTOR * bandwidth)):
+        out[i] = modes
+    return out
 
 
 def mean_shift_groups(point_groups, weights=None, *, bandwidth,

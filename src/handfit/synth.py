@@ -98,19 +98,17 @@ def interpolate_pose(a, b, t, limits):
     return geometry.clamp_to_limits(geometry.PoseParams(trans, quat, angles), limits)
 
 
-def generate_sequence(keyposes, frames_between, subsample, limits=None):
+def generate_sequence(keyposes, frames_between, subsample, limits):
     """Interpolated sequence through `keyposes`, then every subsample-th frame.
 
     Each keypose segment contributes frames_between + 1 frames (start
     inclusive, end exclusive), so n keyposes produce (n-1)*(frames_between+1)
-    frames before subsampling.
+    frames before subsampling; every frame is clamped to `limits`.
     """
     if len(keyposes) < 2:
         raise ValueError("need at least 2 keyposes")
     if frames_between < 1:
         raise ValueError("frames_between must be >= 1")
-    if limits is None:
-        limits = geometry.JointLimits.default()
     frames = []
     steps = frames_between + 1
     for a, b in zip(keyposes[:-1], keyposes[1:]):

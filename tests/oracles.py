@@ -9,7 +9,7 @@ import numpy as np
 
 from handfit import depth, fit, forest, geometry, quats
 from handfit.depth import BONE_RADII_MM, PALM_ELLIPSOID_CENTER, PALM_ELLIPSOID_SEMI_AXES
-from handfit.meanshift import DEDUP_DIVISOR, MERGE_FACTOR, TOL_FACTOR
+from handfit.meanshift import DEDUP_DIVISOR, INFER_DEDUP_DIVISOR, MERGE_FACTOR, TOL_FACTOR
 from handfit.proposals import ProposalSet
 
 
@@ -66,10 +66,10 @@ def meanshift_iterate(points, weights, bandwidth, max_iters, tol):
     return shifted
 
 
-def dedup_alone(points, weights, bandwidth):
+def dedup_alone(points, weights, bandwidth, divisor=DEDUP_DIVISOR):
     """One point set pooled on its own grid by np.unique: the reference for
     `meanshift._dedup`. Returns the input unchanged when nothing pools."""
-    cell = np.round(points * (DEDUP_DIVISOR / bandwidth)).astype(np.int64)
+    cell = np.round(points * (divisor / bandwidth)).astype(np.int64)
     _, inverse = np.unique(cell, axis=0, return_inverse=True)
     inverse = inverse.ravel()
     n_cells = int(inverse.max()) + 1
@@ -173,6 +173,38 @@ def mean_shift_groups_one_by_one(point_groups, weights, bandwidth, max_iters):
                               MERGE_FACTOR * bandwidth) for i in range(g)]
 
 
+def mean_shift_alone(points, weights, bandwidth, divisor, max_iters):
+    """One weighted point set through the reference stages: np.unique
+    pooling, the allocating kernel and the one-group merge; the reference
+    for every set of a `meanshift.mean_shift` call."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    weights = np.ones(len(points)) if weights is None else np.asarray(weights, dtype=float)
+    keep = weights > 0
+    points, weights = points[keep], weights[keep]
+    if len(points) == 0:
+        return np.empty((0, points.shape[1])), np.empty(0)
+    points, weights = dedup_alone(points, weights, bandwidth, divisor)
+    shifted = meanshift_iterate(points, weights, bandwidth, max_iters,
+                                TOL_FACTOR * bandwidth)
+    return merge_modes_alone(shifted, weights, MERGE_FACTOR * bandwidth)
+
+
+def proposals_joint_by_joint(votes, top_n, k, bandwidth_mm, max_iters):
+    """`forest.proposals_from_votes` as a loop of one mean-shift per joint,
+    each through `mean_shift_alone`."""
+    entries = {}
+    for j, (pos, w) in votes.items():
+        if len(w) > top_n:
+            order = np.argsort(-w, kind="stable")[:top_n]
+            pos = pos[order]
+        modes, support = mean_shift_alone(pos, None, bandwidth_mm,
+                                          INFER_DEDUP_DIVISOR, max_iters)
+        if len(modes) == 0:
+            continue
+        entries[j] = (modes[:k], support[:k])
+    return ProposalSet(entries)
+
+
 def build_leaf_per_joint(samples, idx, cfg, rng):
     """`forest.build_leaf` as a loop over joints: `dedup_per_group`, then
     `mean_shift_groups_one_by_one`."""
@@ -264,6 +296,16 @@ def translate_proposals(pset, offset):
                         for j in pset.joints}, num_joints=pset.num_joints)
 
 
+def joint_maxima_point_major(joint_positions, padded_pos, padded_w, d_max):
+    """`fit._joint_maxima` on a (n, J, K, 3) difference array, distances
+    summed over its length-3 last axis."""
+    diff = joint_positions[:, :, None, :] - padded_pos[None, :, :, :]
+    d = np.sqrt((diff * diff).sum(axis=3)) / d_max
+    np.clip(d, None, 1.0, out=d)
+    terms = padded_w[None, :, :] * (1.0 - d * d)
+    return terms.max(axis=2)
+
+
 def masked_objective(proposal_set, hypothesis, geom, d_max, joint_subset=None):
     """Proposal-agreement score by full 21-joint FK and a weight mask.
 
@@ -284,8 +326,11 @@ def masked_objective(proposal_set, hypothesis, geom, d_max, joint_subset=None):
     valid = norms > 1e-12
     scores = np.full(len(h), -np.inf)
     if valid.any():
-        joints = geometry.fk_batch(geom, h[valid][:, 0:3], q[valid] / norms[valid, None],
-                                   h[valid][:, 7:].reshape(-1, 5, 4))
+        # row-major joints, so every reduction below runs in the order it
+        # runs on a (n, 21, 3) array
+        joints = np.ascontiguousarray(geometry.fk_batch(
+            geom, h[valid][:, 0:3], q[valid] / norms[valid, None],
+            h[valid][:, 7:].reshape(-1, 5, 4)))
         diff = joints[:, :, None, :] - pos[None, :, :, :]
         d = np.sqrt((diff * diff).sum(axis=3)) / d_max
         np.clip(d, None, 1.0, out=d)

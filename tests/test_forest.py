@@ -14,7 +14,8 @@ from handfit.geometry import PoseParams, forward_kinematics
 from handfit.meanshift import _dedup, mean_shift
 
 from oracles import (build_leaf_per_joint, dedup_per_group,
-                     depth_difference_3index, train_tree_recursive)
+                     depth_difference_3index, proposals_joint_by_joint,
+                     train_tree_recursive)
 
 
 @pytest.fixture(scope="module")
@@ -409,6 +410,73 @@ def test_zero_vote_joint_omitted():
              5: (np.empty((0, 3)), np.empty(0))}
     pset = F.proposals_from_votes(votes, top_n=10, k=3)
     assert 2 in pset and 5 not in pset
+
+
+def _vote_sets(case, seed, top_n=40):
+    """A frame's vote dict: every joint a cloud of weighted votes around
+    its own centre, two to four blobs, some joints short of top_n votes."""
+    rng = np.random.default_rng(seed)
+    votes = {}
+    if case == "empty":
+        return votes
+    for j in range(21):
+        if rng.random() < 0.15:
+            continue  # a joint that got no votes
+        n = int(rng.integers(1, 3 * top_n))
+        if case == "single_votes" and j % 3 == 0:
+            n = 1
+        centres = rng.uniform(-150, 150, (int(rng.integers(2, 5)), 3)) + [0, 0, 500]
+        pos = centres[rng.integers(0, len(centres), n)] + rng.normal(0, 6, (n, 3))
+        votes[j] = (pos, rng.uniform(0.1, 2.0, n))
+    if case == "pools_nothing":
+        # two lattices of votes 10 mm apart, shuffled: no two share a
+        # 7.5 mm cell, and each lattice converges to one mode
+        grid = np.stack(np.meshgrid(*[np.arange(3)] * 3), axis=-1).reshape(-1, 3)
+        pos = np.concatenate([10.0 * grid, 10.0 * grid[:12] + 100.0]) + [0, 0, 500]
+        votes[7] = (rng.permutation(pos), np.ones(len(pos)))
+    return votes
+
+
+@pytest.mark.parametrize("case", ["short_sets", "single_votes", "pools_nothing", "empty"])
+@pytest.mark.parametrize("seed", range(3))
+def test_proposals_from_votes_equal_joint_by_joint_oracle(case, seed):
+    # one keyed pool and merge over the frame's sets gives every joint the
+    # bytes of its own mean-shift, through the reference stages
+    votes = _vote_sets(case, seed)
+    bw = F.DEFAULTS["forest.infer_bandwidth_mm"]
+    got = F.proposals_from_votes(votes, top_n=40, k=3, bandwidth_mm=bw)
+    want = proposals_joint_by_joint(votes, 40, 3, bw, F.DEFAULTS["forest.meanshift_iters"])
+    assert got.joints == want.joints
+    for j in got.joints:
+        assert np.array_equal(got.positions(j), want.positions(j))
+        assert np.array_equal(got.weights(j), want.weights(j))
+    sizes = [len(w) for _, w in votes.values()]
+    if case == "empty":
+        assert len(got) == 0
+    elif case == "short_sets":
+        assert min(sizes) < 40 < max(sizes)
+    elif case == "single_votes":
+        assert sizes.count(1) >= 3
+    else:
+        pos = votes[7][0]
+        cells = np.round(pos * (meanshift.INFER_DEDUP_DIVISOR / bw))
+        assert len(np.unique(cells, axis=0)) == len(pos)
+        assert np.array_equal(got.weights(7), [27 / 39, 12 / 39])
+
+
+def test_proposals_from_votes_shifts_a_frame_in_one_mean_shift_call(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return mean_shift(*args, **kwargs)
+
+    monkeypatch.setattr(F, "mean_shift", counted)
+    for case in ("short_sets", "empty"):
+        calls.clear()
+        votes = _vote_sets(case, 0)
+        F.proposals_from_votes(votes, top_n=40, k=3)
+        assert len(calls) == 1 and len(calls[0]) == len(votes)
 
 
 def _blob_votes(n_blobs, seed, bandwidth):

@@ -137,7 +137,9 @@ def test_fk_batch_matches_rotation_chain_oracle(geom, limits, rng, poses, frames
                     for _ in range(1000)] if poses == "random"
                    else _limit_poses(rng, limits, 256))
     got = geometry.fk_batch(model, *batch)
-    assert got.shape == (len(batch[0]), NUM_JOINTS, 3) and got.flags.c_contiguous
+    # a view of the coordinate-first (21, 3, n) buffer FK builds
+    assert got.shape == (len(batch[0]), NUM_JOINTS, 3)
+    assert got.transpose(1, 2, 0).flags.c_contiguous
     assert np.abs(got - fk_rotation_chain(model, *batch)).max() < 1e-9
     # criterion 6: every bone keeps its length
     for f in range(5):

@@ -4,7 +4,7 @@ import pytest
 from handfit.meanshift import (_cell_index, _dedup, _iterate, mean_shift,
                                mean_shift_groups)
 
-from oracles import (dedup_alone, dedup_per_group, kde_grid_mode,
+from oracles import (dedup_alone, dedup_per_group, kde_grid_mode, mean_shift_alone,
                      mean_shift_groups_one_by_one, meanshift_iterate, shift_once)
 
 
@@ -126,7 +126,7 @@ def test_iterate_bit_equal_to_allocating_oracle(seed):
 def test_iterate_bit_equal_on_dedup_pooled_weights():
     rng = np.random.default_rng(21)
     raw = np.round(rng.normal(0, 6, (300, 3)) * 2) / 2  # many exact repeats
-    pts, w = _dedup(raw, np.ones(len(raw)), 15.0)
+    (pts,), (w,) = _dedup([raw], [np.ones(len(raw))], 15.0)
     assert len(pts) < len(raw) and w.max() > 1
     _assert_iterate_matches_oracle(pts, w, 15.0, 50)
 
@@ -195,7 +195,7 @@ def _assert_same_bytes(got, want):
 
 @pytest.mark.parametrize("case", ["pools", "nothing_pools", "weighted", "one_point"])
 def test_dedup_of_one_set_equals_alone_oracle(case):
-    # the inference path calls _dedup on one (n, d) set
+    # one (n, d) set is the one-set case of the ragged sets inference pools
     rng = np.random.default_rng(13)
     pts = rng.normal(0, 40, (200, 3))
     w = np.ones(200)
@@ -206,7 +206,7 @@ def test_dedup_of_one_set_equals_alone_oracle(case):
         w = rng.uniform(0.1, 5.0, 200)
     elif case == "one_point":
         pts, w = pts[:1], np.array([2.5])
-    got = _dedup(pts, w, 15.0)
+    got = [out[0] for out in _dedup([pts], [w], 15.0)]
     _assert_same_bytes(got, dedup_alone(pts, w, 15.0))
     if case in ("nothing_pools", "one_point"):
         assert got[0] is pts or np.shares_memory(got[0], pts)
@@ -291,3 +291,64 @@ def test_mean_shift_groups_zero_weight_group_has_no_modes():
                                        np.array([[1.0, 1, 1], [0, 0, 0]]),
                                        bandwidth=5.0)[1]
     assert modes.shape == (0, 3) and support.shape == (0,)
+
+
+def _ragged_sets(rng):
+    """Weighted sets of many lengths: coarse ones that pool, fine ones that
+    do not, a single point, an empty set and one whose weights are all 0."""
+    sets, weights = [], []
+    for i in range(10):
+        n = int(rng.integers(2, 120))
+        pts = rng.normal(rng.uniform(-200, 200, 3), rng.uniform(3, 40), (n, 3))
+        if i % 2 == 0:
+            pts = np.round(pts / 6) * 6
+        w = rng.uniform(0.2, 3.0, n)
+        w[rng.random(n) < 0.1] = 0.0
+        sets.append(pts)
+        weights.append(w)
+    sets[3], weights[3] = sets[3][:1], np.array([1.5])
+    sets[5], weights[5] = np.empty((0, 3)), np.empty(0)
+    weights[7] = np.zeros(len(weights[7]))
+    return sets, weights
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("divisor", [20.0, 2.0])
+def test_mean_shift_of_sets_equals_each_set_alone(seed, divisor):
+    # one call over ragged sets: one keyed pool, the kernel per set, one
+    # keyed merge; each set gets the bytes of a call of its own
+    sets, weights = _ragged_sets(np.random.default_rng(seed))
+    got = mean_shift(sets, weights, bandwidth=15.0, dedup_divisor=divisor)
+    assert isinstance(got, list) and len(got) == len(sets)
+    for p, w, res in zip(sets, weights, got):
+        _assert_same_bytes(res, mean_shift(p, w, bandwidth=15.0, dedup_divisor=divisor))
+        _assert_same_bytes(res, mean_shift_alone(p, w, 15.0, divisor, 50))
+    assert got[5][0].shape == got[7][0].shape == (0, 3)
+    unweighted = mean_shift(sets, None, bandwidth=15.0, dedup_divisor=divisor)
+    for p, res in zip(sets, unweighted):
+        _assert_same_bytes(res, mean_shift_alone(p, None, 15.0, divisor, 50))
+
+
+def test_mean_shift_of_a_stack_and_of_no_sets():
+    pts = np.random.default_rng(6).normal(0, 20, (4, 30, 3))
+    got = mean_shift(pts, bandwidth=12.0)
+    assert len(got) == 4
+    for p, res in zip(pts, got):
+        _assert_same_bytes(res, mean_shift(p, bandwidth=12.0))
+    assert mean_shift([], bandwidth=12.0) == []
+
+
+def test_dedup_of_ragged_sets_equals_alone_oracle():
+    sets, weights = _ragged_sets(np.random.default_rng(9))
+    # what mean_shift passes on: the non-empty sets, zero weights dropped
+    live = [(p[w > 0], w[w > 0]) for p, w in zip(sets, weights) if (w > 0).any()]
+    sets, weights = [p for p, _ in live], [w for _, w in live]
+    got_p, got_w = _dedup(sets, weights, 15.0)
+    pooled = 0
+    for p, w, gp, gw in zip(sets, weights, got_p, got_w):
+        _assert_same_bytes((gp, gw), dedup_alone(p, w, 15.0))
+        if len(gw) < len(w):
+            pooled += 1
+        else:
+            assert gp is p and gw is w
+    assert 0 < pooled < len(sets)

@@ -5,7 +5,7 @@ from handfit import fit, geometry
 from handfit.geometry import PoseParams, forward_kinematics, random_pose
 from handfit.proposals import ProposalSet
 
-from oracles import masked_objective
+from oracles import joint_maxima_point_major, masked_objective
 
 
 def test_objective_on_exact_joints(geom, limits, rng):
@@ -181,3 +181,34 @@ def test_proposals_csv_round_trip(tmp_path, rng):
         for j in a.joints:
             np.testing.assert_allclose(a.positions(j), b.positions(j), rtol=1e-6)
             np.testing.assert_allclose(a.weights(j), b.weights(j), rtol=1e-6)
+
+
+@pytest.mark.parametrize("case", ["absent_joints", "padded_k", "k1", "palm_stage", "one_row"])
+def test_coordinate_first_joint_maxima_equal_point_major_oracle(geom, limits, rng, case):
+    # the terms objective and the finger stack score, on FK's own layout
+    # and on a row-major copy, against the (n, J, K, 3) reference
+    n = 1 if case == "one_row" else 40
+    poses = [random_pose(rng, limits, geometry.DEFAULT_WORKSPACE) for _ in range(n)]
+    truth = forward_kinematics(geom, poses[0])
+    k = {"k1": 1}.get(case, 3)
+    counts = rng.integers(1, 5, 21) if case == "padded_k" else np.full(21, k)
+    present = [j for j in range(21) if case != "absent_joints" or j % 4]
+    pset = ProposalSet({j: (truth[j] + rng.normal(0.0, 40.0, (counts[j], 3)),
+                            rng.uniform(0.1, 1.0, counts[j])) for j in present})
+    if case == "palm_stage":
+        pset = pset.only(fit.PALM_STAGE_JOINTS)
+    scored = None if case == "absent_joints" else pset.joints
+    joints = geometry.fk_batch(geom, np.stack([p.translation for p in poses]),
+                               np.stack([p.orientation for p in poses]),
+                               np.stack([p.finger_angles for p in poses]), joints=scored)
+    pos, w = pset.padded()
+    if scored is not None:
+        pos, w = pos[scored], w[scored]
+    want = joint_maxima_point_major(np.ascontiguousarray(joints), pos, w, 100.0)
+    assert want.shape == (n, len(w)) and (want > 0).any()
+    for layout in (joints, np.ascontiguousarray(joints)):
+        assert np.array_equal(fit._joint_maxima(layout, pos, w, 100.0), want)
+    if case == "absent_joints":
+        assert (want[:, 0] == 0).all() and (w[0] == 0).all()
+    if case == "padded_k":
+        assert (w == 0).any() and w.shape[1] == 4
