@@ -2,10 +2,13 @@
 
 `mean_shift` takes one point set, or a sequence of sets of any lengths
 (inference passes a frame's 21 joint vote sets in one call). Every set is
-pooled on a grid in one pass keyed by set, shifted by the O(n^2) kernel
-on its own, and merged into modes in one keyed pass; each set gets, bit
-for bit, the modes a call on it alone returns. `mean_shift_groups` is the
-batched float32 kernel the forest leaves use.
+pooled on a grid in one pass keyed by set, and merged into modes in one
+keyed pass. In between, one lockstep kernel shifts every set: per
+iteration each set's exponents come from one small product and its
+weighted sums from another, while one exp and the convergence
+bookkeeping run over all sets at once, with no padding. Each set gets,
+bit for bit, the modes a call on it alone returns. `mean_shift_groups`
+is the batched float32 kernel the forest leaves use.
 """
 
 from __future__ import annotations
@@ -135,45 +138,90 @@ def _dedup(points, weights, bandwidth, divisor=DEDUP_DIVISOR):
     return out_p, out_w
 
 
-def _iterate(points, weights, bandwidth, max_iters, tol):
-    """Shift every point uphill until it moves less than tol per update.
+def _sq_norms(x, out):
+    """Squared norm of every row of x (n, d) into out (n,), summed column
+    by column in (x0^2 + x1^2) + x2^2 order."""
+    np.multiply(x[:, 0], x[:, 0], out=out)
+    for c in range(1, x.shape[1]):
+        out += x[:, c] * x[:, c]
+    return out
 
-    Each iteration builds the kernel of the active rows in place, in the
-    first rows of two (n, n) buffers made once per call (never shared, so
-    concurrent calls stay independent), keeping the operation order of
-    (|m|^2 + |p|^2) - 2 m p^T so the bits do not depend on the buffers.
-    Doubling is exact, so m (2p)^T has the bits of 2 (m p^T), and a + b
-    is b + a, so the squared norms are summed in place.
+
+def _shift_sets(points, weights, bandwidth, max_iters, tol):
+    """Shift every point of every (n_i, d) set uphill on its own set's
+    weighted density until an update moves it less than tol; returns the
+    shifted sets.
+
+    The sets move in lockstep, none padded. Each set works centred at its
+    mean. The exponents -|m - p_j|^2 / 2h^2 + log w_j of a set's active
+    rows m come from one (a, d + 2) @ (d + 2, n) product of [m, |m|^2, 1]
+    with [p / h^2; -1 / 2h^2; log w - |p|^2 / 2h^2], written into the set's
+    slab of one flat buffer; one exp runs over every slab, and one
+    (a, n) @ (n, d + 1) product with [p, 1] gives each row's weighted point
+    sum and total weight. The convergence test, the write-back and the
+    compaction of the active rows run once over all sets. A set's products
+    have the same shapes in any call, so each set gets the bits it gets
+    alone. Weights must be positive, so that log w is finite.
     """
-    n = len(points)
-    shifted = points.copy()
-    p_sq = (points * points).sum(axis=1)
-    two_points_t = (2.0 * points).T  # the layout of points.T
-    active = np.ones(n, dtype=bool)
-    neg_inv_two_bw2 = -0.5 / (bandwidth * bandwidth)
-    kernel_buf = np.empty((n, n))
-    cross_buf = np.empty((n, n))
+    if max_iters < 1:
+        return list(points)
+    sizes = [len(p) for p in points]
+    starts = np.cumsum([0] + sizes)
+    bounds = list(zip(starts[:-1], starts[1:]))
+    dim = points[0].shape[1]
+    inv_bw2 = 1.0 / (bandwidth * bandwidth)
+    centres = np.stack([p.mean(axis=0) for p in points])
+    cur = np.concatenate(points) - np.repeat(centres, sizes, axis=0)
+    lifted_t = np.empty((len(cur), dim + 2))
+    lifted_t[:, :dim] = cur * inv_bw2
+    lifted_t[:, dim] = -0.5 * inv_bw2
+    lifted_t[:, dim + 1] = np.log(np.concatenate(weights)) \
+        - (0.5 * inv_bw2) * _sq_norms(cur, np.empty(len(cur)))
+    lifted = [lifted_t[lo:hi].T.copy() for lo, hi in bounds]
+    with_one = np.empty((len(cur), dim + 1))
+    with_one[:, :dim] = cur
+    with_one[:, dim] = 1.0
+    with_one = [with_one[lo:hi] for lo, hi in bounds]
+
+    set_of = np.repeat(np.arange(len(sizes)), sizes)
+    aug = np.empty((len(cur), dim + 2))
+    aug[:, dim + 1] = 1.0
+    sums = np.empty((len(cur), dim + 1))
+    slabs = np.empty(sum(n * n for n in sizes))
+    rows = np.arange(len(cur))
     for _ in range(max_iters):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
+        if rows.size == 0:
             break
-        m = shifted[idx]
-        k = kernel_buf[:idx.size]
-        cross = cross_buf[:idx.size]
-        np.matmul(m, two_points_t, out=cross)
-        k[...] = p_sq
-        k += (m * m).sum(axis=1)[:, None]
-        k -= cross
-        np.maximum(k, 0.0, out=k)
-        # d2 * (-inv) has the bits of (-d2) * inv: rounding is sign-symmetric
-        k *= neg_inv_two_bw2
-        np.exp(k, out=k)
-        k *= weights[None, :]
-        new = (k @ points) / k.sum(axis=1)[:, None]
-        moved = np.abs(new - m).max(axis=1) >= tol
-        shifted[idx] = new
-        active[idx] = moved
-    return shifted
+        a = rows.size
+        m = cur[rows]
+        aug[:a, :dim] = m
+        _sq_norms(m, aug[:a, dim])
+        jobs = []
+        lo = off = 0
+        for s, count in enumerate(np.bincount(set_of[rows], minlength=len(sizes)).tolist()):
+            if count:
+                e = slabs[off:off + count * sizes[s]].reshape(count, sizes[s])
+                np.dot(aug[lo:lo + count], lifted[s], out=e)
+                jobs.append((e, s, lo, count))
+                lo += count
+                off += e.size
+        np.exp(slabs[:off], out=slabs[:off])
+        for e, s, lo, count in jobs:
+            np.dot(e, with_one[s], out=sums[lo:lo + count])
+        new = sums[:a, :dim] / sums[:a, dim:]
+        step = np.abs(new - m)
+        moved = step[:, 0] >= tol  # column by column: max(axis=1) is slow on a short axis
+        for c in range(1, dim):
+            moved |= step[:, c] >= tol
+        cur[rows] = new
+        rows = rows[moved]
+    cur += np.repeat(centres, sizes, axis=0)
+    return np.split(cur, starts[1:-1])
+
+
+def _check_bandwidth(bandwidth):
+    if not 0 < bandwidth < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
 
 
 def _is_sets(points):
@@ -199,10 +247,9 @@ def mean_shift(points, weights=None, *, bandwidth, dedup_divisor=DEDUP_DIVISOR,
     A sequence of sets of any lengths, with None or one weight array per
     set, returns a list of one (modes, supports) per set, each bit for bit
     what a call on that set alone returns: the sets are pooled in one keyed
-    pass and merged in one keyed pass, and only the iterations run per set.
+    pass, shifted in lockstep by `_shift_sets` and merged in one keyed pass.
     """
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    _check_bandwidth(bandwidth)
     if not _is_sets(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return mean_shift([points], None if weights is None else [weights],
@@ -224,8 +271,9 @@ def mean_shift(points, weights=None, *, bandwidth, dedup_divisor=DEDUP_DIVISOR,
     pooled = _dedup([sets[i][0] for i in live], [sets[i][1] for i in live],
                     bandwidth, dedup_divisor)
     tol = TOL_FACTOR * bandwidth
-    shifted = [(_iterate(p, w, bandwidth, max_iters, tol), w) for p, w in zip(*pooled)]
-    for i, modes in zip(live, _merge_modes(shifted, MERGE_FACTOR * bandwidth)):
+    shifted = _shift_sets(*pooled, bandwidth, max_iters, tol)
+    for i, modes in zip(live, _merge_modes(list(zip(shifted, pooled[1])),
+                                           MERGE_FACTOR * bandwidth)):
         out[i] = modes
     return out
 
@@ -239,8 +287,7 @@ def mean_shift_groups(point_groups, weights=None, *, bandwidth,
     mean_shift. Batching the groups and computing in float32 amortizes the
     overhead that dominates for the small sets stored at tree leaves.
     """
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    _check_bandwidth(bandwidth)
     pts = np.asarray(point_groups, dtype=np.float32)
     g, n, dim = pts.shape
     if weights is None:

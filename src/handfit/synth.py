@@ -57,7 +57,7 @@ def load_viewpoints(path=None):
     return np.asarray(views)
 
 
-def generate_training_poses(articulations=None, viewpoints=None, *, limits=None,
+def generate_training_poses(articulations=None, viewpoints=None, *, limits,
                             translation=(0.0, 0.0, DEFAULTS["synth.distance_mm"]),
                             per_finger=None, num_views=None):
     """Cartesian articulation grid under every viewpoint.
@@ -69,8 +69,6 @@ def generate_training_poses(articulations=None, viewpoints=None, *, limits=None,
         articulations = load_articulations()
     if viewpoints is None:
         viewpoints = load_viewpoints()
-    if limits is None:
-        limits = geometry.JointLimits.default()
     if per_finger is not None:
         articulations = articulations[:, :per_finger]
     if num_views is not None:
@@ -117,7 +115,7 @@ def generate_sequence(keyposes, frames_between, subsample, limits):
     return frames[::subsample]
 
 
-def make_track_keyposes(rng, count, *, articulations=None, limits=None, orientation=None,
+def make_track_keyposes(rng, count, *, limits, articulations=None, orientation=None,
                         translation=(0.0, 0.0, DEFAULTS["synth.distance_mm"])):
     """Random articulation-grid keyposes with a fixed global pose.
 
@@ -126,8 +124,6 @@ def make_track_keyposes(rng, count, *, articulations=None, limits=None, orientat
     """
     if articulations is None:
         articulations = load_articulations()
-    if limits is None:
-        limits = geometry.JointLimits.default()
     if orientation is None:
         orientation = quats.IDENTITY.copy()
     translation = np.asarray(translation, dtype=float)

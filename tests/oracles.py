@@ -44,8 +44,9 @@ def shift_once(point, points, weights, bandwidth):
 
 
 def meanshift_iterate(points, weights, bandwidth, max_iters, tol):
-    """The allocating form of `meanshift._iterate`: fresh temporaries for
-    every step of every iteration, the same floating-point operations."""
+    """Mean-shift of one set from the squared distances
+    (|m|^2 + |p|^2) - 2 m p^T and the weighted kernel: the accuracy
+    reference for `meanshift._shift_sets`."""
     n = len(points)
     shifted = points.copy()
     p_sq = (points * points).sum(axis=1)
@@ -64,6 +65,37 @@ def meanshift_iterate(points, weights, bandwidth, max_iters, tol):
         shifted[idx] = new
         active[idx] = moved
     return shifted
+
+
+def meanshift_iterate_lifted(points, weights, bandwidth, max_iters, tol):
+    """The allocating, one-set-at-a-time form of `meanshift._shift_sets`:
+    the set centred at its mean, the exponents of the active rows from one
+    product of [m, |m|^2, 1] with [p / h^2; -1 / 2h^2; log w - |p|^2 / 2h^2],
+    their exp, and one product with [p, 1]; fresh temporaries throughout."""
+    if max_iters < 1:
+        return points.copy()
+    n, dim = points.shape
+    inv_bw2 = 1.0 / (bandwidth * bandwidth)
+    centre = points.mean(axis=0)
+    shifted = points - centre
+    # C order, as the kernel's: BLAS sums an F-ordered one in another order
+    lifted = np.ascontiguousarray(np.vstack([
+        (shifted * inv_bw2).T, np.full((1, n), -0.5 * inv_bw2),
+        np.log(weights) - (0.5 * inv_bw2) * (shifted * shifted).sum(axis=1)]))
+    with_one = np.column_stack([shifted, np.ones(n)])
+    active = np.ones(n, dtype=bool)
+    for _ in range(max_iters):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        m = shifted[idx]
+        aug = np.column_stack([m, (m * m).sum(axis=1), np.ones(idx.size)])
+        sums = np.exp(aug @ lifted) @ with_one
+        new = sums[:, :dim] / sums[:, dim:]
+        moved = np.abs(new - m).max(axis=1) >= tol
+        shifted[idx] = new
+        active[idx] = moved
+    return shifted + centre
 
 
 def dedup_alone(points, weights, bandwidth, divisor=DEDUP_DIVISOR):
@@ -175,7 +207,7 @@ def mean_shift_groups_one_by_one(point_groups, weights, bandwidth, max_iters):
 
 def mean_shift_alone(points, weights, bandwidth, divisor, max_iters):
     """One weighted point set through the reference stages: np.unique
-    pooling, the allocating kernel and the one-group merge; the reference
+    pooling, the allocating lifted kernel and the one-group merge; the reference
     for every set of a `meanshift.mean_shift` call."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     weights = np.ones(len(points)) if weights is None else np.asarray(weights, dtype=float)
@@ -184,8 +216,8 @@ def mean_shift_alone(points, weights, bandwidth, divisor, max_iters):
     if len(points) == 0:
         return np.empty((0, points.shape[1])), np.empty(0)
     points, weights = dedup_alone(points, weights, bandwidth, divisor)
-    shifted = meanshift_iterate(points, weights, bandwidth, max_iters,
-                                TOL_FACTOR * bandwidth)
+    shifted = meanshift_iterate_lifted(points, weights, bandwidth, max_iters,
+                                       TOL_FACTOR * bandwidth)
     return merge_modes_alone(shifted, weights, MERGE_FACTOR * bandwidth)
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from handfit.meanshift import (_cell_index, _dedup, _iterate, mean_shift,
-                               mean_shift_groups)
+from handfit.meanshift import (INFER_DEDUP_DIVISOR, _cell_index, _dedup, _shift_sets,
+                               mean_shift, mean_shift_groups)
 
 from oracles import (dedup_alone, dedup_per_group, kde_grid_mode, mean_shift_alone,
-                     mean_shift_groups_one_by_one, meanshift_iterate, shift_once)
+                     mean_shift_groups_one_by_one, meanshift_iterate,
+                     meanshift_iterate_lifted, shift_once)
 
 
 def test_single_point_is_its_own_mode():
@@ -73,6 +74,15 @@ def test_bandwidth_must_be_positive():
         mean_shift(np.zeros((2, 3)), bandwidth=0.0)
 
 
+@pytest.mark.parametrize("bandwidth", [np.nan, np.inf])
+def test_bandwidth_must_be_finite(bandwidth):
+    # a NaN bandwidth used to give one NaN mode carrying every point's weight
+    with pytest.raises(ValueError, match="bandwidth"):
+        mean_shift(np.arange(6.0).reshape(2, 3), bandwidth=bandwidth)
+    with pytest.raises(ValueError, match="bandwidth"):
+        mean_shift_groups(np.arange(6.0).reshape(1, 2, 3), bandwidth=bandwidth)
+
+
 def test_groups_match_scalar_runs():
     rng = np.random.default_rng(2)
     groups = rng.normal(0, 10, size=(4, 30, 3))
@@ -109,10 +119,14 @@ def test_support_ordering_is_descending():
 
 
 def _assert_iterate_matches_oracle(points, weights, bandwidth, max_iters):
+    # one set through the lockstep kernel: the bits of its allocating form,
+    # and within 1e-8 mm of the squared-distance reference
     tol = 1e-3 * bandwidth
-    got = _iterate(points, weights, bandwidth, max_iters, tol)
-    want = meanshift_iterate(points, weights, bandwidth, max_iters, tol)
+    got, = _shift_sets([points], [weights], bandwidth, max_iters, tol)
+    want = meanshift_iterate_lifted(points, weights, bandwidth, max_iters, tol)
     assert got.tobytes() == want.tobytes()
+    ref = meanshift_iterate(points, weights, bandwidth, max_iters, tol)
+    assert np.abs(got - ref).max() <= 1e-8
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -140,7 +154,7 @@ def test_iterate_bit_equal_when_one_row_stays_active():
     # a far point drifts on after the blob has converged
     rng = np.random.default_rng(4)
     pts = np.vstack([rng.normal(0, 0.5, (40, 3)), [[0.0, 0.0, 25.0]]])
-    runs = [meanshift_iterate(pts, np.ones(len(pts)), 10.0, i, 1e-2)
+    runs = [meanshift_iterate_lifted(pts, np.ones(len(pts)), 10.0, i, 1e-2)
             for i in range(1, 8)]
     moving = [int((a != b).any(axis=1).sum()) for a, b in zip(runs, runs[1:])]
     assert 1 in moving  # some iteration shifts exactly one active row
@@ -151,10 +165,60 @@ def test_iterate_bit_equal_when_stopped_at_max_iters():
     rng = np.random.default_rng(8)
     pts = rng.uniform(-60, 60, (150, 3))
     tol = 1e-3 * 12.0
-    three = meanshift_iterate(pts, np.ones(150), 12.0, 3, tol)
-    four = meanshift_iterate(pts, np.ones(150), 12.0, 4, tol)
+    three = meanshift_iterate_lifted(pts, np.ones(150), 12.0, 3, tol)
+    four = meanshift_iterate_lifted(pts, np.ones(150), 12.0, 4, tol)
     assert not np.array_equal(three, four)  # still moving at the cap
-    _assert_iterate_matches_oracle(pts, np.ones(150), 12.0, 3)
+    for max_iters in (0, 1, 3):
+        _assert_iterate_matches_oracle(pts, np.ones(150), 12.0, max_iters)
+    got, = _shift_sets([pts], [np.ones(150)], 12.0, 0, tol)
+    assert np.array_equal(got, pts)
+
+
+def _track_like_sets(rng, bandwidth):
+    """A frame's 21 joint sets of 200 votes each: most around one to three
+    centres a bandwidth or two apart, the rest spread over the hand."""
+    sets = []
+    for _ in range(21):
+        centres = rng.normal(0, 1.5 * bandwidth, (int(rng.integers(1, 4)), 3))
+        near = centres[rng.integers(0, len(centres), 170)] \
+            + rng.normal(0, 0.6 * bandwidth, (170, 3))
+        sets.append(np.vstack([near, rng.normal(0, 6 * bandwidth, (30, 3))]))
+    return sets
+
+
+@pytest.mark.parametrize("offset_cells", [0, 1334])
+@pytest.mark.parametrize("seed", range(3))
+def test_lockstep_kernel_stays_within_1e8_mm_of_squared_distance_form(seed, offset_cells):
+    # pooled sets as inference shifts them, also 1334 grid cells (10 005 mm)
+    # from the origin, where the squared-distance form cancels large terms
+    bw = 15.0
+    sets = _track_like_sets(np.random.default_rng(seed), bw)
+    offset = offset_cells * (bw / INFER_DEDUP_DIVISOR) * np.array([1.0, -1.0, 1.0])
+    ones = [np.ones(len(p)) for p in sets]
+    pooled, weights = _dedup(sets, ones, bw, INFER_DEDUP_DIVISOR)
+    far, far_weights = _dedup([p + offset for p in sets], ones, bw, INFER_DEDUP_DIVISOR)
+    assert all(np.array_equal(a, b) for a, b in zip(weights, far_weights))
+    assert 40 < np.median([len(w) for w in weights]) < 200
+    tol = 1e-3 * bw
+    got = _shift_sets(far, far_weights, bw, 50, tol)
+    for p, w, shifted in zip(pooled, weights, got):
+        ref = meanshift_iterate(p, w, bw, 50, tol) + offset
+        assert np.abs(shifted - ref).max() <= 1e-8
+
+
+def test_lockstep_sets_get_the_bits_they_get_alone():
+    # the sets of one call converge after different numbers of iterations,
+    # and one set of a single point rides along
+    rng = np.random.default_rng(17)
+    sets = _track_like_sets(rng, 15.0)[:6] + [np.array([[3.0, -1.0, 2.0]])]
+    weights = [rng.uniform(0.5, 4.0, len(p)) for p in sets]
+    for max_iters in (1, 4, 50):
+        got = _shift_sets(sets, weights, 15.0, max_iters, 0.015)
+        for p, w, shifted in zip(sets, weights, got):
+            alone, = _shift_sets([p], [w], 15.0, max_iters, 0.015)
+            assert shifted.tobytes() == alone.tobytes()
+            want = meanshift_iterate_lifted(p, w, 15.0, max_iters, 0.015)
+            assert shifted.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("cell", [

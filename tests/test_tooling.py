@@ -112,6 +112,31 @@ def test_benchmark_tracer_sees_routing_and_mean_shift_inside_inference(
             "mean_shift"} <= _span_names(tracer)
 
 
+def test_inference_shifts_each_frame_in_one_forest_mean_shift_call(
+        tracing, rest_frame, geom, cam):
+    # the benchmark's tracer and its reference sampler see inference's
+    # mean-shift only by wrapping the attribute `forest.mean_shift`: every
+    # frame must go through that name, in exactly one call
+    img, gt = rest_frame
+    samples = forest.extract_samples(img, gt, stride=4, rng=np.random.default_rng(0))
+    cfg = forest.ForestConfig(num_trees=1, max_depth=3, min_samples=10,
+                              node_subsample=100, candidates=10)
+    model = forest.train_forest(samples, cfg, np.random.default_rng(0))
+    angles = np.zeros((5, 4))
+    angles[1:, 1:] = 0.6
+    rest = geometry.PoseParams.rest()
+    bent = geometry.PoseParams(np.array([10.0, -5.0, 520.0]), rest.orientation, angles)
+    frames = [img, render_depth(geom, bent, cam), img]
+    tracer = tracing.Tracer()
+    with tracer.install(), tracer.span("op", 0):
+        for image in frames:
+            forest.proposals_from_votes(forest.accumulate_votes(model, image, stride=4))
+    names = [span[0] for span in tracer.spans]
+    shifts = [span for span in tracer.spans if span[0] == "mean_shift"]
+    assert names.count("proposals_from_votes") == len(shifts) == len(frames)
+    assert all(names[span[3]] == "proposals_from_votes" for span in shifts)
+
+
 def test_benchmark_measures_the_settings_the_cli_builds(monkeypatch):
     # perfbench restates the settings field by field; they must stay what
     # the run config builds, apart from the benchmark's one-tree forest
