@@ -3,10 +3,11 @@
 Each foreground patch carries a part label (nearest joint) and 3D offset
 vectors to every joint. Trees split on two-probe depth-difference features
 whose pixel offsets are normalized by the patch depth; leaves summarize
-the arriving offset distributions per joint by mean-shift modes. At test
-time every patch votes absolute 3D positions for every joint; per joint
-the strongest votes are condensed by mean-shift into a handful of
-confidence-weighted proposals.
+the arriving offset distributions per joint by mean-shift modes: after a
+tree is grown, its leaves' joint offset sets are condensed by `mean_shift`,
+LEAVES_PER_CALL leaves to a call. At test time every patch votes absolute
+3D positions for every joint; per joint the strongest votes are condensed
+by the same `mean_shift` into a handful of confidence-weighted proposals.
 """
 
 from __future__ import annotations
@@ -21,11 +22,21 @@ import numpy as np
 from . import geometry
 from .config import DEFAULTS, ForestConfig  # also read as forest.ForestConfig
 from .depth import foreground_mask
-from .meanshift import INFER_DEDUP_DIVISOR, _dedup, mean_shift, mean_shift_groups
+# `_dedup` is not called here: perfbench/tracing.py wraps it by this module's name
+from .meanshift import INFER_DEDUP_DIVISOR, _dedup, mean_shift  # noqa: F401
 from .proposals import ProposalSet
+
+# the leaves call mean-shift by this name: perfbench/tracing.py times them by it
+mean_shift_groups = mean_shift
 
 MAGIC = b"HFOR"
 FORMAT_VERSION = 1
+# leaves condensed per `mean_shift` call, 21 joint sets each. A set gets the
+# same bits in any call, so this moves no output, only time and memory. On
+# the benchmark `train` tree (923 leaves; 2-vCPU Xeon VM, BLAS 1 thread) the
+# leaf models took 2.1 s of CPU at 1 leaf per call, 1.5 s at 16 or 32 and
+# 1.6-1.8 s in one call; peak RSS read 132, 132, 134 and 269 MB.
+LEAVES_PER_CALL = 16
 
 
 class ForestFormatError(ValueError):
@@ -192,28 +203,33 @@ def _balanced_subsample(labels, idx, size, rng):
 
 
 def build_leaf(samples, idx, cfg, rng):
-    """Leaf model: per joint, top-M mean-shift modes of the offset vectors.
-
-    Returns (modes (J, M, 3), weights (J, M)) zero-padded, weights are the
-    support mass of each mode.
-    """
+    """The samples a leaf model is built from: `idx`, or a sorted random
+    `cfg.leaf_cap` of them drawn from `rng`."""
     if len(idx) > cfg.leaf_cap:
         idx = np.sort(rng.choice(idx, size=cfg.leaf_cap, replace=False))
-    n_joints = samples.offsets.shape[1]
-    modes_out = np.zeros((n_joints, cfg.leaf_modes, 3), dtype=np.float32)
-    weights_out = np.zeros((n_joints, cfg.leaf_modes), dtype=np.float32)
-    offs = samples.offsets[idx].astype(float).transpose(1, 0, 2)  # (J, n, 3)
+    return idx
 
-    # pool near-identical offsets of every joint in one pass before the
-    # shared batched run; large leaves hold mostly duplicates, so this trims
-    # the quadratic cost
-    pts, wts = _dedup(offs, np.ones(offs.shape[:2]), cfg.leaf_bandwidth_mm)
-    results = mean_shift_groups(pts, wts, bandwidth=cfg.leaf_bandwidth_mm,
-                                max_iters=cfg.meanshift_iters)
-    for j, (modes, support) in enumerate(results):
-        m = min(cfg.leaf_modes, len(modes))
-        modes_out[j, :m] = modes[:m]
-        weights_out[j, :m] = support[:m]
+
+def _leaf_models(samples, leaves, cfg):
+    """Leaf models of the sample index sets `leaves`: per leaf and joint the
+    top `cfg.leaf_modes` mean-shift modes of the offsets, zero-padded, as
+    (modes (L, J, M, 3), weights (L, J, M)) float32; a weight is the
+    support of its mode. LEAVES_PER_CALL leaves share a `mean_shift` call.
+    """
+    n_joints = samples.offsets.shape[1]
+    modes_out = np.zeros((len(leaves), n_joints, cfg.leaf_modes, 3), dtype=np.float32)
+    weights_out = np.zeros((len(leaves), n_joints, cfg.leaf_modes), dtype=np.float32)
+    for lo in range(0, len(leaves), LEAVES_PER_CALL):
+        sets = [joint_set for idx in leaves[lo:lo + LEAVES_PER_CALL]
+                for joint_set in np.ascontiguousarray(
+                    samples.offsets[idx].transpose(1, 0, 2), dtype=float)]
+        found = mean_shift_groups(sets, None, bandwidth=cfg.leaf_bandwidth_mm,
+                                  max_iters=cfg.meanshift_iters)
+        for k, (modes, support) in enumerate(found):
+            leaf, j = divmod(k, n_joints)
+            m = min(cfg.leaf_modes, len(modes))
+            modes_out[lo + leaf, j, :m] = modes[:m]
+            weights_out[lo + leaf, j, :m] = support[:m]
     return modes_out, weights_out
 
 
@@ -301,8 +317,7 @@ def train_tree(samples, cfg, rng):
     n_joints = samples.offsets.shape[1]
 
     nodes = []   # [left, right, leaf_id, u0, u1, v0, v1, tau]
-    leaf_modes = []
-    leaf_weights = []
+    leaves = []  # each leaf's sample indices, condensed once the tree is grown
     # pre-order walk: a node takes its id and its draws from `rng` before
     # its left subtree, and the left subtree before the right one
     stack = [(np.arange(len(samples)), 0, None, 0)]  # idx, depth, parent, side
@@ -315,16 +330,15 @@ def train_tree(samples, cfg, rng):
         if depth < cfg.max_depth and len(idx) >= cfg.min_samples:
             split = _best_split(samples, idx, cfg, rng, probe_range, n_joints)
         if split is None:
-            modes, weights = build_leaf(samples, idx, cfg, rng)
-            leaf_modes.append(modes)
-            leaf_weights.append(weights)
-            nodes.append([-1, -1, len(leaf_modes) - 1, 0.0, 0.0, 0.0, 0.0, 0.0])
+            leaves.append(build_leaf(samples, idx, cfg, rng))
+            nodes.append([-1, -1, len(leaves) - 1, 0.0, 0.0, 0.0, 0.0, 0.0])
             continue
         u, v, tau, go_left = split
         nodes.append([-2, -2, -1, u[0], u[1], v[0], v[1], tau])
         stack.append((idx[~go_left], depth + 1, node_id, 1))
         stack.append((idx[go_left], depth + 1, node_id, 0))
     arr = np.asarray(nodes, dtype=float)
+    leaf_modes, leaf_weights = _leaf_models(samples, leaves, cfg)
     return Tree(
         left=arr[:, 0].astype(np.int32),
         right=arr[:, 1].astype(np.int32),
@@ -332,8 +346,8 @@ def train_tree(samples, cfg, rng):
         probe_u=arr[:, 3:5].astype(np.float32),
         probe_v=arr[:, 5:7].astype(np.float32),
         tau=arr[:, 7].astype(np.float32),
-        leaf_modes=np.stack(leaf_modes),
-        leaf_weights=np.stack(leaf_weights),
+        leaf_modes=leaf_modes,
+        leaf_weights=leaf_weights,
     )
 
 

@@ -1,14 +1,14 @@
 """Gaussian-kernel mean-shift mode seeking for weighted 3D point sets.
 
-`mean_shift` takes one point set, or a sequence of sets of any lengths
-(inference passes a frame's 21 joint vote sets in one call). Every set is
-pooled on a grid in one pass keyed by set, and merged into modes in one
-keyed pass. In between, one lockstep kernel shifts every set: per
-iteration each set's exponents come from one small product and its
-weighted sums from another, while one exp and the convergence
+`mean_shift` takes one point set, or a sequence of sets of any lengths.
+Every set is pooled on a grid in one pass keyed by set, and merged into
+modes in one keyed pass. In between, one lockstep kernel shifts every
+set: per iteration each set's exponents come from one small product and
+its weighted sums from another, while one exp and the convergence
 bookkeeping run over all sets at once, with no padding. Each set gets,
-bit for bit, the modes a call on it alone returns. `mean_shift_groups`
-is the batched float32 kernel the forest leaves use.
+bit for bit, the modes a call on it alone returns. The forest uses it
+twice: a tree condenses its leaves' offsets, 21 joint sets a leaf, and
+inference condenses a frame's 21 joint vote sets in one call.
 """
 
 from __future__ import annotations
@@ -86,55 +86,25 @@ def _pool(points, weights, sizes, bandwidth, divisor):
 
 
 def _dedup(points, weights, bandwidth, divisor=DEDUP_DIVISOR):
-    """Pool points on a grid of bandwidth / divisor; returns (means, summed
-    weights).
+    """Pool each of the non-empty (n_i, d) sets `points`, with its (n_i,)
+    `weights`, on a grid of bandwidth / divisor, all in one keyed pass.
 
-    A sequence of non-empty (n_i, d) sets with their (n_i,) weights pools
-    every set on its own, in one keyed pass, and returns two lists: each
-    set gets what it would get pooled alone, the input itself when none
-    of its points pool.
-
-    A (g, n, d) stack with (g, n) weights comes back as a (g, width, d)
-    stack whose short rows are padded with zero weight on the group's
-    first point; each group holds what it would alone.
+    Returns two lists, (means, summed weights): each set gets what it
+    would get pooled alone, the input itself when none of its points pool.
     """
-    if not isinstance(points, np.ndarray):
-        sizes = [len(w) for w in weights]
-        cells = _pool(np.concatenate(points), np.concatenate(weights), sizes,
-                      bandwidth, divisor)
-        if cells is None:
-            return list(points), list(weights)
-        first, counts, w, sums = cells
-        out_p, out_w = [], []
-        for p, wt, size, lo, count in zip(points, weights, sizes, first, counts):
-            if count < size:
-                mine = slice(lo, lo + count)
-                p, wt = sums[mine] / w[mine, None], w[mine]
-            out_p.append(p)
-            out_w.append(wt)
-        return out_p, out_w
-    g, n, dim = points.shape
-    cells = _pool(points.reshape(g * n, dim), weights.reshape(-1), [n] * g,
+    sizes = [len(w) for w in weights]
+    cells = _pool(np.concatenate(points), np.concatenate(weights), sizes,
                   bandwidth, divisor)
     if cells is None:
-        return points, weights
+        return list(points), list(weights)
     first, counts, w, sums = cells
-    pooled = counts < n
-    means = sums / w[:, None]
-
-    lengths = np.where(pooled, counts, n)
-    width = int(lengths.max())
-    out_p = np.empty((g, width, dim))
-    out_w = np.zeros((g, width))
-    out_p[~pooled] = points[~pooled, :width]  # width is n if any group is kept
-    out_w[~pooled] = weights[~pooled, :width]
-    cell_group = np.repeat(np.arange(g), counts)
-    slot = np.arange(len(w)) - first[cell_group]
-    mine = pooled[cell_group]
-    out_p[cell_group[mine], slot[mine]] = means[mine]
-    out_w[cell_group[mine], slot[mine]] = w[mine]
-    pad = np.arange(width)[None, :] >= lengths[:, None]
-    out_p[pad] = np.broadcast_to(out_p[:, :1], out_p.shape)[pad]
+    out_p, out_w = [], []
+    for p, wt, size, lo, count in zip(points, weights, sizes, first, counts):
+        if count < size:
+            mine = slice(lo, lo + count)
+            p, wt = sums[mine] / w[mine, None], w[mine]
+        out_p.append(p)
+        out_w.append(wt)
     return out_p, out_w
 
 
@@ -219,11 +189,6 @@ def _shift_sets(points, weights, bandwidth, max_iters, tol):
     return np.split(cur, starts[1:-1])
 
 
-def _check_bandwidth(bandwidth):
-    if not 0 < bandwidth < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
-
-
 def _is_sets(points):
     """True for a sequence of (n, d) sets: a list or tuple of 2-D arrays
     (an empty one included) or a (g, n, d) array."""
@@ -241,7 +206,8 @@ def mean_shift(points, weights=None, *, bandwidth, dedup_divisor=DEDUP_DIVISOR,
     iterations start from every pooled point; converged points lying
     within MERGE_FACTOR * bandwidth of each other are merged into one mode
     whose position is the weighted mean of its members and whose support
-    is their total weight. Points of zero weight are dropped first.
+    is their total weight. Points of zero weight are dropped first; a NaN
+    or infinite point or weight raises ValueError.
 
     Returns (modes (m, d), supports (m,)) sorted by support descending.
     A sequence of sets of any lengths, with None or one weight array per
@@ -249,26 +215,34 @@ def mean_shift(points, weights=None, *, bandwidth, dedup_divisor=DEDUP_DIVISOR,
     what a call on that set alone returns: the sets are pooled in one keyed
     pass, shifted in lockstep by `_shift_sets` and merged in one keyed pass.
     """
-    _check_bandwidth(bandwidth)
+    if not 0 < bandwidth < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     if not _is_sets(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return mean_shift([points], None if weights is None else [weights],
                           bandwidth=bandwidth, dedup_divisor=dedup_divisor,
                           max_iters=max_iters)[0]
-    sets = []
-    for i, p in enumerate(points):
-        p = np.asarray(p, dtype=float)
-        if weights is None:
-            w = np.ones(len(p))
-        else:
-            w = np.asarray(weights[i], dtype=float)
-            p, w = p[w > 0], w[w > 0]
-        sets.append((p, w))
-    out = [(np.empty((0, p.shape[1])), np.empty(0)) for p, _ in sets]
-    live = [i for i, (p, _) in enumerate(sets) if p.size]
+    sets = [np.asarray(p, dtype=float) for p in points]
+    if weights is None:
+        weights = [np.ones(len(p)) for p in sets]
+    else:
+        weights = [np.asarray(w, dtype=float) for w in weights]
+    out = [(np.empty((0, p.shape[1])), np.empty(0)) for p in sets]
+    if not sets:
+        return out
+    # one check over all sets, not one per set: a leaf call holds 16 x 21 sets
+    all_w = np.concatenate(weights)
+    if not (np.isfinite(all_w).all()
+            and np.isfinite(np.concatenate([p.ravel() for p in sets])).all()):
+        raise ValueError("mean_shift points and weights must be finite")
+    if not (all_w > 0).all():
+        keep = [w > 0 for w in weights]
+        sets = [p[k] for p, k in zip(sets, keep)]
+        weights = [w[k] for w, k in zip(weights, keep)]
+    live = [i for i, p in enumerate(sets) if p.size]
     if not live:
         return out
-    pooled = _dedup([sets[i][0] for i in live], [sets[i][1] for i in live],
+    pooled = _dedup([sets[i] for i in live], [weights[i] for i in live],
                     bandwidth, dedup_divisor)
     tol = TOL_FACTOR * bandwidth
     shifted = _shift_sets(*pooled, bandwidth, max_iters, tol)
@@ -276,53 +250,6 @@ def mean_shift(points, weights=None, *, bandwidth, dedup_divisor=DEDUP_DIVISOR,
                                            MERGE_FACTOR * bandwidth)):
         out[i] = modes
     return out
-
-
-def mean_shift_groups(point_groups, weights=None, *, bandwidth,
-                      max_iters=DEFAULTS["forest.meanshift_iters"]):
-    """Weighted mean-shift over g equally-sized point sets at once.
-
-    point_groups (g, n, d), weights (g, n) with zero weight marking padded
-    entries -> list of (modes, supports) per group, same semantics as
-    mean_shift. Batching the groups and computing in float32 amortizes the
-    overhead that dominates for the small sets stored at tree leaves.
-    """
-    _check_bandwidth(bandwidth)
-    pts = np.asarray(point_groups, dtype=np.float32)
-    g, n, dim = pts.shape
-    if weights is None:
-        weights = np.ones((g, n), dtype=np.float32)
-    else:
-        weights = np.asarray(weights, dtype=np.float32)
-    inv_two_bw2 = np.float32(0.5 / (bandwidth * bandwidth))
-    tol = np.float32(TOL_FACTOR * bandwidth)
-
-    shifted = pts.reshape(g * n, dim).copy()
-    gid = np.repeat(np.arange(g), n)
-    p_sq = (pts * pts).sum(axis=2)
-    live = weights.reshape(g * n) > 0
-    active = live.copy()
-    for _ in range(max_iters):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        m = shifted[idx]
-        grp = gid[idx]
-        block = pts[grp]  # (a, n, d): each point shifts within its own group
-        d2 = (m * m).sum(axis=1)[:, None] + p_sq[grp] \
-            - 2.0 * np.einsum("ad,and->an", m, block)
-        np.maximum(d2, 0.0, out=d2)
-        k = np.exp(-d2 * inv_two_bw2) * weights[grp]
-        new = np.einsum("an,and->ad", k, block) / k.sum(axis=1)[:, None]
-        moved = np.abs(new - m).max(axis=1) >= tol
-        shifted[idx] = new
-        active[idx] = moved
-
-    shifted = shifted.reshape(g, n, dim).astype(float)
-    weights = weights.astype(float)
-    live = live.reshape(g, n)
-    return _merge_modes([(shifted[i, live[i]], weights[i, live[i]]) for i in range(g)],
-                        MERGE_FACTOR * bandwidth)
 
 
 def _single_mode(shifted, weights, merge_radius):

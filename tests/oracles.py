@@ -114,22 +114,6 @@ def dedup_alone(points, weights, bandwidth, divisor=DEDUP_DIVISOR):
     return sums / w[:, None], w
 
 
-def dedup_per_group(points, weights, bandwidth):
-    """A (g, n, d) stack pooled one group at a time and padded to the widest
-    group, zero-weight padding parked on the group's first point: the
-    reference for a keyed `_dedup`, as `build_leaf` looped over joints."""
-    pooled = [dedup_alone(points[i], weights[i], bandwidth)
-              for i in range(len(points))]
-    width = max(len(w) for _, w in pooled)
-    pts = np.zeros((len(points), width, points.shape[2]))
-    wts = np.zeros((len(points), width))
-    for i, (p, w) in enumerate(pooled):
-        pts[i, :len(w)] = p
-        pts[i, len(w):] = p[0]
-        wts[i, :len(w)] = w
-    return pts, wts
-
-
 def merge_modes_alone(shifted, weights, merge_radius):
     """Greedy mode merge of one group, its grid collapsed by np.unique: the
     reference for the merge stage of `meanshift`."""
@@ -172,39 +156,6 @@ def merge_modes_alone(shifted, weights, merge_radius):
     return modes[order], supports[order]
 
 
-def mean_shift_groups_one_by_one(point_groups, weights, bandwidth, max_iters):
-    """`meanshift.mean_shift_groups` with every group merged by its own
-    `merge_modes_alone` call; the same float32 batched iteration."""
-    pts = np.asarray(point_groups, dtype=np.float32)
-    g, n, dim = pts.shape
-    weights = np.asarray(weights, dtype=np.float32)
-    inv_two_bw2 = np.float32(0.5 / (bandwidth * bandwidth))
-    tol = np.float32(TOL_FACTOR * bandwidth)
-    shifted = pts.reshape(g * n, dim).copy()
-    gid = np.repeat(np.arange(g), n)
-    p_sq = (pts * pts).sum(axis=2)
-    active = weights.reshape(g * n) > 0
-    for _ in range(max_iters):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        m = shifted[idx]
-        grp = gid[idx]
-        block = pts[grp]
-        d2 = (m * m).sum(axis=1)[:, None] + p_sq[grp] \
-            - 2.0 * np.einsum("ad,and->an", m, block)
-        np.maximum(d2, 0.0, out=d2)
-        k = np.exp(-d2 * inv_two_bw2) * weights[grp]
-        new = np.einsum("an,and->ad", k, block) / k.sum(axis=1)[:, None]
-        moved = np.abs(new - m).max(axis=1) >= tol
-        shifted[idx] = new
-        active[idx] = moved
-    shifted = shifted.reshape(g, n, dim).astype(float)
-    weights = weights.astype(float)
-    return [merge_modes_alone(shifted[i, weights[i] > 0], weights[i, weights[i] > 0],
-                              MERGE_FACTOR * bandwidth) for i in range(g)]
-
-
 def mean_shift_alone(points, weights, bandwidth, divisor, max_iters):
     """One weighted point set through the reference stages: np.unique
     pooling, the allocating lifted kernel and the one-group merge; the reference
@@ -237,19 +188,17 @@ def proposals_joint_by_joint(votes, top_n, k, bandwidth_mm, max_iters):
     return ProposalSet(entries)
 
 
-def build_leaf_per_joint(samples, idx, cfg, rng):
-    """`forest.build_leaf` as a loop over joints: `dedup_per_group`, then
-    `mean_shift_groups_one_by_one`."""
-    if len(idx) > cfg.leaf_cap:
-        idx = np.sort(rng.choice(idx, size=cfg.leaf_cap, replace=False))
+def build_leaf_per_joint(samples, idx, cfg):
+    """The leaf model of the samples `idx` as one `mean_shift_alone` per
+    joint: (modes (J, M, 3), weights (J, M)) float32, zero-padded; the
+    reference for a leaf of `forest._leaf_models`."""
     n_joints = samples.offsets.shape[1]
     modes_out = np.zeros((n_joints, cfg.leaf_modes, 3), dtype=np.float32)
     weights_out = np.zeros((n_joints, cfg.leaf_modes), dtype=np.float32)
-    offs = samples.offsets[idx].astype(float).transpose(1, 0, 2)
-    pts, wts = dedup_per_group(offs, np.ones(offs.shape[:2]), cfg.leaf_bandwidth_mm)
-    results = mean_shift_groups_one_by_one(pts, wts, cfg.leaf_bandwidth_mm,
-                                           cfg.meanshift_iters)
-    for j, (modes, support) in enumerate(results):
+    for j in range(n_joints):
+        modes, support = mean_shift_alone(samples.offsets[idx, j].astype(float), None,
+                                          cfg.leaf_bandwidth_mm, DEDUP_DIVISOR,
+                                          cfg.meanshift_iters)
         m = min(cfg.leaf_modes, len(modes))
         modes_out[j, :m] = modes[:m]
         weights_out[j, :m] = support[:m]
@@ -283,7 +232,8 @@ def depth_difference_3index(images, img_idx, pixel, depth, probe_u, probe_v,
 
 def train_tree_recursive(samples, cfg, rng):
     """`forest.train_tree` grown by a self-recursive closure: node ids,
-    draws from `rng` and leaves in the pre-order of the recursion."""
+    draws from `rng` and leaves in the pre-order of the recursion, each
+    leaf's model built at once by `build_leaf_per_joint`."""
     probe_range = cfg.probe_range_px_m * 1000.0
     n_joints = samples.offsets.shape[1]
     nodes, leaf_modes, leaf_weights = [], [], []
@@ -293,7 +243,8 @@ def train_tree_recursive(samples, cfg, rng):
         if depth < cfg.max_depth and len(idx) >= cfg.min_samples:
             split = forest._best_split(samples, idx, cfg, rng, probe_range, n_joints)
         if split is None:
-            modes, weights = forest.build_leaf(samples, idx, cfg, rng)
+            modes, weights = build_leaf_per_joint(
+                samples, forest.build_leaf(samples, idx, cfg, rng), cfg)
             leaf_modes.append(modes)
             leaf_weights.append(weights)
             nodes.append([-1, -1, len(leaf_modes) - 1, 0.0, 0.0, 0.0, 0.0, 0.0])

@@ -241,9 +241,8 @@ def test_run_config_defaults_match_dataclass_defaults():
                 for name, p in inspect.signature(fn).parameters.items()
                 if p.default is not inspect.Parameter.empty]
     assert len(defaults) == 6
-    defaults += [(inspect.signature(fn).parameters["max_iters"].default,
-                  "forest.meanshift_iters")
-                 for fn in (meanshift.mean_shift, meanshift.mean_shift_groups)]
+    defaults.append((inspect.signature(meanshift.mean_shift).parameters["max_iters"].default,
+                     "forest.meanshift_iters"))
     forest = F.Forest([])
     defaults += [(forest.leaf_modes, "forest.leaf_modes"),
                  (forest.bg_depth_mm, "forest.bg_depth_mm"),

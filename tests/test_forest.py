@@ -11,11 +11,10 @@ from handfit import forest as F
 from handfit import geometry, meanshift, synth
 from handfit.depth import render_depth
 from handfit.geometry import PoseParams, forward_kinematics
-from handfit.meanshift import _dedup, mean_shift
+from handfit.meanshift import mean_shift
 
-from oracles import (build_leaf_per_joint, dedup_per_group,
-                     depth_difference_3index, proposals_joint_by_joint,
-                     train_tree_recursive)
+from oracles import (build_leaf_per_joint, depth_difference_3index,
+                     proposals_joint_by_joint, train_tree_recursive)
 
 
 @pytest.fixture(scope="module")
@@ -120,12 +119,18 @@ def test_training_samples_route_to_their_leaf(cam, rest_frame, monkeypatch):
     assert np.array_equal(leaf, expected)
 
 
+def _leaf_model(samples, idx, cfg, rng):
+    """One leaf's (modes (J, M, 3), weights (J, M)) as `train_tree` builds it."""
+    modes, weights = F._leaf_models(samples, [F.build_leaf(samples, idx, cfg, rng)], cfg)
+    return modes[0], weights[0]
+
+
 def test_build_leaf_single_and_duplicate_samples(geom, cam, rest_frame):
     img, gt = rest_frame
     samples = F.extract_samples(img, gt, stride=3, rng=np.random.default_rng(0))
     cfg = F.ForestConfig()
-    modes, weights = F.build_leaf(samples, np.array([0]), cfg,
-                                  np.random.default_rng(0))
+    modes, weights = _leaf_model(samples, np.array([0]), cfg,
+                                 np.random.default_rng(0))
     for j in range(21):
         np.testing.assert_allclose(modes[j, 0], samples.offsets[0, j], atol=1e-4)
         assert weights[j, 0] == pytest.approx(1.0)
@@ -137,8 +142,8 @@ def test_build_leaf_single_and_duplicate_samples(geom, cam, rest_frame):
                       np.zeros(2, dtype=np.int32),
                       np.repeat(samples.label[:1], 2),
                       np.repeat(samples.offsets[:1], 2, axis=0))
-    modes, weights = F.build_leaf(dup, np.array([0, 1]), cfg,
-                                  np.random.default_rng(0))
+    modes, weights = _leaf_model(dup, np.array([0, 1]), cfg,
+                                 np.random.default_rng(0))
     assert weights[0, 0] == pytest.approx(2.0)
     assert weights[0, 1] == 0.0
 
@@ -160,8 +165,8 @@ def test_build_leaf_two_clusters_weighted_mean_oracle(cam, rest_frame):
                           np.zeros(n, dtype=np.int16),
                           offs)
     cfg = F.ForestConfig(leaf_bandwidth_mm=20.0)
-    modes, weights = F.build_leaf(crafted, np.arange(n), cfg,
-                                  np.random.default_rng(0))
+    modes, weights = _leaf_model(crafted, np.arange(n), cfg,
+                                 np.random.default_rng(0))
     np.testing.assert_allclose(modes[5, 0], cluster_a.mean(axis=0), atol=0.5)
     np.testing.assert_allclose(modes[5, 1], cluster_b.mean(axis=0), atol=0.5)
     assert weights[5, 0] == pytest.approx(20, abs=0.5)
@@ -304,7 +309,8 @@ def _leaf_samples(base, offsets):
 @pytest.mark.parametrize("case", ["one_sample", "all_duplicates", "above_leaf_cap",
                                   "no_pooling", "some_joints_pool"])
 def test_build_leaf_equals_per_joint_oracle(rest_frame, case):
-    # one keyed _dedup per leaf must give the bytes of the per-joint loop
+    # a leaf's 21 joint sets in one mean_shift call must give the bytes of
+    # one mean-shift per joint
     img, gt = rest_frame
     base = F.extract_samples(img, gt, stride=2, rng=np.random.default_rng(0))
     rng = np.random.default_rng(7)
@@ -325,25 +331,50 @@ def test_build_leaf_equals_per_joint_oracle(rest_frame, case):
         samples, idx = _leaf_samples(base, offs), np.arange(60)
     assert len(samples) >= len(idx)
 
-    got = F.build_leaf(samples, idx, cfg, np.random.default_rng(3))
-    want = build_leaf_per_joint(samples, idx, cfg, np.random.default_rng(3))
+    drawn = F.build_leaf(samples, idx, cfg, np.random.default_rng(3))
+    if case == "above_leaf_cap":
+        want_idx = np.sort(np.random.default_rng(3).choice(idx, cfg.leaf_cap, replace=False))
+        np.testing.assert_array_equal(drawn, want_idx)
+    else:
+        assert drawn is idx
+    got = _leaf_model(samples, idx, cfg, np.random.default_rng(3))
+    want = build_leaf_per_joint(samples, drawn, cfg)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
 
-    offs = samples.offsets[idx[:cfg.leaf_cap]].astype(float).transpose(1, 0, 2)
-    ones = np.ones(offs.shape[:2])
-    pts, wts = _dedup(offs, ones, cfg.leaf_bandwidth_mm)
-    ref_pts, ref_wts = dedup_per_group(offs, ones, cfg.leaf_bandwidth_mm)
-    assert pts.tobytes() == ref_pts.tobytes() and wts.tobytes() == ref_wts.tobytes()
-    kept = (wts > 0).sum(axis=1)
-    if case in ("one_sample", "no_pooling"):
-        assert (kept == len(offs[0])).all()
-    elif case == "all_duplicates":
-        assert (kept == 1).all()
-    elif case == "some_joints_pool":
-        assert (kept[:9] < 60).all() and (kept[9:] == 60).all()
-    else:
-        assert offs.shape[1] == cfg.leaf_cap
+    if case in ("one_sample", "all_duplicates"):  # one mode holding every sample
+        assert (got[1][:, 0] == len(idx)).all() and (got[1][:, 1] == 0).all()
+
+
+def test_leaf_models_of_many_calls_equal_per_joint_oracle(rest_frame, monkeypatch):
+    # a tree with more leaves than one mean_shift call holds: every leaf
+    # gets the bytes of one mean-shift per joint, and calls of one leaf
+    # give the same tree
+    img, gt = rest_frame
+    samples = F.extract_samples(img, gt, stride=2, rng=np.random.default_rng(0))
+    cfg = F.ForestConfig(max_depth=10, min_samples=10, node_subsample=300,
+                         candidates=40, leaf_cap=60)
+    built = []
+    build_leaf = F.build_leaf
+
+    def recording(samples, idx, cfg, rng):
+        built.append(build_leaf(samples, idx, cfg, rng))
+        return built[-1]
+
+    monkeypatch.setattr(F, "build_leaf", recording)
+    tree = F.train_tree(samples, cfg, np.random.default_rng(3))
+    assert tree.n_leaves == len(built) > 2 * F.LEAVES_PER_CALL
+    assert max(len(idx) for idx in built) == cfg.leaf_cap
+    for leaf, idx in enumerate(built):
+        modes, weights = build_leaf_per_joint(samples, idx, cfg)
+        assert tree.leaf_modes[leaf].tobytes() == modes.tobytes()
+        assert tree.leaf_weights[leaf].tobytes() == weights.tobytes()
+
+    monkeypatch.setattr(F, "LEAVES_PER_CALL", 1)
+    one = F.train_tree(samples, cfg, np.random.default_rng(3))
+    assert one.leaf_modes.tobytes() == tree.leaf_modes.tobytes()
+    assert one.leaf_weights.tobytes() == tree.leaf_weights.tobytes()
+    assert one.tau.tobytes() == tree.tau.tobytes()
 
 
 def test_routing_total_and_deterministic(tiny_forest, rest_frame):
@@ -516,7 +547,7 @@ def test_leaves_keep_the_fine_grid(rest_frame, monkeypatch):
     votes = {4: _blob_votes(2, 0, F.DEFAULTS["forest.infer_bandwidth_mm"])}
 
     def run():
-        leaf = F.build_leaf(samples, idx, cfg, np.random.default_rng(3))
+        leaf = _leaf_model(samples, idx, cfg, np.random.default_rng(3))
         pset = F.proposals_from_votes(votes, top_n=200, k=10)
         return leaf[0].tobytes() + leaf[1].tobytes(), pset.positions(4).tobytes()
 

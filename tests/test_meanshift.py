@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from handfit.meanshift import (INFER_DEDUP_DIVISOR, _cell_index, _dedup, _shift_sets,
-                               mean_shift, mean_shift_groups)
+from handfit.meanshift import INFER_DEDUP_DIVISOR, _cell_index, _dedup, _shift_sets, mean_shift
 
-from oracles import (dedup_alone, dedup_per_group, kde_grid_mode, mean_shift_alone,
-                     mean_shift_groups_one_by_one, meanshift_iterate,
+from oracles import (dedup_alone, kde_grid_mode, mean_shift_alone, meanshift_iterate,
                      meanshift_iterate_lifted, shift_once)
 
 
@@ -80,20 +78,35 @@ def test_bandwidth_must_be_finite(bandwidth):
     with pytest.raises(ValueError, match="bandwidth"):
         mean_shift(np.arange(6.0).reshape(2, 3), bandwidth=bandwidth)
     with pytest.raises(ValueError, match="bandwidth"):
-        mean_shift_groups(np.arange(6.0).reshape(1, 2, 3), bandwidth=bandwidth)
+        mean_shift([np.arange(6.0).reshape(2, 3)], bandwidth=bandwidth)
 
 
-def test_groups_match_scalar_runs():
-    rng = np.random.default_rng(2)
-    groups = rng.normal(0, 10, size=(4, 30, 3))
-    grouped = mean_shift_groups(groups, bandwidth=12.0)
-    for g in range(4):
-        modes_g, support_g = grouped[g]
-        modes_s, support_s = mean_shift(groups[g], bandwidth=12.0)
-        assert len(modes_g) == len(modes_s)
-        # float32 batch vs float64 scalar: same structure, close positions
-        np.testing.assert_allclose(modes_g, modes_s, atol=0.1)
-        np.testing.assert_allclose(support_g, support_s, atol=1.0)
+@pytest.mark.parametrize("case", ["nan_point", "inf_point", "inf_weight", "nan_weight"])
+def test_non_finite_points_and_weights_are_rejected(case):
+    # one such value used to poison its set: a NaN point gave one NaN mode
+    # of weight 2, an infinite weight a NaN mode of support inf, and a NaN
+    # weight was dropped as if it were 0
+    pts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    w = np.ones(2)
+    if case == "nan_point":
+        pts[0, 0] = np.nan
+    elif case == "inf_point":
+        pts[1, 2] = -np.inf
+    elif case == "inf_weight":
+        w[0] = np.inf
+    else:
+        w[1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        mean_shift(pts, w, bandwidth=15.0)
+    # in a call of many sets, the one bad set fails the call
+    good = [np.arange(9.0).reshape(3, 3), np.ones((2, 3))]
+    with pytest.raises(ValueError, match="finite"):
+        mean_shift(good + [pts], [np.ones(3), np.ones(2), w], bandwidth=15.0)
+    if case.endswith("point"):
+        with pytest.raises(ValueError, match="finite"):
+            mean_shift(pts.tolist(), bandwidth=15.0)
+        with pytest.raises(ValueError, match="finite"):
+            mean_shift(good + [pts], None, bandwidth=15.0)
 
 
 def test_groups_ignore_zero_weight_padding():
@@ -101,7 +114,7 @@ def test_groups_ignore_zero_weight_padding():
     pts[0, :3] = np.array([[0, 0, 0], [1, 0, 0], [0.5, 0, 0]])
     pts[0, 3:] = pts[0, 0]
     weights = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
-    (modes, support), = mean_shift_groups(pts, weights, bandwidth=10.0)
+    (modes, support), = mean_shift(pts, weights, bandwidth=10.0)
     assert len(modes) == 1
     assert support[0] == pytest.approx(3.0)
     np.testing.assert_allclose(modes[0], [0.5, 0, 0], atol=1e-5)
@@ -278,7 +291,7 @@ def test_dedup_of_one_set_equals_alone_oracle(case):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_dedup_of_groups_equals_per_group_oracle(seed):
-    # pooled groups, groups left as they are and weighted points side by side
+    # pooled sets, sets left as they are and weighted points side by side
     rng = np.random.default_rng(seed)
     g, n = 7, 50
     pts = rng.normal(0, 40, (g, n, 3))
@@ -286,19 +299,21 @@ def test_dedup_of_groups_equals_per_group_oracle(seed):
     coarse[0] = True
     pts[coarse] = np.round(pts[coarse] / 30) * 30
     w = rng.uniform(0.5, 3.0, (g, n))
-    got = _dedup(pts, w, 15.0)
-    _assert_same_bytes(got, dedup_per_group(pts, w, 15.0))
-    kept = (got[1] > 0).sum(axis=1)
+    got_p, got_w = _dedup(list(pts), list(w), 15.0)
+    for p, wt, gp, gw in zip(pts, w, got_p, got_w):
+        _assert_same_bytes((gp, gw), dedup_alone(p, wt, 15.0))
+    kept = np.array([len(gw) for gw in got_w])
     assert (kept < n).any()
     if not coarse.all():
         assert (kept == n).any()
 
 
 def test_dedup_of_groups_where_none_pools_returns_the_input():
-    pts = np.random.default_rng(1).normal(0, 50, (3, 20, 3))
-    w = np.ones((3, 20))
-    got = _dedup(pts, w, 15.0)
-    assert got[0] is pts and got[1] is w
+    pts = list(np.random.default_rng(1).normal(0, 50, (3, 20, 3)))
+    w = [np.ones(20) for _ in range(3)]
+    got_p, got_w = _dedup(pts, w, 15.0)
+    assert all(a is b for a, b in zip(got_p, pts))
+    assert all(a is b for a, b in zip(got_w, w))
 
 
 def _mixed_groups(rng, width=40):
@@ -325,35 +340,35 @@ def _mixed_groups(rng, width=40):
 @pytest.mark.parametrize("max_iters", [0, 50])
 @pytest.mark.parametrize("seed", range(3))
 def test_mean_shift_groups_equal_one_by_one_merge_oracle(seed, max_iters):
+    # zero-padded groups in one call: the keyed merge gives each group what
+    # its own merge gives, for groups that exit early and groups that walk
     pts, w = _mixed_groups(np.random.default_rng(seed))
-    got = mean_shift_groups(pts, w, bandwidth=20.0, max_iters=max_iters)
-    want = mean_shift_groups_one_by_one(pts, w, 20.0, max_iters)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        _assert_same_bytes(a, b)
+    got = mean_shift(pts, w, bandwidth=20.0, max_iters=max_iters)
+    assert len(got) == len(pts)
+    for p, wt, res in zip(pts, w, got):
+        _assert_same_bytes(res, mean_shift_alone(p, wt, 20.0, 20.0, max_iters))
     counts = [len(modes) for modes, _ in got]
     assert 1 in counts and max(counts) > 1
 
 
 def test_mean_shift_groups_zero_weight_group_has_no_modes():
     # a group with no weight has no modes, as mean_shift returns for the
-    # same points; the other groups get what they get without it
+    # same points alone; the other groups get what they get without it
     pts, w = _mixed_groups(np.random.default_rng(4))
     w[1] = 0.0
     w[3] = 0.0  # an early-exit group and a walking group lose all weight
-    got = mean_shift_groups(pts, w, bandwidth=20.0)
+    got = mean_shift(pts, w, bandwidth=20.0)
     for i in (1, 3):
         modes, support = got[i]
         want = mean_shift(pts[i], w[i], bandwidth=20.0)
         assert modes.shape == want[0].shape == (0, 3)
         assert support.shape == want[1].shape == (0,)
     keep = [i for i in range(len(w)) if i not in (1, 3)]
-    alone = mean_shift_groups(pts[keep], w[keep], bandwidth=20.0)
+    alone = mean_shift(pts[keep], w[keep], bandwidth=20.0)
     for i, want in zip(keep, alone):
         _assert_same_bytes(got[i], want)
-    modes, support = mean_shift_groups(np.zeros((2, 3, 3)),
-                                       np.array([[1.0, 1, 1], [0, 0, 0]]),
-                                       bandwidth=5.0)[1]
+    modes, support = mean_shift(np.zeros((2, 3, 3)), np.array([[1.0, 1, 1], [0, 0, 0]]),
+                                bandwidth=5.0)[1]
     assert modes.shape == (0, 3) and support.shape == (0,)
 
 

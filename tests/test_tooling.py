@@ -81,17 +81,21 @@ def test_benchmark_tracer_sees_leaf_building_inside_train_tree(tracing, rest_fra
     # the train workload's per-layer metrics come from these spans
     img, gt = rest_frame
     samples = forest.extract_samples(img, gt, stride=4, rng=np.random.default_rng(0))
-    cfg = forest.ForestConfig(max_depth=3, min_samples=10, node_subsample=100,
+    cfg = forest.ForestConfig(max_depth=6, min_samples=10, node_subsample=100,
                               candidates=10)
     tracer = tracing.Tracer()
     with tracer.install(), tracer.span("op", 0):
         tree = forest.train_tree(samples, cfg, np.random.default_rng(0))
-    assert {"build_leaf", "dedup", "mean_shift_groups"} <= _span_names(tracer)
-    # each leaf pools all of its joints in one keyed dedup call
-    leaves = [i for i, span in enumerate(tracer.spans) if span[0] == "build_leaf"]
-    dedup_parents = [span[3] for span in tracer.spans if span[0] == "dedup"]
-    assert len(leaves) == tree.n_leaves > 1
-    assert sorted(dedup_parents) == leaves
+    names = _span_names(tracer)
+    assert {"build_leaf", "mean_shift_groups"} <= names and "dedup" not in names
+    # one build_leaf span per leaf; the grown tree's leaves are condensed in
+    # mean_shift_groups calls of LEAVES_PER_CALL leaves, children of train_tree
+    (root,) = [i for i, span in enumerate(tracer.spans) if span[0] == "train_tree"]
+    leaves = [span for span in tracer.spans if span[0] == "build_leaf"]
+    calls = [span for span in tracer.spans if span[0] == "mean_shift_groups"]
+    assert len(leaves) == tree.n_leaves > forest.LEAVES_PER_CALL
+    assert len(calls) == -(-tree.n_leaves // forest.LEAVES_PER_CALL)
+    assert {span[3] for span in leaves + calls} == {root}
 
 
 def test_benchmark_tracer_sees_routing_and_mean_shift_inside_inference(
