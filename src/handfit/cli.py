@@ -209,6 +209,8 @@ def cmd_eval(args):
     if len(estimates) != len(gt_joints):
         raise ValueError(f"{args.estimates}: {len(estimates)} frames, "
                          f"ground truth has {len(gt_joints)}")
+    if not gt_joints:
+        raise ValueError(f"{split / 'poses.csv'}: no frames to evaluate")
     results = [metrics.FrameResult.compute(i, est, gt, sentinel=cfg["pso.d_max_mm"])
                for i, (est, gt) in enumerate(zip(estimates, gt_joints))]
 

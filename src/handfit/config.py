@@ -236,6 +236,9 @@ _POSITIVE = ("forest.train_stride", "forest.train_cap", "forest.infer_stride",
              "synth.viewpoints", "synth.articulations", "synth.subsample",
              "synth.test_keyposes", "eval.threshold_step_mm", "eval.seeds")
 _NON_NEGATIVE = ("synth.jitter_mm", "synth.frames_between")
+# a test sequence interpolates between keyposes: two or more, with frames
+# between each pair
+_AT_LEAST = {"synth.test_keyposes": 2, "synth.frames_between": 1}
 
 
 def _int_list(key, text):
@@ -267,6 +270,8 @@ def _checked(key, value):
         raise ConfigError(f"{key}: must be positive, got {value!r}")
     if key in _NON_NEGATIVE and not value >= 0:
         raise ConfigError(f"{key}: must not be negative, got {value!r}")
+    if key in _AT_LEAST and not value >= _AT_LEAST[key]:
+        raise ConfigError(f"{key}: must be at least {_AT_LEAST[key]}, got {value!r}")
     return value
 
 

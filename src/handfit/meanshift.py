@@ -1,14 +1,16 @@
 """Gaussian-kernel mean-shift mode seeking for weighted 3D point sets.
 
-`mean_shift` takes one point set, or a sequence of sets of any lengths.
-Every set is pooled on a grid in one pass keyed by set, and merged into
-modes in one keyed pass. In between, one lockstep kernel shifts every
-set: per iteration each set's exponents come from one small product and
-its weighted sums from another, while one exp and the convergence
-bookkeeping run over all sets at once, with no padding. Each set gets,
-bit for bit, the modes a call on it alone returns. The forest uses it
-twice: a tree condenses its leaves' offsets, 21 joint sets a leaf, and
-inference condenses a frame's 21 joint vote sets in one call.
+`mean_shift` takes a sequence of point sets of any lengths and keeps them
+as one concatenated array, with their weights and set sizes, from its
+input check to the merge. One keyed grid pass (`_cells`) pools every set,
+and another merges every set's converged points into modes. In between,
+one lockstep kernel shifts every set: per iteration each set's exponents
+come from one small product and its weighted sums from another, while one
+exp and the convergence bookkeeping run over all sets at once, with no
+padding. Each set gets, bit for bit, the modes a call on it alone
+returns. The forest uses it twice: a tree condenses its leaves' offsets,
+21 joint sets a leaf, and inference condenses a frame's 21 joint vote
+sets in one call.
 """
 
 from __future__ import annotations
@@ -54,58 +56,31 @@ def _cell_index(cell):
     return inverse, int(rank[-1]) + 1
 
 
-def _keyed(group_sizes, cell):
-    """`cell` rows with their group id as the leading column; the rows of
-    a single group are returned as they are."""
-    if len(group_sizes) == 1:
-        return cell
-    return np.column_stack([np.repeat(np.arange(len(group_sizes)), group_sizes), cell])
-
-
-def _cell_sums(inverse, n_cells, weights, points):
-    """Total weight (c,) and weighted point sum (c, d) of every cell; each
-    cell adds its points in input order."""
+def _cells(cell, sizes, weights, points):
+    """One grid pass keyed by set over the concatenated non-empty sets of
+    `sizes`: points (N, d), weights (N,) and their integer cells (N, d).
+    Returns each set's first cell and cell count, and each cell's total
+    weight and weighted point sum. A set's cells form one run, in the order
+    its points alone give them, and a cell adds its points in input order.
+    """
+    keyed = np.column_stack([np.repeat(np.arange(len(sizes)), sizes), cell])
+    inverse, n_cells = _cell_index(keyed)
+    first = np.minimum.reduceat(inverse, np.cumsum(sizes) - sizes)
     w = np.bincount(inverse, weights=weights, minlength=n_cells)
     sums = np.stack([np.bincount(inverse, weights=weights * points[:, d],
                                  minlength=n_cells)
                      for d in range(points.shape[1])], axis=1)
-    return w, sums
+    return first, np.diff(first, append=n_cells), w, sums
 
 
-def _pool(points, weights, sizes, bandwidth, divisor):
-    """One grid pass keyed by group over the concatenated groups (N, d) of
-    `sizes`: each group's first cell and cell count, and every cell's total
-    weight and weighted point sum; None when no two points share a cell."""
+def _dedup(points, weights, sizes, bandwidth, divisor=DEDUP_DIVISOR):
+    """Pool the concatenated non-empty sets of `sizes`, points (N, d) with
+    weights (N,), on a grid of bandwidth / divisor in one keyed pass.
+    Returns (cell means, cell weights, cells per set), set after set, each
+    set's cells in grid order."""
     cell = np.round(points * (divisor / bandwidth)).astype(np.int64)
-    inverse, n_cells = _cell_index(_keyed(sizes, cell))
-    if n_cells == len(points):
-        return None
-    first = np.minimum.reduceat(inverse, np.cumsum([0] + sizes[:-1]))
-    counts = np.diff(first, append=n_cells)
-    return (first, counts) + _cell_sums(inverse, n_cells, weights, points)
-
-
-def _dedup(points, weights, bandwidth, divisor=DEDUP_DIVISOR):
-    """Pool each of the non-empty (n_i, d) sets `points`, with its (n_i,)
-    `weights`, on a grid of bandwidth / divisor, all in one keyed pass.
-
-    Returns two lists, (means, summed weights): each set gets what it
-    would get pooled alone, the input itself when none of its points pool.
-    """
-    sizes = [len(w) for w in weights]
-    cells = _pool(np.concatenate(points), np.concatenate(weights), sizes,
-                  bandwidth, divisor)
-    if cells is None:
-        return list(points), list(weights)
-    first, counts, w, sums = cells
-    out_p, out_w = [], []
-    for p, wt, size, lo, count in zip(points, weights, sizes, first, counts):
-        if count < size:
-            mine = slice(lo, lo + count)
-            p, wt = sums[mine] / w[mine, None], w[mine]
-        out_p.append(p)
-        out_w.append(wt)
-    return out_p, out_w
+    _, counts, w, sums = _cells(cell, sizes, weights, points)
+    return sums / w[:, None], w, counts
 
 
 def _sq_norms(x, out):
@@ -117,10 +92,10 @@ def _sq_norms(x, out):
     return out
 
 
-def _shift_sets(points, weights, bandwidth, max_iters, tol):
-    """Shift every point of every (n_i, d) set uphill on its own set's
-    weighted density until an update moves it less than tol; returns the
-    shifted sets.
+def _shift_sets(points, weights, sizes, bandwidth, max_iters, tol):
+    """Shift every point of the concatenated sets of `sizes`, points (N, d)
+    with weights (N,), uphill on its own set's weighted density until an
+    update moves it less than tol; returns the shifted points (N, d).
 
     The sets move in lockstep, none padded. Each set works centred at its
     mean. The exponents -|m - p_j|^2 / 2h^2 + log w_j of a set's active
@@ -134,19 +109,19 @@ def _shift_sets(points, weights, bandwidth, max_iters, tol):
     alone. Weights must be positive, so that log w is finite.
     """
     if max_iters < 1:
-        return list(points)
-    sizes = [len(p) for p in points]
+        return points
+    sizes = np.asarray(sizes).tolist()
     starts = np.cumsum([0] + sizes)
     bounds = list(zip(starts[:-1], starts[1:]))
-    dim = points[0].shape[1]
+    dim = points.shape[1]
     inv_bw2 = 1.0 / (bandwidth * bandwidth)
-    centres = np.stack([p.mean(axis=0) for p in points])
-    cur = np.concatenate(points) - np.repeat(centres, sizes, axis=0)
+    centres = np.repeat([points[lo:hi].mean(axis=0) for lo, hi in bounds], sizes, axis=0)
+    cur = points - centres
     lifted_t = np.empty((len(cur), dim + 2))
     lifted_t[:, :dim] = cur * inv_bw2
     lifted_t[:, dim] = -0.5 * inv_bw2
-    lifted_t[:, dim + 1] = np.log(np.concatenate(weights)) \
-        - (0.5 * inv_bw2) * _sq_norms(cur, np.empty(len(cur)))
+    lifted_t[:, dim + 1] = np.log(weights) - (0.5 * inv_bw2) * _sq_norms(cur, np.empty(len(cur)))
+    # each set's operands: C-ordered, so its products sum as they do alone
     lifted = [lifted_t[lo:hi].T.copy() for lo, hi in bounds]
     with_one = np.empty((len(cur), dim + 1))
     with_one[:, :dim] = cur
@@ -185,69 +160,56 @@ def _shift_sets(points, weights, bandwidth, max_iters, tol):
             moved |= step[:, c] >= tol
         cur[rows] = new
         rows = rows[moved]
-    cur += np.repeat(centres, sizes, axis=0)
-    return np.split(cur, starts[1:-1])
-
-
-def _is_sets(points):
-    """True for a sequence of (n, d) sets: a list or tuple of 2-D arrays
-    (an empty one included) or a (g, n, d) array."""
-    if isinstance(points, np.ndarray):
-        return points.ndim == 3
-    return isinstance(points, (list, tuple)) and all(np.ndim(p) == 2 for p in points)
+    return cur + centres
 
 
 def mean_shift(points, weights=None, *, bandwidth, dedup_divisor=DEDUP_DIVISOR,
                max_iters=DEFAULTS["forest.meanshift_iters"]):
-    """Modes of the weighted kernel density of `points`.
+    """Modes of the weighted kernel density of each of the (n_i, d) point
+    sets `points` (a sequence of sets of any lengths, or a (g, n, d) array
+    of g sets), with None for unit weights or one (n_i,) array per set.
 
-    Points closer than bandwidth / dedup_divisor are first pooled into one
-    weighted point (see DEDUP_DIVISOR and INFER_DEDUP_DIVISOR). Mean-shift
-    iterations start from every pooled point; converged points lying
-    within MERGE_FACTOR * bandwidth of each other are merged into one mode
-    whose position is the weighted mean of its members and whose support
-    is their total weight. Points of zero weight are dropped first; a NaN
-    or infinite point or weight raises ValueError.
+    A set's points closer than bandwidth / dedup_divisor are first pooled
+    into one weighted point (see DEDUP_DIVISOR and INFER_DEDUP_DIVISOR).
+    Mean-shift iterations start from every pooled point; converged points
+    lying within MERGE_FACTOR * bandwidth of each other are merged into one
+    mode whose position is the weighted mean of its members and whose
+    support is their total weight. Points of zero weight are dropped first.
+    Weights that do not match their sets, a NaN or infinite point or
+    weight, or a bare (n, d) array raise ValueError.
 
-    Returns (modes (m, d), supports (m,)) sorted by support descending.
-    A sequence of sets of any lengths, with None or one weight array per
-    set, returns a list of one (modes, supports) per set, each bit for bit
-    what a call on that set alone returns: the sets are pooled in one keyed
-    pass, shifted in lockstep by `_shift_sets` and merged in one keyed pass.
+    Returns a list of one (modes (m, d), supports (m,)) per set, sorted by
+    support descending; each is bit for bit what a call on that set alone
+    returns. The call's sets stay one (N, d) array with (N,) weights and
+    the set sizes throughout: pooled in one keyed grid pass, shifted in
+    lockstep by `_shift_sets` and merged in one keyed grid pass.
     """
     if not 0 < bandwidth < np.inf:  # NaN fails both comparisons
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
-    if not _is_sets(points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return mean_shift([points], None if weights is None else [weights],
-                          bandwidth=bandwidth, dedup_divisor=dedup_divisor,
-                          max_iters=max_iters)[0]
     sets = [np.asarray(p, dtype=float) for p in points]
-    if weights is None:
-        weights = [np.ones(len(p)) for p in sets]
-    else:
-        weights = [np.asarray(w, dtype=float) for w in weights]
+    if any(p.ndim != 2 for p in sets):
+        raise ValueError("mean_shift takes a sequence of (n, d) point sets")
+    weights = [np.ones(len(p)) for p in sets] if weights is None \
+        else [np.asarray(w, dtype=float) for w in weights]
+    if len(weights) != len(sets) or any(w.shape != (len(p),) for p, w in zip(sets, weights)):
+        raise ValueError("mean_shift needs one (n,) weight array per (n, d) set")
     out = [(np.empty((0, p.shape[1])), np.empty(0)) for p in sets]
     if not sets:
         return out
-    # one check over all sets, not one per set: a leaf call holds 16 x 21 sets
-    all_w = np.concatenate(weights)
-    if not (np.isfinite(all_w).all()
-            and np.isfinite(np.concatenate([p.ravel() for p in sets])).all()):
+    pts, wts = np.concatenate(sets), np.concatenate(weights)
+    if not (np.isfinite(wts).all() and np.isfinite(pts).all()):
         raise ValueError("mean_shift points and weights must be finite")
-    if not (all_w > 0).all():
-        keep = [w > 0 for w in weights]
-        sets = [p[k] for p, k in zip(sets, keep)]
-        weights = [w[k] for w, k in zip(weights, keep)]
-    live = [i for i, p in enumerate(sets) if p.size]
-    if not live:
+    sizes = np.array([len(w) for w in weights])
+    keep = wts > 0
+    if not keep.all():
+        pts, wts = pts[keep], wts[keep]
+        sizes = np.bincount(np.repeat(np.arange(len(sets)), sizes)[keep], minlength=len(sets))
+    live = np.flatnonzero(sizes)
+    if not live.size:
         return out
-    pooled = _dedup([sets[i] for i in live], [weights[i] for i in live],
-                    bandwidth, dedup_divisor)
-    tol = TOL_FACTOR * bandwidth
-    shifted = _shift_sets(*pooled, bandwidth, max_iters, tol)
-    for i, modes in zip(live, _merge_modes(list(zip(shifted, pooled[1])),
-                                           MERGE_FACTOR * bandwidth)):
+    pooled, pooled_w, counts = _dedup(pts, wts, sizes[live], bandwidth, dedup_divisor)
+    shifted = _shift_sets(pooled, pooled_w, counts, bandwidth, max_iters, TOL_FACTOR * bandwidth)
+    for i, modes in zip(live, _merge_modes(shifted, pooled_w, counts, MERGE_FACTOR * bandwidth)):
         out[i] = modes
     return out
 
@@ -266,29 +228,28 @@ def _single_mode(shifted, weights, merge_radius):
     return None
 
 
-def _merge_modes(groups, merge_radius):
-    """Modes of each (converged points, weights) group: a list of
-    (modes, supports), heaviest first.
+def _merge_modes(points, weights, sizes, merge_radius):
+    """Modes of each of the concatenated non-empty sets of `sizes`,
+    converged points (N, d) with weights (N,): a list of one (modes,
+    supports) per set, heaviest first.
 
-    An empty group has no modes. A group that passes the spread test of
-    `_single_mode` is one mode. The others are collapsed on a fine grid (a
-    quarter of the merge radius), all of them in one pass keyed by group,
-    so each group's greedy merge only walks a handful of cells.
+    A set that passes the spread test of `_single_mode` is one mode. The
+    others are collapsed on a fine grid (a quarter of the merge radius),
+    all of them in one keyed grid pass, so each set's greedy merge only
+    walks a handful of cells.
     """
-    out = [(s[:0], w[:0]) if len(w) == 0 else _single_mode(s, w, merge_radius)
-           for s, w in groups]
-    walking = [k for k, single in enumerate(out) if single is None]
-    if not walking:
+    starts = (np.cumsum(sizes) - sizes).tolist()
+    out = [_single_mode(points[lo:lo + n], weights[lo:lo + n], merge_radius)
+           for lo, n in zip(starts, sizes.tolist())]
+    walking = np.array([single is None for single in out])
+    if not walking.any():
         return out
-    sizes = [len(groups[k][1]) for k in walking]
-    pts = np.concatenate([groups[k][0] for k in walking])
-    wts = np.concatenate([groups[k][1] for k in walking])
+    rows = np.repeat(walking, sizes)
+    pts, wts = points[rows], weights[rows]
     cell = np.round(pts / (0.25 * merge_radius)).astype(np.int64)
-    inverse, n_cells = _cell_index(_keyed(sizes, cell))
-    cell_w, cell_sum = _cell_sums(inverse, n_cells, wts, pts)
-    first = np.minimum.reduceat(inverse, np.cumsum([0] + sizes[:-1]))
-    for k, lo, hi in zip(walking, first, np.append(first[1:], n_cells)):
-        out[k] = _greedy_merge(cell_w[lo:hi], cell_sum[lo:hi], merge_radius)
+    first, counts, cell_w, cell_sum = _cells(cell, sizes[walking], wts, pts)
+    for k, lo, n in zip(np.flatnonzero(walking), first, counts):
+        out[k] = _greedy_merge(cell_w[lo:lo + n], cell_sum[lo:lo + n], merge_radius)
     return out
 
 

@@ -99,14 +99,12 @@ def meanshift_iterate_lifted(points, weights, bandwidth, max_iters, tol):
 
 
 def dedup_alone(points, weights, bandwidth, divisor=DEDUP_DIVISOR):
-    """One point set pooled on its own grid by np.unique: the reference for
-    `meanshift._dedup`. Returns the input unchanged when nothing pools."""
+    """One point set pooled on its own grid by np.unique: (cell means, cell
+    weights) in grid order, the reference for `meanshift._dedup`."""
     cell = np.round(points * (divisor / bandwidth)).astype(np.int64)
     _, inverse = np.unique(cell, axis=0, return_inverse=True)
     inverse = inverse.ravel()
     n_cells = int(inverse.max()) + 1
-    if n_cells == len(points):
-        return points, weights
     w = np.bincount(inverse, weights=weights, minlength=n_cells)
     sums = np.stack([np.bincount(inverse, weights=weights * points[:, d],
                                  minlength=n_cells)

@@ -271,7 +271,7 @@ def test_criterion_8_meanshift_vs_kde_oracle():
         a = rng.normal(0.0, bw / 4, size=(n_a, 3))
         b = rng.normal(0.0, bw / 4, size=(n_b, 3)) + [sep, 0, 0]
         pts = np.vstack([a, b])
-        modes, support = mean_shift(pts, bandwidth=bw)
+        (modes, support), = mean_shift([pts], bandwidth=bw)
         assert len(modes) == 2
         for blob, n in ((a, n_a), (b, n_b)):
             center = blob.mean(axis=0)

@@ -97,6 +97,19 @@ def test_trailing_empty_frame_survives_fit_and_eval(tmp_path, geom, limits):
     assert "frames = 2" in (tmp_path / "eval" / "summary.txt").read_text()
 
 
+def test_eval_of_a_split_with_no_frames_exits_4_before_writing(tmp_path, caplog):
+    # header-only poses and estimates used to write two CSVs and then end
+    # in a raw IndexError from the success-curve plot
+    (tmp_path / "ds" / "test").mkdir(parents=True)
+    geometry.write_poses_csv(tmp_path / "ds" / "test" / "poses.csv", [])
+    cli.write_joints_csv(tmp_path / "estimates.csv", [])
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--estimates", str(tmp_path / "estimates.csv"),
+                     "--dataset", str(tmp_path / "ds"), "--out", str(out)]) == 4
+    assert "no frames to evaluate" in caplog.text
+    assert not out.exists()
+
+
 def test_under_constrained_frame_falls_back_and_is_flagged(tmp_path, geom, limits, caplog):
     # a middle frame with only the palm and one MCP cannot fix the global
     # pose; it takes its top proposals and the other frames are still fitted
@@ -281,6 +294,8 @@ def test_out_of_range_setting_exits_2_before_any_work(pipeline_dir, tmp_path, ca
     ("synth.test_keyposes=0", "synth.test_keyposes: must be positive, got 0"),
     ("synth.jitter_mm=-0.5", "synth.jitter_mm: must not be negative, got -0.5"),
     ("synth.frames_between=-1", "synth.frames_between: must not be negative, got -1"),
+    ("synth.test_keyposes=1", "synth.test_keyposes: must be at least 2, got 1"),
+    ("synth.frames_between=0", "synth.frames_between: must be at least 1, got 0"),
 ])
 def test_out_of_range_synth_setting_exits_2_before_rendering(tmp_path, caplog, setting,
                                                             message):

@@ -256,10 +256,13 @@ def test_run_config_defaults_match_dataclass_defaults():
 
 @pytest.mark.parametrize("key, value, ok", [
     ("synth.viewpoints", 0, 1), ("synth.articulations", 0, 1),
-    ("synth.subsample", -5, 1), ("synth.test_keyposes", 0, 1),
+    ("synth.subsample", -5, 1), ("synth.test_keyposes", 0, 2),
     ("eval.threshold_step_mm", 0.0, 0.5), ("eval.threshold_step_mm", -5.0, 0.5),
     ("eval.seeds", 0, 1), ("synth.jitter_mm", -1.0, 0.0),
-    ("synth.frames_between", -1, 0),
+    ("synth.frames_between", -1, 1),
+    # a sequence needs two keyposes and a frame between each pair: these
+    # used to load, and `handfit synth` failed only after writing train/
+    ("synth.test_keyposes", 1, 2), ("synth.frames_between", 0, 1),
 ])
 def test_synth_and_eval_keys_are_range_checked(tmp_path, key, value, ok):
     with pytest.raises(ConfigError, match=re.escape(key)):

@@ -528,7 +528,7 @@ def _blob_votes(n_blobs, seed, bandwidth):
 def test_coarse_vote_grid_stays_close_to_the_exact_kernel(n_blobs, seed):
     bw = F.DEFAULTS["forest.infer_bandwidth_mm"]
     pos, w = _blob_votes(n_blobs, seed, bw)
-    fine, _ = mean_shift(pos, None, bandwidth=bw)
+    (fine, _), = mean_shift([pos], None, bandwidth=bw)
     pset = F.proposals_from_votes({4: (pos, w)}, top_n=len(w), k=10, bandwidth_mm=bw)
     coarse = pset.positions(4)
     assert len(coarse) == len(fine)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from handfit.meanshift import INFER_DEDUP_DIVISOR, _cell_index, _dedup, _shift_sets, mean_shift
+from handfit.meanshift import (INFER_DEDUP_DIVISOR, _cell_index, _cells, _dedup, _shift_sets,
+                               mean_shift)
 
 from oracles import (dedup_alone, kde_grid_mode, mean_shift_alone, meanshift_iterate,
                      meanshift_iterate_lifted, shift_once)
 
 
 def test_single_point_is_its_own_mode():
-    modes, support = mean_shift(np.array([[4.0, -2.0, 9.0]]),
-                                np.array([2.5]), bandwidth=10.0)
+    (modes, support), = mean_shift([np.array([[4.0, -2.0, 9.0]])],
+                                   [np.array([2.5])], bandwidth=10.0)
     assert len(modes) == 1
     np.testing.assert_allclose(modes[0], [4.0, -2.0, 9.0], atol=1e-9)
     assert support[0] == pytest.approx(2.5)
@@ -17,7 +18,7 @@ def test_single_point_is_its_own_mode():
 
 def test_two_close_points_merge_at_midpoint():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])  # bandwidth/10 apart
-    modes, support = mean_shift(pts, bandwidth=10.0)
+    (modes, support), = mean_shift([pts], bandwidth=10.0)
     assert len(modes) == 1
     np.testing.assert_allclose(modes[0], [0.5, 0.0, 0.0], atol=1e-6)
     assert support[0] == pytest.approx(2.0)
@@ -25,7 +26,7 @@ def test_two_close_points_merge_at_midpoint():
 
 def test_identical_points_pool_weight():
     pts = np.array([[3.0, 3.0, 3.0], [3.0, 3.0, 3.0]])
-    modes, support = mean_shift(pts, bandwidth=5.0)
+    (modes, support), = mean_shift([pts], bandwidth=5.0)
     assert len(modes) == 1
     np.testing.assert_allclose(modes[0], [3.0, 3.0, 3.0], atol=1e-12)
     assert support[0] == pytest.approx(2.0)
@@ -37,7 +38,7 @@ def test_two_blobs_against_kde_grid_oracle():
     a = rng.normal((0, 0, 0), 1.2, size=(60, 3))
     b = rng.normal((40, 5, -10), 1.2, size=(40, 3))
     pts = np.vstack([a, b])
-    modes, support = mean_shift(pts, bandwidth=bw)
+    (modes, support), = mean_shift([pts], bandwidth=bw)
     assert len(modes) == 2
     # heavier blob first
     assert support[0] == pytest.approx(60, abs=1)
@@ -53,30 +54,30 @@ def test_modes_are_fixed_points():
     bw = 8.0
     pts = np.vstack([rng.normal((0, 0, 0), 2.0, size=(50, 3)),
                      rng.normal((60, 0, 0), 2.0, size=(50, 3))])
-    modes, _ = mean_shift(pts, bandwidth=bw)
+    (modes, _), = mean_shift([pts], bandwidth=bw)
     for mode in modes:
         moved = shift_once(mode, pts, None, bw)
         assert np.linalg.norm(moved - mode) < 1e-3 * bw
 
 
 def test_empty_and_zero_weight_inputs():
-    modes, support = mean_shift(np.empty((0, 3)), bandwidth=5.0)
+    (modes, support), = mean_shift([np.empty((0, 3))], bandwidth=5.0)
     assert len(modes) == 0 and len(support) == 0
-    modes, support = mean_shift(np.array([[1.0, 2.0, 3.0]]), np.array([0.0]),
-                                bandwidth=5.0)
+    (modes, support), = mean_shift([np.array([[1.0, 2.0, 3.0]])], [np.array([0.0])],
+                                   bandwidth=5.0)
     assert len(modes) == 0
 
 
 def test_bandwidth_must_be_positive():
     with pytest.raises(ValueError):
-        mean_shift(np.zeros((2, 3)), bandwidth=0.0)
+        mean_shift([np.zeros((2, 3))], bandwidth=0.0)
 
 
 @pytest.mark.parametrize("bandwidth", [np.nan, np.inf])
 def test_bandwidth_must_be_finite(bandwidth):
     # a NaN bandwidth used to give one NaN mode carrying every point's weight
     with pytest.raises(ValueError, match="bandwidth"):
-        mean_shift(np.arange(6.0).reshape(2, 3), bandwidth=bandwidth)
+        mean_shift(np.arange(6.0).reshape(1, 2, 3), bandwidth=bandwidth)
     with pytest.raises(ValueError, match="bandwidth"):
         mean_shift([np.arange(6.0).reshape(2, 3)], bandwidth=bandwidth)
 
@@ -97,14 +98,14 @@ def test_non_finite_points_and_weights_are_rejected(case):
     else:
         w[1] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        mean_shift(pts, w, bandwidth=15.0)
+        mean_shift([pts], [w], bandwidth=15.0)
     # in a call of many sets, the one bad set fails the call
     good = [np.arange(9.0).reshape(3, 3), np.ones((2, 3))]
     with pytest.raises(ValueError, match="finite"):
         mean_shift(good + [pts], [np.ones(3), np.ones(2), w], bandwidth=15.0)
     if case.endswith("point"):
         with pytest.raises(ValueError, match="finite"):
-            mean_shift(pts.tolist(), bandwidth=15.0)
+            mean_shift([pts.tolist()], bandwidth=15.0)
         with pytest.raises(ValueError, match="finite"):
             mean_shift(good + [pts], None, bandwidth=15.0)
 
@@ -125,7 +126,7 @@ def test_support_ordering_is_descending():
     pts = np.vstack([rng.normal((0, 0, 0), 1, size=(10, 3)),
                      rng.normal((50, 0, 0), 1, size=(30, 3)),
                      rng.normal((0, 50, 0), 1, size=(20, 3))])
-    modes, support = mean_shift(pts, bandwidth=5.0)
+    (modes, support), = mean_shift([pts], bandwidth=5.0)
     assert len(modes) == 3
     assert np.all(np.diff(support) <= 0)
     assert support[0] == pytest.approx(30, abs=1)
@@ -135,7 +136,7 @@ def _assert_iterate_matches_oracle(points, weights, bandwidth, max_iters):
     # one set through the lockstep kernel: the bits of its allocating form,
     # and within 1e-8 mm of the squared-distance reference
     tol = 1e-3 * bandwidth
-    got, = _shift_sets([points], [weights], bandwidth, max_iters, tol)
+    got = _shift_sets(points, weights, [len(points)], bandwidth, max_iters, tol)
     want = meanshift_iterate_lifted(points, weights, bandwidth, max_iters, tol)
     assert got.tobytes() == want.tobytes()
     ref = meanshift_iterate(points, weights, bandwidth, max_iters, tol)
@@ -153,7 +154,7 @@ def test_iterate_bit_equal_to_allocating_oracle(seed):
 def test_iterate_bit_equal_on_dedup_pooled_weights():
     rng = np.random.default_rng(21)
     raw = np.round(rng.normal(0, 6, (300, 3)) * 2) / 2  # many exact repeats
-    (pts,), (w,) = _dedup([raw], [np.ones(len(raw))], 15.0)
+    pts, w, _ = _dedup(raw, np.ones(len(raw)), [len(raw)], 15.0)
     assert len(pts) < len(raw) and w.max() > 1
     _assert_iterate_matches_oracle(pts, w, 15.0, 50)
 
@@ -183,7 +184,7 @@ def test_iterate_bit_equal_when_stopped_at_max_iters():
     assert not np.array_equal(three, four)  # still moving at the cap
     for max_iters in (0, 1, 3):
         _assert_iterate_matches_oracle(pts, np.ones(150), 12.0, max_iters)
-    got, = _shift_sets([pts], [np.ones(150)], 12.0, 0, tol)
+    got = _shift_sets(pts, np.ones(150), [150], 12.0, 0, tol)
     assert np.array_equal(got, pts)
 
 
@@ -199,6 +200,10 @@ def _track_like_sets(rng, bandwidth):
     return sets
 
 
+def _split(flat, sizes):
+    return np.split(flat, np.cumsum(sizes)[:-1])
+
+
 @pytest.mark.parametrize("offset_cells", [0, 1334])
 @pytest.mark.parametrize("seed", range(3))
 def test_lockstep_kernel_stays_within_1e8_mm_of_squared_distance_form(seed, offset_cells):
@@ -207,14 +212,17 @@ def test_lockstep_kernel_stays_within_1e8_mm_of_squared_distance_form(seed, offs
     bw = 15.0
     sets = _track_like_sets(np.random.default_rng(seed), bw)
     offset = offset_cells * (bw / INFER_DEDUP_DIVISOR) * np.array([1.0, -1.0, 1.0])
-    ones = [np.ones(len(p)) for p in sets]
-    pooled, weights = _dedup(sets, ones, bw, INFER_DEDUP_DIVISOR)
-    far, far_weights = _dedup([p + offset for p in sets], ones, bw, INFER_DEDUP_DIVISOR)
-    assert all(np.array_equal(a, b) for a, b in zip(weights, far_weights))
-    assert 40 < np.median([len(w) for w in weights]) < 200
+    ones = np.ones(sum(len(p) for p in sets))
+    sizes = [len(p) for p in sets]
+    pooled, weights, counts = _dedup(np.concatenate(sets), ones, sizes, bw, INFER_DEDUP_DIVISOR)
+    far, far_weights, far_counts = _dedup(np.concatenate(sets) + offset, ones, sizes, bw,
+                                          INFER_DEDUP_DIVISOR)
+    assert np.array_equal(weights, far_weights) and np.array_equal(counts, far_counts)
+    assert 40 < np.median(counts) < 200
     tol = 1e-3 * bw
-    got = _shift_sets(far, far_weights, bw, 50, tol)
-    for p, w, shifted in zip(pooled, weights, got):
+    got = _shift_sets(far, far_weights, counts, bw, 50, tol)
+    for p, w, shifted in zip(_split(pooled, counts), _split(weights, counts),
+                             _split(got, counts)):
         ref = meanshift_iterate(p, w, bw, 50, tol) + offset
         assert np.abs(shifted - ref).max() <= 1e-8
 
@@ -225,10 +233,12 @@ def test_lockstep_sets_get_the_bits_they_get_alone():
     rng = np.random.default_rng(17)
     sets = _track_like_sets(rng, 15.0)[:6] + [np.array([[3.0, -1.0, 2.0]])]
     weights = [rng.uniform(0.5, 4.0, len(p)) for p in sets]
+    sizes = [len(p) for p in sets]
     for max_iters in (1, 4, 50):
-        got = _shift_sets(sets, weights, 15.0, max_iters, 0.015)
-        for p, w, shifted in zip(sets, weights, got):
-            alone, = _shift_sets([p], [w], 15.0, max_iters, 0.015)
+        got = _shift_sets(np.concatenate(sets), np.concatenate(weights), sizes, 15.0,
+                          max_iters, 0.015)
+        for p, w, shifted in zip(sets, weights, _split(got, sizes)):
+            alone = _shift_sets(p, w, [len(p)], 15.0, max_iters, 0.015)
             assert shifted.tobytes() == alone.tobytes()
             want = meanshift_iterate_lifted(p, w, 15.0, max_iters, 0.015)
             assert shifted.tobytes() == want.tobytes()
@@ -270,6 +280,33 @@ def _assert_same_bytes(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("groups", [[40, 1, 17], [200], [5, 5, 5, 5]])
+@pytest.mark.parametrize("seed", range(2))
+def test_cells_equal_unique_per_set(seed, groups):
+    # one keyed grid pass: each set's cells are np.unique of its own rows,
+    # one run after another, and each cell sums its points in input order
+    rng = np.random.default_rng(seed)
+    sizes = np.array(groups)
+    cell = rng.integers(-3, 3, (sizes.sum(), 3))
+    cell[-sizes[-1]:] = cell[:sizes[-1]]  # the last set holds the first set's cells
+    points = cell + rng.uniform(-0.4, 0.4, cell.shape)
+    weights = rng.uniform(0.5, 3.0, len(cell))
+    first, counts, w, sums = _cells(cell, sizes, weights, points)
+    lo = 0
+    for k, (c, p, wt) in enumerate(zip(_split(cell, sizes), _split(points, sizes),
+                                       _split(weights, sizes))):
+        _, inverse = np.unique(c, axis=0, return_inverse=True)
+        inverse = inverse.ravel()
+        n = int(inverse.max()) + 1
+        assert (first[k], counts[k]) == (lo, n)
+        want_w = np.bincount(inverse, weights=wt, minlength=n)
+        want_sums = np.stack([np.bincount(inverse, weights=wt * p[:, d], minlength=n)
+                              for d in range(3)], axis=1)
+        _assert_same_bytes((w[lo:lo + n], sums[lo:lo + n]), (want_w, want_sums))
+        lo += n
+    assert lo == len(w)
+
+
 @pytest.mark.parametrize("case", ["pools", "nothing_pools", "weighted", "one_point"])
 def test_dedup_of_one_set_equals_alone_oracle(case):
     # one (n, d) set is the one-set case of the ragged sets inference pools
@@ -283,15 +320,17 @@ def test_dedup_of_one_set_equals_alone_oracle(case):
         w = rng.uniform(0.1, 5.0, 200)
     elif case == "one_point":
         pts, w = pts[:1], np.array([2.5])
-    got = [out[0] for out in _dedup([pts], [w], 15.0)]
-    _assert_same_bytes(got, dedup_alone(pts, w, 15.0))
-    if case in ("nothing_pools", "one_point"):
-        assert got[0] is pts or np.shares_memory(got[0], pts)
+    got_p, got_w, counts = _dedup(pts, w, [len(pts)], 15.0)
+    _assert_same_bytes((got_p, got_w), dedup_alone(pts, w, 15.0))
+    assert counts.tolist() == [len(got_w)]
+    if case == "nothing_pools":  # unit weights: the input itself, in grid order
+        cell = np.round(pts * (20.0 / 15.0))
+        assert np.array_equal(got_p, pts[np.lexsort(cell.T[::-1])])
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_dedup_of_groups_equals_per_group_oracle(seed):
-    # pooled sets, sets left as they are and weighted points side by side
+    # pooled sets, sets where nothing pools and weighted points side by side
     rng = np.random.default_rng(seed)
     g, n = 7, 50
     pts = rng.normal(0, 40, (g, n, 3))
@@ -299,21 +338,22 @@ def test_dedup_of_groups_equals_per_group_oracle(seed):
     coarse[0] = True
     pts[coarse] = np.round(pts[coarse] / 30) * 30
     w = rng.uniform(0.5, 3.0, (g, n))
-    got_p, got_w = _dedup(list(pts), list(w), 15.0)
-    for p, wt, gp, gw in zip(pts, w, got_p, got_w):
+    got_p, got_w, kept = _dedup(pts.reshape(-1, 3), w.ravel(), [n] * g, 15.0)
+    for p, wt, gp, gw in zip(pts, w, _split(got_p, kept), _split(got_w, kept)):
         _assert_same_bytes((gp, gw), dedup_alone(p, wt, 15.0))
-    kept = np.array([len(gw) for gw in got_w])
     assert (kept < n).any()
     if not coarse.all():
         assert (kept == n).any()
 
 
-def test_dedup_of_groups_where_none_pools_returns_the_input():
-    pts = list(np.random.default_rng(1).normal(0, 50, (3, 20, 3)))
-    w = [np.ones(20) for _ in range(3)]
-    got_p, got_w = _dedup(pts, w, 15.0)
-    assert all(a is b for a, b in zip(got_p, pts))
-    assert all(a is b for a, b in zip(got_w, w))
+def test_dedup_of_groups_where_none_pools_returns_cells_in_grid_order():
+    pts = np.random.default_rng(1).normal(0, 50, (3, 20, 3))
+    got_p, got_w, counts = _dedup(pts.reshape(-1, 3), np.ones(60), [20, 20, 20], 15.0)
+    assert counts.tolist() == [20, 20, 20] and np.array_equal(got_w, np.ones(60))
+    for p, gp in zip(pts, _split(got_p, counts)):
+        cell = np.round(p * (20.0 / 15.0))
+        assert not np.array_equal(gp, p)
+        assert np.array_equal(gp, p[np.lexsort(cell.T[::-1])])
 
 
 def _mixed_groups(rng, width=40):
@@ -360,7 +400,7 @@ def test_mean_shift_groups_zero_weight_group_has_no_modes():
     got = mean_shift(pts, w, bandwidth=20.0)
     for i in (1, 3):
         modes, support = got[i]
-        want = mean_shift(pts[i], w[i], bandwidth=20.0)
+        want, = mean_shift([pts[i]], [w[i]], bandwidth=20.0)
         assert modes.shape == want[0].shape == (0, 3)
         assert support.shape == want[1].shape == (0,)
     keep = [i for i in range(len(w)) if i not in (1, 3)]
@@ -400,7 +440,7 @@ def test_mean_shift_of_sets_equals_each_set_alone(seed, divisor):
     got = mean_shift(sets, weights, bandwidth=15.0, dedup_divisor=divisor)
     assert isinstance(got, list) and len(got) == len(sets)
     for p, w, res in zip(sets, weights, got):
-        _assert_same_bytes(res, mean_shift(p, w, bandwidth=15.0, dedup_divisor=divisor))
+        _assert_same_bytes(res, mean_shift([p], [w], bandwidth=15.0, dedup_divisor=divisor)[0])
         _assert_same_bytes(res, mean_shift_alone(p, w, 15.0, divisor, 50))
     assert got[5][0].shape == got[7][0].shape == (0, 3)
     unweighted = mean_shift(sets, None, bandwidth=15.0, dedup_divisor=divisor)
@@ -409,12 +449,36 @@ def test_mean_shift_of_sets_equals_each_set_alone(seed, divisor):
 
 
 def test_mean_shift_of_a_stack_and_of_no_sets():
+    # a (g, n, d) array is read as its g sets, as the same sets in a list
     pts = np.random.default_rng(6).normal(0, 20, (4, 30, 3))
     got = mean_shift(pts, bandwidth=12.0)
     assert len(got) == 4
+    for res, want in zip(got, mean_shift(list(pts), bandwidth=12.0)):
+        _assert_same_bytes(res, want)
     for p, res in zip(pts, got):
-        _assert_same_bytes(res, mean_shift(p, bandwidth=12.0))
+        _assert_same_bytes(res, mean_shift([p], bandwidth=12.0)[0])
     assert mean_shift([], bandwidth=12.0) == []
+
+
+@pytest.mark.parametrize("points", [np.zeros((5, 3)), np.zeros((5, 3)).tolist(),
+                                    [np.zeros(3)], np.zeros((2, 1, 4, 3))],
+                         ids=["array", "nested-list", "1d-set", "4d-array"])
+def test_mean_shift_rejects_anything_but_a_sequence_of_sets(points):
+    # a bare (n, d) array is not one set but n 1-D rows
+    with pytest.raises(ValueError, match="sequence of"):
+        mean_shift(points, bandwidth=10.0)
+
+
+@pytest.mark.parametrize("case", ["too_few", "too_many", "swapped", "2d", "scalar"])
+def test_mean_shift_rejects_weights_that_do_not_match_their_sets(case):
+    # too few weight arrays used to raise a raw IndexError, and swapped
+    # lengths with the same total would pair weights with the wrong points
+    sets = [np.arange(9.0).reshape(3, 3), np.ones((2, 3))]
+    weights = {"too_few": [np.ones(3)], "too_many": [np.ones(3), np.ones(2), np.ones(1)],
+               "swapped": [np.ones(2), np.ones(3)],
+               "2d": [np.ones((3, 1)), np.ones(2)], "scalar": [1.0, 1.0]}[case]
+    with pytest.raises(ValueError, match="weight"):
+        mean_shift(sets, weights, bandwidth=15.0)
 
 
 def test_dedup_of_ragged_sets_equals_alone_oracle():
@@ -422,12 +486,8 @@ def test_dedup_of_ragged_sets_equals_alone_oracle():
     # what mean_shift passes on: the non-empty sets, zero weights dropped
     live = [(p[w > 0], w[w > 0]) for p, w in zip(sets, weights) if (w > 0).any()]
     sets, weights = [p for p, _ in live], [w for _, w in live]
-    got_p, got_w = _dedup(sets, weights, 15.0)
-    pooled = 0
-    for p, w, gp, gw in zip(sets, weights, got_p, got_w):
+    got_p, got_w, counts = _dedup(np.concatenate(sets), np.concatenate(weights),
+                                  [len(w) for w in weights], 15.0)
+    for p, w, gp, gw in zip(sets, weights, _split(got_p, counts), _split(got_w, counts)):
         _assert_same_bytes((gp, gw), dedup_alone(p, w, 15.0))
-        if len(gw) < len(w):
-            pooled += 1
-        else:
-            assert gp is p and gw is w
-    assert 0 < pooled < len(sets)
+    assert 0 < (counts < [len(w) for w in weights]).sum() < len(sets)
