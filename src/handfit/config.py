@@ -180,11 +180,21 @@ class PsoConfig:
     seed: int = field(default=0, metadata={"key": None})  # given by the caller
 
     def __post_init__(self):
+        for name in ("inertia", "cognitive", "social", "d_max_mm", "translation_margin_mm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.d_max_mm <= 0:
             raise ValueError("d_max_mm must be positive")
+        # a negative margin inverts the search box around the proposals
+        if self.translation_margin_mm < 0:
+            raise ValueError("translation_margin_mm must not be negative")
         for name in ("palm_particles", "finger_particles", "joint_particles"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be >= 2")
+        # zero generations is the best of the initial swarm; fewer is no run
+        for name in ("palm_generations", "finger_generations", "joint_generations"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 def _field_keys(cls, prefix):

@@ -48,21 +48,18 @@ def _joint_maxima(joint_positions, padded_pos, padded_w, d_max):
 
     joint_positions (n, J, 3), padded_pos (J, K, 3), padded_w (J, K) with
     zero weight marking absent proposals -> each joint's best term (n, J).
-    The terms are built coordinate-first, (J, K, n), on the (J, 3, n)
-    buffer `fk_batch` returns a view of: dx*dx + dy*dy + dz*dz plane by
-    plane, the order of a sum over a length-3 axis, then sqrt, divide,
-    clip, square and weight in place.
+    The terms are built coordinate-first on the (J, 3, n) buffer `fk_batch`
+    returns a view of: one (J, K, 3, n) difference squared in place and
+    summed over its length-3 axis, (dx*dx + dy*dy) + dz*dz as a sum over a
+    point's last axis adds them, then sqrt, divide, clamp at 1, square and
+    weight in place.
     """
-    planes = joint_positions.transpose(1, 2, 0)
-    diff = planes[:, None, 0] - padded_pos[:, :, 0, None]
-    d = diff * diff
-    for c in (1, 2):
-        np.subtract(planes[:, None, c], padded_pos[:, :, c, None], out=diff)
-        diff *= diff
-        d += diff
+    diff = joint_positions.transpose(1, 2, 0)[:, None] - padded_pos[:, :, :, None]
+    diff *= diff
+    d = diff.sum(axis=2)
     np.sqrt(d, out=d)
     d /= d_max
-    np.clip(d, None, 1.0, out=d)
+    np.minimum(d, 1.0, out=d)
     d *= d
     np.subtract(1.0, d, out=d)
     d *= padded_w[:, :, None]
@@ -81,22 +78,21 @@ def objective(proposal_set, hypothesis, geom, d_max):
     h = np.asarray(hypothesis, dtype=float)
     single = h.ndim == 1
     h = np.atleast_2d(h)
-    pos, w = proposal_set.padded()
-    scored = proposal_set.joints
+    scored, pos, w = proposal_set.held()
 
-    q = h[:, QUAT_DIMS]
-    norms = np.linalg.norm(q, axis=1)
+    q = h[:, 3:7]
+    norms = np.sqrt((q * q).sum(axis=1))  # np.linalg.norm's sum, without its wrapper
     valid = norms > 1e-12
     scores = np.full(len(h), -np.inf)
     if valid.any():
         if not valid.all():
             h, q, norms = h[valid], q[valid], norms[valid]
-        joints = geometry.fk_batch(geom, h[:, TRANSLATION_DIMS], q / norms[:, None],
+        joints = geometry.fk_batch(geom, h[:, 0:3], q / norms[:, None],
                                    h[:, 7:].reshape(-1, 5, 4), joints=scored)
         # scatter into a zero row per hypothesis so the sum runs over all
         # joints in index order, as a masked sum over every joint would
-        per_joint = np.zeros((len(joints), w.shape[0]))
-        per_joint[:, scored] = _joint_maxima(joints, pos[scored], w[scored], d_max)
+        per_joint = np.zeros((len(joints), proposal_set.num_joints))
+        per_joint[:, scored] = _joint_maxima(joints, pos, w, d_max)
         scores[valid] = per_joint.sum(axis=1)
     return float(scores[0]) if single else scores
 
@@ -111,13 +107,13 @@ class PsoResult:
 
 def _sanitize_quat(x):
     """Renormalize quaternion dims in-place; zero-norm resets to identity."""
-    q = x[..., QUAT_DIMS]
-    norms = np.linalg.norm(q, axis=-1)
+    q = x[..., 3:7]
+    norms = np.sqrt((q * q).sum(axis=-1))
     dead = norms < 1e-12
     if dead.any():
         q[dead] = quats.IDENTITY
         norms[dead] = 1.0
-    x[..., QUAT_DIMS] = q / norms[..., None]
+    q /= norms[..., None]
 
 
 def pso_optimize(score_fn, bounds, active_dims, particles, generations,
@@ -189,14 +185,14 @@ def _swarms(score_fn, x, n_seeded, dims, bounds, generations, cfg, draw):
         v = (cfg.inertia * v
              + cfg.cognitive * r[:, 0] * (pbest.take(active) - xa)
              + cfg.social * r[:, 1] * (gbest.take(own) - xa))
-        x.reshape(-1)[active] = np.clip(xa + v, lo, hi)
+        x.reshape(-1)[active] = np.minimum(np.maximum(xa + v, lo), hi)  # np.clip's bits
         if quat_active:
             _sanitize_quat(x)
         scores = score_fn(x)
         evals += particles
         improved = scores > pscore
-        pbest[improved] = x[improved]
-        pscore[improved] = scores[improved]
+        np.copyto(pbest, x, where=improved[:, :, None])
+        np.copyto(pscore, scores, where=improved)
         g = first + pscore.argmax(axis=1)
         top = pscore.reshape(-1)[g]
         better = top > gscore

@@ -18,14 +18,16 @@ the palm frame at once; it then rotates and translates every requested point
 in one pass. `posed_fingers` does the same for hypotheses that share one
 global pose, whose rotation and MCPs it computes once. Both build their
 points coordinate-first, (joints, 3, rows), and return them as a
-(rows, joints, 3) view of that buffer, which the objective reads plane by
-plane.
+(rows, joints, 3) view of that buffer, which the objective reads in that
+layout. The palm-frame constants they use are built once per
+`HandGeometry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +54,8 @@ def mcp_index(finger):
 
 # the palm root and the five MCPs: the joints rigid with the palm
 RIGID_JOINTS = (PALM,) + tuple(mcp_index(f) for f in range(NUM_FINGERS))
+_JOINT_SET = frozenset(range(NUM_JOINTS))
+_RIGID_SET = frozenset(RIGID_JOINTS)
 
 
 def finger_joint_indices(finger):
@@ -101,6 +105,17 @@ class HandGeometry:
             frame = self.finger_base_frames[f]
             if not np.allclose(frame @ frame.T, np.eye(3), atol=1e-9):
                 raise ValueError(f"finger {f} base frame is not a rotation")
+        # the constant palm-frame tables of forward kinematics, built once:
+        # the rigid joints' points by joint index, (21, 3, 1), the palm root
+        # at the origin (the other joints' rows are never read), and each
+        # finger's base frame, bone lengths and base offset for `_planar_chains`
+        rigid = np.zeros((NUM_JOINTS, 3, 1))
+        rigid[list(RIGID_JOINTS[1:]), :, 0] = self.finger_base_offsets
+        object.__setattr__(self, "_rigid_points", _read_only(rigid))
+        object.__setattr__(self, "_chains", _FingerChains(
+            _read_only(self.finger_base_frames[:, :, :, None]),
+            _read_only(self.bone_lengths[:, :, None, None]),
+            _read_only(self.finger_base_offsets[:, :, None])))
 
     def max_extent(self):
         """Upper bound (mm) on any joint's distance from the palm root."""
@@ -130,6 +145,14 @@ class HandGeometry:
             kv[f"{name}.frame_yaw_deg"] = repr(round(float(np.degrees(yaw)), 9))
             kv[f"{name}.frame_roll_deg"] = repr(round(float(np.degrees(roll)), 9))
         write_keyvalue(path, kv, header="hand geometry (mm, degrees)")
+
+
+class _FingerChains(NamedTuple):
+    """Per-finger constants of `_planar_chains`, one leading finger axis."""
+
+    frames: np.ndarray   # (k, 3, 3, 1) base frames
+    lengths: np.ndarray  # (k, 3, 1, 1) bone lengths
+    offsets: np.ndarray  # (k, 3, 1) MCP positions in the palm frame
 
 
 def _yaw_roll_to_frame(yaw_rad, roll_rad):
@@ -251,14 +274,12 @@ def fk_batch(geom, translations, orientations, finger_angles, joints=None):
     """
     everything = list(range(NUM_JOINTS))
     rows = everything if joints is None else list(joints)
-    if not all(0 <= j < NUM_JOINTS for j in rows):
+    if not _JOINT_SET.issuperset(rows):
         raise ValueError(f"joint indices must lie in range({NUM_JOINTS})")
     t = np.asarray(translations, dtype=float)
     n = t.shape[0]
-    if all(j in RIGID_JOINTS for j in rows):
-        rigid = np.zeros((len(RIGID_JOINTS), 3, 1))
-        rigid[1:, :, 0] = geom.finger_base_offsets
-        local = rigid[[RIGID_JOINTS.index(j) for j in rows]]
+    if _RIGID_SET.issuperset(rows):
+        local = geom._rigid_points[rows]
     else:
         # palm-frame points in joint order, coordinate axis before the row
         # axis: the palm root, then MCP, PIP, DIP and TIP of each finger
@@ -266,11 +287,11 @@ def fk_batch(geom, translations, orientations, finger_angles, joints=None):
         local = np.empty((NUM_JOINTS, 3, n))
         local[PALM] = 0.0
         fingers = local[1:].reshape(NUM_FINGERS, 4, 3, n)
-        fingers[:, 0] = geom.finger_base_offsets[:, :, None]
-        fingers[:, 1:] = _planar_chains(geom, np.arange(NUM_FINGERS), a[:, 1], a[:, [0, 2, 3]])
+        fingers[:, 0] = geom._chains.offsets
+        fingers[:, 1:] = _planar_chains(geom._chains, a[:, 1], a[:, [0, 2, 3]])
         if rows != everything:
             local = local[rows]
-    return _to_world(_rotation_table(orientations), local, t.T).transpose(2, 0, 1)
+    return _to_world(quats.rotation_table(orientations), local, t.T).transpose(2, 0, 1)
 
 
 def posed_fingers(geom, translation, orientation, fingers):
@@ -284,14 +305,15 @@ def posed_fingers(geom, translation, orientation, fingers):
     searches that move only finger angles.
     """
     fingers = np.asarray(fingers, dtype=np.intp)
+    consts = _FingerChains(*(a[fingers] for a in geom._chains))
     t = np.asarray(translation, dtype=float)[:, None]
-    rot = _rotation_table(np.asarray(orientation, dtype=float)[None])
-    mcps = _to_world(rot, geom.finger_base_offsets[fingers][:, :, None], t)
+    rot = quats.rotation_table(np.asarray(orientation, dtype=float)[None])
+    mcps = _to_world(rot, consts.offsets, t)
 
     def fk(angles):
         a = np.asarray(angles, dtype=float).transpose(1, 2, 0)  # (k, 4, n)
         n = a.shape[2]
-        chains = _planar_chains(geom, fingers, a[:, 1], a[:, [0, 2, 3]])
+        chains = _planar_chains(consts, a[:, 1], a[:, [0, 2, 3]])
         out = np.empty((len(fingers), 4, 3, n))
         out[:, 0] = mcps
         out[:, 1:] = _to_world(rot, chains.reshape(-1, 3, n), t).reshape(-1, 3, 3, n)
@@ -300,28 +322,23 @@ def posed_fingers(geom, translation, orientation, fingers):
     return fk
 
 
-def _planar_chains(geom, fingers, abd, bend):
-    """Palm-frame PIP, DIP and TIP of each finger in `fingers` (k,), the
+def _planar_chains(consts, abd, bend):
+    """Palm-frame PIP, DIP and TIP of the k fingers of `consts`, the
     coordinate axis before the row axis: (k, 3, 3, n). abd (k, n) holds the
     abductions and bend (k, 3, n) the flexion, PIP and DIP angles, which
     are overwritten by their running sums."""
-    frames = geom.finger_base_frames[fingers, :, :, None]
+    frames = consts.frames
     across = np.cos(abd)[:, None] * frames[:, :, 1] - \
         np.sin(abd)[:, None] * frames[:, :, 0]
     bend[:, 1] += bend[:, 0]
     bend[:, 2] += bend[:, 1]
     bones = np.cos(bend)[:, :, None] * across[:, None] + \
         np.sin(bend)[:, :, None] * frames[:, None, :, 2]
-    bones *= geom.bone_lengths[fingers][:, :, None, None]
-    bones[:, 0] += geom.finger_base_offsets[fingers][:, :, None]
+    bones *= consts.lengths
+    bones[:, 0] += consts.offsets
     bones[:, 1] += bones[:, 0]
     bones[:, 2] += bones[:, 1]
     return bones
-
-
-def _rotation_table(orientations):
-    """(n, 4) unit quaternions -> (3, 3, n) rotation matrices, row axis last."""
-    return np.ascontiguousarray(quats.to_matrix_batch(orientations).transpose(1, 2, 0))
 
 
 def _to_world(rot, points, t):

@@ -38,6 +38,7 @@ class ProposalSet:
             order = np.argsort(-weights, kind="stable")
             self._entries[j] = (positions[order].copy(), weights[order] / total)
         self._padded_cache = None
+        self._held_cache = None
 
     @classmethod
     def from_joints(cls, joints, joint_indices=None):
@@ -95,6 +96,18 @@ class ProposalSet:
             wts.flags.writeable = False
             self._padded_cache = (pos, wts)
         return self._padded_cache
+
+    def held(self):
+        """(joints, positions, weights): the joints with proposals in index
+        order and their rows of `padded()`, (J_held, K, 3) and (J_held, K).
+        Cached and shared between calls: read them, do not change them."""
+        if self._held_cache is None:
+            joints = self.joints
+            pos, wts = (a[joints] for a in self.padded())
+            pos.flags.writeable = False
+            wts.flags.writeable = False
+            self._held_cache = (joints, pos, wts)
+        return self._held_cache
 
 
 PROPOSAL_COLUMNS = ["frame", "joint", "x", "y", "z", "confidence"]

@@ -14,21 +14,38 @@ def normalize(q):
     return q / n
 
 
+# Entry (i, j) of the rotation matrix of a unit quaternion (w, x, y, z) is
+# C0 + C1 (q_a q_b + S q_c q_d): 1 - 2 (y y + z z) on the diagonal, where
+# C0 = 1 is added as 1 + (-2) (...), and 2 (x y - w z) and the like off it,
+# where - w z is taken as + (-1) w z. Both give the bits of the textbook
+# expressions. Off the diagonal C0 = 0 is not added, so a -0 stays -0.
+_W, _X, _Y, _Z = range(4)
+_FACTORS = np.array([  # (a, b, c, d) of each entry, then moved to the front
+    [[_Y, _Y, _Z, _Z], [_X, _Y, _W, _Z], [_X, _Z, _W, _Y]],
+    [[_X, _Y, _W, _Z], [_X, _X, _Z, _Z], [_Y, _Z, _W, _X]],
+    [[_X, _Z, _W, _Y], [_Y, _Z, _W, _X], [_X, _X, _Y, _Y]],
+]).transpose(2, 0, 1)
+_SIGNS = np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])[:, :, None]
+_SCALES = np.array([[-2.0, 2.0, 2.0], [2.0, -2.0, 2.0], [2.0, 2.0, -2.0]])[:, :, None]
+
+
+def rotation_table(q):
+    """(n, 4) unit quaternions -> (3, 3, n) rotation matrices, row axis last."""
+    a, b, c, d = np.asarray(q, dtype=float).T[_FACTORS]
+    m = np.multiply(a, b, out=a)
+    c *= d
+    c *= _SIGNS
+    m += c
+    m *= _SCALES
+    m.reshape(9, -1)[::4] += 1.0  # the diagonal
+    return m
+
+
 def to_matrix_batch(q):
     """(..., 4) unit quaternions -> (..., 3, 3) rotation matrices."""
     q = np.asarray(q, dtype=float)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    m = np.empty(q.shape[:-1] + (3, 3))
-    m[..., 0, 0] = 1 - 2 * (y * y + z * z)
-    m[..., 0, 1] = 2 * (x * y - w * z)
-    m[..., 0, 2] = 2 * (x * z + w * y)
-    m[..., 1, 0] = 2 * (x * y + w * z)
-    m[..., 1, 1] = 1 - 2 * (x * x + z * z)
-    m[..., 1, 2] = 2 * (y * z - w * x)
-    m[..., 2, 0] = 2 * (x * z - w * y)
-    m[..., 2, 1] = 2 * (y * z + w * x)
-    m[..., 2, 2] = 1 - 2 * (x * x + y * y)
-    return m
+    m = rotation_table(q.reshape(-1, 4))
+    return np.ascontiguousarray(np.moveaxis(m, 2, 0)).reshape(q.shape[:-1] + (3, 3))
 
 
 def from_axis_angle(axis, angle_rad):

@@ -320,6 +320,94 @@ def masked_objective(proposal_set, hypothesis, geom, d_max, joint_subset=None):
     return float(scores[0]) if single else scores
 
 
+# Frozen copies of the fit's per-generation path as it was computed before
+# its numpy calls were cut: the per-entry rotation formula, forward
+# kinematics without cached tables, the objective with `np.linalg.norm`
+# and per-call indexing, and the out-of-place quaternion renormalization.
+# The library must keep producing their bits.
+
+def to_matrix_batch_per_entry(q):
+    """(..., 4) unit quaternions -> (..., 3, 3) rotation matrices, one
+    textbook expression per entry."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    m = np.empty(q.shape[:-1] + (3, 3))
+    m[..., 0, 0] = 1 - 2 * (y * y + z * z)
+    m[..., 0, 1] = 2 * (x * y - w * z)
+    m[..., 0, 2] = 2 * (x * z + w * y)
+    m[..., 1, 0] = 2 * (x * y + w * z)
+    m[..., 1, 1] = 1 - 2 * (x * x + z * z)
+    m[..., 1, 2] = 2 * (y * z - w * x)
+    m[..., 2, 0] = 2 * (x * z - w * y)
+    m[..., 2, 1] = 2 * (y * z + w * x)
+    m[..., 2, 2] = 1 - 2 * (x * x + y * y)
+    return m
+
+
+def fk_batch_frozen(geom, translations, orientations, finger_angles):
+    """All 21 joints (n, 21, 3) of `geometry.fk_batch`, every constant and
+    the rotation built on each call."""
+    t = np.asarray(translations, dtype=float)
+    n = len(t)
+    a = np.asarray(finger_angles, dtype=float).reshape(n, 5, 4).transpose(1, 2, 0)
+    abd, bend = a[:, 1], a[:, [0, 2, 3]]
+    frames = geom.finger_base_frames[:, :, :, None]
+    across = np.cos(abd)[:, None] * frames[:, :, 1] - np.sin(abd)[:, None] * frames[:, :, 0]
+    bend[:, 1] += bend[:, 0]
+    bend[:, 2] += bend[:, 1]
+    bones = np.cos(bend)[:, :, None] * across[:, None] + \
+        np.sin(bend)[:, :, None] * frames[:, None, :, 2]
+    bones *= geom.bone_lengths[:, :, None, None]
+    bones[:, 0] += geom.finger_base_offsets[:, :, None]
+    bones[:, 1] += bones[:, 0]
+    bones[:, 2] += bones[:, 1]
+    local = np.zeros((geometry.NUM_JOINTS, 3, n))
+    fingers = local[1:].reshape(5, 4, 3, n)
+    fingers[:, 0] = geom.finger_base_offsets[:, :, None]
+    fingers[:, 1:] = bones
+    rot = to_matrix_batch_per_entry(orientations).transpose(1, 2, 0)
+    out = rot[:, 0] * local[:, None, 0]
+    out += rot[:, 1] * local[:, None, 1]
+    out += rot[:, 2] * local[:, None, 2]
+    out += t.T
+    return out.transpose(2, 0, 1)
+
+
+def objective_frozen(proposal_set, hypothesis, geom, d_max):
+    """`fit.objective` on `fk_batch_frozen` and `joint_maxima_point_major`."""
+    h = np.asarray(hypothesis, dtype=float)
+    single = h.ndim == 1
+    h = np.atleast_2d(h)
+    pos, w = proposal_set.padded()
+    scored = proposal_set.joints
+
+    q = h[:, fit.QUAT_DIMS]
+    norms = np.linalg.norm(q, axis=1)
+    valid = norms > 1e-12
+    scores = np.full(len(h), -np.inf)
+    if valid.any():
+        if not valid.all():
+            h, q, norms = h[valid], q[valid], norms[valid]
+        joints = fk_batch_frozen(geom, h[:, fit.TRANSLATION_DIMS], q / norms[:, None],
+                                 h[:, 7:].reshape(-1, 5, 4))[:, scored]
+        per_joint = np.zeros((len(joints), w.shape[0]))
+        per_joint[:, scored] = joint_maxima_point_major(joints, pos[scored], w[scored], d_max)
+        scores[valid] = per_joint.sum(axis=1)
+    return float(scores[0]) if single else scores
+
+
+def sanitize_quat_frozen(x):
+    """`fit._sanitize_quat`: renormalize quaternion dims in place through a
+    copy; zero-norm resets to identity."""
+    q = x[..., fit.QUAT_DIMS]
+    norms = np.linalg.norm(q, axis=-1)
+    dead = norms < 1e-12
+    if dead.any():
+        q[dead] = quats.IDENTITY
+        norms[dead] = 1.0
+    x[..., fit.QUAT_DIMS] = q / norms[..., None]
+
+
 def fk_rotation_chain(geom, translations, orientations, finger_angles):
     """All 21 joint positions (n, 21, 3) by chained 3x3 rotation matrices.
 
@@ -328,7 +416,7 @@ def fk_rotation_chain(geom, translations, orientations, finger_angles):
     one matrix product at a time and steps along the y column.
     """
     t = np.asarray(translations, dtype=float)
-    rot = quats.to_matrix_batch(orientations)
+    rot = to_matrix_batch_per_entry(orientations)
     angles = np.asarray(finger_angles, dtype=float)
     positions = {geometry.PALM: t}
     for f in range(geometry.NUM_FINGERS):
@@ -398,7 +486,7 @@ def hand_distance_field(point, geom, pose):
             d = _segment_distance(point, joints[chain[k]], joints[chain[k + 1]]) \
                 - BONE_RADII_MM[k]
             best = min(best, d)
-    rot = quats.to_matrix_batch(quats.normalize(pose.orientation))
+    rot = to_matrix_batch_per_entry(quats.normalize(pose.orientation))
     center = pose.translation + rot @ np.asarray(PALM_ELLIPSOID_CENTER)
     local = rot.T @ (point - center) / np.asarray(PALM_ELLIPSOID_SEMI_AXES)
     best = min(best, (np.linalg.norm(local) - 1.0) * min(PALM_ELLIPSOID_SEMI_AXES))
@@ -518,7 +606,7 @@ def pso_one_swarm(score_fn, bounds, active_dims, particles, generations,
         u = rng.random((particles - n_seeded, len(active)))
         x[n_seeded:, active] = lo + u * (hi - lo)
     if quat_active:
-        fit._sanitize_quat(x)
+        sanitize_quat_frozen(x)
 
     v = np.zeros((particles, len(active)))
     scores = score_fn(x)
@@ -538,7 +626,7 @@ def pso_one_swarm(score_fn, bounds, active_dims, particles, generations,
              + cfg.social * r2 * (gbest[active] - x[:, active]))
         x[:, active] = np.clip(x[:, active] + v, lo, hi)
         if quat_active:
-            fit._sanitize_quat(x)
+            sanitize_quat_frozen(x)
         scores = score_fn(x)
         evals += particles
         improved = scores > pscore
@@ -555,7 +643,7 @@ def pso_one_swarm(score_fn, bounds, active_dims, particles, generations,
 
 def fit_stages_one_by_one(proposal_set, geom, limits, cfg, rng, stages, finger_fitted):
     """PSO stages run in order, each a `pso_one_swarm` scored by
-    `fit.objective` and started from the best of the one before: the
+    `objective_frozen` and started from the best of the one before: the
     reference for `fit.stepwise_fit` and `fit.joint_fit`.
 
     A stage is (dims, scored joints or None for all, particles,
@@ -569,12 +657,12 @@ def fit_stages_one_by_one(proposal_set, geom, limits, cfg, rng, stages, finger_f
     for dims, joints, particles, generations in stages:
         scored = proposal_set if joints is None else proposal_set.only(joints)
         res = pso_one_swarm(
-            lambda batch: fit.objective(scored, batch, geom, cfg.d_max_mm),
+            lambda batch: objective_frozen(scored, batch, geom, cfg.d_max_mm),
             bounds, dims, particles, generations, cfg, seeds=seeds, rng=rng)
         seeds = [res.best.copy()]
         evals += res.evals
     pose = geometry.clamp_to_limits(geometry.PoseParams.from_vector(seeds[0]), limits)
-    score = fit.objective(proposal_set, pose.to_vector(), geom, cfg.d_max_mm)
+    score = objective_frozen(proposal_set, pose.to_vector(), geom, cfg.d_max_mm)
     return fit.FitResult(pose=pose, score=score, evals=evals, finger_fitted=finger_fitted)
 
 

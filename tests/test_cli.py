@@ -255,6 +255,11 @@ def test_keyvalue_file_bad_value_exits_2(tmp_path, caplog, flag, key, value, mes
 @pytest.mark.parametrize("command, extra, message", [
     ("fit", ["--set", "pso.palm_particles=1"], "pso: palm_particles must be >= 2"),
     ("fit", ["--set", "pso.d_max_mm=0"], "pso: d_max_mm must be positive"),
+    # these two used to run: the first inverts the translation search box,
+    # the second ran the finger stages as if set to 1
+    ("fit", ["--set", "pso.translation_margin_mm=-500"],
+     "pso: translation_margin_mm must not be negative"),
+    ("fit", ["--set", "pso.finger_generations=-2"], "pso: finger_generations must be >= 0"),
     ("train", ["--set", "forest.leaf_bandwidth_mm=0"],
      "forest: leaf_bandwidth_mm must be positive"),
     ("train", ["--set", "forest.num_trees=0"], "forest: num_trees must be >= 1"),
@@ -270,7 +275,8 @@ def test_keyvalue_file_bad_value_exits_2(tmp_path, caplog, flag, key, value, mes
      "forest.infer_bandwidth_mm: must be positive, got 0.0"),
     ("infer", ["--threads", "0"], "--threads must be >= 1, got 0"),
     ("infer", ["--threads", "-3"], "--threads must be >= 1, got -3"),
-], ids=["palm_particles", "d_max_mm", "leaf_bandwidth_mm", "num_trees", "candidates",
+], ids=["palm_particles", "d_max_mm", "translation_margin_mm", "finger_generations",
+        "leaf_bandwidth_mm", "num_trees", "candidates",
         "train_stride", "train_cap", "infer_stride_0", "infer_stride_neg", "k", "top_n",
         "infer_bandwidth_mm", "threads_0", "threads_neg"])
 def test_out_of_range_setting_exits_2_before_any_work(pipeline_dir, tmp_path, caplog,

@@ -274,6 +274,34 @@ def test_synth_and_eval_keys_are_range_checked(tmp_path, key, value, ok):
     assert RunConfig({key: ok})[key] == ok
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("translation_margin_mm", -500.0, "translation_margin_mm must not be negative"),
+    ("translation_margin_mm", float("nan"), "translation_margin_mm must be finite"),
+    ("palm_generations", -1, "palm_generations must be >= 0"),
+    ("finger_generations", -2, "finger_generations must be >= 0"),
+    ("joint_generations", -1, "joint_generations must be >= 0"),
+    ("inertia", float("nan"), "inertia must be finite"),
+    ("cognitive", float("inf"), "cognitive must be finite"),
+    ("social", float("-inf"), "social must be finite"),
+    ("d_max_mm", float("nan"), "d_max_mm must be finite"),
+    ("d_max_mm", float("inf"), "d_max_mm must be finite"),
+])
+def test_pso_config_rejects_settings_that_wreck_the_fit(field, value, message):
+    # each of these used to build: a negative margin inverts the search
+    # box, negative generations ran as one, and a non-finite coefficient
+    # or d_max turns every score or position into NaN or a constant
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PsoConfig(**{field: value})
+    with pytest.raises(ConfigError, match=re.escape(f"pso: {message}")):
+        RunConfig().build(PsoConfig, "pso", **{field: value})
+
+
+def test_pso_config_keeps_zero_generations_and_zero_margin():
+    cfg = PsoConfig(palm_generations=0, finger_generations=0, joint_generations=0,
+                    translation_margin_mm=0.0)
+    assert (cfg.palm_generations, cfg.translation_margin_mm) == (0, 0.0)
+
+
 def test_out_of_range_value_is_config_error_when_loaded_or_built(tmp_path):
     # the CLI cases cover --set; a --config file and the camera build too
     path = tmp_path / "cfg.txt"
