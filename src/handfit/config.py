@@ -8,6 +8,7 @@ import csv
 import hashlib
 import io
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -133,6 +134,14 @@ def read_csv(path, header, parse):
     return out
 
 
+def _require_integers(settings, names):
+    """ValueError unless each field of `names` holds an integer (not a bool)."""
+    for name in names:
+        value = getattr(settings, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ForestConfig:
     """Forest training settings; field `f` is run-config key `forest.f`."""
@@ -150,6 +159,8 @@ class ForestConfig:
     meanshift_iters: int = 50
 
     def __post_init__(self):
+        _require_integers(self, ("num_trees", "max_depth", "min_samples", "node_subsample",
+                                 "candidates", "leaf_modes", "leaf_cap", "meanshift_iters"))
         for name in ("num_trees", "min_samples", "node_subsample", "candidates",
                      "leaf_modes", "leaf_cap"):
             if getattr(self, name) < 1:
@@ -158,6 +169,8 @@ class ForestConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("probe_range_px_m", "bg_depth_mm", "leaf_bandwidth_mm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -180,6 +193,8 @@ class PsoConfig:
     seed: int = field(default=0, metadata={"key": None})  # given by the caller
 
     def __post_init__(self):
+        _require_integers(self, ("palm_particles", "palm_generations", "finger_particles",
+                                 "finger_generations", "joint_particles", "joint_generations"))
         for name in ("inertia", "cognitive", "social", "d_max_mm", "translation_margin_mm"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

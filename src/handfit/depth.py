@@ -3,7 +3,11 @@
 Depth images hold 16-bit millimetre depths with 0 as the background
 sentinel. Rendering casts one ray per pixel and intersects it analytically
 with a capsule per finger bone plus a palm ellipsoid, keeping the nearest
-surface.
+surface. A pose's primitives are rasterised together: their pixel boxes
+and rays are built in one pass, and every capsule's end spheres and body
+and the ellipsoid go through one batched ray-quadric solve. Each
+primitive's own products keep the bits they have when it is solved alone,
+so the depths do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -123,13 +127,7 @@ def hand_primitives(geom, pose):
 
 def render_depth(geom, pose, cam):
     """Z-buffered depth render of the hand surface. Deterministic and pure."""
-    segs, radii, ellipsoid = hand_primitives(geom, pose)
-    zbuf = np.full((cam.height, cam.width), np.inf)
-
-    for (a, b), r in zip(segs, radii):
-        _raster_capsule(zbuf, cam, a, b, r)
-    _raster_ellipsoid(zbuf, cam, *ellipsoid)
-
+    zbuf = _zbuffer(cam, *hand_primitives(geom, pose))
     fg = np.isfinite(zbuf)
     if not fg.any():
         raise RenderError("hand produced no foreground pixels (behind camera or "
@@ -139,54 +137,66 @@ def render_depth(geom, pose, cam):
     return DepthImage(out, cam)
 
 
-def _pixel_box(cam, points, radius):
-    """Conservative pixel bounding box of spheres at `points`; None if empty."""
-    points = np.asarray(points, dtype=float)
-    z = points[:, 2] - radius
-    if np.all(z <= 1.0):
-        return None
+def _pixel_boxes(cam, points, radii):
+    """Conservative pixel bounding boxes of primitives, primitive i covered
+    by spheres of radius radii[i] around its points (p, k, 3): a (p, 4) int
+    array of (u0, u1, v0, v1) rows and a (p,) mask of the non-empty boxes.
+    A sphere whose near side is not 1 mm in front of the camera is left out.
+    """
+    z = points[..., 2] - radii[:, None]
     keep = z > 1.0
-    pts = points[keep]
-    z = z[keep]
-    us = cam.fx * pts[:, 0] / z + cam.cx
-    vs = cam.fy * pts[:, 1] / z + cam.cy
-    pr_u = radius * cam.fx / z
-    pr_v = radius * cam.fy / z
-    u0 = int(np.floor((us - pr_u).min())) - 1
-    u1 = int(np.ceil((us + pr_u).max())) + 1
-    v0 = int(np.floor((vs - pr_v).min())) - 1
-    v1 = int(np.ceil((vs + pr_v).max())) + 1
-    u0, u1 = max(u0, 0), min(u1, cam.width - 1)
-    v0, v1 = max(v0, 0), min(v1, cam.height - 1)
-    if u0 > u1 or v0 > v1:
-        return None
-    return u0, u1, v0, v1
+    z = np.where(keep, z, 1.0)
+    us = cam.fx * points[..., 0] / z + cam.cx
+    vs = cam.fy * points[..., 1] / z + cam.cy
+    pr_u = radii[:, None] * cam.fx / z
+    pr_v = radii[:, None] * cam.fy / z
+    seen = keep.any(axis=1)
+    # a pixel past the kept spheres' projections on every side
+    box = [np.floor(np.where(keep, us - pr_u, np.inf).min(axis=1)) - 1,
+           np.ceil(np.where(keep, us + pr_u, -np.inf).max(axis=1)) + 1,
+           np.floor(np.where(keep, vs - pr_v, np.inf).min(axis=1)) - 1,
+           np.ceil(np.where(keep, vs + pr_v, -np.inf).max(axis=1)) + 1]
+    u0, u1, v0, v1 = (np.where(seen, b, 0).astype(np.int64) for b in box)
+    u0, u1 = np.maximum(u0, 0), np.minimum(u1, cam.width - 1)
+    v0, v1 = np.maximum(v0, 0), np.minimum(v1, cam.height - 1)
+    return np.stack([u0, u1, v0, v1], axis=1), seen & (u0 <= u1) & (v0 <= v1)
 
 
-def _box_rays(cam, box):
-    u0, u1, v0, v1 = box
-    us, vs = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1))
-    dirs = np.stack([(us.ravel() - cam.cx) / cam.fx,
-                     (vs.ravel() - cam.cy) / cam.fy,
-                     np.ones(us.size)], axis=1)
-    return us.ravel(), vs.ravel(), dirs
+def _box_rays(cam, boxes):
+    """Every pixel of the boxes (b, 4) of (u0, u1, v0, v1) rows, box after
+    box and row by row in each: its (u, v), its ray direction
+    ((u - cx) / fx, (v - cy) / fy, 1), and the pixel count of each box."""
+    u0, u1, v0, v1 = boxes.T
+    width = u1 - u0 + 1
+    counts = width * (v1 - v0 + 1)
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    width = np.repeat(width, counts)
+    us = np.repeat(u0, counts) + k % width
+    vs = np.repeat(v0, counts) + k // width
+    dirs = np.stack([(us - cam.cx) / cam.fx, (vs - cam.cy) / cam.fy, np.ones(len(us))], axis=1)
+    return us, vs, dirs, counts
 
 
-def _update_zbuf(zbuf, us, vs, t):
-    hit = np.isfinite(t)
-    if not hit.any():
-        return
-    flat = zbuf[vs[hit], us[hit]]
-    zbuf[vs[hit], us[hit]] = np.minimum(flat, t[hit])
+def _ray_quadric(dirs, origins, c, counts):
+    """Roots of |dirs * t + origin|^2 = c for every ray, the rays in blocks
+    of `counts` and block i meeting origins[i] and c[i]: (hit, qa, near,
+    far), hit where the discriminant is non-negative, qa the quadratic's
+    leading coefficient, near <= far the two roots wherever hit.
 
-
-def _ray_quadric(dirs, origin, c):
-    """Roots of |dirs * t + origin|^2 = c for every ray, as (hit, qa, near,
-    far): hit where the discriminant is non-negative, qa the quadratic's
-    leading coefficient, near <= far the two roots wherever hit."""
+    A block's linear coefficients come from one BLAS product of its own, as
+    they do when the block is solved alone; every other step runs over all
+    rays at once.
+    """
     qa = np.einsum("ij,ij->i", dirs, dirs)
-    qb = 2.0 * dirs @ origin
-    qc = origin @ origin - c
+    two = 2.0 * dirs
+    qb = np.empty(len(dirs))
+    qc = np.empty(len(counts))
+    lo = 0
+    for i, n in enumerate(counts):
+        np.matmul(two[lo:lo + n], origins[i], out=qb[lo:lo + n])
+        qc[i] = origins[i] @ origins[i] - c[i]
+        lo += n
+    qc = np.repeat(qc, counts)
     disc = qb * qb - 4.0 * qa * qc
     sq = np.sqrt(np.maximum(disc, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -195,45 +205,77 @@ def _ray_quadric(dirs, origin, c):
     return disc >= 0.0, qa, near, far
 
 
-def _ray_sphere(dirs, center, radius):
-    """Smallest positive ray parameter hitting the sphere; inf when missed."""
-    hit, _, near, far = _ray_quadric(dirs, -center, radius * radius)
+def _sphere_depth(hit, near, far):
+    """Smallest positive ray parameter on a sphere from its roots; inf when
+    missed. The far root counts when the camera is inside the sphere."""
     t = np.where(near > 0.0, near, far)
     return np.where(hit & (t > 0.0), t, np.inf)
 
 
-def _raster_capsule(zbuf, cam, a, b, radius):
-    box = _pixel_box(cam, np.stack([a, b]), radius)
-    if box is None:
-        return
-    us, vs, dirs = _box_rays(cam, box)
+def _zbuffer(cam, segs, radii, ellipsoid):
+    """(h, w) depth of the nearest surface along every pixel ray, inf where
+    there is none, of the capsules `segs` (m, 2, 3) with `radii` (m,) and
+    the ellipsoid (center, semi_axes, rot), in one batched ray solve.
 
-    # rays have unit z component, so the parameter is the depth in mm
-    t = np.minimum(_ray_sphere(dirs, a, radius), _ray_sphere(dirs, b, radius))
-    ab = b - a
-    length = np.linalg.norm(ab)
-    if length > 1e-9:
-        # the infinite cylinder around the axis, cut to the segment
-        axis = ab / length
-        d_par = dirs @ axis
-        oc_par = -a @ axis
-        hit, qa, near, _ = _ray_quadric(dirs - d_par[:, None] * axis,
-                                        -a - oc_par * axis, radius * radius)
-        proj = near * d_par + oc_par
-        body = hit & (qa > 1e-12) & (near > 0.0) & (proj >= 0.0) & (proj <= length)
-        t = np.minimum(t, np.where(body, near, np.inf))
-    _update_zbuf(zbuf, us, vs, t)
+    A capsule is its two end spheres and the infinite cylinder around its
+    axis, cut to the segment; the ellipsoid is the unit sphere in its own
+    scaled frame. Each primitive casts the rays of its pixel box, and rays
+    have unit z component, so a ray parameter is a depth in mm. The
+    per-primitive scalars and products are computed as for the primitive
+    alone, so no depth depends on the batching.
+    """
+    center, semi_axes, rot = ellipsoid
+    zbuf = np.full((cam.height, cam.width), np.inf)
+    boxes, seen = _pixel_boxes(cam, np.concatenate([segs, [[center, center]]]),
+                               np.append(radii, float(np.max(semi_axes))))
+    us, vs, dirs, counts = _box_rays(cam, boxes[seen])
+    caps = np.flatnonzero(seen[:-1])
+    starts = (np.cumsum(counts) - counts).tolist()
+    counts = counts.tolist()
+    n = sum(counts[:len(caps)])  # the capsules' rays, then the ellipsoid's
+    # (origin, c, ray count) of each quadric: the capsules' end spheres,
+    # then the body of each capsule longer than 1e-9 mm
+    quadrics = [(-segs[k, end], radii[k] * radii[k], counts[i])
+                for end in (0, 1) for i, k in enumerate(caps)]
+    d_par = np.empty(n)
+    rows, axes, oc_par, lengths = [], [], [], []
+    for i, k in enumerate(caps):
+        a, b = segs[k]
+        ab = b - a
+        length = np.linalg.norm(ab)
+        if length > 1e-9:
+            lo, hi = starts[i], starts[i] + counts[i]
+            axis = ab / length
+            np.matmul(dirs[lo:hi], axis, out=d_par[lo:hi])
+            oc = -a @ axis
+            quadrics.append((-a - oc * axis, radii[k] * radii[k], counts[i]))
+            rows.append(np.arange(lo, hi))
+            axes.append(axis)
+            oc_par.append(oc)
+            lengths.append(length)
+    sizes = [len(r) for r in rows]
+    rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.intp)
+    rays = [dirs[:n], dirs[:n],
+            dirs[rows] - d_par[rows, None] * np.repeat(np.reshape(axes, (-1, 3)), sizes, axis=0)]
+    if seen[-1]:
+        quadrics.append(((-center) @ rot / semi_axes, 1.0, counts[-1]))
+        rays.append(dirs[n:] @ rot / semi_axes)
+    origins, c, ray_counts = zip(*quadrics) if quadrics else ((), (), ())
+    hit, qa, near, far = _ray_quadric(np.concatenate(rays), origins, c, ray_counts)
 
-
-def _raster_ellipsoid(zbuf, cam, center, semi_axes, rot):
-    box = _pixel_box(cam, center[None, :], float(np.max(semi_axes)))
-    if box is None:
-        return
-    us, vs, dirs = _box_rays(cam, box)
-    # the ellipsoid is the unit sphere in its own scaled frame
-    hit, _, near, _ = _ray_quadric(dirs @ rot / semi_axes,
-                                   (-center) @ rot / semi_axes, 1.0)
-    _update_zbuf(zbuf, us, vs, np.where(hit & (near > 0.0), near, np.inf))
+    t = np.minimum(_sphere_depth(hit[:n], near[:n], far[:n]),
+                   _sphere_depth(hit[n:2 * n], near[n:2 * n], far[n:2 * n]))
+    body = slice(2 * n, 2 * n + len(rows))
+    proj = near[body] * d_par[rows] + np.repeat(oc_par, sizes)
+    on_body = (hit[body] & (qa[body] > 1e-12) & (near[body] > 0.0) & (proj >= 0.0)
+               & (proj <= np.repeat(lengths, sizes)))
+    t[rows] = np.minimum(t[rows], np.where(on_body, near[body], np.inf))
+    ell = slice(body.stop, None)
+    t = np.concatenate([t, np.where(hit[ell] & (near[ell] > 0.0), near[ell], np.inf)])
+    # the nearest hit per pixel, whichever primitive's ray made it
+    hit = np.isfinite(t)
+    np.minimum.at(zbuf.reshape(-1), (vs * cam.width + us)[hit], t[hit])
+    return zbuf
 
 
 def write_pgm(path, img):

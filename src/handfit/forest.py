@@ -5,7 +5,10 @@ vectors to every joint. Trees split on two-probe depth-difference features
 whose pixel offsets are normalized by the patch depth; leaves summarize
 the arriving offset distributions per joint by mean-shift modes: after a
 tree is grown, its leaves' joint offset sets are condensed by `mean_shift`,
-LEAVES_PER_CALL leaves to a call. At test time every patch votes absolute
+LEAVES_PER_CALL leaves to a call. A node scores its candidate splits on
+features computed sample-major, PROBE_BLOCK candidate-sample pairs at a
+time in reused buffers; routing reads one probe pair per patch through the
+same probe code. At test time every patch votes absolute
 3D positions for every joint; per joint the strongest votes are condensed
 by the same `mean_shift` into a handful of confidence-weighted proposals.
 """
@@ -37,6 +40,10 @@ FORMAT_VERSION = 1
 # leaf models took 2.1 s of CPU at 1 leaf per call, 1.5 s at 16 or 32 and
 # 1.6-1.8 s in one call; peak RSS read 132, 132, 134 and 269 MB.
 LEAVES_PER_CALL = 16
+# candidate-sample pairs whose split features `_features` computes per
+# block, in buffers reused from block to block (~36 bytes a pair, so a block
+# stays in L2). The work is elementwise, so this moves no output, only time.
+PROBE_BLOCK = 16384
 
 
 class ForestFormatError(ValueError):
@@ -121,44 +128,98 @@ def build_training_set(images, gt_joint_list, stride, rng, cap=None):
     )
 
 
-def _probe_depth(images, img_idx, pixel, depth, offset, bg_depth):
-    """Depth read by one probe per patch; out-of-image or background reads
-    `bg_depth`.
+def _probe_buffers(size, dtype):
+    """Scratch for `_depth_difference` over up to `size` elements: the
+    second probe's depth, the v coordinate, the flat read index, the depths
+    read (of the image stack's `dtype`) and two masks."""
+    return (np.empty(size), np.empty(size), np.empty(size, dtype=np.intp),
+            np.empty(size, dtype=dtype), np.empty(size, dtype=bool),
+            np.empty(size, dtype=bool))
+
+
+def _probe_depth(images, img_off, pixel, depth, offset, bg_depth, out, scratch):
+    """Depth read by one probe per patch into `out`; out-of-image or
+    background reads `bg_depth`.
 
     The probe lands at pixel + offset / depth, rounded, and is read by one
-    1-D gather from the raveled (n_img, h, w) image stack.
+    1-D gather from the raveled (n_img, h, w) image stack at v * w + u +
+    img_off, img_off being the image's index times h * w. A probe off the
+    image reads whatever pixel the clipped index names, and is then read as
+    background. The arguments broadcast to out's shape; `scratch` holds
+    (v, index, read, inside, flag) buffers of that shape, and `out` holds u
+    until the depths go in.
     """
     h, w = images.shape[1:]
-    u = pixel[..., 0] + offset[..., 0] / depth
-    v = pixel[..., 1] + offset[..., 1] / depth
+    v, index, read, inside, flag = scratch
+    u = out
+    np.divide(offset[..., 0], depth, out=u)
+    np.add(pixel[..., 0], u, out=u)
     np.rint(u, out=u)
+    np.divide(offset[..., 1], depth, out=v)
+    np.add(pixel[..., 1], v, out=v)
     np.rint(v, out=v)
-    inside = (u >= 0) & (u < w) & (v >= 0) & (v < h)
+    np.greater_equal(u, 0, out=inside)
+    inside &= np.less(u, w, out=flag)
+    inside &= np.greater_equal(v, 0, out=flag)
+    inside &= np.less(v, h, out=flag)
     v *= w
     v += u
-    v += img_idx * float(h * w)
-    d = images.reshape(-1).take(np.where(inside, v, 0).astype(np.intp))
-    return np.where(inside & (d != 0), d, bg_depth)
+    v += img_off
+    np.copyto(index, v, casting="unsafe")
+    images.reshape(-1).take(index, out=read, mode="clip")
+    read *= inside
+    np.copyto(out, read)
+    np.putmask(out, np.equal(read, 0, out=flag), bg_depth)
+    return out
 
 
-def _depth_difference(images, img_idx, pixel, depth, probe_u, probe_v, bg_depth):
+def _depth_difference(images, img_idx, pixel, depth, probe_u, probe_v, bg_depth,
+                      out=None, scratch=None):
     """The split feature: depth at probe u minus depth at probe v.
 
     Probe offsets are in px*mm; the pixel displacement is the offset
     divided by the patch depth, so the feature is depth invariant. The
     arguments broadcast against each other: training scores (c, n)
-    candidate-sample pairs, routing one probe pair per patch.
+    candidate-sample pairs, routing one probe pair per patch. The result
+    goes to `out` (float64) with `_probe_buffers` scratch of its shape,
+    both allocated here when not given.
     """
-    du = _probe_depth(images, img_idx, pixel, depth, probe_u, bg_depth)
-    dv = _probe_depth(images, img_idx, pixel, depth, probe_v, bg_depth)
-    return du - dv
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(img_idx), np.shape(depth),
+                                           pixel.shape[:-1], probe_u.shape[:-1]))
+        scratch = [b.reshape(out.shape) for b in _probe_buffers(out.size, images.dtype)]
+    dv, *rest = scratch
+    img_off = img_idx * float(images.shape[1] * images.shape[2])
+    _probe_depth(images, img_off, pixel, depth, probe_u, bg_depth, out, rest)
+    _probe_depth(images, img_off, pixel, depth, probe_v, bg_depth, dv, rest)
+    return np.subtract(out, dv, out=out)
 
 
 def _features(samples, idx, probe_u, probe_v, bg_depth):
-    """(c, n) features of samples `idx` under c candidate (c, 2) probe pairs."""
-    return _depth_difference(samples.images, samples.img_idx[idx][None],
-                             samples.pixel[idx][None], samples.depth[idx][None],
-                             probe_u[:, None], probe_v[:, None], bg_depth)
+    """(c, n) features of samples `idx` under c candidate (c, 2) probe pairs.
+
+    They are computed sample-major, so that the probes of one sample read
+    one image close together, a block of at most PROBE_BLOCK pairs at a
+    time in buffers reused from block to block: the candidates of whole
+    samples when they fit, else slices of one sample's candidates.
+    """
+    n, c = len(idx), len(probe_u)
+    img_idx, depth = samples.img_idx[idx][:, None], samples.depth[idx][:, None]
+    pixel = samples.pixel[idx][:, None]
+    # each coordinate contiguous over the candidates
+    probe_u, probe_v = (np.ascontiguousarray(p.T).T for p in (probe_u, probe_v))
+    cols = min(c, PROBE_BLOCK)
+    rows = max(1, PROBE_BLOCK // cols)
+    buffers = _probe_buffers(rows * cols, samples.images.dtype)
+    feats = np.empty((n, c))
+    for lo in range(0, n, rows):
+        hi = lo + rows
+        for left in range(0, c, cols):
+            out = feats[lo:hi, left:left + cols]
+            _depth_difference(samples.images, img_idx[lo:hi], pixel[lo:hi], depth[lo:hi],
+                              probe_u[left:left + cols], probe_v[left:left + cols], bg_depth,
+                              out, [b[:out.size].reshape(out.shape) for b in buffers])
+    return feats.T
 
 
 def _gains(left_counts, total_counts):
@@ -262,17 +323,20 @@ class Tree:
 
     def route(self, images, img_idx, pixel, depth, bg_depth):
         """Leaf index for every patch; routing is total and deterministic."""
-        m = len(depth)
-        node = np.zeros(m, dtype=np.int64)
+        node = np.zeros(len(depth), dtype=np.int64)
+        feats = np.empty(len(depth))
+        buffers = _probe_buffers(len(depth), images.dtype)
         while True:
             internal = self.leaf_id[node] < 0
             if not internal.any():
                 break
             act = np.nonzero(internal)[0]
             nd = node[act]
-            feats = _depth_difference(images, img_idx[act], pixel[act], depth[act],
-                                      self.probe_u[nd], self.probe_v[nd], bg_depth)
-            go_left = feats < self.tau[nd]
+            n = len(act)
+            _depth_difference(images, img_idx[act], pixel[act], depth[act],
+                              self.probe_u[nd], self.probe_v[nd], bg_depth,
+                              feats[:n], [b[:n] for b in buffers])
+            go_left = feats[:n] < self.tau[nd]
             node[act] = np.where(go_left, self.left[nd], self.right[nd])
         return self.leaf_id[node]
 

@@ -7,7 +7,9 @@ and another merges every set's converged points into modes. In between,
 one lockstep kernel shifts every set: per iteration each set's exponents
 come from one small product and its weighted sums from another, while one
 exp and the convergence bookkeeping run over all sets at once, with no
-padding. Each set gets, bit for bit, the modes a call on it alone
+padding. The merge tests every set for a single mode at once, and the
+sets that fail the test walk their grid cells, heaviest first, in
+lockstep. Each set gets, bit for bit, the modes a call on it alone
 returns. The forest uses it twice: a tree condenses its leaves' offsets,
 21 joint sets a leaf, and inference condenses a frame's 21 joint vote
 sets in one call.
@@ -214,18 +216,29 @@ def mean_shift(points, weights=None, *, bandwidth, dedup_divisor=DEDUP_DIVISOR,
     return out
 
 
-def _single_mode(shifted, weights, merge_radius):
-    """(centroid (1, d), total weight (1,)) when every converged point lies
-    within half the merge radius of the weighted centroid, else None.
+def _single_modes(points, weights, sizes, merge_radius):
+    """Each set's weighted centroid (S, d) and total weight (S,), and
+    whether every one of its converged points lies within half the merge
+    radius of the centroid (S,): such a set provably collapses to one mode
+    under the greedy merge.
 
-    Such points provably collapse to one mode under the greedy merge.
+    Every set is summed as it sums alone. A weighted point sum adds the
+    rows in order, as `np.bincount` does; a total is a pairwise sum whose
+    grouping depends on the set's size, so sets of one size are summed as
+    the rows of one (g, n) array.
     """
-    total = weights.sum()
-    center = (weights[:, None] * shifted).sum(axis=0) / total
-    spread2 = ((shifted - center) ** 2).sum(axis=1).max()
-    if spread2 <= 0.25 * merge_radius * merge_radius:
-        return center[None, :], np.array([total])
-    return None
+    set_of = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    total = np.empty(len(sizes))
+    by_size = np.argsort(sizes, kind="stable")
+    for sel in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+        total[sel] = weights[starts[sel, None] + np.arange(sizes[sel[0]])].sum(axis=1)
+    center = np.stack([np.bincount(set_of, weights=weights * points[:, d],
+                                   minlength=len(sizes))
+                       for d in range(points.shape[1])], axis=1) / total[:, None]
+    spread2 = ((points - center[set_of]) ** 2).sum(axis=1)
+    single = np.maximum.reduceat(spread2, starts) <= 0.25 * merge_radius * merge_radius
+    return center, total, single
 
 
 def _merge_modes(points, weights, sizes, merge_radius):
@@ -233,48 +246,67 @@ def _merge_modes(points, weights, sizes, merge_radius):
     converged points (N, d) with weights (N,): a list of one (modes,
     supports) per set, heaviest first.
 
-    A set that passes the spread test of `_single_mode` is one mode. The
+    A set that passes the spread test of `_single_modes` is one mode. The
     others are collapsed on a fine grid (a quarter of the merge radius),
-    all of them in one keyed grid pass, so each set's greedy merge only
-    walks a handful of cells.
+    all of them in one keyed grid pass, and `_greedy_walk` merges their
+    cells, all of them in lockstep.
     """
-    starts = (np.cumsum(sizes) - sizes).tolist()
-    out = [_single_mode(points[lo:lo + n], weights[lo:lo + n], merge_radius)
-           for lo, n in zip(starts, sizes.tolist())]
-    walking = np.array([single is None for single in out])
-    if not walking.any():
+    center, total, single = _single_modes(points, weights, sizes, merge_radius)
+    out = [(center[k:k + 1], total[k:k + 1]) for k in range(len(sizes))]
+    walking = np.flatnonzero(~single)
+    if not walking.size:
         return out
-    rows = np.repeat(walking, sizes)
+    rows = np.repeat(~single, sizes)
     pts, wts = points[rows], weights[rows]
     cell = np.round(pts / (0.25 * merge_radius)).astype(np.int64)
     first, counts, cell_w, cell_sum = _cells(cell, sizes[walking], wts, pts)
-    for k, lo, n in zip(np.flatnonzero(walking), first, counts):
-        out[k] = _greedy_merge(cell_w[lo:lo + n], cell_sum[lo:lo + n], merge_radius)
+    modes, supports, n_modes = _greedy_walk(cell_w, cell_sum, first, counts, merge_radius)
+    ends = np.cumsum(n_modes).tolist()
+    for k, lo, hi in zip(walking.tolist(), [0] + ends[:-1], ends):
+        out[k] = modes[lo:hi], supports[lo:hi]
     return out
 
 
-def _greedy_merge(cell_w, cell_sum, merge_radius):
-    """Walk the grid cells heaviest first; a cell joins the nearest mode
-    within the merge radius or starts a new one. Returns (modes, supports)
-    sorted by support descending."""
-    order = np.argsort(-cell_w, kind="stable")
-    mode_sum = []
-    mode_w = []
-    r2 = merge_radius * merge_radius
-    for c in order:
-        p = cell_sum[c] / cell_w[c]
-        if mode_sum:
-            centers = np.asarray(mode_sum) / np.asarray(mode_w)[:, None]
-            d2 = ((centers - p) ** 2).sum(axis=1)
-            nearest = int(np.argmin(d2))
-            if d2[nearest] <= r2:
-                mode_sum[nearest] = mode_sum[nearest] + cell_sum[c]
-                mode_w[nearest] += cell_w[c]
-                continue
-        mode_sum.append(cell_sum[c].copy())
-        mode_w.append(cell_w[c])
+def _greedy_walk(cell_w, cell_sum, first, counts, merge_radius):
+    """Greedy merge of each set's grid cells, a run of `counts` cells from
+    `first`, all sets in lockstep: step k takes the k-th heaviest cell of
+    every set that has one, and it joins the nearest of its set's modes
+    within the merge radius or starts a new one.
 
-    modes = np.asarray(mode_sum) / np.asarray(mode_w)[:, None]
-    supports = np.asarray(mode_w)
-    order = np.argsort(-supports, kind="stable")
-    return modes[order], supports[order]
+    A set's modes take the slots of its own run of cells, as it has at most
+    one per cell. Returns (modes, supports, mode count per set), each set's
+    modes one run, sorted by support descending, ties in order of creation.
+    """
+    set_of = np.repeat(np.arange(len(counts)), counts)
+    order = np.lexsort((-cell_w, set_of))  # each set's cells heaviest first, stably
+    mode_sum = np.zeros_like(cell_sum)
+    mode_w = np.zeros_like(cell_w)
+    n_modes = np.zeros(len(counts), dtype=np.int64)
+    r2 = merge_radius * merge_radius
+    sets = np.arange(len(counts))
+    for k in range(int(counts.max())):
+        sets = sets[counts[sets] > k]
+        base = first[sets]
+        c = order[base + k]
+        slot = base + n_modes[sets]  # a new mode's
+        if k:
+            m = int(n_modes[sets].max())
+            live = np.arange(m) < n_modes[sets, None]
+            held = np.where(live, base[:, None] + np.arange(m), base[:, None])
+            centers = mode_sum[held] / mode_w[held][:, :, None]
+            d2 = ((centers - (cell_sum[c] / cell_w[c][:, None])[:, None]) ** 2).sum(axis=2)
+            d2[~live] = np.inf
+            nearest = d2.argmin(axis=1)
+            join = d2[np.arange(len(sets)), nearest] <= r2
+            slot[join] = base[join] + nearest[join]
+            n_modes[sets] += ~join
+        else:
+            n_modes[sets] = 1
+        # a new mode's slot holds zeros, and 0 + x is x: np.bincount gave the
+        # cell sums, and it never gives -0.0
+        mode_sum[slot] += cell_sum[c]
+        mode_w[slot] += cell_w[c]
+    held = np.flatnonzero(np.arange(len(cell_w)) - np.repeat(first, counts)
+                          < np.repeat(n_modes, counts))
+    held = held[np.lexsort((-mode_w[held], set_of[held]))]
+    return mode_sum[held] / mode_w[held][:, None], mode_w[held], n_modes

@@ -7,7 +7,7 @@ scalar loops instead of vectorized code.
 
 import numpy as np
 
-from handfit import depth, fit, forest, geometry, quats
+from handfit import fit, forest, geometry, quats
 from handfit.depth import BONE_RADII_MM, PALM_ELLIPSOID_CENTER, PALM_ELLIPSOID_SEMI_AXES
 from handfit.meanshift import DEDUP_DIVISOR, INFER_DEDUP_DIVISOR, MERGE_FACTOR, TOL_FACTOR
 from handfit.proposals import ProposalSet
@@ -226,6 +226,50 @@ def depth_difference_3index(images, img_idx, pixel, depth, probe_u, probe_v,
     du = probe_depth_3index(images, img_idx, pixel + probe_u / scale, bg_depth)
     dv = probe_depth_3index(images, img_idx, pixel + probe_v / scale, bg_depth)
     return du - dv
+
+
+# Frozen copies of the split features as they were computed before they
+# were blocked: each probe allocates its (c, n) temporaries and reads the
+# image stack once for every candidate-sample pair, candidate-major. The
+# library must keep producing their bits.
+
+def probe_depth_unblocked(images, img_idx, pixel, depth, offset, bg_depth):
+    h, w = images.shape[1:]
+    u = pixel[..., 0] + offset[..., 0] / depth
+    v = pixel[..., 1] + offset[..., 1] / depth
+    np.rint(u, out=u)
+    np.rint(v, out=v)
+    inside = (u >= 0) & (u < w) & (v >= 0) & (v < h)
+    v *= w
+    v += u
+    v += img_idx * float(h * w)
+    d = images.reshape(-1).take(np.where(inside, v, 0).astype(np.intp))
+    return np.where(inside & (d != 0), d, bg_depth)
+
+
+def depth_difference_unblocked(images, img_idx, pixel, depth, probe_u, probe_v, bg_depth):
+    du = probe_depth_unblocked(images, img_idx, pixel, depth, probe_u, bg_depth)
+    dv = probe_depth_unblocked(images, img_idx, pixel, depth, probe_v, bg_depth)
+    return du - dv
+
+
+def features_unblocked(samples, idx, probe_u, probe_v, bg_depth):
+    return depth_difference_unblocked(samples.images, samples.img_idx[idx][None],
+                                      samples.pixel[idx][None], samples.depth[idx][None],
+                                      probe_u[:, None], probe_v[:, None], bg_depth)
+
+
+def route_unblocked(tree, images, img_idx, pixel, depth, bg_depth):
+    """`forest.Tree.route` through `depth_difference_unblocked`."""
+    node = np.zeros(len(depth), dtype=np.int64)
+    while True:
+        act = np.nonzero(tree.leaf_id[node] < 0)[0]
+        if act.size == 0:
+            return tree.leaf_id[node]
+        nd = node[act]
+        feats = depth_difference_unblocked(images, img_idx[act], pixel[act], depth[act],
+                                           tree.probe_u[nd], tree.probe_v[nd], bg_depth)
+        node[act] = np.where(feats < tree.tau[nd], tree.left[nd], tree.right[nd])
 
 
 def train_tree_recursive(samples, cfg, rng):
@@ -513,9 +557,54 @@ def march_ray_depth(geom, pose, cam, u, v, max_depth=2000.0):
     return np.nan
 
 
+# Frozen copies of the renderer's per-primitive helpers from before a pose's
+# primitives were rasterised in one batched solve: the pixel box of one
+# primitive, its rays and its z-buffer update.
+
+def pixel_box_one(cam, points, radius):
+    """Conservative pixel bounding box of spheres at `points`; None if empty."""
+    points = np.asarray(points, dtype=float)
+    z = points[:, 2] - radius
+    if np.all(z <= 1.0):
+        return None
+    keep = z > 1.0
+    pts = points[keep]
+    z = z[keep]
+    us = cam.fx * pts[:, 0] / z + cam.cx
+    vs = cam.fy * pts[:, 1] / z + cam.cy
+    pr_u = radius * cam.fx / z
+    pr_v = radius * cam.fy / z
+    u0 = int(np.floor((us - pr_u).min())) - 1
+    u1 = int(np.ceil((us + pr_u).max())) + 1
+    v0 = int(np.floor((vs - pr_v).min())) - 1
+    v1 = int(np.ceil((vs + pr_v).max())) + 1
+    u0, u1 = max(u0, 0), min(u1, cam.width - 1)
+    v0, v1 = max(v0, 0), min(v1, cam.height - 1)
+    if u0 > u1 or v0 > v1:
+        return None
+    return u0, u1, v0, v1
+
+
+def box_rays_one(cam, box):
+    u0, u1, v0, v1 = box
+    us, vs = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1))
+    dirs = np.stack([(us.ravel() - cam.cx) / cam.fx,
+                     (vs.ravel() - cam.cy) / cam.fy,
+                     np.ones(us.size)], axis=1)
+    return us.ravel(), vs.ravel(), dirs
+
+
+def update_zbuf_one(zbuf, us, vs, t):
+    hit = np.isfinite(t)
+    if not hit.any():
+        return
+    flat = zbuf[vs[hit], us[hit]]
+    zbuf[vs[hit], us[hit]] = np.minimum(flat, t[hit])
+
+
 def ray_sphere_own_quadratic(dirs, center, radius):
-    """`depth._ray_sphere` with its own copy of the ray quadratic, as each
-    primitive solved it before the shared `depth._ray_quadric`."""
+    """Smallest positive ray parameter hitting the sphere, inf when missed,
+    from a ray quadratic of its own."""
     a = np.einsum("ij,ij->i", dirs, dirs)
     b = -2.0 * dirs @ center
     c = center @ center - radius * radius
@@ -533,11 +622,11 @@ def ray_sphere_own_quadratic(dirs, center, radius):
 
 
 def raster_capsule_own_quadratic(zbuf, cam, a, b, radius):
-    """`depth._raster_capsule` with its own copy of the ray quadratic."""
-    box = depth._pixel_box(cam, np.stack([a, b]), radius)
+    """One capsule rasterised on its own, with its own ray quadratics."""
+    box = pixel_box_one(cam, np.stack([a, b]), radius)
     if box is None:
         return
-    us, vs, dirs = depth._box_rays(cam, box)
+    us, vs, dirs = box_rays_one(cam, box)
 
     ab = b - a
     length = np.linalg.norm(ab)
@@ -564,15 +653,15 @@ def raster_capsule_own_quadratic(zbuf, cam, a, b, radius):
         t_best = t
     t_best = np.minimum(t_best, ray_sphere_own_quadratic(dirs, a, radius))
     t_best = np.minimum(t_best, ray_sphere_own_quadratic(dirs, b, radius))
-    depth._update_zbuf(zbuf, us, vs, t_best)
+    update_zbuf_one(zbuf, us, vs, t_best)
 
 
 def raster_ellipsoid_own_quadratic(zbuf, cam, center, semi_axes, rot):
-    """`depth._raster_ellipsoid` with its own copy of the ray quadratic."""
-    box = depth._pixel_box(cam, center[None, :], float(np.max(semi_axes)))
+    """The palm ellipsoid rasterised on its own, with its own ray quadratic."""
+    box = pixel_box_one(cam, center[None, :], float(np.max(semi_axes)))
     if box is None:
         return
-    us, vs, dirs = depth._box_rays(cam, box)
+    us, vs, dirs = box_rays_one(cam, box)
     d_loc = dirs @ rot / semi_axes
     o_loc = (-center) @ rot / semi_axes
     qa = np.einsum("ij,ij->i", d_loc, d_loc)
@@ -586,7 +675,7 @@ def raster_ellipsoid_own_quadratic(zbuf, cam, center, semi_axes, rot):
         t_near = (-qb - sq) / (2.0 * qa)
     hit = ok & (t_near > 0.0)
     t[hit] = t_near[hit]
-    depth._update_zbuf(zbuf, us, vs, t)
+    update_zbuf_one(zbuf, us, vs, t)
 
 
 def pso_one_swarm(score_fn, bounds, active_dims, particles, generations,

@@ -296,6 +296,38 @@ def test_pso_config_rejects_settings_that_wreck_the_fit(field, value, message):
         RunConfig().build(PsoConfig, "pso", **{field: value})
 
 
+@pytest.mark.parametrize("cls, field, value, message", [
+    # each of these used to build: a fractional depth grew a deeper tree,
+    # an infinite background depth gave NaN features and an inf file
+    # header, and the others failed later with a raw TypeError or
+    # OverflowError, or after the whole split search
+    (ForestConfig, "max_depth", 2.5, "max_depth must be an integer, got 2.5"),
+    (ForestConfig, "candidates", 2.5, "candidates must be an integer, got 2.5"),
+    (ForestConfig, "leaf_cap", 10.5, "leaf_cap must be an integer, got 10.5"),
+    (ForestConfig, "num_trees", 3.0, "num_trees must be an integer, got 3.0"),
+    (ForestConfig, "meanshift_iters", True, "meanshift_iters must be an integer, got True"),
+    (ForestConfig, "bg_depth_mm", float("inf"), "bg_depth_mm must be finite"),
+    (ForestConfig, "probe_range_px_m", float("inf"), "probe_range_px_m must be finite"),
+    (ForestConfig, "leaf_bandwidth_mm", float("inf"), "leaf_bandwidth_mm must be finite"),
+    (ForestConfig, "leaf_bandwidth_mm", float("nan"), "leaf_bandwidth_mm must be finite"),
+    (PsoConfig, "palm_particles", 4.5, "palm_particles must be an integer, got 4.5"),
+    (PsoConfig, "joint_generations", 2.0, "joint_generations must be an integer, got 2.0"),
+])
+def test_settings_reject_fractional_counts_and_non_finite_lengths(cls, field, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cls(**{field: value})
+    prefix = "forest" if cls is ForestConfig else "pso"
+    with pytest.raises(ConfigError, match=re.escape(f"{prefix}: {message}")):
+        RunConfig().build(cls, prefix, **{field: value})
+
+
+def test_settings_take_numpy_integer_counts():
+    import numpy as np
+
+    assert ForestConfig(max_depth=np.int64(5)).max_depth == 5
+    assert PsoConfig(palm_particles=np.int32(4)).palm_particles == 4
+
+
 def test_pso_config_keeps_zero_generations_and_zero_margin():
     cfg = PsoConfig(palm_generations=0, finger_generations=0, joint_generations=0,
                     translation_margin_mm=0.0)

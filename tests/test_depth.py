@@ -116,12 +116,45 @@ def test_shared_ray_quadric_rasterises_every_primitive_bit_for_bit(geom, limits,
             t = [0.1, 0.1, 0.0] * pose.translation + [0.0, 0.0, rng.uniform(5.0, 150.0)]
             pose = PoseParams(t, pose.orientation, pose.finger_angles)
         primitives = depth.hand_primitives(geom, pose)
-        got = _zbuf(cam, primitives, depth._raster_capsule, depth._raster_ellipsoid)
+        got = depth._zbuffer(cam, *primitives)
         want = _zbuf(cam, primitives, raster_capsule_own_quadratic,
                      raster_ellipsoid_own_quadratic)
         assert np.array_equal(got, want)
         hits[i % 2] += np.isfinite(got).any()
     assert hits[0] == 12 and hits[1] >= 8
+
+
+def test_one_solve_rasterises_cut_primitives_bit_for_bit(cam):
+    # capsules partly behind the camera, partly out of frame, wholly out of
+    # sight and of zero length, and an ellipsoid cut by the image edge, all
+    # in one batched solve: the bits of each primitive rasterised alone
+    segs = np.array([
+        [[-10.0, 5.0, -60.0], [15.0, -5.0, 120.0]],   # crosses the camera plane
+        [[-20.0, 0.0, 300.0], [420.0, 30.0, 300.0]],  # runs off the right edge
+        [[0.0, -200.0, 250.0], [0.0, -20.0, 260.0]],  # runs off the top edge
+        [[0.0, 0.0, -300.0], [30.0, 0.0, -200.0]],    # behind the camera
+        [[5000.0, 0.0, 300.0], [5100.0, 0.0, 300.0]],  # beside the frustum
+        [[40.0, 40.0, 400.0], [40.0, 40.0, 400.0]],   # zero length: two spheres
+        [[-60.0, 10.0, 500.0], [-30.0, 40.0, 450.0]],
+    ])
+    radii = np.array([8.0, 7.0, 6.0, 8.0, 8.0, 6.0, 7.0])
+    rot = np.eye(3)
+    for center in ([-150.0, -100.0, 320.0], [0.0, 0.0, -500.0]):
+        primitives = (segs, radii, (np.array(center), np.array([45.0, 40.0, 15.0]), rot))
+        got = depth._zbuffer(cam, *primitives)
+        want = _zbuf(cam, primitives, raster_capsule_own_quadratic,
+                     raster_ellipsoid_own_quadratic)
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got[:, -1]).any() and np.isfinite(got[0]).any()
+    # the capsule through the camera plane shows in front of the camera only
+    near = depth._zbuffer(cam, segs[:1], radii[:1], (np.array([0.0, 0.0, -500.0]),
+                                                     np.array([45.0, 40.0, 15.0]), rot))
+    assert np.isfinite(near).any() and (near[np.isfinite(near)] > 0).all()
+
+
+def _ray_sphere(dirs, center, radius):
+    hit, _, near, far = depth._ray_quadric(dirs, [-center], [radius * radius], [len(dirs)])
+    return depth._sphere_depth(hit, near, far)
 
 
 def test_ray_sphere_takes_the_far_root_from_inside(rng):
@@ -131,9 +164,9 @@ def test_ray_sphere_takes_the_far_root_from_inside(rng):
                            ((0.0, 0.0, 30.0), 30.0), ((20.0, 10.0, 400.0), 60.0),
                            ((0.0, 0.0, -400.0), 60.0)]:
         center = np.array(center)
-        got = depth._ray_sphere(dirs, center, radius)
+        got = _ray_sphere(dirs, center, radius)
         assert np.array_equal(got, ray_sphere_own_quadratic(dirs, center, radius))
-    assert np.isfinite(depth._ray_sphere(dirs, np.array([0.0, 0.0, 10.0]), 30.0)).all()
+    assert np.isfinite(_ray_sphere(dirs, np.array([0.0, 0.0, 10.0]), 30.0)).all()
 
 
 def test_pgm_round_trip(tmp_path, cam, rest_render):

@@ -14,7 +14,8 @@ from handfit.geometry import PoseParams, forward_kinematics
 from handfit.meanshift import mean_shift
 
 from oracles import (build_leaf_per_joint, depth_difference_3index,
-                     proposals_joint_by_joint, train_tree_recursive)
+                     depth_difference_unblocked, features_unblocked,
+                     proposals_joint_by_joint, route_unblocked, train_tree_recursive)
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +298,96 @@ def test_depth_difference_equals_three_index_oracle(layout, n_img):
     ui, vi = u[inside].astype(int), v[inside].astype(int)
     hit = images[np.broadcast_to(img_idx, u.shape)[inside], vi, ui]
     assert (hit == 0).any() and ((ui == 7) & (vi == 5)).any()
+
+
+@pytest.fixture(scope="module")
+def wide_samples(geom, cam):
+    """Samples of two frames, one of them shifted towards the image corner,
+    so that wide probes land off every edge and on background."""
+    poses = [PoseParams.rest((0.0, 0.0, 550.0)), PoseParams.rest((-60.0, -50.0, 450.0))]
+    images = [render_depth(geom, p, cam) for p in poses]
+    return F.build_training_set(images, [forward_kinematics(geom, p) for p in poses],
+                                stride=2, rng=np.random.default_rng(0))
+
+
+def _assert_every_read_kind(samples, idx, probe_u):
+    """Some probe landed off each image edge and some read background."""
+    landed = np.rint(samples.pixel[idx][None] + probe_u[:, None] / samples.depth[idx][None, :, None])
+    u, v = landed[..., 0], landed[..., 1]
+    h, w = samples.images.shape[1:]
+    assert (u < 0).any() and (u >= w).any() and (v < 0).any() and (v >= h).any()
+    inside = (u >= 0) & (u < w) & (v >= 0) & (v < h)
+    img = np.broadcast_to(samples.img_idx[idx][None], u.shape)[inside]
+    assert (samples.images[img, v[inside].astype(int), u[inside].astype(int)] == 0).any()
+
+
+@pytest.mark.parametrize("n, c, block", [
+    (1, 50, None),      # one sample
+    (150, 60, None),    # below one block
+    (1001, 37, 100),    # blocks of 2 samples, the last one ragged
+    (None, 200, None),  # every sample: many blocks at the default size
+    (333, 37, 16),      # each sample's candidates in slices of 16, 16 and 5
+    (1001, 1, 100),     # one candidate, as a node's best split is applied
+])
+def test_features_equal_unblocked_oracle(wide_samples, monkeypatch, n, c, block):
+    # blocked, sample-major features in reused buffers must give the bits
+    # of one allocating (c, n) pass, whatever the block bounds
+    samples = wide_samples
+    if block is not None:
+        monkeypatch.setattr(F, "PROBE_BLOCK", block)
+    rng = np.random.default_rng(c)
+    n = len(samples) if n is None else n
+    idx = np.sort(rng.choice(len(samples), n, replace=False))
+    probe_u = rng.uniform(-120000.0, 120000.0, (c, 2))
+    probe_v = rng.uniform(-120000.0, 120000.0, (c, 2))
+    got = F._features(samples, idx, probe_u, probe_v, 10000.0)
+    want = features_unblocked(samples, idx, probe_u, probe_v, 10000.0)
+    assert got.shape == want.shape == (c, n) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert (n * c > F.PROBE_BLOCK) == (block is not None or n == len(samples))
+    if n > 1 and c > 1:
+        _assert_every_read_kind(samples, idx, np.concatenate([probe_u, probe_v]))
+
+
+def test_route_equals_unblocked_oracle(wide_samples):
+    # routing reads one probe pair per patch through the same probe code:
+    # the bits of the features and the leaves match the allocating form
+    samples = wide_samples
+    cfg = F.ForestConfig(max_depth=8, min_samples=10, node_subsample=200,
+                         candidates=30)
+    tree = F.train_tree(samples, cfg, np.random.default_rng(4))
+    args = (samples.images, samples.img_idx, samples.pixel, samples.depth)
+    leaf = tree.route(*args, cfg.bg_depth_mm)
+    np.testing.assert_array_equal(leaf, route_unblocked(tree, *args, cfg.bg_depth_mm))
+    assert len(np.unique(leaf)) == tree.n_leaves > 10
+    node = np.random.default_rng(1).integers(0, tree.n_nodes, len(samples))
+    got = F._depth_difference(*args, tree.probe_u[node], tree.probe_v[node], cfg.bg_depth_mm)
+    want = depth_difference_unblocked(*args, tree.probe_u[node], tree.probe_v[node],
+                                      cfg.bg_depth_mm)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_train_tree_with_blocked_root_equals_recursive_unblocked_oracle(wide_samples,
+                                                                         monkeypatch):
+    # a root whose candidate features and best split span many blocks: the
+    # tree equals the recursion's computed with the allocating features
+    samples = wide_samples
+    cfg = F.ForestConfig(max_depth=12, min_samples=15, node_subsample=400,
+                         candidates=50, leaf_cap=40)
+    monkeypatch.setattr(F, "PROBE_BLOCK", 128)
+    assert len(samples) > cfg.node_subsample and cfg.node_subsample * cfg.candidates > 100 * 128
+    tree = F.train_tree(samples, cfg, np.random.default_rng(6))
+    monkeypatch.setattr(F, "_features", features_unblocked)
+    nodes, leaf_modes, leaf_weights = train_tree_recursive(samples, cfg,
+                                                           np.random.default_rng(6))
+    assert tree.n_leaves > 20 and tree.max_depth() > 6
+    np.testing.assert_array_equal(tree.left, nodes[:, 0].astype(np.int32))
+    np.testing.assert_array_equal(tree.right, nodes[:, 1].astype(np.int32))
+    assert tree.probe_u.tobytes() == nodes[:, 3:5].astype(np.float32).tobytes()
+    assert tree.probe_v.tobytes() == nodes[:, 5:7].astype(np.float32).tobytes()
+    assert tree.tau.tobytes() == nodes[:, 7].astype(np.float32).tobytes()
+    assert tree.leaf_modes.tobytes() == leaf_modes.tobytes()
+    assert tree.leaf_weights.tobytes() == leaf_weights.tobytes()
 
 
 def _leaf_samples(base, offsets):

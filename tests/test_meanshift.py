@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from handfit.meanshift import (INFER_DEDUP_DIVISOR, _cell_index, _cells, _dedup, _shift_sets,
-                               mean_shift)
+from handfit.meanshift import (INFER_DEDUP_DIVISOR, _cell_index, _cells, _dedup, _merge_modes,
+                               _shift_sets, mean_shift)
 
-from oracles import (dedup_alone, kde_grid_mode, mean_shift_alone, meanshift_iterate,
-                     meanshift_iterate_lifted, shift_once)
+from oracles import (dedup_alone, kde_grid_mode, mean_shift_alone, merge_modes_alone,
+                     meanshift_iterate, meanshift_iterate_lifted, shift_once)
 
 
 def test_single_point_is_its_own_mode():
@@ -491,3 +491,54 @@ def test_dedup_of_ragged_sets_equals_alone_oracle():
     for p, w, gp, gw in zip(sets, weights, _split(got_p, counts), _split(got_w, counts)):
         _assert_same_bytes((gp, gw), dedup_alone(p, w, 15.0))
     assert 0 < (counts < [len(w) for w in weights]).sum() < len(sets)
+
+
+def _converged_sets(rng):
+    """Converged sets for the merge, with non-integer weights: one point,
+    tight sets that pass the single-mode test, clustered and scattered sets
+    that walk, lengths past the 8- and 128-long pairwise-sum blocks, a
+    -0.0 coordinate, tied cell weights, and a cell equidistant from two
+    modes."""
+    sets = []
+    for i in range(60):
+        n = int(rng.choice([1, 2, 7, 9, 40, 130, 257]))
+        centre = rng.uniform(-300, 300, 3)
+        kind = i % 4
+        if kind == 0:
+            pts = centre + rng.normal(0, 0.4, (n, 3))
+        elif kind == 1:
+            pts = centre + rng.uniform(-30, 30, (n, 3))
+        elif kind == 2:
+            hubs = centre + rng.uniform(-40, 40, (int(rng.integers(2, 6)), 3))
+            pts = hubs[rng.integers(0, len(hubs), n)] + rng.normal(0, 1.5, (n, 3))
+        else:
+            pts = np.repeat(centre[None], n, axis=0)
+        sets.append((pts, rng.uniform(0.05, 3.0, n)))
+    sets.append((np.array([[-0.0, 1.0, 2.0]]), np.array([0.7])))
+    # cells of 2.5 mm, heaviest first: A starts a mode, B (16 mm away)
+    # another, and C lies 8 mm from both: it joins A, the mode made first
+    sets.append((np.array([[0.0, 0, 0], [16.0, 0, 0], [8.0, 0, 0]]), np.array([3.0, 2.0, 1.0])))
+    # equal cell weights: the walk takes them in grid order
+    sets.append((np.array([[40.0, 0, 0], [0.0, 0, 0], [20.0, 0, 0]]), np.array([1.5, 1.5, 1.5])))
+    return sets
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_merge_modes_equals_merge_modes_alone(seed):
+    # the spread test of all sets at once and the lockstep greedy walk give
+    # every set the bits of its own merge, non-integer weights included
+    sets = _converged_sets(np.random.default_rng(seed))
+    sizes = np.array([len(w) for _, w in sets])
+    got = _merge_modes(np.concatenate([p for p, _ in sets]), np.concatenate([w for _, w in sets]),
+                       sizes, 10.0)
+    assert len(got) == len(sets)
+    for (p, w), res in zip(sets, got):
+        want = merge_modes_alone(p, w, 10.0)
+        for a, b in zip(res, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    counts = np.array([len(modes) for modes, _ in got])
+    assert (counts[sizes > 1] == 1).any() and (counts > 3).any()
+    assert ((counts > 1) & (sizes > 128)).any()
+    equidistant = got[-2]
+    np.testing.assert_array_equal(equidistant[1], [4.0, 2.0])
+    np.testing.assert_array_equal(equidistant[0][1], [16.0, 0, 0])
