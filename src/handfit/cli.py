@@ -48,10 +48,6 @@ def _load_config(args):
             raise ConfigError(f"HANDFIT_SEED must be an integer, got {env_seed!r}") from exc
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-    # build the forest and swarm settings once, so an out-of-range value
-    # exits 2 before any stage starts work
-    cfg.build(ForestConfig, "forest")
-    sweeps.pso_config(cfg, cfg["seed"])
     return cfg
 
 

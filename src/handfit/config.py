@@ -134,14 +134,6 @@ def read_csv(path, header, parse):
     return out
 
 
-def _require_integers(settings, names):
-    """ValueError unless each field of `names` holds an integer (not a bool)."""
-    for name in names:
-        value = getattr(settings, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ForestConfig:
     """Forest training settings; field `f` is run-config key `forest.f`."""
@@ -159,20 +151,7 @@ class ForestConfig:
     meanshift_iters: int = 50
 
     def __post_init__(self):
-        _require_integers(self, ("num_trees", "max_depth", "min_samples", "node_subsample",
-                                 "candidates", "leaf_modes", "leaf_cap", "meanshift_iters"))
-        for name in ("num_trees", "min_samples", "node_subsample", "candidates",
-                     "leaf_modes", "leaf_cap"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("max_depth", "meanshift_iters"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("probe_range_px_m", "bg_depth_mm", "leaf_bandwidth_mm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        check_fields(self, "forest")
 
 
 @dataclass(frozen=True)
@@ -193,23 +172,7 @@ class PsoConfig:
     seed: int = field(default=0, metadata={"key": None})  # given by the caller
 
     def __post_init__(self):
-        _require_integers(self, ("palm_particles", "palm_generations", "finger_particles",
-                                 "finger_generations", "joint_particles", "joint_generations"))
-        for name in ("inertia", "cognitive", "social", "d_max_mm", "translation_margin_mm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.d_max_mm <= 0:
-            raise ValueError("d_max_mm must be positive")
-        # a negative margin inverts the search box around the proposals
-        if self.translation_margin_mm < 0:
-            raise ValueError("translation_margin_mm must not be negative")
-        for name in ("palm_particles", "finger_particles", "joint_particles"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be >= 2")
-        # zero generations is the best of the initial swarm; fewer is no run
-        for name in ("palm_generations", "finger_generations", "joint_generations"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        check_fields(self, "pso")
 
 
 def _field_keys(cls, prefix):
@@ -254,16 +217,58 @@ DEFAULTS = {
     "sweep.k_grid": "1,2,3,5",
 }
 
-# keys read directly rather than through a settings dataclass, checked
-# when they are set or loaded
-_POSITIVE = ("forest.train_stride", "forest.train_cap", "forest.infer_stride",
-             "forest.top_n", "forest.k", "forest.infer_bandwidth_mm",
-             "synth.viewpoints", "synth.articulations", "synth.subsample",
-             "synth.test_keyposes", "eval.threshold_step_mm", "eval.seeds")
-_NON_NEGATIVE = ("synth.jitter_mm", "synth.frames_between")
-# a test sequence interpolates between keyposes: two or more, with frames
-# between each pair
-_AT_LEAST = {"synth.test_keyposes": 2, "synth.frames_between": 1}
+# Each bounded numeric key's lowest value and whether that value itself is
+# allowed; the other numeric keys take any value. Every float setting must
+# also be finite, and every integer one an integer (not a bool).
+_RANGES = {
+    "camera.width": (1, True), "camera.height": (1, True),
+    "camera.fx": (0, False), "camera.fy": (0, False),
+    "synth.articulations": (1, True), "synth.viewpoints": (1, True),
+    "synth.jitter_mm": (0, True), "synth.subsample": (1, True),
+    # a test sequence interpolates between keyposes: two or more, with
+    # frames between each pair
+    "synth.test_keyposes": (2, True), "synth.frames_between": (1, True),
+    "forest.num_trees": (1, True), "forest.max_depth": (0, True),
+    "forest.min_samples": (1, True), "forest.node_subsample": (1, True),
+    "forest.candidates": (1, True), "forest.probe_range_px_m": (0, False),
+    "forest.bg_depth_mm": (0, False), "forest.leaf_modes": (1, True),
+    "forest.leaf_bandwidth_mm": (0, False), "forest.leaf_cap": (1, True),
+    "forest.meanshift_iters": (0, True), "forest.train_stride": (1, True),
+    "forest.train_cap": (1, True), "forest.infer_stride": (1, True),
+    "forest.infer_bandwidth_mm": (0, False), "forest.top_n": (1, True),
+    "forest.k": (1, True),
+    "pso.palm_particles": (2, True), "pso.finger_particles": (2, True),
+    "pso.joint_particles": (2, True),
+    # zero generations is the best of the initial swarm; fewer is no run
+    "pso.palm_generations": (0, True), "pso.finger_generations": (0, True),
+    "pso.generations": (0, True), "pso.d_max_mm": (0, False),
+    # a negative margin inverts the search box around the proposals
+    "pso.translation_margin_mm": (0, True),
+    "eval.threshold_step_mm": (0, False), "eval.seeds": (1, True),
+}
+
+
+def check_setting(key, value):
+    """`value`, when it is valid for run-config key `key` by its default's
+    type and `_RANGES`; else ConfigError naming `key`."""
+    kind = type(DEFAULTS[key])
+    if kind is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ConfigError(f"{key}: must be an integer, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {value!r}")
+    if key in _RANGES:
+        low, allowed = _RANGES[key]
+        if not (value >= low if allowed else value > low):
+            raise ConfigError(f"{key}: must be {'>=' if allowed else '>'} {low}, "
+                              f"got {value!r}")
+    return value
+
+
+def check_fields(settings, prefix):
+    """`check_setting` of each field of settings dataclass `settings`, under
+    the key `_field_keys(type(settings), prefix)` gives it."""
+    for f, key in _field_keys(type(settings), prefix):
+        check_setting(key, getattr(settings, f.name))
 
 
 def _int_list(key, text):
@@ -287,17 +292,6 @@ def _parse(key, text):
         return parse_number(text, type(default), key)
     _int_list(key, text)  # every string-valued key is an integer grid
     return text
-
-
-def _checked(key, value):
-    """`value`, when it is in range for `key`; else ConfigError naming `key`."""
-    if key in _POSITIVE and not value > 0:
-        raise ConfigError(f"{key}: must be positive, got {value!r}")
-    if key in _NON_NEGATIVE and not value >= 0:
-        raise ConfigError(f"{key}: must not be negative, got {value!r}")
-    if key in _AT_LEAST and not value >= _AT_LEAST[key]:
-        raise ConfigError(f"{key}: must be at least {_AT_LEAST[key]}, got {value!r}")
-    return value
 
 
 def _format(value):
@@ -326,7 +320,7 @@ class RunConfig:
             if key not in DEFAULTS:
                 raise ConfigError(f"{where}: unknown config key {key!r}")
             try:
-                cfg._values[key] = _checked(key, _parse(key, text))
+                cfg._values[key] = check_setting(key, _parse(key, text))
             except ConfigError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
         return cfg
@@ -346,7 +340,7 @@ class RunConfig:
             value = float(value)
         if not isinstance(value, expected) or isinstance(value, bool) != isinstance(DEFAULTS[key], bool):
             raise ConfigError(f"{key}: expected {expected.__name__}, got {value!r}")
-        self._values[key] = _checked(key, value)
+        self._values[key] = check_setting(key, value)
 
     def set_from_text(self, assignment):
         """Apply one 'key=value' override string (CLI --set)."""
@@ -360,12 +354,9 @@ class RunConfig:
 
     def build(self, cls, prefix, **given):
         """`cls(**given)`, each other field read from its key under `prefix`;
-        a ValueError of `cls`, such as a value out of range, is a ConfigError."""
+        a given value out of range is `cls`'s ConfigError naming its key."""
         kw = {f.name: self[key] for f, key in _field_keys(cls, prefix)}
-        try:
-            return cls(**{**kw, **given})
-        except ValueError as exc:
-            raise ConfigError(f"{prefix}: {exc}") from exc
+        return cls(**{**kw, **given})
 
     def int_list(self, key):
         return _int_list(key, str(self[key]))

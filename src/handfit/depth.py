@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, quats
-from .config import RunConfig, load_keyvalue, write_keyvalue
+from .config import DEFAULTS, ConfigError, RunConfig, check_fields, read_keyvalue, write_keyvalue
 
 # Surface proportions matched to the default skeleton: finger capsules
 # taper 8 -> 6 mm from proximal to distal, palm ellipsoid semi-axes in mm.
@@ -44,10 +44,7 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image size must be positive")
+        check_fields(self, "camera")
 
     @classmethod
     def default(cls):
@@ -77,10 +74,14 @@ class CameraIntrinsics:
 
     @classmethod
     def from_file(cls, path):
-        return load_keyvalue(path, lambda kv: cls(
-            fx=kv.number("fx"), fy=kv.number("fy"), cx=kv.number("cx"),
-            cy=kv.number("cy"), width=kv.number("width", kind=int),
-            height=kv.number("height", kind=int)))
+        kv = read_keyvalue(path)
+        values = dict(fx=kv.number("fx"), fy=kv.number("fy"), cx=kv.number("cx"),
+                      cy=kv.number("cy"), width=kv.number("width", kind=int),
+                      height=kv.number("height", kind=int))
+        try:
+            return cls(**values)
+        except ConfigError as exc:  # names the setting; add the file
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -327,6 +328,6 @@ def read_pgm(path, cam=None):
     grid = np.frombuffer(data, dtype=">u2", count=width * height, offset=pos)
     grid = grid.reshape(height, width).astype(np.uint16)
     if cam is None:
-        cam = CameraIntrinsics(fx=280.0, fy=280.0, cx=width / 2, cy=height / 2,
-                               width=width, height=height)
+        cam = CameraIntrinsics(fx=DEFAULTS["camera.fx"], fy=DEFAULTS["camera.fy"],
+                               cx=width / 2, cy=height / 2, width=width, height=height)
     return DepthImage(grid, cam)

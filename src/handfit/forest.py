@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .config import DEFAULTS, ForestConfig  # also read as forest.ForestConfig
+from .config import DEFAULTS, ConfigError, ForestConfig, check_setting  # ForestConfig re-exported
 from .depth import foreground_mask
 # `_dedup` is not called here: perfbench/tracing.py wraps it by this module's name
 from .meanshift import INFER_DEDUP_DIVISOR, _dedup, mean_shift  # noqa: F401
@@ -229,19 +229,15 @@ def _gains(left_counts, total_counts):
     total_counts (J,) at the node; an empty side scores -inf so degenerate
     splits are always rejected.
     """
-    right_counts = total_counts[None, :] - left_counts
-    n = total_counts.sum()
-    n_l = left_counts.sum(axis=1)
-    n_r = n - n_l
-
-    def entropy(counts):  # of each row; an empty row scores 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = counts / np.maximum(counts.sum(axis=1), 1)[:, None]
-            plogp = np.where(counts > 0, p * np.log(p), 0.0)
-        return -plogp.sum(axis=1)
-
-    h_parent = entropy(total_counts[None, :])[0]
-    gains = h_parent - (n_l * entropy(left_counts) + n_r * entropy(right_counts)) / n
+    # the sizes and entropies of the parent, left and right rows at once (an
+    # empty row scores 0); a row's sums do not depend on the stacking
+    counts = np.concatenate([total_counts[None, :], left_counts, total_counts - left_counts])
+    sizes = counts.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / np.maximum(sizes, 1)[:, None]
+        h = -np.where(counts > 0, p * np.log(p), 0.0).sum(axis=1)
+    n, (n_l, n_r), (h_l, h_r) = sizes[0], np.split(sizes[1:], 2), np.split(h[1:], 2)
+    gains = h[0] - (n_l * h_l + n_r * h_r) / n
     gains[(n_l == 0) | (n_r == 0)] = -np.inf
     return gains
 
@@ -583,9 +579,17 @@ def load_forest(path):
     if version != FORMAT_VERSION:
         raise ForestFormatError(
             f"unsupported forest format version {version}, expected {FORMAT_VERSION}", 4)
-    if n_joints > geometry.NUM_JOINTS:
+    # a header no training run writes: a setting out of its run-config
+    # range, or a joint count the hand does not have
+    for key, value, offset in (("num_trees", n_trees, 8), ("leaf_modes", n_modes, 14),
+                               ("bg_depth_mm", bg_depth, 16)):
+        try:
+            check_setting(f"forest.{key}", value)
+        except ConfigError as exc:
+            raise ForestFormatError(f"header {exc}", offset) from None
+    if not 1 <= n_joints <= geometry.NUM_JOINTS:
         raise ForestFormatError(
-            f"joint count {n_joints} exceeds the hand's {geometry.NUM_JOINTS} joints", 12)
+            f"joint count {n_joints} is outside the hand's 1..{geometry.NUM_JOINTS}", 12)
     trees = []
     for t in range(n_trees):
         n_nodes, n_leaves = reader.unpack("<II", f"tree {t} sizes")

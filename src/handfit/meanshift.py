@@ -117,7 +117,10 @@ def _shift_sets(points, weights, sizes, bandwidth, max_iters, tol):
     bounds = list(zip(starts[:-1], starts[1:]))
     dim = points.shape[1]
     inv_bw2 = 1.0 / (bandwidth * bandwidth)
-    centres = np.repeat([points[lo:hi].mean(axis=0) for lo, hi in bounds], sizes, axis=0)
+    set_of = np.repeat(np.arange(len(sizes)), sizes)
+    # each set's mean: bincount adds a set's rows in order, as mean(axis=0) does
+    sums = np.bincount((set_of[:, None] * dim + np.arange(dim)).ravel(), points.ravel())
+    centres = (sums.reshape(-1, dim) / np.asarray(sizes)[:, None])[set_of]
     cur = points - centres
     lifted_t = np.empty((len(cur), dim + 2))
     lifted_t[:, :dim] = cur * inv_bw2
@@ -130,7 +133,6 @@ def _shift_sets(points, weights, sizes, bandwidth, max_iters, tol):
     with_one[:, dim] = 1.0
     with_one = [with_one[lo:hi] for lo, hi in bounds]
 
-    set_of = np.repeat(np.arange(len(sizes)), sizes)
     aug = np.empty((len(cur), dim + 2))
     aug[:, dim + 1] = 1.0
     sums = np.empty((len(cur), dim + 1))
@@ -191,17 +193,18 @@ def mean_shift(points, weights=None, *, bandwidth, dedup_divisor=DEDUP_DIVISOR,
     sets = [np.asarray(p, dtype=float) for p in points]
     if any(p.ndim != 2 for p in sets):
         raise ValueError("mean_shift takes a sequence of (n, d) point sets")
-    weights = [np.ones(len(p)) for p in sets] if weights is None \
-        else [np.asarray(w, dtype=float) for w in weights]
-    if len(weights) != len(sets) or any(w.shape != (len(p),) for p, w in zip(sets, weights)):
-        raise ValueError("mean_shift needs one (n,) weight array per (n, d) set")
+    if weights is not None:
+        weights = [np.asarray(w, dtype=float) for w in weights]
+        if len(weights) != len(sets) or any(w.shape != (len(p),) for p, w in zip(sets, weights)):
+            raise ValueError("mean_shift needs one (n,) weight array per (n, d) set")
     out = [(np.empty((0, p.shape[1])), np.empty(0)) for p in sets]
     if not sets:
         return out
-    pts, wts = np.concatenate(sets), np.concatenate(weights)
+    pts = np.concatenate(sets)
+    wts = np.ones(len(pts)) if weights is None else np.concatenate(weights)
     if not (np.isfinite(wts).all() and np.isfinite(pts).all()):
         raise ValueError("mean_shift points and weights must be finite")
-    sizes = np.array([len(w) for w in weights])
+    sizes = np.array([len(p) for p in sets])
     keep = wts > 0
     if not keep.all():
         pts, wts = pts[keep], wts[keep]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import logging
 import os
@@ -253,26 +254,26 @@ def test_keyvalue_file_bad_value_exits_2(tmp_path, caplog, flag, key, value, mes
 
 
 @pytest.mark.parametrize("command, extra, message", [
-    ("fit", ["--set", "pso.palm_particles=1"], "pso: palm_particles must be >= 2"),
-    ("fit", ["--set", "pso.d_max_mm=0"], "pso: d_max_mm must be positive"),
+    ("fit", ["--set", "pso.palm_particles=1"], "pso.palm_particles: must be >= 2, got 1"),
+    ("fit", ["--set", "pso.d_max_mm=0"], "pso.d_max_mm: must be > 0, got 0.0"),
     # these two used to run: the first inverts the translation search box,
     # the second ran the finger stages as if set to 1
     ("fit", ["--set", "pso.translation_margin_mm=-500"],
-     "pso: translation_margin_mm must not be negative"),
-    ("fit", ["--set", "pso.finger_generations=-2"], "pso: finger_generations must be >= 0"),
+     "pso.translation_margin_mm: must be >= 0, got -500.0"),
+    ("fit", ["--set", "pso.finger_generations=-2"], "pso.finger_generations: must be >= 0, got -2"),
     ("train", ["--set", "forest.leaf_bandwidth_mm=0"],
-     "forest: leaf_bandwidth_mm must be positive"),
-    ("train", ["--set", "forest.num_trees=0"], "forest: num_trees must be >= 1"),
-    ("train", ["--set", "forest.candidates=0"], "forest: candidates must be >= 1"),
-    ("train", ["--set", "forest.train_stride=0"], "forest.train_stride: must be positive, got 0"),
-    ("train", ["--set", "forest.train_cap=0"], "forest.train_cap: must be positive, got 0"),
-    ("infer", ["--set", "forest.infer_stride=0"], "forest.infer_stride: must be positive, got 0"),
+     "forest.leaf_bandwidth_mm: must be > 0, got 0.0"),
+    ("train", ["--set", "forest.num_trees=0"], "forest.num_trees: must be >= 1, got 0"),
+    ("train", ["--set", "forest.candidates=0"], "forest.candidates: must be >= 1, got 0"),
+    ("train", ["--set", "forest.train_stride=0"], "forest.train_stride: must be >= 1, got 0"),
+    ("train", ["--set", "forest.train_cap=0"], "forest.train_cap: must be >= 1, got 0"),
+    ("infer", ["--set", "forest.infer_stride=0"], "forest.infer_stride: must be >= 1, got 0"),
     ("infer", ["--set", "forest.infer_stride=-2"],
-     "forest.infer_stride: must be positive, got -2"),
-    ("infer", ["--set", "forest.k=0"], "forest.k: must be positive, got 0"),
-    ("infer", ["--set", "forest.top_n=0"], "forest.top_n: must be positive, got 0"),
+     "forest.infer_stride: must be >= 1, got -2"),
+    ("infer", ["--set", "forest.k=0"], "forest.k: must be >= 1, got 0"),
+    ("infer", ["--set", "forest.top_n=0"], "forest.top_n: must be >= 1, got 0"),
     ("infer", ["--set", "forest.infer_bandwidth_mm=0"],
-     "forest.infer_bandwidth_mm: must be positive, got 0.0"),
+     "forest.infer_bandwidth_mm: must be > 0, got 0.0"),
     ("infer", ["--threads", "0"], "--threads must be >= 1, got 0"),
     ("infer", ["--threads", "-3"], "--threads must be >= 1, got -3"),
 ], ids=["palm_particles", "d_max_mm", "translation_margin_mm", "finger_generations",
@@ -294,20 +295,37 @@ def test_out_of_range_setting_exits_2_before_any_work(pipeline_dir, tmp_path, ca
 
 
 @pytest.mark.parametrize("setting, message", [
-    ("synth.viewpoints=0", "synth.viewpoints: must be positive, got 0"),
-    ("synth.subsample=0", "synth.subsample: must be positive, got 0"),
-    ("synth.articulations=-1", "synth.articulations: must be positive, got -1"),
-    ("synth.test_keyposes=0", "synth.test_keyposes: must be positive, got 0"),
-    ("synth.jitter_mm=-0.5", "synth.jitter_mm: must not be negative, got -0.5"),
-    ("synth.frames_between=-1", "synth.frames_between: must not be negative, got -1"),
-    ("synth.test_keyposes=1", "synth.test_keyposes: must be at least 2, got 1"),
-    ("synth.frames_between=0", "synth.frames_between: must be at least 1, got 0"),
+    ("synth.viewpoints=0", "synth.viewpoints: must be >= 1, got 0"),
+    ("synth.subsample=0", "synth.subsample: must be >= 1, got 0"),
+    ("synth.articulations=-1", "synth.articulations: must be >= 1, got -1"),
+    ("synth.test_keyposes=0", "synth.test_keyposes: must be >= 2, got 0"),
+    ("synth.jitter_mm=-0.5", "synth.jitter_mm: must be >= 0, got -0.5"),
+    ("synth.frames_between=-1", "synth.frames_between: must be >= 1, got -1"),
+    ("synth.test_keyposes=1", "synth.test_keyposes: must be >= 2, got 1"),
+    ("synth.frames_between=0", "synth.frames_between: must be >= 1, got 0"),
 ])
 def test_out_of_range_synth_setting_exits_2_before_rendering(tmp_path, caplog, setting,
                                                             message):
     out = tmp_path / "dataset"
     assert cli.main(["synth", "--out", str(out), "--set", setting]) == 2
     assert f"config error: {message}" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("forest.num_trees = 0", "forest.num_trees: must be >= 1, got 0"),
+    ("pso.palm_particles = 1", "pso.palm_particles: must be >= 2, got 1"),
+    ("camera.fx = -1", "camera.fx: must be > 0, got -1.0"),
+], ids=["forest", "pso", "camera"])
+def test_out_of_range_config_file_value_names_file_line_and_key(tmp_path, caplog, line,
+                                                                message):
+    # the forest and pso values used to be reported by the settings object
+    # they built, without the file, the line or the full key
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"seed = 3\n{line}\n")
+    out = tmp_path / "dataset"
+    assert cli.main(["synth", "--out", str(out), "--config", str(cfg)]) == 2
+    assert f"config error: {cfg}:2: {message}" in caplog.text
     assert not out.exists()
 
 
@@ -381,6 +399,25 @@ def test_infer_with_more_forest_joints_than_the_hand_exits_4(pipeline_dir, tmp_p
                    "--forest", str(path), "--out", str(tmp_path / "p.csv")] + TINY)
     assert rc == 4
     assert re.search(r"joint count 22 .*\(at byte 12\)", caplog.text)
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(trees=[]), "header forest.num_trees: must be >= 1, got 0 (at byte 8)"),
+    (dict(bg_depth_mm=float("nan")),
+     "header forest.bg_depth_mm: must be finite, got nan (at byte 16)"),
+], ids=["no_trees", "bg_nan"])
+def test_infer_with_a_forest_header_no_training_writes_exits_4(pipeline_dir, tmp_path,
+                                                                caplog, change, message):
+    # these used to load: no trees failed in accumulate_votes with a numpy
+    # message, and a NaN background depth was routed on
+    model = forest.load_forest(pipeline_dir / "forest.bin")
+    path = tmp_path / "bad.bin"
+    forest.save_forest(path, dataclasses.replace(model, **change))
+    rc = cli.main(["infer", "--dataset", str(pipeline_dir / "dataset"),
+                   "--forest", str(path), "--out", str(tmp_path / "p.csv")] + TINY)
+    assert rc == 4
+    assert message in caplog.text
     assert not (tmp_path / "p.csv").exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import re
 
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handfit import forest as F, meanshift, metrics, sweeps, synth
-from handfit.config import ConfigError, RunConfig, read_keyvalue
+from handfit import config
+from handfit.config import DEFAULTS, ConfigError, RunConfig, check_setting, read_keyvalue
 from handfit.depth import CameraIntrinsics
 from handfit.geometry import HandGeometry, JointLimits
 from handfit.fit import PsoConfig
@@ -136,7 +138,7 @@ def test_missing_key_names_file_and_key(tmp_path):
     ("fx", "abc", "key 'fx': expected number, got 'abc'"),
     ("cy", "inf", "key 'cy': expected number, got 'inf'"),
     ("width", "320.5", "key 'width': expected integer, got '320.5'"),
-    ("fy", "-1", "focal lengths must be positive"),
+    ("fy", "-1", "camera.fy: must be > 0, got -1.0"),
 ], ids=["fx_abc", "cy_inf", "width_320.5", "fy_negative"])
 def test_intrinsics_bad_value_names_file(tmp_path, key, value, message):
     path = tmp_path / "intrinsics.txt"
@@ -275,25 +277,33 @@ def test_synth_and_eval_keys_are_range_checked(tmp_path, key, value, ok):
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("translation_margin_mm", -500.0, "translation_margin_mm must not be negative"),
-    ("translation_margin_mm", float("nan"), "translation_margin_mm must be finite"),
-    ("palm_generations", -1, "palm_generations must be >= 0"),
-    ("finger_generations", -2, "finger_generations must be >= 0"),
-    ("joint_generations", -1, "joint_generations must be >= 0"),
-    ("inertia", float("nan"), "inertia must be finite"),
-    ("cognitive", float("inf"), "cognitive must be finite"),
-    ("social", float("-inf"), "social must be finite"),
-    ("d_max_mm", float("nan"), "d_max_mm must be finite"),
-    ("d_max_mm", float("inf"), "d_max_mm must be finite"),
-])
+    ("translation_margin_mm", -500.0, "pso.translation_margin_mm: must be >= 0, got -500.0"),
+    ("translation_margin_mm", float("nan"), "pso.translation_margin_mm: must be finite, got nan"),
+    ("palm_generations", -1, "pso.palm_generations: must be >= 0, got -1"),
+    ("finger_generations", -2, "pso.finger_generations: must be >= 0, got -2"),
+    ("joint_generations", -1, "pso.generations: must be >= 0, got -1"),
+    ("inertia", float("nan"), "pso.inertia: must be finite, got nan"),
+    ("cognitive", float("inf"), "pso.cognitive: must be finite, got inf"),
+    ("social", float("-inf"), "pso.social: must be finite, got -inf"),
+    ("d_max_mm", float("nan"), "pso.d_max_mm: must be finite, got nan"),
+    ("d_max_mm", float("inf"), "pso.d_max_mm: must be finite, got inf"),
+], ids=["translation_margin_mm--500.0-translation_margin_mm must not be negative",
+        "translation_margin_mm-nan-translation_margin_mm must be finite",
+        "palm_generations--1-palm_generations must be >= 0",
+        "finger_generations--2-finger_generations must be >= 0",
+        "joint_generations--1-joint_generations must be >= 0",
+        "inertia-nan-inertia must be finite", "cognitive-inf-cognitive must be finite",
+        "social--inf-social must be finite", "d_max_mm-nan-d_max_mm must be finite",
+        "d_max_mm-inf-d_max_mm must be finite"])
 def test_pso_config_rejects_settings_that_wreck_the_fit(field, value, message):
     # each of these used to build: a negative margin inverts the search
     # box, negative generations ran as one, and a non-finite coefficient
     # or d_max turns every score or position into NaN or a constant
     with pytest.raises(ValueError, match=re.escape(message)):
         PsoConfig(**{field: value})
-    with pytest.raises(ConfigError, match=re.escape(f"pso: {message}")):
+    with pytest.raises(ConfigError) as exc:
         RunConfig().build(PsoConfig, "pso", **{field: value})
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("cls, field, value, message", [
@@ -301,24 +311,69 @@ def test_pso_config_rejects_settings_that_wreck_the_fit(field, value, message):
     # an infinite background depth gave NaN features and an inf file
     # header, and the others failed later with a raw TypeError or
     # OverflowError, or after the whole split search
-    (ForestConfig, "max_depth", 2.5, "max_depth must be an integer, got 2.5"),
-    (ForestConfig, "candidates", 2.5, "candidates must be an integer, got 2.5"),
-    (ForestConfig, "leaf_cap", 10.5, "leaf_cap must be an integer, got 10.5"),
-    (ForestConfig, "num_trees", 3.0, "num_trees must be an integer, got 3.0"),
-    (ForestConfig, "meanshift_iters", True, "meanshift_iters must be an integer, got True"),
-    (ForestConfig, "bg_depth_mm", float("inf"), "bg_depth_mm must be finite"),
-    (ForestConfig, "probe_range_px_m", float("inf"), "probe_range_px_m must be finite"),
-    (ForestConfig, "leaf_bandwidth_mm", float("inf"), "leaf_bandwidth_mm must be finite"),
-    (ForestConfig, "leaf_bandwidth_mm", float("nan"), "leaf_bandwidth_mm must be finite"),
-    (PsoConfig, "palm_particles", 4.5, "palm_particles must be an integer, got 4.5"),
-    (PsoConfig, "joint_generations", 2.0, "joint_generations must be an integer, got 2.0"),
+    (ForestConfig, "max_depth", 2.5, "forest.max_depth: must be an integer, got 2.5"),
+    (ForestConfig, "candidates", 2.5, "forest.candidates: must be an integer, got 2.5"),
+    (ForestConfig, "leaf_cap", 10.5, "forest.leaf_cap: must be an integer, got 10.5"),
+    (ForestConfig, "num_trees", 3.0, "forest.num_trees: must be an integer, got 3.0"),
+    (ForestConfig, "meanshift_iters", True,
+     "forest.meanshift_iters: must be an integer, got True"),
+    (ForestConfig, "bg_depth_mm", float("inf"), "forest.bg_depth_mm: must be finite, got inf"),
+    (ForestConfig, "probe_range_px_m", float("inf"),
+     "forest.probe_range_px_m: must be finite, got inf"),
+    (ForestConfig, "leaf_bandwidth_mm", float("inf"),
+     "forest.leaf_bandwidth_mm: must be finite, got inf"),
+    (ForestConfig, "leaf_bandwidth_mm", float("nan"),
+     "forest.leaf_bandwidth_mm: must be finite, got nan"),
+    (PsoConfig, "palm_particles", 4.5, "pso.palm_particles: must be an integer, got 4.5"),
+    (PsoConfig, "joint_generations", 2.0, "pso.generations: must be an integer, got 2.0"),
 ])
 def test_settings_reject_fractional_counts_and_non_finite_lengths(cls, field, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         cls(**{field: value})
     prefix = "forest" if cls is ForestConfig else "pso"
-    with pytest.raises(ConfigError, match=re.escape(f"{prefix}: {message}")):
+    with pytest.raises(ConfigError) as exc:
         RunConfig().build(cls, prefix, **{field: value})
+    assert str(exc.value) == message  # named once, not prefixed again
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("fx", float("nan"), "camera.fx: must be finite, got nan"),
+    ("fy", float("inf"), "camera.fy: must be finite, got inf"),
+    ("fx", float("-inf"), "camera.fx: must be finite, got -inf"),
+    ("cx", float("nan"), "camera.cx: must be finite, got nan"),
+    ("width", 2.5, "camera.width: must be an integer, got 2.5"),
+    ("height", 240.0, "camera.height: must be an integer, got 240.0"),
+    ("width", 0, "camera.width: must be >= 1, got 0"),
+    ("fy", 0.0, "camera.fy: must be > 0, got 0.0"),
+])
+def test_intrinsics_reject_non_finite_focal_lengths_and_fractional_sizes(field, value,
+                                                                         message):
+    # the non-finite and fractional values used to build a camera
+    with pytest.raises(ConfigError) as exc:
+        dataclasses.replace(CameraIntrinsics.default(), **{field: value})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("key, value, message", [
+    # each of these used to be accepted, and failed only at a build or never
+    ("forest.num_trees", 0, "forest.num_trees: must be >= 1, got 0"),
+    ("camera.fx", -1.0, "camera.fx: must be > 0, got -1.0"),
+    ("pso.inertia", float("nan"), "pso.inertia: must be finite, got nan"),
+    ("synth.distance_mm", float("inf"), "synth.distance_mm: must be finite, got inf"),
+])
+def test_run_config_rejects_a_bad_value_when_it_is_set(key, value, message):
+    cfg = RunConfig()
+    with pytest.raises(ConfigError) as exc:
+        cfg[key] = value
+    assert str(exc.value) == message
+    assert cfg[key] == DEFAULTS[key]
+
+
+def test_every_default_is_in_range():
+    assert set(config._RANGES) <= set(DEFAULTS)
+    for key, value in DEFAULTS.items():
+        assert check_setting(key, value) == value, key
+    assert RunConfig().canonical() == RunConfig(DEFAULTS).canonical()
 
 
 def test_settings_take_numpy_integer_counts():
@@ -340,7 +395,7 @@ def test_out_of_range_value_is_config_error_when_loaded_or_built(tmp_path):
     path.write_text("seed = 3\nforest.k = 0\n")
     with pytest.raises(ConfigError) as exc:
         RunConfig.load(path)
-    assert str(exc.value) == f"{path}:2: forest.k: must be positive, got 0"
+    assert str(exc.value) == f"{path}:2: forest.k: must be >= 1, got 0"
     with pytest.raises(ConfigError) as exc:
-        RunConfig({"camera.fx": -1.0}).build(CameraIntrinsics, "camera")
-    assert str(exc.value) == "camera: focal lengths must be positive"
+        RunConfig().build(CameraIntrinsics, "camera", fx=-1.0)
+    assert str(exc.value) == "camera.fx: must be > 0, got -1.0"

@@ -693,13 +693,16 @@ def test_load_rejects_bad_files(tmp_path, tiny_forest):
         F.load_forest(bad_version)
 
 
-def _one_leaf_forest(num_joints):
+def _one_leaf_forest(num_joints=21, modes=1, trees=1, bg_depth_mm=10000.0):
+    """A forest of `trees` one-leaf trees whose header says what the
+    arguments say, every block sized to match."""
     tree = F.Tree(left=np.array([-1], np.int32), right=np.array([-1], np.int32),
                   leaf_id=np.array([0], np.int32), probe_u=np.zeros((1, 2), np.float32),
                   probe_v=np.zeros((1, 2), np.float32), tau=np.zeros(1, np.float32),
-                  leaf_modes=np.ones((1, num_joints, 1, 3), np.float32),
-                  leaf_weights=np.ones((1, num_joints, 1), np.float32))
-    return F.Forest([tree], num_joints=num_joints, leaf_modes=1)
+                  leaf_modes=np.ones((1, num_joints, modes, 3), np.float32),
+                  leaf_weights=np.ones((1, num_joints, modes), np.float32))
+    return F.Forest([tree] * trees, num_joints=num_joints, leaf_modes=modes,
+                    bg_depth_mm=bg_depth_mm)
 
 
 def test_load_rejects_more_joints_than_the_hand(tmp_path):
@@ -711,6 +714,28 @@ def test_load_rejects_more_joints_than_the_hand(tmp_path):
     F.save_forest(path, _one_leaf_forest(22))
     with pytest.raises(F.ForestFormatError, match=r"joint count 22 .*\(at byte 12\)"):
         F.load_forest(path)
+
+
+@pytest.mark.parametrize("header, offset, message", [
+    (dict(trees=0), 8, "header forest.num_trees: must be >= 1, got 0"),
+    (dict(num_joints=0), 12, "joint count 0 is outside the hand's 1..21"),
+    (dict(modes=0), 14, "header forest.leaf_modes: must be >= 1, got 0"),
+    (dict(bg_depth_mm=float("nan")), 16, "header forest.bg_depth_mm: must be finite, got nan"),
+    (dict(bg_depth_mm=float("inf")), 16, "header forest.bg_depth_mm: must be finite, got inf"),
+    (dict(bg_depth_mm=0.0), 16, "header forest.bg_depth_mm: must be > 0, got 0.0"),
+    (dict(bg_depth_mm=-5.0), 16, "header forest.bg_depth_mm: must be > 0, got -5.0"),
+], ids=["no_trees", "no_joints", "no_modes", "bg_nan", "bg_inf", "bg_zero", "bg_negative"])
+def test_load_rejects_header_no_training_run_writes(tmp_path, header, offset, message):
+    # each of these used to load: no trees failed later in accumulate_votes,
+    # no joints or modes gave every frame no proposals, and routing ran on
+    # the background depth
+    path = tmp_path / "forest.bin"
+    F.save_forest(path, _one_leaf_forest())
+    assert F.load_forest(path).num_joints == 21
+    F.save_forest(path, _one_leaf_forest(**header))
+    with pytest.raises(F.ForestFormatError) as exc:
+        F.load_forest(path)
+    assert str(exc.value) == f"{message} (at byte {offset})"
 
 
 # tree 0's node table follows the file header and the tree's size pair;
