@@ -43,9 +43,9 @@ def _load_config(args):
     env_seed = os.environ.get("HANDFIT_SEED")
     if env_seed is not None:
         try:
-            cfg["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"HANDFIT_SEED must be an integer, got {env_seed!r}") from exc
+            cfg["seed"] = env_seed
+        except ConfigError as exc:
+            raise ConfigError(f"HANDFIT_SEED: {exc}") from None
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     return cfg

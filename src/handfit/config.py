@@ -218,8 +218,7 @@ DEFAULTS = {
 }
 
 # Each bounded numeric key's lowest value and whether that value itself is
-# allowed; the other numeric keys take any value. Every float setting must
-# also be finite, and every integer one an integer (not a bool).
+# allowed; the other numeric keys take any value of their `_KINDS` type.
 _RANGES = {
     "camera.width": (1, True), "camera.height": (1, True),
     "camera.fx": (0, False), "camera.fy": (0, False),
@@ -245,17 +244,32 @@ _RANGES = {
     # a negative margin inverts the search box around the proposals
     "pso.translation_margin_mm": (0, True),
     "eval.threshold_step_mm": (0, False), "eval.seeds": (1, True),
+    "seed": (0, True),  # numpy seeds its generators from non-negative integers
 }
 
 
+# per default type: the values a setting of that type takes, and their name
+_KINDS = {bool: (bool, "a bool"), int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a number"), str: (str, "comma-separated integers")}
+
+
 def check_setting(key, value):
-    """`value`, when it is valid for run-config key `key` by its default's
-    type and `_RANGES`; else ConfigError naming `key`."""
+    """`value` as a plain value of its default's type, when it is valid for
+    run-config key `key` by `_KINDS`, finite, and in `_RANGES`; else
+    ConfigError naming `key`. Only bool keys take bools."""
     kind = type(DEFAULTS[key])
-    if kind is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-        raise ConfigError(f"{key}: must be an integer, got {value!r}")
-    if kind is float and not math.isfinite(value):
+    accepted, name = _KINDS[kind]
+    if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+        raise ConfigError(f"{key}: must be {name}, got {value!r}")
+    if kind is str:  # every string-valued key is an integer grid
+        _int_list(key, value)
+    try:
+        finite = kind is not float or math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
         raise ConfigError(f"{key}: must be finite, got {value!r}")
+    value = kind(value)
     if key in _RANGES:
         low, allowed = _RANGES[key]
         if not (value >= low if allowed else value > low):
@@ -265,10 +279,10 @@ def check_setting(key, value):
 
 
 def check_fields(settings, prefix):
-    """`check_setting` of each field of settings dataclass `settings`, under
-    the key `_field_keys(type(settings), prefix)` gives it."""
+    """`check_setting` of each field of frozen settings dataclass `settings`
+    under its `_field_keys` key; the field keeps the plain value returned."""
     for f, key in _field_keys(type(settings), prefix):
-        check_setting(key, getattr(settings, f.name))
+        object.__setattr__(settings, f.name, check_setting(key, getattr(settings, f.name)))
 
 
 def _int_list(key, text):
@@ -290,16 +304,13 @@ def _parse(key, text):
         raise ConfigError(f"{key}: expected boolean, got {text!r}")
     if isinstance(default, (int, float)):
         return parse_number(text, type(default), key)
-    _int_list(key, text)  # every string-valued key is an integer grid
     return text
 
 
 def _format(value):
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # a plain float's str is its repr
 
 
 class RunConfig:
@@ -316,13 +327,10 @@ class RunConfig:
         cfg = cls()
         kv = read_keyvalue(path)
         for key, text in kv.items():
-            where = f"{path}:{kv.lines[key]}"
-            if key not in DEFAULTS:
-                raise ConfigError(f"{where}: unknown config key {key!r}")
             try:
-                cfg._values[key] = check_setting(key, _parse(key, text))
+                cfg[key] = text
             except ConfigError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
+                raise ConfigError(f"{path}:{kv.lines[key]}: {exc}") from None
         return cfg
 
     def __getitem__(self, key):
@@ -335,11 +343,6 @@ class RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         if isinstance(value, str):
             value = _parse(key, value)
-        expected = type(DEFAULTS[key])
-        if expected is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if not isinstance(value, expected) or isinstance(value, bool) != isinstance(DEFAULTS[key], bool):
-            raise ConfigError(f"{key}: expected {expected.__name__}, got {value!r}")
         self._values[key] = check_setting(key, value)
 
     def set_from_text(self, assignment):

@@ -12,7 +12,9 @@ finger stages are independent, so they run as one lockstep stack of
 swarms (fingers x particles) through the same PSO loop, scored in one
 pass per generation. Each finger draws the block of random numbers its
 own stage would draw, in finger order, so the outputs are those of the
-stages run one after another, bit for bit.
+stages run one after another, bit for bit. One scorer, `_sum_terms`,
+sums the per-joint terms of the palm stage, the finger stack and the
+final score alike, so a finger's row scores as `objective` scores it.
 """
 
 from __future__ import annotations
@@ -66,6 +68,16 @@ def _joint_maxima(joint_positions, padded_pos, padded_w, d_max):
     return d.max(axis=1).T
 
 
+def _sum_terms(terms, slots, swarms, num_joints):
+    """Scores (n, swarms) of `_joint_maxima` terms (n, m): each term goes to
+    its flat column `slots` (m,) of a zero row, and each swarm's num_joints
+    columns are summed in joint-index order, absent joints adding exact
+    zeros as in a masked sum over every joint."""
+    per_joint = np.zeros((len(terms), swarms * num_joints))
+    per_joint[:, slots] = terms
+    return per_joint.reshape(len(terms), swarms, num_joints).sum(axis=2)
+
+
 def objective(proposal_set, hypothesis, geom, d_max):
     """Proposal-agreement score of hypothesis vectors.
 
@@ -89,11 +101,8 @@ def objective(proposal_set, hypothesis, geom, d_max):
             h, q, norms = h[valid], q[valid], norms[valid]
         joints = geometry.fk_batch(geom, h[:, 0:3], q / norms[:, None],
                                    h[:, 7:].reshape(-1, 5, 4), joints=scored)
-        # scatter into a zero row per hypothesis so the sum runs over all
-        # joints in index order, as a masked sum over every joint would
-        per_joint = np.zeros((len(joints), proposal_set.num_joints))
-        per_joint[:, scored] = _joint_maxima(joints, pos, w, d_max)
-        scores[valid] = per_joint.sum(axis=1)
+        scores[valid] = _sum_terms(_joint_maxima(joints, pos, w, d_max), scored, 1,
+                                   proposal_set.num_joints)[:, 0]
     return float(scores[0]) if single else scores
 
 
@@ -341,25 +350,19 @@ def _finger_stack(proposal_set, geom, bounds, cfg, rng, base, fingers):
 def _finger_scores(proposal_set, geom, base, fingers, d_max):
     """Score function of a finger stack: row p of swarm i scores as
     `objective` on finger fingers[i]'s joints scores it, to the bit."""
-    pos, w = proposal_set.padded()
-    n_joints = w.shape[0]
-    joints = np.array([geometry.finger_joint_indices(f) for f in fingers])
-    pos, w = pos[joints.ravel()], w[joints.ravel()]
-    # the unit quaternion exactly as objective makes it from every row
-    q = base[None, QUAT_DIMS]
-    fk = geometry.posed_fingers(geom, base[TRANSLATION_DIMS],
-                                (q / np.linalg.norm(q, axis=1)[:, None])[0], fingers)
-    swarm = np.arange(len(fingers))
-    fingers = np.asarray(fingers)
+    joints = np.array([geometry.finger_joint_indices(f) for f in fingers]).ravel()
+    pos, w = (a[joints] for a in proposal_set.padded())
+    swarms = len(fingers)
+    slots = np.repeat(np.arange(swarms) * proposal_set.num_joints, 4) + joints
+    q = base[QUAT_DIMS]  # made a unit quaternion as objective makes it
+    fk = geometry.posed_fingers(geom, base[TRANSLATION_DIMS], q / np.sqrt((q * q).sum()),
+                                fingers)
+    pick = np.arange(swarms), slice(None), np.asarray(fingers)
 
     def score(x):
-        n = x.shape[1]
-        angles = x[:, :, 7:].reshape(len(swarm), n, 5, 4)[swarm, :, fingers]
+        angles = x[:, :, 7:].reshape(swarms, -1, 5, 4)[pick]
         terms = _joint_maxima(fk(angles.transpose(1, 0, 2)), pos, w, d_max)
-        # each finger's terms scattered into a zero row, as objective does
-        per_joint = np.zeros((n, len(swarm), n_joints))
-        per_joint[:, swarm[:, None], joints] = terms.reshape(n, len(swarm), 4)
-        return per_joint.sum(axis=2).T
+        return _sum_terms(terms, slots, swarms, proposal_set.num_joints).T
 
     return score
 

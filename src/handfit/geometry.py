@@ -70,8 +70,10 @@ def _read_only(a):
     return a
 
 
-def _data_file(name):
-    return resources.files("handfit") / "data" / name
+def load_data(name, load):
+    """`load(path)` of the packaged data file `name`."""
+    with resources.as_file(resources.files("handfit") / "data" / name) as path:
+        return load(path)
 
 
 @dataclass(frozen=True)
@@ -129,8 +131,7 @@ class HandGeometry:
 
     @classmethod
     def default(cls):
-        with resources.as_file(_data_file("default_geometry.txt")) as p:
-            return cls.from_file(p)
+        return load_data("default_geometry.txt", cls.from_file)
 
     def save(self, path):
         kv = {}
@@ -210,8 +211,7 @@ class JointLimits:
 
     @classmethod
     def default(cls):
-        with resources.as_file(_data_file("default_limits.txt")) as p:
-            return cls.from_file(p)
+        return load_data("default_limits.txt", cls.from_file)
 
     def save(self, path):
         kv = {}

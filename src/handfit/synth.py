@@ -9,7 +9,6 @@ global pose held fixed, subsampled to simulate faster motion.
 from __future__ import annotations
 
 import itertools
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -21,15 +20,10 @@ from .depth import DepthImage, render_depth, write_pgm, read_pgm
 TEMPLATE_NAMES = ("extended", "flexed", "half", "spread")
 
 
-def _data_path(name):
-    return resources.files("handfit") / "data" / name
-
-
 def load_articulations(path=None):
     """Per-finger articulation templates -> (5, n_templates, 4) radians."""
     if path is None:
-        with resources.as_file(_data_path("articulations.txt")) as p:
-            return load_articulations(p)
+        return geometry.load_data("articulations.txt", load_articulations)
     kv = read_keyvalue(path)
     out = np.zeros((5, len(TEMPLATE_NAMES), 4))
     for f, finger in enumerate(geometry.FINGERS):
@@ -42,8 +36,7 @@ def load_articulations(path=None):
 def load_viewpoints(path=None):
     """Whole-hand orientations -> (n_views, 4) unit quaternions."""
     if path is None:
-        with resources.as_file(_data_path("viewpoints.txt")) as p:
-            return load_viewpoints(p)
+        return geometry.load_data("viewpoints.txt", load_viewpoints)
     kv = read_keyvalue(path)
     views = []
     i = 0

@@ -303,6 +303,8 @@ def test_out_of_range_setting_exits_2_before_any_work(pipeline_dir, tmp_path, ca
     ("synth.frames_between=-1", "synth.frames_between: must be >= 1, got -1"),
     ("synth.test_keyposes=1", "synth.test_keyposes: must be >= 2, got 1"),
     ("synth.frames_between=0", "synth.frames_between: must be >= 1, got 0"),
+    # numpy refused the seed only after the training frames were rendered
+    ("seed=-1", "seed: must be >= 0, got -1"),
 ])
 def test_out_of_range_synth_setting_exits_2_before_rendering(tmp_path, caplog, setting,
                                                             message):
@@ -347,6 +349,14 @@ def test_env_seed_override(tmp_path, monkeypatch):
     from handfit.config import ConfigError
 
     with pytest.raises(ConfigError):
+        cli._load_config(args)
+    # a negative seed is refused as it arrives, before any stage renders
+    monkeypatch.setenv("HANDFIT_SEED", "-1")
+    with pytest.raises(ConfigError, match="HANDFIT_SEED: seed: must be >= 0, got -1"):
+        cli._load_config(args)
+    monkeypatch.delenv("HANDFIT_SEED")
+    args = parser.parse_args(["synth", "--out", str(tmp_path), "--seed", "-1"])
+    with pytest.raises(ConfigError, match="^seed: must be >= 0, got -1$"):
         cli._load_config(args)
 
 

@@ -326,6 +326,10 @@ def test_pso_config_rejects_settings_that_wreck_the_fit(field, value, message):
      "forest.leaf_bandwidth_mm: must be finite, got nan"),
     (PsoConfig, "palm_particles", 4.5, "pso.palm_particles: must be an integer, got 4.5"),
     (PsoConfig, "joint_generations", 2.0, "pso.generations: must be an integer, got 2.0"),
+    (PsoConfig, "d_max_mm", True, "pso.d_max_mm: must be a number, got True"),
+    pytest.param(ForestConfig, "bg_depth_mm", 10**400,
+                 f"forest.bg_depth_mm: must be finite, got {10**400}",
+                 id="ForestConfig-bg_depth_mm-10**400"),
 ])
 def test_settings_reject_fractional_counts_and_non_finite_lengths(cls, field, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -360,6 +364,10 @@ def test_intrinsics_reject_non_finite_focal_lengths_and_fractional_sizes(field, 
     ("camera.fx", -1.0, "camera.fx: must be > 0, got -1.0"),
     ("pso.inertia", float("nan"), "pso.inertia: must be finite, got nan"),
     ("synth.distance_mm", float("inf"), "synth.distance_mm: must be finite, got inf"),
+    ("pso.d_max_mm", True, "pso.d_max_mm: must be a number, got True"),
+    ("forest.k", 2.0, "forest.k: must be an integer, got 2.0"),
+    ("forest.depth_sq_weight", 1, "forest.depth_sq_weight: must be a bool, got 1"),
+    ("seed", -1, "seed: must be >= 0, got -1"),
 ])
 def test_run_config_rejects_a_bad_value_when_it_is_set(key, value, message):
     cfg = RunConfig()
@@ -381,6 +389,13 @@ def test_settings_take_numpy_integer_counts():
 
     assert ForestConfig(max_depth=np.int64(5)).max_depth == 5
     assert PsoConfig(palm_particles=np.int32(4)).palm_particles == 4
+    # kept as the plain values a config file gives, so the hash is the same
+    cfg = RunConfig()
+    cfg["forest.k"] = np.int64(4)
+    cfg["pso.inertia"] = np.float64(0.5)
+    assert type(cfg["forest.k"]) is int and type(cfg["pso.inertia"]) is float
+    assert cfg.content_hash() == RunConfig({"forest.k": 4, "pso.inertia": 0.5}).content_hash()
+    assert type(ForestConfig(max_depth=np.int64(5)).max_depth) is int
 
 
 def test_pso_config_keeps_zero_generations_and_zero_margin():

@@ -118,11 +118,15 @@ def test_finger_stack_scores_are_objective_scores(geom, limits, fingers):
     for i, f in enumerate(fingers):
         x[i, :, fit.finger_dims(f)] = rng.uniform(
             limits.lower[f], limits.upper[f], (40, 4)).T
-    got = fit._finger_scores(pset, geom, base, fingers, 100.0)(x)
-    for i, f in enumerate(fingers):
-        finger = pset.only(geometry.finger_joint_indices(f))
-        want = fit.objective(finger, x[i], geom, 100.0)
-        np.testing.assert_array_equal(got[i], want)
+    # and with the first finger held only at its MCP and TIP, whose absent
+    # PIP and DIP must add the zeros objective adds for them
+    partial = _noisy_k3(gt, rng, drop=geometry.finger_joint_indices(fingers[0])[1:3])
+    for pset in (pset, partial):
+        got = fit._finger_scores(pset, geom, base, fingers, 100.0)(x)
+        for i, f in enumerate(fingers):
+            finger = pset.only(geometry.finger_joint_indices(f))
+            want = fit.objective(finger, x[i], geom, 100.0)
+            np.testing.assert_array_equal(got[i], want)
 
 
 @pytest.mark.parametrize("case, cfg", [
