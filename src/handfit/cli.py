@@ -119,11 +119,15 @@ def cmd_train(args):
     cam = CameraIntrinsics.from_file(dataset / "intrinsics.txt")
     geom, _ = _dataset_geometry(dataset)
     poses, images = synth.read_split(dataset / "train", cam)
+    if not poses:
+        raise ValueError(f"{dataset / 'train' / 'poses.csv'}: no frames to train on")
     gts = [geometry.forward_kinematics(geom, p) for p in poses]
     rng = np.random.default_rng((cfg["seed"], 3))
     samples = forest.build_training_set(images, gts, cfg["forest.train_stride"],
                                         rng, cap=cfg["forest.train_cap"])
-    log.info("training forest on %d samples from %d frames", len(samples), len(poses))
+    log.info("training forest on %d samples from %d frames (frame stack %d bytes, "
+             "sample table %d bytes)", len(samples), len(poses), samples.images.nbytes,
+             samples.table_bytes)
     model = forest.train_forest(samples, cfg.build(ForestConfig, "forest"),
                                 np.random.default_rng((cfg["seed"], 4)),
                                 threads=args.threads)

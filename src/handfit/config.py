@@ -173,6 +173,8 @@ class PsoConfig:
 
     def __post_init__(self):
         check_fields(self, "pso")
+        # the caller's seed has the range of the run config's
+        object.__setattr__(self, "seed", check_setting("seed", self.seed))
 
 
 def _field_keys(cls, prefix):

@@ -7,7 +7,9 @@ surface. A pose's primitives are rasterised together: their pixel boxes
 and rays are built in one pass, and every capsule's end spheres and body
 and the ellipsoid go through one batched ray-quadric solve. Each
 primitive's own products keep the bits they have when it is solved alone,
-so the depths do not depend on the batching.
+so the depths do not depend on the batching. The frames of a split are the
+rows of one read-only stack (`stack_frames`), which training reads in place
+(`shared_stack`).
 """
 
 from __future__ import annotations
@@ -86,7 +88,12 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class DepthImage:
-    """(h, w) uint16 grid of mm depths; 0 marks background."""
+    """(h, w) uint16 grid of mm depths; 0 marks background.
+
+    The grid is read-only. One that no array can write (it is read-only,
+    and so is every array it is a view of) is kept as it is, so the frames
+    of one stack share its memory; any other grid is copied.
+    """
 
     depth: np.ndarray
     cam: CameraIntrinsics
@@ -97,9 +104,40 @@ class DepthImage:
             raise ValueError("depth grid must be uint16 millimetres")
         if d.shape != (self.cam.height, self.cam.width):
             raise ValueError("depth grid does not match intrinsics size")
-        d = d.copy()
-        d.flags.writeable = False
+        if not _read_only(d):
+            d = d.copy()
+            d.flags.writeable = False
         object.__setattr__(self, "depth", d)
+
+
+def _read_only(array):
+    """True when `array` and every array whose memory it views are read-only."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return array is None
+
+
+def stack_frames(stack, cam):
+    """The rows of an (n, h, w) uint16 stack as n DepthImages that share its
+    memory. The stack is made read-only first, so nothing writes them."""
+    stack.flags.writeable = False
+    return [DepthImage(grid, cam) for grid in stack]
+
+
+def shared_stack(images):
+    """The (n, h, w) stack whose rows, in order, are the grids of the n
+    `images` (as `stack_frames` returns them), or None when there is none."""
+    stack = images[0].depth.base if images else None
+    if not isinstance(stack, np.ndarray) or stack.shape[:1] != (len(images),):
+        return None
+    row = stack.strides[0]
+    for i, img in enumerate(images):
+        if img.depth.base is not stack or img.depth.strides != stack.strides[1:] \
+                or img.depth.ctypes.data != stack.ctypes.data + i * row:
+            return None
+    return stack
 
 
 def foreground_mask(img):
@@ -126,16 +164,25 @@ def hand_primitives(geom, pose):
     return np.asarray(segs, dtype=float), np.asarray(radii, dtype=float), ellipsoid
 
 
-def render_depth(geom, pose, cam):
-    """Z-buffered depth render of the hand surface. Deterministic and pure."""
+def render_depth(geom, pose, cam, out=None):
+    """Z-buffered depth render of the hand surface. Deterministic.
+
+    Returns a DepthImage. Given `out`, a writable (h, w) uint16 grid such
+    as a row of a frame stack, the depths are written into it and `out`
+    is returned instead.
+    """
     zbuf = _zbuffer(cam, *hand_primitives(geom, pose))
     fg = np.isfinite(zbuf)
     if not fg.any():
         raise RenderError("hand produced no foreground pixels (behind camera or "
                           "outside the frustum)")
-    out = np.zeros((cam.height, cam.width), dtype=np.uint16)
-    out[fg] = np.clip(np.rint(zbuf[fg]), 1, 65534).astype(np.uint16)
-    return DepthImage(out, cam)
+    grid = np.empty((cam.height, cam.width), dtype=np.uint16) if out is None else out
+    grid.fill(BACKGROUND)
+    grid[fg] = np.clip(np.rint(zbuf[fg]), 1, 65534)
+    if out is not None:
+        return out
+    grid.flags.writeable = False
+    return DepthImage(grid, cam)
 
 
 def _pixel_boxes(cam, points, radii):
@@ -286,8 +333,10 @@ def write_pgm(path, img):
         fh.write(np.ascontiguousarray(img.depth, dtype=">u2").tobytes())
 
 
-def read_pgm(path, cam=None):
-    """Read a 16-bit PGM; `cam` defaults to intrinsics matching its size.
+def read_pgm(path, cam=None, out=None):
+    """Read a 16-bit PGM as a DepthImage; `cam` defaults to intrinsics
+    matching its size. Given `out`, a writable uint16 grid of the camera's
+    size, the depths are written into it and `out` is returned instead.
 
     A malformed file raises ValueError("path: reason").
     """
@@ -326,7 +375,12 @@ def read_pgm(path, cam=None):
         raise ValueError(f"{path}: pixel data truncated, "
                          f"{max(len(data) - pos, 0)} of {size} bytes")
     grid = np.frombuffer(data, dtype=">u2", count=width * height, offset=pos)
-    grid = grid.reshape(height, width).astype(np.uint16)
+    grid = grid.reshape(height, width)
+    if out is not None:
+        out[...] = grid
+        return out
+    grid = grid.astype(np.uint16)
+    grid.flags.writeable = False
     if cam is None:
         cam = CameraIntrinsics(fx=DEFAULTS["camera.fx"], fy=DEFAULTS["camera.fy"],
                                cx=width / 2, cy=height / 2, width=width, height=height)

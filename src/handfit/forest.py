@@ -24,7 +24,7 @@ import numpy as np
 
 from . import geometry
 from .config import DEFAULTS, ConfigError, ForestConfig, check_setting  # ForestConfig re-exported
-from .depth import foreground_mask
+from .depth import shared_stack
 # `_dedup` is not called here: perfbench/tracing.py wraps it by this module's name
 from .meanshift import INFER_DEDUP_DIVISOR, _dedup, mean_shift  # noqa: F401
 from .proposals import ProposalSet
@@ -69,17 +69,28 @@ class SampleSet:
     def __len__(self):
         return len(self.depth)
 
+    @property
+    def table_bytes(self):
+        """Bytes of the sample columns, the image stack not counted."""
+        return sum(a.nbytes for a in (self.pixel, self.depth, self.img_idx, self.label,
+                                      self.offsets))
+
+
+def _stride_grid(img, stride):
+    """The frame's depths on the stride grid, a view; nonzero is foreground."""
+    return img.depth[::stride, ::stride]
+
 
 def _patch_grid(img, stride, rng=None, cap=None):
-    """Foreground patches of one frame on the stride grid.
+    """Foreground patches of one frame on the stride grid, row by row.
 
     `cap` randomly limits the patch count, drawing from `rng`. Returns the
     patch depths (n,) in mm, back-projected centres (n, 3) and (u, v)
     pixels (n, 2).
     """
-    vs, us = np.nonzero(foreground_mask(img))
-    keep = (us % stride == 0) & (vs % stride == 0)
-    us, vs = us[keep], vs[keep]
+    vs, us = np.nonzero(_stride_grid(img, stride))
+    vs *= stride
+    us *= stride
     if cap is not None and len(us) > cap:
         sel = np.sort(rng.choice(len(us), size=cap, replace=False))
         us, vs = us[sel], vs[sel]
@@ -95,37 +106,53 @@ def extract_samples(img, gt_joints, stride, rng, cap=None):
     joint nearest to the back-projected patch centre and the offsets point
     from that centre to every joint. `cap` randomly limits samples per image.
     """
-    gt_joints = np.asarray(gt_joints, dtype=float)
-    depths, centers, pixel = _patch_grid(img, stride, rng, cap)
-    diff = gt_joints[None, :, :] - centers[:, None, :]
-    dist = np.linalg.norm(diff, axis=2)
-    labels = dist.argmin(axis=1).astype(np.int16)
-    return SampleSet(
-        images=img.depth[None, :, :],
-        cam=img.cam,
-        pixel=pixel,
-        depth=depths,
-        img_idx=np.zeros(len(depths), dtype=np.int32),
-        label=labels,
-        offsets=diff.astype(np.float32),
-    )
+    return _sample_table(img.depth[None, :, :], [img], [gt_joints], stride, rng, cap)
 
 
 def build_training_set(images, gt_joint_list, stride, rng, cap=None):
-    """Pooled SampleSet over many frames sharing one image stack."""
-    parts = [extract_samples(img, gt, stride, rng, cap=cap)
-             for img, gt in zip(images, gt_joint_list)]
-    stack = np.stack([img.depth for img in images])
-    return SampleSet(
+    """Pooled SampleSet over many frames sharing one image stack.
+
+    Frames that are the rows of one stack in order, as `render_poses` and
+    `read_split` return them, are read from that stack in place; other
+    frames are stacked into a copy first.
+    """
+    if not len(images):
+        raise ValueError("no frames given to build a training set from")
+    if len(images) != len(gt_joint_list):
+        raise ValueError(f"{len(images)} frames but {len(gt_joint_list)} "
+                         "ground-truth joint sets")
+    stack = shared_stack(images)
+    if stack is None:
+        stack = np.stack([img.depth for img in images])
+    return _sample_table(stack, images, gt_joint_list, stride, rng, cap)
+
+
+def _sample_table(stack, images, gt_joint_list, stride, rng, cap):
+    """SampleSet of `images` (frame i is stack[i]) as `extract_samples`
+    describes it, frame after frame. A count pass sizes the columns, and
+    each frame's samples are then written into its rows in place."""
+    counts = np.array([np.count_nonzero(_stride_grid(img, stride)) for img in images])
+    if cap is not None:
+        np.minimum(counts, cap, out=counts)
+    ends = np.cumsum(counts)
+    n = int(ends[-1])
+    samples = SampleSet(
         images=stack,
         cam=images[0].cam,
-        pixel=np.concatenate([p.pixel for p in parts]),
-        depth=np.concatenate([p.depth for p in parts]),
-        img_idx=np.concatenate([np.full(len(p), i, dtype=np.int32)
-                                for i, p in enumerate(parts)]),
-        label=np.concatenate([p.label for p in parts]),
-        offsets=np.concatenate([p.offsets for p in parts]),
+        pixel=np.empty((n, 2)),
+        depth=np.empty(n),
+        img_idx=np.repeat(np.arange(len(images), dtype=np.int32), counts),
+        label=np.empty(n, dtype=np.int16),
+        offsets=np.empty((n, len(gt_joint_list[0]), 3), dtype=np.float32),
     )
+    for img, gt, end, count in zip(images, gt_joint_list, ends, counts):
+        rows = slice(end - count, end)
+        depths, centers, pixel = _patch_grid(img, stride, rng, cap)
+        samples.pixel[rows], samples.depth[rows] = pixel, depths
+        diff = np.asarray(gt, dtype=float)[None, :, :] - centers[:, None, :]
+        samples.label[rows] = np.linalg.norm(diff, axis=2).argmin(axis=1)
+        samples.offsets[rows] = diff
+    return samples
 
 
 def _probe_buffers(size, dtype):

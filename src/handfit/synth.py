@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry, quats
 from .config import DEFAULTS, read_keyvalue
-from .depth import DepthImage, render_depth, write_pgm, read_pgm
+from .depth import read_pgm, render_depth, stack_frames, write_pgm
 
 TEMPLATE_NAMES = ("extended", "flexed", "half", "spread")
 
@@ -131,20 +131,20 @@ def make_track_keyposes(rng, count, *, limits, articulations=None, orientation=N
 
 
 def render_poses(poses, geom, cam, *, jitter_mm=0.0, rng=None):
-    """Render each pose; optional uniform depth jitter on foreground pixels."""
-    images = []
-    for pose in poses:
-        img = render_depth(geom, pose, cam)
+    """Render each pose into its row of one read-only (n, h, w) stack and
+    return the rows as DepthImages; optional uniform depth jitter on
+    foreground pixels."""
+    if jitter_mm > 0.0 and rng is None:
+        raise ValueError("depth jitter requires an rng")
+    stack = np.empty((len(poses), cam.height, cam.width), dtype=np.uint16)
+    for pose, grid in zip(poses, stack):
+        render_depth(geom, pose, cam, out=grid)
         if jitter_mm > 0.0:
-            if rng is None:
-                raise ValueError("depth jitter requires an rng")
-            grid = img.depth.astype(np.int32)
             fg = grid > 0
             noise = rng.uniform(-jitter_mm, jitter_mm, size=int(fg.sum()))
-            grid[fg] = np.clip(grid[fg] + np.rint(noise).astype(np.int32), 1, 65534)
-            img = DepthImage(grid.astype(np.uint16), cam)
-        images.append(img)
-    return images
+            grid[fg] = np.clip(grid[fg].astype(np.int32) + np.rint(noise).astype(np.int32),
+                               1, 65534)
+    return stack_frames(stack, cam)
 
 
 def write_split(split_dir, poses, images):
@@ -157,15 +157,17 @@ def write_split(split_dir, poses, images):
 
 
 def read_split(split_dir, cam):
+    """One split's poses, and its frames as the rows of one read-only
+    (n, h, w) stack, each frame read straight into its row."""
     split_dir = Path(split_dir)
     poses_path = split_dir / "poses.csv"
     if not poses_path.exists():
         raise FileNotFoundError(str(poses_path))
     poses = geometry.read_poses_csv(poses_path)
-    images = []
-    for i in range(len(poses)):
+    stack = np.empty((len(poses), cam.height, cam.width), dtype=np.uint16)
+    for i, grid in enumerate(stack):
         frame = split_dir / f"frame_{i:05d}.pgm"
         if not frame.exists():
             raise FileNotFoundError(str(frame))
-        images.append(read_pgm(frame, cam))
-    return poses, images
+        read_pgm(frame, cam, out=grid)
+    return poses, stack_frames(stack, cam)

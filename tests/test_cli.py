@@ -11,6 +11,7 @@ import pytest
 
 from handfit import cli, fit, forest, geometry, sweeps
 from handfit.config import RunConfig
+from handfit.depth import CameraIntrinsics
 from handfit.geometry import HandGeometry, JointLimits
 from handfit.proposals import ProposalSet, read_proposals_csv, write_proposals_csv
 
@@ -109,6 +110,32 @@ def test_eval_of_a_split_with_no_frames_exits_4_before_writing(tmp_path, caplog)
                      "--dataset", str(tmp_path / "ds"), "--out", str(out)]) == 4
     assert "no frames to evaluate" in caplog.text
     assert not out.exists()
+
+
+def test_train_on_a_split_with_no_frames_exits_4_naming_the_split(tmp_path, caplog):
+    # a header-only poses.csv used to end in numpy's "need at least one
+    # array to stack"
+    (tmp_path / "ds" / "train").mkdir(parents=True)
+    geometry.write_poses_csv(tmp_path / "ds" / "train" / "poses.csv", [])
+    CameraIntrinsics.default().save(tmp_path / "ds" / "intrinsics.txt")
+    out = tmp_path / "forest.bin"
+    assert cli.main(["train", "--dataset", str(tmp_path / "ds"), "--out", str(out)]) == 4
+    split = tmp_path / "ds" / "train" / "poses.csv"
+    assert f"{split}: no frames to train on" in caplog.text
+    assert not out.exists()
+
+
+def test_train_logs_frame_stack_and_sample_table_bytes(pipeline_dir, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="handfit")
+    assert cli.main(["train", "--dataset", str(pipeline_dir / "dataset"),
+                     "--out", str(tmp_path / "forest.bin"), "--seed", "7"] + TINY) == 0
+    found = re.search(r"training forest on (\d+) samples from (\d+) frames \(frame stack "
+                      r"(\d+) bytes, sample table (\d+) bytes\)", caplog.text)
+    samples, frames, stack_bytes, table_bytes = map(int, found.groups())
+    cam = CameraIntrinsics.default()
+    assert frames == 2 and stack_bytes == frames * cam.height * cam.width * 2
+    # pixel, depth, image index, label and 21 float32 offsets a sample
+    assert table_bytes == samples * (16 + 8 + 4 + 2 + 21 * 3 * 4)
 
 
 def test_under_constrained_frame_falls_back_and_is_flagged(tmp_path, geom, limits, caplog):

@@ -287,6 +287,8 @@ def test_synth_and_eval_keys_are_range_checked(tmp_path, key, value, ok):
     ("social", float("-inf"), "pso.social: must be finite, got -inf"),
     ("d_max_mm", float("nan"), "pso.d_max_mm: must be finite, got nan"),
     ("d_max_mm", float("inf"), "pso.d_max_mm: must be finite, got inf"),
+    ("seed", -1, "seed: must be >= 0, got -1"),
+    ("seed", 1.5, "seed: must be an integer, got 1.5"),
 ], ids=["translation_margin_mm--500.0-translation_margin_mm must not be negative",
         "translation_margin_mm-nan-translation_margin_mm must be finite",
         "palm_generations--1-palm_generations must be >= 0",
@@ -294,11 +296,13 @@ def test_synth_and_eval_keys_are_range_checked(tmp_path, key, value, ok):
         "joint_generations--1-joint_generations must be >= 0",
         "inertia-nan-inertia must be finite", "cognitive-inf-cognitive must be finite",
         "social--inf-social must be finite", "d_max_mm-nan-d_max_mm must be finite",
-        "d_max_mm-inf-d_max_mm must be finite"])
+        "d_max_mm-inf-d_max_mm must be finite", "seed--1-seed must be >= 0",
+        "seed-1.5-seed must be an integer"])
 def test_pso_config_rejects_settings_that_wreck_the_fit(field, value, message):
     # each of these used to build: a negative margin inverts the search
-    # box, negative generations ran as one, and a non-finite coefficient
-    # or d_max turns every score or position into NaN or a constant
+    # box, negative generations ran as one, a non-finite coefficient or
+    # d_max turns every score or position into NaN or a constant, and a bad
+    # seed failed in `fit_frames` with numpy's words
     with pytest.raises(ValueError, match=re.escape(message)):
         PsoConfig(**{field: value})
     with pytest.raises(ConfigError) as exc:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handfit import depth, geometry
+from handfit import depth, geometry, synth
 from handfit.depth import (CameraIntrinsics, DepthImage, RenderError,
                            foreground_mask, read_pgm, render_depth, write_pgm)
 from handfit.geometry import PoseParams
@@ -249,3 +249,26 @@ def test_depth_image_validation(cam):
         DepthImage(np.zeros((cam.height, cam.width), dtype=np.float32), cam)
     with pytest.raises(ValueError, match="size"):
         DepthImage(np.zeros((10, 10), dtype=np.uint16), cam)
+
+
+def test_depth_image_keeps_only_grids_no_array_can_write(geom, cam, rest_render):
+    _, img = rest_render
+    grid = np.array(img.depth)  # writable
+    kept = DepthImage(grid, cam)
+    view = grid[:]
+    view.flags.writeable = False  # read-only, but `grid` can still write it
+    for copied in (kept, DepthImage(view, cam)):
+        assert not np.shares_memory(copied.depth, grid)
+    grid[:] = 7
+    assert np.array_equal(kept.depth, img.depth)
+    # a rendered frame is read-only, in its stack or alone
+    stacked = synth.render_poses([PoseParams.rest((0.0, 0.0, 500.0))] * 2, geom, cam)
+    for frame in (img, stacked[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            frame.depth[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        stacked[1].depth.base[0, 0, 0] = 1
+    assert np.array_equal(stacked[1].depth, img.depth)
+    # a read-only grid of its own is kept, not copied
+    assert DepthImage(stacked[0].depth, cam).depth is stacked[0].depth
+    assert DepthImage(img.depth, cam).depth is img.depth

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from handfit import forest as F
 from handfit import geometry, meanshift, synth
-from handfit.depth import render_depth
+from handfit.depth import DepthImage, render_depth
 from handfit.geometry import PoseParams, forward_kinematics
 from handfit.meanshift import mean_shift
 
@@ -71,6 +71,63 @@ def test_labels_match_brute_force_nearest(cam, rest_frame):
         dists = [np.linalg.norm(gt[j] - center) for j in range(21)]
         assert samples.label[i] == int(np.argmin(dists))
     assert len(np.unique(samples.label)) >= 2
+
+
+SAMPLE_FIELDS = ("images", "pixel", "depth", "img_idx", "label", "offsets")
+
+
+@pytest.mark.parametrize("jitter_mm, stride, cap", [(0.0, 3, None), (3.0, 2, 40)],
+                         ids=["clean", "jittered-capped"])
+def test_training_set_reads_the_frame_stack_in_place(tmp_path, geom, limits, cam,
+                                                     jitter_mm, stride, cap):
+    poses = synth.generate_training_poses(limits=limits, per_finger=1, num_views=4)
+    images = synth.render_poses(poses, geom, cam, jitter_mm=jitter_mm,
+                                rng=np.random.default_rng(0))
+    synth.write_split(tmp_path, poses, images)
+    _, read = synth.read_split(tmp_path, cam)
+    gts = [forward_kinematics(geom, p) for p in poses]
+
+    def build(frames, order=slice(None)):
+        return F.build_training_set(frames[order], gts[order], stride,
+                                    np.random.default_rng(1), cap=cap)
+
+    # frames that are private copies take the np.stack path
+    copies = build([DepthImage(np.array(img.depth), cam) for img in images])
+    assert not np.shares_memory(copies.images, images[0].depth)
+    for frames in (images, read):
+        samples = build(frames)
+        assert np.shares_memory(samples.images, frames[0].depth)
+        assert not samples.images.flags.writeable
+        for name in SAMPLE_FIELDS:
+            got, want = getattr(samples, name), getattr(copies, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+    # out of order, the rows are no longer the frames: stacked anew
+    backwards = build(images, slice(None, None, -1))
+    assert not np.shares_memory(backwards.images, images[0].depth)
+    assert np.array_equal(backwards.images, copies.images[::-1])
+
+    # the columns keep the dtypes SampleSet documents
+    assert [getattr(copies, name).dtype for name in SAMPLE_FIELDS] == [
+        np.uint16, np.float64, np.float64, np.int32, np.int16, np.float32]
+    # the pooled table is the per-frame sets one after another
+    rng = np.random.default_rng(1)
+    parts = [F.extract_samples(img, gt, stride, rng, cap=cap) for img, gt in zip(images, gts)]
+    if cap is not None:
+        assert all(len(part) == cap for part in parts)
+    for name in SAMPLE_FIELDS[1:]:
+        joined = np.concatenate([getattr(part, name) for part in parts])
+        if name == "img_idx":
+            joined += np.repeat(np.arange(len(parts), dtype=np.int32),
+                                [len(part) for part in parts])
+        assert np.array_equal(getattr(copies, name), joined), name
+
+
+def test_training_set_needs_frames_with_one_joint_set_each(rest_frame):
+    img, gt = rest_frame
+    with pytest.raises(ValueError, match="no frames given"):
+        F.build_training_set([], [], stride=4, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="2 frames but 1 ground-truth joint sets"):
+        F.build_training_set([img, img], [gt], stride=4, rng=np.random.default_rng(0))
 
 
 def test_split_score_arithmetic():
@@ -651,8 +708,6 @@ def test_leaves_keep_the_fine_grid(rest_frame, monkeypatch):
 
 
 def test_empty_foreground_gives_no_votes(cam, tiny_forest):
-    from handfit.depth import DepthImage
-
     (model, _) = tiny_forest
     blank = DepthImage(np.zeros((cam.height, cam.width), dtype=np.uint16), cam)
     assert F.accumulate_votes(model, blank) == {}
