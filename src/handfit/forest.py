@@ -4,8 +4,10 @@ Each foreground patch carries a part label (nearest joint) and 3D offset
 vectors to every joint. Trees split on two-probe depth-difference features
 whose pixel offsets are normalized by the patch depth; leaves summarize
 the arriving offset distributions per joint by mean-shift modes: after a
-tree is grown, its leaves' joint offset sets are condensed by `mean_shift`,
-LEAVES_PER_CALL leaves to a call. A node scores its candidate splits on
+tree is grown, its leaves' joint offset sets are condensed by the two steps
+of `mean_shift` in two passes, pooled LEAVES_PER_CALL leaves a call, then
+shifted and merged in order of pooled size, so that the many sets of one
+size share one stacked product. A node scores its candidate splits on
 features computed sample-major, PROBE_BLOCK candidate-sample pairs at a
 time in reused buffers; routing reads one probe pair per patch through the
 same probe code. At test time every patch votes absolute
@@ -26,20 +28,27 @@ from . import geometry
 from .config import DEFAULTS, ConfigError, ForestConfig, check_setting  # ForestConfig re-exported
 from .depth import shared_stack
 # `_dedup` is not called here: perfbench/tracing.py wraps it by this module's name
-from .meanshift import INFER_DEDUP_DIVISOR, _dedup, mean_shift  # noqa: F401
+from .meanshift import INFER_DEDUP_DIVISOR, _dedup, mean_shift, pool_sets, pooled_modes  # noqa: F401
 from .proposals import ProposalSet
 
-# the leaves call mean-shift by this name: perfbench/tracing.py times them by it
-mean_shift_groups = mean_shift
+# the leaves' modes step goes by this name: perfbench/tracing.py times it by it
+mean_shift_groups = pooled_modes
 
 MAGIC = b"HFOR"
 FORMAT_VERSION = 1
-# leaves condensed per `mean_shift` call, 21 joint sets each. A set gets the
-# same bits in any call, so this moves no output, only time and memory. On
-# the benchmark `train` tree (923 leaves; 2-vCPU Xeon VM, BLAS 1 thread) the
-# leaf models took 2.1 s of CPU at 1 leaf per call, 1.5 s at 16 or 32 and
-# 1.6-1.8 s in one call; peak RSS read 132, 132, 134 and 269 MB.
-LEAVES_PER_CALL = 16
+# leaves pooled per `pool_sets` call, 21 joint sets each. A set gets the
+# same bits in any call, so this and the two sizes below move no output,
+# only time and memory. On the benchmark `train` tree (923 leaves, 92,580
+# pooled points; 2-vCPU Xeon VM, BLAS 1 thread) the leaf models traced a
+# 5.4 MB peak at 8 leaves a call and 5.7 MB at 16, in the same CPU time.
+LEAVES_PER_CALL = 8
+# pooled points that `_leaf_models` holds between its two passes (a chunk),
+# and at most in one block that `_chunk_modes` shifts and merges. On the
+# same tree, against these: 16384 and 4096 traced a 3.6 MB peak in ~1.15x
+# the CPU time; the whole tree in one chunk traced 8.3 MB in ~0.9x the CPU
+# time, and raised the `train` op's peak RSS by 4 %.
+MODES_CHUNK = 32768
+MODES_BLOCK = 8192
 # candidate-sample pairs whose split features `_features` computes per
 # block, in buffers reused from block to block (~36 bytes a pair, so a block
 # stays in L2). The work is elementwise, so this moves no output, only time.
@@ -298,23 +307,61 @@ def _leaf_models(samples, leaves, cfg):
     """Leaf models of the sample index sets `leaves`: per leaf and joint the
     top `cfg.leaf_modes` mean-shift modes of the offsets, zero-padded, as
     (modes (L, J, M, 3), weights (L, J, M)) float32; a weight is the
-    support of its mode. LEAVES_PER_CALL leaves share a `mean_shift` call.
+    support of its mode.
+
+    The leaves go in chunks of about MODES_CHUNK pooled points, each in two
+    passes. The first pools the joint offset sets of LEAVES_PER_CALL leaves
+    a `pool_sets` call and keeps only the pooled points and weights. The
+    second, `_chunk_modes`, shifts and merges the chunk's sets.
     """
     n_joints = samples.offsets.shape[1]
     modes_out = np.zeros((len(leaves), n_joints, cfg.leaf_modes, 3), dtype=np.float32)
     weights_out = np.zeros((len(leaves), n_joints, cfg.leaf_modes), dtype=np.float32)
+    chunk, held, first = [], 0, 0
     for lo in range(0, len(leaves), LEAVES_PER_CALL):
-        sets = [joint_set for idx in leaves[lo:lo + LEAVES_PER_CALL]
-                for joint_set in np.ascontiguousarray(
-                    samples.offsets[idx].transpose(1, 0, 2), dtype=float)]
-        found = mean_shift_groups(sets, None, bandwidth=cfg.leaf_bandwidth_mm,
-                                  max_iters=cfg.meanshift_iters)
-        for k, (modes, support) in enumerate(found):
-            leaf, j = divmod(k, n_joints)
-            m = min(cfg.leaf_modes, len(modes))
-            modes_out[lo + leaf, j, :m] = modes[:m]
-            weights_out[lo + leaf, j, :m] = support[:m]
+        hi = min(lo + LEAVES_PER_CALL, len(leaves))
+        chunk.append(pool_sets([joint_set for idx in leaves[lo:hi]
+                                for joint_set in np.ascontiguousarray(
+                                    samples.offsets[idx].transpose(1, 0, 2), dtype=float)],
+                               bandwidth=cfg.leaf_bandwidth_mm))
+        held += len(chunk[-1][0])
+        if held >= MODES_CHUNK or hi == len(leaves):
+            points, weights, counts = (np.concatenate(parts) for parts in zip(*chunk))
+            chunk, held = [], 0
+            _chunk_modes(points, weights, counts, cfg,
+                         modes_out[first:hi].reshape(-1, cfg.leaf_modes, 3),
+                         weights_out[first:hi].reshape(-1, cfg.leaf_modes))
+            first = hi
     return modes_out, weights_out
+
+
+def _chunk_modes(points, weights, counts, cfg, modes_out, weights_out):
+    """The second pass of `_leaf_models` over pooled sets of `counts` points:
+    set k's top modes and supports into row k of `modes_out` (S, M, 3) and
+    `weights_out` (S, M).
+
+    The sets go in order of size, in blocks of at most MODES_BLOCK pooled
+    points (or one set), one `mean_shift_groups` call a block. A block then
+    holds few sizes, and the many sets of each go through one stacked
+    product (see `meanshift._shift_sets`).
+    """
+    order = np.argsort(counts, kind="stable")
+    starts = np.cumsum(counts) - counts
+    done = np.concatenate([[0], np.cumsum(counts[order])])  # points before each set in order
+    lo = 0
+    while lo < len(order):
+        hi = max(lo + 1, int(np.searchsorted(done, done[lo] + MODES_BLOCK, side="right")) - 1)
+        sets, sizes = order[lo:hi], counts[order[lo:hi]]
+        # each set's rows, from where its points start to where they go in the block
+        rows = np.repeat(starts[sets] - (done[lo:hi] - done[lo]), sizes) + np.arange(sizes.sum())
+        modes, supports, n_modes = mean_shift_groups(points[rows], weights[rows], sizes,
+                                                     bandwidth=cfg.leaf_bandwidth_mm,
+                                                     max_iters=cfg.meanshift_iters)
+        rank = np.arange(len(supports)) - np.repeat(np.cumsum(n_modes) - n_modes, n_modes)
+        top = rank < cfg.leaf_modes
+        at = np.repeat(sets, n_modes)[top], rank[top]
+        modes_out[at], weights_out[at] = modes[top], supports[top]
+        lo = hi
 
 
 @dataclass
@@ -382,8 +429,11 @@ def _best_split(samples, idx, cfg, rng, probe_range, n_joints):
     if not np.isfinite(gains[best]) or gains[best] <= 1e-12:
         return None
 
-    f_all = _features(samples, idx, probe_u[best:best + 1],
-                      probe_v[best:best + 1], cfg.bg_depth_mm)[0]
+    if sub is idx:  # the node scored whole: features go pair by pair, so these are its bits
+        f_all = feats[best]
+    else:
+        f_all = _features(samples, idx, probe_u[best:best + 1],
+                          probe_v[best:best + 1], cfg.bg_depth_mm)[0]
     go_left = f_all < tau[best]
     if not go_left.any() or go_left.all():
         return None

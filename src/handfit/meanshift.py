@@ -2,20 +2,25 @@
 
 `mean_shift` takes a sequence of point sets of any lengths and keeps them
 as one concatenated array, with their weights and set sizes, from its
-input check to the merge. One keyed grid pass (`_cells`) pools every set,
-and another merges every set's converged points into modes. In between,
-one lockstep kernel shifts every set: per iteration each set's exponents
-come from one small product and its weighted sums from another, while one
-exp and the convergence bookkeeping run over all sets at once, with no
-padding. The merge tests every set for a single mode at once, and the
-sets that fail the test walk their grid cells, heaviest first, in
-lockstep. Each set gets, bit for bit, the modes a call on it alone
-returns. The forest uses it twice: a tree condenses its leaves' offsets,
-21 joint sets a leaf, and inference condenses a frame's 21 joint vote
-sets in one call.
+input check to the merge. It is two steps: `pool_sets` pools every set in
+one keyed grid pass (`_cells`), and `pooled_modes` shifts and merges the
+pooled sets, of one call or of many. One lockstep kernel shifts every set:
+per iteration each set's exponents come from one small product and its
+weighted sums from another, while one exp and the convergence bookkeeping
+run over all sets at once; the sets of a size that many sets share go
+through one stacked matmul per product instead. Another keyed grid pass
+merges every set's converged points into modes: it tests every set for a
+single mode at once, and the sets that fail the test walk their grid
+cells, heaviest first, in lockstep. Each set gets, bit for bit, the modes
+a call on it alone returns. The forest uses it twice: a tree pools its
+leaves' offsets, 21 joint sets a leaf, and shifts and merges them in
+blocks of sets ordered by pooled size; inference condenses a frame's 21
+joint vote sets in one `mean_shift` call.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -37,6 +42,14 @@ INFER_DEDUP_DIVISOR = 2.0
 # point stops shifting once an update moves it less than TOL_FACTOR * bandwidth
 MERGE_FACTOR = 0.5
 TOL_FACTOR = 1e-3
+# `_shift_sets` stacks the sets of a size that at least this many sets of a
+# call share, and of a stack the sets left with one active row, or with
+# more, while at least this many are. A stacked product costs a dozen numpy
+# calls per iteration that a few sets do not repay. On a 2-vCPU Xeon VM
+# (BLAS 1 thread), against 8: at 2 the benchmark `track` frames' proposals
+# took 1.27x the CPU time, at 4 the benchmark `train` tree's leaf models
+# took 1.03x, and at 16 neither moved.
+STACK_MIN = 8
 
 
 def _cell_index(cell):
@@ -99,44 +112,67 @@ def _shift_sets(points, weights, sizes, bandwidth, max_iters, tol):
     with weights (N,), uphill on its own set's weighted density until an
     update moves it less than tol; returns the shifted points (N, d).
 
-    The sets move in lockstep, none padded. Each set works centred at its
-    mean. The exponents -|m - p_j|^2 / 2h^2 + log w_j of a set's active
-    rows m come from one (a, d + 2) @ (d + 2, n) product of [m, |m|^2, 1]
-    with [p / h^2; -1 / 2h^2; log w - |p|^2 / 2h^2], written into the set's
-    slab of one flat buffer; one exp runs over every slab, and one
-    (a, n) @ (n, d + 1) product with [p, 1] gives each row's weighted point
-    sum and total weight. The convergence test, the write-back and the
-    compaction of the active rows run once over all sets. A set's products
-    have the same shapes in any call, so each set gets the bits it gets
-    alone. Weights must be positive, so that log w is finite.
+    The sets move in lockstep. Each set works centred at its mean. The
+    exponents -|m - p_j|^2 / 2h^2 + log w_j of a set's active rows m come
+    from one (a, d + 2) @ (d + 2, n) product of [m, |m|^2, 1] with
+    [p / h^2; -1 / 2h^2; log w - |p|^2 / 2h^2], and one (a, n) @ (n, d + 1)
+    product of their exp with [p, 1] gives each row's weighted point sum and
+    total weight. The convergence test, the write-back and the compaction
+    of the active rows run once over all sets.
+
+    The sets of a size that at least STACK_MIN sets share go as one stack:
+    per iteration one (g, a, d + 2) @ (g, d + 2, n) matmul, one exp and one
+    (g, a, n) @ (g, n, d + 1) matmul, a being the most active rows of any of
+    its g sets. A set with fewer repeats its last active row up to a rows,
+    and the repeats' results are dropped. BLAS computes a one-row product
+    with gemv and a longer one with gemm, whose rows have the same bits in a
+    product of any number of rows; so the sets down to one active row go in
+    a stack of their own, and every set keeps the routine, and the bits, it
+    gets alone. The other sets go one by one, their exponents in slabs of
+    one flat buffer under one exp, and so do the sets of a stack while fewer
+    than STACK_MIN of them have one active row, or more than one. Weights
+    must be positive, so that log w is finite.
     """
     if max_iters < 1:
         return points
-    sizes = np.asarray(sizes).tolist()
-    starts = np.cumsum([0] + sizes)
-    bounds = list(zip(starts[:-1], starts[1:]))
+    sizes = np.asarray(sizes)
     dim = points.shape[1]
     inv_bw2 = 1.0 / (bandwidth * bandwidth)
+    starts = np.cumsum(sizes) - sizes
     set_of = np.repeat(np.arange(len(sizes)), sizes)
     # each set's mean: bincount adds a set's rows in order, as mean(axis=0) does
     sums = np.bincount((set_of[:, None] * dim + np.arange(dim)).ravel(), points.ravel())
-    centres = (sums.reshape(-1, dim) / np.asarray(sizes)[:, None])[set_of]
+    centres = (sums.reshape(-1, dim) / sizes[:, None])[set_of]
     cur = points - centres
     lifted_t = np.empty((len(cur), dim + 2))
     lifted_t[:, :dim] = cur * inv_bw2
     lifted_t[:, dim] = -0.5 * inv_bw2
     lifted_t[:, dim + 1] = np.log(weights) - (0.5 * inv_bw2) * _sq_norms(cur, np.empty(len(cur)))
-    # each set's operands: C-ordered, so its products sum as they do alone
-    lifted = [lifted_t[lo:hi].T.copy() for lo, hi in bounds]
     with_one = np.empty((len(cur), dim + 1))
     with_one[:, :dim] = cur
     with_one[:, dim] = 1.0
-    with_one = [with_one[lo:hi] for lo, hi in bounds]
+
+    # a set's operands C-ordered, so that its products sum as they do alone
+    sets_of_size = np.bincount(sizes)
+    stacks = []
+    for n in np.flatnonzero(sets_of_size >= STACK_MIN).tolist():
+        ids = np.flatnonzero(sizes == n)
+        g, lo = len(ids), int(starts[ids[0]])
+        if ids[-1] - ids[0] == g - 1:  # consecutive sets: one run of rows
+            rows = slice(lo, lo + g * n)
+        else:
+            rows = (starts[ids, None] + np.arange(n)).ravel()
+        stacks.append((ids, lifted_t[rows].reshape(g, n, dim + 2).transpose(0, 2, 1).copy(),
+                       with_one[rows].reshape(g, n, dim + 1)))
+    lone_ids = np.flatnonzero(sets_of_size[sizes] < STACK_MIN)
+    lone = [(lifted_t[lo:lo + n].T.copy(), with_one[lo:lo + n], n)
+            for lo, n in zip(starts[lone_ids].tolist(), sizes[lone_ids].tolist())]
+    del lifted_t
 
     aug = np.empty((len(cur), dim + 2))
     aug[:, dim + 1] = 1.0
     sums = np.empty((len(cur), dim + 1))
-    slabs = np.empty(sum(n * n for n in sizes))
+    slabs = np.empty(sum(n * n for _, _, n in lone))
     rows = np.arange(len(cur))
     for _ in range(max_iters):
         if rows.size == 0:
@@ -145,18 +181,37 @@ def _shift_sets(points, weights, sizes, bandwidth, max_iters, tol):
         m = cur[rows]
         aug[:a, :dim] = m
         _sq_norms(m, aug[:a, dim])
+        count = np.bincount(set_of[rows], minlength=len(sizes))
+        if not stacks:  # every set goes one by one, in order
+            lone_count = count.tolist()
+            lone_first = [0, *itertools.accumulate(lone_count)][:-1]
+        else:
+            first = np.cumsum(count) - count  # each set's first row in aug
+            lone_count, lone_first = count[lone_ids].tolist(), first[lone_ids].tolist()
+        for ids, lifted, ones in stacks:
+            c = count[ids]
+            for k in (np.flatnonzero(c == 1), np.flatnonzero(c > 1)):
+                if k.size >= STACK_MIN:
+                    _stacked_sums(aug, sums, first[ids[k]], c[k],
+                                  lifted if k.size == len(ids) else lifted[k],
+                                  ones if k.size == len(ids) else ones[k])
+                    continue
+                # too few left to repay a stack
+                for i, lo, c_i in zip(k.tolist(), first[ids[k]].tolist(), c[k].tolist()):
+                    e = np.dot(aug[lo:lo + c_i], lifted[i])
+                    np.exp(e, out=e)
+                    np.dot(e, ones[i], out=sums[lo:lo + c_i])
         jobs = []
-        lo = off = 0
-        for s, count in enumerate(np.bincount(set_of[rows], minlength=len(sizes)).tolist()):
-            if count:
-                e = slabs[off:off + count * sizes[s]].reshape(count, sizes[s])
-                np.dot(aug[lo:lo + count], lifted[s], out=e)
-                jobs.append((e, s, lo, count))
-                lo += count
-                off += e.size
+        off = 0
+        for (lifted, ones, n), lo, c in zip(lone, lone_first, lone_count):
+            if c:
+                e = slabs[off:off + c * n].reshape(c, n)
+                np.dot(aug[lo:lo + c], lifted, out=e)
+                jobs.append((e, ones, lo, c))
+                off += c * n
         np.exp(slabs[:off], out=slabs[:off])
-        for e, s, lo, count in jobs:
-            np.dot(e, with_one[s], out=sums[lo:lo + count])
+        for e, ones, lo, c in jobs:
+            np.dot(e, ones, out=sums[lo:lo + c])
         new = sums[:a, :dim] / sums[:a, dim:]
         step = np.abs(new - m)
         moved = step[:, 0] >= tol  # column by column: max(axis=1) is slow on a short axis
@@ -165,6 +220,22 @@ def _shift_sets(points, weights, sizes, bandwidth, max_iters, tol):
         cur[rows] = new
         rows = rows[moved]
     return cur + centres
+
+
+def _stacked_sums(aug, sums, first, count, lifted, ones):
+    """Weighted point sums and total weights into `sums` for the active rows
+    of g sets of one size, row i of a set at aug[first + i] for i < count:
+    one stacked product of the rows, padded to the longest set by repeating
+    a set's last row, with `lifted` (g, d + 2, n), exp, and one with `ones`
+    (g, n, d + 1); the padding's results are dropped."""
+    width = int(count.max())
+    at = first[:, None] + np.minimum(np.arange(width), count[:, None] - 1)
+    # np.take along axis 0 is a row copy; fancy and boolean indexing are slower
+    e = np.matmul(np.take(aug, at.ravel(), axis=0).reshape(at.shape + aug.shape[1:]), lifted)
+    np.exp(e, out=e)
+    found = np.matmul(e, ones).reshape(-1, sums.shape[1])
+    keep = np.flatnonzero(np.arange(width) < count[:, None])
+    sums[at.ravel()[keep]] = np.take(found, keep, axis=0)
 
 
 def mean_shift(points, weights=None, *, bandwidth, dedup_divisor=DEDUP_DIVISOR,
@@ -184,9 +255,24 @@ def mean_shift(points, weights=None, *, bandwidth, dedup_divisor=DEDUP_DIVISOR,
 
     Returns a list of one (modes (m, d), supports (m,)) per set, sorted by
     support descending; each is bit for bit what a call on that set alone
-    returns. The call's sets stay one (N, d) array with (N,) weights and
-    the set sizes throughout: pooled in one keyed grid pass, shifted in
-    lockstep by `_shift_sets` and merged in one keyed grid pass.
+    returns. It is `pooled_modes(*pool_sets(...))`: the call's sets stay one
+    (N, d) array with (N,) weights and the set sizes throughout, pooled in
+    one keyed grid pass, shifted in lockstep by `_shift_sets` and merged in
+    one keyed grid pass.
+    """
+    pooled = pool_sets(points, weights, bandwidth=bandwidth, dedup_divisor=dedup_divisor)
+    modes, supports, n_modes = pooled_modes(*pooled, bandwidth=bandwidth, max_iters=max_iters)
+    ends = np.cumsum(n_modes).tolist()
+    return [(modes[lo:hi], supports[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)]
+
+
+def pool_sets(points, weights=None, *, bandwidth, dedup_divisor=DEDUP_DIVISOR):
+    """The pooling step of `mean_shift`, which checks its arguments and
+    raises its errors: each set's points of positive weight pooled on a grid
+    of bandwidth / dedup_divisor. Returns (pooled points (P, d), their weights
+    (P,), pooled points per set (S,)), set after set; a set with no point
+    of positive weight has none. A set's pooled points are the same in any
+    call, so pooled sets from many calls can be shifted together.
     """
     if not 0 < bandwidth < np.inf:  # NaN fails both comparisons
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
@@ -197,9 +283,8 @@ def mean_shift(points, weights=None, *, bandwidth, dedup_divisor=DEDUP_DIVISOR,
         weights = [np.asarray(w, dtype=float) for w in weights]
         if len(weights) != len(sets) or any(w.shape != (len(p),) for p, w in zip(sets, weights)):
             raise ValueError("mean_shift needs one (n,) weight array per (n, d) set")
-    out = [(np.empty((0, p.shape[1])), np.empty(0)) for p in sets]
     if not sets:
-        return out
+        return np.empty((0, 0)), np.empty(0), np.zeros(0, dtype=np.int64)
     pts = np.concatenate(sets)
     wts = np.ones(len(pts)) if weights is None else np.concatenate(weights)
     if not (np.isfinite(wts).all() and np.isfinite(pts).all()):
@@ -209,14 +294,31 @@ def mean_shift(points, weights=None, *, bandwidth, dedup_divisor=DEDUP_DIVISOR,
     if not keep.all():
         pts, wts = pts[keep], wts[keep]
         sizes = np.bincount(np.repeat(np.arange(len(sets)), sizes)[keep], minlength=len(sets))
-    live = np.flatnonzero(sizes)
+    counts = np.zeros(len(sets), dtype=np.int64)
+    live = sizes > 0
+    if not live.any():
+        return pts, wts, counts
+    pooled, pooled_w, counts[live] = _dedup(pts, wts, sizes[live], bandwidth, dedup_divisor)
+    return pooled, pooled_w, counts
+
+
+def pooled_modes(points, weights, counts, *, bandwidth,
+                 max_iters=DEFAULTS["forest.meanshift_iters"]):
+    """The modes step of `mean_shift` over pooled sets, the output of one
+    `pool_sets` call or of many concatenated: (modes (K, d), supports (K,),
+    modes per set (S,)), each set's modes one run, heaviest first; a set of
+    no points has none. The sets are shifted in lockstep by `_shift_sets`
+    and merged by `_merge_modes`, each to its own bits.
+    """
+    live = np.flatnonzero(counts)
+    n_modes = np.zeros(len(counts), dtype=np.int64)
     if not live.size:
-        return out
-    pooled, pooled_w, counts = _dedup(pts, wts, sizes[live], bandwidth, dedup_divisor)
-    shifted = _shift_sets(pooled, pooled_w, counts, bandwidth, max_iters, TOL_FACTOR * bandwidth)
-    for i, modes in zip(live, _merge_modes(shifted, pooled_w, counts, MERGE_FACTOR * bandwidth)):
-        out[i] = modes
-    return out
+        return np.empty((0, points.shape[1])), np.empty(0), n_modes
+    sizes = np.asarray(counts)[live]
+    shifted = _shift_sets(points, weights, sizes, bandwidth, max_iters, TOL_FACTOR * bandwidth)
+    modes, supports, n_modes[live] = _merge_modes(shifted, weights, sizes,
+                                                  MERGE_FACTOR * bandwidth)
+    return modes, supports, n_modes
 
 
 def _single_modes(points, weights, sizes, merge_radius):
@@ -246,8 +348,8 @@ def _single_modes(points, weights, sizes, merge_radius):
 
 def _merge_modes(points, weights, sizes, merge_radius):
     """Modes of each of the concatenated non-empty sets of `sizes`,
-    converged points (N, d) with weights (N,): a list of one (modes,
-    supports) per set, heaviest first.
+    converged points (N, d) with weights (N,): (modes (K, d), supports (K,),
+    modes per set (S,)), each set's modes one run, heaviest first.
 
     A set that passes the spread test of `_single_modes` is one mode. The
     others are collapsed on a fine grid (a quarter of the merge radius),
@@ -255,19 +357,23 @@ def _merge_modes(points, weights, sizes, merge_radius):
     cells, all of them in lockstep.
     """
     center, total, single = _single_modes(points, weights, sizes, merge_radius)
-    out = [(center[k:k + 1], total[k:k + 1]) for k in range(len(sizes))]
+    n_modes = np.ones(len(sizes), dtype=np.int64)
     walking = np.flatnonzero(~single)
     if not walking.size:
-        return out
+        return center, total, n_modes
     rows = np.repeat(~single, sizes)
     pts, wts = points[rows], weights[rows]
     cell = np.round(pts / (0.25 * merge_radius)).astype(np.int64)
     first, counts, cell_w, cell_sum = _cells(cell, sizes[walking], wts, pts)
-    modes, supports, n_modes = _greedy_walk(cell_w, cell_sum, first, counts, merge_radius)
-    ends = np.cumsum(n_modes).tolist()
-    for k, lo, hi in zip(walking.tolist(), [0] + ends[:-1], ends):
-        out[k] = modes[lo:hi], supports[lo:hi]
-    return out
+    walked, walked_w, n_modes[walking] = _greedy_walk(cell_w, cell_sum, first, counts,
+                                                      merge_radius)
+    ends = np.cumsum(n_modes)
+    modes, supports = np.empty((ends[-1], points.shape[1])), np.empty(ends[-1])
+    one = ends[single] - 1
+    modes[one], supports[one] = center[single], total[single]
+    rows = np.flatnonzero(np.repeat(~single, n_modes))
+    modes[rows], supports[rows] = walked, walked_w
+    return modes, supports, n_modes
 
 
 def _greedy_walk(cell_w, cell_sum, first, counts, merge_radius):

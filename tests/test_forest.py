@@ -525,6 +525,73 @@ def test_leaf_models_of_many_calls_equal_per_joint_oracle(rest_frame, monkeypatc
     assert one.tau.tobytes() == tree.tau.tobytes()
 
 
+@pytest.mark.parametrize("chunk, block", [(10 ** 9, 60), (300, 60), (1, 1)])
+def test_leaf_models_in_small_blocks_equal_per_joint_oracle(rest_frame, monkeypatch,
+                                                            chunk, block):
+    # leaf sets held in one chunk or many and shifted and merged in many
+    # small blocks: every leaf gets the bytes of one mean-shift per joint,
+    # and no block holds more pooled points than the bound unless it is a
+    # single set
+    img, gt = rest_frame
+    samples = F.extract_samples(img, gt, stride=2, rng=np.random.default_rng(0))
+    rng = np.random.default_rng(8)
+    cfg = F.ForestConfig(leaf_cap=60)
+    leaves = [np.sort(rng.choice(len(samples), size=k, replace=False))
+              for k in rng.choice([1, 2, 3, 8, 20, 60], size=40)]
+    blocks = []  # (sets, pooled points) per call
+    groups = F.mean_shift_groups
+
+    def recording(points, weights, sizes, **kwargs):
+        blocks.append((len(sizes), int(np.sum(sizes))))
+        return groups(points, weights, sizes, **kwargs)
+
+    monkeypatch.setattr(F, "mean_shift_groups", recording)
+    monkeypatch.setattr(F, "MODES_CHUNK", chunk)
+    monkeypatch.setattr(F, "MODES_BLOCK", block)
+    modes, weights = F._leaf_models(samples, leaves, cfg)
+    for leaf, idx in enumerate(leaves):
+        want_modes, want_weights = build_leaf_per_joint(samples, idx, cfg)
+        assert modes[leaf].tobytes() == want_modes.tobytes()
+        assert weights[leaf].tobytes() == want_weights.tobytes()
+    assert sum(sets for sets, _ in blocks) == 21 * len(leaves) and len(blocks) > 10
+    assert all(points <= block or sets == 1 for sets, points in blocks)
+    assert block == 1 or any(sets >= meanshift.STACK_MIN for sets, _ in blocks)
+
+
+def test_a_node_scored_whole_takes_one_features_call(rest_frame, monkeypatch):
+    # a node of at most node_subsample samples is its own subsample, so the
+    # best split's go_left comes from the features it was scored on: one
+    # _features call a node, and the tree a second call would give
+    img, gt = rest_frame
+    samples = F.extract_samples(img, gt, stride=3, rng=np.random.default_rng(0))
+    cfg = F.ForestConfig(max_depth=9, min_samples=15, node_subsample=200,
+                         candidates=30, leaf_cap=40)
+    calls = []  # per _best_split call: [node size, _features calls]
+    features, best_split = F._features, F._best_split
+
+    def counting_features(*args):
+        calls[-1][1] += 1
+        return features(*args)
+
+    def counting_best_split(samples, idx, *args):
+        calls.append([len(idx), 0])
+        return best_split(samples, idx, *args)
+
+    monkeypatch.setattr(F, "_features", counting_features)
+    monkeypatch.setattr(F, "_best_split", counting_best_split)
+    tree = F.train_tree(samples, cfg, np.random.default_rng(5))
+    whole = [n for size, n in calls if size <= cfg.node_subsample]
+    assert len(whole) > 20 and set(whole) == {1}
+    assert any(n == 2 for size, n in calls if size > cfg.node_subsample)
+    # a subsample that is a copy of the node takes the second call
+    subsample = F._balanced_subsample
+    monkeypatch.setattr(F, "_balanced_subsample", lambda *args: subsample(*args).copy())
+    two = F.train_tree(samples, cfg, np.random.default_rng(5))
+    for name in ("left", "right", "leaf_id", "probe_u", "probe_v", "tau",
+                 "leaf_modes", "leaf_weights"):
+        assert getattr(tree, name).tobytes() == getattr(two, name).tobytes()
+
+
 def test_routing_total_and_deterministic(tiny_forest, rest_frame):
     (model, samples), (img, _) = tiny_forest, rest_frame
     for tree in model.trees:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from handfit.meanshift import (INFER_DEDUP_DIVISOR, _cell_index, _cells, _dedup, _merge_modes,
-                               _shift_sets, mean_shift)
+from handfit.meanshift import (INFER_DEDUP_DIVISOR, STACK_MIN, _cell_index, _cells, _dedup,
+                               _merge_modes, _shift_sets, _stacked_sums, mean_shift)
 
 from oracles import (dedup_alone, kde_grid_mode, mean_shift_alone, merge_modes_alone,
                      meanshift_iterate, meanshift_iterate_lifted, shift_once)
@@ -227,14 +227,42 @@ def test_lockstep_kernel_stays_within_1e8_mm_of_squared_distance_form(seed, offs
         assert np.abs(shifted - ref).max() <= 1e-8
 
 
-def test_lockstep_sets_get_the_bits_they_get_alone():
-    # the sets of one call converge after different numbers of iterations,
-    # and one set of a single point rides along
+def _active_counts(points, weights, bandwidth, tol, iters):
+    """Rows each of the first `iters` iterations shifts, from the oracle: a
+    row whose update moves it at all was active."""
+    runs = [meanshift_iterate_lifted(points, weights, bandwidth, i, tol) for i in range(iters + 1)]
+    return [int((a != b).any(axis=1).sum()) for a, b in zip(runs, runs[1:])]
+
+
+def _stacked_sets(rng):
+    """Sets that `_shift_sets` stacks: 2 * STACK_MIN sets of 12 points, a
+    blob of 11 and one far point that drifts on alone once the blob has
+    converged, blobs and distances differing from set to set; and
+    STACK_MIN + 2 sets of 30 scattered points whose active rows fall at
+    different rates."""
+    sets = []
+    for _ in range(2 * STACK_MIN):
+        blob = rng.normal(0, rng.uniform(0.2, 1.5), (11, 3))
+        sets.append(np.vstack([blob, [[0.0, 0.0, rng.uniform(14, 24)]]]) + rng.normal(0, 50, 3))
+    sets += [rng.uniform(-25, 25, (30, 3)) for _ in range(STACK_MIN + 2)]
+    return sets
+
+
+def _lockstep_sets():
+    """Track-like sets, a one-point set and `_stacked_sets`, weighted."""
     rng = np.random.default_rng(17)
-    sets = _track_like_sets(rng, 15.0)[:6] + [np.array([[3.0, -1.0, 2.0]])]
-    weights = [rng.uniform(0.5, 4.0, len(p)) for p in sets]
+    sets = _track_like_sets(rng, 15.0)[:6] + [np.array([[3.0, -1.0, 2.0]])] + _stacked_sets(rng)
+    return sets, [rng.uniform(0.5, 4.0, len(p)) for p in sets]
+
+
+def test_lockstep_sets_get_the_bits_they_get_alone():
+    # the sets of one call converge after different numbers of iterations;
+    # the sets of one size go as a stack, down to one active row at
+    # different iterations and padded where their active counts differ;
+    # and one set of a single point rides along
+    sets, weights = _lockstep_sets()
     sizes = [len(p) for p in sets]
-    for max_iters in (1, 4, 50):
+    for max_iters in (0, 1, 4, 50):
         got = _shift_sets(np.concatenate(sets), np.concatenate(weights), sizes, 15.0,
                           max_iters, 0.015)
         for p, w, shifted in zip(sets, weights, _split(got, sizes)):
@@ -242,6 +270,44 @@ def test_lockstep_sets_get_the_bits_they_get_alone():
             assert shifted.tobytes() == alone.tobytes()
             want = meanshift_iterate_lifted(p, w, 15.0, max_iters, 0.015)
             assert shifted.tobytes() == want.tobytes()
+
+
+def test_stacked_sets_reach_one_row_and_padding():
+    # the stacks of the test above take both paths: at least STACK_MIN
+    # sets of one active row at once, having reached it at different
+    # iterations, and at least STACK_MIN sets of more than one active row
+    # at once whose counts differ
+    sets, weights = _lockstep_sets()
+    counts = np.array([_active_counts(p, w, 15.0, 0.015, 30)
+                       for p, w in zip(sets[7:], weights[7:])])
+    blobs, scattered = counts[:2 * STACK_MIN], counts[2 * STACK_MIN:]
+    single = blobs == 1
+    assert single.sum(axis=0).max() >= STACK_MIN
+    reached = [int(np.argmax(row)) for row in single if row.any()]
+    assert len(reached) >= STACK_MIN and len(set(reached)) > 1
+    padded = [len(set(col[col > 1])) > 1 for col in scattered.T if (col > 1).sum() >= STACK_MIN]
+    assert any(padded)
+
+
+def test_stacked_sums_write_each_sets_rows_and_no_other():
+    # sets of one size whose active rows have another set's row after every
+    # padded set, so that the padding is exactly as long as the gaps: each
+    # set's rows get the sums of its own products, and no other row changes
+    rng = np.random.default_rng(3)
+    g, n, dim = 2 * STACK_MIN, 5, 3
+    count = np.tile([2, 3], g // 2)
+    gap = count < count.max()
+    first = np.cumsum(count + gap) - count - gap
+    aug = rng.uniform(-0.5, 0.5, (int(first[-1] + count[-1]), dim + 2))
+    lifted = rng.uniform(-0.5, 0.5, (g, dim + 2, n))
+    ones = rng.uniform(0.5, 2.0, (g, n, dim + 1))
+    sums = np.full((len(aug), dim + 1), np.nan)
+    _stacked_sums(aug, sums, first, count, lifted, ones)
+    for i in range(g):
+        rows = slice(first[i], first[i] + count[i])
+        want = np.dot(np.exp(np.dot(aug[rows], lifted[i])), ones[i])
+        assert sums[rows].tobytes() == want.tobytes()
+    assert np.isnan(sums[first[gap] + count[gap]]).all()
 
 
 @pytest.mark.parametrize("cell", [
@@ -529,8 +595,9 @@ def test_merge_modes_equals_merge_modes_alone(seed):
     # every set the bits of its own merge, non-integer weights included
     sets = _converged_sets(np.random.default_rng(seed))
     sizes = np.array([len(w) for _, w in sets])
-    got = _merge_modes(np.concatenate([p for p, _ in sets]), np.concatenate([w for _, w in sets]),
-                       sizes, 10.0)
+    modes, supports, n_modes = _merge_modes(np.concatenate([p for p, _ in sets]),
+                                            np.concatenate([w for _, w in sets]), sizes, 10.0)
+    got = list(zip(_split(modes, n_modes), _split(supports, n_modes)))
     assert len(got) == len(sets)
     for (p, w), res in zip(sets, got):
         want = merge_modes_alone(p, w, 10.0)

@@ -77,24 +77,29 @@ def _span_names(tracer):
     return {span[0] for span in tracer.spans}
 
 
-def test_benchmark_tracer_sees_leaf_building_inside_train_tree(tracing, rest_frame):
+def test_benchmark_tracer_sees_leaf_building_inside_train_tree(tracing, rest_frame,
+                                                              monkeypatch):
     # the train workload's per-layer metrics come from these spans
     img, gt = rest_frame
     samples = forest.extract_samples(img, gt, stride=4, rng=np.random.default_rng(0))
     cfg = forest.ForestConfig(max_depth=6, min_samples=10, node_subsample=100,
                               candidates=10)
+    monkeypatch.setattr(forest, "MODES_BLOCK", 64)  # several blocks
     tracer = tracing.Tracer()
     with tracer.install(), tracer.span("op", 0):
         tree = forest.train_tree(samples, cfg, np.random.default_rng(0))
     names = _span_names(tracer)
     assert {"build_leaf", "mean_shift_groups"} <= names and "dedup" not in names
-    # one build_leaf span per leaf; the grown tree's leaves are condensed in
-    # mean_shift_groups calls of LEAVES_PER_CALL leaves, children of train_tree
+    # one build_leaf span per leaf; the grown tree's leaf sets are shifted and
+    # merged in mean_shift_groups calls of at most MODES_BLOCK pooled points
+    # (or one set), children of train_tree, and every set has a pooled point
     (root,) = [i for i, span in enumerate(tracer.spans) if span[0] == "train_tree"]
     leaves = [span for span in tracer.spans if span[0] == "build_leaf"]
     calls = [span for span in tracer.spans if span[0] == "mean_shift_groups"]
+    counts = tracer.counts[0]
     assert len(leaves) == tree.n_leaves > forest.LEAVES_PER_CALL
-    assert len(calls) == -(-tree.n_leaves // forest.LEAVES_PER_CALL)
+    assert len(calls) == counts["meanshift.groups_calls"] > 1
+    assert 21 * tree.n_leaves <= counts["meanshift.groups_points"] <= 64 * len(calls)
     assert {span[3] for span in leaves + calls} == {root}
 
 
