@@ -1,11 +1,13 @@
 """Hough-style regression forest over depth patches.
 
 Each foreground patch carries a part label (nearest joint) and 3D offset
-vectors to every joint. Trees split on two-probe depth-difference features
-whose pixel offsets are normalized by the patch depth; leaves summarize
-the arriving offset distributions per joint by mean-shift modes: after a
-tree is grown, its leaves' joint offset sets are condensed by the two steps
-of `mean_shift` in two passes, pooled LEAVES_PER_CALL leaves a call, then
+vectors to every joint; the sample table keeps the patch centre and each
+frame's joints once, and the offsets are derived where they are read.
+Trees split on two-probe depth-difference features whose pixel offsets are
+normalized by the patch depth; leaves summarize the arriving offset
+distributions per joint by mean-shift modes: after a tree is grown, its
+leaves' joint offset sets are derived and condensed by the two steps of
+`mean_shift` in two passes, pooled LEAVES_PER_CALL leaves a call, then
 shifted and merged in order of pooled size, so that the many sets of one
 size share one stacked product. A node scores its candidate splits on
 features computed sample-major, PROBE_BLOCK candidate-sample pairs at a
@@ -65,7 +67,12 @@ class ForestFormatError(ValueError):
 
 @dataclass
 class SampleSet:
-    """Columnar training samples plus the depth images they index into."""
+    """Columnar training samples plus the depth images and ground-truth
+    joints they index into: 54 bytes a sample and one joint set a frame.
+
+    A sample's offsets to the joints are not stored: `offsets(idx)` derives
+    them from its frame's joints and its patch centre.
+    """
 
     images: np.ndarray   # (n_img, h, w) uint16
     cam: object
@@ -73,16 +80,22 @@ class SampleSet:
     depth: np.ndarray    # (n,) float mm at the patch centre
     img_idx: np.ndarray  # (n,) int32
     label: np.ndarray    # (n,) int16, nearest joint
-    offsets: np.ndarray  # (n, J, 3) float32, joint - patch centre
+    centers: np.ndarray  # (n, 3) float mm, the back-projected patch centre
+    joints: np.ndarray   # (n_img, J, 3) float mm, each frame's ground truth
 
     def __len__(self):
         return len(self.depth)
 
+    def offsets(self, idx):
+        """(len(idx), J, 3) float32 offsets joint - patch centre of samples
+        `idx`, rounded once from the float64 difference."""
+        return (self.joints[self.img_idx[idx]] - self.centers[idx][:, None]).astype(np.float32)
+
     @property
     def table_bytes(self):
-        """Bytes of the sample columns, the image stack not counted."""
+        """Bytes of the sample columns and joint sets, the image stack not counted."""
         return sum(a.nbytes for a in (self.pixel, self.depth, self.img_idx, self.label,
-                                      self.offsets))
+                                      self.centers, self.joints))
 
 
 def _stride_grid(img, stride):
@@ -112,10 +125,12 @@ def extract_samples(img, gt_joints, stride, rng, cap=None):
     """Training samples from one rendered frame and its ground-truth joints.
 
     One sample per foreground pixel on the stride grid; the label is the
-    joint nearest to the back-projected patch centre and the offsets point
-    from that centre to every joint. `cap` randomly limits samples per image.
+    joint nearest to the back-projected patch centre, and the offsets
+    (`SampleSet.offsets`) point from that centre to every joint. `cap`
+    randomly limits samples per image.
     """
-    return _sample_table(img.depth[None, :, :], [img], [gt_joints], stride, rng, cap)
+    return _sample_table(img.depth[None, :, :], [img], _joint_table([gt_joints]),
+                         stride, rng, cap)
 
 
 def build_training_set(images, gt_joint_list, stride, rng, cap=None):
@@ -123,23 +138,44 @@ def build_training_set(images, gt_joint_list, stride, rng, cap=None):
 
     Frames that are the rows of one stack in order, as `render_poses` and
     `read_split` return them, are read from that stack in place; other
-    frames are stacked into a copy first.
+    frames are stacked into a copy first. Every frame's joint set is
+    checked before any frame is sampled.
     """
     if not len(images):
         raise ValueError("no frames given to build a training set from")
     if len(images) != len(gt_joint_list):
         raise ValueError(f"{len(images)} frames but {len(gt_joint_list)} "
                          "ground-truth joint sets")
+    joints = _joint_table(gt_joint_list)
     stack = shared_stack(images)
     if stack is None:
         stack = np.stack([img.depth for img in images])
-    return _sample_table(stack, images, gt_joint_list, stride, rng, cap)
+    return _sample_table(stack, images, joints, stride, rng, cap)
 
 
-def _sample_table(stack, images, gt_joint_list, stride, rng, cap):
-    """SampleSet of `images` (frame i is stack[i]) as `extract_samples`
-    describes it, frame after frame. A count pass sizes the columns, and
-    each frame's samples are then written into its rows in place."""
+def _joint_table(gt_joint_list):
+    """The frames' ground-truth joint sets as one (n_frames, J, 3) float64
+    array. A set that is not (J, 3) with frame 0's J, J at most the hand's
+    (as `load_forest` reads it), or that holds a non-finite value, raises a
+    ValueError naming its frame."""
+    sets = [np.asarray(gt, dtype=float) for gt in gt_joint_list]
+    for i, gt in enumerate(sets):
+        if gt.ndim != 2 or gt.shape[1:] != (3,) or not 1 <= len(gt) <= geometry.NUM_JOINTS:
+            raise ValueError(f"frame {i}: ground-truth joint set has shape {gt.shape}, "
+                             f"not (J, 3) with 1 <= J <= {geometry.NUM_JOINTS}")
+        if len(gt) != len(sets[0]):
+            raise ValueError(f"frame {i}: {len(gt)} ground-truth joints, but frame 0 "
+                             f"has {len(sets[0])}")
+        if not np.isfinite(gt).all():
+            raise ValueError(f"frame {i}: ground-truth joint set holds a non-finite value")
+    return np.stack(sets)
+
+
+def _sample_table(stack, images, joints, stride, rng, cap):
+    """SampleSet of `images` (frame i is stack[i], its joints joints[i]) as
+    `extract_samples` describes it, frame after frame. A count pass sizes
+    the columns, and each frame's samples are then written into its rows
+    in place."""
     counts = np.array([np.count_nonzero(_stride_grid(img, stride)) for img in images])
     if cap is not None:
         np.minimum(counts, cap, out=counts)
@@ -152,15 +188,16 @@ def _sample_table(stack, images, gt_joint_list, stride, rng, cap):
         depth=np.empty(n),
         img_idx=np.repeat(np.arange(len(images), dtype=np.int32), counts),
         label=np.empty(n, dtype=np.int16),
-        offsets=np.empty((n, len(gt_joint_list[0]), 3), dtype=np.float32),
+        centers=np.empty((n, 3)),
+        joints=joints,
     )
-    for img, gt, end, count in zip(images, gt_joint_list, ends, counts):
+    for img, gt, end, count in zip(images, joints, ends, counts):
         rows = slice(end - count, end)
         depths, centers, pixel = _patch_grid(img, stride, rng, cap)
         samples.pixel[rows], samples.depth[rows] = pixel, depths
-        diff = np.asarray(gt, dtype=float)[None, :, :] - centers[:, None, :]
+        samples.centers[rows] = centers
+        diff = gt[None, :, :] - centers[:, None, :]
         samples.label[rows] = np.linalg.norm(diff, axis=2).argmin(axis=1)
-        samples.offsets[rows] = diff
     return samples
 
 
@@ -310,19 +347,23 @@ def _leaf_models(samples, leaves, cfg):
     support of its mode.
 
     The leaves go in chunks of about MODES_CHUNK pooled points, each in two
-    passes. The first pools the joint offset sets of LEAVES_PER_CALL leaves
-    a `pool_sets` call and keeps only the pooled points and weights. The
+    passes. The first derives the joint offsets of LEAVES_PER_CALL leaves
+    by one `SampleSet.offsets` gather, pools their joint sets in one
+    `pool_sets` call and keeps only the pooled points and weights. The
     second, `_chunk_modes`, shifts and merges the chunk's sets.
     """
-    n_joints = samples.offsets.shape[1]
+    n_joints = samples.joints.shape[1]
     modes_out = np.zeros((len(leaves), n_joints, cfg.leaf_modes, 3), dtype=np.float32)
     weights_out = np.zeros((len(leaves), n_joints, cfg.leaf_modes), dtype=np.float32)
     chunk, held, first = [], 0, 0
     for lo in range(0, len(leaves), LEAVES_PER_CALL):
         hi = min(lo + LEAVES_PER_CALL, len(leaves))
-        chunk.append(pool_sets([joint_set for idx in leaves[lo:hi]
-                                for joint_set in np.ascontiguousarray(
-                                    samples.offsets[idx].transpose(1, 0, 2), dtype=float)],
+        block = leaves[lo:hi]
+        # (J, the block's samples, 3), split into each leaf's (J, n, 3)
+        offsets = np.ascontiguousarray(
+            samples.offsets(np.concatenate(block)).transpose(1, 0, 2), dtype=float)
+        per_leaf = np.split(offsets, np.cumsum([len(idx) for idx in block])[:-1], axis=1)
+        chunk.append(pool_sets([joint_set for leaf in per_leaf for joint_set in leaf],
                                bandwidth=cfg.leaf_bandwidth_mm))
         held += len(chunk[-1][0])
         if held >= MODES_CHUNK or hi == len(leaves):
@@ -451,7 +492,7 @@ def train_tree(samples, cfg, rng):
     if len(samples) == 0:
         raise ValueError("cannot train a tree on an empty sample set")
     probe_range = cfg.probe_range_px_m * 1000.0  # px*m -> px*mm
-    n_joints = samples.offsets.shape[1]
+    n_joints = samples.joints.shape[1]
 
     nodes = []   # [left, right, leaf_id, u0, u1, v0, v1, tau]
     leaves = []  # each leaf's sample indices, condensed once the tree is grown
@@ -505,7 +546,7 @@ def train_forest(samples, cfg, rng, threads=1):
     tree_rngs = rng.spawn(cfg.num_trees)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         trees = list(pool.map(lambda r: train_tree(samples, cfg, r), tree_rngs))
-    return Forest(trees, num_joints=samples.offsets.shape[1],
+    return Forest(trees, num_joints=samples.joints.shape[1],
                   leaf_modes=cfg.leaf_modes, bg_depth_mm=cfg.bg_depth_mm)
 
 

@@ -190,11 +190,13 @@ def build_leaf_per_joint(samples, idx, cfg):
     """The leaf model of the samples `idx` as one `mean_shift_alone` per
     joint: (modes (J, M, 3), weights (J, M)) float32, zero-padded; the
     reference for a leaf of `forest._leaf_models`."""
-    n_joints = samples.offsets.shape[1]
+    n_joints = samples.joints.shape[1]
     modes_out = np.zeros((n_joints, cfg.leaf_modes, 3), dtype=np.float32)
     weights_out = np.zeros((n_joints, cfg.leaf_modes), dtype=np.float32)
     for j in range(n_joints):
-        modes, support = mean_shift_alone(samples.offsets[idx, j].astype(float), None,
+        # joint j's offsets, rounded once to float32 as `SampleSet.offsets` rounds them
+        offsets = samples.joints[samples.img_idx[idx], j] - samples.centers[idx]
+        modes, support = mean_shift_alone(offsets.astype(np.float32).astype(float), None,
                                           cfg.leaf_bandwidth_mm, DEDUP_DIVISOR,
                                           cfg.meanshift_iters)
         m = min(cfg.leaf_modes, len(modes))
@@ -277,7 +279,7 @@ def train_tree_recursive(samples, cfg, rng):
     draws from `rng` and leaves in the pre-order of the recursion, each
     leaf's model built at once by `build_leaf_per_joint`."""
     probe_range = cfg.probe_range_px_m * 1000.0
-    n_joints = samples.offsets.shape[1]
+    n_joints = samples.joints.shape[1]
     nodes, leaf_modes, leaf_weights = [], [], []
 
     def grow(idx, depth):

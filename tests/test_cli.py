@@ -134,8 +134,9 @@ def test_train_logs_frame_stack_and_sample_table_bytes(pipeline_dir, tmp_path, c
     samples, frames, stack_bytes, table_bytes = map(int, found.groups())
     cam = CameraIntrinsics.default()
     assert frames == 2 and stack_bytes == frames * cam.height * cam.width * 2
-    # pixel, depth, image index, label and 21 float32 offsets a sample
-    assert table_bytes == samples * (16 + 8 + 4 + 2 + 21 * 3 * 4)
+    # pixel, depth, image index, label and patch centre a sample, and each
+    # frame's 21 float64 joints once
+    assert table_bytes == samples * (16 + 8 + 4 + 2 + 24) + frames * 21 * 3 * 8
 
 
 def test_under_constrained_frame_falls_back_and_is_flagged(tmp_path, geom, limits, caplog):

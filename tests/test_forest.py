@@ -1,5 +1,6 @@
 import gc
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -50,7 +51,7 @@ def test_extract_zero_offset_on_joint(cam, rest_frame):
     assert hit.sum() == 1
     idx = int(np.nonzero(hit)[0][0])
     assert samples.label[idx] == 7
-    np.testing.assert_allclose(samples.offsets[idx, 7], [0, 0, 0], atol=1e-6)
+    np.testing.assert_allclose(samples.offsets([idx])[0, 7], [0, 0, 0], atol=1e-6)
 
 
 def test_extract_stride_counting(cam, rest_frame):
@@ -73,7 +74,7 @@ def test_labels_match_brute_force_nearest(cam, rest_frame):
     assert len(np.unique(samples.label)) >= 2
 
 
-SAMPLE_FIELDS = ("images", "pixel", "depth", "img_idx", "label", "offsets")
+SAMPLE_FIELDS = ("images", "pixel", "depth", "img_idx", "label", "centers", "joints")
 
 
 @pytest.mark.parametrize("jitter_mm, stride, cap", [(0.0, 3, None), (3.0, 2, 40)],
@@ -108,7 +109,19 @@ def test_training_set_reads_the_frame_stack_in_place(tmp_path, geom, limits, cam
 
     # the columns keep the dtypes SampleSet documents
     assert [getattr(copies, name).dtype for name in SAMPLE_FIELDS] == [
-        np.uint16, np.float64, np.float64, np.int32, np.int16, np.float32]
+        np.uint16, np.float64, np.float64, np.int32, np.int16, np.float64, np.float64]
+    # the derived offsets are each frame's (gt - centre) table rounded to
+    # float32, byte for byte, for unsorted and repeated samples; the centre
+    # is back-projected with the frame's own camera
+    table = np.concatenate([
+        (gts[i] - img.cam.backproject(*copies.pixel[rows].T, copies.depth[rows])[:, None])
+        .astype(np.float32)
+        for i, img in enumerate(images) for rows in [copies.img_idx == i]])
+    idx = np.random.default_rng(2).integers(0, len(copies), 3 * len(copies))
+    assert len(np.unique(idx)) < len(idx) and (np.diff(idx) < 0).any()
+    for index in (idx, np.arange(len(copies))):
+        got = copies.offsets(index)
+        assert got.dtype == np.float32 and got.tobytes() == table[index].tobytes()
     # the pooled table is the per-frame sets one after another
     rng = np.random.default_rng(1)
     parts = [F.extract_samples(img, gt, stride, rng, cap=cap) for img, gt in zip(images, gts)]
@@ -128,6 +141,66 @@ def test_training_set_needs_frames_with_one_joint_set_each(rest_frame):
         F.build_training_set([], [], stride=4, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="2 frames but 1 ground-truth joint sets"):
         F.build_training_set([img, img], [gt], stride=4, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("case, message", [
+    ("nan", "frame 1: ground-truth joint set holds a non-finite value"),
+    ("inf", "frame 1: ground-truth joint set holds a non-finite value"),
+    ("20_joints", "frame 1: 20 ground-truth joints, but frame 0 has 21"),
+    ("2d_joints", r"frame 1: ground-truth joint set has shape \(21, 2\), not \(J, 3\)"),
+    ("no_joints", r"frame 0: ground-truth joint set has shape \(0, 3\), not \(J, 3\)"),
+    ("22_joints", r"frame 0: .* shape \(22, 3\), not \(J, 3\) with 1 <= J <= 21"),
+])
+def test_training_set_rejects_a_bad_joint_set_before_sampling(rest_frame, monkeypatch,
+                                                             case, message):
+    # a NaN joint used to train through the whole split search and fail at
+    # the leaf stage in mean_shift; a 20-joint set failed in numpy's
+    # broadcast into the 21-joint offset table
+    img, gt = rest_frame
+    gts = [gt, gt.copy(), gt]
+    if case == "nan":
+        gts[1][4, 2] = np.nan
+    elif case == "inf":
+        gts[1][0, 0] = -np.inf
+    elif case == "20_joints":
+        gts[1] = gt[:20]
+    elif case == "2d_joints":
+        gts[1] = gt[:, :2]
+    elif case == "no_joints":
+        gts[0] = gt[:0]
+    else:  # used to train and save a forest that load_forest refuses
+        gts = [np.vstack([g, g[:1]]) for g in gts]
+    sampled = []
+    monkeypatch.setattr(F, "_patch_grid", lambda *args: sampled.append(args))
+    with pytest.raises(ValueError, match=message):
+        F.build_training_set([img] * 3, gts, stride=4, rng=np.random.default_rng(0))
+    assert not sampled
+
+
+def test_training_set_allocates_no_per_sample_joint_table(geom, limits, cam):
+    # the traced peak of building a multi-frame set is its 54-byte-a-sample
+    # table plus one frame's temporaries: a (samples, J, 3) table of any
+    # dtype would add at least 252 bytes a sample, several frames' worth
+    poses = synth.generate_training_poses(limits=limits, per_finger=2, num_views=4)
+    images = synth.render_poses(poses, geom, cam, rng=np.random.default_rng(0))
+    gts = [forward_kinematics(geom, p) for p in poses]
+    # one frame's temporaries, about 1.4 kB a sample: the (count, J, 3)
+    # float64 difference and its square, the norms, the stride grid's
+    # foreground indices and the patch columns
+    frame_slack = 2048 * max(np.count_nonzero(img.depth[::2, ::2]) for img in images)
+    tracemalloc.start()
+    try:
+        samples = F.build_training_set(images, gts, stride=2, rng=np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(samples.images, images[0].depth)  # no stacked copy
+    # 54 bytes a sample (pixel, depth, image index, label, patch centre) and
+    # one float64 joint set a frame
+    table = len(samples) * (16 + 8 + 4 + 2 + 24) + len(images) * 21 * 3 * 8
+    assert samples.table_bytes == table
+    assert len(samples) * 21 * 3 * 4 > 3 * frame_slack
+    assert peak <= table + frame_slack + 65536, (peak, table)
 
 
 def test_split_score_arithmetic():
@@ -190,7 +263,7 @@ def test_build_leaf_single_and_duplicate_samples(geom, cam, rest_frame):
     modes, weights = _leaf_model(samples, np.array([0]), cfg,
                                  np.random.default_rng(0))
     for j in range(21):
-        np.testing.assert_allclose(modes[j, 0], samples.offsets[0, j], atol=1e-4)
+        np.testing.assert_allclose(modes[j, 0], samples.offsets([0])[0, j], atol=1e-4)
         assert weights[j, 0] == pytest.approx(1.0)
         assert weights[j, 1] == 0.0
     # two identical samples: one mode, weight 2
@@ -199,7 +272,7 @@ def test_build_leaf_single_and_duplicate_samples(geom, cam, rest_frame):
                       np.repeat(samples.depth[:1], 2),
                       np.zeros(2, dtype=np.int32),
                       np.repeat(samples.label[:1], 2),
-                      np.repeat(samples.offsets[:1], 2, axis=0))
+                      np.repeat(samples.centers[:1], 2, axis=0), samples.joints)
     modes, weights = _leaf_model(dup, np.array([0, 1]), cfg,
                                  np.random.default_rng(0))
     assert weights[0, 0] == pytest.approx(2.0)
@@ -216,12 +289,7 @@ def test_build_leaf_two_clusters_weighted_mean_oracle(cam, rest_frame):
     cluster_b = rng.normal((120, 0, 0), 1.0, size=(10, 3))
     offs[:20, 5] = cluster_a
     offs[20:, 5] = cluster_b
-    crafted = F.SampleSet(base.images, base.cam,
-                          np.tile(base.pixel[:1], (n, 1)),
-                          np.full(n, base.depth[0]),
-                          np.zeros(n, dtype=np.int32),
-                          np.zeros(n, dtype=np.int16),
-                          offs)
+    crafted = _leaf_samples(base, offs)
     cfg = F.ForestConfig(leaf_bandwidth_mm=20.0)
     modes, weights = _leaf_model(crafted, np.arange(n), cfg,
                                  np.random.default_rng(0))
@@ -243,7 +311,7 @@ def test_train_tree_degenerate_cases(cam, rest_frame):
         F.train_tree(samples.__class__(samples.images, samples.cam,
                                        samples.pixel[:0], samples.depth[:0],
                                        samples.img_idx[:0], samples.label[:0],
-                                       samples.offsets[:0]),
+                                       samples.centers[:0], samples.joints),
                      cfg, np.random.default_rng(0))
 
     # identical appearance everywhere: no split can gain, root stays a leaf
@@ -251,8 +319,8 @@ def test_train_tree_degenerate_cases(cam, rest_frame):
         images=np.full((1, 10, 10), 500, dtype=np.uint16), cam=cam,
         pixel=np.tile(np.array([[5.0, 5.0]]), (50, 1)),
         depth=np.full(50, 500.0), img_idx=np.zeros(50, dtype=np.int32),
-        label=np.zeros(50, dtype=np.int16),
-        offsets=np.zeros((50, 21, 3), dtype=np.float32))
+        label=np.zeros(50, dtype=np.int16), centers=np.zeros((50, 3)),
+        joints=np.zeros((1, 21, 3)))
     tree = F.train_tree(flat, F.ForestConfig(min_samples=10), np.random.default_rng(0))
     assert tree.n_leaves == 1
 
@@ -292,7 +360,7 @@ def test_train_tree_equals_recursive_oracle(cam, rest_frame):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_train_forest_frees_samples_when_caller_drops_them(rest_frame, threads):
     # with the cyclic collector off, nothing train_forest leaves behind may
-    # keep the sample set (image stack and offsets) alive
+    # keep the sample set (image stack and sample table) alive
     img, gt = rest_frame
     samples = F.extract_samples(img, gt, stride=4, rng=np.random.default_rng(0))
     alive = weakref.ref(samples)
@@ -448,10 +516,14 @@ def test_train_tree_with_blocked_root_equals_recursive_unblocked_oracle(wide_sam
 
 
 def _leaf_samples(base, offsets):
+    """Samples whose derived offsets are `offsets` (n, 21, 3) rounded to
+    float32: sample i is the one sample of frame i, its centre at zero."""
     n = len(offsets)
-    return F.SampleSet(base.images, base.cam, np.tile(base.pixel[:1], (n, 1)),
-                       np.full(n, base.depth[0]), np.zeros(n, dtype=np.int32),
-                       np.zeros(n, dtype=np.int16), offsets.astype(np.float32))
+    return F.SampleSet(np.broadcast_to(base.images[:1], (n,) + base.images.shape[1:]),
+                       base.cam, np.tile(base.pixel[:1], (n, 1)),
+                       np.full(n, base.depth[0]), np.arange(n, dtype=np.int32),
+                       np.zeros(n, dtype=np.int16), np.zeros((n, 3)),
+                       np.asarray(offsets, dtype=float))
 
 
 @pytest.mark.parametrize("case", ["one_sample", "all_duplicates", "above_leaf_cap",
@@ -466,7 +538,7 @@ def test_build_leaf_equals_per_joint_oracle(rest_frame, case):
     if case == "one_sample":
         samples, idx = base, np.array([11])
     elif case == "all_duplicates":
-        samples = _leaf_samples(base, np.repeat(base.offsets[3:4], 40, axis=0))
+        samples = _leaf_samples(base, np.repeat(base.offsets([3]), 40, axis=0))
         idx = np.arange(40)
     elif case == "above_leaf_cap":
         samples, idx = base, np.arange(cfg.leaf_cap + 150)
@@ -619,8 +691,8 @@ def test_depth_invariant_features(geom, cam):
         sample = F.SampleSet(img.depth[None], img.cam,
                              np.array([[round(u), round(v)]], dtype=float),
                              np.array([d]), np.zeros(1, dtype=np.int64),
-                             np.zeros(1, dtype=np.int16),
-                             np.zeros((1, 21, 3), dtype=np.float32))
+                             np.zeros(1, dtype=np.int16), np.zeros((1, 3)),
+                             np.zeros((1, 21, 3)))
         feats.append(F._features(sample, np.array([0]), probe_u, probe_v,
                                  10000.0)[0, 0])
     assert abs(feats[0] - feats[1]) < 3.0  # rounding + resampling slack
