@@ -4,16 +4,20 @@ Depth images hold 16-bit millimetre depths with 0 as the background
 sentinel. Rendering casts one ray per pixel and intersects it analytically
 with a capsule per finger bone plus a palm ellipsoid, keeping the nearest
 surface. A pose's primitives are rasterised together: their pixel boxes
-and rays are built in one pass, and every capsule's end spheres and body
-and the ellipsoid go through one batched ray-quadric solve. Each
-primitive's own products keep the bits they have when it is solved alone,
-so the depths do not depend on the batching. The frames of a split are the
-rows of one read-only stack (`stack_frames`), which training reads in place
-(`shared_stack`).
+(bounded by each sphere's exact tangent planes) and rays are built in one
+pass, and every capsule's end spheres and body and the ellipsoid go
+through one batched ray-quadric solve. Each primitive's own products keep
+the bits they have when it is solved alone, so the depths do not depend
+on the batching. The frames of a split are the rows of one read-only
+stack (`stack_frames`), which training reads in place (`shared_stack`).
+The stack comes from `zero_stack` and frames are rendered or read into it
+foreground pixels only, so a large stack's background pages are never
+backed by memory of their own.
 """
 
 from __future__ import annotations
 
+import mmap
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +34,9 @@ PALM_ELLIPSOID_SEMI_AXES = (45.0, 40.0, 15.0)
 PALM_ELLIPSOID_CENTER = (0.0, 42.0, 0.0)
 
 BACKGROUND = 0
+
+# A frame stack of at least this many bytes gets a mapping of its own.
+MAPPED_STACK_BYTES = 1 << 22
 
 
 class RenderError(RuntimeError):
@@ -90,9 +97,11 @@ class CameraIntrinsics:
 class DepthImage:
     """(h, w) uint16 grid of mm depths; 0 marks background.
 
-    The grid is read-only. One that no array can write (it is read-only,
-    and so is every array it is a view of) is kept as it is, so the frames
-    of one stack share its memory; any other grid is copied.
+    The grid is read-only. One that nothing can write (it is read-only,
+    so is every array it is a view of, and its memory is a numpy array's
+    own or a `zero_stack` mapping) is kept as it is, so the frames of one
+    stack share its memory; any other grid, say one over a caller's own
+    `mmap`, is copied.
     """
 
     depth: np.ndarray
@@ -111,12 +120,42 @@ class DepthImage:
 
 
 def _read_only(array):
-    """True when `array` and every array whose memory it views are read-only."""
+    """True when `array` and every array whose memory it views are read-only,
+    and that memory is a numpy array's own or a `zero_stack` mapping."""
     while isinstance(array, np.ndarray):
         if array.flags.writeable:
             return False
         array = array.base
-    return array is None
+    return array is None or isinstance(array, _StackPages)
+
+
+class _StackPages(mmap.mmap):
+    """The private anonymous mapping behind a `zero_stack`: the one buffer
+    other than numpy's own memory that a DepthImage keeps uncopied."""
+
+
+def zero_stack(n, height, width):
+    """A writable (n, height, width) uint16 stack of zeros (background)
+    whose pages take resident memory only once a pixel on them is written.
+
+    A stack of at least MAPPED_STACK_BYTES (4 MiB) is a private anonymous
+    mapping with transparent huge pages refused, so each untouched page
+    reads from the kernel's shared zero page: writing only the foreground
+    of its frames leaves the background pages unbacked, and reading them
+    adds nothing. numpy asks for huge pages on allocations of 4 MiB or
+    more, which makes a `np.zeros` stack that size as resident as a filled
+    one. A smaller stack, or any stack where `mmap` has no MAP_PRIVATE,
+    comes from `np.zeros`: a mapping of its own costs more set-up time than
+    its pages save.
+    """
+    shape = (n, height, width)
+    size = n * height * width * np.dtype(np.uint16).itemsize
+    if size < MAPPED_STACK_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.zeros(shape, dtype=np.uint16)
+    pages = _StackPages(-1, size, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        pages.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.ndarray(shape, np.uint16, buffer=pages)
 
 
 def stack_frames(stack, cam):
@@ -168,16 +207,21 @@ def render_depth(geom, pose, cam, out=None):
     """Z-buffered depth render of the hand surface. Deterministic.
 
     Returns a DepthImage. Given `out`, a writable (h, w) uint16 grid such
-    as a row of a frame stack, the depths are written into it and `out`
-    is returned instead.
+    as a row of a `zero_stack`, the depths are written into it and `out` is
+    returned instead. Only the hand's pixels and the other pixels of `out`
+    that are not background are written, so the background pages of a
+    fresh stack row are read but never written.
     """
     zbuf = _zbuffer(cam, *hand_primitives(geom, pose))
     fg = np.isfinite(zbuf)
     if not fg.any():
         raise RenderError("hand produced no foreground pixels (behind camera or "
                           "outside the frustum)")
-    grid = np.empty((cam.height, cam.width), dtype=np.uint16) if out is None else out
-    grid.fill(BACKGROUND)
+    if out is None:
+        grid = np.zeros((cam.height, cam.width), dtype=np.uint16)
+    else:
+        grid = out
+        np.copyto(grid, BACKGROUND, where=grid != BACKGROUND)
     grid[fg] = np.clip(np.rint(zbuf[fg]), 1, 65534)
     if out is not None:
         return out
@@ -186,25 +230,35 @@ def render_depth(geom, pose, cam, out=None):
 
 
 def _pixel_boxes(cam, points, radii):
-    """Conservative pixel bounding boxes of primitives, primitive i covered
-    by spheres of radius radii[i] around its points (p, k, 3): a (p, 4) int
-    array of (u0, u1, v0, v1) rows and a (p,) mask of the non-empty boxes.
-    A sphere whose near side is not 1 mm in front of the camera is left out.
+    """Pixel bounding boxes of primitives, primitive i the hull of spheres
+    of radius radii[i] around its points (p, k, 3): a (p, 4) int array of
+    (u0, u1, v0, v1) rows and a (p,) mask of the non-empty boxes.
+
+    A sphere whose near side is over 1 mm in front of the camera is bounded
+    by its tangent planes through the camera's x and y axes: the ray slopes
+    t = (c_a c_z +- r sqrt(c_a^2 + c_z^2 - r^2)) / (c_z^2 - r^2), a = x, y,
+    exact wherever the sphere sits off the optical axis; a primitive's box
+    spans its spheres' boxes. A primitive with every sphere behind the
+    camera has an empty box. Any other primitive with a sphere not over
+    1 mm in front reaches the image plane, and its box is the whole image.
     """
-    z = points[..., 2] - radii[:, None]
-    keep = z > 1.0
-    z = np.where(keep, z, 1.0)
-    us = cam.fx * points[..., 0] / z + cam.cx
-    vs = cam.fy * points[..., 1] / z + cam.cy
-    pr_u = radii[:, None] * cam.fx / z
-    pr_v = radii[:, None] * cam.fy / z
-    seen = keep.any(axis=1)
-    # a pixel past the kept spheres' projections on every side
-    box = [np.floor(np.where(keep, us - pr_u, np.inf).min(axis=1)) - 1,
-           np.ceil(np.where(keep, us + pr_u, -np.inf).max(axis=1)) + 1,
-           np.floor(np.where(keep, vs - pr_v, np.inf).min(axis=1)) - 1,
-           np.ceil(np.where(keep, vs + pr_v, -np.inf).max(axis=1)) + 1]
-    u0, u1, v0, v1 = (np.where(seen, b, 0).astype(np.int64) for b in box)
+    r = radii[:, None]
+    cz = points[..., 2]
+    front = cz - r > 1.0
+    fit = front.all(axis=1)
+    seen = ~(cz + r <= 0.0).all(axis=1)
+    czr = np.where(front, cz * cz - r * r, 1.0)
+    box = []
+    for a, f, c in ((0, cam.fx, cam.cx), (1, cam.fy, cam.cy)):
+        ca = points[..., a]
+        half = r * np.sqrt(np.where(front, ca * ca + czr, 0.0))
+        lo = np.where(front, (ca * cz - half) / czr, np.inf).min(axis=1)
+        hi = np.where(front, (ca * cz + half) / czr, -np.inf).max(axis=1)
+        # a pixel past the spheres' silhouettes on either side
+        box += [np.floor(f * lo + c) - 1, np.ceil(f * hi + c) + 1]
+    u0, u1, v0, v1 = (np.where(fit, b, 0).astype(np.int64) for b in box)
+    whole = seen & ~fit
+    u1[whole], v1[whole] = cam.width - 1, cam.height - 1
     u0, u1 = np.maximum(u0, 0), np.minimum(u1, cam.width - 1)
     v0, v1 = np.maximum(v0, 0), np.minimum(v1, cam.height - 1)
     return np.stack([u0, u1, v0, v1], axis=1), seen & (u0 <= u1) & (v0 <= v1)
@@ -336,7 +390,10 @@ def write_pgm(path, img):
 def read_pgm(path, cam=None, out=None):
     """Read a 16-bit PGM as a DepthImage; `cam` defaults to intrinsics
     matching its size. Given `out`, a writable uint16 grid of the camera's
-    size, the depths are written into it and `out` is returned instead.
+    size such as a row of a `zero_stack`, the depths are written into it
+    and `out` is returned instead. Only the pixels of `out` that differ
+    from the file's are written, so a fresh stack row takes pages for the
+    foreground only.
 
     A malformed file raises ValueError("path: reason").
     """
@@ -377,7 +434,7 @@ def read_pgm(path, cam=None, out=None):
     grid = np.frombuffer(data, dtype=">u2", count=width * height, offset=pos)
     grid = grid.reshape(height, width)
     if out is not None:
-        out[...] = grid
+        np.copyto(out, grid, where=out != grid)
         return out
     grid = grid.astype(np.uint16)
     grid.flags.writeable = False

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry, quats
 from .config import DEFAULTS, read_keyvalue
-from .depth import read_pgm, render_depth, stack_frames, write_pgm
+from .depth import read_pgm, render_depth, stack_frames, write_pgm, zero_stack
 
 TEMPLATE_NAMES = ("extended", "flexed", "half", "spread")
 
@@ -133,10 +133,12 @@ def make_track_keyposes(rng, count, *, limits, articulations=None, orientation=N
 def render_poses(poses, geom, cam, *, jitter_mm=0.0, rng=None):
     """Render each pose into its row of one read-only (n, h, w) stack and
     return the rows as DepthImages; optional uniform depth jitter on
-    foreground pixels."""
+    foreground pixels. The stack is a `zero_stack` and only foreground
+    pixels are written, so a stack of 4 MiB or more holds resident pages
+    only where a hand is."""
     if jitter_mm > 0.0 and rng is None:
         raise ValueError("depth jitter requires an rng")
-    stack = np.empty((len(poses), cam.height, cam.width), dtype=np.uint16)
+    stack = zero_stack(len(poses), cam.height, cam.width)
     for pose, grid in zip(poses, stack):
         render_depth(geom, pose, cam, out=grid)
         if jitter_mm > 0.0:
@@ -158,13 +160,15 @@ def write_split(split_dir, poses, images):
 
 def read_split(split_dir, cam):
     """One split's poses, and its frames as the rows of one read-only
-    (n, h, w) stack, each frame read straight into its row."""
+    (n, h, w) stack, each frame read straight into its row. The stack is a
+    `zero_stack` and only foreground pixels are written, as in
+    `render_poses`."""
     split_dir = Path(split_dir)
     poses_path = split_dir / "poses.csv"
     if not poses_path.exists():
         raise FileNotFoundError(str(poses_path))
     poses = geometry.read_poses_csv(poses_path)
-    stack = np.empty((len(poses), cam.height, cam.width), dtype=np.uint16)
+    stack = zero_stack(len(poses), cam.height, cam.width)
     for i, grid in enumerate(stack):
         frame = split_dir / f"frame_{i:05d}.pgm"
         if not frame.exists():

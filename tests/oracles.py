@@ -5,6 +5,8 @@ instead of mean-shift, sphere marching instead of analytic intersection,
 scalar loops instead of vectorized code.
 """
 
+import functools
+
 import numpy as np
 
 from handfit import fit, forest, geometry, quats
@@ -560,40 +562,22 @@ def march_ray_depth(geom, pose, cam, u, v, max_depth=2000.0):
 
 
 # Frozen copies of the renderer's per-primitive helpers from before a pose's
-# primitives were rasterised in one batched solve: the pixel box of one
-# primitive, its rays and its z-buffer update.
+# primitives were rasterised in one batched solve, except that a primitive
+# casts every ray of the image rather than those of a pixel box: its rays and
+# its z-buffer update.
 
-def pixel_box_one(cam, points, radius):
-    """Conservative pixel bounding box of spheres at `points`; None if empty."""
-    points = np.asarray(points, dtype=float)
-    z = points[:, 2] - radius
-    if np.all(z <= 1.0):
-        return None
-    keep = z > 1.0
-    pts = points[keep]
-    z = z[keep]
-    us = cam.fx * pts[:, 0] / z + cam.cx
-    vs = cam.fy * pts[:, 1] / z + cam.cy
-    pr_u = radius * cam.fx / z
-    pr_v = radius * cam.fy / z
-    u0 = int(np.floor((us - pr_u).min())) - 1
-    u1 = int(np.ceil((us + pr_u).max())) + 1
-    v0 = int(np.floor((vs - pr_v).min())) - 1
-    v1 = int(np.ceil((vs + pr_v).max())) + 1
-    u0, u1 = max(u0, 0), min(u1, cam.width - 1)
-    v0, v1 = max(v0, 0), min(v1, cam.height - 1)
-    if u0 > u1 or v0 > v1:
-        return None
-    return u0, u1, v0, v1
-
-
-def box_rays_one(cam, box):
-    u0, u1, v0, v1 = box
-    us, vs = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1))
+@functools.lru_cache(maxsize=4)
+def image_rays(cam):
+    """Every pixel (u, v) of the image and its ray ((u - cx) / fx, (v - cy) / fy, 1),
+    read-only."""
+    us, vs = np.meshgrid(np.arange(cam.width), np.arange(cam.height))
     dirs = np.stack([(us.ravel() - cam.cx) / cam.fx,
                      (vs.ravel() - cam.cy) / cam.fy,
                      np.ones(us.size)], axis=1)
-    return us.ravel(), vs.ravel(), dirs
+    rays = us.ravel(), vs.ravel(), dirs
+    for a in rays:
+        a.flags.writeable = False
+    return rays
 
 
 def update_zbuf_one(zbuf, us, vs, t):
@@ -625,10 +609,7 @@ def ray_sphere_own_quadratic(dirs, center, radius):
 
 def raster_capsule_own_quadratic(zbuf, cam, a, b, radius):
     """One capsule rasterised on its own, with its own ray quadratics."""
-    box = pixel_box_one(cam, np.stack([a, b]), radius)
-    if box is None:
-        return
-    us, vs, dirs = box_rays_one(cam, box)
+    us, vs, dirs = image_rays(cam)
 
     ab = b - a
     length = np.linalg.norm(ab)
@@ -660,10 +641,7 @@ def raster_capsule_own_quadratic(zbuf, cam, a, b, radius):
 
 def raster_ellipsoid_own_quadratic(zbuf, cam, center, semi_axes, rot):
     """The palm ellipsoid rasterised on its own, with its own ray quadratic."""
-    box = pixel_box_one(cam, center[None, :], float(np.max(semi_axes)))
-    if box is None:
-        return
-    us, vs, dirs = box_rays_one(cam, box)
+    us, vs, dirs = image_rays(cam)
     d_loc = dirs @ rot / semi_axes
     o_loc = (-center) @ rot / semi_axes
     qa = np.einsum("ij,ij->i", d_loc, d_loc)

@@ -1,3 +1,7 @@
+import mmap
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +126,48 @@ def test_shared_ray_quadric_rasterises_every_primitive_bit_for_bit(geom, limits,
         assert np.array_equal(got, want)
         hits[i % 2] += np.isfinite(got).any()
     assert hits[0] == 12 and hits[1] >= 8
+
+
+def test_pixel_boxes_hold_off_axis_silhouettes(geom, limits, cam):
+    # hands far off the optical axis, whose spheres' silhouettes reach past
+    # (x +- r) / (z - r): 37 pixels went missing from the first, and the
+    # second showed a surface 62 mm too deep at 5 pixels
+    rng = np.random.default_rng(5)
+    poses = [geometry.random_pose(rng, limits, geometry.DEFAULT_WORKSPACE) for _ in range(143)]
+    for i, t in [(34, (101.8, 46.2, 454.3)), (142, (-103.8, 90.9, 473.8))]:
+        np.testing.assert_allclose(poses[i].translation, t, atol=0.05)
+        primitives = depth.hand_primitives(geom, poses[i])
+        got = depth._zbuffer(cam, *primitives)
+        want = _zbuf(cam, primitives, raster_capsule_own_quadratic,
+                     raster_ellipsoid_own_quadratic)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_pixel_boxes_bound_every_sphere_ray(cam, rng):
+    # spheres in front of, across and behind the image plane, on and far
+    # off the optical axis: every pixel whose ray meets a sphere lies in
+    # its box, and the box of a sphere in front of the camera whose
+    # silhouette is not cut by the image edge reaches at most 2 pixels past
+    us, vs = np.meshgrid(np.arange(cam.width), np.arange(cam.height))
+    dirs = np.stack([(us - cam.cx) / cam.fx, (vs - cam.cy) / cam.fy, np.ones(us.shape)], -1)
+    unit = dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
+    centers = np.column_stack([rng.uniform(-400.0, 400.0, (60, 2)),
+                               rng.uniform(-60.0, 900.0, 60)])
+    radii = rng.uniform(5.0, 60.0, 60)
+    boxes, seen = depth._pixel_boxes(cam, centers[:, None, :], radii)
+    for c, r, (u0, u1, v0, v1), kept in zip(centers, radii, boxes, seen):
+        along = unit @ c
+        hit = (along > 0.0) & (c @ c - along * along <= r * r)
+        if not hit.any():
+            continue
+        assert kept
+        rows, cols = np.nonzero(hit)
+        assert u0 <= cols.min() and cols.max() <= u1 and v0 <= rows.min() and rows.max() <= v1
+        inside = 0 < cols.min() and cols.max() < cam.width - 1 \
+            and 0 < rows.min() and rows.max() < cam.height - 1
+        if c[2] - r > 1.0 and inside:
+            assert (u0 >= cols.min() - 2 and u1 <= cols.max() + 2
+                    and v0 >= rows.min() - 2 and v1 <= rows.max() + 2)
 
 
 def test_one_solve_rasterises_cut_primitives_bit_for_bit(cam):
@@ -272,3 +318,80 @@ def test_depth_image_keeps_only_grids_no_array_can_write(geom, cam, rest_render)
     # a read-only grid of its own is kept, not copied
     assert DepthImage(stacked[0].depth, cam).depth is stacked[0].depth
     assert DepthImage(img.depth, cam).depth is img.depth
+
+
+def _resident_bytes():
+    return int(Path("/proc/self/statm").read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.fixture(scope="module")
+def far_grid(limits):
+    # 32 poses 700 mm away: a 4.9 MB stack, over MAPPED_STACK_BYTES
+    poses = synth.generate_training_poses(limits=limits, per_finger=2, num_views=1,
+                                          translation=(0.0, 0.0, 700.0))
+    assert len(poses) * 320 * 240 * 2 >= depth.MAPPED_STACK_BYTES
+    return poses
+
+
+def test_zero_stack_maps_large_stacks_and_zeroes_small_ones():
+    small = depth.zero_stack(3, 240, 320)
+    large = depth.zero_stack(depth.MAPPED_STACK_BYTES // (240 * 320 * 2) + 1, 240, 320)
+    for stack in (small, large):
+        assert stack.dtype == np.uint16 and stack.flags.writeable
+        assert not stack.any()
+    assert small.base is None and isinstance(large.base, mmap.mmap)
+    assert depth.zero_stack(0, 240, 320).shape == (0, 240, 320)
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+def test_rendered_stack_keeps_background_pages_unbacked(geom, cam, far_grid):
+    synth.render_poses(far_grid, geom, cam)  # the render's own buffers grow the heap once
+    before = _resident_bytes()
+    frames = synth.render_poses(far_grid, geom, cam)
+    rendered = _resident_bytes()
+    stack = frames[0].depth.base
+    assert np.count_nonzero(stack) < stack.size // 20
+    read = _resident_bytes()
+    # the hands' pages only (about a third of the stack), and no page for a read
+    assert rendered - before < stack.nbytes // 2
+    assert read - rendered < stack.nbytes // 64
+
+
+def test_mapped_stack_rows_are_kept_and_refuse_writes(geom, cam, far_grid):
+    frames = synth.render_poses(far_grid, geom, cam)
+    stack = frames[0].depth.base
+    assert isinstance(stack.base, mmap.mmap) and stack.shape[0] == len(frames)
+    for i in (0, len(frames) - 1):
+        assert frames[i].depth.base is stack
+        assert np.shares_memory(frames[i].depth, stack[i])
+        assert DepthImage(frames[i].depth, cam).depth is frames[i].depth
+        assert np.array_equal(frames[i].depth, render_depth(geom, far_grid[i], cam).depth)
+    with pytest.raises(ValueError, match="read-only"):
+        frames[3].depth[120, 160] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        stack[3, 120, 160] = 1
+
+
+def test_grid_over_a_foreign_mapping_is_copied(cam, rest_render):
+    _, img = rest_render
+    pages = mmap.mmap(-1, img.depth.nbytes)
+    grid = np.ndarray(img.depth.shape, np.uint16, buffer=pages)
+    grid[...] = img.depth
+    grid.flags.writeable = False  # read-only, but the mapping can still be written
+    kept = DepthImage(grid, cam)
+    assert not np.shares_memory(kept.depth, grid)
+    pages[:] = bytes(len(pages))
+    assert np.array_equal(kept.depth, img.depth)
+
+
+def test_render_and_read_into_a_used_grid_equal_a_fresh_frame(geom, cam, tmp_path, rest_render):
+    # `out` may hold anything: every pixel that differs is written
+    pose, img = rest_render
+    write_pgm(tmp_path / "f.pgm", img)
+    other = render_depth(geom, PoseParams.rest((40.0, -30.0, 450.0)), cam).depth
+    for used in (np.zeros_like(other), other.copy(), np.full_like(other, 9)):
+        for fill in (lambda out: render_depth(geom, pose, cam, out=out),
+                     lambda out: read_pgm(tmp_path / "f.pgm", cam, out=out)):
+            out = used.copy()
+            assert fill(out) is out
+            assert out.tobytes() == img.depth.tobytes()
