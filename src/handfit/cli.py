@@ -57,6 +57,17 @@ def _require(*paths):
         raise FileNotFoundError("missing inputs: " + ", ".join(missing))
 
 
+def _output_file(path):
+    """`path` as a file to write, checked before any stage starts work: a
+    directory there raises IsADirectoryError, and its parent is made (a
+    file in the way raises FileExistsError or NotADirectoryError)."""
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(f"{path}: is a directory, not a file to write")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _dataset_geometry(dataset):
     geo_path = Path(dataset) / "geometry.txt"
     lim_path = Path(dataset) / "limits.txt"
@@ -116,6 +127,7 @@ def cmd_train(args):
     cfg = _load_config(args)
     dataset = Path(args.dataset)
     _require(dataset / "train" / "poses.csv", dataset / "intrinsics.txt")
+    out = _output_file(args.out)
     cam = CameraIntrinsics.from_file(dataset / "intrinsics.txt")
     geom, _ = _dataset_geometry(dataset)
     poses, images = synth.read_split(dataset / "train", cam)
@@ -125,14 +137,12 @@ def cmd_train(args):
     rng = np.random.default_rng((cfg["seed"], 3))
     samples = forest.build_training_set(images, gts, cfg["forest.train_stride"],
                                         rng, cap=cfg["forest.train_cap"])
-    log.info("training forest on %d samples from %d frames (frame stack %d bytes, "
+    log.info("training forest on %d samples from %d frames (frame crops %d bytes, "
              "sample table %d bytes)", len(samples), len(poses), samples.images.nbytes,
              samples.table_bytes)
     model = forest.train_forest(samples, cfg.build(ForestConfig, "forest"),
                                 np.random.default_rng((cfg["seed"], 4)),
                                 threads=args.threads)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     forest.save_forest(out, model)
     stats = model.stats()
     with open(out.with_suffix(".stats.txt"), "w") as fh:
@@ -158,6 +168,7 @@ def cmd_infer(args):
     dataset = Path(args.dataset)
     split = dataset / args.split
     _require(args.forest, split / "poses.csv", dataset / "intrinsics.txt")
+    out = _output_file(args.out)
     cam = CameraIntrinsics.from_file(dataset / "intrinsics.txt")
     model = forest.load_forest(args.forest)
     _, images = synth.read_split(split, cam)
@@ -166,8 +177,6 @@ def cmd_infer(args):
         forest.proposals_from_votes, top_n=cfg["forest.top_n"], k=cfg["forest.k"],
         bandwidth_mm=cfg["forest.infer_bandwidth_mm"],
         max_iters=cfg["forest.meanshift_iters"]))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     proposals.write_proposals_csv(out, psets)
     return EXIT_OK
 
@@ -247,11 +256,12 @@ def cmd_sweep(args):
     cam = CameraIntrinsics.from_file(dataset / "intrinsics.txt")
     geom, limits = _dataset_geometry(dataset)
     model = forest.load_forest(args.forest)
+    out = Path(args.out) if args.out else Path(f"run_{cfg.content_hash()}")
+    out.mkdir(parents=True, exist_ok=True)  # a file in the way fails before any vote
     poses, images = synth.read_split(split, cam)
     gt_joints = [geometry.forward_kinematics(geom, p) for p in poses]
     log.info("accumulating votes for %d frames", len(images))
     votes = _vote_frames(cfg, model, images, args.threads)
-    out = Path(args.out) if args.out else Path(f"run_{cfg.content_hash()}")
     rows = sweeps.run_sweep(args.experiment, votes, gt_joints, geom, limits,
                             cfg, out / f"sweep_{args.experiment}")
     log.info("wrote %d sweep rows under %s", len(rows), out)
@@ -378,7 +388,8 @@ def main(argv=None):
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError,
+            PermissionError) as exc:
         log.error("%s", exc)
         return EXIT_MISSING
     except (RenderError, ForestFormatError, ValueError) as exc:

@@ -8,16 +8,14 @@ surface. A pose's primitives are rasterised together: their pixel boxes
 pass, and every capsule's end spheres and body and the ellipsoid go
 through one batched ray-quadric solve. Each primitive's own products keep
 the bits they have when it is solved alone, so the depths do not depend
-on the batching. The frames of a split are the rows of one read-only
-stack (`stack_frames`), which training reads in place (`shared_stack`).
-The stack comes from `zero_stack` and frames are rendered or read into it
-foreground pixels only, so a large stack's background pages are never
-backed by memory of their own.
+on the batching. A frame is stored as the crop of its foreground bounding
+box (`DepthImage`), and a split's frames as one flat buffer of their crops
+with a per-frame (y0, x0, h, w, offset) table (`Frames`), which training
+and routing read in place; a full grid is built only on demand.
 """
 
 from __future__ import annotations
 
-import mmap
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,9 +32,6 @@ PALM_ELLIPSOID_SEMI_AXES = (45.0, 40.0, 15.0)
 PALM_ELLIPSOID_CENTER = (0.0, 42.0, 0.0)
 
 BACKGROUND = 0
-
-# A frame stack of at least this many bytes gets a mapping of its own.
-MAPPED_STACK_BYTES = 1 << 22
 
 
 class RenderError(RuntimeError):
@@ -95,88 +90,95 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class DepthImage:
-    """(h, w) uint16 grid of mm depths; 0 marks background.
+    """One frame: the (h, w) uint16 `crop` of mm depths whose top-left pixel
+    is (x0, y0) of the camera's image. Every pixel outside the crop, and
+    every 0 in it, is background; `depth` builds the full grid on demand.
 
-    The grid is read-only. One that nothing can write (it is read-only,
-    so is every array it is a view of, and its memory is a numpy array's
-    own or a `zero_stack` mapping) is kept as it is, so the frames of one
-    stack share its memory; any other grid, say one over a caller's own
-    `mmap`, is copied.
+    The crop is read-only. A writable one is copied; a read-only one is
+    kept as it is, so the frames of one `Frames` buffer are views of it.
     """
 
-    depth: np.ndarray
+    crop: np.ndarray
     cam: CameraIntrinsics
+    y0: int = 0
+    x0: int = 0
 
     def __post_init__(self):
-        d = np.asarray(self.depth)
-        if d.dtype != np.uint16:
+        c = np.asarray(self.crop)
+        if c.dtype != np.uint16:
             raise ValueError("depth grid must be uint16 millimetres")
-        if d.shape != (self.cam.height, self.cam.width):
-            raise ValueError("depth grid does not match intrinsics size")
-        if not _read_only(d):
-            d = d.copy()
-            d.flags.writeable = False
-        object.__setattr__(self, "depth", d)
+        y0, x0 = int(self.y0), int(self.x0)
+        if c.ndim != 2 or min(y0, x0) < 0 or y0 + c.shape[0] > self.cam.height \
+                or x0 + c.shape[1] > self.cam.width:
+            raise ValueError(f"depth crop {c.shape} at ({x0}, {y0}) does not fit the "
+                             f"intrinsics size {self.cam.width}x{self.cam.height}")
+        if c.flags.writeable:
+            c = c.copy()
+            c.flags.writeable = False
+        object.__setattr__(self, "crop", c)
+        object.__setattr__(self, "y0", y0)
+        object.__setattr__(self, "x0", x0)
+
+    @classmethod
+    def from_grid(cls, grid, cam):
+        """The frame of a full (height, width) grid, cropped to the bounding
+        box of its non-background pixels (an empty crop when it has none)."""
+        fg = grid != BACKGROUND
+        rows, cols = np.flatnonzero(fg.any(axis=1)), np.flatnonzero(fg.any(axis=0))
+        y0, y1 = (rows[0], rows[-1] + 1) if len(rows) else (0, 0)
+        x0, x1 = (cols[0], cols[-1] + 1) if len(cols) else (0, 0)
+        crop = grid[y0:y1, x0:x1].astype(np.uint16)
+        crop.flags.writeable = False
+        return cls(crop, cam, y0, x0)
+
+    @property
+    def depth(self):
+        """The full (height, width) grid, built anew on each read."""
+        grid = np.zeros((self.cam.height, self.cam.width), dtype=np.uint16)
+        h, w = self.crop.shape
+        grid[self.y0:self.y0 + h, self.x0:self.x0 + w] = self.crop
+        grid.flags.writeable = False
+        return grid
 
 
-def _read_only(array):
-    """True when `array` and every array whose memory it views are read-only,
-    and that memory is a numpy array's own or a `zero_stack` mapping."""
-    while isinstance(array, np.ndarray):
-        if array.flags.writeable:
-            return False
-        array = array.base
-    return array is None or isinstance(array, _StackPages)
+@dataclass(frozen=True, eq=False)
+class Frames:
+    """A split's frames: their crops one after another, each row-major, in
+    one flat read-only uint16 buffer `pixels`, and an (n, 5) int64 table
+    `boxes` of each frame's (y0, x0, h, w, offset into `pixels`). Frame i
+    is a DepthImage whose crop is a view of `pixels`."""
 
+    pixels: np.ndarray
+    boxes: np.ndarray
+    cam: CameraIntrinsics
 
-class _StackPages(mmap.mmap):
-    """The private anonymous mapping behind a `zero_stack`: the one buffer
-    other than numpy's own memory that a DepthImage keeps uncopied."""
+    @classmethod
+    def pack(cls, images, cam):
+        """The DepthImages `images`, all of camera `cam`, copied into one buffer."""
+        boxes = np.zeros((len(images), 5), dtype=np.int64)
+        for i, img in enumerate(images):
+            if img.cam != cam:
+                raise ValueError(f"frame {i}: its camera is not the split's")
+            boxes[i, :4] = (img.y0, img.x0) + img.crop.shape
+        sizes = boxes[:, 2] * boxes[:, 3]
+        boxes[:, 4] = np.cumsum(sizes) - sizes
+        pixels = np.empty(int(sizes.sum()), dtype=np.uint16)
+        for img, offset, size in zip(images, boxes[:, 4], sizes):
+            pixels[offset:offset + size] = img.crop.reshape(-1)
+        pixels.flags.writeable = boxes.flags.writeable = False
+        return cls(pixels, boxes, cam)
 
+    def __len__(self):
+        return len(self.boxes)
 
-def zero_stack(n, height, width):
-    """A writable (n, height, width) uint16 stack of zeros (background)
-    whose pages take resident memory only once a pixel on them is written.
+    def __getitem__(self, i):
+        y0, x0, h, w, offset = self.boxes[i].tolist()
+        return DepthImage(self.pixels[offset:offset + h * w].reshape(h, w), self.cam, y0, x0)
 
-    A stack of at least MAPPED_STACK_BYTES (4 MiB) is a private anonymous
-    mapping with transparent huge pages refused, so each untouched page
-    reads from the kernel's shared zero page: writing only the foreground
-    of its frames leaves the background pages unbacked, and reading them
-    adds nothing. numpy asks for huge pages on allocations of 4 MiB or
-    more, which makes a `np.zeros` stack that size as resident as a filled
-    one. A smaller stack, or any stack where `mmap` has no MAP_PRIVATE,
-    comes from `np.zeros`: a mapping of its own costs more set-up time than
-    its pages save.
-    """
-    shape = (n, height, width)
-    size = n * height * width * np.dtype(np.uint16).itemsize
-    if size < MAPPED_STACK_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
-        return np.zeros(shape, dtype=np.uint16)
-    pages = _StackPages(-1, size, flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        pages.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.ndarray(shape, np.uint16, buffer=pages)
-
-
-def stack_frames(stack, cam):
-    """The rows of an (n, h, w) uint16 stack as n DepthImages that share its
-    memory. The stack is made read-only first, so nothing writes them."""
-    stack.flags.writeable = False
-    return [DepthImage(grid, cam) for grid in stack]
-
-
-def shared_stack(images):
-    """The (n, h, w) stack whose rows, in order, are the grids of the n
-    `images` (as `stack_frames` returns them), or None when there is none."""
-    stack = images[0].depth.base if images else None
-    if not isinstance(stack, np.ndarray) or stack.shape[:1] != (len(images),):
-        return None
-    row = stack.strides[0]
-    for i, img in enumerate(images):
-        if img.depth.base is not stack or img.depth.strides != stack.strides[1:] \
-                or img.depth.ctypes.data != stack.ctypes.data + i * row:
-            return None
-    return stack
+    @property
+    def nbytes(self):
+        """Bytes of the crop buffer: what the frames' pixels take."""
+        return self.pixels.nbytes
 
 
 def foreground_mask(img):
@@ -203,30 +205,20 @@ def hand_primitives(geom, pose):
     return np.asarray(segs, dtype=float), np.asarray(radii, dtype=float), ellipsoid
 
 
-def render_depth(geom, pose, cam, out=None):
+def render_depth(geom, pose, cam):
     """Z-buffered depth render of the hand surface. Deterministic.
 
-    Returns a DepthImage. Given `out`, a writable (h, w) uint16 grid such
-    as a row of a `zero_stack`, the depths are written into it and `out` is
-    returned instead. Only the hand's pixels and the other pixels of `out`
-    that are not background are written, so the background pages of a
-    fresh stack row are read but never written.
+    Returns a DepthImage cropped to the hand's bounding box.
     """
-    zbuf = _zbuffer(cam, *hand_primitives(geom, pose))
-    fg = np.isfinite(zbuf)
-    if not fg.any():
+    zbuf, v0, u0 = _zbuffer(cam, *hand_primitives(geom, pose))
+    if not zbuf.size:
         raise RenderError("hand produced no foreground pixels (behind camera or "
                           "outside the frustum)")
-    if out is None:
-        grid = np.zeros((cam.height, cam.width), dtype=np.uint16)
-    else:
-        grid = out
-        np.copyto(grid, BACKGROUND, where=grid != BACKGROUND)
-    grid[fg] = np.clip(np.rint(zbuf[fg]), 1, 65534)
-    if out is not None:
-        return out
-    grid.flags.writeable = False
-    return DepthImage(grid, cam)
+    fg = np.isfinite(zbuf)
+    crop = np.zeros(zbuf.shape, dtype=np.uint16)
+    crop[fg] = np.clip(np.rint(zbuf[fg]), 1, 65534)
+    crop.flags.writeable = False
+    return DepthImage(crop, cam, v0, u0)
 
 
 def _pixel_boxes(cam, points, radii):
@@ -315,9 +307,12 @@ def _sphere_depth(hit, near, far):
 
 
 def _zbuffer(cam, segs, radii, ellipsoid):
-    """(h, w) depth of the nearest surface along every pixel ray, inf where
-    there is none, of the capsules `segs` (m, 2, 3) with `radii` (m,) and
-    the ellipsoid (center, semi_axes, rot), in one batched ray solve.
+    """Depth of the nearest surface along every pixel ray, inf where there
+    is none, of the capsules `segs` (m, 2, 3) with `radii` (m,) and the
+    ellipsoid (center, semi_axes, rot), in one batched ray solve, over the
+    bounding box of the pixels that see a surface: (zbuf, v0, u0), zbuf
+    the box's depths and (u0, v0) its top-left pixel. Every pixel outside
+    the box sees none; with no such pixel the box is empty at (0, 0).
 
     A capsule is its two end spheres and the infinite cylinder around its
     axis, cut to the segment; the ellipsoid is the unit sphere in its own
@@ -327,7 +322,6 @@ def _zbuffer(cam, segs, radii, ellipsoid):
     alone, so no depth depends on the batching.
     """
     center, semi_axes, rot = ellipsoid
-    zbuf = np.full((cam.height, cam.width), np.inf)
     boxes, seen = _pixel_boxes(cam, np.concatenate([segs, [[center, center]]]),
                                np.append(radii, float(np.max(semi_axes))))
     us, vs, dirs, counts = _box_rays(cam, boxes[seen])
@@ -376,24 +370,25 @@ def _zbuffer(cam, segs, radii, ellipsoid):
     t = np.concatenate([t, np.where(hit[ell] & (near[ell] > 0.0), near[ell], np.inf)])
     # the nearest hit per pixel, whichever primitive's ray made it
     hit = np.isfinite(t)
-    np.minimum.at(zbuf.reshape(-1), (vs * cam.width + us)[hit], t[hit])
-    return zbuf
+    us, vs, t = us[hit], vs[hit], t[hit]
+    v0, u0 = (int(vs.min()), int(us.min())) if len(t) else (0, 0)
+    h, w = (int(vs.max()) + 1 - v0, int(us.max()) + 1 - u0) if len(t) else (0, 0)
+    zbuf = np.full((h, w), np.inf)
+    np.minimum.at(zbuf.reshape(-1), (vs - v0) * w + (us - u0), t)
+    return zbuf, v0, u0
 
 
 def write_pgm(path, img):
-    """16-bit binary PGM (P5, maxval 65535, big-endian samples)."""
+    """16-bit binary PGM (P5, maxval 65535, big-endian samples) of the
+    frame's full grid."""
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.cam.width} {img.cam.height}\n65535\n".encode())
         fh.write(np.ascontiguousarray(img.depth, dtype=">u2").tobytes())
 
 
-def read_pgm(path, cam=None, out=None):
-    """Read a 16-bit PGM as a DepthImage; `cam` defaults to intrinsics
-    matching its size. Given `out`, a writable uint16 grid of the camera's
-    size such as a row of a `zero_stack`, the depths are written into it
-    and `out` is returned instead. Only the pixels of `out` that differ
-    from the file's are written, so a fresh stack row takes pages for the
-    foreground only.
+def read_pgm(path, cam=None):
+    """Read a 16-bit PGM as a DepthImage cropped to the bounding box of its
+    non-background pixels; `cam` defaults to intrinsics matching its size.
 
     A malformed file raises ValueError("path: reason").
     """
@@ -432,13 +427,7 @@ def read_pgm(path, cam=None, out=None):
         raise ValueError(f"{path}: pixel data truncated, "
                          f"{max(len(data) - pos, 0)} of {size} bytes")
     grid = np.frombuffer(data, dtype=">u2", count=width * height, offset=pos)
-    grid = grid.reshape(height, width)
-    if out is not None:
-        np.copyto(out, grid, where=out != grid)
-        return out
-    grid = grid.astype(np.uint16)
-    grid.flags.writeable = False
     if cam is None:
         cam = CameraIntrinsics(fx=DEFAULTS["camera.fx"], fy=DEFAULTS["camera.fy"],
                                cx=width / 2, cy=height / 2, width=width, height=height)
-    return DepthImage(grid, cam)
+    return DepthImage.from_grid(grid.reshape(height, width), cam)

@@ -10,9 +10,10 @@ leaves' joint offset sets are derived and condensed by the two steps of
 `mean_shift` in two passes, pooled LEAVES_PER_CALL leaves a call, then
 shifted and merged in order of pooled size, so that the many sets of one
 size share one stacked product. A node scores its candidate splits on
-features computed sample-major, PROBE_BLOCK candidate-sample pairs at a
-time in reused buffers; routing reads one probe pair per patch through the
-same probe code. At test time every patch votes absolute
+features computed candidate-major, PROBE_BLOCK candidate-sample pairs at a
+time in reused buffers; a probe reads its frame's foreground crop from the
+split's flat crop buffer, and routing reads one probe pair per patch
+through the same probe code. At test time every patch votes absolute
 3D positions for every joint; per joint the strongest votes are condensed
 by the same `mean_shift` into a handful of confidence-weighted proposals.
 """
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import geometry
 from .config import DEFAULTS, ConfigError, ForestConfig, check_setting  # ForestConfig re-exported
-from .depth import shared_stack
+from .depth import Frames
 # `_dedup` is not called here: perfbench/tracing.py wraps it by this module's name
 from .meanshift import INFER_DEDUP_DIVISOR, _dedup, mean_shift, pool_sets, pooled_modes  # noqa: F401
 from .proposals import ProposalSet
@@ -67,14 +68,15 @@ class ForestFormatError(ValueError):
 
 @dataclass
 class SampleSet:
-    """Columnar training samples plus the depth images and ground-truth
-    joints they index into: 54 bytes a sample and one joint set a frame.
+    """Columnar training samples plus the frames and ground-truth joints
+    they index into: 54 bytes a sample and one joint set a frame. The
+    frames are read where they are, one flat buffer of foreground crops.
 
     A sample's offsets to the joints are not stored: `offsets(idx)` derives
     them from its frame's joints and its patch centre.
     """
 
-    images: np.ndarray   # (n_img, h, w) uint16
+    images: Frames       # n_img frames, one crop buffer
     cam: object
     pixel: np.ndarray    # (n, 2) float, (u, v)
     depth: np.ndarray    # (n,) float mm at the patch centre
@@ -93,14 +95,15 @@ class SampleSet:
 
     @property
     def table_bytes(self):
-        """Bytes of the sample columns and joint sets, the image stack not counted."""
+        """Bytes of the sample columns and joint sets, the frames' crops not counted."""
         return sum(a.nbytes for a in (self.pixel, self.depth, self.img_idx, self.label,
                                       self.centers, self.joints))
 
 
 def _stride_grid(img, stride):
-    """The frame's depths on the stride grid, a view; nonzero is foreground."""
-    return img.depth[::stride, ::stride]
+    """The frame's crop on the full frame's stride grid (the pixels whose u
+    and v are multiples of `stride`), a view; nonzero is foreground."""
+    return img.crop[-img.y0 % stride::stride, -img.x0 % stride::stride]
 
 
 def _patch_grid(img, stride, rng=None, cap=None):
@@ -110,13 +113,14 @@ def _patch_grid(img, stride, rng=None, cap=None):
     patch depths (n,) in mm, back-projected centres (n, 3) and (u, v)
     pixels (n, 2).
     """
-    vs, us = np.nonzero(_stride_grid(img, stride))
-    vs *= stride
-    us *= stride
+    grid = _stride_grid(img, stride)
+    vs, us = np.nonzero(grid)
     if cap is not None and len(us) > cap:
         sel = np.sort(rng.choice(len(us), size=cap, replace=False))
         us, vs = us[sel], vs[sel]
-    depths = img.depth[vs, us].astype(float)
+    depths = grid[vs, us].astype(float)
+    vs = vs * stride + (img.y0 + -img.y0 % stride)
+    us = us * stride + (img.x0 + -img.x0 % stride)
     centers = img.cam.backproject(us.astype(float), vs.astype(float), depths)
     return depths, centers, np.stack([us, vs], axis=1).astype(float)
 
@@ -129,17 +133,17 @@ def extract_samples(img, gt_joints, stride, rng, cap=None):
     (`SampleSet.offsets`) point from that centre to every joint. `cap`
     randomly limits samples per image.
     """
-    return _sample_table(img.depth[None, :, :], [img], _joint_table([gt_joints]),
+    return _sample_table(Frames.pack([img], img.cam), _joint_table([gt_joints]),
                          stride, rng, cap)
 
 
 def build_training_set(images, gt_joint_list, stride, rng, cap=None):
-    """Pooled SampleSet over many frames sharing one image stack.
+    """Pooled SampleSet over many frames of one camera.
 
-    Frames that are the rows of one stack in order, as `render_poses` and
-    `read_split` return them, are read from that stack in place; other
-    frames are stacked into a copy first. Every frame's joint set is
-    checked before any frame is sampled.
+    Frames as `render_poses` and `read_split` return them are read from
+    their crop buffer in place; a list of DepthImages is packed into a
+    buffer of its own first. Every frame's joint set is checked before any
+    frame is sampled.
     """
     if not len(images):
         raise ValueError("no frames given to build a training set from")
@@ -147,10 +151,9 @@ def build_training_set(images, gt_joint_list, stride, rng, cap=None):
         raise ValueError(f"{len(images)} frames but {len(gt_joint_list)} "
                          "ground-truth joint sets")
     joints = _joint_table(gt_joint_list)
-    stack = shared_stack(images)
-    if stack is None:
-        stack = np.stack([img.depth for img in images])
-    return _sample_table(stack, images, joints, stride, rng, cap)
+    if not isinstance(images, Frames):
+        images = Frames.pack(images, images[0].cam)
+    return _sample_table(images, joints, stride, rng, cap)
 
 
 def _joint_table(gt_joint_list):
@@ -171,27 +174,27 @@ def _joint_table(gt_joint_list):
     return np.stack(sets)
 
 
-def _sample_table(stack, images, joints, stride, rng, cap):
-    """SampleSet of `images` (frame i is stack[i], its joints joints[i]) as
+def _sample_table(frames, joints, stride, rng, cap):
+    """SampleSet of `frames` (frame i's joints joints[i]) as
     `extract_samples` describes it, frame after frame. A count pass sizes
     the columns, and each frame's samples are then written into its rows
     in place."""
-    counts = np.array([np.count_nonzero(_stride_grid(img, stride)) for img in images])
+    counts = np.array([np.count_nonzero(_stride_grid(img, stride)) for img in frames])
     if cap is not None:
         np.minimum(counts, cap, out=counts)
     ends = np.cumsum(counts)
     n = int(ends[-1])
     samples = SampleSet(
-        images=stack,
-        cam=images[0].cam,
+        images=frames,
+        cam=frames.cam,
         pixel=np.empty((n, 2)),
         depth=np.empty(n),
-        img_idx=np.repeat(np.arange(len(images), dtype=np.int32), counts),
+        img_idx=np.repeat(np.arange(len(frames), dtype=np.int32), counts),
         label=np.empty(n, dtype=np.int16),
         centers=np.empty((n, 3)),
         joints=joints,
     )
-    for img, gt, end, count in zip(images, joints, ends, counts):
+    for img, gt, end, count in zip(frames, joints, ends, counts):
         rows = slice(end - count, end)
         depths, centers, pixel = _patch_grid(img, stride, rng, cap)
         samples.pixel[rows], samples.depth[rows] = pixel, depths
@@ -201,28 +204,38 @@ def _sample_table(stack, images, joints, stride, rng, cap):
     return samples
 
 
-def _probe_buffers(size, dtype):
+def _probe_buffers(size):
     """Scratch for `_depth_difference` over up to `size` elements: the
     second probe's depth, the v coordinate, the flat read index, the depths
-    read (of the image stack's `dtype`) and two masks."""
+    read and two masks."""
     return (np.empty(size), np.empty(size), np.empty(size, dtype=np.intp),
-            np.empty(size, dtype=dtype), np.empty(size, dtype=bool),
+            np.empty(size, dtype=np.uint16), np.empty(size, dtype=bool),
             np.empty(size, dtype=bool))
 
 
-def _probe_depth(images, img_off, pixel, depth, offset, bg_depth, out, scratch):
-    """Depth read by one probe per patch into `out`; out-of-image or
-    background reads `bg_depth`.
+def _crop_bounds(frames, img_idx):
+    """(6,) + img_idx.shape float64 rows u0, u1, v0, v1, w, base of the
+    crops of frames `img_idx`: a crop spans u0 <= u < u1 and v0 <= v < v1,
+    w is its width, and its pixel (u, v) sits at v * w + u + base of the
+    frames' flat buffer."""
+    y0, x0, h, w, offset = frames.boxes.T.astype(float)
+    return np.stack([x0, x0 + w, y0, y0 + h, w, offset - y0 * w - x0]).take(img_idx, axis=1)
+
+
+def _probe_depth(pixels, bounds, pixel, depth, offset, bg_depth, out, scratch):
+    """Depth read by one probe per patch into `out`; a read outside the
+    patch's frame crop, on or off the image, or of background reads
+    `bg_depth`.
 
     The probe lands at pixel + offset / depth, rounded, and is read by one
-    1-D gather from the raveled (n_img, h, w) image stack at v * w + u +
-    img_off, img_off being the image's index times h * w. A probe off the
-    image reads whatever pixel the clipped index names, and is then read as
-    background. The arguments broadcast to out's shape; `scratch` holds
-    (v, index, read, inside, flag) buffers of that shape, and `out` holds u
-    until the depths go in.
+    1-D gather from the flat crop buffer `pixels` at v * w + u + base, with
+    `bounds` the (u0, u1, v0, v1, w, base) rows of `_crop_bounds`. A probe
+    outside the crop reads whatever pixel the clipped index names, and is
+    then read as background. The arguments broadcast to out's shape;
+    `scratch` holds (v, index, read, inside, flag) buffers of that shape,
+    and `out` holds u until the depths go in.
     """
-    h, w = images.shape[1:]
+    u0, u1, v0, v1, w, base = bounds
     v, index, read, inside, flag = scratch
     u = out
     np.divide(offset[..., 0], depth, out=u)
@@ -231,68 +244,72 @@ def _probe_depth(images, img_off, pixel, depth, offset, bg_depth, out, scratch):
     np.divide(offset[..., 1], depth, out=v)
     np.add(pixel[..., 1], v, out=v)
     np.rint(v, out=v)
-    np.greater_equal(u, 0, out=inside)
-    inside &= np.less(u, w, out=flag)
-    inside &= np.greater_equal(v, 0, out=flag)
-    inside &= np.less(v, h, out=flag)
+    np.greater_equal(u, u0, out=inside)
+    inside &= np.less(u, u1, out=flag)
+    inside &= np.greater_equal(v, v0, out=flag)
+    inside &= np.less(v, v1, out=flag)
     v *= w
     v += u
-    v += img_off
+    v += base
     np.copyto(index, v, casting="unsafe")
-    images.reshape(-1).take(index, out=read, mode="clip")
+    pixels.take(index, out=read, mode="clip")
     read *= inside
     np.copyto(out, read)
     np.putmask(out, np.equal(read, 0, out=flag), bg_depth)
     return out
 
 
-def _depth_difference(images, img_idx, pixel, depth, probe_u, probe_v, bg_depth,
+def _depth_difference(pixels, bounds, pixel, depth, probe_u, probe_v, bg_depth,
                       out=None, scratch=None):
     """The split feature: depth at probe u minus depth at probe v.
 
     Probe offsets are in px*mm; the pixel displacement is the offset
     divided by the patch depth, so the feature is depth invariant. The
-    arguments broadcast against each other: training scores (c, n)
-    candidate-sample pairs, routing one probe pair per patch. The result
-    goes to `out` (float64) with `_probe_buffers` scratch of its shape,
-    both allocated here when not given.
+    patches' frames are read from the flat crop buffer `pixels` through
+    their `_crop_bounds` rows `bounds`. The arguments broadcast against
+    each other: training scores (c, n) candidate-sample pairs, routing one
+    probe pair per patch. The result goes to `out` (float64) with
+    `_probe_buffers` scratch of its shape, both allocated here when not
+    given.
     """
     if out is None:
-        out = np.empty(np.broadcast_shapes(np.shape(img_idx), np.shape(depth),
+        out = np.empty(np.broadcast_shapes(bounds.shape[1:], np.shape(depth),
                                            pixel.shape[:-1], probe_u.shape[:-1]))
-        scratch = [b.reshape(out.shape) for b in _probe_buffers(out.size, images.dtype)]
+        scratch = [b.reshape(out.shape) for b in _probe_buffers(out.size)]
     dv, *rest = scratch
-    img_off = img_idx * float(images.shape[1] * images.shape[2])
-    _probe_depth(images, img_off, pixel, depth, probe_u, bg_depth, out, rest)
-    _probe_depth(images, img_off, pixel, depth, probe_v, bg_depth, dv, rest)
+    _probe_depth(pixels, bounds, pixel, depth, probe_u, bg_depth, out, rest)
+    _probe_depth(pixels, bounds, pixel, depth, probe_v, bg_depth, dv, rest)
     return np.subtract(out, dv, out=out)
 
 
 def _features(samples, idx, probe_u, probe_v, bg_depth):
     """(c, n) features of samples `idx` under c candidate (c, 2) probe pairs.
 
-    They are computed sample-major, so that the probes of one sample read
-    one image close together, a block of at most PROBE_BLOCK pairs at a
-    time in buffers reused from block to block: the candidates of whole
-    samples when they fit, else slices of one sample's candidates.
+    They are computed candidate-major, so that every per-sample column
+    (pixel, depth and crop bounds) runs contiguous along a block's rows, a
+    block of at most PROBE_BLOCK pairs at a time in buffers reused from
+    block to block: the samples of whole candidates when they fit, else
+    slices of one candidate's samples.
     """
     n, c = len(idx), len(probe_u)
-    img_idx, depth = samples.img_idx[idx][:, None], samples.depth[idx][:, None]
-    pixel = samples.pixel[idx][:, None]
-    # each coordinate contiguous over the candidates
-    probe_u, probe_v = (np.ascontiguousarray(p.T).T for p in (probe_u, probe_v))
-    cols = min(c, PROBE_BLOCK)
+    bounds = _crop_bounds(samples.images, samples.img_idx[idx])
+    depth = samples.depth[idx]
+    # each coordinate contiguous over the samples
+    pixel = np.ascontiguousarray(samples.pixel[idx].T).T
+    probe_u, probe_v = probe_u[:, None], probe_v[:, None]
+    cols = min(n, PROBE_BLOCK)
     rows = max(1, PROBE_BLOCK // cols)
-    buffers = _probe_buffers(rows * cols, samples.images.dtype)
-    feats = np.empty((n, c))
-    for lo in range(0, n, rows):
+    buffers = _probe_buffers(rows * cols)
+    feats = np.empty((c, n))
+    for lo in range(0, c, rows):
         hi = lo + rows
-        for left in range(0, c, cols):
-            out = feats[lo:hi, left:left + cols]
-            _depth_difference(samples.images, img_idx[lo:hi], pixel[lo:hi], depth[lo:hi],
-                              probe_u[left:left + cols], probe_v[left:left + cols], bg_depth,
+        for left in range(0, n, cols):
+            right = left + cols
+            out = feats[lo:hi, left:right]
+            _depth_difference(samples.images.pixels, bounds[:, left:right], pixel[left:right],
+                              depth[left:right], probe_u[lo:hi], probe_v[lo:hi], bg_depth,
                               out, [b[:out.size].reshape(out.shape) for b in buffers])
-    return feats.T
+    return feats
 
 
 def _gains(left_counts, total_counts):
@@ -432,11 +449,13 @@ class Tree:
                     depth[child] = depth[i] + 1
         return int(depth.max()) if self.n_nodes else 0
 
-    def route(self, images, img_idx, pixel, depth, bg_depth):
-        """Leaf index for every patch; routing is total and deterministic."""
+    def route(self, frames, img_idx, pixel, depth, bg_depth):
+        """Leaf index for every patch, its frame `frames[img_idx]` read from
+        the frames' crop buffer; routing is total and deterministic."""
         node = np.zeros(len(depth), dtype=np.int64)
         feats = np.empty(len(depth))
-        buffers = _probe_buffers(len(depth), images.dtype)
+        bounds = _crop_bounds(frames, img_idx)
+        buffers = _probe_buffers(len(depth))
         while True:
             internal = self.leaf_id[node] < 0
             if not internal.any():
@@ -444,7 +463,7 @@ class Tree:
             act = np.nonzero(internal)[0]
             nd = node[act]
             n = len(act)
-            _depth_difference(images, img_idx[act], pixel[act], depth[act],
+            _depth_difference(frames.pixels, bounds[:, act], pixel[act], depth[act],
                               self.probe_u[nd], self.probe_v[nd], bg_depth,
                               feats[:n], [b[:n] for b in buffers])
             go_left = feats[:n] < self.tau[nd]
@@ -562,13 +581,13 @@ def accumulate_votes(forest, img, stride=DEFAULTS["forest.infer_stride"],
     if len(depths) == 0:
         return {}
     img_idx = np.zeros(len(depths), dtype=np.int64)
-    images = img.depth[None, :, :]
+    frames = Frames.pack([img], img.cam)
     scale = (depths / 1000.0) ** 2 if depth_sq_weight else np.ones(len(depths))
 
     pos_parts = []
     w_parts = []
     for tree in forest.trees:
-        leaf = tree.route(images, img_idx, pixel, depths, forest.bg_depth_mm)
+        leaf = tree.route(frames, img_idx, pixel, depths, forest.bg_depth_mm)
         modes = tree.leaf_modes[leaf].astype(float)      # (m, J, M, 3)
         weights = tree.leaf_weights[leaf].astype(float)  # (m, J, M)
         pos_parts.append(centers[:, None, None, :] + modes)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry, quats
 from .config import DEFAULTS, read_keyvalue
-from .depth import read_pgm, render_depth, stack_frames, write_pgm, zero_stack
+from .depth import DepthImage, Frames, read_pgm, render_depth, write_pgm
 
 TEMPLATE_NAMES = ("extended", "flexed", "half", "spread")
 
@@ -131,22 +131,23 @@ def make_track_keyposes(rng, count, *, limits, articulations=None, orientation=N
 
 
 def render_poses(poses, geom, cam, *, jitter_mm=0.0, rng=None):
-    """Render each pose into its row of one read-only (n, h, w) stack and
-    return the rows as DepthImages; optional uniform depth jitter on
-    foreground pixels. The stack is a `zero_stack` and only foreground
-    pixels are written, so a stack of 4 MiB or more holds resident pages
-    only where a hand is."""
+    """Render each pose and return the split as Frames: one flat buffer of
+    the frames' foreground bounding-box crops. Optional uniform depth
+    jitter on foreground pixels, drawn frame after frame."""
     if jitter_mm > 0.0 and rng is None:
         raise ValueError("depth jitter requires an rng")
-    stack = zero_stack(len(poses), cam.height, cam.width)
-    for pose, grid in zip(poses, stack):
-        render_depth(geom, pose, cam, out=grid)
+    images = []
+    for pose in poses:
+        img = render_depth(geom, pose, cam)
         if jitter_mm > 0.0:
-            fg = grid > 0
+            crop = np.array(img.crop)
+            fg = crop > 0
             noise = rng.uniform(-jitter_mm, jitter_mm, size=int(fg.sum()))
-            grid[fg] = np.clip(grid[fg].astype(np.int32) + np.rint(noise).astype(np.int32),
+            crop[fg] = np.clip(crop[fg].astype(np.int32) + np.rint(noise).astype(np.int32),
                                1, 65534)
-    return stack_frames(stack, cam)
+            img = DepthImage(crop, cam, img.y0, img.x0)
+        images.append(img)
+    return Frames.pack(images, cam)
 
 
 def write_split(split_dir, poses, images):
@@ -159,19 +160,18 @@ def write_split(split_dir, poses, images):
 
 
 def read_split(split_dir, cam):
-    """One split's poses, and its frames as the rows of one read-only
-    (n, h, w) stack, each frame read straight into its row. The stack is a
-    `zero_stack` and only foreground pixels are written, as in
-    `render_poses`."""
+    """One split's poses, and its frames as Frames: each frame is read and
+    cropped to its foreground bounding box, then the crops are packed into
+    one flat buffer, as `render_poses` returns them."""
     split_dir = Path(split_dir)
     poses_path = split_dir / "poses.csv"
     if not poses_path.exists():
         raise FileNotFoundError(str(poses_path))
     poses = geometry.read_poses_csv(poses_path)
-    stack = zero_stack(len(poses), cam.height, cam.width)
-    for i, grid in enumerate(stack):
+    images = []
+    for i in range(len(poses)):
         frame = split_dir / f"frame_{i:05d}.pgm"
         if not frame.exists():
             raise FileNotFoundError(str(frame))
-        read_pgm(frame, cam, out=grid)
-    return poses, stack_frames(stack, cam)
+        images.append(read_pgm(frame, cam))
+    return poses, Frames.pack(images, cam)

@@ -207,6 +207,12 @@ def build_leaf_per_joint(samples, idx, cfg):
     return modes_out, weights_out
 
 
+def full_stack(frames):
+    """The (n, h, w) full grids of `frames`, the layout the probe oracles
+    below read, built through each frame's `depth`."""
+    return np.stack([img.depth for img in frames])
+
+
 def probe_depth_3index(images, img_idx, probe_px, bg_depth):
     """Depth at probe pixels by a 3-index gather at clipped coordinates,
     then separate out-of-image and background passes: the reference for
@@ -233,9 +239,10 @@ def depth_difference_3index(images, img_idx, pixel, depth, probe_u, probe_v,
 
 
 # Frozen copies of the split features as they were computed before they
-# were blocked: each probe allocates its (c, n) temporaries and reads the
-# image stack once for every candidate-sample pair, candidate-major. The
-# library must keep producing their bits.
+# were blocked and before frames were stored as crops: each probe allocates
+# its (c, n) temporaries and reads the full (n, h, w) grids (`full_stack`)
+# once for every candidate-sample pair, candidate-major. The library must
+# keep producing their bits.
 
 def probe_depth_unblocked(images, img_idx, pixel, depth, offset, bg_depth):
     h, w = images.shape[1:]
@@ -258,13 +265,14 @@ def depth_difference_unblocked(images, img_idx, pixel, depth, probe_u, probe_v, 
 
 
 def features_unblocked(samples, idx, probe_u, probe_v, bg_depth):
-    return depth_difference_unblocked(samples.images, samples.img_idx[idx][None],
+    return depth_difference_unblocked(full_stack(samples.images), samples.img_idx[idx][None],
                                       samples.pixel[idx][None], samples.depth[idx][None],
                                       probe_u[:, None], probe_v[:, None], bg_depth)
 
 
 def route_unblocked(tree, images, img_idx, pixel, depth, bg_depth):
-    """`forest.Tree.route` through `depth_difference_unblocked`."""
+    """`forest.Tree.route` through `depth_difference_unblocked`, reading
+    the full (n, h, w) grids `images`."""
     node = np.zeros(len(depth), dtype=np.int64)
     while True:
         act = np.nonzero(tree.leaf_id[node] < 0)[0]

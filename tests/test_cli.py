@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from handfit import cli, fit, forest, geometry, sweeps
+from handfit import cli, fit, forest, geometry, sweeps, synth
 from handfit.config import RunConfig
 from handfit.depth import CameraIntrinsics
 from handfit.geometry import HandGeometry, JointLimits
@@ -129,11 +129,13 @@ def test_train_logs_frame_stack_and_sample_table_bytes(pipeline_dir, tmp_path, c
     caplog.set_level(logging.INFO, logger="handfit")
     assert cli.main(["train", "--dataset", str(pipeline_dir / "dataset"),
                      "--out", str(tmp_path / "forest.bin"), "--seed", "7"] + TINY) == 0
-    found = re.search(r"training forest on (\d+) samples from (\d+) frames \(frame stack "
+    found = re.search(r"training forest on (\d+) samples from (\d+) frames \(frame crops "
                       r"(\d+) bytes, sample table (\d+) bytes\)", caplog.text)
-    samples, frames, stack_bytes, table_bytes = map(int, found.groups())
-    cam = CameraIntrinsics.default()
-    assert frames == 2 and stack_bytes == frames * cam.height * cam.width * 2
+    samples, frames, crop_bytes, table_bytes = map(int, found.groups())
+    # the frames' foreground bounding boxes, 2 bytes a pixel
+    _, split = synth.read_split(pipeline_dir / "dataset" / "train", CameraIntrinsics.default())
+    assert frames == len(split) == 2
+    assert crop_bytes == 2 * sum(img.crop.size for img in split) == split.nbytes
     # pixel, depth, image index, label and patch centre a sample, and each
     # frame's 21 float64 joints once
     assert table_bytes == samples * (16 + 8 + 4 + 2 + 24) + frames * 21 * 3 * 8
@@ -221,6 +223,45 @@ def test_exit_codes(tmp_path, pipeline_dir):
     bad.write_text("frame,joint,x\n0,0,1\n")
     assert cli.main(["fit", "--proposals", str(bad),
                      "--out", str(tmp_path / "fit")]) == 4
+
+
+# (command, path argument): a directory is given where a file is expected,
+# except for the output directories of `fit` and `synth`, given a file
+WRONG_KIND = [("infer", "--forest"), ("infer", "--out"), ("infer", "--config"),
+              ("fit", "--proposals"), ("fit", "--geometry"), ("fit", "--out"),
+              ("eval", "--estimates"), ("sweep", "--forest"), ("synth", "--out"),
+              ("train", "--out")]
+
+
+@pytest.mark.parametrize("command, flag", WRONG_KIND, ids=[f"{c}{f}" for c, f in WRONG_KIND])
+def test_path_of_the_wrong_kind_exits_3_before_work(pipeline_dir, tmp_path, capsys, caplog,
+                                                    command, flag):
+    caplog.set_level(logging.INFO, logger="handfit")
+    ds, run = str(pipeline_dir / "dataset"), pipeline_dir
+    args = {
+        "infer": ["--dataset", ds, "--forest", str(run / "forest.bin"),
+                  "--out", str(tmp_path / "p.csv")],
+        "fit": ["--proposals", str(run / "proposals.csv"), "--out", str(tmp_path / "fit")],
+        "eval": ["--estimates", str(run / "fit" / "estimates.csv"), "--dataset", ds,
+                 "--out", str(tmp_path / "eval")],
+        "sweep": ["--experiment", "k", "--dataset", ds, "--forest", str(run / "forest.bin"),
+                  "--out", str(tmp_path / "sw")],
+        "synth": ["--out", str(tmp_path / "ds")],
+        "train": ["--dataset", ds, "--out", str(tmp_path / "f.bin")],
+    }[command]
+    wrong = tmp_path / "wrong"
+    if (command, flag) in (("fit", "--out"), ("synth", "--out")):
+        wrong.write_text("a file\n")
+    else:
+        wrong.mkdir()
+    args = args[:args.index(flag) + 1] + [str(wrong)] + args[args.index(flag) + 2:] \
+        if flag in args else args + [flag, str(wrong)]
+    assert cli.main([command] + args + TINY) == cli.EXIT_MISSING
+    assert str(wrong) in caplog.text
+    assert "Traceback" not in capsys.readouterr().err + caplog.text
+    if flag == "--out":  # no stage started work
+        for stage in ("training forest", "inferring proposals", "rendering", "fitted"):
+            assert stage not in caplog.text
 
 
 def test_keyvalue_file_missing_a_key_exits_2(tmp_path, caplog):

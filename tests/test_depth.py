@@ -1,7 +1,3 @@
-import mmap
-import os
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +94,18 @@ def test_hand_behind_camera_errors(geom, cam):
         render_depth(geom, pose, cam)
 
 
+def _zbuffer_grid(cam, primitives):
+    """`depth._zbuffer` of the primitives placed in a full grid of inf, after
+    checking that its box is tight: each edge of the box sees a surface."""
+    zbuf, v0, u0 = depth._zbuffer(cam, *primitives)
+    seen = np.isfinite(zbuf)
+    if zbuf.size:
+        assert seen[0].any() and seen[-1].any() and seen[:, 0].any() and seen[:, -1].any()
+    grid = np.full((cam.height, cam.width), np.inf)
+    grid[v0:v0 + zbuf.shape[0], u0:u0 + zbuf.shape[1]] = zbuf
+    return grid
+
+
 def _zbuf(cam, primitives, raster_capsule, raster_ellipsoid):
     segs, radii, ellipsoid = primitives
     zbuf = np.full((cam.height, cam.width), np.inf)
@@ -120,7 +128,7 @@ def test_shared_ray_quadric_rasterises_every_primitive_bit_for_bit(geom, limits,
             t = [0.1, 0.1, 0.0] * pose.translation + [0.0, 0.0, rng.uniform(5.0, 150.0)]
             pose = PoseParams(t, pose.orientation, pose.finger_angles)
         primitives = depth.hand_primitives(geom, pose)
-        got = depth._zbuffer(cam, *primitives)
+        got = _zbuffer_grid(cam, primitives)
         want = _zbuf(cam, primitives, raster_capsule_own_quadratic,
                      raster_ellipsoid_own_quadratic)
         assert np.array_equal(got, want)
@@ -137,7 +145,7 @@ def test_pixel_boxes_hold_off_axis_silhouettes(geom, limits, cam):
     for i, t in [(34, (101.8, 46.2, 454.3)), (142, (-103.8, 90.9, 473.8))]:
         np.testing.assert_allclose(poses[i].translation, t, atol=0.05)
         primitives = depth.hand_primitives(geom, poses[i])
-        got = depth._zbuffer(cam, *primitives)
+        got = _zbuffer_grid(cam, primitives)
         want = _zbuf(cam, primitives, raster_capsule_own_quadratic,
                      raster_ellipsoid_own_quadratic)
         assert got.tobytes() == want.tobytes()
@@ -187,14 +195,14 @@ def test_one_solve_rasterises_cut_primitives_bit_for_bit(cam):
     rot = np.eye(3)
     for center in ([-150.0, -100.0, 320.0], [0.0, 0.0, -500.0]):
         primitives = (segs, radii, (np.array(center), np.array([45.0, 40.0, 15.0]), rot))
-        got = depth._zbuffer(cam, *primitives)
+        got = _zbuffer_grid(cam, primitives)
         want = _zbuf(cam, primitives, raster_capsule_own_quadratic,
                      raster_ellipsoid_own_quadratic)
         assert got.tobytes() == want.tobytes()
         assert np.isfinite(got[:, -1]).any() and np.isfinite(got[0]).any()
     # the capsule through the camera plane shows in front of the camera only
-    near = depth._zbuffer(cam, segs[:1], radii[:1], (np.array([0.0, 0.0, -500.0]),
-                                                     np.array([45.0, 40.0, 15.0]), rot))
+    near = _zbuffer_grid(cam, (segs[:1], radii[:1], (np.array([0.0, 0.0, -500.0]),
+                                                      np.array([45.0, 40.0, 15.0]), rot)))
     assert np.isfinite(near).any() and (near[np.isfinite(near)] > 0).all()
 
 
@@ -294,104 +302,83 @@ def test_depth_image_validation(cam):
     with pytest.raises(ValueError, match="uint16"):
         DepthImage(np.zeros((cam.height, cam.width), dtype=np.float32), cam)
     with pytest.raises(ValueError, match="size"):
-        DepthImage(np.zeros((10, 10), dtype=np.uint16), cam)
+        DepthImage(np.zeros((10, 10), dtype=np.uint16), cam, y0=cam.height - 9)
+    with pytest.raises(ValueError, match="size"):
+        DepthImage(np.zeros((cam.height, cam.width + 1), dtype=np.uint16), cam)
+    with pytest.raises(ValueError, match="size"):
+        DepthImage(np.zeros(10, dtype=np.uint16), cam)
 
 
-def test_depth_image_keeps_only_grids_no_array_can_write(geom, cam, rest_render):
-    _, img = rest_render
-    grid = np.array(img.depth)  # writable
-    kept = DepthImage(grid, cam)
-    view = grid[:]
-    view.flags.writeable = False  # read-only, but `grid` can still write it
-    for copied in (kept, DepthImage(view, cam)):
-        assert not np.shares_memory(copied.depth, grid)
-    grid[:] = 7
+def test_depth_image_copies_writable_crops_and_keeps_read_only_ones(geom, cam, rest_render):
+    pose, img = rest_render
+    crop = np.array(img.crop)  # writable
+    kept = DepthImage(crop, cam, img.y0, img.x0)
+    assert not np.shares_memory(kept.crop, crop)
+    crop[:] = 7
     assert np.array_equal(kept.depth, img.depth)
-    # a rendered frame is read-only, in its stack or alone
-    stacked = synth.render_poses([PoseParams.rest((0.0, 0.0, 500.0))] * 2, geom, cam)
-    for frame in (img, stacked[1]):
-        with pytest.raises(ValueError, match="read-only"):
-            frame.depth[0, 0] = 1
+    # a rendered frame is read-only, alone or in its split, and so is its full grid
+    split = synth.render_poses([pose] * 2, geom, cam)
+    for frame in (img, split[1]):
+        for array in (frame.crop, frame.depth):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
     with pytest.raises(ValueError, match="read-only"):
-        stacked[1].depth.base[0, 0, 0] = 1
-    assert np.array_equal(stacked[1].depth, img.depth)
-    # a read-only grid of its own is kept, not copied
-    assert DepthImage(stacked[0].depth, cam).depth is stacked[0].depth
-    assert DepthImage(img.depth, cam).depth is img.depth
-
-
-def _resident_bytes():
-    return int(Path("/proc/self/statm").read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+        split.pixels[0] = 1
+    assert np.array_equal(split[1].depth, img.depth)
+    # a read-only crop is kept, not copied
+    first = split[0]
+    assert DepthImage(first.crop, cam, first.y0, first.x0).crop is first.crop
+    assert DepthImage(img.crop, cam, img.y0, img.x0).crop is img.crop
 
 
 @pytest.fixture(scope="module")
 def far_grid(limits):
-    # 32 poses 700 mm away: a 4.9 MB stack, over MAPPED_STACK_BYTES
-    poses = synth.generate_training_poses(limits=limits, per_finger=2, num_views=1,
-                                          translation=(0.0, 0.0, 700.0))
-    assert len(poses) * 320 * 240 * 2 >= depth.MAPPED_STACK_BYTES
-    return poses
+    # 32 poses 700 mm away, a 4.9 MB split as full grids
+    return synth.generate_training_poses(limits=limits, per_finger=2, num_views=1,
+                                         translation=(0.0, 0.0, 700.0))
 
 
-def test_zero_stack_maps_large_stacks_and_zeroes_small_ones():
-    small = depth.zero_stack(3, 240, 320)
-    large = depth.zero_stack(depth.MAPPED_STACK_BYTES // (240 * 320 * 2) + 1, 240, 320)
-    for stack in (small, large):
-        assert stack.dtype == np.uint16 and stack.flags.writeable
-        assert not stack.any()
-    assert small.base is None and isinstance(large.base, mmap.mmap)
-    assert depth.zero_stack(0, 240, 320).shape == (0, 240, 320)
-
-
-@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
-def test_rendered_stack_keeps_background_pages_unbacked(geom, cam, far_grid):
-    synth.render_poses(far_grid, geom, cam)  # the render's own buffers grow the heap once
-    before = _resident_bytes()
+def test_rendered_split_owns_exactly_its_crop_bytes(geom, cam, far_grid):
     frames = synth.render_poses(far_grid, geom, cam)
-    rendered = _resident_bytes()
-    stack = frames[0].depth.base
-    assert np.count_nonzero(stack) < stack.size // 20
-    read = _resident_bytes()
-    # the hands' pages only (about a third of the stack), and no page for a read
-    assert rendered - before < stack.nbytes // 2
-    assert read - rendered < stack.nbytes // 64
+    assert len(frames) == len(far_grid) == 32
+    # each crop is its frame's foreground bounding box, and the split's one
+    # buffer holds nothing else: 2 bytes a pixel of every box
+    areas = 0
+    for img in frames:
+        rows, cols = np.nonzero(img.depth)
+        assert (img.y0, img.x0) == (rows.min(), cols.min())
+        assert img.crop.shape == (rows.max() + 1 - img.y0, cols.max() + 1 - img.x0)
+        areas += img.crop.size
+    assert frames.pixels.base is None and frames.pixels.ndim == 1
+    assert frames.nbytes == frames.pixels.nbytes == 2 * areas
+    assert frames.nbytes < len(frames) * cam.height * cam.width * 2 // 8
 
 
-def test_mapped_stack_rows_are_kept_and_refuse_writes(geom, cam, far_grid):
+def test_split_frames_are_read_only_views_of_one_buffer(geom, cam, far_grid):
     frames = synth.render_poses(far_grid, geom, cam)
-    stack = frames[0].depth.base
-    assert isinstance(stack.base, mmap.mmap) and stack.shape[0] == len(frames)
+    assert not frames.pixels.flags.writeable and not frames.boxes.flags.writeable
     for i in (0, len(frames) - 1):
-        assert frames[i].depth.base is stack
-        assert np.shares_memory(frames[i].depth, stack[i])
-        assert DepthImage(frames[i].depth, cam).depth is frames[i].depth
-        assert np.array_equal(frames[i].depth, render_depth(geom, far_grid[i], cam).depth)
+        y0, x0, h, w, offset = frames.boxes[i]
+        frame = frames[i]
+        assert np.shares_memory(frame.crop, frames.pixels[offset:offset + h * w])
+        assert DepthImage(frame.crop, cam, y0, x0).crop is frame.crop
+        assert np.array_equal(frame.depth, render_depth(geom, far_grid[i], cam).depth)
     with pytest.raises(ValueError, match="read-only"):
-        frames[3].depth[120, 160] = 1
-    with pytest.raises(ValueError, match="read-only"):
-        stack[3, 120, 160] = 1
+        frames[3].crop[10, 10] = 1
+    assert np.array_equal(frames[-1].crop, frames[len(frames) - 1].crop)
 
 
-def test_grid_over_a_foreign_mapping_is_copied(cam, rest_render):
-    _, img = rest_render
-    pages = mmap.mmap(-1, img.depth.nbytes)
-    grid = np.ndarray(img.depth.shape, np.uint16, buffer=pages)
-    grid[...] = img.depth
-    grid.flags.writeable = False  # read-only, but the mapping can still be written
-    kept = DepthImage(grid, cam)
-    assert not np.shares_memory(kept.depth, grid)
-    pages[:] = bytes(len(pages))
-    assert np.array_equal(kept.depth, img.depth)
-
-
-def test_render_and_read_into_a_used_grid_equal_a_fresh_frame(geom, cam, tmp_path, rest_render):
-    # `out` may hold anything: every pixel that differs is written
+def test_render_and_read_into_a_split_buffer_equal_a_fresh_frame(geom, cam, tmp_path,
+                                                                 rest_render):
+    # a frame packed into a split's buffer, among frames of other box sizes
+    # and after a repeat of itself, equals a fresh render and a fresh read
     pose, img = rest_render
-    write_pgm(tmp_path / "f.pgm", img)
-    other = render_depth(geom, PoseParams.rest((40.0, -30.0, 450.0)), cam).depth
-    for used in (np.zeros_like(other), other.copy(), np.full_like(other, 9)):
-        for fill in (lambda out: render_depth(geom, pose, cam, out=out),
-                     lambda out: read_pgm(tmp_path / "f.pgm", cam, out=out)):
-            out = used.copy()
-            assert fill(out) is out
-            assert out.tobytes() == img.depth.tobytes()
+    other = PoseParams.rest((40.0, -30.0, 450.0))
+    poses = [other, pose, other, pose]
+    synth.write_split(tmp_path, poses, synth.render_poses(poses, geom, cam))
+    _, read = synth.read_split(tmp_path, cam)
+    fresh = read_pgm(tmp_path / "frame_00001.pgm", cam)
+    for frame in (synth.render_poses(poses, geom, cam)[3], read[1], read[3], fresh):
+        assert (frame.y0, frame.x0) == (img.y0, img.x0)
+        assert frame.crop.tobytes() == img.crop.tobytes()
+        assert frame.depth.tobytes() == img.depth.tobytes()

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from handfit import forest as F
 from handfit import geometry, meanshift, synth
-from handfit.depth import DepthImage, render_depth
+from handfit.depth import CameraIntrinsics, DepthImage, Frames, read_pgm, render_depth, write_pgm
 from handfit.geometry import PoseParams, forward_kinematics
 from handfit.meanshift import mean_shift
 
 from oracles import (build_leaf_per_joint, depth_difference_3index,
-                     depth_difference_unblocked, features_unblocked,
+                     depth_difference_unblocked, features_unblocked, full_stack,
                      proposals_joint_by_joint, route_unblocked, train_tree_recursive)
 
 
@@ -74,7 +74,7 @@ def test_labels_match_brute_force_nearest(cam, rest_frame):
     assert len(np.unique(samples.label)) >= 2
 
 
-SAMPLE_FIELDS = ("images", "pixel", "depth", "img_idx", "label", "centers", "joints")
+SAMPLE_FIELDS = ("pixel", "depth", "img_idx", "label", "centers", "joints")
 
 
 @pytest.mark.parametrize("jitter_mm, stride, cap", [(0.0, 3, None), (3.0, 2, 40)],
@@ -88,28 +88,30 @@ def test_training_set_reads_the_frame_stack_in_place(tmp_path, geom, limits, cam
     _, read = synth.read_split(tmp_path, cam)
     gts = [forward_kinematics(geom, p) for p in poses]
 
-    def build(frames, order=slice(None)):
-        return F.build_training_set(frames[order], gts[order], stride,
-                                    np.random.default_rng(1), cap=cap)
+    def build(frames, joints=gts):
+        return F.build_training_set(frames, joints, stride, np.random.default_rng(1), cap=cap)
 
-    # frames that are private copies take the np.stack path
+    # a list of frames, here whole-image crops, is packed into a buffer of its own
     copies = build([DepthImage(np.array(img.depth), cam) for img in images])
-    assert not np.shares_memory(copies.images, images[0].depth)
+    assert not np.shares_memory(copies.images.pixels, images.pixels)
+    grids = [img.depth.tobytes() for img in copies.images]
+    assert grids == [img.depth.tobytes() for img in images]
     for frames in (images, read):
         samples = build(frames)
-        assert np.shares_memory(samples.images, frames[0].depth)
-        assert not samples.images.flags.writeable
+        assert samples.images.pixels is frames.pixels  # read in place
+        assert not samples.images.pixels.flags.writeable
         for name in SAMPLE_FIELDS:
             got, want = getattr(samples, name), getattr(copies, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
-    # out of order, the rows are no longer the frames: stacked anew
-    backwards = build(images, slice(None, None, -1))
-    assert not np.shares_memory(backwards.images, images[0].depth)
-    assert np.array_equal(backwards.images, copies.images[::-1])
+    # out of order, the split's frames are packed into a buffer of their own
+    backwards = build([images[i] for i in reversed(range(len(images)))], gts[::-1])
+    assert not np.shares_memory(backwards.images.pixels, images.pixels)
+    assert [img.depth.tobytes() for img in backwards.images] == grids[::-1]
 
     # the columns keep the dtypes SampleSet documents
+    assert copies.images.pixels.dtype == np.uint16
     assert [getattr(copies, name).dtype for name in SAMPLE_FIELDS] == [
-        np.uint16, np.float64, np.float64, np.int32, np.int16, np.float64, np.float64]
+        np.float64, np.float64, np.int32, np.int16, np.float64, np.float64]
     # the derived offsets are each frame's (gt - centre) table rounded to
     # float32, byte for byte, for unsorted and repeated samples; the centre
     # is back-projected with the frame's own camera
@@ -127,7 +129,7 @@ def test_training_set_reads_the_frame_stack_in_place(tmp_path, geom, limits, cam
     parts = [F.extract_samples(img, gt, stride, rng, cap=cap) for img, gt in zip(images, gts)]
     if cap is not None:
         assert all(len(part) == cap for part in parts)
-    for name in SAMPLE_FIELDS[1:]:
+    for name in SAMPLE_FIELDS:
         joined = np.concatenate([getattr(part, name) for part in parts])
         if name == "img_idx":
             joined += np.repeat(np.arange(len(parts), dtype=np.int32),
@@ -194,7 +196,7 @@ def test_training_set_allocates_no_per_sample_joint_table(geom, limits, cam):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.shares_memory(samples.images, images[0].depth)  # no stacked copy
+    assert samples.images is images  # no packed copy
     # 54 bytes a sample (pixel, depth, image index, label, patch centre) and
     # one float64 joint set a frame
     table = len(samples) * (16 + 8 + 4 + 2 + 24) + len(images) * 21 * 3 * 8
@@ -316,7 +318,8 @@ def test_train_tree_degenerate_cases(cam, rest_frame):
 
     # identical appearance everywhere: no split can gain, root stays a leaf
     flat = F.SampleSet(
-        images=np.full((1, 10, 10), 500, dtype=np.uint16), cam=cam,
+        images=Frames.pack([DepthImage(np.full((10, 10), 500, dtype=np.uint16), cam)], cam),
+        cam=cam,
         pixel=np.tile(np.array([[5.0, 5.0]]), (50, 1)),
         depth=np.full(50, 500.0), img_idx=np.zeros(50, dtype=np.int32),
         label=np.zeros(50, dtype=np.int16), centers=np.zeros((50, 3)),
@@ -360,7 +363,7 @@ def test_train_tree_equals_recursive_oracle(cam, rest_frame):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_train_forest_frees_samples_when_caller_drops_them(rest_frame, threads):
     # with the cyclic collector off, nothing train_forest leaves behind may
-    # keep the sample set (image stack and sample table) alive
+    # keep the sample set (frames and sample table) alive
     img, gt = rest_frame
     samples = F.extract_samples(img, gt, stride=4, rng=np.random.default_rng(0))
     alive = weakref.ref(samples)
@@ -408,9 +411,14 @@ def test_depth_difference_equals_three_index_oracle(layout, n_img):
     rng = np.random.default_rng(n_img)
     images = rng.integers(300, 900, (n_img, 6, 8)).astype(np.uint16)
     images[rng.random(images.shape) < 0.3] = 0  # background inside the image
+    images[0, :2] = 0                           # frame 0 cropped below row 2
     images[:, -1, -1] = 777                     # last row and column read
-    args = _probe_layout(images, layout, rng)
-    got = F._depth_difference(images, *args, 10000.0)
+    cam = CameraIntrinsics(fx=10.0, fy=10.0, cx=4.0, cy=3.0, width=8, height=6)
+    frames = Frames.pack([DepthImage.from_grid(grid, cam) for grid in images], cam)
+    assert frames.boxes[0, 0] == 2 and np.array_equal(full_stack(frames), images)
+    img_idx, *args = _probe_layout(images, layout, rng)
+    got = F._depth_difference(frames.pixels, F._crop_bounds(frames, img_idx), *args, 10000.0)
+    args = (img_idx, *args)
     want = depth_difference_3index(images, *args, 10000.0)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -423,6 +431,74 @@ def test_depth_difference_equals_three_index_oracle(layout, n_img):
     ui, vi = u[inside].astype(int), v[inside].astype(int)
     hit = images[np.broadcast_to(img_idx, u.shape)[inside], vi, ui]
     assert (hit == 0).any() and ((ui == 7) & (vi == 5)).any()
+
+
+def test_crop_probes_equal_full_frame_oracle(geom, cam):
+    # frames kept as crops read what their full grids read, bit for bit:
+    # probes inside a crop, in the image outside it and off the image
+    poses = [PoseParams.rest((0.0, 0.0, 550.0)), PoseParams.rest((-190.0, 30.0, 450.0)),
+             PoseParams.rest((200.0, -200.0, 450.0))]
+    frames = synth.render_poses(poses, geom, cam)
+    y0, x0, h, w, _ = frames.boxes.T
+    assert ((y0 == 0) | (x0 == 0) | (y0 + h == cam.height) | (x0 + w == cam.width)).sum() == 2
+    samples = F.build_training_set(frames, [forward_kinematics(geom, p) for p in poses],
+                                   stride=3, rng=np.random.default_rng(0))
+    images = full_stack(frames)
+    rng = np.random.default_rng(5)
+    n = len(samples)
+    box = frames.boxes[samples.img_idx]
+    in_crop = np.column_stack([box[:, 1] + rng.integers(0, box[:, 3]),
+                               box[:, 0] + rng.integers(0, box[:, 2])])
+    in_image = np.column_stack([rng.integers(0, cam.width, n), rng.integers(0, cam.height, n)])
+    off_image = in_image + rng.choice([-1, 1], (n, 2)) * [cam.width, cam.height]
+    # and every pixel just outside each crop's edges, from one patch of its frame
+    edges, first = [], np.searchsorted(samples.img_idx, np.arange(len(frames)))
+    for (y0, x0, h, w, _), s in zip(frames.boxes, first):
+        rows, cols = np.arange(y0, y0 + h), np.arange(x0, x0 + w)
+        ring = np.concatenate([np.column_stack([np.full(h, x), rows]) for x in (x0 - 1, x0 + w)]
+                              + [np.column_stack([cols, np.full(w, y)]) for y in (y0 - 1, y0 + h)])
+        edges.append(np.column_stack([ring, np.full(len(ring), s)]))
+    edges = np.concatenate(edges)
+    sample = np.concatenate([np.tile(np.arange(n), 3), edges[:, 2]])
+    targets = np.concatenate([in_crop, in_image, off_image, edges[:, :2]]).astype(float)
+    targets += rng.uniform(-0.45, 0.45, targets.shape)
+    img_idx, pixel, depth = samples.img_idx[sample], samples.pixel[sample], samples.depth[sample]
+    probe_u = (targets - pixel) * depth[:, None]
+    probe_v = probe_u[rng.permutation(len(sample))]
+    got = F._depth_difference(frames.pixels, F._crop_bounds(frames, img_idx), pixel, depth,
+                              probe_u, probe_v, 10000.0)
+    want = depth_difference_3index(images, img_idx, pixel, depth, probe_u, probe_v, 10000.0)
+    assert got.tobytes() == want.tobytes()
+    # every kind of landing happened, on foreground and background alike
+    u, v = np.rint(pixel + probe_u / depth[:, None]).T
+    box = frames.boxes[img_idx]
+    crop = (u >= box[:, 1]) & (u < box[:, 1] + box[:, 3]) & (v >= box[:, 0]) & (v < box[:, 0] + box[:, 2])
+    image = (u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height)
+    fg = np.zeros_like(crop)
+    fg[image] = images[img_idx[image], v[image].astype(int), u[image].astype(int)] > 0
+    assert (crop & fg).any() and (crop & ~fg).any()
+    assert (image & ~crop).any() and (~image).any()
+    # routing reads crops as the full-frame reference reads grids
+    tree = F.train_tree(samples, F.ForestConfig(max_depth=8, min_samples=10,
+                                                node_subsample=200, candidates=30),
+                        np.random.default_rng(2))
+    args = (samples.img_idx, samples.pixel, samples.depth, 10000.0)
+    leaf = tree.route(frames, *args)
+    assert np.array_equal(leaf, route_unblocked(tree, images, *args))
+    assert len(np.unique(leaf)) == tree.n_leaves > 10
+
+
+def test_all_background_pgm_reads_as_an_empty_crop(tmp_path, cam, tiny_forest, rest_frame):
+    write_pgm(tmp_path / "blank.pgm", DepthImage(np.zeros((5, 7), dtype=np.uint16), cam, 3, 4))
+    blank = read_pgm(tmp_path / "blank.pgm", cam)
+    assert blank.crop.shape == (0, 0) and not blank.depth.any()
+    assert len(F.extract_samples(blank, rest_frame[1], stride=2,
+                                 rng=np.random.default_rng(0))) == 0
+    assert F.accumulate_votes(tiny_forest[0], blank) == {}
+    frames = Frames.pack([blank, rest_frame[0], blank], cam)
+    assert frames.nbytes == rest_frame[0].crop.nbytes
+    assert frames[2].crop.shape == (0, 0)
+    assert np.array_equal(frames[1].depth, rest_frame[0].depth)
 
 
 @pytest.fixture(scope="module")
@@ -439,23 +515,24 @@ def _assert_every_read_kind(samples, idx, probe_u):
     """Some probe landed off each image edge and some read background."""
     landed = np.rint(samples.pixel[idx][None] + probe_u[:, None] / samples.depth[idx][None, :, None])
     u, v = landed[..., 0], landed[..., 1]
-    h, w = samples.images.shape[1:]
+    images = full_stack(samples.images)
+    h, w = images.shape[1:]
     assert (u < 0).any() and (u >= w).any() and (v < 0).any() and (v >= h).any()
     inside = (u >= 0) & (u < w) & (v >= 0) & (v < h)
     img = np.broadcast_to(samples.img_idx[idx][None], u.shape)[inside]
-    assert (samples.images[img, v[inside].astype(int), u[inside].astype(int)] == 0).any()
+    assert (images[img, v[inside].astype(int), u[inside].astype(int)] == 0).any()
 
 
 @pytest.mark.parametrize("n, c, block", [
     (1, 50, None),      # one sample
     (150, 60, None),    # below one block
-    (1001, 37, 100),    # blocks of 2 samples, the last one ragged
+    (1001, 37, 100),    # slices of 100 of one candidate's samples, the last ragged
     (None, 200, None),  # every sample: many blocks at the default size
-    (333, 37, 16),      # each sample's candidates in slices of 16, 16 and 5
+    (333, 37, 16),      # each candidate's samples in 20 slices of 16 and one of 13
     (1001, 1, 100),     # one candidate, as a node's best split is applied
 ])
 def test_features_equal_unblocked_oracle(wide_samples, monkeypatch, n, c, block):
-    # blocked, sample-major features in reused buffers must give the bits
+    # blocked, candidate-major features in reused buffers must give the bits
     # of one allocating (c, n) pass, whatever the block bounds
     samples = wide_samples
     if block is not None:
@@ -481,13 +558,16 @@ def test_route_equals_unblocked_oracle(wide_samples):
     cfg = F.ForestConfig(max_depth=8, min_samples=10, node_subsample=200,
                          candidates=30)
     tree = F.train_tree(samples, cfg, np.random.default_rng(4))
-    args = (samples.images, samples.img_idx, samples.pixel, samples.depth)
-    leaf = tree.route(*args, cfg.bg_depth_mm)
-    np.testing.assert_array_equal(leaf, route_unblocked(tree, *args, cfg.bg_depth_mm))
+    args = (samples.img_idx, samples.pixel, samples.depth)
+    images = full_stack(samples.images)
+    leaf = tree.route(samples.images, *args, cfg.bg_depth_mm)
+    np.testing.assert_array_equal(leaf, route_unblocked(tree, images, *args, cfg.bg_depth_mm))
     assert len(np.unique(leaf)) == tree.n_leaves > 10
     node = np.random.default_rng(1).integers(0, tree.n_nodes, len(samples))
-    got = F._depth_difference(*args, tree.probe_u[node], tree.probe_v[node], cfg.bg_depth_mm)
-    want = depth_difference_unblocked(*args, tree.probe_u[node], tree.probe_v[node],
+    got = F._depth_difference(samples.images.pixels,
+                              F._crop_bounds(samples.images, samples.img_idx), *args[1:],
+                              tree.probe_u[node], tree.probe_v[node], cfg.bg_depth_mm)
+    want = depth_difference_unblocked(images, *args, tree.probe_u[node], tree.probe_v[node],
                                       cfg.bg_depth_mm)
     assert got.tobytes() == want.tobytes()
 
@@ -519,7 +599,8 @@ def _leaf_samples(base, offsets):
     """Samples whose derived offsets are `offsets` (n, 21, 3) rounded to
     float32: sample i is the one sample of frame i, its centre at zero."""
     n = len(offsets)
-    return F.SampleSet(np.broadcast_to(base.images[:1], (n,) + base.images.shape[1:]),
+    return F.SampleSet(Frames(base.images.pixels, np.repeat(base.images.boxes[:1], n, axis=0),
+                              base.cam),
                        base.cam, np.tile(base.pixel[:1], (n, 1)),
                        np.full(n, base.depth[0]), np.arange(n, dtype=np.int32),
                        np.zeros(n, dtype=np.int16), np.zeros((n, 3)),
@@ -688,7 +769,7 @@ def test_depth_invariant_features(geom, cam):
     for img, z in ((near, 500.0), (far, 650.0)):
         u, v = img.cam.project(np.array([[anchor[0], anchor[1], z]]))[0]
         d = float(img.depth[int(round(v)), int(round(u))])
-        sample = F.SampleSet(img.depth[None], img.cam,
+        sample = F.SampleSet(Frames.pack([img], img.cam), img.cam,
                              np.array([[round(u), round(v)]], dtype=float),
                              np.array([d]), np.zeros(1, dtype=np.int64),
                              np.zeros(1, dtype=np.int16), np.zeros((1, 3)),
