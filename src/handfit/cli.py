@@ -8,12 +8,11 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import fit, forest, geometry, metrics, proposals, svgplot, sweeps, synth
+from . import fit, forest, geometry, metrics, proposals, svgplot, sweeps, synth, workers
 from .config import ConfigError, ForestConfig, RunConfig, read_csv, write_csv, write_keyvalue
 from .depth import CameraIntrinsics, RenderError
 from .forest import ForestFormatError
@@ -65,6 +64,19 @@ def _output_file(path):
     if path.is_dir():
         raise IsADirectoryError(f"{path}: is a directory, not a file to write")
     path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _run_dir(path):
+    """`path` as a run directory, checked before any stage starts work and
+    made when the outputs are written: a file there, or in place of one of
+    its parents, raises NotADirectoryError."""
+    path = Path(path)
+    for p in (path, *path.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise NotADirectoryError(f"{p}: is a file, not a directory to write into")
+            break
     return path
 
 
@@ -154,13 +166,13 @@ def cmd_train(args):
 
 
 def _vote_frames(cfg, model, images, threads, then=lambda votes: votes):
-    """`then` of each frame's forest votes, frames in a pool of `threads`
-    workers: the one voting call of `infer` and `sweep`."""
+    """`then` of each frame's forest votes, frames in up to `threads` forked
+    workers that share the forest and the frames: the one voting call of
+    `infer` and `sweep`."""
     vote = functools.partial(forest.accumulate_votes, model,
                              stride=cfg["forest.infer_stride"],
                              depth_sq_weight=cfg["forest.depth_sq_weight"])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda img: then(vote(img)), images))
+    return workers.map_ordered(lambda img: then(vote(img)), images, threads)
 
 
 def cmd_infer(args):
@@ -194,7 +206,8 @@ def cmd_fit(args):
 
     start = time.perf_counter()
     frames, fit_results = fit.fit_frames(psets, geom, limits,
-                                         sweeps.pso_config(cfg, cfg["seed"]), args.mode)
+                                         sweeps.pso_config(cfg, cfg["seed"]), args.mode,
+                                         threads=args.threads)
     wall = time.perf_counter() - start
     write_joints_csv(out / "estimates.csv", frames)
     if args.mode != "regression-only":  # which fits no pose
@@ -211,6 +224,7 @@ def cmd_eval(args):
     dataset = Path(args.dataset)
     split = dataset / args.split
     _require(args.estimates, split / "poses.csv")
+    out = _run_dir(args.out or f"run_{cfg.content_hash()}")
     geom, _ = _dataset_geometry(dataset)
     gt_poses = geometry.read_poses_csv(split / "poses.csv")
     gt_joints = [geometry.forward_kinematics(geom, p) for p in gt_poses]
@@ -223,7 +237,6 @@ def cmd_eval(args):
     results = [metrics.FrameResult.compute(i, est, gt, sentinel=cfg["pso.d_max_mm"])
                for i, (est, gt) in enumerate(zip(estimates, gt_joints))]
 
-    out = Path(args.out) if args.out else Path(f"run_{cfg.content_hash()}")
     out.mkdir(parents=True, exist_ok=True)
     curve = metrics.success_rate_curve(results, cfg.thresholds())
     tips = list(geometry.TIP_INDICES)
@@ -263,7 +276,7 @@ def cmd_sweep(args):
     log.info("accumulating votes for %d frames", len(images))
     votes = _vote_frames(cfg, model, images, args.threads)
     rows = sweeps.run_sweep(args.experiment, votes, gt_joints, geom, limits,
-                            cfg, out / f"sweep_{args.experiment}")
+                            cfg, out / f"sweep_{args.experiment}", threads=args.threads)
     log.info("wrote %d sweep rows under %s", len(rows), out)
     return EXIT_OK
 
@@ -315,7 +328,8 @@ def _add_common(parser):
     parser.add_argument("--scale", type=float, default=None,
                         help="shrink the training grid (1.0 = full 7168 poses)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for parallel stages")
+                        help="worker processes for trees, frames and votes "
+                             "(1: inline)")
 
 
 def build_parser():

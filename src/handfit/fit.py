@@ -19,12 +19,13 @@ final score alike, so a finger's row scores as `objective` scores it.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, metrics, quats
+from . import geometry, metrics, quats, workers
 from .config import PsoConfig, write_csv  # PsoConfig: also read as fit.PsoConfig
 
 TRANSLATION_DIMS = np.arange(0, 3)
@@ -392,33 +393,42 @@ def joint_fit(proposal_set, geom, limits, cfg, rng):
 FIT_MODES = ("stepwise", "joint", "regression-only")
 
 
-def fit_frames(psets, geom, limits, cfg, mode):
-    """Fit every frame of a sequence; returns (joints, results) per frame.
+def _fit_frame(fitter, geom, limits, cfg, frame):
+    """(result, None) of `fitter` on frame (i, pset), drawing from
+    default_rng((cfg.seed, 5, i)); (None, why) when the frame is too
+    under-constrained to fit."""
+    i, pset = frame
+    try:
+        return fitter(pset, geom, limits, cfg, rng=np.random.default_rng((cfg.seed, 5, i))), None
+    except UnderConstrainedError as exc:
+        return None, str(exc)
+
+
+def fit_frames(psets, geom, limits, cfg, mode, threads=1):
+    """Fit every frame of a sequence, in up to `threads` forked workers;
+    returns (joints, results) per frame.
 
     Frame i draws from default_rng((cfg.seed, 5, i)), so a frame's fit does
-    not depend on which caller runs it or on the frames before it. In
-    regression-only mode each joint is its top proposal and every result
-    is None. A frame too under-constrained to fit falls back to its top
-    proposals too, with a warning naming it, and its result is None.
+    not depend on which caller or worker runs it or on the frames before
+    it. In regression-only mode each joint is its top proposal and every
+    result is None. A frame too under-constrained to fit falls back to its
+    top proposals too, with a warning naming it, and its result is None.
     """
     if mode not in FIT_MODES:
         raise ValueError(f"unknown fit mode {mode!r}; pick from {FIT_MODES}")
     if mode == "regression-only":
         return [metrics.top_proposal_joints(p) for p in psets], [None] * len(psets)
     fitter = joint_fit if mode == "joint" else stepwise_fit
-    joints, results = [], []
-    for i, pset in enumerate(psets):
-        try:
-            res = fitter(pset, geom, limits, cfg,
-                         rng=np.random.default_rng((cfg.seed, 5, i)))
-        except UnderConstrainedError as exc:
-            log.warning("frame %d: %s; using its top proposals", i, exc)
+    fits = workers.map_ordered(functools.partial(_fit_frame, fitter, geom, limits, cfg),
+                               list(enumerate(psets)), threads)
+    joints = []
+    for i, (pset, (res, why)) in enumerate(zip(psets, fits)):
+        if res is None:
+            log.warning("frame %d: %s; using its top proposals", i, why)
             joints.append(metrics.top_proposal_joints(pset))
-            results.append(None)
-            continue
-        joints.append(res.joints(geom))
-        results.append(res)
-    return joints, results
+        else:
+            joints.append(res.joints(geom))
+    return joints, [res for res, _ in fits]
 
 
 FIT_COLUMNS = geometry.POSE_COLUMNS + ["score", "evals"] + \

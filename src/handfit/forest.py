@@ -20,14 +20,14 @@ by the same `mean_shift` into a handful of confidence-weighted proposals.
 
 from __future__ import annotations
 
+import functools
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import geometry
+from . import geometry, workers
 from .config import DEFAULTS, ConfigError, ForestConfig, check_setting  # ForestConfig re-exported
 from .depth import Frames
 # `_dedup` is not called here: perfbench/tracing.py wraps it by this module's name
@@ -77,7 +77,6 @@ class SampleSet:
     """
 
     images: Frames       # n_img frames, one crop buffer
-    cam: object
     pixel: np.ndarray    # (n, 2) float, (u, v)
     depth: np.ndarray    # (n,) float mm at the patch centre
     img_idx: np.ndarray  # (n,) int32
@@ -186,7 +185,6 @@ def _sample_table(frames, joints, stride, rng, cap):
     n = int(ends[-1])
     samples = SampleSet(
         images=frames,
-        cam=frames.cam,
         pixel=np.empty((n, 2)),
         depth=np.empty(n),
         img_idx=np.repeat(np.arange(len(frames), dtype=np.int32), counts),
@@ -561,10 +559,10 @@ class Forest:
 
 
 def train_forest(samples, cfg, rng, threads=1):
-    """`cfg.num_trees` trees, each drawing from a stream spawned off `rng`."""
-    tree_rngs = rng.spawn(cfg.num_trees)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        trees = list(pool.map(lambda r: train_tree(samples, cfg, r), tree_rngs))
+    """`cfg.num_trees` trees, each drawing from a stream spawned off `rng`,
+    in up to `threads` forked workers that share `samples` copy-on-write."""
+    trees = workers.map_ordered(functools.partial(train_tree, samples, cfg),
+                                rng.spawn(cfg.num_trees), threads)
     return Forest(trees, num_joints=samples.joints.shape[1],
                   leaf_modes=cfg.leaf_modes, bg_depth_mm=cfg.bg_depth_mm)
 

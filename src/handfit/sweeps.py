@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
 import numpy as np
 
-from . import fit, metrics, svgplot
+from . import fit, metrics, svgplot, workers
 from .config import write_csv
 from .forest import proposals_from_votes
 
@@ -26,9 +27,10 @@ MATCHED_BUDGETS = {
 }
 
 
-def _arm(psets, gt_list, geom, limits, pso_cfg, mode):
-    """Fit a sequence in one mode; returns (error metrics, mean evals per frame)."""
-    joints, fits = fit.fit_frames(psets, geom, limits, pso_cfg, mode)
+def _arm(psets, gt_list, geom, limits, pso_cfg, mode, threads=1):
+    """Fit a sequence in one mode, frames in up to `threads` workers;
+    returns (error metrics, mean evals per frame)."""
+    joints, fits = fit.fit_frames(psets, geom, limits, pso_cfg, mode, threads)
     results = [metrics.FrameResult.compute(i, pred, gt, sentinel=pso_cfg.d_max_mm)
                for i, (pred, gt) in enumerate(zip(joints, gt_list))]
     curve = metrics.success_rate_curve(results, [20.0, 40.0])
@@ -48,8 +50,9 @@ def _oracle_error(psets, gt_list, sentinel):
 
 
 def run_sweep(experiment, votes_per_frame, gt_list, geom, limits, cfg,
-              out_dir, seeds=None):
-    """Run one ablation experiment and write table.csv + plot.svg.
+              out_dir, seeds=None, threads=1):
+    """Run one ablation experiment and write table.csv + plot.svg; the
+    proposals and each arm's fits take up to `threads` forked workers.
 
     votes_per_frame: per-frame joint->votes dicts (fixed vote sets, so the
     k sweep sees identical inputs at every k).
@@ -63,10 +66,10 @@ def run_sweep(experiment, votes_per_frame, gt_list, geom, limits, cfg,
     d_max = cfg["pso.d_max_mm"]
 
     def proposals(top_n, k):
-        return [proposals_from_votes(v, top_n=top_n, k=k,
-                                     bandwidth_mm=cfg["forest.infer_bandwidth_mm"],
-                                     max_iters=cfg["forest.meanshift_iters"])
-                for v in votes_per_frame]
+        return workers.map_ordered(functools.partial(
+            proposals_from_votes, top_n=top_n, k=k,
+            bandwidth_mm=cfg["forest.infer_bandwidth_mm"],
+            max_iters=cfg["forest.meanshift_iters"]), votes_per_frame, threads)
 
     rows = []
     if experiment == "stepwise-vs-joint":
@@ -74,7 +77,7 @@ def run_sweep(experiment, votes_per_frame, gt_list, geom, limits, cfg,
         for seed in seeds:
             for mode, budget in MATCHED_BUDGETS.items():
                 arm, evals = _arm(psets, gt_list, geom, limits,
-                                  pso_config(cfg, seed, **budget), mode)
+                                  pso_config(cfg, seed, **budget), mode, threads)
                 rows.append({"method": mode, "seed": seed, **arm,
                              "evals_per_frame": evals})
         _write_table(out_dir / "table.csv", rows)
@@ -95,7 +98,7 @@ def run_sweep(experiment, votes_per_frame, gt_list, geom, limits, cfg,
         oracle = _oracle_error(psets, gt_list, d_max)
         for seed in seeds:
             arm, evals = _arm(psets, gt_list, geom, limits, pso_config(cfg, seed),
-                              "stepwise")
+                              "stepwise", threads)
             rows.append({param: value, "seed": seed, **arm,
                          "oracle_error_mm": oracle, "evals_per_frame": evals})
     _write_table(out_dir / "table.csv", rows)

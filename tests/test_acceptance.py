@@ -46,7 +46,7 @@ def train_setup(geom, limits, cam):
     samples = F.build_training_set(images, gts, stride=6,
                                    rng=np.random.default_rng(11), cap=250)
     model = F.train_forest(samples, F.ForestConfig(),
-                           np.random.default_rng(42))
+                           np.random.default_rng(42), threads=2)
     return model, arts
 
 

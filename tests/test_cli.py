@@ -1,9 +1,10 @@
 import dataclasses
-import hashlib
 import logging
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -226,17 +227,19 @@ def test_exit_codes(tmp_path, pipeline_dir):
 
 
 # (command, path argument): a directory is given where a file is expected,
-# except for the output directories of `fit` and `synth`, given a file
+# except for the output directories of `fit`, `eval` and `synth`, given a file
 WRONG_KIND = [("infer", "--forest"), ("infer", "--out"), ("infer", "--config"),
               ("fit", "--proposals"), ("fit", "--geometry"), ("fit", "--out"),
-              ("eval", "--estimates"), ("sweep", "--forest"), ("synth", "--out"),
-              ("train", "--out")]
+              ("eval", "--estimates"), ("eval", "--out"), ("sweep", "--forest"),
+              ("synth", "--out"), ("train", "--out")]
 
 
 @pytest.mark.parametrize("command, flag", WRONG_KIND, ids=[f"{c}{f}" for c, f in WRONG_KIND])
 def test_path_of_the_wrong_kind_exits_3_before_work(pipeline_dir, tmp_path, capsys, caplog,
-                                                    command, flag):
+                                                    monkeypatch, command, flag):
     caplog.set_level(logging.INFO, logger="handfit")
+    if flag == "--out":  # eval reads no estimates before its run directory is checked
+        monkeypatch.setattr(cli, "read_joints_csv", lambda path: pytest.fail("estimates read"))
     ds, run = str(pipeline_dir / "dataset"), pipeline_dir
     args = {
         "infer": ["--dataset", ds, "--forest", str(run / "forest.bin"),
@@ -250,7 +253,7 @@ def test_path_of_the_wrong_kind_exits_3_before_work(pipeline_dir, tmp_path, caps
         "train": ["--dataset", ds, "--out", str(tmp_path / "f.bin")],
     }[command]
     wrong = tmp_path / "wrong"
-    if (command, flag) in (("fit", "--out"), ("synth", "--out")):
+    if (command, flag) in (("fit", "--out"), ("eval", "--out"), ("synth", "--out")):
         wrong.write_text("a file\n")
     else:
         wrong.mkdir()
@@ -430,38 +433,69 @@ def test_env_seed_override(tmp_path, monkeypatch):
 
 
 def test_train_thread_invariance(pipeline_dir, tmp_path):
-    rc = cli.main(["train", "--dataset", str(pipeline_dir / "dataset"),
-                   "--out", str(tmp_path / "f2.bin"), "--seed", "7",
-                   "--threads", "2"] + TINY)
-    assert rc == 0
-    h1 = hashlib.sha256((pipeline_dir / "forest.bin").read_bytes()).hexdigest()
-    h2 = hashlib.sha256((tmp_path / "f2.bin").read_bytes()).hexdigest()
-    assert h1 == h2
+    # the 2 trees go to forked workers; at 3, one worker more than trees
+    for threads in ("2", "3"):
+        rc = cli.main(["train", "--dataset", str(pipeline_dir / "dataset"),
+                       "--out", str(tmp_path / f"f{threads}.bin"), "--seed", "7",
+                       "--threads", threads] + TINY)
+        assert rc == 0
+        assert (tmp_path / f"f{threads}.bin").read_bytes() == \
+            (pipeline_dir / "forest.bin").read_bytes()
 
 
 def test_infer_thread_invariance(pipeline_dir, tmp_path):
-    # concurrent frames must not share mean-shift scratch state
-    rc = cli.main(["infer", "--dataset", str(pipeline_dir / "dataset"),
-                   "--forest", str(pipeline_dir / "forest.bin"),
-                   "--out", str(tmp_path / "p2.csv"), "--seed", "7",
-                   "--threads", "2"] + TINY)
-    assert rc == 0
-    assert (tmp_path / "p2.csv").read_bytes() == \
-        (pipeline_dir / "proposals.csv").read_bytes()
+    for threads in ("2", "3"):
+        rc = cli.main(["infer", "--dataset", str(pipeline_dir / "dataset"),
+                       "--forest", str(pipeline_dir / "forest.bin"),
+                       "--out", str(tmp_path / f"p{threads}.csv"), "--seed", "7",
+                       "--threads", threads] + TINY)
+        assert rc == 0
+        assert (tmp_path / f"p{threads}.csv").read_bytes() == \
+            (pipeline_dir / "proposals.csv").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["stepwise", "joint"])
+def test_fit_thread_invariance(pipeline_dir, tmp_path, mode):
+    outputs = set()
+    for threads in ("1", "2", "3"):
+        out = tmp_path / f"t{threads}"
+        assert cli.main(["fit", "--proposals", str(pipeline_dir / "proposals.csv"),
+                         "--out", str(out), "--mode", mode, "--seed", "7",
+                         "--threads", threads] + TINY) == 0
+        outputs.add(tuple((out / name).read_bytes() for name in ("poses.csv", "estimates.csv")))
+    assert len(outputs) == 1
+    if mode == "stepwise":  # the pipeline's own fit, at one worker
+        assert outputs == {tuple((pipeline_dir / "fit" / name).read_bytes()
+                                 for name in ("poses.csv", "estimates.csv"))}
 
 
 def test_sweep_thread_invariance(pipeline_dir, tmp_path):
-    # sweep votes its frames in the --threads pool, as infer does
-    tables = []
-    for threads in ("1", "2"):
+    # sweep votes, condenses and fits its frames in --threads workers
+    tables = set()
+    for threads in ("1", "2", "3"):
         out = tmp_path / f"t{threads}"
         rc = cli.main(["sweep", "--experiment", "k",
                        "--dataset", str(pipeline_dir / "dataset"),
                        "--forest", str(pipeline_dir / "forest.bin"), "--out", str(out),
                        "--set", "sweep.k_grid=1,2", "--threads", threads] + TINY)
         assert rc == 0
-        tables.append((out / "sweep_k" / "table.csv").read_bytes())
-    assert tables[0] == tables[1]
+        tables.add((out / "sweep_k" / "table.csv").read_bytes())
+    assert len(tables) == 1
+
+
+def test_train_in_forked_workers_under_default_blas_threads(pipeline_dir, tmp_path):
+    # forking once BLAS has started its threads can hang a worker; this runs
+    # the CLI as a user does, BLAS thread counts left to their defaults
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS") and k != "OPENBLAS_MAIN_FREE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "handfit.cli", "train", "--dataset",
+         str(pipeline_dir / "dataset"), "--out", str(tmp_path / "f.bin"), "--seed", "7",
+         "--threads", "2"] + TINY, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "f.bin").read_bytes() == (pipeline_dir / "forest.bin").read_bytes()
 
 
 def test_infer_with_more_forest_joints_than_the_hand_exits_4(pipeline_dir, tmp_path,

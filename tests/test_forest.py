@@ -269,7 +269,7 @@ def test_build_leaf_single_and_duplicate_samples(geom, cam, rest_frame):
         assert weights[j, 0] == pytest.approx(1.0)
         assert weights[j, 1] == 0.0
     # two identical samples: one mode, weight 2
-    dup = F.SampleSet(samples.images, samples.cam,
+    dup = F.SampleSet(samples.images,
                       np.repeat(samples.pixel[:1], 2, axis=0),
                       np.repeat(samples.depth[:1], 2),
                       np.zeros(2, dtype=np.int32),
@@ -310,7 +310,7 @@ def test_train_tree_degenerate_cases(cam, rest_frame):
     tree = F.train_tree(samples, cfg, np.random.default_rng(0))
     assert tree.n_nodes == 1 and tree.n_leaves == 1
     with pytest.raises(ValueError):
-        F.train_tree(samples.__class__(samples.images, samples.cam,
+        F.train_tree(samples.__class__(samples.images,
                                        samples.pixel[:0], samples.depth[:0],
                                        samples.img_idx[:0], samples.label[:0],
                                        samples.centers[:0], samples.joints),
@@ -319,7 +319,6 @@ def test_train_tree_degenerate_cases(cam, rest_frame):
     # identical appearance everywhere: no split can gain, root stays a leaf
     flat = F.SampleSet(
         images=Frames.pack([DepthImage(np.full((10, 10), 500, dtype=np.uint16), cam)], cam),
-        cam=cam,
         pixel=np.tile(np.array([[5.0, 5.0]]), (50, 1)),
         depth=np.full(50, 500.0), img_idx=np.zeros(50, dtype=np.int32),
         label=np.zeros(50, dtype=np.int16), centers=np.zeros((50, 3)),
@@ -600,8 +599,8 @@ def _leaf_samples(base, offsets):
     float32: sample i is the one sample of frame i, its centre at zero."""
     n = len(offsets)
     return F.SampleSet(Frames(base.images.pixels, np.repeat(base.images.boxes[:1], n, axis=0),
-                              base.cam),
-                       base.cam, np.tile(base.pixel[:1], (n, 1)),
+                              base.images.cam),
+                       np.tile(base.pixel[:1], (n, 1)),
                        np.full(n, base.depth[0]), np.arange(n, dtype=np.int32),
                        np.zeros(n, dtype=np.int16), np.zeros((n, 3)),
                        np.asarray(offsets, dtype=float))
@@ -769,7 +768,7 @@ def test_depth_invariant_features(geom, cam):
     for img, z in ((near, 500.0), (far, 650.0)):
         u, v = img.cam.project(np.array([[anchor[0], anchor[1], z]]))[0]
         d = float(img.depth[int(round(v)), int(round(u))])
-        sample = F.SampleSet(Frames.pack([img], img.cam), img.cam,
+        sample = F.SampleSet(Frames.pack([img], img.cam),
                              np.array([[round(u), round(v)]], dtype=float),
                              np.array([d]), np.zeros(1, dtype=np.int64),
                              np.zeros(1, dtype=np.int16), np.zeros((1, 3)),
