@@ -90,6 +90,17 @@ def _dataset_geometry(dataset):
     return geom, limits
 
 
+def _render_split(name, poses, geom, cam, cfg, rng):
+    """The split's frames, rendered with the run's jitter; logs what it took."""
+    log.info("rendering %d %s frames", len(poses), name)
+    start = time.perf_counter()
+    frames = synth.render_poses(poses, geom, cam, jitter_mm=cfg["synth.jitter_mm"], rng=rng)
+    wall = time.perf_counter() - start
+    log.info("rendered %d %s frames in %.3f s (%.1f frames/s), frame crops %d bytes",
+             len(frames), name, wall, len(frames) / max(wall, 1e-9), frames.nbytes)
+    return frames
+
+
 def cmd_synth(args):
     cfg = _load_config(args)
     cam = cfg.build(CameraIntrinsics, "camera")
@@ -107,10 +118,8 @@ def cmd_synth(args):
     train_poses = synth.generate_training_poses(
         arts, views, limits=limits, translation=translation,
         per_finger=cfg["synth.articulations"], num_views=cfg["synth.viewpoints"])
-    log.info("rendering %d training frames", len(train_poses))
     rng = np.random.default_rng((cfg["seed"], 1))
-    train_imgs = synth.render_poses(train_poses, geom, cam,
-                                    jitter_mm=cfg["synth.jitter_mm"], rng=rng)
+    train_imgs = _render_split("training", train_poses, geom, cam, cfg, rng)
     synth.write_split(out / "train", train_poses, train_imgs)
 
     key_rng = np.random.default_rng((cfg["seed"], 2))
@@ -121,9 +130,7 @@ def cmd_synth(args):
         limits=limits, translation=translation, orientation=view)
     seq = synth.generate_sequence(keyposes, cfg["synth.frames_between"],
                                   cfg["synth.subsample"], limits)
-    log.info("rendering %d test frames", len(seq))
-    seq_imgs = synth.render_poses(seq, geom, cam,
-                                  jitter_mm=cfg["synth.jitter_mm"], rng=rng)
+    seq_imgs = _render_split("test", seq, geom, cam, cfg, rng)
     synth.write_split(out / "test", seq, seq_imgs)
 
     cam.save(out / "intrinsics.txt")
@@ -165,7 +172,7 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _vote_frames(cfg, model, images, threads, then=lambda votes: votes):
+def _vote_frames(cfg, model, images, threads, then):
     """`then` of each frame's forest votes, frames in up to `threads` forked
     workers that share the forest and the frames: the one voting call of
     `infer` and `sweep`."""
@@ -274,7 +281,9 @@ def cmd_sweep(args):
     poses, images = synth.read_split(split, cam)
     gt_joints = [geometry.forward_kinematics(geom, p) for p in poses]
     log.info("accumulating votes for %d frames", len(images))
-    votes = _vote_frames(cfg, model, images, args.threads)
+    # each worker sends back only the votes the experiment's proposals read
+    votes = _vote_frames(cfg, model, images, args.threads, then=functools.partial(
+        forest.top_votes, m=sweeps.votes_read(args.experiment, cfg)))
     rows = sweeps.run_sweep(args.experiment, votes, gt_joints, geom, limits,
                             cfg, out / f"sweep_{args.experiment}", threads=args.threads)
     log.info("wrote %d sweep rows under %s", len(rows), out)

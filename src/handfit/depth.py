@@ -5,11 +5,15 @@ sentinel. Rendering casts one ray per pixel and intersects it analytically
 with a capsule per finger bone plus a palm ellipsoid, keeping the nearest
 surface. A pose's primitives are rasterised together: their pixel boxes
 (bounded by each sphere's exact tangent planes) and rays are built in one
-pass, and every capsule's end spheres and body and the ellipsoid go
-through one batched ray-quadric solve. Each primitive's own products keep
-the bits they have when it is solved alone, so the depths do not depend
-on the batching. A frame is stored as the crop of its foreground bounding
-box (`DepthImage`), and a split's frames as one flat buffer of their crops
+pass, every capsule's end spheres and body and the ellipsoid go through
+one ray-quadric solve, and one z-buffer pass takes the nearest hit per
+pixel. Every per-ray array is a view of the work arrays of a
+`RenderWork`, which `synth.render_poses` makes once for a split and
+passes to each frame's `render_depth`, so a split's page faults do not
+grow with its frames. Each primitive's own scalars and BLAS products keep
+the bits they have when it is solved alone, so no depth depends on the
+batching. A frame is stored as the crop of its foreground bounding box
+(`DepthImage`), and a split's frames as one flat buffer of their crops
 with a per-frame (y0, x0, h, w, offset) table (`Frames`), which training
 and routing read in place; a full grid is built only on demand.
 """
@@ -32,6 +36,17 @@ PALM_ELLIPSOID_SEMI_AXES = (45.0, 40.0, 15.0)
 PALM_ELLIPSOID_CENTER = (0.0, 42.0, 0.0)
 
 BACKGROUND = 0
+
+# Rays (and box pixels) a RenderWork holds at first; a pose that needs
+# more grows it
+RAY_BLOCK = 1 << 14
+
+# each finger's bones as (joint, joint) pairs, with their capsule radii
+_BONES = np.array([(chain[k], chain[k + 1]) for f in range(geometry.NUM_FINGERS)
+                   for chain in [geometry.finger_joint_indices(f)] for k in range(3)])
+_BONE_RADII = np.tile(np.asarray(BONE_RADII_MM), geometry.NUM_FINGERS)
+_SEMI_AXES = np.asarray(PALM_ELLIPSOID_SEMI_AXES, dtype=float)
+_BONE_RADII.flags.writeable = _SEMI_AXES.flags.writeable = False
 
 
 class RenderError(RuntimeError):
@@ -192,33 +207,73 @@ def hand_primitives(geom, pose):
     Returns (segments (m, 2, 3), radii (m,), ellipsoid (center, semi_axes, rot)).
     """
     joints = geometry.forward_kinematics(geom, pose)
-    segs = []
-    radii = []
-    for f in range(geometry.NUM_FINGERS):
-        chain = geometry.finger_joint_indices(f)
-        for k in range(3):
-            segs.append((joints[chain[k]], joints[chain[k + 1]]))
-            radii.append(BONE_RADII_MM[k])
     rot = quats.to_matrix_batch(quats.normalize(pose.orientation))
     center = pose.translation + rot @ np.asarray(PALM_ELLIPSOID_CENTER)
-    ellipsoid = (center, np.asarray(PALM_ELLIPSOID_SEMI_AXES, dtype=float), rot)
-    return np.asarray(segs, dtype=float), np.asarray(radii, dtype=float), ellipsoid
+    return joints[_BONES], _BONE_RADII, (center, _SEMI_AXES, rot)
 
 
-def render_depth(geom, pose, cam):
+class RenderWork:
+    """The work arrays of renders with camera `cam`: every per-ray array
+    of a render is a view of them, so renders that share one reuse its
+    memory instead of making and faulting in a dozen arrays each. They
+    hold RAY_BLOCK rays at first and grow to the most one pose needs."""
+
+    def __init__(self, cam):
+        self.cam = cam
+        self.xs = (np.arange(cam.width) - cam.cx) / cam.fx
+        self.ys = (np.arange(cam.height) - cam.cy)[:, None] / cam.fy
+        self.size = 0
+        self.reserve(RAY_BLOCK)
+
+    def reserve(self, size):
+        """Make the arrays hold at least `size` rays and box pixels."""
+        if size <= self.size:
+            return
+        self.size = size
+        self.dirs = np.empty((size, 3))   # pixel rays
+        # 2 dirs of the capsule rays; then every ray in its body's frame (at
+        # right angles to the axis) or the ellipsoid's, and 2 of it in `two`
+        self.local = np.empty((size, 3))
+        self.two = np.empty((size, 3))
+        self.d_par = np.empty(size)
+        self.rowid = np.empty(size, dtype=np.intp)
+        # one row per ray and quadric: both end spheres, then body or ellipsoid
+        self.qa, self.qb, self.qc4, self.far = (np.empty(3 * size) for _ in range(4))
+        self.hit, self.mask = np.empty(3 * size, dtype=bool), np.empty(3 * size, dtype=bool)
+        self.canvas = np.empty(size)
+        self.fg = np.empty(size, dtype=bool)
+
+
+def render_depth(geom, pose, cam, *, work=None):
     """Z-buffered depth render of the hand surface. Deterministic.
 
-    Returns a DepthImage cropped to the hand's bounding box.
+    Returns a DepthImage cropped to the hand's bounding box; raises
+    RenderError when the hand shows no pixel. The rays are cast in the
+    arrays of `work`, a RenderWork of `cam` (one made for the call when
+    None), so renders that share one take no new memory for their rays.
     """
-    zbuf, v0, u0 = _zbuffer(cam, *hand_primitives(geom, pose))
+    if work is None:
+        work = RenderWork(cam)
+    elif work.cam != cam:
+        raise ValueError("the render work arrays are of another camera")
+    zbuf, v0, u0 = _zbuffer(cam, *hand_primitives(geom, pose), work)
     if not zbuf.size:
         raise RenderError("hand produced no foreground pixels (behind camera or "
                           "outside the frustum)")
-    fg = np.isfinite(zbuf)
-    crop = np.zeros(zbuf.shape, dtype=np.uint16)
-    crop[fg] = np.clip(np.rint(zbuf[fg]), 1, 65534)
+    crop = np.empty(zbuf.shape, dtype=np.uint16)
+    _round_into(crop, zbuf, work.mask[:zbuf.size].reshape(zbuf.shape))
     crop.flags.writeable = False
     return DepthImage(crop, cam, v0, u0)
+
+
+def _round_into(crop, zbuf, mask):
+    """The uint16 crop of the depths `zbuf`, rounded and clipped to
+    1..65534, and 0 where they are inf; `zbuf` and `mask` are spent."""
+    np.isfinite(zbuf, out=mask)
+    np.rint(zbuf, out=zbuf)
+    np.clip(zbuf, 1, 65534, out=zbuf)
+    np.multiply(zbuf, mask, out=zbuf)
+    np.copyto(crop, zbuf, casting="unsafe")
 
 
 def _pixel_boxes(cam, points, radii):
@@ -256,126 +311,179 @@ def _pixel_boxes(cam, points, radii):
     return np.stack([u0, u1, v0, v1], axis=1), seen & (u0 <= u1) & (v0 <= v1)
 
 
-def _box_rays(cam, boxes):
-    """Every pixel of the boxes (b, 4) of (u0, u1, v0, v1) rows, box after
-    box and row by row in each: its (u, v), its ray direction
-    ((u - cx) / fx, (v - cy) / fy, 1), and the pixel count of each box."""
-    u0, u1, v0, v1 = boxes.T
-    width = u1 - u0 + 1
-    counts = width * (v1 - v0 + 1)
-    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    width = np.repeat(width, counts)
-    us = np.repeat(u0, counts) + k % width
-    vs = np.repeat(v0, counts) + k // width
-    dirs = np.stack([(us - cam.cx) / cam.fx, (vs - cam.cy) / cam.fy, np.ones(len(us))], axis=1)
-    return us, vs, dirs, counts
+def _dots(x, y):
+    """Row-by-row dot products of (n, 3) arrays, each the BLAS dot of
+    `x[i] @ y[i]`."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def _ray_quadric(dirs, origins, c, counts):
-    """Roots of |dirs * t + origin|^2 = c for every ray, the rays in blocks
-    of `counts` and block i meeting origins[i] and c[i]: (hit, qa, near,
-    far), hit where the discriminant is non-negative, qa the quadratic's
-    leading coefficient, near <= far the two roots wherever hit.
-
-    A block's linear coefficients come from one BLAS product of its own, as
-    they do when the block is solved alone; every other step runs over all
-    rays at once.
-    """
-    qa = np.einsum("ij,ij->i", dirs, dirs)
-    two = 2.0 * dirs
-    qb = np.empty(len(dirs))
-    qc = np.empty(len(counts))
-    lo = 0
-    for i, n in enumerate(counts):
-        np.matmul(two[lo:lo + n], origins[i], out=qb[lo:lo + n])
-        qc[i] = origins[i] @ origins[i] - c[i]
-        lo += n
-    qc = np.repeat(qc, counts)
-    disc = qb * qb - 4.0 * qa * qc
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        near = (-qb - sq) / (2.0 * qa)
-        far = (-qb + sq) / (2.0 * qa)
-    return disc >= 0.0, qa, near, far
+def _ray_quadric(qa, qb, qc4, hit, far):
+    """Roots of qa t^2 + qb t + qc = 0 row by row, given qc4 = 4 qa qc, in
+    place: hit where the discriminant is non-negative, qb becomes the near
+    root and far the far root, near <= far wherever hit; qc4 is spent."""
+    np.multiply(qb, qb, out=far)
+    np.subtract(far, qc4, out=qc4)  # the discriminant
+    np.greater_equal(qc4, 0.0, out=hit)
+    np.maximum(qc4, 0.0, out=qc4)
+    np.sqrt(qc4, out=qc4)
+    np.negative(qb, out=qb)
+    np.add(qb, qc4, out=far)
+    np.subtract(qb, qc4, out=qb)
+    np.multiply(qa, 2.0, out=qc4)
+    np.divide(qb, qc4, out=qb)
+    np.divide(far, qc4, out=far)
 
 
-def _sphere_depth(hit, near, far):
-    """Smallest positive ray parameter on a sphere from its roots; inf when
-    missed. The far root counts when the camera is inside the sphere."""
-    t = np.where(near > 0.0, near, far)
-    return np.where(hit & (t > 0.0), t, np.inf)
+def _sphere_depth(near, far, hit, mask):
+    """Smallest positive ray parameter on a sphere from its roots, inf when
+    missed, in place of `near`: the far root counts when the camera is
+    inside the sphere. `mask` is spent."""
+    np.greater(near, 0.0, out=mask)
+    np.logical_not(mask, out=mask)
+    np.copyto(near, far, where=mask)
+    _keep_ahead(near, hit, mask)
 
 
-def _zbuffer(cam, segs, radii, ellipsoid):
+def _keep_ahead(t, hit, mask):
+    """t where hit and t > 0, inf elsewhere, in place. `mask` is spent."""
+    np.greater(t, 0.0, out=mask)
+    np.logical_and(mask, hit, out=mask)
+    np.logical_not(mask, out=mask)
+    np.copyto(t, np.inf, where=mask)
+
+
+def _quadrics(segs, radii, ellipsoid):
+    """The constants of a pose's quadrics, by primitive index j: capsule j
+    < m and then the ellipsoid m. Per capsule: its end-sphere origins
+    `ends` (m, 2, 3) (minus its end points), its unit `axis`, the axial
+    offset `oc_par` of its start and its `length` (nan where it has no
+    body); per primitive, the `origins` of its body or ellipsoid quadric;
+    and `qc`, the constant terms of the end-sphere, end-sphere and
+    body-or-ellipsoid quadratics. Each is the primitive's alone: the dots
+    are its own BLAS dots, as `x @ y` gives them."""
+    center, semi_axes, rot = ellipsoid
+    ends = np.negative(segs)
+    r2 = radii * radii
+    ab = segs[:, 1] - segs[:, 0]
+    length = np.sqrt(_dots(ab, ab))
+    body = length > 1e-9  # a shorter capsule is its end spheres alone
+    axis = np.divide(ab, length[:, None], out=np.zeros_like(ab), where=body[:, None])
+    oc_par = _dots(ends[:, 0], axis)
+    origins = np.concatenate([ends[:, 0] - oc_par[:, None] * axis,
+                              [(-center) @ rot / semi_axes]])
+    qc = [_dots(ends[:, e], ends[:, e]) - r2 for e in (0, 1)]
+    qc.append(_dots(origins, origins) - np.append(r2, 1.0))
+    return ends, axis, oc_par, np.where(body, length, np.nan), origins, qc
+
+
+def _zbuffer(cam, segs, radii, ellipsoid, work):
     """Depth of the nearest surface along every pixel ray, inf where there
     is none, of the capsules `segs` (m, 2, 3) with `radii` (m,) and the
-    ellipsoid (center, semi_axes, rot), in one batched ray solve, over the
-    bounding box of the pixels that see a surface: (zbuf, v0, u0), zbuf
-    the box's depths and (u0, v0) its top-left pixel. Every pixel outside
-    the box sees none; with no such pixel the box is empty at (0, 0).
+    ellipsoid (center, semi_axes, rot), in one ray pass, one ray-quadric
+    solve and one z-buffer pass, over the bounding box of the pixels that
+    see a surface: (zbuf, v0, u0), zbuf the box's depths and (u0, v0) its
+    top-left pixel. Every pixel outside the box sees none; with no such
+    pixel the box is empty at (0, 0). Every per-ray array is a view of
+    `work`, a RenderWork of `cam`, and so is zbuf, valid until the next
+    use of `work`.
 
     A capsule is its two end spheres and the infinite cylinder around its
     axis, cut to the segment; the ellipsoid is the unit sphere in its own
-    scaled frame. Each primitive casts the rays of its pixel box, and rays
-    have unit z component, so a ray parameter is a depth in mm. The
-    per-primitive scalars and products are computed as for the primitive
-    alone, so no depth depends on the batching.
+    scaled frame. Each primitive casts the rays of its pixel box (bounded
+    by its spheres' exact tangent planes), and rays have unit z component,
+    so a ray parameter is a depth in mm. The per-primitive scalars and
+    BLAS products are those of the primitive alone, so no depth depends
+    on the batching.
     """
     center, semi_axes, rot = ellipsoid
+    m = len(segs)
     boxes, seen = _pixel_boxes(cam, np.concatenate([segs, [[center, center]]]),
                                np.append(radii, float(np.max(semi_axes))))
-    us, vs, dirs, counts = _box_rays(cam, boxes[seen])
-    caps = np.flatnonzero(seen[:-1])
-    starts = (np.cumsum(counts) - counts).tolist()
-    counts = counts.tolist()
-    n = sum(counts[:len(caps)])  # the capsules' rays, then the ellipsoid's
-    # (origin, c, ray count) of each quadric: the capsules' end spheres,
-    # then the body of each capsule longer than 1e-9 mm
-    quadrics = [(-segs[k, end], radii[k] * radii[k], counts[i])
-                for end in (0, 1) for i, k in enumerate(caps)]
-    d_par = np.empty(n)
-    rows, axes, oc_par, lengths = [], [], [], []
-    for i, k in enumerate(caps):
-        a, b = segs[k]
-        ab = b - a
-        length = np.linalg.norm(ab)
-        if length > 1e-9:
-            lo, hi = starts[i], starts[i] + counts[i]
-            axis = ab / length
-            np.matmul(dirs[lo:hi], axis, out=d_par[lo:hi])
-            oc = -a @ axis
-            quadrics.append((-a - oc * axis, radii[k] * radii[k], counts[i]))
-            rows.append(np.arange(lo, hi))
-            axes.append(axis)
-            oc_par.append(oc)
-            lengths.append(length)
-    sizes = [len(r) for r in rows]
-    rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.intp)
-    rays = [dirs[:n], dirs[:n],
-            dirs[rows] - d_par[rows, None] * np.repeat(np.reshape(axes, (-1, 3)), sizes, axis=0)]
-    if seen[-1]:
-        quadrics.append(((-center) @ rot / semi_axes, 1.0, counts[-1]))
-        rays.append(dirs[n:] @ rot / semi_axes)
-    origins, c, ray_counts = zip(*quadrics) if quadrics else ((), (), ())
-    hit, qa, near, far = _ray_quadric(np.concatenate(rays), origins, c, ray_counts)
+    if not seen.any():
+        return np.empty((0, 0)), 0, 0
+    u0, u1, v0, v1 = boxes.T
+    # rays: every capsule's, then the ellipsoid's
+    counts = np.where(seen, (u1 - u0 + 1) * (v1 - v0 + 1), 0)
+    starts = np.cumsum(counts) - counts
+    nc, n = int(counts[:m].sum()), int(counts.sum())
+    q = 2 * nc + n
+    x0, x1 = int(u0[seen].min()), int(u1[seen].max()) + 1
+    y0, y1 = int(v0[seen].min()), int(v1[seen].max()) + 1
+    work.reserve(max(n, (y1 - y0) * (x1 - x0)))
+    ends, axis, oc_par, length, origins, qc = _quadrics(segs, radii, ellipsoid)
 
-    t = np.minimum(_sphere_depth(hit[:n], near[:n], far[:n]),
-                   _sphere_depth(hit[n:2 * n], near[n:2 * n], far[n:2 * n]))
-    body = slice(2 * n, 2 * n + len(rows))
-    proj = near[body] * d_par[rows] + np.repeat(oc_par, sizes)
-    on_body = (hit[body] & (qa[body] > 1e-12) & (near[body] > 0.0) & (proj >= 0.0)
-               & (proj <= np.repeat(lengths, sizes)))
-    t[rows] = np.minimum(t[rows], np.where(on_body, near[body], np.inf))
-    ell = slice(body.stop, None)
-    t = np.concatenate([t, np.where(hit[ell] & (near[ell] > 0.0), near[ell], np.inf)])
-    # the nearest hit per pixel, whichever primitive's ray made it
-    hit = np.isfinite(t)
-    us, vs, t = us[hit], vs[hit], t[hit]
-    v0, u0 = (int(vs.min()), int(us.min())) if len(t) else (0, 0)
-    h, w = (int(vs.max()) + 1 - v0, int(us.max()) + 1 - u0) if len(t) else (0, 0)
-    zbuf = np.full((h, w), np.inf)
-    np.minimum.at(zbuf.reshape(-1), (vs - v0) * w + (us - u0), t)
-    return zbuf, v0, u0
+    # each primitive that casts rays: its index, its rays' range and its
+    # box (columns a0:a1, rows b0:b1); ray i has row id j
+    prims = np.flatnonzero(counts)
+    casts = list(zip(prims.tolist(), starts[prims].tolist(), (starts + counts)[prims].tolist(),
+                     u0[prims].tolist(), (u1[prims] + 1).tolist(),
+                     v0[prims].tolist(), (v1[prims] + 1).tolist()))
+    s = work
+    dirs, local, two, d_par, rowid = s.dirs, s.local, s.two, s.d_par, s.rowid
+    dirs[:n, 2] = 1.0
+    for j, lo, hi, a0, a1, b0, b1 in casts:
+        shape = (b1 - b0, a1 - a0)
+        dirs[lo:hi, 0].reshape(shape)[...] = s.xs[a0:a1]
+        dirs[lo:hi, 1].reshape(shape)[...] = s.ys[b0:b1]
+        rowid[lo:hi] = j
+    np.multiply(dirs[:nc], 2.0, out=local[:nc])
+    qa, qb, qc4, far, hit, mask = s.qa, s.qb, s.qc4, s.far, s.hit, s.mask
+    for j, lo, hi, *_ in casts:
+        if j < m:
+            np.matmul(dirs[lo:hi], axis[j], out=d_par[lo:hi])
+            np.matmul(local[lo:hi], ends[j, 0], out=qb[lo:hi])
+            np.matmul(local[lo:hi], ends[j, 1], out=qb[nc + lo:nc + hi])
+        else:
+            np.matmul(dirs[lo:hi], rot, out=local[lo:hi])
+    # each body's rays perpendicular to its axis; the ellipsoid's, scaled
+    np.take(axis, rowid[:nc], axis=0, out=local[:nc])
+    np.multiply(local[:nc], d_par[:nc, None], out=local[:nc])
+    np.subtract(dirs[:nc], local[:nc], out=local[:nc])
+    np.divide(local[nc:n], semi_axes, out=local[nc:n])
+    np.multiply(local[:n], 2.0, out=two[:n])
+    for j, lo, hi, *_ in casts:
+        np.matmul(two[lo:hi], origins[j], out=qb[2 * nc + lo:2 * nc + hi])
+    np.einsum("ij,ij->i", dirs[:nc], dirs[:nc], out=qa[:nc])
+    qa[nc:2 * nc] = qa[:nc]
+    np.einsum("ij,ij->i", local[:n], local[:n], out=qa[2 * nc:q])
+    np.take(qc[0], rowid[:nc], out=far[:nc])
+    np.take(qc[1], rowid[:nc], out=far[nc:2 * nc])
+    np.take(qc[2], rowid[:n], out=far[2 * nc:q])
+    np.multiply(qa[:q], 4.0, out=qc4[:q])
+    np.multiply(qc4[:q], far[:q], out=qc4[:q])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _ray_quadric(qa[:q], qb[:q], qc4[:q], hit[:q], far[:q])
+        near, sph, cyl = qb, slice(0, 2 * nc), slice(2 * nc, 3 * nc)
+        _sphere_depth(near[sph], far[sph], hit[sph], mask[sph])
+        # a body hit counts where the ray is not along the axis and the
+        # hit projects onto the segment
+        proj = far[cyl]
+        np.multiply(near[cyl], d_par[:nc], out=proj)
+        np.add(proj, np.take(oc_par, rowid[:nc], out=qc4[cyl]), out=proj)
+        np.greater(qa[cyl], 1e-12, out=mask[cyl])
+        np.logical_and(hit[cyl], mask[cyl], out=hit[cyl])
+        np.greater_equal(proj, 0.0, out=mask[cyl])
+        np.logical_and(hit[cyl], mask[cyl], out=hit[cyl])
+        np.less_equal(proj, np.take(length, rowid[:nc], out=qc4[cyl]), out=mask[cyl])
+        np.logical_and(hit[cyl], mask[cyl], out=hit[cyl])
+    _keep_ahead(near[2 * nc:q], hit[2 * nc:q], mask[2 * nc:q])
+    # the nearest hit per ray of a capsule, then per pixel: ray i's depth
+    # is near[2 nc + i], whichever primitive cast it
+    np.minimum(near[:nc], near[nc:2 * nc], out=near[:nc])
+    np.minimum(near[cyl], near[:nc], out=near[cyl])
+    depths = near[2 * nc:q]
+    canvas = s.canvas[:(y1 - y0) * (x1 - x0)].reshape(y1 - y0, x1 - x0)
+    canvas.fill(np.inf)
+    for j, lo, hi, a0, a1, b0, b1 in casts:
+        view = canvas[b0 - y0:b1 - y0, a0 - x0:a1 - x0]
+        np.minimum(view, depths[lo:hi].reshape(view.shape), out=view)
+    fg = np.isfinite(canvas, out=s.fg[:canvas.size].reshape(canvas.shape))
+    rows = np.flatnonzero(fg.any(axis=1))
+    cols = np.flatnonzero(fg.any(axis=0))
+    if not len(rows):
+        return canvas[:0, :0], 0, 0
+    return (canvas[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1],
+            y0 + int(rows[0]), x0 + int(cols[0]))
 
 
 def write_pgm(path, img):

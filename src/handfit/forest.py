@@ -629,6 +629,20 @@ def proposals_from_votes(votes, top_n=DEFAULTS["forest.top_n"], k=DEFAULTS["fore
                         for j, (modes, support) in zip(votes, found) if len(modes)})
 
 
+def top_votes(votes, m):
+    """Each joint's m highest-weight votes of `votes` ({joint: (positions,
+    weights)}), in the stable `argsort(-w)` order `proposals_from_votes`
+    takes them in, so proposals at any top_n <= m are those of the whole
+    set; a joint with m votes or fewer keeps its votes in their own order."""
+    kept = {}
+    for j, (pos, w) in votes.items():
+        if len(w) > m:
+            order = np.argsort(-w, kind="stable")[:m]
+            pos, w = pos[order], w[order]
+        kept[j] = (pos, w)
+    return kept
+
+
 # --- serialization ---------------------------------------------------------
 
 def save_forest(path, forest):

@@ -49,13 +49,29 @@ def _oracle_error(psets, gt_list, sentinel):
     return metrics.mean_joint_error(results)
 
 
+def topn_values(experiment, cfg):
+    """The top_n values the experiment's proposals take: the
+    `sweep.topn_grid` points for `top-n`, else `forest.top_n` alone."""
+    if experiment == "top-n":
+        return cfg.int_list("sweep.topn_grid")
+    return [cfg["forest.top_n"]]
+
+
+def votes_read(experiment, cfg):
+    """The most votes per joint the experiment's proposals read: its
+    largest top_n. Each joint's top votes of that many serve every point."""
+    return max(topn_values(experiment, cfg))
+
+
 def run_sweep(experiment, votes_per_frame, gt_list, geom, limits, cfg,
               out_dir, seeds=None, threads=1):
     """Run one ablation experiment and write table.csv + plot.svg; the
     proposals and each arm's fits take up to `threads` forked workers.
 
     votes_per_frame: per-frame joint->votes dicts (fixed vote sets, so the
-    k sweep sees identical inputs at every k).
+    k sweep sees identical inputs at every k); each joint's top
+    `votes_read(experiment, cfg)` votes (`forest.top_votes`) give the same
+    tables as all of them.
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}; pick from {EXPERIMENTS}")
@@ -72,8 +88,10 @@ def run_sweep(experiment, votes_per_frame, gt_list, geom, limits, cfg,
             max_iters=cfg["forest.meanshift_iters"]), votes_per_frame, threads)
 
     rows = []
+    top_ns = topn_values(experiment, cfg)
     if experiment == "stepwise-vs-joint":
-        psets = proposals(cfg["forest.top_n"], cfg["forest.k"])
+        [top_n] = top_ns
+        psets = proposals(top_n, cfg["forest.k"])
         for seed in seeds:
             for mode, budget in MATCHED_BUDGETS.items():
                 arm, evals = _arm(psets, gt_list, geom, limits,
@@ -85,12 +103,13 @@ def run_sweep(experiment, votes_per_frame, gt_list, geom, limits, cfg,
         return rows
 
     if experiment == "k":
+        [top_n] = top_ns
         param, grid = "k", cfg.int_list("sweep.k_grid")
-        full = proposals(cfg["forest.top_n"], max(grid))
+        full = proposals(top_n, max(grid))
         psets_at = lambda k: [p.top_k(k) for p in full]
         labels = dict(title="error vs proposals per joint", xlabel="k")
     else:
-        param, grid = "top_n", cfg.int_list("sweep.topn_grid")
+        param, grid = "top_n", top_ns
         psets_at = lambda top_n: proposals(top_n, cfg["forest.k"])
         labels = dict(title="error vs retained votes", xlabel="votes into mean-shift")
     for value in grid:

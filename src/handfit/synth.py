@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry, quats
 from .config import DEFAULTS, read_keyvalue
-from .depth import DepthImage, Frames, read_pgm, render_depth, write_pgm
+from .depth import Frames, RenderError, RenderWork, read_pgm, render_depth, write_pgm
 
 TEMPLATE_NAMES = ("extended", "flexed", "half", "spread")
 
@@ -93,19 +93,21 @@ def generate_sequence(keyposes, frames_between, subsample, limits):
     """Interpolated sequence through `keyposes`, then every subsample-th frame.
 
     Each keypose segment contributes frames_between + 1 frames (start
-    inclusive, end exclusive), so n keyposes produce (n-1)*(frames_between+1)
-    frames before subsampling; every frame is clamped to `limits`.
+    inclusive, end exclusive), so n keyposes make (n-1)*(frames_between+1)
+    frames before subsampling; every frame is clamped to `limits`. Only
+    the kept frames are interpolated: frame f lies on segment f // steps
+    at t = (f % steps) / steps, with steps = frames_between + 1.
     """
     if len(keyposes) < 2:
         raise ValueError("need at least 2 keyposes")
     if frames_between < 1:
         raise ValueError("frames_between must be >= 1")
-    frames = []
+    if subsample < 1:
+        raise ValueError("subsample must be >= 1")
     steps = frames_between + 1
-    for a, b in zip(keyposes[:-1], keyposes[1:]):
-        for i in range(steps):
-            frames.append(interpolate_pose(a, b, i / steps, limits))
-    return frames[::subsample]
+    return [interpolate_pose(keyposes[f // steps], keyposes[f // steps + 1],
+                             (f % steps) / steps, limits)
+            for f in range(0, (len(keyposes) - 1) * steps, subsample)]
 
 
 def make_track_keyposes(rng, count, *, limits, articulations=None, orientation=None,
@@ -133,21 +135,44 @@ def make_track_keyposes(rng, count, *, limits, articulations=None, orientation=N
 def render_poses(poses, geom, cam, *, jitter_mm=0.0, rng=None):
     """Render each pose and return the split as Frames: one flat buffer of
     the frames' foreground bounding-box crops. Optional uniform depth
-    jitter on foreground pixels, drawn frame after frame."""
+    jitter on foreground pixels, drawn frame after frame.
+
+    Every frame is one `render_depth` call, and all of them cast their
+    rays in one RenderWork; each crop is appended to the split's buffer as
+    it is made, so a call holds its frames' pixels once. A pose that shows
+    no pixel raises RenderError naming it, the first such pose in order.
+    """
     if jitter_mm > 0.0 and rng is None:
         raise ValueError("depth jitter requires an rng")
-    images = []
-    for pose in poses:
-        img = render_depth(geom, pose, cam)
-        if jitter_mm > 0.0:
-            crop = np.array(img.crop)
-            fg = crop > 0
-            noise = rng.uniform(-jitter_mm, jitter_mm, size=int(fg.sum()))
-            crop[fg] = np.clip(crop[fg].astype(np.int32) + np.rint(noise).astype(np.int32),
-                               1, 65534)
-            img = DepthImage(crop, cam, img.y0, img.x0)
-        images.append(img)
-    return Frames.pack(images, cam)
+    work = RenderWork(cam)
+    boxes = []
+    pixels = np.empty(0, dtype=np.uint16)
+    for i, pose in enumerate(poses):
+        try:
+            img = render_depth(geom, pose, cam, work=work)
+        except RenderError as exc:
+            raise RenderError(f"pose {i}: {exc}") from None
+        crop = _jittered(img.crop, jitter_mm, rng) if jitter_mm > 0.0 else img.crop
+        offset = len(pixels)
+        boxes.append((img.y0, img.x0, *crop.shape, offset))
+        # the buffer grows in place, so no view of it is made in this loop;
+        # numpy's reference check would refuse under any profiler or tracer
+        pixels.resize(offset + crop.size, refcheck=False)
+        pixels[offset:] = crop.reshape(-1)
+    boxes = np.array(boxes, dtype=np.int64).reshape(-1, 5)
+    pixels.flags.writeable = boxes.flags.writeable = False
+    return Frames(pixels, boxes, cam)
+
+
+def _jittered(crop, jitter_mm, rng):
+    """A copy of `crop` with uniform integer-rounded noise of up to
+    jitter_mm on its foreground pixels, clipped to 1..65534."""
+    crop = np.array(crop)
+    fg = crop > 0
+    noise = rng.uniform(-jitter_mm, jitter_mm, size=int(fg.sum()))
+    crop[fg] = np.clip(crop[fg].astype(np.int32) + np.rint(noise).astype(np.int32),
+                       1, 65534)
+    return crop
 
 
 def write_split(split_dir, poses, images):

@@ -142,6 +142,23 @@ def test_train_logs_frame_stack_and_sample_table_bytes(pipeline_dir, tmp_path, c
     assert table_bytes == samples * (16 + 8 + 4 + 2 + 24) + frames * 21 * 3 * 8
 
 
+@pytest.mark.parametrize("jitter", ["0", "2.5"])
+def test_synth_logs_each_splits_render(tmp_path, caplog, jitter):
+    caplog.set_level(logging.INFO, logger="handfit")
+    out = tmp_path / "ds"
+    assert cli.main(["synth", "--out", str(out), "--set", f"synth.jitter_mm={jitter}"]
+                    + TINY) == 0
+    logged = re.findall(r"rendered (\d+) (\w+) frames in ([\d.]+) s \(([\d.]+) frames/s\), "
+                        r"frame crops (\d+) bytes", caplog.text)
+    assert [split for _, split, *_ in logged] == ["training", "test"]
+    cam = CameraIntrinsics.from_file(out / "intrinsics.txt")
+    for (count, split, wall, rate, nbytes), folder in zip(logged, ("train", "test")):
+        poses, frames = synth.read_split(out / folder, cam)
+        assert int(count) == len(poses) == len(frames) > 0
+        assert int(nbytes) == frames.nbytes  # every crop is its frame's foreground box
+        assert float(wall) >= 0.0 and float(rate) > 0.0
+
+
 def test_under_constrained_frame_falls_back_and_is_flagged(tmp_path, geom, limits, caplog):
     # a middle frame with only the palm and one MCP cannot fix the global
     # pose; it takes its top proposals and the other frames are still fitted
@@ -212,6 +229,23 @@ def test_sweep_command(pipeline_dir, tmp_path):
     assert (tmp_path / "sw" / "sweep_k" / "plot.svg").exists()
 
 
+@pytest.mark.parametrize("experiment, kept", [("k", 60), ("stepwise-vs-joint", 60),
+                                              ("top-n", 40)])
+def test_sweep_votes_are_each_joints_top_votes(pipeline_dir, tmp_path, monkeypatch,
+                                               experiment, kept):
+    # the voting workers send back only the votes the experiment reads:
+    # forest.top_n (60 here), or the largest top_n of its grid
+    got = []
+    monkeypatch.setattr(sweeps, "run_sweep",
+                        lambda experiment, votes, *args, **kwargs: got.extend(votes) or [])
+    rc = cli.main(["sweep", "--experiment", experiment,
+                   "--dataset", str(pipeline_dir / "dataset"),
+                   "--forest", str(pipeline_dir / "forest.bin"), "--out", str(tmp_path / "sw"),
+                   "--set", "sweep.topn_grid=10,40", "--threads", "2"] + TINY)
+    assert rc == 0 and got
+    assert max(len(w) for frame in got for _, w in frame.values()) == kept
+
+
 def test_exit_codes(tmp_path, pipeline_dir):
     # unknown config key
     assert cli.main(["synth", "--out", str(tmp_path / "x"),
@@ -264,6 +298,67 @@ def test_path_of_the_wrong_kind_exits_3_before_work(pipeline_dir, tmp_path, caps
     assert "Traceback" not in capsys.readouterr().err + caplog.text
     if flag == "--out":  # no stage started work
         for stage in ("training forest", "inferring proposals", "rendering", "fitted"):
+            assert stage not in caplog.text
+
+
+# every path argument of every command, by what it names: an input file or
+# directory, or an output file or directory
+PATH_ARGS = {
+    "synth": {"--out": "out-dir", "--config": "in-file"},
+    "train": {"--dataset": "in-dir", "--out": "out-file", "--config": "in-file"},
+    "infer": {"--dataset": "in-dir", "--forest": "in-file", "--split": "in-dir",
+              "--out": "out-file", "--config": "in-file"},
+    "fit": {"--proposals": "in-file", "--geometry": "in-file", "--limits": "in-file",
+            "--out": "out-dir", "--config": "in-file"},
+    "eval": {"--estimates": "in-file", "--dataset": "in-dir", "--split": "in-dir",
+             "--out": "out-dir", "--config": "in-file"},
+    "sweep": {"--dataset": "in-dir", "--forest": "in-file", "--out": "out-dir",
+              "--config": "in-file"},
+    "pipeline": {"--out": "out-dir", "--config": "in-file"},
+}
+# what each kind of path is given: missing, a directory where a file is
+# expected, or a file where a directory is expected (at the path itself,
+# or at its parent)
+BAD_PATHS = {"in-file": ("missing", "directory"), "in-dir": ("missing", "file"),
+             "out-file": ("directory", "file-parent"), "out-dir": ("file", "file-parent")}
+BAD_PATH_CASES = [(command, flag, bad) for command, flags in PATH_ARGS.items()
+                  for flag, role in flags.items() for bad in BAD_PATHS[role]]
+# log lines that show a stage started work
+STAGES = ("rendering", "training forest", "inferring proposals", "accumulating votes",
+          "fitted", "mean joint error", "sweep rows", "dataset written")
+
+
+@pytest.mark.parametrize("command, flag, bad", BAD_PATH_CASES,
+                         ids=[f"{c}{f}-{b}" for c, f, b in BAD_PATH_CASES])
+def test_every_bad_path_exits_with_its_code_and_no_traceback(pipeline_dir, tmp_path, capsys,
+                                                             caplog, command, flag, bad):
+    caplog.set_level(logging.INFO, logger="handfit")
+    ds, run = str(pipeline_dir / "dataset"), pipeline_dir
+    args = {
+        "synth": ["--out", str(tmp_path / "ds")],
+        "train": ["--dataset", ds, "--out", str(tmp_path / "f.bin")],
+        "infer": ["--dataset", ds, "--forest", str(run / "forest.bin"),
+                  "--out", str(tmp_path / "p.csv")],
+        "fit": ["--proposals", str(run / "proposals.csv"), "--out", str(tmp_path / "fit")],
+        "eval": ["--estimates", str(run / "fit" / "estimates.csv"), "--dataset", ds,
+                 "--out", str(tmp_path / "eval")],
+        "sweep": ["--experiment", "k", "--dataset", ds, "--forest", str(run / "forest.bin"),
+                  "--out", str(tmp_path / "sw")],
+        "pipeline": ["--out", str(tmp_path / "pipe")],
+    }[command]
+    wrong = tmp_path / "wrong"  # a --split given as an absolute path names it
+    if bad == "directory":
+        wrong.mkdir()
+    elif bad in ("file", "file-parent"):
+        wrong.write_text("a file\n")
+    if bad == "file-parent":
+        wrong = wrong / "out"
+    args = args[:args.index(flag) + 1] + [str(wrong)] + args[args.index(flag) + 2:] \
+        if flag in args else args + [flag, str(wrong)]
+    assert cli.main([command] + args + TINY) == cli.EXIT_MISSING  # one of 2, 3, 4
+    assert "Traceback" not in capsys.readouterr().err + caplog.text
+    if PATH_ARGS[command][flag].startswith("out"):  # no stage started work
+        for stage in STAGES:
             assert stage not in caplog.text
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,7 +100,7 @@ def test_hand_behind_camera_errors(geom, cam):
 def _zbuffer_grid(cam, primitives):
     """`depth._zbuffer` of the primitives placed in a full grid of inf, after
     checking that its box is tight: each edge of the box sees a surface."""
-    zbuf, v0, u0 = depth._zbuffer(cam, *primitives)
+    zbuf, v0, u0 = depth._zbuffer(cam, *primitives, depth.RenderWork(cam))
     seen = np.isfinite(zbuf)
     if zbuf.size:
         assert seen[0].any() and seen[-1].any() and seen[:, 0].any() and seen[:, -1].any()
@@ -207,8 +210,14 @@ def test_one_solve_rasterises_cut_primitives_bit_for_bit(cam):
 
 
 def _ray_sphere(dirs, center, radius):
-    hit, _, near, far = depth._ray_quadric(dirs, [-center], [radius * radius], [len(dirs)])
-    return depth._sphere_depth(hit, near, far)
+    # the coefficients as the renderer forms them for a capsule's end sphere
+    qa = np.einsum("ij,ij->i", dirs, dirs)
+    qb = (2.0 * dirs) @ -center
+    qc4 = 4.0 * qa * (-center @ -center - radius * radius)
+    hit, far, mask = np.empty(len(dirs), bool), np.empty(len(dirs)), np.empty(len(dirs), bool)
+    depth._ray_quadric(qa, qb, qc4, hit, far)
+    depth._sphere_depth(qb, far, hit, mask)
+    return qb
 
 
 def test_ray_sphere_takes_the_far_root_from_inside(rng):
@@ -382,3 +391,125 @@ def test_render_and_read_into_a_split_buffer_equal_a_fresh_frame(geom, cam, tmp_
         assert (frame.y0, frame.x0) == (img.y0, img.x0)
         assert frame.crop.tobytes() == img.crop.tobytes()
         assert frame.depth.tobytes() == img.depth.tobytes()
+
+
+def _oracle_frame(cam, primitives):
+    """The frame of the primitives from the per-primitive oracles: their
+    full-image z-buffer rounded to uint16 mm and cropped to its foreground."""
+    zbuf = _zbuf(cam, primitives, raster_capsule_own_quadratic, raster_ellipsoid_own_quadratic)
+    fg = np.isfinite(zbuf)
+    grid = np.zeros(zbuf.shape, dtype=np.uint16)
+    grid[fg] = np.clip(np.rint(zbuf[fg]), 1, 65534)
+    return DepthImage.from_grid(grid, cam)
+
+
+def _jitter_frame_by_frame(frames, jitter_mm, rng):
+    """Each frame's crop with uniform noise on its foreground pixels, drawn
+    frame after frame."""
+    out = []
+    for img in frames:
+        crop = np.array(img.crop)
+        fg = crop > 0
+        noise = rng.uniform(-jitter_mm, jitter_mm, size=int(fg.sum()))
+        crop[fg] = np.clip(crop[fg].astype(np.int32) + np.rint(noise).astype(np.int32),
+                           1, 65534)
+        out.append(DepthImage(crop, cam=img.cam, y0=img.y0, x0=img.x0))
+    return out
+
+
+@pytest.fixture(scope="module")
+def run_poses(geom, limits, cam):
+    # hands across the workspace, and at index 5 one 60 mm from the camera
+    # whose rays alone (~100k) outgrow a RenderWork's first arrays; with
+    # each pose, its frame from the oracles
+    rng = np.random.default_rng(21)
+    poses = [geometry.random_pose(rng, limits, geometry.DEFAULT_WORKSPACE) for _ in range(10)]
+    near = poses[5]
+    poses[5] = PoseParams([0.0, 0.0, 60.0], near.orientation, near.finger_angles)
+    frames = [_oracle_frame(cam, depth.hand_primitives(geom, p)) for p in poses]
+    return poses, frames
+
+
+@pytest.mark.parametrize("ray_block", [None, 1], ids=["default", "growing"])
+def test_render_poses_equals_the_oracle_frames(geom, cam, run_poses, monkeypatch, ray_block):
+    # at a 1-ray start the work arrays grow at the first pose and at every
+    # later pose that needs more; the frames do not depend on it
+    if ray_block is not None:
+        monkeypatch.setattr(depth, "RAY_BLOCK", ray_block)
+    poses, want = run_poses
+    work = depth.RenderWork(cam)
+    sizes = [work.size]
+    for p in poses:
+        render_depth(geom, p, cam, work=work)
+        sizes.append(work.size)
+    assert sizes[6] > sizes[5] >= depth.RAY_BLOCK  # the near pose grows them
+    got = synth.render_poses(poses, geom, cam)
+    for frames in (got, [render_depth(geom, p, cam) for p in poses]):
+        assert len(frames) == len(want)
+        for img, ref in zip(frames, want):
+            assert (img.y0, img.x0) == (ref.y0, ref.x0)
+            assert img.crop.shape == ref.crop.shape
+            assert img.crop.tobytes() == ref.crop.tobytes()
+    # jitter draws its numbers frame after frame
+    noisy = synth.render_poses(poses, geom, cam, jitter_mm=2.5, rng=np.random.default_rng(9))
+    for img, ref in zip(noisy, _jitter_frame_by_frame(want, 2.5, np.random.default_rng(9))):
+        assert (img.y0, img.x0, img.crop.shape) == (ref.y0, ref.x0, ref.crop.shape)
+        assert img.crop.tobytes() == ref.crop.tobytes()
+
+
+def test_render_poses_renders_each_frame_through_synth_render_depth(geom, cam, run_poses,
+                                                                     monkeypatch):
+    # the benchmark times and counts renders by wrapping `synth.render_depth`:
+    # each frame is one call of it, and the calls share one RenderWork
+    poses = run_poses[0]
+    works = []
+
+    def counted(*args, **kwargs):
+        works.append(kwargs["work"])
+        return render_depth(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "render_depth", counted)
+    synth.render_poses(poses, geom, cam)
+    assert len(works) == len(poses)
+    assert all(w is works[0] for w in works)
+
+
+def test_render_error_names_the_first_pose_without_foreground(geom, cam, run_poses):
+    poses = list(run_poses[0])
+    behind = PoseParams.rest((0.0, 0.0, -800.0))
+    aside = PoseParams.rest((5000.0, 0.0, 500.0))  # beside the frustum
+    for bad in ([7], [2, 7], [0, 9], [3, 4]):
+        split = list(poses)
+        for i in bad:
+            split[i] = behind if i % 2 else aside
+        with pytest.raises(RenderError, match=rf"^pose {bad[0]}: hand produced no foreground"):
+            synth.render_poses(split, geom, cam)
+    with pytest.raises(RenderError, match=r"^hand produced no foreground"):
+        render_depth(geom, aside, cam)
+
+
+def test_render_work_of_another_camera_is_refused(geom, cam, rest_render):
+    other = dataclasses.replace(cam, fx=cam.fx + 1.0)
+    with pytest.raises(ValueError, match="another camera"):
+        render_depth(geom, rest_render[0], cam, work=depth.RenderWork(other))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_render_poses_peak_memory_does_not_grow_with_its_frames(geom, limits, cam):
+    # the work arrays are made once a call and reused frame after frame,
+    # and each crop goes into the split's buffer as it is made: 36 more
+    # frames cost their crop bytes and little else (the per-frame table)
+    poses = synth.generate_training_poses(limits=limits, per_finger=2, num_views=2)[:40]
+    synth.render_poses(poses[:2], geom, cam)  # imports and caches settled
+    peak_4, few = _traced_peak(lambda: synth.render_poses(poses[:4], geom, cam))
+    peak_40, many = _traced_peak(lambda: synth.render_poses(poses, geom, cam))
+    assert many.nbytes - few.nbytes > 300_000
+    assert peak_40 <= peak_4 + (many.nbytes - few.nbytes) + 64 * 1024

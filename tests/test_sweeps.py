@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from handfit import fit, geometry, metrics, sweeps
+from handfit import fit, forest, geometry, metrics, sweeps
 from handfit.config import RunConfig
 from handfit.forest import proposals_from_votes
 from handfit.geometry import PoseParams, forward_kinematics
@@ -109,3 +109,45 @@ def test_under_constrained_frame_falls_back_with_zero_evals(geom, limits, tiny_v
     np.testing.assert_array_equal(joints[1], metrics.top_proposal_joints(psets[1]))
     _, evals = sweeps._arm(psets, gts, geom, limits, pso_cfg, mode)
     assert evals == (results[0].evals + results[2].evals) / 3
+
+
+def _entries(pset):
+    return {j: (pos.tobytes(), w.tobytes()) for j, (pos, w) in pset._entries.items()}
+
+
+def test_top_votes_give_the_proposals_of_all_votes():
+    # tied weights, and joints with fewer, exactly and more than m votes
+    rng = np.random.default_rng(8)
+    m = 30
+    votes = {}
+    for j, count in enumerate([0, 1, 12, m, m + 1, 90, 400]):
+        pos = rng.normal(0.0, 20.0, (count, 3)) + 100.0 * j
+        votes[j] = (pos, rng.integers(1, 4, count) / 2.0)
+    kept = forest.top_votes(votes, m)
+    for j, (pos, w) in votes.items():
+        order = np.argsort(-w, kind="stable")[:m] if len(w) > m else np.arange(len(w))
+        assert kept[j][0].tobytes() == pos[order].tobytes()
+        assert kept[j][1].tobytes() == w[order].tobytes()
+    for top_n in (1, 12, m - 1, m):
+        for k in (1, 3):
+            want = proposals_from_votes(votes, top_n=top_n, k=k)
+            assert _entries(proposals_from_votes(kept, top_n=top_n, k=k)) == _entries(want)
+
+
+@pytest.mark.parametrize("experiment", ["k", "top-n"])
+def test_sweep_tables_equal_on_each_joints_top_votes(tmp_path, geom, limits, tiny_votes,
+                                                     fast_cfg, experiment):
+    # 40 votes a joint, of which the experiment reads at most 25 or 30
+    cfg = RunConfig(dict(fast_cfg.items()))
+    votes, gts = tiny_votes
+    cfg["forest.top_n"] = 25
+    cfg["sweep.topn_grid"] = "10,30"
+    m = sweeps.votes_read(experiment, cfg)
+    assert m == (30 if experiment == "top-n" else 25)
+    kept = [forest.top_votes(v, m) for v in votes]
+    assert all(len(w) == m for v in kept for _, w in v.values())
+    tables = []
+    for name, frames in (("all", votes), ("kept", kept)):
+        sweeps.run_sweep(experiment, frames, gts, geom, limits, cfg, tmp_path / name)
+        tables.append((tmp_path / name / "table.csv").read_bytes())
+    assert tables[0] == tables[1]

@@ -50,12 +50,31 @@ def test_sequence_interpolation_valid(limits, rng):
     assert all(validate_pose(f, limits) for f in frames)
 
 
+@pytest.mark.parametrize("frames_between, subsample", [(9, 5), (9, 1), (4, 3), (6, 7)])
+def test_sequence_equals_a_slice_of_the_full_interpolation(limits, rng, frames_between,
+                                                           subsample):
+    # only the kept frames are interpolated; they equal every subsample-th
+    # frame of the whole interpolation, bit for bit
+    keys = [geometry.random_pose(rng, limits, geometry.DEFAULT_WORKSPACE) for _ in range(5)]
+    steps = frames_between + 1
+    full = [synth.interpolate_pose(a, b, i / steps, limits)
+            for a, b in zip(keys[:-1], keys[1:]) for i in range(steps)]
+    frames = synth.generate_sequence(keys, frames_between, subsample, limits)
+    assert len(frames) == len(full[::subsample])
+    for got, want in zip(frames, full[::subsample]):
+        assert got.to_vector().tobytes() == want.to_vector().tobytes()
+
+
 def test_sequence_preconditions(limits):
     a = PoseParams.rest()
     with pytest.raises(ValueError):
         synth.generate_sequence([a], frames_between=3, subsample=1, limits=limits)
     with pytest.raises(ValueError):
         synth.generate_sequence([a, a], frames_between=0, subsample=1, limits=limits)
+    for subsample in (0, -1):
+        with pytest.raises(ValueError, match="subsample"):
+            synth.generate_sequence([a, a], frames_between=3, subsample=subsample,
+                                    limits=limits)
 
 
 def test_track_keyposes_fixed_global_pose(limits, rng):
