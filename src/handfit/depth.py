@@ -16,6 +16,9 @@ batching. A frame is stored as the crop of its foreground bounding box
 (`DepthImage`), and a split's frames as one flat buffer of their crops
 with a per-frame (y0, x0, h, w, offset) table (`Frames`), which training
 and routing read in place; a full grid is built only on demand.
+`Frames.pack` is the only writer of a split's buffer: it appends each
+frame's crop as the frame arrives, so a split streamed into it frame by
+frame holds its pixels once.
 """
 
 from __future__ import annotations
@@ -138,10 +141,7 @@ class DepthImage:
     def from_grid(cls, grid, cam):
         """The frame of a full (height, width) grid, cropped to the bounding
         box of its non-background pixels (an empty crop when it has none)."""
-        fg = grid != BACKGROUND
-        rows, cols = np.flatnonzero(fg.any(axis=1)), np.flatnonzero(fg.any(axis=0))
-        y0, y1 = (rows[0], rows[-1] + 1) if len(rows) else (0, 0)
-        x0, x1 = (cols[0], cols[-1] + 1) if len(cols) else (0, 0)
+        y0, y1, x0, x1 = _foreground_box(grid != BACKGROUND)
         crop = grid[y0:y1, x0:x1].astype(np.uint16)
         crop.flags.writeable = False
         return cls(crop, cam, y0, x0)
@@ -169,17 +169,22 @@ class Frames:
 
     @classmethod
     def pack(cls, images, cam):
-        """The DepthImages `images`, all of camera `cam`, copied into one buffer."""
-        boxes = np.zeros((len(images), 5), dtype=np.int64)
+        """The DepthImages of the iterable `images`, all of camera `cam`,
+        copied into one buffer. Each crop is appended as its frame arrives,
+        so frames made one at a time (a generator) are held once, in the
+        buffer."""
+        boxes = []
+        pixels = np.empty(0, dtype=np.uint16)
         for i, img in enumerate(images):
             if img.cam != cam:
                 raise ValueError(f"frame {i}: its camera is not the split's")
-            boxes[i, :4] = (img.y0, img.x0) + img.crop.shape
-        sizes = boxes[:, 2] * boxes[:, 3]
-        boxes[:, 4] = np.cumsum(sizes) - sizes
-        pixels = np.empty(int(sizes.sum()), dtype=np.uint16)
-        for img, offset, size in zip(images, boxes[:, 4], sizes):
-            pixels[offset:offset + size] = img.crop.reshape(-1)
+            offset = len(pixels)
+            boxes.append((img.y0, img.x0, *img.crop.shape, offset))
+            # the buffer grows in place, so no view of it is made in this loop;
+            # numpy's reference check would refuse under any profiler or tracer
+            pixels.resize(offset + img.crop.size, refcheck=False)
+            pixels[offset:] = img.crop.reshape(-1)
+        boxes = np.array(boxes, dtype=np.int64).reshape(-1, 5)
         pixels.flags.writeable = boxes.flags.writeable = False
         return cls(pixels, boxes, cam)
 
@@ -478,12 +483,20 @@ def _zbuffer(cam, segs, radii, ellipsoid, work):
         view = canvas[b0 - y0:b1 - y0, a0 - x0:a1 - x0]
         np.minimum(view, depths[lo:hi].reshape(view.shape), out=view)
     fg = np.isfinite(canvas, out=s.fg[:canvas.size].reshape(canvas.shape))
-    rows = np.flatnonzero(fg.any(axis=1))
-    cols = np.flatnonzero(fg.any(axis=0))
-    if not len(rows):
+    b0, b1, a0, a1 = _foreground_box(fg)
+    if b0 == b1:
         return canvas[:0, :0], 0, 0
-    return (canvas[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1],
-            y0 + int(rows[0]), x0 + int(cols[0]))
+    return canvas[b0:b1, a0:a1], y0 + b0, x0 + a0
+
+
+def _foreground_box(fg):
+    """(y0, y1, x0, x1) of the bounding box of the True pixels of the
+    (h, w) mask `fg`: rows y0:y1, columns x0:x1; (0, 0, 0, 0) when it has
+    none."""
+    rows, cols = np.flatnonzero(fg.any(axis=1)), np.flatnonzero(fg.any(axis=0))
+    if not len(rows):
+        return 0, 0, 0, 0
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
 
 def write_pgm(path, img):

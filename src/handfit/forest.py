@@ -132,8 +132,7 @@ def extract_samples(img, gt_joints, stride, rng, cap=None):
     (`SampleSet.offsets`) point from that centre to every joint. `cap`
     randomly limits samples per image.
     """
-    return _sample_table(Frames.pack([img], img.cam), _joint_table([gt_joints]),
-                         stride, rng, cap)
+    return build_training_set([img], [gt_joints], stride, rng, cap)
 
 
 def build_training_set(images, gt_joint_list, stride, rng, cap=None):
@@ -617,12 +616,8 @@ def proposals_from_votes(votes, top_n=DEFAULTS["forest.top_n"], k=DEFAULTS["fore
     `mean_shift` call, which pools and merges the frame's vote sets in one
     keyed pass each; every joint gets the modes a call of its own gives.
     """
-    retained = []
-    for pos, w in votes.values():
-        pos = np.atleast_2d(np.asarray(pos, dtype=float))
-        if len(w) > top_n:
-            pos = pos[np.argsort(-w, kind="stable")[:top_n]]
-        retained.append(pos)
+    retained = [np.atleast_2d(np.asarray(pos, dtype=float))
+                for pos, _ in top_votes(votes, top_n).values()]
     found = mean_shift(retained, None, bandwidth=bandwidth_mm, max_iters=max_iters,
                        dedup_divisor=INFER_DEDUP_DIVISOR)
     return ProposalSet({j: (modes[:k], support[:k])
@@ -631,9 +626,10 @@ def proposals_from_votes(votes, top_n=DEFAULTS["forest.top_n"], k=DEFAULTS["fore
 
 def top_votes(votes, m):
     """Each joint's m highest-weight votes of `votes` ({joint: (positions,
-    weights)}), in the stable `argsort(-w)` order `proposals_from_votes`
-    takes them in, so proposals at any top_n <= m are those of the whole
-    set; a joint with m votes or fewer keeps its votes in their own order."""
+    weights)}), in stable `argsort(-w)` order; a joint with m votes or
+    fewer keeps its votes in their own order. `proposals_from_votes`
+    retains its top_n votes with it, so proposals at any top_n <= m are
+    those of the whole set."""
     kept = {}
     for j, (pos, w) in votes.items():
         if len(w) > m:

@@ -3,7 +3,10 @@
 The training grid follows the protocol of combining a handful of named
 articulation templates per finger under a small set of whole-hand
 viewpoints; the test material is a keypose-interpolated sequence with the
-global pose held fixed, subsampled to simulate faster motion.
+global pose held fixed, subsampled to simulate faster motion. A split's
+frames, rendered (`render_poses`) or read back from PGM files
+(`read_split`), stream one at a time into `depth.Frames.pack`, which
+keeps them as one buffer of foreground crops.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import numpy as np
 
 from . import geometry, quats
 from .config import DEFAULTS, read_keyvalue
-from .depth import Frames, RenderError, RenderWork, read_pgm, render_depth, write_pgm
+from .depth import (DepthImage, Frames, RenderError, RenderWork, read_pgm, render_depth,
+                    write_pgm)
 
 TEMPLATE_NAMES = ("extended", "flexed", "half", "spread")
 
@@ -138,41 +142,36 @@ def render_poses(poses, geom, cam, *, jitter_mm=0.0, rng=None):
     jitter on foreground pixels, drawn frame after frame.
 
     Every frame is one `render_depth` call, and all of them cast their
-    rays in one RenderWork; each crop is appended to the split's buffer as
-    it is made, so a call holds its frames' pixels once. A pose that shows
-    no pixel raises RenderError naming it, the first such pose in order.
+    rays in one RenderWork; the frames stream into `Frames.pack`, so a call
+    holds its frames' pixels once. A pose that shows no pixel raises
+    RenderError naming it, the first such pose in order.
     """
     if jitter_mm > 0.0 and rng is None:
         raise ValueError("depth jitter requires an rng")
+    return Frames.pack(_rendered(poses, geom, cam, jitter_mm, rng), cam)
+
+
+def _rendered(poses, geom, cam, jitter_mm, rng):
+    """The frames of `render_poses`, one at a time."""
     work = RenderWork(cam)
-    boxes = []
-    pixels = np.empty(0, dtype=np.uint16)
     for i, pose in enumerate(poses):
         try:
             img = render_depth(geom, pose, cam, work=work)
         except RenderError as exc:
             raise RenderError(f"pose {i}: {exc}") from None
-        crop = _jittered(img.crop, jitter_mm, rng) if jitter_mm > 0.0 else img.crop
-        offset = len(pixels)
-        boxes.append((img.y0, img.x0, *crop.shape, offset))
-        # the buffer grows in place, so no view of it is made in this loop;
-        # numpy's reference check would refuse under any profiler or tracer
-        pixels.resize(offset + crop.size, refcheck=False)
-        pixels[offset:] = crop.reshape(-1)
-    boxes = np.array(boxes, dtype=np.int64).reshape(-1, 5)
-    pixels.flags.writeable = boxes.flags.writeable = False
-    return Frames(pixels, boxes, cam)
+        yield _jittered(img, jitter_mm, rng) if jitter_mm > 0.0 else img
 
 
-def _jittered(crop, jitter_mm, rng):
-    """A copy of `crop` with uniform integer-rounded noise of up to
+def _jittered(img, jitter_mm, rng):
+    """The frame `img` with uniform integer-rounded noise of up to
     jitter_mm on its foreground pixels, clipped to 1..65534."""
-    crop = np.array(crop)
+    crop = np.array(img.crop)
     fg = crop > 0
     noise = rng.uniform(-jitter_mm, jitter_mm, size=int(fg.sum()))
     crop[fg] = np.clip(crop[fg].astype(np.int32) + np.rint(noise).astype(np.int32),
                        1, 65534)
-    return crop
+    crop.flags.writeable = False
+    return DepthImage(crop, img.cam, img.y0, img.x0)
 
 
 def write_split(split_dir, poses, images):
@@ -185,18 +184,22 @@ def write_split(split_dir, poses, images):
 
 
 def read_split(split_dir, cam):
-    """One split's poses, and its frames as Frames: each frame is read and
-    cropped to its foreground bounding box, then the crops are packed into
-    one flat buffer, as `render_poses` returns them."""
+    """One split's poses, and its frames as Frames, as `render_poses`
+    returns them: each frame is read, cropped to its foreground bounding
+    box and streamed into `Frames.pack`, so a call holds its frames'
+    pixels once."""
     split_dir = Path(split_dir)
     poses_path = split_dir / "poses.csv"
     if not poses_path.exists():
         raise FileNotFoundError(str(poses_path))
     poses = geometry.read_poses_csv(poses_path)
-    images = []
-    for i in range(len(poses)):
+    return poses, Frames.pack(_read_frames(split_dir, len(poses), cam), cam)
+
+
+def _read_frames(split_dir, count, cam):
+    """The split's frames 0..count-1, read one at a time."""
+    for i in range(count):
         frame = split_dir / f"frame_{i:05d}.pgm"
         if not frame.exists():
             raise FileNotFoundError(str(frame))
-        images.append(read_pgm(frame, cam))
-    return poses, Frames.pack(images, cam)
+        yield read_pgm(frame, cam)

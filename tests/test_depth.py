@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handfit import depth, geometry, synth
-from handfit.depth import (CameraIntrinsics, DepthImage, RenderError,
+from handfit.depth import (CameraIntrinsics, DepthImage, Frames, RenderError,
                            foreground_mask, read_pgm, render_depth, write_pgm)
 from handfit.geometry import PoseParams
 
@@ -377,6 +377,25 @@ def test_split_frames_are_read_only_views_of_one_buffer(geom, cam, far_grid):
     assert np.array_equal(frames[-1].crop, frames[len(frames) - 1].crop)
 
 
+def test_pack_streams_any_iterable_of_frames(geom, cam, far_grid):
+    frames = [render_depth(geom, p, cam) for p in far_grid[:6]]
+    listed = Frames.pack(frames, cam)
+    streamed = Frames.pack((img for img in frames), cam)
+    rendered = synth.render_poses(far_grid[:6], geom, cam)
+    for split in (streamed, rendered):
+        assert split.pixels.tobytes() == listed.pixels.tobytes()
+        assert split.boxes.tobytes() == listed.boxes.tobytes()
+    empty = Frames.pack(iter(()), cam)
+    assert len(empty) == 0 and empty.nbytes == 0
+    assert empty.boxes.shape == (0, 5) and empty.boxes.dtype == np.int64
+    other = dataclasses.replace(cam, fx=cam.fx + 1.0)
+    for k in (0, 4):
+        mixed = list(frames)
+        mixed[k] = DepthImage(frames[k].crop, other, frames[k].y0, frames[k].x0)
+        with pytest.raises(ValueError, match=rf"^frame {k}: its camera is not the split's$"):
+            Frames.pack(iter(mixed), cam)
+
+
 def test_render_and_read_into_a_split_buffer_equal_a_fresh_frame(geom, cam, tmp_path,
                                                                  rest_render):
     # a frame packed into a split's buffer, among frames of other box sizes
@@ -511,5 +530,18 @@ def test_render_poses_peak_memory_does_not_grow_with_its_frames(geom, limits, ca
     synth.render_poses(poses[:2], geom, cam)  # imports and caches settled
     peak_4, few = _traced_peak(lambda: synth.render_poses(poses[:4], geom, cam))
     peak_40, many = _traced_peak(lambda: synth.render_poses(poses, geom, cam))
+    assert many.nbytes - few.nbytes > 300_000
+    assert peak_40 <= peak_4 + (many.nbytes - few.nbytes) + 64 * 1024
+
+
+def test_read_split_peak_memory_does_not_grow_with_its_frames(geom, limits, cam, tmp_path):
+    # each frame is read and streamed into the split's buffer: 36 more
+    # frames cost their crop bytes and little else (the per-frame table)
+    poses = synth.generate_training_poses(limits=limits, per_finger=2, num_views=2)[:40]
+    synth.write_split(tmp_path / "many", poses, synth.render_poses(poses, geom, cam))
+    synth.write_split(tmp_path / "few", poses[:4], synth.render_poses(poses[:4], geom, cam))
+    synth.read_split(tmp_path / "few", cam)  # imports and caches settled
+    peak_4, (_, few) = _traced_peak(lambda: synth.read_split(tmp_path / "few", cam))
+    peak_40, (_, many) = _traced_peak(lambda: synth.read_split(tmp_path / "many", cam))
     assert many.nbytes - few.nbytes > 300_000
     assert peak_40 <= peak_4 + (many.nbytes - few.nbytes) + 64 * 1024

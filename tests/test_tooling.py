@@ -31,6 +31,39 @@ def test_benchmark_tracer_installs_and_restores(tracing):
     assert [dict(vars(owner)) for owner in owners] == before
 
 
+@pytest.fixture()
+def reference(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import reference
+
+    return reference
+
+
+def test_benchmark_sampler_installs_and_restores(reference, geom, limits, cam, monkeypatch):
+    # the reference sampler polls from inside the functions it wraps by
+    # name; `synth.render_poses` must still render each frame through the
+    # wrapped `synth.render_depth`
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["work"])
+        return render_depth(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "render_depth", counted)
+    owners = (forest, forest.Tree, geometry, synth)
+    before = [dict(vars(owner)) for owner in owners]
+    poses = synth.generate_training_poses(limits=limits, per_finger=1, num_views=3)
+    with reference.Sampler(reference.Reference()).install():
+        hooked = [(vars(owner)[name], fn) for owner, was in zip(owners, before)
+                  for name, fn in was.items() if vars(owner)[name] is not fn]
+        assert synth.render_depth.__wrapped__ is counted
+        assert all(wrapper.__wrapped__ is fn for wrapper, fn in hooked)
+        frames = synth.render_poses(poses, geom, cam)
+    assert len(calls) == len(frames) == len(poses) == 3
+    assert all(work is calls[0] for work in calls)
+    assert [dict(vars(owner)) for owner in owners] == before
+
+
 def test_benchmark_tracer_sees_fk_inside_stepwise_fit(tracing, geom, limits, rng):
     # every objective evaluation must reach FK through geometry.fk_batch,
     # or the benchmark books FK time as scoring time; the palm stage and
