@@ -28,6 +28,9 @@ EXIT_NUMERIC = 4
 ESTIMATE_COLUMNS = ["frame"] + [f"{n}_{ax}" for n in geometry.JOINT_NAMES
                                 for ax in "xyz"]
 
+# --out of eval and sweep; `_run_dir` gives the default
+RUN_DIR_HELP = "run directory (default run_<confighash>)"
+
 
 def _load_config(args):
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
@@ -67,11 +70,12 @@ def _output_file(path):
     return path
 
 
-def _run_dir(path):
-    """`path` as a run directory, checked before any stage starts work and
-    made when the outputs are written: a file there, or in place of one of
-    its parents, raises NotADirectoryError."""
-    path = Path(path)
+def _run_dir(path, cfg):
+    """`path`, or run_<config hash> when not given, as a run directory,
+    checked before any stage starts work and made when the outputs are
+    written: a file there, or in place of one of its parents, raises
+    NotADirectoryError."""
+    path = Path(path or f"run_{cfg.content_hash()}")
     for p in (path, *path.parents):
         if p.exists():
             if not p.is_dir():
@@ -203,19 +207,19 @@ def cmd_infer(args):
 def cmd_fit(args):
     cfg = _load_config(args)
     _require(args.proposals)
+    out = _run_dir(args.out, cfg)
     geom = geometry.HandGeometry.from_file(args.geometry) if args.geometry \
         else geometry.HandGeometry.default()
     limits = geometry.JointLimits.from_file(args.limits) if args.limits \
         else geometry.JointLimits.default()
     psets = proposals.read_proposals_csv(args.proposals)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
     frames, fit_results = fit.fit_frames(psets, geom, limits,
                                          sweeps.pso_config(cfg, cfg["seed"]), args.mode,
                                          threads=args.threads)
     wall = time.perf_counter() - start
+    out.mkdir(parents=True, exist_ok=True)
     write_joints_csv(out / "estimates.csv", frames)
     if args.mode != "regression-only":  # which fits no pose
         fit.write_fits_csv(out / "poses.csv", fit_results)
@@ -231,7 +235,7 @@ def cmd_eval(args):
     dataset = Path(args.dataset)
     split = dataset / args.split
     _require(args.estimates, split / "poses.csv")
-    out = _run_dir(args.out or f"run_{cfg.content_hash()}")
+    out = _run_dir(args.out, cfg)
     geom, _ = _dataset_geometry(dataset)
     gt_poses = geometry.read_poses_csv(split / "poses.csv")
     gt_joints = [geometry.forward_kinematics(geom, p) for p in gt_poses]
@@ -273,11 +277,10 @@ def cmd_sweep(args):
     dataset = Path(args.dataset)
     split = dataset / "test"
     _require(args.forest, split / "poses.csv", dataset / "intrinsics.txt")
+    out = _run_dir(args.out, cfg)
     cam = CameraIntrinsics.from_file(dataset / "intrinsics.txt")
     geom, limits = _dataset_geometry(dataset)
     model = forest.load_forest(args.forest)
-    out = Path(args.out) if args.out else Path(f"run_{cfg.content_hash()}")
-    out.mkdir(parents=True, exist_ok=True)  # a file in the way fails before any vote
     poses, images = synth.read_split(split, cam)
     gt_joints = [geometry.forward_kinematics(geom, p) for p in poses]
     log.info("accumulating votes for %d frames", len(images))
@@ -381,7 +384,7 @@ def build_parser():
     p.add_argument("--estimates", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--out", help="run directory (default run_<confighash>)")
+    p.add_argument("--out", help=RUN_DIR_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
@@ -389,7 +392,7 @@ def build_parser():
     p.add_argument("--experiment", choices=sweeps.EXPERIMENTS, required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--forest", required=True)
-    p.add_argument("--out", help="run directory (default run_<confighash>)")
+    p.add_argument("--out", help=RUN_DIR_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 

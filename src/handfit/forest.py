@@ -16,11 +16,14 @@ split's flat crop buffer, and routing reads one probe pair per patch
 through the same probe code. At test time every patch votes absolute
 3D positions for every joint; per joint the strongest votes are condensed
 by the same `mean_shift` into a handful of confidence-weighted proposals.
+A tree holds its node table as the forest file stores it (see `Tree`), so
+saving writes it as it is, and a loaded forest's arrays view the file's bytes.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -196,8 +199,9 @@ def _sample_table(frames, joints, stride, rng, cap):
         depths, centers, pixel = _patch_grid(img, stride, rng, cap)
         samples.pixel[rows], samples.depth[rows] = pixel, depths
         samples.centers[rows] = centers
-        diff = gt[None, :, :] - centers[:, None, :]
-        samples.label[rows] = np.linalg.norm(diff, axis=2).argmin(axis=1)
+        # squared distances to the joints, x, y and z summed in the order a norm sums them
+        dist = sum((gt[None, :, a] - centers[:, a, None]) ** 2 for a in range(3))
+        samples.label[rows] = dist.argmin(axis=1)
     return samples
 
 
@@ -419,20 +423,35 @@ def _chunk_modes(points, weights, counts, cfg, modes_out, weights_out):
         lo = hi
 
 
+def _links(nodes):
+    """The left, right and leaf-id columns of a node table, as int32."""
+    return nodes[:, :3].T.astype(np.int32)
+
+
 @dataclass
 class Tree:
-    left: np.ndarray      # (n_nodes,) int32, -1 for leaves
-    right: np.ndarray     # (n_nodes,) int32
-    leaf_id: np.ndarray   # (n_nodes,) int32, -1 for internal nodes
-    probe_u: np.ndarray   # (n_nodes, 2) float32, px*mm
-    probe_v: np.ndarray   # (n_nodes, 2) float32
-    tau: np.ndarray       # (n_nodes,) float32, mm
+    """A grown tree: its node table as the forest file stores it, and its
+    leaf models. `nodes` has one little-endian float32 row a node, in
+    pre-order: left, right, leaf_id, u0, u1, v0, v1, tau. An internal node
+    has its children after it and leaf_id -1; a leaf has children -1, its
+    model's index and 0 for the probes (u0, u1), (v0, v1) in px*mm and the
+    threshold tau in mm. Indices are exact in float32 below 2**24 nodes (a
+    depth of at most 23, or fewer than 2**23 samples). `left`, `right` and
+    `leaf_id` are int32 copies of their columns, made once; `probe_u`,
+    `probe_v` and `tau` are views of the table."""
+
+    nodes: np.ndarray         # (n_nodes, 8) <f4
     leaf_modes: np.ndarray    # (n_leaves, J, M, 3) float32
     leaf_weights: np.ndarray  # (n_leaves, J, M) float32
 
+    def __post_init__(self):
+        self.left, self.right, self.leaf_id = _links(self.nodes)
+        self.probe_u, self.probe_v = self.nodes[:, 3:5], self.nodes[:, 5:7]
+        self.tau = self.nodes[:, 7]
+
     @property
     def n_nodes(self):
-        return len(self.tau)
+        return len(self.nodes)
 
     @property
     def n_leaves(self):
@@ -510,7 +529,7 @@ def train_tree(samples, cfg, rng):
     probe_range = cfg.probe_range_px_m * 1000.0  # px*m -> px*mm
     n_joints = samples.joints.shape[1]
 
-    nodes = []   # [left, right, leaf_id, u0, u1, v0, v1, tau]
+    nodes = []   # rows as `Tree` lays them out
     leaves = []  # each leaf's sample indices, condensed once the tree is grown
     # pre-order walk: a node takes its id and its draws from `rng` before
     # its left subtree, and the left subtree before the right one
@@ -531,18 +550,7 @@ def train_tree(samples, cfg, rng):
         nodes.append([-2, -2, -1, u[0], u[1], v[0], v[1], tau])
         stack.append((idx[~go_left], depth + 1, node_id, 1))
         stack.append((idx[go_left], depth + 1, node_id, 0))
-    arr = np.asarray(nodes, dtype=float)
-    leaf_modes, leaf_weights = _leaf_models(samples, leaves, cfg)
-    return Tree(
-        left=arr[:, 0].astype(np.int32),
-        right=arr[:, 1].astype(np.int32),
-        leaf_id=arr[:, 2].astype(np.int32),
-        probe_u=arr[:, 3:5].astype(np.float32),
-        probe_v=arr[:, 5:7].astype(np.float32),
-        tau=arr[:, 7].astype(np.float32),
-        leaf_modes=leaf_modes,
-        leaf_weights=leaf_weights,
-    )
+    return Tree(np.asarray(nodes, dtype="<f4"), *_leaf_models(samples, leaves, cfg))
 
 
 @dataclass
@@ -642,31 +650,23 @@ def top_votes(votes, m):
 # --- serialization ---------------------------------------------------------
 
 def save_forest(path, forest):
-    """Versioned little-endian binary dump (magic HFOR)."""
-    blob = bytearray()
-    blob += MAGIC
+    """Versioned little-endian binary dump (magic HFOR): a header, then per
+    tree its sizes, its node table as `Tree` holds it and its leaf blocks."""
+    blob = bytearray(MAGIC)
     blob += struct.pack("<HHIHHd", FORMAT_VERSION, 0, len(forest.trees),
                         forest.num_joints, forest.leaf_modes, forest.bg_depth_mm)
     for tree in forest.trees:
         blob += struct.pack("<II", tree.n_nodes, tree.n_leaves)
-        node_block = np.empty((tree.n_nodes, 8), dtype="<f4")
-        node_block[:, 0] = tree.left
-        node_block[:, 1] = tree.right
-        node_block[:, 2] = tree.leaf_id
-        node_block[:, 3:5] = tree.probe_u
-        node_block[:, 5:7] = tree.probe_v
-        node_block[:, 7] = tree.tau
-        # child/leaf indices are exactly representable in f4 for any
-        # desk-scale tree (< 2**24 nodes)
-        blob += node_block.tobytes()
-        blob += tree.leaf_modes.astype("<f4").tobytes()
-        blob += tree.leaf_weights.astype("<f4").tobytes()
+        for block in (tree.nodes, tree.leaf_modes, tree.leaf_weights):
+            blob += np.asarray(block, dtype="<f4").tobytes()
     Path(path).write_bytes(bytes(blob))
 
 
 class _Reader:
+    """Reads a file's bytes front to back; every block is a view of them."""
+
     def __init__(self, data):
-        self.data = data
+        self.data = memoryview(data)
         self.offset = 0
 
     def take(self, n, what):
@@ -679,14 +679,19 @@ class _Reader:
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
+    def floats(self, shape, what):
+        """The next `shape` block of little-endian float32, a read-only view."""
+        return np.frombuffer(self.take(4 * math.prod(shape), what), dtype="<f4").reshape(shape)
 
-def _check_topology(t, left, right, leaf_id, n_leaves, base):
+
+def _check_topology(t, nodes, n_leaves, base):
     """Reject node tables that Tree.route could not walk to a leaf.
 
     train_tree writes nodes in pre-order, so every internal node's children
     lie after it and inside the table, which makes routing terminate. Leaf
     rows have no children and use each leaf model exactly once.
     """
+    left, right, leaf_id = _links(nodes)
     n_nodes = len(left)
     if n_nodes == 0:
         raise ForestFormatError(f"tree {t} has no nodes", base)
@@ -716,8 +721,11 @@ def _check_topology(t, left, right, leaf_id, n_leaves, base):
 
 
 def load_forest(path):
+    """The forest `save_forest` wrote to `path`. Every tree array but the
+    int32 link columns is a read-only view of the file's bytes. A file that
+    is not such a forest raises ForestFormatError with its byte offset."""
     reader = _Reader(Path(path).read_bytes())
-    magic = reader.take(4, "magic")
+    magic = bytes(reader.take(4, "magic"))
     if magic != MAGIC:
         raise ForestFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
     version, _, n_trees, n_joints, n_modes, bg_depth = reader.unpack("<HHIHHd", "header")
@@ -739,24 +747,11 @@ def load_forest(path):
     for t in range(n_trees):
         n_nodes, n_leaves = reader.unpack("<II", f"tree {t} sizes")
         base = reader.offset
-        raw = reader.take(n_nodes * 32, f"tree {t} nodes")
-        node_block = np.frombuffer(raw, dtype="<f4").reshape(n_nodes, 8)
-        left, right, leaf_id = (node_block[:, c].astype(np.int32) for c in range(3))
-        _check_topology(t, left, right, leaf_id, n_leaves, base)
-        raw = reader.take(n_leaves * n_joints * n_modes * 3 * 4, f"tree {t} leaf modes")
-        modes = np.frombuffer(raw, dtype="<f4").reshape(n_leaves, n_joints, n_modes, 3)
-        raw = reader.take(n_leaves * n_joints * n_modes * 4, f"tree {t} leaf weights")
-        weights = np.frombuffer(raw, dtype="<f4").reshape(n_leaves, n_joints, n_modes)
-        trees.append(Tree(
-            left=left,
-            right=right,
-            leaf_id=leaf_id,
-            probe_u=node_block[:, 3:5].astype(np.float32),
-            probe_v=node_block[:, 5:7].astype(np.float32),
-            tau=node_block[:, 7].astype(np.float32),
-            leaf_modes=modes.astype(np.float32),
-            leaf_weights=weights.astype(np.float32),
-        ))
+        nodes = reader.floats((n_nodes, 8), f"tree {t} nodes")
+        _check_topology(t, nodes, n_leaves, base)
+        modes = reader.floats((n_leaves, n_joints, n_modes, 3), f"tree {t} leaf modes")
+        weights = reader.floats((n_leaves, n_joints, n_modes), f"tree {t} leaf weights")
+        trees.append(Tree(nodes, modes, weights))
     if reader.offset != len(reader.data):
         raise ForestFormatError("trailing bytes after forest payload", reader.offset)
     return Forest(trees, num_joints=n_joints, leaf_modes=n_modes, bg_depth_mm=bg_depth)

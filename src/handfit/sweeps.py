@@ -76,7 +76,6 @@ def run_sweep(experiment, votes_per_frame, gt_list, geom, limits, cfg,
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}; pick from {EXPERIMENTS}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if seeds is None:
         seeds = list(range(cfg["eval.seeds"]))
     d_max = cfg["pso.d_max_mm"]
@@ -98,6 +97,7 @@ def run_sweep(experiment, votes_per_frame, gt_list, geom, limits, cfg,
                                   pso_config(cfg, seed, **budget), mode, threads)
                 rows.append({"method": mode, "seed": seed, **arm,
                              "evals_per_frame": evals})
+        out_dir.mkdir(parents=True, exist_ok=True)
         _write_table(out_dir / "table.csv", rows)
         _plot_methods(out_dir / "plot.svg", rows)
         return rows
@@ -120,6 +120,7 @@ def run_sweep(experiment, votes_per_frame, gt_list, geom, limits, cfg,
                               "stepwise", threads)
             rows.append({param: value, "seed": seed, **arm,
                          "oracle_error_mm": oracle, "evals_per_frame": evals})
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_table(out_dir / "table.csv", rows)
     _plot_grouped(out_dir / "plot.svg", rows, param, "oracle_error_mm", **labels)
     return rows

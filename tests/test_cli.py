@@ -113,6 +113,26 @@ def test_eval_of_a_split_with_no_frames_exits_4_before_writing(tmp_path, caplog)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "sweep"])
+def test_a_failed_run_leaves_no_run_directory(pipeline_dir, tmp_path, monkeypatch, caplog,
+                                              command):
+    # fit and sweep used to make their --out directory before any work, so
+    # a run that failed left it behind, empty; a sweep fails here in its
+    # first arm's fits
+    def fail(*args, **kwargs):
+        raise ValueError("stage failed")
+
+    monkeypatch.setattr(fit, "fit_frames", fail)
+    monkeypatch.setattr(sweeps, "_arm", fail)
+    args = {"fit": ["--proposals", str(pipeline_dir / "proposals.csv")],
+            "sweep": ["--experiment", "k", "--dataset", str(pipeline_dir / "dataset"),
+                      "--forest", str(pipeline_dir / "forest.bin")]}[command]
+    out = tmp_path / "run"
+    assert cli.main([command] + args + ["--out", str(out)] + TINY) == cli.EXIT_NUMERIC
+    assert "stage failed" in caplog.text
+    assert not out.exists()
+
+
 def test_train_on_a_split_with_no_frames_exits_4_naming_the_split(tmp_path, caplog):
     # a header-only poses.csv used to end in numpy's "need at least one
     # array to stack"
@@ -596,9 +616,7 @@ def test_train_in_forked_workers_under_default_blas_threads(pipeline_dir, tmp_pa
 def test_infer_with_more_forest_joints_than_the_hand_exits_4(pipeline_dir, tmp_path,
                                                               caplog):
     one_leaf = forest.Tree(
-        left=np.array([-1], np.int32), right=np.array([-1], np.int32),
-        leaf_id=np.array([0], np.int32), probe_u=np.zeros((1, 2), np.float32),
-        probe_v=np.zeros((1, 2), np.float32), tau=np.zeros(1, np.float32),
+        nodes=np.array([[-1, -1, 0, 0, 0, 0, 0, 0]], "<f4"),
         leaf_modes=np.ones((1, 22, 1, 3), np.float32),
         leaf_weights=np.ones((1, 22, 1), np.float32))
     path = tmp_path / "forest22.bin"

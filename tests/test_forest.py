@@ -186,10 +186,10 @@ def test_training_set_allocates_no_per_sample_joint_table(geom, limits, cam):
     poses = synth.generate_training_poses(limits=limits, per_finger=2, num_views=4)
     images = synth.render_poses(poses, geom, cam, rng=np.random.default_rng(0))
     gts = [forward_kinematics(geom, p) for p in poses]
-    # one frame's temporaries, about 1.4 kB a sample: the (count, J, 3)
-    # float64 difference and its square, the norms, the stride grid's
+    # one frame's temporaries, about 0.7 kB a sample: the (count, J)
+    # float64 squared distances and their terms, the stride grid's
     # foreground indices and the patch columns
-    frame_slack = 2048 * max(np.count_nonzero(img.depth[::2, ::2]) for img in images)
+    frame_slack = 1024 * max(np.count_nonzero(img.depth[::2, ::2]) for img in images)
     tracemalloc.start()
     try:
         samples = F.build_training_set(images, gts, stride=2, rng=np.random.default_rng(1))
@@ -970,9 +970,7 @@ def test_load_rejects_bad_files(tmp_path, tiny_forest):
 def _one_leaf_forest(num_joints=21, modes=1, trees=1, bg_depth_mm=10000.0):
     """A forest of `trees` one-leaf trees whose header says what the
     arguments say, every block sized to match."""
-    tree = F.Tree(left=np.array([-1], np.int32), right=np.array([-1], np.int32),
-                  leaf_id=np.array([0], np.int32), probe_u=np.zeros((1, 2), np.float32),
-                  probe_v=np.zeros((1, 2), np.float32), tau=np.zeros(1, np.float32),
+    tree = F.Tree(nodes=np.array([[-1, -1, 0, 0, 0, 0, 0, 0]], "<f4"),
                   leaf_modes=np.ones((1, num_joints, modes, 3), np.float32),
                   leaf_weights=np.ones((1, num_joints, modes), np.float32))
     return F.Forest([tree] * trees, num_joints=num_joints, leaf_modes=modes,
@@ -1038,10 +1036,60 @@ def test_load_rejects_unroutable_node_table(tmp_path, tiny_forest, case):
         F.load_forest(path)
 
 
+def test_save_writes_each_node_table_verbatim(tmp_path, tiny_forest):
+    model = tiny_forest[0]
+    path = tmp_path / "forest.bin"
+    F.save_forest(path, model)
+    blob = path.read_bytes()
+    offset = NODE_TABLE
+    for tree in model.trees:
+        assert tree.nodes.dtype == np.dtype("<f4") and tree.nodes.shape == (tree.n_nodes, 8)
+        assert np.array_equal(tree.nodes[:, :3], np.stack([tree.left, tree.right, tree.leaf_id], 1))
+        assert blob[offset - 8:offset] == struct.pack("<II", tree.n_nodes, tree.n_leaves)
+        assert blob[offset:offset + tree.nodes.nbytes] == tree.nodes.tobytes()
+        offset += tree.nodes.nbytes + tree.leaf_modes.nbytes + tree.leaf_weights.nbytes + 8
+    assert offset - 8 == len(blob)
+
+
+def _owner(array):
+    """The object whose memory `array` views, past any arrays and memoryviews."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
+
+
+def test_loaded_tree_arrays_are_read_only_views_of_the_file(tmp_path, tiny_forest):
+    path = tmp_path / "forest.bin"
+    F.save_forest(path, tiny_forest[0])
+    model = F.load_forest(path)
+    views = [getattr(tree, name) for tree in model.trees for name in
+             ("nodes", "probe_u", "probe_v", "tau", "leaf_modes", "leaf_weights")]
+    assert not any(a.flags.writeable for a in views)
+    [owner] = {id(_owner(a)): _owner(a) for a in views}.values()
+    assert owner == path.read_bytes()
+    for tree, trained in zip(model.trees, tiny_forest[0].trees):
+        assert tree.nodes.tobytes() == trained.nodes.tobytes()
+        assert np.array_equal(tree.leaf_id, trained.leaf_id) and tree.leaf_id.dtype == np.int32
+
+
+def test_load_forest_peak_is_the_file_and_a_little_per_node(tmp_path, tiny_forest):
+    # the file's bytes are read once and every block is a view of them; the
+    # slack holds the int32 link columns and the topology check's arrays.
+    # Copying each block traced about three times the file.
+    path = tmp_path / "forest.bin"
+    F.save_forest(path, tiny_forest[0])
+    size, nodes = path.stat().st_size, sum(t.n_nodes for t in tiny_forest[0].trees)
+    tracemalloc.start()
+    try:
+        F.load_forest(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= size + 64 * nodes + 16384, (peak, size, nodes)
+
+
 def test_load_rejects_empty_node_table(tmp_path):
-    empty = F.Tree(left=np.zeros(0, np.int32), right=np.zeros(0, np.int32),
-                   leaf_id=np.zeros(0, np.int32), probe_u=np.zeros((0, 2), np.float32),
-                   probe_v=np.zeros((0, 2), np.float32), tau=np.zeros(0, np.float32),
+    empty = F.Tree(nodes=np.zeros((0, 8), "<f4"),
                    leaf_modes=np.zeros((0, 21, 2, 3), np.float32),
                    leaf_weights=np.zeros((0, 21, 2), np.float32))
     path = tmp_path / "forest.bin"
@@ -1052,12 +1100,9 @@ def test_load_rejects_empty_node_table(tmp_path):
 
 def _small_forest_bytes(tmp_path):
     """A valid two-joint, one-mode forest of one three-node tree."""
-    tree = F.Tree(left=np.array([1, -1, -1], np.int32),
-                  right=np.array([2, -1, -1], np.int32),
-                  leaf_id=np.array([-1, 0, 1], np.int32),
-                  probe_u=np.ones((3, 2), np.float32),
-                  probe_v=np.ones((3, 2), np.float32),
-                  tau=np.zeros(3, np.float32),
+    tree = F.Tree(nodes=np.array([[1, 2, -1, 1, 1, 1, 1, 0],
+                                  [-1, -1, 0, 1, 1, 1, 1, 0],
+                                  [-1, -1, 1, 1, 1, 1, 1, 0]], "<f4"),
                   leaf_modes=np.ones((2, 2, 1, 3), np.float32),
                   leaf_weights=np.ones((2, 2, 1), np.float32))
     path = tmp_path / "small.bin"

@@ -1,8 +1,10 @@
 """The benchmark under perfbench/ traces handfit by wrapping module
 attributes it looks up by name; a renamed or deleted name breaks only the
-benchmark's traced run, so this checks every lookup still resolves."""
+benchmark's traced run, so this checks every lookup still resolves. The
+README's package layout is checked against the package's modules too."""
 
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,8 @@ from handfit import fit, forest, geometry, sweeps, synth
 from handfit.depth import CameraIntrinsics, render_depth
 from handfit.proposals import ProposalSet
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture()
@@ -209,3 +212,12 @@ def test_benchmark_workloads_run_and_check_on_smoke_inputs(monkeypatch, tmp_path
     for item in items:
         work.check(item, work.run(item))
     assert work.finish()
+
+
+def test_readme_package_layout_names_every_module():
+    # the "Package layout" block of README.md lists each module of the
+    # package, and no module that is gone
+    block = (ROOT / "README.md").read_text().split("## Package layout", 1)[1].split("```")[1]
+    listed = set(re.findall(r"^  (\w+\.py) ", block, flags=re.M))
+    modules = {p.name for p in (ROOT / "src" / "handfit").glob("*.py")} - {"__init__.py"}
+    assert listed == modules
