@@ -13,7 +13,10 @@ size share one stacked product. A node scores its candidate splits on
 features computed candidate-major, PROBE_BLOCK candidate-sample pairs at a
 time in reused buffers; a probe reads its frame's foreground crop from the
 split's flat crop buffer, and routing reads one probe pair per patch
-through the same probe code. At test time every patch votes absolute
+through the same probe code. That code computes the probe coordinates and
+the features in float32 and the read index in intp, exact at any buffer
+size; probes are drawn in float64 and rounded to float32 at once, so a node
+scores the probe the file stores. At test time every patch votes absolute
 3D positions for every joint; per joint the strongest votes are condensed
 by the same `mean_shift` into a handful of confidence-weighted proposals.
 A tree holds its node table as the forest file stores it (see `Tree`), so
@@ -56,7 +59,7 @@ LEAVES_PER_CALL = 8
 MODES_CHUNK = 32768
 MODES_BLOCK = 8192
 # candidate-sample pairs whose split features `_features` computes per
-# block, in buffers reused from block to block (~36 bytes a pair, so a block
+# block, in buffers reused from block to block (~32 bytes a pair, so a block
 # stays in L2). The work is elementwise, so this moves no output, only time.
 PROBE_BLOCK = 16384
 
@@ -72,16 +75,18 @@ class ForestFormatError(ValueError):
 @dataclass
 class SampleSet:
     """Columnar training samples plus the frames and ground-truth joints
-    they index into: 54 bytes a sample and one joint set a frame. The
+    they index into: 42 bytes a sample and one joint set a frame. The
     frames are read where they are, one flat buffer of foreground crops.
 
-    A sample's offsets to the joints are not stored: `offsets(idx)` derives
-    them from its frame's joints and its patch centre.
+    The pixel and depth columns are float32, as the split features read
+    them; they hold integer pixels and uint16 depths, so they are exact. A
+    sample's offsets to the joints are not stored: `offsets(idx)` derives
+    them from its frame's joints and its float64 patch centre.
     """
 
     images: Frames       # n_img frames, one crop buffer
-    pixel: np.ndarray    # (n, 2) float, (u, v)
-    depth: np.ndarray    # (n,) float mm at the patch centre
+    pixel: np.ndarray    # (n, 2) float32, (u, v)
+    depth: np.ndarray    # (n,) float32 mm at the patch centre
     img_idx: np.ndarray  # (n,) int32
     label: np.ndarray    # (n,) int16, nearest joint
     centers: np.ndarray  # (n, 3) float mm, the back-projected patch centre
@@ -187,8 +192,8 @@ def _sample_table(frames, joints, stride, rng, cap):
     n = int(ends[-1])
     samples = SampleSet(
         images=frames,
-        pixel=np.empty((n, 2)),
-        depth=np.empty(n),
+        pixel=np.empty((n, 2), dtype=np.float32),
+        depth=np.empty(n, dtype=np.float32),
         img_idx=np.repeat(np.arange(len(frames), dtype=np.int32), counts),
         label=np.empty(n, dtype=np.int16),
         centers=np.empty((n, 3)),
@@ -207,52 +212,59 @@ def _sample_table(frames, joints, stride, rng, cap):
 
 def _probe_buffers(size):
     """Scratch for `_depth_difference` over up to `size` elements: the
-    second probe's depth, the v coordinate, the flat read index, the depths
-    read and two masks."""
-    return (np.empty(size), np.empty(size), np.empty(size, dtype=np.intp),
+    second probe's depth and the v coordinate (float32), the flat read index
+    and the u column (intp), the depths read and two masks."""
+    return (np.empty(size, dtype=np.float32), np.empty(size, dtype=np.float32),
+            np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp),
             np.empty(size, dtype=np.uint16), np.empty(size, dtype=bool),
             np.empty(size, dtype=bool))
 
 
 def _crop_bounds(frames, img_idx):
-    """(6,) + img_idx.shape float64 rows u0, u1, v0, v1, w, base of the
-    crops of frames `img_idx`: a crop spans u0 <= u < u1 and v0 <= v < v1,
-    w is its width, and its pixel (u, v) sits at v * w + u + base of the
-    frames' flat buffer."""
-    y0, x0, h, w, offset = frames.boxes.T.astype(float)
-    return np.stack([x0, x0 + w, y0, y0 + h, w, offset - y0 * w - x0]).take(img_idx, axis=1)
+    """The crops of frames `img_idx` as a pair: the (4,) + img_idx.shape
+    float32 rows u0, u1, v0, v1, and the (2,) + img_idx.shape intp rows w,
+    base. A crop spans u0 <= u < u1 and v0 <= v < v1, w is its width, and
+    its pixel (u, v) sits at v * w + u + base of the frames' flat buffer.
+    The edges are image coordinates, exact in float32."""
+    y0, x0, h, w, offset = frames.boxes.T
+    edges = np.stack([x0, x0 + w, y0, y0 + h]).astype(np.float32)
+    layout = np.stack([w, offset - y0 * w - x0]).astype(np.intp)
+    return edges.take(img_idx, axis=1), layout.take(img_idx, axis=1)
 
 
 def _probe_depth(pixels, bounds, pixel, depth, offset, bg_depth, out, scratch):
-    """Depth read by one probe per patch into `out`; a read outside the
-    patch's frame crop, on or off the image, or of background reads
-    `bg_depth`.
+    """Depth read by one probe per patch into `out` (float32); a read
+    outside the patch's frame crop, on or off the image, or of background
+    reads `bg_depth`.
 
-    The probe lands at pixel + offset / depth, rounded, and is read by one
-    1-D gather from the flat crop buffer `pixels` at v * w + u + base, with
-    `bounds` the (u0, u1, v0, v1, w, base) rows of `_crop_bounds`. A probe
-    outside the crop reads whatever pixel the clipped index names, and is
-    then read as background. The arguments broadcast to out's shape;
-    `scratch` holds (v, index, read, inside, flag) buffers of that shape,
-    and `out` holds u until the depths go in.
+    The probe lands at pixel + offset / depth, computed and rounded in
+    float32, and is read by one 1-D gather from the flat crop buffer
+    `pixels` at the intp index intp(v) * w + intp(u) + base, which is exact
+    at any buffer size; `bounds` is the (edges, layout) pair of
+    `_crop_bounds`. A probe outside the crop reads whatever pixel the
+    clipped index names, and is then read as background. The arguments
+    broadcast to out's shape; `scratch` holds (v, index, column, read,
+    inside, flag) buffers of that shape, and `out` holds u until the depths
+    go in.
     """
-    u0, u1, v0, v1, w, base = bounds
-    v, index, read, inside, flag = scratch
+    (u0, u1, v0, v1), (w, base) = bounds
+    v, index, column, read, inside, flag = scratch
     u = out
-    np.divide(offset[..., 0], depth, out=u)
-    np.add(pixel[..., 0], u, out=u)
+    np.divide(offset[..., 0], depth, out=u, dtype=np.float32)
+    np.add(pixel[..., 0], u, out=u, dtype=np.float32)
     np.rint(u, out=u)
-    np.divide(offset[..., 1], depth, out=v)
-    np.add(pixel[..., 1], v, out=v)
+    np.divide(offset[..., 1], depth, out=v, dtype=np.float32)
+    np.add(pixel[..., 1], v, out=v, dtype=np.float32)
     np.rint(v, out=v)
     np.greater_equal(u, u0, out=inside)
     inside &= np.less(u, u1, out=flag)
     inside &= np.greater_equal(v, v0, out=flag)
     inside &= np.less(v, v1, out=flag)
-    v *= w
-    v += u
-    v += base
     np.copyto(index, v, casting="unsafe")
+    index *= w
+    index += base
+    np.copyto(column, u, casting="unsafe")
+    index += column
     pixels.take(index, out=read, mode="clip")
     read *= inside
     np.copyto(out, read)
@@ -262,20 +274,22 @@ def _probe_depth(pixels, bounds, pixel, depth, offset, bg_depth, out, scratch):
 
 def _depth_difference(pixels, bounds, pixel, depth, probe_u, probe_v, bg_depth,
                       out=None, scratch=None):
-    """The split feature: depth at probe u minus depth at probe v.
+    """The split feature: depth at probe u minus depth at probe v, in float32.
 
     Probe offsets are in px*mm; the pixel displacement is the offset
     divided by the patch depth, so the feature is depth invariant. The
     patches' frames are read from the flat crop buffer `pixels` through
-    their `_crop_bounds` rows `bounds`. The arguments broadcast against
+    their `_crop_bounds` pair `bounds`. The arguments broadcast against
     each other: training scores (c, n) candidate-sample pairs, routing one
-    probe pair per patch. The result goes to `out` (float64) with
+    probe pair per patch. The result goes to `out` (float32) with
     `_probe_buffers` scratch of its shape, both allocated here when not
-    given.
+    given. A feature is a difference of uint16 reads or `bg_depth`, so at an
+    integer `bg_depth` it is an integer and exact in float32.
     """
     if out is None:
-        out = np.empty(np.broadcast_shapes(bounds.shape[1:], np.shape(depth),
-                                           pixel.shape[:-1], probe_u.shape[:-1]))
+        out = np.empty(np.broadcast_shapes(bounds[0].shape[1:], np.shape(depth),
+                                           pixel.shape[:-1], probe_u.shape[:-1]),
+                       dtype=np.float32)
         scratch = [b.reshape(out.shape) for b in _probe_buffers(out.size)]
     dv, *rest = scratch
     _probe_depth(pixels, bounds, pixel, depth, probe_u, bg_depth, out, rest)
@@ -284,7 +298,8 @@ def _depth_difference(pixels, bounds, pixel, depth, probe_u, probe_v, bg_depth,
 
 
 def _features(samples, idx, probe_u, probe_v, bg_depth):
-    """(c, n) features of samples `idx` under c candidate (c, 2) probe pairs.
+    """(c, n) float32 features of samples `idx` under c candidate (c, 2)
+    float32 probe pairs.
 
     They are computed candidate-major, so that every per-sample column
     (pixel, depth and crop bounds) runs contiguous along a block's rows, a
@@ -293,7 +308,7 @@ def _features(samples, idx, probe_u, probe_v, bg_depth):
     slices of one candidate's samples.
     """
     n, c = len(idx), len(probe_u)
-    bounds = _crop_bounds(samples.images, samples.img_idx[idx])
+    edges, layout = _crop_bounds(samples.images, samples.img_idx[idx])
     depth = samples.depth[idx]
     # each coordinate contiguous over the samples
     pixel = np.ascontiguousarray(samples.pixel[idx].T).T
@@ -301,15 +316,17 @@ def _features(samples, idx, probe_u, probe_v, bg_depth):
     cols = min(n, PROBE_BLOCK)
     rows = max(1, PROBE_BLOCK // cols)
     buffers = _probe_buffers(rows * cols)
-    feats = np.empty((c, n))
+    feats = np.empty((c, n), dtype=np.float32)
     for lo in range(0, c, rows):
         hi = lo + rows
         for left in range(0, n, cols):
             right = left + cols
             out = feats[lo:hi, left:right]
-            _depth_difference(samples.images.pixels, bounds[:, left:right], pixel[left:right],
-                              depth[left:right], probe_u[lo:hi], probe_v[lo:hi], bg_depth,
-                              out, [b[:out.size].reshape(out.shape) for b in buffers])
+            _depth_difference(samples.images.pixels,
+                              (edges[:, left:right], layout[:, left:right]),
+                              pixel[left:right], depth[left:right], probe_u[lo:hi],
+                              probe_v[lo:hi], bg_depth, out,
+                              [b[:out.size].reshape(out.shape) for b in buffers])
     return feats
 
 
@@ -467,20 +484,22 @@ class Tree:
 
     def route(self, frames, img_idx, pixel, depth, bg_depth):
         """Leaf index for every patch, its frame `frames[img_idx]` read from
-        the frames' crop buffer; routing is total and deterministic."""
+        the frames' crop buffer; routing is total and deterministic. The
+        patch columns are read as float32, the split features' precision."""
+        pixel = np.asarray(pixel, dtype=np.float32)
+        depth = np.asarray(depth, dtype=np.float32)
         node = np.zeros(len(depth), dtype=np.int64)
-        feats = np.empty(len(depth))
-        bounds = _crop_bounds(frames, img_idx)
+        feats = np.empty(len(depth), dtype=np.float32)
+        edges, layout = _crop_bounds(frames, img_idx)
         buffers = _probe_buffers(len(depth))
         while True:
-            internal = self.leaf_id[node] < 0
-            if not internal.any():
-                break
-            act = np.nonzero(internal)[0]
-            nd = node[act]
+            act = np.flatnonzero(self.leaf_id[node] < 0)
             n = len(act)
-            _depth_difference(frames.pixels, bounds[:, act], pixel[act], depth[act],
-                              self.probe_u[nd], self.probe_v[nd], bg_depth,
+            if not n:
+                break
+            nd = node[act]
+            _depth_difference(frames.pixels, (edges[:, act], layout[:, act]), pixel[act],
+                              depth[act], self.probe_u[nd], self.probe_v[nd], bg_depth,
                               feats[:n], [b[:n] for b in buffers])
             go_left = feats[:n] < self.tau[nd]
             node[act] = np.where(go_left, self.left[nd], self.right[nd])
@@ -492,15 +511,18 @@ def _best_split(samples, idx, cfg, rng, probe_range, n_joints):
     (probe_u, probe_v, tau, go_left over idx), or None when no candidate
     separates the node's samples."""
     sub = _balanced_subsample(samples.label, idx, cfg.node_subsample, rng)
-    probe_u = rng.uniform(-probe_range, probe_range, size=(cfg.candidates, 2))
-    probe_v = rng.uniform(-probe_range, probe_range, size=(cfg.candidates, 2))
+    # rounded to float32 at the draw, so the probes scored are those the file stores
+    probe_u, probe_v = (rng.uniform(-probe_range, probe_range, size=(cfg.candidates, 2))
+                        .astype(np.float32) for _ in range(2))
     feats = _features(samples, sub, probe_u, probe_v, cfg.bg_depth_mm)
     tau = feats[np.arange(cfg.candidates), rng.integers(0, len(sub), size=cfg.candidates)]
 
-    onehot = np.zeros((len(sub), n_joints))
+    # float32 counts are exact below 2**24 samples a node: `_gains` gets the
+    # bits of a float64 product
+    onehot = np.zeros((len(sub), n_joints), dtype=np.float32)
     onehot[np.arange(len(sub)), samples.label[sub]] = 1.0
-    left_counts = (feats < tau[:, None]).astype(float) @ onehot
-    gains = _gains(left_counts, onehot.sum(axis=0))
+    left_counts = (feats < tau[:, None]).astype(np.float32) @ onehot
+    gains = _gains(left_counts.astype(float), onehot.sum(axis=0, dtype=float))
     best = int(np.argmax(gains))
     if not np.isfinite(gains[best]) or gains[best] <= 1e-12:
         return None
@@ -593,10 +615,9 @@ def accumulate_votes(forest, img, stride=DEFAULTS["forest.infer_stride"],
     w_parts = []
     for tree in forest.trees:
         leaf = tree.route(frames, img_idx, pixel, depths, forest.bg_depth_mm)
-        modes = tree.leaf_modes[leaf].astype(float)      # (m, J, M, 3)
-        weights = tree.leaf_weights[leaf].astype(float)  # (m, J, M)
-        pos_parts.append(centers[:, None, None, :] + modes)
-        w_parts.append(weights * scale[:, None, None])
+        # float64 sums of the float32 leaf arrays, with no float64 copy of them
+        pos_parts.append(centers[:, None, None, :] + tree.leaf_modes[leaf])  # (m, J, M, 3)
+        w_parts.append(tree.leaf_weights[leaf] * scale[:, None, None])      # (m, J, M)
     positions = np.concatenate(pos_parts)  # (m*T, J, M, 3)
     weights = np.concatenate(w_parts)
 
@@ -684,6 +705,30 @@ class _Reader:
         return np.frombuffer(self.take(4 * math.prod(shape), what), dtype="<f4").reshape(shape)
 
 
+# a node row's fields, the magnitude each must stay below and the rule that
+# makes: a link an int32 holds; a probe offset (px*mm) that lands inside
+# intp at a 1 mm patch depth, for `_probe_depth`'s index cast; a finite tau
+NODE_FIELDS = ("left", "right", "leaf_id", "u0", "u1", "v0", "v1", "tau")
+_FIELD_BOUNDS = np.array([2.0 ** 31] * 3 + [2.0 ** 62] * 4 + [np.inf], dtype=np.float32)
+_FIELD_RULES = (("an int32 index",) * 3
+                + ("a finite offset below 2**62 px*mm in magnitude",) * 4 + ("finite",))
+
+
+def _check_fields(t, nodes, base):
+    """Reject a node table holding a value routing cannot use: a link field
+    that is not an integer an int32 holds, a probe offset that is not
+    finite or too large for the index cast, or a tau that is not finite."""
+    ok = np.abs(nodes) < _FIELD_BOUNDS  # NaN compares False
+    integral = nodes == np.trunc(nodes)
+    integral[:, 3:] = True  # only the link fields must be integers
+    ok &= integral
+    if not ok.all():
+        k, field = divmod(int(np.argmin(ok)), len(NODE_FIELDS))
+        raise ForestFormatError(f"tree {t} node {k}: {NODE_FIELDS[field]} "
+                                f"{float(nodes[k, field])!r} is not {_FIELD_RULES[field]}",
+                                base + 32 * k + 4 * field)
+
+
 def _check_topology(t, nodes, n_leaves, base):
     """Reject node tables that Tree.route could not walk to a leaf.
 
@@ -748,6 +793,7 @@ def load_forest(path):
         n_nodes, n_leaves = reader.unpack("<II", f"tree {t} sizes")
         base = reader.offset
         nodes = reader.floats((n_nodes, 8), f"tree {t} nodes")
+        _check_fields(t, nodes, base)
         _check_topology(t, nodes, n_leaves, base)
         modes = reader.floats((n_leaves, n_joints, n_modes, 3), f"tree {t} leaf modes")
         weights = reader.floats((n_leaves, n_joints, n_modes), f"tree {t} leaf weights")

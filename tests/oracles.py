@@ -214,25 +214,30 @@ def full_stack(frames):
 
 
 def probe_depth_3index(images, img_idx, probe_px, bg_depth):
-    """Depth at probe pixels by a 3-index gather at clipped coordinates,
-    then separate out-of-image and background passes: the reference for
-    `forest._probe_depth`."""
+    """Depth at float32 probe pixels by a 3-index gather at clipped
+    coordinates, then separate out-of-image and background passes, in
+    float32: the reference for `forest._probe_depth`."""
     u = np.rint(probe_px[..., 0]).astype(np.int64)
     v = np.rint(probe_px[..., 1]).astype(np.int64)
     h, w = images.shape[1], images.shape[2]
     inb = (u >= 0) & (u < w) & (v >= 0) & (v < h)
     uc = np.clip(u, 0, w - 1)
     vc = np.clip(v, 0, h - 1)
-    d = images[img_idx, vc, uc].astype(float)
+    d = images[img_idx, vc, uc].astype(np.float32)
     d[~inb] = bg_depth
     d[d == 0] = bg_depth
     return d
 
 
+def _float32(*arrays):
+    return [np.asarray(a, dtype=np.float32) for a in arrays]
+
+
 def depth_difference_3index(images, img_idx, pixel, depth, probe_u, probe_v,
                             bg_depth):
-    """`forest._depth_difference` through `probe_depth_3index`."""
-    scale = depth[..., None]
+    """`forest._depth_difference` through `probe_depth_3index`: the probe
+    pixels computed from float32 patch columns and offsets, in float32."""
+    pixel, scale, probe_u, probe_v = _float32(pixel, depth[..., None], probe_u, probe_v)
     du = probe_depth_3index(images, img_idx, pixel + probe_u / scale, bg_depth)
     dv = probe_depth_3index(images, img_idx, pixel + probe_v / scale, bg_depth)
     return du - dv
@@ -241,21 +246,19 @@ def depth_difference_3index(images, img_idx, pixel, depth, probe_u, probe_v,
 # Frozen copies of the split features as they were computed before they
 # were blocked and before frames were stored as crops: each probe allocates
 # its (c, n) temporaries and reads the full (n, h, w) grids (`full_stack`)
-# once for every candidate-sample pair, candidate-major. The library must
-# keep producing their bits.
+# once for every candidate-sample pair, candidate-major, at an exact integer
+# index from float32 coordinates. The library must keep producing their bits.
 
 def probe_depth_unblocked(images, img_idx, pixel, depth, offset, bg_depth):
     h, w = images.shape[1:]
-    u = pixel[..., 0] + offset[..., 0] / depth
-    v = pixel[..., 1] + offset[..., 1] / depth
-    np.rint(u, out=u)
-    np.rint(v, out=v)
+    pixel, depth, offset = _float32(pixel, depth, offset)
+    u = np.rint(pixel[..., 0] + offset[..., 0] / depth)
+    v = np.rint(pixel[..., 1] + offset[..., 1] / depth)
     inside = (u >= 0) & (u < w) & (v >= 0) & (v < h)
-    v *= w
-    v += u
-    v += img_idx * float(h * w)
-    d = images.reshape(-1).take(np.where(inside, v, 0).astype(np.intp))
-    return np.where(inside & (d != 0), d, bg_depth)
+    index = (v.astype(np.int64) * w + u.astype(np.int64)
+             + np.asarray(img_idx, dtype=np.int64) * (h * w))
+    d = images.reshape(-1).take(np.where(inside, index, 0)).astype(np.float32)
+    return np.where(inside & (d != 0), d, np.float32(bg_depth))
 
 
 def depth_difference_unblocked(images, img_idx, pixel, depth, probe_u, probe_v, bg_depth):

@@ -157,9 +157,9 @@ def test_train_logs_frame_stack_and_sample_table_bytes(pipeline_dir, tmp_path, c
     _, split = synth.read_split(pipeline_dir / "dataset" / "train", CameraIntrinsics.default())
     assert frames == len(split) == 2
     assert crop_bytes == 2 * sum(img.crop.size for img in split) == split.nbytes
-    # pixel, depth, image index, label and patch centre a sample, and each
-    # frame's 21 float64 joints once
-    assert table_bytes == samples * (16 + 8 + 4 + 2 + 24) + frames * 21 * 3 * 8
+    # float32 pixel and depth, image index, label and float64 patch centre
+    # a sample, and each frame's 21 float64 joints once
+    assert table_bytes == samples * (8 + 4 + 4 + 2 + 24) + frames * 21 * 3 * 8
 
 
 @pytest.mark.parametrize("jitter", ["0", "2.5"])

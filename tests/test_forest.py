@@ -108,15 +108,18 @@ def test_training_set_reads_the_frame_stack_in_place(tmp_path, geom, limits, cam
     assert not np.shares_memory(backwards.images.pixels, images.pixels)
     assert [img.depth.tobytes() for img in backwards.images] == grids[::-1]
 
-    # the columns keep the dtypes SampleSet documents
+    # the columns keep the dtypes SampleSet documents: the pixel and depth
+    # columns the split features read are float32, the centres float64
     assert copies.images.pixels.dtype == np.uint16
     assert [getattr(copies, name).dtype for name in SAMPLE_FIELDS] == [
-        np.float64, np.float64, np.int32, np.int16, np.float64, np.float64]
+        np.float32, np.float32, np.int32, np.int16, np.float64, np.float64]
     # the derived offsets are each frame's (gt - centre) table rounded to
     # float32, byte for byte, for unsorted and repeated samples; the centre
-    # is back-projected with the frame's own camera
+    # is back-projected from the float64 pixel and depth (which the float32
+    # columns hold exactly) with the frame's own camera
     table = np.concatenate([
-        (gts[i] - img.cam.backproject(*copies.pixel[rows].T, copies.depth[rows])[:, None])
+        (gts[i] - img.cam.backproject(*copies.pixel[rows].T.astype(float),
+                                      copies.depth[rows].astype(float))[:, None])
         .astype(np.float32)
         for i, img in enumerate(images) for rows in [copies.img_idx == i]])
     idx = np.random.default_rng(2).integers(0, len(copies), 3 * len(copies))
@@ -180,7 +183,7 @@ def test_training_set_rejects_a_bad_joint_set_before_sampling(rest_frame, monkey
 
 
 def test_training_set_allocates_no_per_sample_joint_table(geom, limits, cam):
-    # the traced peak of building a multi-frame set is its 54-byte-a-sample
+    # the traced peak of building a multi-frame set is its 42-byte-a-sample
     # table plus one frame's temporaries: a (samples, J, 3) table of any
     # dtype would add at least 252 bytes a sample, several frames' worth
     poses = synth.generate_training_poses(limits=limits, per_finger=2, num_views=4)
@@ -197,9 +200,9 @@ def test_training_set_allocates_no_per_sample_joint_table(geom, limits, cam):
     finally:
         tracemalloc.stop()
     assert samples.images is images  # no packed copy
-    # 54 bytes a sample (pixel, depth, image index, label, patch centre) and
-    # one float64 joint set a frame
-    table = len(samples) * (16 + 8 + 4 + 2 + 24) + len(images) * 21 * 3 * 8
+    # 42 bytes a sample (float32 pixel and depth, image index, label, float64
+    # patch centre) and one float64 joint set a frame
+    table = len(samples) * (8 + 4 + 4 + 2 + 24) + len(images) * 21 * 3 * 8
     assert samples.table_bytes == table
     assert len(samples) * 21 * 3 * 4 > 3 * frame_slack
     assert peak <= table + frame_slack + 65536, (peak, table)
@@ -385,8 +388,8 @@ def _probe_layout(images, layout, rng):
     stack, on its last row and column and on zero-depth pixels."""
     n_img, h, w = images.shape
     m = 400
-    pixel = np.column_stack([rng.integers(0, w, m), rng.integers(0, h, m)]).astype(float)
-    depth = rng.uniform(200.0, 900.0, m)
+    pixel = np.column_stack([rng.integers(0, w, m), rng.integers(0, h, m)]).astype(np.float32)
+    depth = rng.uniform(200.0, 900.0, m).astype(np.float32)
     img_idx = rng.integers(0, n_img, m).astype(np.int32)
     # displacements of up to 4 px past the image, some of them exact
     # half-pixel ties and exact landings on the last row and column
@@ -399,9 +402,8 @@ def _probe_layout(images, layout, rng):
     probe_v = rng.uniform(-3000.0, 3000.0, (m, 2)).astype(np.float32)
     if layout == "route":
         return img_idx.astype(np.int64), pixel, depth, probe_u, probe_v
-    # training: c candidates (c, 1, 2) in float64 against n samples (1, n)
-    return (img_idx[None], pixel[None], depth[None],
-            probe_u[:50, None].astype(float), probe_v[:50, None].astype(float))
+    # training: c candidates (c, 1, 2) against n samples (1, n)
+    return img_idx[None], pixel[None], depth[None], probe_u[:50, None], probe_v[:50, None]
 
 
 @pytest.mark.parametrize("layout", ["route", "training"])
@@ -462,7 +464,7 @@ def test_crop_probes_equal_full_frame_oracle(geom, cam):
     targets = np.concatenate([in_crop, in_image, off_image, edges[:, :2]]).astype(float)
     targets += rng.uniform(-0.45, 0.45, targets.shape)
     img_idx, pixel, depth = samples.img_idx[sample], samples.pixel[sample], samples.depth[sample]
-    probe_u = (targets - pixel) * depth[:, None]
+    probe_u = ((targets - pixel) * depth[:, None]).astype(np.float32)
     probe_v = probe_u[rng.permutation(len(sample))]
     got = F._depth_difference(frames.pixels, F._crop_bounds(frames, img_idx), pixel, depth,
                               probe_u, probe_v, 10000.0)
@@ -485,6 +487,41 @@ def test_crop_probes_equal_full_frame_oracle(geom, cam):
     leaf = tree.route(frames, *args)
     assert np.array_equal(leaf, route_unblocked(tree, images, *args))
     assert len(np.unique(leaf)) == tree.n_leaves > 10
+
+
+def test_probes_read_their_pixels_past_2_24_buffer_elements(cam):
+    # 230 full-image crops hold 17.7 M pixels, and the last 10 frames lie
+    # wholly past 2**24 buffer elements, where float32 holds only even
+    # integers: a flat index formed in float32 reads a neighbour of half the
+    # probed pixels there. The intp index reads what the 3-index gather reads.
+    n_img, last = 230, np.arange(220, 230)
+    rng = np.random.default_rng(0)
+    frames = Frames.pack((DepthImage(rng.integers(1, 65536, (cam.height, cam.width),
+                                                  dtype=np.uint16), cam)
+                          for _ in range(n_img)), cam)
+    assert frames.boxes[last[0], 4] > 2 ** 24
+    assert frames.nbytes == 2 * n_img * cam.width * cam.height
+    m = 4000
+    img_idx = rng.choice(last, m)
+    pixel = np.column_stack([rng.integers(0, cam.width, m),
+                             rng.integers(0, cam.height, m)]).astype(np.float32)
+    depth = rng.uniform(200.0, 900.0, m).astype(np.float32)
+    target = np.column_stack([rng.integers(0, cam.width, m), rng.integers(0, cam.height, m)])
+    probe_u = ((target - pixel) * depth[:, None]).astype(np.float32)
+    probe_v = np.zeros_like(probe_u)  # the patch's own pixel
+    got = F._depth_difference(frames.pixels, F._crop_bounds(frames, img_idx), pixel, depth,
+                              probe_u, probe_v, 10000.0)
+    images = full_stack(frames[int(i)] for i in last)
+    want = depth_difference_3index(images, img_idx - last[0], pixel, depth, probe_u, probe_v,
+                                   10000.0)
+    assert got.dtype == want.dtype == np.float32 and got.tobytes() == want.tobytes()
+    # every probe read a pixel of its frame, none of them background
+    u, v = np.rint(pixel + probe_u / depth[:, None]).astype(int).T
+    assert ((u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height)).all()
+    rows, cols = pixel.astype(int).T
+    read = images[img_idx - last[0], v, u].astype(np.float32)
+    assert np.array_equal(got, read - images[img_idx - last[0], cols, rows])
+    assert (u % 2 == 1).sum() > m // 3
 
 
 def test_all_background_pgm_reads_as_an_empty_crop(tmp_path, cam, tiny_forest, rest_frame):
@@ -539,8 +576,9 @@ def test_features_equal_unblocked_oracle(wide_samples, monkeypatch, n, c, block)
     rng = np.random.default_rng(c)
     n = len(samples) if n is None else n
     idx = np.sort(rng.choice(len(samples), n, replace=False))
-    probe_u = rng.uniform(-120000.0, 120000.0, (c, 2))
-    probe_v = rng.uniform(-120000.0, 120000.0, (c, 2))
+    # drawn as `_best_split` draws them, rounded to float32
+    probe_u = rng.uniform(-120000.0, 120000.0, (c, 2)).astype(np.float32)
+    probe_v = rng.uniform(-120000.0, 120000.0, (c, 2)).astype(np.float32)
     got = F._features(samples, idx, probe_u, probe_v, 10000.0)
     want = features_unblocked(samples, idx, probe_u, probe_v, 10000.0)
     assert got.shape == want.shape == (c, n) and got.dtype == want.dtype
@@ -1034,6 +1072,61 @@ def test_load_rejects_unroutable_node_table(tmp_path, tiny_forest, case):
     path.write_bytes(bytes(blob))
     with pytest.raises(F.ForestFormatError, match=f"node {node}: .*at byte {offset}"):
         F.load_forest(path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, value, rule", [
+    ("left", float("nan"), "an int32 index"),
+    ("right", 2.5, "an int32 index"),
+    ("leaf_id", 2.0 ** 31, "an int32 index"),
+    ("left", -float("inf"), "an int32 index"),
+    ("u0", float("nan"), "a finite offset below 2**62 px*mm in magnitude"),
+    ("v1", 1e30, "a finite offset below 2**62 px*mm in magnitude"),
+    ("u1", -float("inf"), "a finite offset below 2**62 px*mm in magnitude"),
+    ("tau", float("inf"), "finite"),
+    ("tau", float("nan"), "finite"),
+], ids=["left_nan", "right_fraction", "leaf_id_2_31", "left_inf", "u0_nan", "v1_huge",
+        "u1_inf", "tau_inf", "tau_nan"])
+def test_load_rejects_a_node_value_routing_cannot_use(tmp_path, tiny_forest, field, value,
+                                                      rule):
+    # a NaN or out-of-range link used to exit with numpy's cast warning and
+    # name the cast value (-2147483648), not the file's; a non-finite or huge
+    # probe offset or tau loaded silently and broke only routing
+    tree = tiny_forest[0].trees[0]
+    node = int(np.nonzero(tree.leaf_id < 0)[0][1])  # an internal node past the root
+    column = F.NODE_FIELDS.index(field)
+    path = tmp_path / "forest.bin"
+    F.save_forest(path, tiny_forest[0])
+    blob = bytearray(path.read_bytes())
+    offset = NODE_TABLE + 32 * node + 4 * column
+    struct.pack_into("<f", blob, offset, value)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(F.ForestFormatError) as exc:
+        F.load_forest(path)
+    stored = float(np.float32(value))
+    assert str(exc.value) == (f"tree 0 node {node}: {field} {stored!r} is not {rule} "
+                              f"(at byte {offset})")
+
+
+@pytest.mark.filterwarnings("error")
+def test_largest_probe_offsets_load_and_route_at_a_1mm_depth(tmp_path, cam, rest_frame):
+    # the load check admits offsets up to the float32 below 2**62 px*mm,
+    # which land inside intp at a 1 mm patch depth: routing casts them
+    # without a warning and reads them as background
+    big = float(np.nextafter(np.float32(2.0 ** 62), np.float32(0)))
+    tree = F.Tree(nodes=np.array([[1, 2, -1, big, -big, -big, big, 0],
+                                  [-1, -1, 0, 0, 0, 0, 0, 0],
+                                  [-1, -1, 1, 0, 0, 0, 0, 0]], "<f4"),
+                  leaf_modes=np.ones((2, 21, 1, 3), np.float32),
+                  leaf_weights=np.ones((2, 21, 1), np.float32))
+    path = tmp_path / "forest.bin"
+    F.save_forest(path, F.Forest([tree], leaf_modes=1))
+    loaded = F.load_forest(path).trees[0]
+    img = rest_frame[0]
+    frames = Frames.pack([img], cam)
+    pixel = np.array([[0.0, 0.0], [cam.width - 1.0, cam.height - 1.0]])
+    leaf = loaded.route(frames, np.zeros(2, dtype=np.int64), pixel, np.ones(2), 10000.0)
+    assert leaf.tolist() == [1, 1]  # bg - bg = 0 is not below tau 0
 
 
 def test_save_writes_each_node_table_verbatim(tmp_path, tiny_forest):
