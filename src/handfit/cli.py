@@ -282,6 +282,8 @@ def cmd_sweep(args):
     geom, limits = _dataset_geometry(dataset)
     model = forest.load_forest(args.forest)
     poses, images = synth.read_split(split, cam)
+    if not poses:
+        raise ValueError(f"{split / 'poses.csv'}: no frames to sweep")
     gt_joints = [geometry.forward_kinematics(geom, p) for p in poses]
     log.info("accumulating votes for %d frames", len(images))
     # each worker sends back only the votes the experiment's proposals read

@@ -1,8 +1,8 @@
 """Hough-style regression forest over depth patches.
 
 Each foreground patch carries a part label (nearest joint) and 3D offset
-vectors to every joint; the sample table keeps the patch centre and each
-frame's joints once, and the offsets are derived where they are read.
+vectors to every joint; the sample table keeps each frame's joints once,
+and the patch centre and its offsets are derived where they are read.
 Trees split on two-probe depth-difference features whose pixel offsets are
 normalized by the patch depth; leaves summarize the arriving offset
 distributions per joint by mean-shift modes: after a tree is grown, its
@@ -75,13 +75,14 @@ class ForestFormatError(ValueError):
 @dataclass
 class SampleSet:
     """Columnar training samples plus the frames and ground-truth joints
-    they index into: 42 bytes a sample and one joint set a frame. The
+    they index into: 18 bytes a sample and one joint set a frame. The
     frames are read where they are, one flat buffer of foreground crops.
 
     The pixel and depth columns are float32, as the split features read
-    them; they hold integer pixels and uint16 depths, so they are exact. A
-    sample's offsets to the joints are not stored: `offsets(idx)` derives
-    them from its frame's joints and its float64 patch centre.
+    them; they hold integer pixels and uint16 depths, so they are exact.
+    Neither a sample's patch centre nor its offsets to the joints are
+    stored: `offsets(idx)` back-projects the centre from the pixel and
+    depth with the frames' camera, in float64 as the sampling did.
     """
 
     images: Frames       # n_img frames, one crop buffer
@@ -89,7 +90,6 @@ class SampleSet:
     depth: np.ndarray    # (n,) float32 mm at the patch centre
     img_idx: np.ndarray  # (n,) int32
     label: np.ndarray    # (n,) int16, nearest joint
-    centers: np.ndarray  # (n, 3) float mm, the back-projected patch centre
     joints: np.ndarray   # (n_img, J, 3) float mm, each frame's ground truth
 
     def __len__(self):
@@ -98,13 +98,14 @@ class SampleSet:
     def offsets(self, idx):
         """(len(idx), J, 3) float32 offsets joint - patch centre of samples
         `idx`, rounded once from the float64 difference."""
-        return (self.joints[self.img_idx[idx]] - self.centers[idx][:, None]).astype(np.float32)
+        centers = self.images.cam.backproject(*self.pixel[idx].T, self.depth[idx])
+        return (self.joints[self.img_idx[idx]] - centers[:, None]).astype(np.float32)
 
     @property
     def table_bytes(self):
         """Bytes of the sample columns and joint sets, the frames' crops not counted."""
         return sum(a.nbytes for a in (self.pixel, self.depth, self.img_idx, self.label,
-                                      self.centers, self.joints))
+                                      self.joints))
 
 
 def _stride_grid(img, stride):
@@ -196,14 +197,12 @@ def _sample_table(frames, joints, stride, rng, cap):
         depth=np.empty(n, dtype=np.float32),
         img_idx=np.repeat(np.arange(len(frames), dtype=np.int32), counts),
         label=np.empty(n, dtype=np.int16),
-        centers=np.empty((n, 3)),
         joints=joints,
     )
     for img, gt, end, count in zip(frames, joints, ends, counts):
         rows = slice(end - count, end)
         depths, centers, pixel = _patch_grid(img, stride, rng, cap)
         samples.pixel[rows], samples.depth[rows] = pixel, depths
-        samples.centers[rows] = centers
         # squared distances to the joints, x, y and z summed in the order a norm sums them
         dist = sum((gt[None, :, a] - centers[:, a, None]) ** 2 for a in range(3))
         samples.label[rows] = dist.argmin(axis=1)
@@ -729,14 +728,30 @@ def _check_fields(t, nodes, base):
                                 base + 32 * k + 4 * field)
 
 
-def _check_topology(t, nodes, n_leaves, base):
+def _check_leaves(t, modes, weights, base):
+    """Reject leaf models whose votes are not numbers: a mode coordinate
+    that is not finite, or a weight that is not finite or is negative.
+    `base` is the byte offset of the modes block, which the weights block
+    follows. A block in range costs a min and a max, which carry any NaN."""
+    for block, low, rule, at in ((modes, np.finfo(np.float32).min, "finite", base),
+                                 (weights, 0.0, "finite and non-negative", base + modes.nbytes)):
+        if low <= block.min(initial=low) and block.max(initial=low) < np.inf:
+            continue
+        k = int(np.argmin((block >= low) & (block < np.inf)))
+        leaf, joint, mode, *axis = np.unravel_index(k, block.shape)
+        what = "xyz"[axis[0]] if axis else "weight"
+        raise ForestFormatError(f"tree {t} leaf {leaf} joint {joint} mode {mode}: {what} "
+                                f"{float(block.flat[k])!r} is not {rule}", at + 4 * k)
+
+
+def _check_topology(t, tree, base):
     """Reject node tables that Tree.route could not walk to a leaf.
 
     train_tree writes nodes in pre-order, so every internal node's children
     lie after it and inside the table, which makes routing terminate. Leaf
     rows have no children and use each leaf model exactly once.
     """
-    left, right, leaf_id = _links(nodes)
+    left, right, leaf_id, n_leaves = tree.left, tree.right, tree.leaf_id, tree.n_leaves
     n_nodes = len(left)
     if n_nodes == 0:
         raise ForestFormatError(f"tree {t} has no nodes", base)
@@ -768,7 +783,9 @@ def _check_topology(t, nodes, n_leaves, base):
 def load_forest(path):
     """The forest `save_forest` wrote to `path`. Every tree array but the
     int32 link columns is a read-only view of the file's bytes. A file that
-    is not such a forest raises ForestFormatError with its byte offset."""
+    is not such a forest raises ForestFormatError with its byte offset:
+    each tree's node fields and leaf blocks are checked as they are read,
+    and its topology once it is a `Tree`."""
     reader = _Reader(Path(path).read_bytes())
     magic = bytes(reader.take(4, "magic"))
     if magic != MAGIC:
@@ -794,10 +811,11 @@ def load_forest(path):
         base = reader.offset
         nodes = reader.floats((n_nodes, 8), f"tree {t} nodes")
         _check_fields(t, nodes, base)
-        _check_topology(t, nodes, n_leaves, base)
         modes = reader.floats((n_leaves, n_joints, n_modes, 3), f"tree {t} leaf modes")
         weights = reader.floats((n_leaves, n_joints, n_modes), f"tree {t} leaf weights")
+        _check_leaves(t, modes, weights, base + nodes.nbytes)
         trees.append(Tree(nodes, modes, weights))
+        _check_topology(t, trees[-1], base)
     if reader.offset != len(reader.data):
         raise ForestFormatError("trailing bytes after forest payload", reader.offset)
     return Forest(trees, num_joints=n_joints, leaf_modes=n_modes, bg_depth_mm=bg_depth)

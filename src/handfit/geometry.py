@@ -390,5 +390,16 @@ def write_poses_csv(path, poses):
 
 
 def read_poses_csv(path):
-    return read_csv(path, POSE_COLUMNS,
-                    lambda row: PoseParams.from_vector([float(v) for v in row]))
+    """The poses `write_poses_csv` writes. A value that is not finite, or a
+    quaternion `quats.normalize` cannot normalize, raises ValueError at
+    `path:line`."""
+    def parse(row):
+        vec = np.array([float(v) for v in row])
+        finite = np.isfinite(vec)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"{POSE_COLUMNS[k]} {float(vec[k])!r} is not finite")
+        quats.normalize(vec[3:7])  # raises on a (near-)zero norm, as FK would
+        return PoseParams.from_vector(vec)
+
+    return read_csv(path, POSE_COLUMNS, parse)

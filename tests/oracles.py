@@ -195,9 +195,15 @@ def build_leaf_per_joint(samples, idx, cfg):
     n_joints = samples.joints.shape[1]
     modes_out = np.zeros((n_joints, cfg.leaf_modes, 3), dtype=np.float32)
     weights_out = np.zeros((n_joints, cfg.leaf_modes), dtype=np.float32)
+    # each sample's patch centre, back-projected from its pixel and depth
+    us, vs, depth = (np.asarray(c, dtype=float)
+                     for c in (samples.pixel[idx, 0], samples.pixel[idx, 1], samples.depth[idx]))
+    cam = samples.images.cam
+    centers = np.stack([(us - cam.cx) * depth / cam.fx, (vs - cam.cy) * depth / cam.fy, depth],
+                       axis=1)
     for j in range(n_joints):
         # joint j's offsets, rounded once to float32 as `SampleSet.offsets` rounds them
-        offsets = samples.joints[samples.img_idx[idx], j] - samples.centers[idx]
+        offsets = samples.joints[samples.img_idx[idx], j] - centers
         modes, support = mean_shift_alone(offsets.astype(np.float32).astype(float), None,
                                           cfg.leaf_bandwidth_mm, DEDUP_DIVISOR,
                                           cfg.meanshift_iters)

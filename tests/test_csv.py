@@ -1,11 +1,13 @@
 """The CSV tables the pipeline reads: malformed input fails with a
 ValueError located at `path:line`, and the CLI turns it into exit 4."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handfit import cli, geometry
+from handfit.depth import CameraIntrinsics
 from handfit.proposals import PROPOSAL_COLUMNS, read_proposals_csv
 
 # table -> (reader, header, one valid data row)
@@ -134,3 +136,75 @@ def test_readers_return_or_raise_value_error_on_any_bytes(tmp_path_factory, tabl
         reader(path)
     except ValueError:
         pass
+
+
+def _pose_row(**cells):
+    """A valid poses.csv row, some cells by column name replaced."""
+    row = ["1"] * len(geometry.POSE_COLUMNS)
+    for name, cell in cells.items():
+        row[geometry.POSE_COLUMNS.index(name)] = cell
+    return row
+
+
+ZERO_QUATERNION = dict(qw="0", qx="0", qy="0", qz="0")
+# case -> (cells replaced in the second row, the error after path:3:)
+BAD_POSES = {
+    "tx_nan": (dict(tx="nan"), "tx nan is not finite"),
+    "tz_minus_inf": (dict(tz="-inf"), "tz -inf is not finite"),
+    "first_of_two_named": (dict(qx="nan", **{geometry.POSE_COLUMNS[-1]: "inf"}),
+                           "qx nan is not finite"),
+    "angle_overflow": ({geometry.POSE_COLUMNS[-1]: "1e400"},
+                       f"{geometry.POSE_COLUMNS[-1]} inf is not finite"),
+    "zero_quaternion": (ZERO_QUATERNION, "zero-norm quaternion has no orientation"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", BAD_POSES)
+def test_poses_reader_rejects_a_value_no_pose_has(tmp_path, case):
+    # a NaN translation used to read without error and eval charged every
+    # joint of its frame the missing-joint sentinel; a zero quaternion
+    # failed later in forward kinematics, naming neither file nor row
+    cells, message = BAD_POSES[case]
+    path = tmp_path / "poses.csv"
+    path.write_bytes(_csv_bytes(geometry.POSE_COLUMNS, [_pose_row(), _pose_row(**cells)]))
+    with pytest.raises(ValueError) as exc:
+        geometry.read_poses_csv(path)
+    assert str(exc.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.filterwarnings("error")
+def test_poses_reader_draws_the_quaternion_line_where_normalize_does(tmp_path):
+    # norm 2e-12 reads as written; norm 2e-13 is below the 1e-12 that
+    # quats.normalize refuses, and used to read without error
+    path = tmp_path / "poses.csv"
+    small = dict(qw="1e-12", qx="1e-12", qy="1e-12", qz="-1e-12")
+    path.write_bytes(_csv_bytes(geometry.POSE_COLUMNS, [_pose_row(**small)]))
+    [pose] = geometry.read_poses_csv(path)
+    assert pose.orientation.tolist() == [1e-12, 1e-12, 1e-12, -1e-12]
+    tiny = {name: value.replace("-12", "-13") for name, value in small.items()}
+    path.write_bytes(_csv_bytes(geometry.POSE_COLUMNS, [_pose_row(**tiny)]))
+    with pytest.raises(ValueError) as exc:
+        geometry.read_poses_csv(path)
+    assert str(exc.value) == f"{path}:2: zero-norm quaternion has no orientation"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, split", [("eval", "test"), ("train", "train")])
+@pytest.mark.parametrize("case", ["tx_nan", "zero_quaternion"])
+def test_cli_exits_4_naming_the_row_of_a_bad_pose(tmp_path, caplog, command, split, case):
+    # eval used to score a NaN-translation frame at 100 mm a joint and exit
+    # 0; train and eval failed on a zero quaternion without the file
+    cells, message = BAD_POSES[case]
+    ds = tmp_path / "ds"
+    (ds / split).mkdir(parents=True)
+    poses = ds / split / "poses.csv"
+    poses.write_bytes(_csv_bytes(geometry.POSE_COLUMNS, [_pose_row(), _pose_row(**cells)]))
+    CameraIntrinsics.default().save(ds / "intrinsics.txt")
+    cli.write_joints_csv(tmp_path / "estimates.csv", [np.zeros((21, 3))] * 2)
+    args = {"eval": ["eval", "--estimates", str(tmp_path / "estimates.csv"),
+                     "--dataset", str(ds), "--out", str(tmp_path / "out")],
+            "train": ["train", "--dataset", str(ds), "--out", str(tmp_path / "f.bin")]}
+    assert cli.main(args[command]) == 4
+    assert f"{poses}:3: {message}" in caplog.text
+    assert not (tmp_path / "out").exists() and not (tmp_path / "f.bin").exists()

@@ -74,7 +74,7 @@ def test_labels_match_brute_force_nearest(cam, rest_frame):
     assert len(np.unique(samples.label)) >= 2
 
 
-SAMPLE_FIELDS = ("pixel", "depth", "img_idx", "label", "centers", "joints")
+SAMPLE_FIELDS = ("pixel", "depth", "img_idx", "label", "joints")
 
 
 @pytest.mark.parametrize("jitter_mm, stride, cap", [(0.0, 3, None), (3.0, 2, 40)],
@@ -109,10 +109,10 @@ def test_training_set_reads_the_frame_stack_in_place(tmp_path, geom, limits, cam
     assert [img.depth.tobytes() for img in backwards.images] == grids[::-1]
 
     # the columns keep the dtypes SampleSet documents: the pixel and depth
-    # columns the split features read are float32, the centres float64
+    # columns the split features read are float32, the joints float64
     assert copies.images.pixels.dtype == np.uint16
     assert [getattr(copies, name).dtype for name in SAMPLE_FIELDS] == [
-        np.float32, np.float32, np.int32, np.int16, np.float64, np.float64]
+        np.float32, np.float32, np.int32, np.int16, np.float64]
     # the derived offsets are each frame's (gt - centre) table rounded to
     # float32, byte for byte, for unsorted and repeated samples; the centre
     # is back-projected from the float64 pixel and depth (which the float32
@@ -183,7 +183,7 @@ def test_training_set_rejects_a_bad_joint_set_before_sampling(rest_frame, monkey
 
 
 def test_training_set_allocates_no_per_sample_joint_table(geom, limits, cam):
-    # the traced peak of building a multi-frame set is its 42-byte-a-sample
+    # the traced peak of building a multi-frame set is its 18-byte-a-sample
     # table plus one frame's temporaries: a (samples, J, 3) table of any
     # dtype would add at least 252 bytes a sample, several frames' worth
     poses = synth.generate_training_poses(limits=limits, per_finger=2, num_views=4)
@@ -200,9 +200,9 @@ def test_training_set_allocates_no_per_sample_joint_table(geom, limits, cam):
     finally:
         tracemalloc.stop()
     assert samples.images is images  # no packed copy
-    # 42 bytes a sample (float32 pixel and depth, image index, label, float64
-    # patch centre) and one float64 joint set a frame
-    table = len(samples) * (8 + 4 + 4 + 2 + 24) + len(images) * 21 * 3 * 8
+    # 18 bytes a sample (float32 pixel and depth, image index, label) and
+    # one float64 joint set a frame
+    table = len(samples) * (8 + 4 + 4 + 2) + len(images) * 21 * 3 * 8
     assert samples.table_bytes == table
     assert len(samples) * 21 * 3 * 4 > 3 * frame_slack
     assert peak <= table + frame_slack + 65536, (peak, table)
@@ -276,8 +276,7 @@ def test_build_leaf_single_and_duplicate_samples(geom, cam, rest_frame):
                       np.repeat(samples.pixel[:1], 2, axis=0),
                       np.repeat(samples.depth[:1], 2),
                       np.zeros(2, dtype=np.int32),
-                      np.repeat(samples.label[:1], 2),
-                      np.repeat(samples.centers[:1], 2, axis=0), samples.joints)
+                      np.repeat(samples.label[:1], 2), samples.joints)
     modes, weights = _leaf_model(dup, np.array([0, 1]), cfg,
                                  np.random.default_rng(0))
     assert weights[0, 0] == pytest.approx(2.0)
@@ -316,7 +315,7 @@ def test_train_tree_degenerate_cases(cam, rest_frame):
         F.train_tree(samples.__class__(samples.images,
                                        samples.pixel[:0], samples.depth[:0],
                                        samples.img_idx[:0], samples.label[:0],
-                                       samples.centers[:0], samples.joints),
+                                       samples.joints),
                      cfg, np.random.default_rng(0))
 
     # identical appearance everywhere: no split can gain, root stays a leaf
@@ -324,8 +323,7 @@ def test_train_tree_degenerate_cases(cam, rest_frame):
         images=Frames.pack([DepthImage(np.full((10, 10), 500, dtype=np.uint16), cam)], cam),
         pixel=np.tile(np.array([[5.0, 5.0]]), (50, 1)),
         depth=np.full(50, 500.0), img_idx=np.zeros(50, dtype=np.int32),
-        label=np.zeros(50, dtype=np.int16), centers=np.zeros((50, 3)),
-        joints=np.zeros((1, 21, 3)))
+        label=np.zeros(50, dtype=np.int16), joints=np.zeros((1, 21, 3)))
     tree = F.train_tree(flat, F.ForestConfig(min_samples=10), np.random.default_rng(0))
     assert tree.n_leaves == 1
 
@@ -634,14 +632,19 @@ def test_train_tree_with_blocked_root_equals_recursive_unblocked_oracle(wide_sam
 
 def _leaf_samples(base, offsets):
     """Samples whose derived offsets are `offsets` (n, 21, 3) rounded to
-    float32: sample i is the one sample of frame i, its centre at zero."""
+    float32: sample i is the one sample of frame i, at base sample 0's
+    pixel and depth, and frame i's joints are its offsets plus that
+    sample's derived centre."""
     n = len(offsets)
-    return F.SampleSet(Frames(base.images.pixels, np.repeat(base.images.boxes[:1], n, axis=0),
-                              base.images.cam),
-                       np.tile(base.pixel[:1], (n, 1)),
-                       np.full(n, base.depth[0]), np.arange(n, dtype=np.int32),
-                       np.zeros(n, dtype=np.int16), np.zeros((n, 3)),
-                       np.asarray(offsets, dtype=float))
+    offsets = np.asarray(offsets, dtype=np.float32)
+    center = base.images.cam.backproject(*base.pixel[:1].T, base.depth[:1])
+    samples = F.SampleSet(Frames(base.images.pixels, np.repeat(base.images.boxes[:1], n, axis=0),
+                                 base.images.cam),
+                          np.tile(base.pixel[:1], (n, 1)),
+                          np.full(n, base.depth[0]), np.arange(n, dtype=np.int32),
+                          np.zeros(n, dtype=np.int16), offsets + center[:, None])
+    assert np.array_equal(samples.offsets(np.arange(n)), offsets)  # a -0.0 reads back as 0.0
+    return samples
 
 
 @pytest.mark.parametrize("case", ["one_sample", "all_duplicates", "above_leaf_cap",
@@ -809,8 +812,7 @@ def test_depth_invariant_features(geom, cam):
         sample = F.SampleSet(Frames.pack([img], img.cam),
                              np.array([[round(u), round(v)]], dtype=float),
                              np.array([d]), np.zeros(1, dtype=np.int64),
-                             np.zeros(1, dtype=np.int16), np.zeros((1, 3)),
-                             np.zeros((1, 21, 3)))
+                             np.zeros(1, dtype=np.int16), np.zeros((1, 21, 3)))
         feats.append(F._features(sample, np.array([0]), probe_u, probe_v,
                                  10000.0)[0, 0])
     assert abs(feats[0] - feats[1]) < 3.0  # rounding + resampling slack
@@ -1106,6 +1108,85 @@ def test_load_rejects_a_node_value_routing_cannot_use(tmp_path, tiny_forest, fie
     stored = float(np.float32(value))
     assert str(exc.value) == (f"tree 0 node {node}: {field} {stored!r} is not {rule} "
                               f"(at byte {offset})")
+
+
+def _leaf_blocks_at(model, t):
+    """Byte offsets of tree t's leaf modes and leaf weights blocks in
+    `model`'s file."""
+    offset = NODE_TABLE
+    for tree in model.trees[:t]:
+        offset += tree.nodes.nbytes + tree.leaf_modes.nbytes + tree.leaf_weights.nbytes + 8
+    modes_at = offset + model.trees[t].nodes.nbytes
+    return modes_at, modes_at + model.trees[t].leaf_modes.nbytes
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("block, value", [
+    ("modes", float("nan")), ("modes", float("inf")), ("modes", -float("inf")),
+    ("weights", float("nan")), ("weights", float("inf")), ("weights", -1.0),
+    ("weights", -np.float32(1e-45)),
+], ids=["mode_nan", "mode_inf", "mode_minus_inf", "weight_nan", "weight_inf",
+        "weight_negative", "weight_tiny_negative"])
+def test_load_rejects_a_leaf_value_voting_cannot_use(tmp_path, tiny_forest, block, value):
+    # a NaN leaf mode used to load, and at inference exit 4 with mean_shift's
+    # "points and weights must be finite", naming neither file nor tree; a
+    # negative weight loaded without a word and its votes were dropped
+    model = tiny_forest[0]
+    tree = model.trees[1]
+    leaf, joint, mode, axis = tree.n_leaves - 2, 17, 1, 2
+    modes_at, weights_at = _leaf_blocks_at(model, 1)
+    path = tmp_path / "forest.bin"
+    F.save_forest(path, model)
+    blob = bytearray(path.read_bytes())
+    if block == "modes":
+        k = np.ravel_multi_index((leaf, joint, mode, axis), tree.leaf_modes.shape)
+        offset, what, rule = modes_at + 4 * k, "z", "finite"
+    else:
+        k = np.ravel_multi_index((leaf, joint, mode), tree.leaf_weights.shape)
+        offset, what, rule = weights_at + 4 * k, "weight", "finite and non-negative"
+    struct.pack_into("<f", blob, offset, value)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(F.ForestFormatError) as exc:
+        F.load_forest(path)
+    stored = float(np.float32(value))
+    assert str(exc.value) == (f"tree 1 leaf {leaf} joint {joint} mode {mode}: {what} "
+                              f"{stored!r} is not {rule} (at byte {offset})")
+
+
+@pytest.mark.filterwarnings("error")
+def test_load_names_the_first_bad_leaf_value_and_keeps_the_edge_values(tmp_path):
+    # every mode of tree 0 NaN: the first coordinate of the block is named
+    model = _one_leaf_forest(modes=2)
+    modes_at, _ = _leaf_blocks_at(model, 0)
+    path = tmp_path / "forest.bin"
+    model.trees[0].leaf_modes[:] = np.nan
+    F.save_forest(path, model)
+    with pytest.raises(F.ForestFormatError) as exc:
+        F.load_forest(path)
+    assert str(exc.value) == f"tree 0 leaf 0 joint 0 mode 0: x nan is not finite (at byte {modes_at})"
+    # the largest finite coordinates and weights, -0.0 and zero weights load
+    big = np.finfo(np.float32).max
+    tree = model.trees[0]
+    tree.leaf_modes[:] = big
+    tree.leaf_modes[0, 3, 1] = [-big, -0.0, 0.0]
+    tree.leaf_weights[:] = big
+    tree.leaf_weights[0, 5] = [0.0, -0.0]
+    F.save_forest(path, model)
+    loaded = F.load_forest(path).trees[0]
+    assert loaded.leaf_modes.tobytes() == tree.leaf_modes.tobytes()
+    assert loaded.leaf_weights.tobytes() == tree.leaf_weights.tobytes()
+
+
+def test_load_casts_each_trees_links_once(tmp_path, tiny_forest, monkeypatch):
+    # the topology check reads the Tree's int32 columns; it used to cast
+    # the node table's link fields a second time
+    path = tmp_path / "forest.bin"
+    F.save_forest(path, tiny_forest[0])
+    casts = []
+    links = F._links
+    monkeypatch.setattr(F, "_links", lambda nodes: casts.append(len(nodes)) or links(nodes))
+    model = F.load_forest(path)
+    assert casts == [tree.n_nodes for tree in model.trees]
 
 
 @pytest.mark.filterwarnings("error")
