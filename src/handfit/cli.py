@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fit, forest, geometry, metrics, proposals, svgplot, sweeps, synth, workers
-from .config import ConfigError, ForestConfig, RunConfig, read_csv, write_csv, write_keyvalue
+from .config import (ConfigError, ForestConfig, RunConfig, csv_floats, read_csv, write_csv,
+                     write_keyvalue)
 from .depth import CameraIntrinsics, RenderError
 from .forest import ForestFormatError
 
@@ -321,14 +322,17 @@ def write_joints_csv(path, frames):
 
 
 def read_joints_csv(path):
-    """Per-frame (21, 3) estimates; frames run 0, 1, 2, ... in file order."""
+    """Per-frame (21, 3) estimates; frames run 0, 1, 2, ... in file order.
+    NaN marks a missing joint; any other value that is not finite or is
+    above `config.CSV_LIMIT` in magnitude raises ValueError at `path:line`."""
     frames = []
 
     def parse(row):
         if row[0] != str(len(frames)):
             raise ValueError(f"frame {row[0]} where frame {len(frames)} comes next; "
                              "frames run 0, 1, 2, ... without gaps")
-        frames.append(np.array([float(v) for v in row[1:]]).reshape(21, 3))
+        frames.append(np.array(csv_floats(row[1:], ESTIMATE_COLUMNS[1:], nan_ok=True))
+                      .reshape(21, 3))
 
     read_csv(path, ESTIMATE_COLUMNS, parse)
     return frames

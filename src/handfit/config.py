@@ -113,6 +113,24 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+# the largest magnitude a value of a poses, proposals or estimates table may
+# have: the squares and sums of squares its readers form (norms, distances,
+# FK products) then stay near 1e300 at most, finite in float64
+CSV_LIMIT = 1e150
+
+
+def csv_floats(row, columns, nan_ok=False):
+    """The cells of a CSV row as floats, each finite and at most CSV_LIMIT
+    in magnitude, NaN too when `nan_ok`; else ValueError naming the first
+    bad value and its column from `columns`."""
+    values = [float(v) for v in row]
+    for name, v in zip(columns, values):
+        if not (abs(v) <= CSV_LIMIT or (nan_ok and math.isnan(v))):
+            rule = f"at most {CSV_LIMIT:g} in magnitude" if math.isfinite(v) else "finite"
+            raise ValueError(f"{name} {v!r} is not {rule}")
+    return values
+
+
 def read_csv(path, header, parse):
     """`parse(row)` for each data row of a CSV table whose first row is `header`.
 

@@ -610,20 +610,16 @@ def accumulate_votes(forest, img, stride=DEFAULTS["forest.infer_stride"],
     frames = Frames.pack([img], img.cam)
     scale = (depths / 1000.0) ** 2 if depth_sq_weight else np.ones(len(depths))
 
-    pos_parts = []
-    w_parts = []
-    for tree in forest.trees:
-        leaf = tree.route(frames, img_idx, pixel, depths, forest.bg_depth_mm)
-        # float64 sums of the float32 leaf arrays, with no float64 copy of them
-        pos_parts.append(centers[:, None, None, :] + tree.leaf_modes[leaf])  # (m, J, M, 3)
-        w_parts.append(tree.leaf_weights[leaf] * scale[:, None, None])      # (m, J, M)
-    positions = np.concatenate(pos_parts)  # (m*T, J, M, 3)
-    weights = np.concatenate(w_parts)
-
+    leaves = [tree.route(frames, img_idx, pixel, depths, forest.bg_depth_mm)
+              for tree in forest.trees]
     votes = {}
     for j in range(forest.num_joints):
-        pj = positions[:, j].reshape(-1, 3)
-        wj = weights[:, j].reshape(-1)
+        # tree after tree, patch after patch: float64 sums of the float32 leaf
+        # arrays, with no float64 copy of them
+        pj = np.concatenate([centers[:, None] + tree.leaf_modes[leaf, j]
+                             for tree, leaf in zip(forest.trees, leaves)]).reshape(-1, 3)
+        wj = np.concatenate([tree.leaf_weights[leaf, j] * scale[:, None]
+                             for tree, leaf in zip(forest.trees, leaves)]).reshape(-1)
         live = wj > 0
         if live.any():
             votes[j] = (pj[live], wj[live])
@@ -785,8 +781,16 @@ def load_forest(path):
     int32 link columns is a read-only view of the file's bytes. A file that
     is not such a forest raises ForestFormatError with its byte offset:
     each tree's node fields and leaf blocks are checked as they are read,
-    and its topology once it is a `Tree`."""
-    reader = _Reader(Path(path).read_bytes())
+    and its topology once it is a `Tree`. The error's message starts with
+    `path`."""
+    try:
+        return _read_forest(_Reader(Path(path).read_bytes()))
+    except ForestFormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def _read_forest(reader):
     magic = bytes(reader.take(4, "magic"))
     if magic != MAGIC:
         raise ForestFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)

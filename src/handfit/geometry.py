@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import quats
-from .config import load_keyvalue, read_csv, write_csv, write_keyvalue
+from .config import csv_floats, load_keyvalue, read_csv, write_csv, write_keyvalue
 
 FINGERS = ("thumb", "index", "middle", "ring", "pinky")
 ANGLE_NAMES = ("mcp_flexion", "mcp_abduction", "pip_flexion", "dip_flexion")
@@ -390,15 +390,11 @@ def write_poses_csv(path, poses):
 
 
 def read_poses_csv(path):
-    """The poses `write_poses_csv` writes. A value that is not finite, or a
-    quaternion `quats.normalize` cannot normalize, raises ValueError at
-    `path:line`."""
+    """The poses `write_poses_csv` writes. A value that is not finite or is
+    above `config.CSV_LIMIT` in magnitude, or a quaternion `quats.normalize`
+    cannot normalize, raises ValueError at `path:line`."""
     def parse(row):
-        vec = np.array([float(v) for v in row])
-        finite = np.isfinite(vec)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise ValueError(f"{POSE_COLUMNS[k]} {float(vec[k])!r} is not finite")
+        vec = np.array(csv_floats(row, POSE_COLUMNS))
         quats.normalize(vec[3:7])  # raises on a (near-)zero norm, as FK would
         return PoseParams.from_vector(vec)
 

@@ -6,12 +6,12 @@ input check to the merge. It is two steps: `pool_sets` pools every set in
 one keyed grid pass (`_cells`), and `pooled_modes` shifts and merges the
 pooled sets, of one call or of many. One lockstep kernel shifts every set:
 per iteration each set's exponents come from one small product and its
-weighted sums from another, while one exp and the convergence bookkeeping
-run over all sets at once; the sets of a size that many sets share go
-through one stacked matmul per product instead. Another keyed grid pass
-merges every set's converged points into modes: it tests every set for a
-single mode at once, and the sets that fail the test walk their grid
-cells, heaviest first, in lockstep. Each set gets, bit for bit, the modes
+weighted sums, through their exp, from another, while the convergence
+bookkeeping runs over all sets at once; the sets of a size that many sets
+share go through one stacked matmul per product instead. Another keyed
+grid pass merges every set's converged points into modes: it tests every
+set for a single mode at once, and the sets that fail the test walk their
+grid cells, heaviest first, in lockstep. Each set gets, bit for bit, the modes
 a call on it alone returns. The forest uses it twice: a tree pools its
 leaves' offsets, 21 joint sets a leaf, and shifts and merges them in
 blocks of sets ordered by pooled size; inference condenses a frame's 21
@@ -19,8 +19,6 @@ joint vote sets in one `mean_shift` call.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -128,10 +126,11 @@ def _shift_sets(points, weights, sizes, bandwidth, max_iters, tol):
     with gemv and a longer one with gemm, whose rows have the same bits in a
     product of any number of rows; so the sets down to one active row go in
     a stack of their own, and every set keeps the routine, and the bits, it
-    gets alone. The other sets go one by one, their exponents in slabs of
-    one flat buffer under one exp, and so do the sets of a stack while fewer
-    than STACK_MIN of them have one active row, or more than one. Weights
-    must be positive, so that log w is finite.
+    gets alone. Every other set goes one by one, through its own two
+    products and exp, and so do the sets of a stack while fewer than
+    STACK_MIN of them have one active row, or more than one; a call holds
+    one such set's exponents at a time. Weights must be positive, so that
+    log w is finite.
     """
     if max_iters < 1:
         return points
@@ -157,22 +156,18 @@ def _shift_sets(points, weights, sizes, bandwidth, max_iters, tol):
     stacks = []
     for n in np.flatnonzero(sets_of_size >= STACK_MIN).tolist():
         ids = np.flatnonzero(sizes == n)
-        g, lo = len(ids), int(starts[ids[0]])
-        if ids[-1] - ids[0] == g - 1:  # consecutive sets: one run of rows
-            rows = slice(lo, lo + g * n)
-        else:
-            rows = (starts[ids, None] + np.arange(n)).ravel()
+        rows = (starts[ids, None] + np.arange(n)).ravel()
+        g = len(ids)
         stacks.append((ids, lifted_t[rows].reshape(g, n, dim + 2).transpose(0, 2, 1).copy(),
                        with_one[rows].reshape(g, n, dim + 1)))
     lone_ids = np.flatnonzero(sets_of_size[sizes] < STACK_MIN)
-    lone = [(lifted_t[lo:lo + n].T.copy(), with_one[lo:lo + n], n)
+    lone = [(lifted_t[lo:lo + n].T.copy(), with_one[lo:lo + n])
             for lo, n in zip(starts[lone_ids].tolist(), sizes[lone_ids].tolist())]
     del lifted_t
 
     aug = np.empty((len(cur), dim + 2))
     aug[:, dim + 1] = 1.0
     sums = np.empty((len(cur), dim + 1))
-    slabs = np.empty(sum(n * n for _, _, n in lone))
     rows = np.arange(len(cur))
     for _ in range(max_iters):
         if rows.size == 0:
@@ -182,12 +177,9 @@ def _shift_sets(points, weights, sizes, bandwidth, max_iters, tol):
         aug[:a, :dim] = m
         _sq_norms(m, aug[:a, dim])
         count = np.bincount(set_of[rows], minlength=len(sizes))
-        if not stacks:  # every set goes one by one, in order
-            lone_count = count.tolist()
-            lone_first = [0, *itertools.accumulate(lone_count)][:-1]
-        else:
-            first = np.cumsum(count) - count  # each set's first row in aug
-            lone_count, lone_first = count[lone_ids].tolist(), first[lone_ids].tolist()
+        first = np.cumsum(count) - count  # each set's first row in aug
+        one_by_one = [(lifted, ones, lo, c) for (lifted, ones), lo, c
+                      in zip(lone, first[lone_ids].tolist(), count[lone_ids].tolist()) if c]
         for ids, lifted, ones in stacks:
             c = count[ids]
             for k in (np.flatnonzero(c == 1), np.flatnonzero(c > 1)):
@@ -195,22 +187,12 @@ def _shift_sets(points, weights, sizes, bandwidth, max_iters, tol):
                     _stacked_sums(aug, sums, first[ids[k]], c[k],
                                   lifted if k.size == len(ids) else lifted[k],
                                   ones if k.size == len(ids) else ones[k])
-                    continue
-                # too few left to repay a stack
-                for i, lo, c_i in zip(k.tolist(), first[ids[k]].tolist(), c[k].tolist()):
-                    e = np.dot(aug[lo:lo + c_i], lifted[i])
-                    np.exp(e, out=e)
-                    np.dot(e, ones[i], out=sums[lo:lo + c_i])
-        jobs = []
-        off = 0
-        for (lifted, ones, n), lo, c in zip(lone, lone_first, lone_count):
-            if c:
-                e = slabs[off:off + c * n].reshape(c, n)
-                np.dot(aug[lo:lo + c], lifted, out=e)
-                jobs.append((e, ones, lo, c))
-                off += c * n
-        np.exp(slabs[:off], out=slabs[:off])
-        for e, ones, lo, c in jobs:
+                else:  # too few left to repay a stack
+                    one_by_one += [(lifted[i], ones[i], lo, c_i) for i, lo, c_i
+                                   in zip(k.tolist(), first[ids[k]].tolist(), c[k].tolist())]
+        for lifted, ones, lo, c in one_by_one:
+            e = np.dot(aug[lo:lo + c], lifted)
+            np.exp(e, out=e)
             np.dot(e, ones, out=sums[lo:lo + c])
         new = sums[:a, :dim] / sums[:a, dim:]
         step = np.abs(new - m)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry
-from .config import read_csv, write_csv
+from .config import csv_floats, read_csv, write_csv
 
 
 class ProposalSet:
@@ -133,7 +133,8 @@ def read_proposals_csv(path):
     """Per-frame ProposalSets from the rows `write_proposals_csv` writes.
 
     Frames run 0, 1, 2, ... in file order without gaps; a frame without
-    proposals is its `frame,,,,,` row.
+    proposals is its `frame,,,,,` row. A value that is not finite or is
+    above `config.CSV_LIMIT` in magnitude raises ValueError at `path:line`.
     """
     frames = []  # per frame: joint -> (positions, weights)
 
@@ -145,7 +146,7 @@ def read_proposals_csv(path):
             raise ValueError(f"frame {frame} where frame {len(frames)} comes next; "
                              "frames run 0, 1, 2, ... without gaps")
         if any(row[1:]):
-            j, x, y, z, conf = int(row[1]), *(float(v) for v in row[2:])
+            j, x, y, z, conf = int(row[1]), *csv_floats(row[2:], PROPOSAL_COLUMNS[2:])
             positions, weights = frames[frame].setdefault(j, ([], []))
             positions.append([x, y, z])
             weights.append(conf)

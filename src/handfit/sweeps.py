@@ -75,6 +75,8 @@ def run_sweep(experiment, votes_per_frame, gt_list, geom, limits, cfg,
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}; pick from {EXPERIMENTS}")
+    if not votes_per_frame:
+        raise ValueError("no frames to sweep")
     out_dir = Path(out_dir)
     if seeds is None:
         seeds = list(range(cfg["eval.seeds"]))

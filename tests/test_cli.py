@@ -655,14 +655,15 @@ def test_infer_with_more_forest_joints_than_the_hand_exits_4(pipeline_dir, tmp_p
 def test_infer_with_a_forest_header_no_training_writes_exits_4(pipeline_dir, tmp_path,
                                                                 caplog, change, message):
     # these used to load: no trees failed in accumulate_votes with a numpy
-    # message, and a NaN background depth was routed on
+    # message, and a NaN background depth was routed on; the message names
+    # the file, as the other readers' do
     model = forest.load_forest(pipeline_dir / "forest.bin")
     path = tmp_path / "bad.bin"
     forest.save_forest(path, dataclasses.replace(model, **change))
     rc = cli.main(["infer", "--dataset", str(pipeline_dir / "dataset"),
                    "--forest", str(path), "--out", str(tmp_path / "p.csv")] + TINY)
     assert rc == 4
-    assert message in caplog.text
+    assert f"{path}: {message}" in caplog.text
     assert not (tmp_path / "p.csv").exists()
 
 

@@ -1,12 +1,18 @@
 """The CSV tables the pipeline reads: malformed input fails with a
 ValueError located at `path:line`, and the CLI turns it into exit 4."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handfit import cli, geometry
+from handfit.config import CSV_LIMIT, RunConfig, read_csv
 from handfit.depth import CameraIntrinsics
 from handfit.proposals import PROPOSAL_COLUMNS, read_proposals_csv
 
@@ -208,3 +214,85 @@ def test_cli_exits_4_naming_the_row_of_a_bad_pose(tmp_path, caplog, command, spl
     assert cli.main(args[command]) == 4
     assert f"{poses}:3: {message}" in caplog.text
     assert not (tmp_path / "out").exists() and not (tmp_path / "f.bin").exists()
+
+
+# file kind -> (the column a bad value goes in, two data rows with that
+# column's cell of the second replaced, the command that reads the file)
+LIMITED = {
+    "poses": ("tz", lambda v: [_pose_row(), _pose_row(tz=v)],
+              lambda bad, est, tmp: ["eval", "--estimates", str(est), "--dataset",
+                                     str(tmp / "ds"), "--out", str(tmp / "out")]),
+    "estimates": (cli.ESTIMATE_COLUMNS[-1], lambda v: [["0"] + ["1"] * 63,
+                                                       ["1"] + ["1"] * 62 + [v]],
+                  lambda bad, est, tmp: ["eval", "--estimates", str(bad), "--dataset",
+                                         str(tmp / "ds"), "--out", str(tmp / "out")]),
+    "proposals": ("x", lambda v: [["0", "0", "1", "2", "3", "1"], ["1", "0", v, "2", "3", "1"]],
+                  lambda bad, est, tmp: ["fit", "--proposals", str(bad),
+                                         "--out", str(tmp / "out")]),
+}
+
+
+def _limited_files(tmp_path, kind, value):
+    """A dataset of two poses and estimates for them, with `value` in one
+    cell of the second row of the `kind` file; returns (that file, the
+    estimates file)."""
+    (tmp_path / "ds" / "test").mkdir(parents=True)
+    paths = {"poses": tmp_path / "ds" / "test" / "poses.csv",
+             "estimates": tmp_path / "estimates.csv", "proposals": tmp_path / "proposals.csv"}
+    headers = {"poses": geometry.POSE_COLUMNS, "estimates": cli.ESTIMATE_COLUMNS,
+               "proposals": PROPOSAL_COLUMNS}
+    for name, path in paths.items():
+        rows = LIMITED[name][1](value if name == kind else "1")
+        path.write_bytes(_csv_bytes(headers[name], rows))
+    return paths[kind], paths["estimates"]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e308"])
+@pytest.mark.parametrize("kind", LIMITED)
+def test_cli_exits_4_on_a_value_past_the_csv_limit(tmp_path, kind, value):
+    # an inf or 1e308 estimate or pose translation used to make eval print
+    # "inf mm" and exit 0, and fit on a 1e308 proposal exited 0 after an
+    # overflow warning; warnings are errors here, so any would show
+    column, _, command = LIMITED[kind]
+    bad, estimates = _limited_files(tmp_path, kind, value)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "handfit.cli",
+                           *command(bad, estimates, tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    rule = "finite" if value.endswith("inf") else f"at most {CSV_LIMIT:g} in magnitude"
+    assert done.returncode == 4, done.stderr
+    assert "Traceback" not in done.stderr
+    assert f"{bad}:3: {column} {float(value)!r} is not {rule}" in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", LIMITED)
+def test_readers_take_values_up_to_the_csv_limit(tmp_path, kind):
+    reader = {"poses": geometry.read_poses_csv, "estimates": cli.read_joints_csv,
+              "proposals": read_proposals_csv}[kind]
+    for value in (CSV_LIMIT, -CSV_LIMIT):
+        path, _ = _limited_files(tmp_path / repr(value), kind, repr(value))
+        assert len(reader(path)) == 2
+    path, _ = _limited_files(tmp_path / "past", kind, repr(1.0000001 * CSV_LIMIT))
+    with pytest.raises(ValueError, match=f"^{path}:3: .* is not at most 1e\\+150"):
+        reader(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_nan_estimate_still_scores_the_missing_joint_sentinel(tmp_path):
+    ds = tmp_path / "ds"
+    (ds / "test").mkdir(parents=True)
+    pose = geometry.PoseParams.rest((0.0, 0.0, 550.0))
+    geometry.write_poses_csv(ds / "test" / "poses.csv", [pose])
+    joints = geometry.forward_kinematics(geometry.HandGeometry.default(), pose)
+    joints[7] = np.nan
+    cli.write_joints_csv(tmp_path / "estimates.csv", [joints])
+    assert cli.main(["eval", "--estimates", str(tmp_path / "estimates.csv"),
+                     "--dataset", str(ds), "--out", str(tmp_path / "out")]) == 0
+    [row] = read_csv(tmp_path / "out" / "frame_errors.csv",
+                         ["frame", "mean_error_mm", "max_error_mm", "fingertip_error_mm"],
+                         lambda row: row)
+    assert float(row[2]) == RunConfig()["pso.d_max_mm"]

@@ -1047,7 +1047,7 @@ def test_load_rejects_header_no_training_run_writes(tmp_path, header, offset, me
     F.save_forest(path, _one_leaf_forest(**header))
     with pytest.raises(F.ForestFormatError) as exc:
         F.load_forest(path)
-    assert str(exc.value) == f"{message} (at byte {offset})"
+    assert str(exc.value) == f"{path}: {message} (at byte {offset})"
 
 
 # tree 0's node table follows the file header and the tree's size pair;
@@ -1106,7 +1106,7 @@ def test_load_rejects_a_node_value_routing_cannot_use(tmp_path, tiny_forest, fie
     with pytest.raises(F.ForestFormatError) as exc:
         F.load_forest(path)
     stored = float(np.float32(value))
-    assert str(exc.value) == (f"tree 0 node {node}: {field} {stored!r} is not {rule} "
+    assert str(exc.value) == (f"{path}: tree 0 node {node}: {field} {stored!r} is not {rule} "
                               f"(at byte {offset})")
 
 
@@ -1149,7 +1149,7 @@ def test_load_rejects_a_leaf_value_voting_cannot_use(tmp_path, tiny_forest, bloc
     with pytest.raises(F.ForestFormatError) as exc:
         F.load_forest(path)
     stored = float(np.float32(value))
-    assert str(exc.value) == (f"tree 1 leaf {leaf} joint {joint} mode {mode}: {what} "
+    assert str(exc.value) == (f"{path}: tree 1 leaf {leaf} joint {joint} mode {mode}: {what} "
                               f"{stored!r} is not {rule} (at byte {offset})")
 
 
@@ -1163,7 +1163,8 @@ def test_load_names_the_first_bad_leaf_value_and_keeps_the_edge_values(tmp_path)
     F.save_forest(path, model)
     with pytest.raises(F.ForestFormatError) as exc:
         F.load_forest(path)
-    assert str(exc.value) == f"tree 0 leaf 0 joint 0 mode 0: x nan is not finite (at byte {modes_at})"
+    assert str(exc.value) == (f"{path}: tree 0 leaf 0 joint 0 mode 0: x nan is not finite "
+                              f"(at byte {modes_at})")
     # the largest finite coordinates and weights, -0.0 and zero weights load
     big = np.finfo(np.float32).max
     tree = model.trees[0]
@@ -1304,5 +1305,5 @@ def test_load_forest_returns_or_raises_format_error_on_any_bytes(tmp_path_factor
                                | st.binary(max_size=512).map(lambda b: F.MAGIC + b)))
     try:
         F.load_forest(path)
-    except F.ForestFormatError:
-        pass
+    except F.ForestFormatError as exc:
+        assert str(exc).startswith(f"{path}: ")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,23 @@ def test_stacked_sets_reach_one_row_and_padding():
     assert len(reached) >= STACK_MIN and len(set(reached)) > 1
     padded = [len(set(col[col > 1])) > 1 for col in scattered.T if (col > 1).sum() >= STACK_MIN]
     assert any(padded)
+
+
+def test_sets_of_their_own_size_hold_one_exponent_block_at_a_time():
+    # 21 sets of sizes 110..130, none stacked: each set's (a, n) exponent
+    # block, 0.14 MB at most, lives only while its own products run. One
+    # buffer of every set's blocks under one exp used to hold 2.4 MB; the
+    # whole call peaked at 3.4 MB then, and at 1.1 MB without it
+    rng = np.random.default_rng(0)
+    sets = [rng.uniform(0.0, 120.0, (n, 3)) for n in range(110, 131)]
+    mean_shift(sets, bandwidth=15.0)  # warm up numpy's own caches
+    tracemalloc.start()
+    try:
+        mean_shift(sets, bandwidth=15.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_stacked_sums_write_each_sets_rows_and_no_other():

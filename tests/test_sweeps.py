@@ -84,6 +84,18 @@ def test_unknown_experiment_rejected(tmp_path, geom, limits, tiny_votes, fast_cf
         sweeps.run_sweep("nope", votes, gts, geom, limits, fast_cfg, tmp_path)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("experiment", sweeps.EXPERIMENTS)
+def test_sweep_of_no_frames_is_refused_before_its_proposals(tmp_path, geom, limits,
+                                                            fast_cfg, experiment):
+    # this used to run on into numpy's "Mean of empty slice" warning, then
+    # fail in metrics with "no frames to evaluate"
+    with pytest.raises(ValueError) as exc:
+        sweeps.run_sweep(experiment, [], [], geom, limits, fast_cfg, tmp_path / "out")
+    assert str(exc.value) == "no frames to sweep"
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_frames_regression_mode(geom, limits, tiny_votes, fast_cfg):
     votes, gts = tiny_votes
     psets = [proposals_from_votes(v, top_n=40, k=3) for v in votes]
