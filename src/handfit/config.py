@@ -241,7 +241,8 @@ DEFAULTS = {
 # allowed; the other numeric keys take any value of their `_KINDS` type.
 _RANGES = {
     "camera.width": (1, True), "camera.height": (1, True),
-    "camera.fx": (0, False), "camera.fy": (0, False),
+    "camera.fx": (1, True), "camera.fy": (1, True),  # bounded above too: _CEILINGS
+    "camera.cx": (0, True), "camera.cy": (0, True),
     "synth.articulations": (1, True), "synth.viewpoints": (1, True),
     "synth.jitter_mm": (0, True), "synth.subsample": (1, True),
     # a test sequence interpolates between keyposes: two or more, with
@@ -267,6 +268,19 @@ _RANGES = {
     "seed": (0, True),  # numpy seeds its generators from non-negative integers
 }
 
+# Each key bounded above and its highest value: a number, or the key of the
+# same settings whose value bounds it. A focal length of 1 to 1e6 px and a
+# principal point inside the image keep every product of a camera value
+# finite: back-projected patch centres, projections and the integer pixel
+# boxes of a render.
+_CEILINGS = {"camera.fx": 1e6, "camera.fy": 1e6,
+             "camera.cx": "camera.width", "camera.cy": "camera.height"}
+
+# the largest magnitude (mm) of a hand geometry's bone lengths and offsets
+# (`geometry.HandGeometry`): its joints, and the squares the fit and the
+# labels form of them, stay finite
+GEOMETRY_LIMIT_MM = 1000.0
+
 
 # per default type: the values a setting of that type takes, and their name
 _KINDS = {bool: (bool, "a bool"), int: (numbers.Integral, "an integer"),
@@ -275,8 +289,9 @@ _KINDS = {bool: (bool, "a bool"), int: (numbers.Integral, "an integer"),
 
 def check_setting(key, value):
     """`value` as a plain value of its default's type, when it is valid for
-    run-config key `key` by `_KINDS`, finite, and in `_RANGES`; else
-    ConfigError naming `key`. Only bool keys take bools."""
+    run-config key `key` by `_KINDS`, finite, in `_RANGES` and at most a
+    number `_CEILINGS` gives; else ConfigError naming `key`. Only bool keys
+    take bools."""
     kind = type(DEFAULTS[key])
     accepted, name = _KINDS[kind]
     if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
@@ -295,14 +310,25 @@ def check_setting(key, value):
         if not (value >= low if allowed else value > low):
             raise ConfigError(f"{key}: must be {'>=' if allowed else '>'} {low}, "
                               f"got {value!r}")
+    high = _CEILINGS.get(key)
+    if isinstance(high, float) and value > high:
+        raise ConfigError(f"{key}: must be <= {high:g}, got {value!r}")
     return value
 
 
 def check_fields(settings, prefix):
     """`check_setting` of each field of frozen settings dataclass `settings`
-    under its `_field_keys` key; the field keeps the plain value returned."""
+    under its `_field_keys` key; the field keeps the plain value returned.
+    A field whose `_CEILINGS` bound is another field's key must then be at
+    most that field's value."""
+    values = {}
     for f, key in _field_keys(type(settings), prefix):
-        object.__setattr__(settings, f.name, check_setting(key, getattr(settings, f.name)))
+        values[key] = check_setting(key, getattr(settings, f.name))
+        object.__setattr__(settings, f.name, values[key])
+    for key, value in values.items():
+        high = _CEILINGS.get(key)
+        if isinstance(high, str) and value > values[high]:
+            raise ConfigError(f"{key}: must be <= {high} ({values[high]!r}), got {value!r}")
 
 
 def _int_list(key, text):

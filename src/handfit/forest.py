@@ -333,18 +333,22 @@ def _gains(left_counts, total_counts):
     """Information gain (nats) of many candidate splits over part labels.
 
     left_counts (c, J) per-class counts on the left side of each candidate,
-    total_counts (J,) at the node; an empty side scores -inf so degenerate
-    splits are always rejected.
+    total_counts (J,) at the node, which holds a sample; an empty side
+    scores -inf so degenerate splits are always rejected. The entropy takes
+    the log of the classes present only: an absent class adds an exact +0.0
+    to its row's sum, as p log p -> 0 says.
     """
     # the sizes and entropies of the parent, left and right rows at once (an
     # empty row scores 0); a row's sums do not depend on the stacking
     counts = np.concatenate([total_counts[None, :], left_counts, total_counts - left_counts])
     sizes = counts.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = counts / np.maximum(sizes, 1)[:, None]
-        h = -np.where(counts > 0, p * np.log(p), 0.0).sum(axis=1)
-    n, (n_l, n_r), (h_l, h_r) = sizes[0], np.split(sizes[1:], 2), np.split(h[1:], 2)
-    gains = h[0] - (n_l * h_l + n_r * h_r) / n
+    p = counts / np.maximum(sizes, 1)[:, None]
+    plogp = np.log(p, out=np.zeros_like(p), where=counts > 0)
+    plogp *= p
+    h = -plogp.sum(axis=1)
+    c = len(left_counts)
+    n_l, n_r, h_l, h_r = sizes[1:c + 1], sizes[c + 1:], h[1:c + 1], h[c + 1:]
+    gains = h[0] - (n_l * h_l + n_r * h_r) / sizes[0]
     gains[(n_l == 0) | (n_r == 0)] = -np.inf
     return gains
 
@@ -508,18 +512,29 @@ class Tree:
 def _best_split(samples, idx, cfg, rng, probe_range, n_joints):
     """The best of `cfg.candidates` random probe triples at a node, as
     (probe_u, probe_v, tau, go_left over idx), or None when no candidate
-    separates the node's samples."""
+    separates the node's samples.
+
+    Every node makes the same draws from `rng`, in this order: its
+    class-balanced subsample, both probe arrays and the threshold indices.
+    A node whose subsample holds one label then stops: each candidate's
+    gain would be 0 or -inf, so it is a leaf, and its features are never
+    computed.
+    """
     sub = _balanced_subsample(samples.label, idx, cfg.node_subsample, rng)
     # rounded to float32 at the draw, so the probes scored are those the file stores
     probe_u, probe_v = (rng.uniform(-probe_range, probe_range, size=(cfg.candidates, 2))
                         .astype(np.float32) for _ in range(2))
+    at = rng.integers(0, len(sub), size=cfg.candidates)
+    labels = samples.label[sub]
+    if (labels == labels[0]).all():
+        return None
     feats = _features(samples, sub, probe_u, probe_v, cfg.bg_depth_mm)
-    tau = feats[np.arange(cfg.candidates), rng.integers(0, len(sub), size=cfg.candidates)]
+    tau = feats[np.arange(cfg.candidates), at]
 
     # float32 counts are exact below 2**24 samples a node: `_gains` gets the
     # bits of a float64 product
     onehot = np.zeros((len(sub), n_joints), dtype=np.float32)
-    onehot[np.arange(len(sub)), samples.label[sub]] = 1.0
+    onehot[np.arange(len(sub)), labels] = 1.0
     left_counts = (feats < tau[:, None]).astype(np.float32) @ onehot
     gains = _gains(left_counts.astype(float), onehot.sum(axis=0, dtype=float))
     best = int(np.argmax(gains))
@@ -543,7 +558,9 @@ def train_tree(samples, cfg, rng):
     At each node a class-balanced subsample scores `cfg.candidates` random
     (u, v, tau) probe triples; thresholds are drawn from the empirical
     feature values so both fine intra-hand and coarse silhouette splits
-    stay reachable.
+    stay reachable. A node whose subsample holds one label makes the same
+    draws and becomes a leaf unscored (see `_best_split`), so the tree is
+    the one that scoring every node would grow.
     """
     if len(samples) == 0:
         raise ValueError("cannot train a tree on an empty sample set")
@@ -610,16 +627,19 @@ def accumulate_votes(forest, img, stride=DEFAULTS["forest.infer_stride"],
     frames = Frames.pack([img], img.cam)
     scale = (depths / 1000.0) ** 2 if depth_sq_weight else np.ones(len(depths))
 
-    leaves = [tree.route(frames, img_idx, pixel, depths, forest.bg_depth_mm)
-              for tree in forest.trees]
+    # each tree's leaves gathered once, every joint's modes in float32 and
+    # their scaled weights, (patches, J, M, 3) and (patches, J, M)
+    reached = []
+    for tree in forest.trees:
+        leaf = tree.route(frames, img_idx, pixel, depths, forest.bg_depth_mm)
+        reached.append((tree.leaf_modes[leaf], tree.leaf_weights[leaf] * scale[:, None, None]))
     votes = {}
     for j in range(forest.num_joints):
         # tree after tree, patch after patch: float64 sums of the float32 leaf
-        # arrays, with no float64 copy of them
-        pj = np.concatenate([centers[:, None] + tree.leaf_modes[leaf, j]
-                             for tree, leaf in zip(forest.trees, leaves)]).reshape(-1, 3)
-        wj = np.concatenate([tree.leaf_weights[leaf, j] * scale[:, None]
-                             for tree, leaf in zip(forest.trees, leaves)]).reshape(-1)
+        # modes, with no float64 copy of them
+        pj = np.concatenate([centers[:, None] + modes[:, j]
+                             for modes, _ in reached]).reshape(-1, 3)
+        wj = np.concatenate([weights[:, j] for _, weights in reached]).reshape(-1)
         live = wj > 0
         if live.any():
             votes[j] = (pj[live], wj[live])

@@ -32,9 +32,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import quats
-from .config import csv_floats, load_keyvalue, read_csv, write_csv, write_keyvalue
+from .config import (GEOMETRY_LIMIT_MM, csv_floats, load_keyvalue, read_csv, write_csv,
+                     write_keyvalue)
 
 FINGERS = ("thumb", "index", "middle", "ring", "pinky")
+SEGMENTS = ("proximal", "middle", "distal")
 ANGLE_NAMES = ("mcp_flexion", "mcp_abduction", "pip_flexion", "dip_flexion")
 NUM_FINGERS = 5
 NUM_JOINTS = 21
@@ -56,6 +58,13 @@ def mcp_index(finger):
 RIGID_JOINTS = (PALM,) + tuple(mcp_index(f) for f in range(NUM_FINGERS))
 _JOINT_SET = frozenset(range(NUM_JOINTS))
 _RIGID_SET = frozenset(RIGID_JOINTS)
+
+
+# the geometry file's key of each length `HandGeometry` bounds by
+# GEOMETRY_LIMIT_MM: the finger base offsets, the bone lengths, the wrist offset
+_LENGTH_KEYS = ([f"{name}.base.{ax}" for name in FINGERS for ax in "xyz"]
+                + [f"{name}.{seg}" for name in FINGERS for seg in SEGMENTS]
+                + [f"wrist.offset.{ax}" for ax in "xyz"])
 
 
 def finger_joint_indices(finger):
@@ -103,6 +112,13 @@ class HandGeometry:
                            _read_only(np.reshape(self.palm_root_to_wrist, (3,))))
         if not np.all(self.bone_lengths > 0):
             raise ValueError("bone lengths must be strictly positive")
+        lengths = np.concatenate([self.finger_base_offsets.ravel(), self.bone_lengths.ravel(),
+                                  self.palm_root_to_wrist])
+        ok = np.abs(lengths) <= GEOMETRY_LIMIT_MM  # False at NaN too
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise ValueError(f"key {_LENGTH_KEYS[k]!r}: must be at most "
+                             f"{GEOMETRY_LIMIT_MM:g} mm in magnitude, got {float(lengths[k])!r}")
         for f in range(5):
             frame = self.finger_base_frames[f]
             if not np.allclose(frame @ frame.T, np.eye(3), atol=1e-9):
@@ -140,7 +156,7 @@ class HandGeometry:
         for f, name in enumerate(FINGERS):
             for i, ax in enumerate("xyz"):
                 kv[f"{name}.base.{ax}"] = repr(float(self.finger_base_offsets[f, i]))
-            for i, seg in enumerate(("proximal", "middle", "distal")):
+            for i, seg in enumerate(SEGMENTS):
                 kv[f"{name}.{seg}"] = repr(float(self.bone_lengths[f, i]))
             yaw, roll = _frame_to_yaw_roll(self.finger_base_frames[f])
             kv[f"{name}.frame_yaw_deg"] = repr(round(float(np.degrees(yaw)), 9))
@@ -181,7 +197,7 @@ def _geometry_from_kv(kv):
     for f, name in enumerate(FINGERS):
         for i, ax in enumerate("xyz"):
             bases[f, i] = kv.number(f"{name}.base.{ax}")
-        for i, seg in enumerate(("proximal", "middle", "distal")):
+        for i, seg in enumerate(SEGMENTS):
             bones[f, i] = kv.number(f"{name}.{seg}")
         yaw = np.radians(kv.number(f"{name}.frame_yaw_deg", "0"))
         roll = np.radians(kv.number(f"{name}.frame_roll_deg", "0"))

@@ -293,6 +293,52 @@ def route_unblocked(tree, images, img_idx, pixel, depth, bg_depth):
         node[act] = np.where(feats < tree.tau[nd], tree.left[nd], tree.right[nd])
 
 
+# Frozen copies of split scoring as it was before pure nodes stopped early
+# and before the entropy skipped absent classes: every node scores its
+# candidates, and every class's log is taken and masked. The library must
+# keep producing their bits and their draws.
+
+def gains_where(left_counts, total_counts):
+    """`forest._gains` with the log of every count, zero ones masked by
+    `np.where` under `np.errstate`."""
+    counts = np.concatenate([total_counts[None, :], left_counts, total_counts - left_counts])
+    sizes = counts.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / np.maximum(sizes, 1)[:, None]
+        h = -np.where(counts > 0, p * np.log(p), 0.0).sum(axis=1)
+    n, (n_l, n_r), (h_l, h_r) = sizes[0], np.split(sizes[1:], 2), np.split(h[1:], 2)
+    gains = h[0] - (n_l * h_l + n_r * h_r) / n
+    gains[(n_l == 0) | (n_r == 0)] = -np.inf
+    return gains
+
+
+def best_split_always_scored(samples, idx, cfg, rng, probe_range, n_joints):
+    """`forest._best_split` that computes every node's features and gains
+    (by `gains_where`), a pure node's too, drawing the threshold indices
+    after the features."""
+    sub = forest._balanced_subsample(samples.label, idx, cfg.node_subsample, rng)
+    probe_u, probe_v = (rng.uniform(-probe_range, probe_range, size=(cfg.candidates, 2))
+                        .astype(np.float32) for _ in range(2))
+    feats = forest._features(samples, sub, probe_u, probe_v, cfg.bg_depth_mm)
+    tau = feats[np.arange(cfg.candidates), rng.integers(0, len(sub), size=cfg.candidates)]
+    onehot = np.zeros((len(sub), n_joints), dtype=np.float32)
+    onehot[np.arange(len(sub)), samples.label[sub]] = 1.0
+    left_counts = (feats < tau[:, None]).astype(np.float32) @ onehot
+    gains = gains_where(left_counts.astype(float), onehot.sum(axis=0, dtype=float))
+    best = int(np.argmax(gains))
+    if not np.isfinite(gains[best]) or gains[best] <= 1e-12:
+        return None
+    if sub is idx:
+        f_all = feats[best]
+    else:
+        f_all = forest._features(samples, idx, probe_u[best:best + 1],
+                                 probe_v[best:best + 1], cfg.bg_depth_mm)[0]
+    go_left = f_all < tau[best]
+    if not go_left.any() or go_left.all():
+        return None
+    return probe_u[best], probe_v[best], tau[best], go_left
+
+
 def train_tree_recursive(samples, cfg, rng):
     """`forest.train_tree` grown by a self-recursive closure: node ids,
     draws from `rng` and leaves in the pre-order of the recursion, each

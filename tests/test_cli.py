@@ -459,6 +459,45 @@ def test_keyvalue_file_bad_value_exits_2(tmp_path, caplog, flag, key, value, mes
     assert f"config error: {path}: {message}" in caplog.text
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, key, value, command, message", [
+    # each used to end in numpy's overflow or invalid-cast warning, then a
+    # traceback (under -W error), a `non-finite proposal` exit 4 or exit 0
+    ("intrinsics.txt", "fx", "1e-300", "infer", "camera.fx: must be >= 1, got 1e-300"),
+    ("intrinsics.txt", "fy", "1e300", "train", "camera.fy: must be <= 1e+06, got 1e+300"),
+    ("intrinsics.txt", "cx", "1e300", "infer",
+     "camera.cx: must be <= camera.width (320), got 1e+300"),
+    ("intrinsics.txt", "cy", "-1e300", "infer", "camera.cy: must be >= 0, got -1e+300"),
+    ("geometry.txt", "thumb.proximal", "1e300", "fit",
+     "key 'thumb.proximal': must be at most 1000 mm in magnitude, got 1e+300"),
+    ("geometry.txt", "index.base.y", "-1e300", "train",
+     "key 'index.base.y': must be at most 1000 mm in magnitude, got -1e+300"),
+    ("geometry.txt", "pinky.distal", "1000.5", "eval",
+     "key 'pinky.distal': must be at most 1000 mm in magnitude, got 1000.5"),
+], ids=["fx_tiny", "fy_huge", "cx_huge", "cy_negative", "bone_huge", "base_huge",
+        "bone_past_limit"])
+def test_overflowing_camera_or_geometry_value_exits_2_naming_file_and_key(
+        pipeline_dir, tmp_path, caplog, name, key, value, command, message):
+    dataset = tmp_path / "dataset"
+    shutil.copytree(pipeline_dir / "dataset", dataset)
+    path = dataset / name
+    text, count = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}",
+                          path.read_text(), flags=re.M)
+    assert count == 1
+    path.write_text(text)
+    out = tmp_path / "out"
+    args = {
+        "train": ["--dataset", str(dataset)],
+        "infer": ["--dataset", str(dataset), "--forest", str(pipeline_dir / "forest.bin")],
+        "fit": ["--proposals", str(pipeline_dir / "proposals.csv"), "--geometry", str(path)],
+        "eval": ["--estimates", str(pipeline_dir / "fit" / "estimates.csv"),
+                 "--dataset", str(dataset)],
+    }[command]
+    assert cli.main([command, "--out", str(out)] + args + TINY) == 2
+    assert f"config error: {path}: {message}" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, extra, message", [
     ("fit", ["--set", "pso.palm_particles=1"], "pso.palm_particles: must be >= 2, got 1"),
     ("fit", ["--set", "pso.d_max_mm=0"], "pso.d_max_mm: must be > 0, got 0.0"),
@@ -523,7 +562,7 @@ def test_out_of_range_synth_setting_exits_2_before_rendering(tmp_path, caplog, s
 @pytest.mark.parametrize("line, message", [
     ("forest.num_trees = 0", "forest.num_trees: must be >= 1, got 0"),
     ("pso.palm_particles = 1", "pso.palm_particles: must be >= 2, got 1"),
-    ("camera.fx = -1", "camera.fx: must be > 0, got -1.0"),
+    ("camera.fx = -1", "camera.fx: must be >= 1, got -1.0"),
 ], ids=["forest", "pso", "camera"])
 def test_out_of_range_config_file_value_names_file_line_and_key(tmp_path, caplog, line,
                                                                 message):

@@ -138,7 +138,7 @@ def test_missing_key_names_file_and_key(tmp_path):
     ("fx", "abc", "key 'fx': expected number, got 'abc'"),
     ("cy", "inf", "key 'cy': expected number, got 'inf'"),
     ("width", "320.5", "key 'width': expected integer, got '320.5'"),
-    ("fy", "-1", "camera.fy: must be > 0, got -1.0"),
+    ("fy", "-1", "camera.fy: must be >= 1, got -1.0"),
 ], ids=["fx_abc", "cy_inf", "width_320.5", "fy_negative"])
 def test_intrinsics_bad_value_names_file(tmp_path, key, value, message):
     path = tmp_path / "intrinsics.txt"
@@ -352,7 +352,7 @@ def test_settings_reject_fractional_counts_and_non_finite_lengths(cls, field, va
     ("width", 2.5, "camera.width: must be an integer, got 2.5"),
     ("height", 240.0, "camera.height: must be an integer, got 240.0"),
     ("width", 0, "camera.width: must be >= 1, got 0"),
-    ("fy", 0.0, "camera.fy: must be > 0, got 0.0"),
+    ("fy", 0.0, "camera.fy: must be >= 1, got 0.0"),
 ])
 def test_intrinsics_reject_non_finite_focal_lengths_and_fractional_sizes(field, value,
                                                                          message):
@@ -365,7 +365,7 @@ def test_intrinsics_reject_non_finite_focal_lengths_and_fractional_sizes(field, 
 @pytest.mark.parametrize("key, value, message", [
     # each of these used to be accepted, and failed only at a build or never
     ("forest.num_trees", 0, "forest.num_trees: must be >= 1, got 0"),
-    ("camera.fx", -1.0, "camera.fx: must be > 0, got -1.0"),
+    ("camera.fx", -1.0, "camera.fx: must be >= 1, got -1.0"),
     ("pso.inertia", float("nan"), "pso.inertia: must be finite, got nan"),
     ("synth.distance_mm", float("inf"), "synth.distance_mm: must be finite, got inf"),
     ("pso.d_max_mm", True, "pso.d_max_mm: must be a number, got True"),
@@ -383,6 +383,8 @@ def test_run_config_rejects_a_bad_value_when_it_is_set(key, value, message):
 
 def test_every_default_is_in_range():
     assert set(config._RANGES) <= set(DEFAULTS)
+    assert set(config._CEILINGS) | set(v for v in config._CEILINGS.values()
+                                       if isinstance(v, str)) <= set(DEFAULTS)
     for key, value in DEFAULTS.items():
         assert check_setting(key, value) == value, key
     assert RunConfig().canonical() == RunConfig(DEFAULTS).canonical()
@@ -417,4 +419,52 @@ def test_out_of_range_value_is_config_error_when_loaded_or_built(tmp_path):
     assert str(exc.value) == f"{path}:2: forest.k: must be >= 1, got 0"
     with pytest.raises(ConfigError) as exc:
         RunConfig().build(CameraIntrinsics, "camera", fx=-1.0)
-    assert str(exc.value) == "camera.fx: must be > 0, got -1.0"
+    assert str(exc.value) == "camera.fx: must be >= 1, got -1.0"
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"fx": 0.5}, "camera.fx: must be >= 1, got 0.5"),
+    ({"fy": 1e-300}, "camera.fy: must be >= 1, got 1e-300"),
+    ({"fx": 2e6}, "camera.fx: must be <= 1e+06, got 2000000.0"),
+    ({"cx": -0.5}, "camera.cx: must be >= 0, got -0.5"),
+    ({"cx": 320.5}, "camera.cx: must be <= camera.width (320), got 320.5"),
+    ({"cy": 100.0, "height": 99}, "camera.cy: must be <= camera.height (99), got 100.0"),
+])
+def test_intrinsics_keep_every_camera_product_finite(changes, message):
+    # a focal length of 1 to 1e6 px and a principal point inside the image
+    with pytest.raises(ConfigError) as exc:
+        dataclasses.replace(CameraIntrinsics.default(), **changes)
+    assert str(exc.value) == message
+
+
+def test_intrinsics_take_the_bounds_themselves():
+    cam = dataclasses.replace(CameraIntrinsics.default(), fx=1.0, fy=1e6, cx=0.0, cy=240.0)
+    assert (cam.fx, cam.fy, cam.cx, cam.cy) == (1.0, 1e6, 0.0, 240.0)
+    cfg = RunConfig()
+    with pytest.raises(ConfigError, match=re.escape("camera.fx: must be <= 1e+06, got 10000000.0")):
+        cfg["camera.fx"] = 1e7
+    cfg["camera.cx"] = 400.0  # the image size is checked with it when the camera is built
+    with pytest.raises(ConfigError, match=re.escape("camera.cx: must be <= camera.width")):
+        cfg.build(CameraIntrinsics, "camera")
+
+
+@pytest.mark.parametrize("field, index, key", [
+    ("bone_lengths", (0, 0), "thumb.proximal"),
+    ("bone_lengths", (4, 2), "pinky.distal"),
+    ("finger_base_offsets", (2, 1), "middle.base.y"),
+    ("palm_root_to_wrist", (2,), "wrist.offset.z"),
+])
+@pytest.mark.parametrize("value", [1000.5, -1e300])
+def test_geometry_lengths_past_the_limit_name_their_key(field, index, key, value):
+    geom = HandGeometry.default()
+    values = getattr(geom, field).copy()
+    values[index] = value
+    if field == "bone_lengths" and value < 0:
+        message = "bone lengths must be strictly positive"
+    else:
+        message = f"key {key!r}: must be at most 1000 mm in magnitude, got {value!r}"
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(geom, **{field: values})
+    assert str(exc.value) == message
+    values[index] = config.GEOMETRY_LIMIT_MM if field == "bone_lengths" else -1000.0
+    assert getattr(dataclasses.replace(geom, **{field: values}), field)[index] == values[index]

@@ -1,6 +1,8 @@
+import dataclasses
 import gc
 import struct
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -14,8 +16,8 @@ from handfit.depth import CameraIntrinsics, DepthImage, Frames, read_pgm, render
 from handfit.geometry import PoseParams, forward_kinematics
 from handfit.meanshift import mean_shift
 
-from oracles import (build_leaf_per_joint, depth_difference_3index,
-                     depth_difference_unblocked, features_unblocked, full_stack,
+from oracles import (best_split_always_scored, build_leaf_per_joint, depth_difference_3index,
+                     depth_difference_unblocked, features_unblocked, full_stack, gains_where,
                      proposals_joint_by_joint, route_unblocked, train_tree_recursive)
 
 
@@ -227,6 +229,72 @@ def test_split_score_arithmetic():
                                                        abs=1e-12)
     assert gain([0, 0], [2, 2]) == -np.inf
     assert gain([2, 2], [2, 2]) == -np.inf
+
+
+@pytest.mark.parametrize("case", ["sparse", "empty_sides", "pure", "all_classes", "one_row"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gains_equal_where_oracle_bit_for_bit(case, seed):
+    # the entropy takes the log of the classes present only; an absent
+    # class's term is the exact +0.0 the masked formula gives
+    rng = np.random.default_rng((seed, 7))
+    total = rng.integers(1, 60, size=21).astype(float)
+    if case in ("sparse", "empty_sides", "one_row"):
+        total[rng.permutation(21)[:17]] = 0.0  # most classes absent at the node
+    elif case == "pure":
+        total[np.arange(21) != rng.integers(21)] = 0.0
+    left = rng.binomial(total.astype(int), rng.random((1 if case == "one_row" else 200, 1)))
+    left = left.astype(float)
+    if case == "empty_sides":
+        left[::3], left[1::3] = 0.0, total
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = F._gains(left, total)
+    assert got.tobytes() == gains_where(left, total).tobytes()
+    if case == "pure":
+        assert set(got) <= {0.0, -np.inf}
+
+
+def test_a_pure_node_draws_as_scoring_does_and_computes_no_features(rest_frame,
+                                                                    monkeypatch):
+    # a node of one label is a leaf whatever its candidates: it makes the
+    # draws scoring makes (subsample, probes, thresholds) and no others
+    img, gt = rest_frame
+    samples = F.extract_samples(img, gt, stride=2, rng=np.random.default_rng(0))
+    idx = np.flatnonzero(samples.label == np.bincount(samples.label).argmax())
+    calls = []
+    features = F._features
+    monkeypatch.setattr(F, "_features", lambda *args: calls.append(len(args[1])) or features(*args))
+    for size in (len(idx), len(idx) // 2):  # scored whole, then a subsample drawn
+        cfg = F.ForestConfig(node_subsample=size, candidates=30)
+        rng, oracle_rng = np.random.default_rng(4), np.random.default_rng(4)
+        assert F._best_split(samples, idx, cfg, rng, 60000.0, 21) is None
+        assert calls == []
+        assert best_split_always_scored(samples, idx, cfg, oracle_rng, 60000.0, 21) is None
+        assert calls == [min(size, len(idx))]
+        calls.clear()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert rng.bit_generator.state != np.random.default_rng(4).bit_generator.state
+
+
+def test_a_tree_with_pure_nodes_equals_the_always_scoring_oracle(rest_frame, monkeypatch):
+    img, gt = rest_frame
+    samples = F.extract_samples(img, gt, stride=3, rng=np.random.default_rng(0))
+    cfg = F.ForestConfig(max_depth=12, min_samples=5, node_subsample=200, candidates=30,
+                         leaf_cap=40)
+    pure = []
+    best_split = F._best_split
+
+    def recording(samples, idx, *args):
+        pure.append(len(np.unique(samples.label[idx])) == 1)
+        return best_split(samples, idx, *args)
+
+    monkeypatch.setattr(F, "_best_split", recording)
+    tree = F.train_tree(samples, cfg, np.random.default_rng(5))
+    assert sum(pure) > 10 and not all(pure)
+    monkeypatch.setattr(F, "_best_split", best_split_always_scored)
+    oracle = F.train_tree(samples, cfg, np.random.default_rng(5))
+    for name in ("nodes", "leaf_modes", "leaf_weights"):
+        assert getattr(tree, name).tobytes() == getattr(oracle, name).tobytes()
 
 
 def test_training_samples_route_to_their_leaf(cam, rest_frame, monkeypatch):
@@ -759,23 +827,29 @@ def test_a_node_scored_whole_takes_one_features_call(rest_frame, monkeypatch):
     samples = F.extract_samples(img, gt, stride=3, rng=np.random.default_rng(0))
     cfg = F.ForestConfig(max_depth=9, min_samples=15, node_subsample=200,
                          candidates=30, leaf_cap=40)
-    calls = []  # per _best_split call: [node size, _features calls]
+    calls = []  # per _best_split call: [node size, pure, _features calls]
     features, best_split = F._features, F._best_split
 
     def counting_features(*args):
-        calls[-1][1] += 1
+        calls[-1][2] += 1
         return features(*args)
 
     def counting_best_split(samples, idx, *args):
-        calls.append([len(idx), 0])
+        calls.append([len(idx), len(np.unique(samples.label[idx])) == 1, 0])
         return best_split(samples, idx, *args)
 
     monkeypatch.setattr(F, "_features", counting_features)
     monkeypatch.setattr(F, "_best_split", counting_best_split)
     tree = F.train_tree(samples, cfg, np.random.default_rng(5))
-    whole = [n for size, n in calls if size <= cfg.node_subsample]
+    whole = [n for size, pure, n in calls if size <= cfg.node_subsample]
     assert len(whole) > 20 and set(whole) == {1}
-    assert any(n == 2 for size, n in calls if size > cfg.node_subsample)
+    assert any(n == 2 for size, pure, n in calls if size > cfg.node_subsample)
+    # a pure node computes no features; its tree has none, a smaller
+    # min_samples grows some
+    calls.clear()
+    F.train_tree(samples, dataclasses.replace(cfg, min_samples=5), np.random.default_rng(5))
+    assert {n for size, pure, n in calls if pure} == {0}
+    assert {n for size, pure, n in calls if not pure and size <= cfg.node_subsample} == {1}
     # a subsample that is a copy of the node takes the second call
     subsample = F._balanced_subsample
     monkeypatch.setattr(F, "_balanced_subsample", lambda *args: subsample(*args).copy())
