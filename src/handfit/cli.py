@@ -338,16 +338,22 @@ def read_joints_csv(path):
     return frames
 
 
-def _add_common(parser):
+def _add_common(parser, scale=False, threads=True):
+    """The flags every command takes, plus `--scale` where the command
+    renders the training grid and `--threads` where it hands work to
+    workers; a command without one of these reads its default."""
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
     parser.add_argument("--seed", type=int, help="override config seed")
-    parser.add_argument("--scale", type=float, default=None,
-                        help="shrink the training grid (1.0 = full 7168 poses)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for trees, frames and votes "
-                             "(1: inline)")
+    parser.set_defaults(scale=None, threads=1)
+    if scale:
+        parser.add_argument("--scale", type=float,
+                            help="shrink the training grid (1.0 = full 7168 poses)")
+    if threads:
+        parser.add_argument("--threads", type=int,
+                            help="worker processes for trees, frames and votes "
+                                 "(1: inline)")
 
 
 def build_parser():
@@ -360,7 +366,7 @@ def build_parser():
     p = sub.add_parser("synth", help="generate synthetic train/test dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
-    _add_common(p)
+    _add_common(p, scale=True, threads=False)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train the regression forest")
@@ -391,7 +397,7 @@ def build_parser():
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--out", help=RUN_DIR_HELP)
-    _add_common(p)
+    _add_common(p, threads=False)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="run an ablation sweep")
@@ -406,7 +412,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.add_argument("--mode", choices=fit.FIT_MODES, default="stepwise")
-    _add_common(p)
+    _add_common(p, scale=True)
     p.set_defaults(func=cmd_pipeline)
     return parser
 

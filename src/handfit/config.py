@@ -251,7 +251,8 @@ _RANGES = {
     "forest.num_trees": (1, True), "forest.max_depth": (0, True),
     "forest.min_samples": (1, True), "forest.node_subsample": (1, True),
     "forest.candidates": (1, True), "forest.probe_range_px_m": (0, False),
-    "forest.bg_depth_mm": (0, False), "forest.leaf_modes": (1, True),
+    "forest.bg_depth_mm": (0, False),  # bounded above too: _CEILINGS
+    "forest.leaf_modes": (1, True),
     "forest.leaf_bandwidth_mm": (0, False), "forest.leaf_cap": (1, True),
     "forest.meanshift_iters": (0, True), "forest.train_stride": (1, True),
     "forest.train_cap": (1, True), "forest.infer_stride": (1, True),
@@ -272,14 +273,21 @@ _RANGES = {
 # same settings whose value bounds it. A focal length of 1 to 1e6 px and a
 # principal point inside the image keep every product of a camera value
 # finite: back-projected patch centres, projections and the integer pixel
-# boxes of a render.
+# boxes of a render. A background depth of at most 1e6 mm lies past every
+# uint16 depth and below 2**24, so the split features stay finite and, at an
+# integer background depth, exact in float32.
 _CEILINGS = {"camera.fx": 1e6, "camera.fy": 1e6,
-             "camera.cx": "camera.width", "camera.cy": "camera.height"}
+             "camera.cx": "camera.width", "camera.cy": "camera.height",
+             "forest.bg_depth_mm": 1e6}
 
 # the largest magnitude (mm) of a hand geometry's bone lengths and offsets
 # (`geometry.HandGeometry`): its joints, and the squares the fit and the
 # labels form of them, stay finite
 GEOMETRY_LIMIT_MM = 1000.0
+# the largest magnitude (degrees) of a joint limit (`geometry.JointLimits`):
+# a full turn. A larger angle names no pose a smaller one does not, and the
+# fit, which searches between the limits, would write such angles
+ANGLE_LIMIT_DEG = 360.0
 
 
 # per default type: the values a setting of that type takes, and their name

@@ -32,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import quats
-from .config import (GEOMETRY_LIMIT_MM, csv_floats, load_keyvalue, read_csv, write_csv,
-                     write_keyvalue)
+from .config import (ANGLE_LIMIT_DEG, GEOMETRY_LIMIT_MM, csv_floats, load_keyvalue, read_csv,
+                     write_csv, write_keyvalue)
 
 FINGERS = ("thumb", "index", "middle", "ring", "pinky")
 SEGMENTS = ("proximal", "middle", "distal")
@@ -65,6 +65,10 @@ _RIGID_SET = frozenset(RIGID_JOINTS)
 _LENGTH_KEYS = ([f"{name}.base.{ax}" for name in FINGERS for ax in "xyz"]
                 + [f"{name}.{seg}" for name in FINGERS for seg in SEGMENTS]
                 + [f"wrist.offset.{ax}" for ax in "xyz"])
+
+# the limits file's key of each bound `JointLimits` holds, min then max
+_LIMIT_KEYS = [f"{name}.{angle}.{end}_deg" for end in ("min", "max")
+               for name in FINGERS for angle in ANGLE_NAMES]
 
 
 def finger_joint_indices(finger):
@@ -208,7 +212,8 @@ def _geometry_from_kv(kv):
 
 @dataclass(frozen=True)
 class JointLimits:
-    """Per-DoF [min, max] radians for the 20 finger DoFs, shape (5, 4)."""
+    """Per-DoF [min, max] radians for the 20 finger DoFs, shape (5, 4),
+    each at most `config.ANGLE_LIMIT_DEG` in magnitude."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -216,6 +221,12 @@ class JointLimits:
     def __post_init__(self):
         object.__setattr__(self, "lower", _read_only(np.reshape(self.lower, (5, 4))))
         object.__setattr__(self, "upper", _read_only(np.reshape(self.upper, (5, 4))))
+        bounds = np.concatenate([self.lower.ravel(), self.upper.ravel()])
+        ok = np.abs(bounds) <= np.radians(ANGLE_LIMIT_DEG)  # False at NaN too
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise ValueError(f"key {_LIMIT_KEYS[k]!r}: must be at most {ANGLE_LIMIT_DEG:g} "
+                             f"degrees in magnitude, got {float(np.degrees(bounds[k]))!r}")
         if not np.all(self.lower < self.upper):
             raise ValueError("every DoF needs min < max")
 

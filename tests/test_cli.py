@@ -3,6 +3,7 @@ import logging
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -459,6 +460,16 @@ def test_keyvalue_file_bad_value_exits_2(tmp_path, caplog, flag, key, value, mes
     assert f"config error: {path}: {message}" in caplog.text
 
 
+def _rewrite_keyvalue(key):
+    """Sets `key` of a key-value file, which holds it once, to a value."""
+    def rewrite(path, value):
+        text, count = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}",
+                              path.read_text(), flags=re.M)
+        assert count == 1
+        path.write_text(text)
+    return rewrite
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, key, value, command, message", [
     # each used to end in numpy's overflow or invalid-cast warning, then a
@@ -481,10 +492,7 @@ def test_overflowing_camera_or_geometry_value_exits_2_naming_file_and_key(
     dataset = tmp_path / "dataset"
     shutil.copytree(pipeline_dir / "dataset", dataset)
     path = dataset / name
-    text, count = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}",
-                          path.read_text(), flags=re.M)
-    assert count == 1
-    path.write_text(text)
+    _rewrite_keyvalue(key)(path, value)
     out = tmp_path / "out"
     args = {
         "train": ["--dataset", str(dataset)],
@@ -496,6 +504,110 @@ def test_overflowing_camera_or_geometry_value_exits_2_naming_file_and_key(
     assert cli.main([command, "--out", str(out)] + args + TINY) == 2
     assert f"config error: {path}: {message}" in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_joint_limit_past_a_full_turn_exits_2_naming_file_and_key(pipeline_dir, tmp_path,
+                                                                  caplog):
+    # fit used to take these limits and write a thumb flexion of 3.9e305
+    # degrees to poses.csv, with exit 0
+    path = tmp_path / "limits.txt"
+    shutil.copy(pipeline_dir / "dataset" / "limits.txt", path)
+    command = ["fit", "--proposals", str(pipeline_dir / "proposals.csv"), "--limits", str(path)]
+    for low, high, code in (("-1e308", "1e308", 2), ("-360", "360", 0)):  # a full turn is taken
+        _rewrite_keyvalue("thumb.mcp_flexion.min_deg")(path, low)
+        _rewrite_keyvalue("thumb.mcp_flexion.max_deg")(path, high)
+        out = tmp_path / f"out{code}"
+        assert cli.main(command + ["--out", str(out)] + TINY) == code
+        assert out.exists() == (code == 0)
+    assert (f"config error: {path}: key 'thumb.mcp_flexion.min_deg': must be at most "
+            "360 degrees in magnitude, got -1e+308") in caplog.text
+
+
+def _rewrite_csv(*columns):
+    """The first data row's `columns`, each set to the value."""
+    def rewrite(path, value):
+        lines = path.read_text().splitlines()
+        header, cells = lines[0].split(","), lines[1].split(",")
+        for column in columns:
+            cells[header.index(column)] = value
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    return rewrite
+
+
+def _rewrite_pgm_width(path, value):
+    magic, size, rest = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(b"\n".join([magic, value.encode() + b" " + size.split()[1], rest]))
+
+
+def _rewrite_forest_background(path, value):
+    blob = bytearray(path.read_bytes())
+    blob[16:24] = struct.pack("<d", float(value))  # the header's float64 bg_depth_mm
+    path.write_bytes(bytes(blob))
+
+
+# file kind -> (path in the run directory, the field rewritten, the command
+# that reads it with its arguments, and the exit code a refused value gets:
+# 2 for a settings file, 4 for a data file)
+CORRUPTIONS = {
+    "intrinsics": ("dataset/intrinsics.txt", _rewrite_keyvalue("fx"),
+                   ["infer", "--dataset", "{run}/dataset", "--forest", "{run}/forest.bin"], 2),
+    "geometry": ("dataset/geometry.txt", _rewrite_keyvalue("thumb.proximal"),
+                 ["fit", "--proposals", "{run}/proposals.csv",
+                  "--geometry", "{run}/dataset/geometry.txt"], 2),
+    "limits": ("dataset/limits.txt", _rewrite_keyvalue("thumb.mcp_flexion.max_deg"),
+               ["fit", "--proposals", "{run}/proposals.csv",
+                "--limits", "{run}/dataset/limits.txt"], 2),
+    "poses": ("dataset/test/poses.csv", _rewrite_csv("qw"),
+              ["eval", "--estimates", "{run}/fit/estimates.csv", "--dataset", "{run}/dataset"],
+              4),
+    "pgm": ("dataset/test/frame_00000.pgm", _rewrite_pgm_width,
+            ["infer", "--dataset", "{run}/dataset", "--forest", "{run}/forest.bin"], 4),
+    "forest": ("forest.bin", _rewrite_forest_background,
+               ["infer", "--dataset", "{run}/dataset", "--forest", "{run}/forest.bin"], 4),
+    "proposals": ("proposals.csv", _rewrite_csv("x"),
+                  ["fit", "--proposals", "{run}/proposals.csv"], 4),
+    "estimates": ("fit/estimates.csv", _rewrite_csv("palm_x"),
+                  ["eval", "--estimates", "{run}/fit/estimates.csv", "--dataset",
+                   "{run}/dataset"], 4),
+}
+# the fixed values written into each kind's field; every reader must refuse
+# all but 0 and the negative value, which may be valid data
+VALUES = ("nan", "inf", "-inf", "1e308", "0", "-7", "cut")
+REFUSED = ("nan", "inf", "-inf", "1e308", "zero quaternion", "cut")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, value", [(kind, value) for kind in CORRUPTIONS
+                                         for value in VALUES]
+                         + [("poses", "zero quaternion")])
+def test_corrupted_run_directory_file_exits_with_its_code_naming_the_file(
+        pipeline_dir, tmp_path, caplog, kind, value):
+    # one field of each file kind a command reads, rewritten in a copy of the
+    # tiny run directory, or the file cut to half its bytes; the command runs
+    # in-process with warnings as errors, so an overflow fails the test
+    rel, rewrite, command, code = CORRUPTIONS[kind]
+    run = tmp_path / "run"
+    shutil.copytree(pipeline_dir, run)
+    path = run / rel
+    if value == "cut":
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+    elif value == "zero quaternion":
+        _rewrite_csv("qw", "qx", "qy", "qz")(path, "0")
+    else:
+        rewrite(path, value)
+    out = tmp_path / "out"
+    rc = cli.main([arg.format(run=run) for arg in command] + ["--out", str(out)] + TINY)
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert rc in (0, code), (rc, errors)
+    # a NaN estimate marks a missing joint, which is scored, not refused
+    if value in REFUSED and (kind, value) != ("estimates", "nan"):
+        assert rc == code, errors
+    # a refused value is named by its file; an accepted one logs no error
+    assert (rc != 0) == any(str(path) in message for message in errors), errors
+    if rc:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, extra, message", [
@@ -583,6 +695,25 @@ def test_scale_flag_sets_articulations(tmp_path):
     assert cfg["synth.articulations"] == 2  # 2**5 x 7 = 224 poses
     args = parser.parse_args(["synth", "--out", str(tmp_path), "--scale", "1.0"])
     assert cli._load_config(args)["synth.articulations"] == 4
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--scale"), ("infer", "--scale"), ("fit", "--scale"), ("eval", "--scale"),
+    ("sweep", "--scale"), ("synth", "--threads"), ("eval", "--threads"),
+])
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    # --scale only shapes the training grid that synth renders, and synth
+    # and eval hand no work to workers; these were accepted and ignored
+    required = {"synth": [], "train": ["--dataset", "d"],
+                "infer": ["--dataset", "d", "--forest", "f"], "fit": ["--proposals", "p"],
+                "eval": ["--estimates", "e", "--dataset", "d"],
+                "sweep": ["--experiment", "k", "--dataset", "d", "--forest", "f"]}[command]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--out", str(out)] + required + [flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_env_seed_override(tmp_path, monkeypatch):
@@ -678,7 +809,7 @@ def test_infer_with_more_forest_joints_than_the_hand_exits_4(pipeline_dir, tmp_p
         leaf_modes=np.ones((1, 22, 1, 3), np.float32),
         leaf_weights=np.ones((1, 22, 1), np.float32))
     path = tmp_path / "forest22.bin"
-    forest.save_forest(path, forest.Forest([one_leaf], num_joints=22, leaf_modes=1))
+    forest.save_forest(path, forest.Forest([one_leaf]))
     rc = cli.main(["infer", "--dataset", str(pipeline_dir / "dataset"),
                    "--forest", str(path), "--out", str(tmp_path / "p.csv")] + TINY)
     assert rc == 4
@@ -687,7 +818,7 @@ def test_infer_with_more_forest_joints_than_the_hand_exits_4(pipeline_dir, tmp_p
 
 
 @pytest.mark.parametrize("change, message", [
-    (dict(trees=[]), "header forest.num_trees: must be >= 1, got 0 (at byte 8)"),
+    (None, "header forest.num_trees: must be >= 1, got 0 (at byte 8)"),
     (dict(bg_depth_mm=float("nan")),
      "header forest.bg_depth_mm: must be finite, got nan (at byte 16)"),
 ], ids=["no_trees", "bg_nan"])
@@ -698,7 +829,11 @@ def test_infer_with_a_forest_header_no_training_writes_exits_4(pipeline_dir, tmp
     # the file, as the other readers' do
     model = forest.load_forest(pipeline_dir / "forest.bin")
     path = tmp_path / "bad.bin"
-    forest.save_forest(path, dataclasses.replace(model, **change))
+    if change is None:  # save_forest writes no forest without trees: the header, counted 0
+        blob = (pipeline_dir / "forest.bin").read_bytes()
+        path.write_bytes(blob[:8] + struct.pack("<I", 0) + blob[12:24])
+    else:
+        forest.save_forest(path, dataclasses.replace(model, **change))
     rc = cli.main(["infer", "--dataset", str(pipeline_dir / "dataset"),
                    "--forest", str(path), "--out", str(tmp_path / "p.csv")] + TINY)
     assert rc == 4

@@ -245,9 +245,7 @@ def test_run_config_defaults_match_dataclass_defaults():
     assert len(defaults) == 6
     defaults.append((inspect.signature(meanshift.mean_shift).parameters["max_iters"].default,
                      "forest.meanshift_iters"))
-    forest = F.Forest([])
-    defaults += [(forest.leaf_modes, "forest.leaf_modes"),
-                 (forest.bg_depth_mm, "forest.bg_depth_mm"),
+    defaults += [(F.Forest([]).bg_depth_mm, "forest.bg_depth_mm"),
                  (metrics.MISSING_JOINT_ERROR_MM, "pso.d_max_mm")]
     defaults += [(inspect.signature(fn).parameters["translation"].default[2],
                   "synth.distance_mm")
@@ -372,6 +370,8 @@ def test_intrinsics_reject_non_finite_focal_lengths_and_fractional_sizes(field, 
     ("forest.k", 2.0, "forest.k: must be an integer, got 2.0"),
     ("forest.depth_sq_weight", 1, "forest.depth_sq_weight: must be a bool, got 1"),
     ("seed", -1, "seed: must be >= 0, got -1"),
+    # past float32's range, it overflowed where the split features cast it
+    ("forest.bg_depth_mm", 1e308, "forest.bg_depth_mm: must be <= 1e+06, got 1e+308"),
 ])
 def test_run_config_rejects_a_bad_value_when_it_is_set(key, value, message):
     cfg = RunConfig()

@@ -1082,13 +1082,53 @@ def test_load_rejects_bad_files(tmp_path, tiny_forest):
 
 
 def _one_leaf_forest(num_joints=21, modes=1, trees=1, bg_depth_mm=10000.0):
-    """A forest of `trees` one-leaf trees whose header says what the
-    arguments say, every block sized to match."""
+    """A forest of `trees` one-leaf trees whose leaf arrays hold
+    `num_joints` joints and `modes` modes, so that its header says what the
+    arguments say."""
     tree = F.Tree(nodes=np.array([[-1, -1, 0, 0, 0, 0, 0, 0]], "<f4"),
                   leaf_modes=np.ones((1, num_joints, modes, 3), np.float32),
                   leaf_weights=np.ones((1, num_joints, modes), np.float32))
-    return F.Forest([tree] * trees, num_joints=num_joints, leaf_modes=modes,
-                    bg_depth_mm=bg_depth_mm)
+    return F.Forest([tree] * trees, bg_depth_mm=bg_depth_mm)
+
+
+# the file header: magic, then version, reserved, tree count, joint count,
+# mode count and background depth
+HEADER = 4 + struct.calcsize("<HHIHHd")
+
+
+def _save_one_leaf_forest(path, trees=1, **header):
+    """`_one_leaf_forest` saved to `path`. `save_forest` writes no forest
+    without trees, so at `trees` 0 the file is a one-tree forest's header
+    with its tree count made 0."""
+    F.save_forest(path, _one_leaf_forest(trees=max(trees, 1), **header))
+    if trees == 0:
+        blob = path.read_bytes()
+        path.write_bytes(blob[:8] + struct.pack("<I", 0) + blob[12:HEADER])
+
+
+def test_saved_header_counts_are_the_leaf_arrays(tmp_path):
+    # a forest's header used to take the default counts (21 joints, 2
+    # modes) whatever its leaves held, and loading such a file then failed
+    path = tmp_path / "forest.bin"
+    model = _one_leaf_forest(num_joints=4, modes=3, trees=2)
+    F.save_forest(path, model)
+    loaded = F.load_forest(path)
+    assert (loaded.num_joints, loaded.leaf_modes) == (4, 3)
+    assert loaded.trees[1].leaf_modes.tobytes() == model.trees[1].leaf_modes.tobytes()
+
+
+def test_save_refuses_a_forest_its_header_cannot_describe(tmp_path):
+    # no trees, or trees whose leaf arrays disagree: nothing is written
+    path = tmp_path / "forest.bin"
+    with pytest.raises(ValueError, match="no trees"):
+        F.save_forest(path, F.Forest([]))
+    two, three = _one_leaf_forest(modes=2).trees[0], _one_leaf_forest(modes=3).trees[0]
+    with pytest.raises(ValueError, match=r"^tree 1: leaf modes \(1, 21, 3, 3\)"):
+        F.save_forest(path, F.Forest([two, three]))
+    ragged = F.Tree(two.nodes, two.leaf_modes, np.ones((2, 21, 2), np.float32))
+    with pytest.raises(ValueError, match="^tree 0: "):
+        F.save_forest(path, F.Forest([ragged]))
+    assert not path.exists()
 
 
 def test_load_rejects_more_joints_than_the_hand(tmp_path):
@@ -1118,7 +1158,7 @@ def test_load_rejects_header_no_training_run_writes(tmp_path, header, offset, me
     path = tmp_path / "forest.bin"
     F.save_forest(path, _one_leaf_forest())
     assert F.load_forest(path).num_joints == 21
-    F.save_forest(path, _one_leaf_forest(**header))
+    _save_one_leaf_forest(path, **header)
     with pytest.raises(F.ForestFormatError) as exc:
         F.load_forest(path)
     assert str(exc.value) == f"{path}: {message} (at byte {offset})"
@@ -1126,7 +1166,7 @@ def test_load_rejects_header_no_training_run_writes(tmp_path, header, offset, me
 
 # tree 0's node table follows the file header and the tree's size pair;
 # each node row is eight little-endian float32 fields: left, right, leaf id, ...
-NODE_TABLE = 4 + struct.calcsize("<HHIHHd") + struct.calcsize("<II")
+NODE_TABLE = HEADER + struct.calcsize("<II")
 
 
 @pytest.mark.parametrize("case", ["self_loop", "child_out_of_range",
@@ -1276,7 +1316,7 @@ def test_largest_probe_offsets_load_and_route_at_a_1mm_depth(tmp_path, cam, rest
                   leaf_modes=np.ones((2, 21, 1, 3), np.float32),
                   leaf_weights=np.ones((2, 21, 1), np.float32))
     path = tmp_path / "forest.bin"
-    F.save_forest(path, F.Forest([tree], leaf_modes=1))
+    F.save_forest(path, F.Forest([tree]))
     loaded = F.load_forest(path).trees[0]
     img = rest_frame[0]
     frames = Frames.pack([img], cam)
@@ -1355,10 +1395,9 @@ def _small_forest_bytes(tmp_path):
                   leaf_modes=np.ones((2, 2, 1, 3), np.float32),
                   leaf_weights=np.ones((2, 2, 1), np.float32))
     path = tmp_path / "small.bin"
-    F.save_forest(path, F.Forest([tree], num_joints=2, leaf_modes=1))
+    F.save_forest(path, F.Forest([tree]))
     blob = path.read_bytes()
-    assert F.load_forest(path).stats() == F.Forest([tree], num_joints=2,
-                                                   leaf_modes=1).stats()
+    assert F.load_forest(path).stats() == F.Forest([tree]).stats()
     return blob
 
 
